@@ -23,7 +23,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ import numpy as np
 from . import __version__
 from .correlations import CorrelationModel, required_truncation_length
 from .decoy import CountTriple
-from .keyrate import ObservedCounts, evaluate_pipeline
+from .keyrate import DEFAULT_F_EC, ObservedCounts, evaluate_pipeline
 from .model import (
     ConfigError,
     EpsilonBudget,
@@ -63,14 +62,12 @@ class RunManifest:
     bound_algorithm: str
     rng_algorithm: str
     timestamp: str
-    threads: int | None = None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
 def make_manifest(config_text: str, seed: int | None) -> RunManifest:
-    threads_env = os.environ.get("CORRBB84_THREADS")
     return RunManifest(
         version=__version__,
         config_hash=hashlib.sha256(config_text.encode()).hexdigest(),
@@ -78,7 +75,6 @@ def make_manifest(config_text: str, seed: int | None) -> RunManifest:
         bound_algorithm=BOUND_ALGORITHM,
         rng_algorithm=RNG_ALGORITHM,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        threads=int(threads_env) if threads_env else None,
     )
 
 
@@ -165,7 +161,7 @@ def parse_channel(data: dict) -> ChannelModel:
         detector_efficiency=section.get("detector_efficiency", 0.25),
         dark_count_prob=section.get("dark_count_prob", 1e-7),
         misalignment=section.get("misalignment", 0.01),
-        f_EC=section.get("f_EC", 1.16),
+        f_EC=section.get("f_EC", DEFAULT_F_EC),
     )
     problems = validate_channel(channel)
     if problems:
@@ -298,7 +294,7 @@ def cmd_keyrate(args) -> int:
             observed, _ = expected_counts(config, channel)
     else:
         raise ConfigError("keyrate needs either --counts FILE or --simulate")
-    f_ec = data.get("channel", {}).get("f_EC", 1.16)
+    f_ec = data.get("channel", {}).get("f_EC", DEFAULT_F_EC)
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
     payload = {
         "manifest": manifest.to_dict(),
@@ -351,7 +347,9 @@ def parse_distances(spec: str) -> list[float]:
     return [float(p) for p in spec.split(",") if p]
 
 
-def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpec:
+def _optimizer_spec(
+    data: dict, config: ProtocolConfig, channel: ChannelModel, args
+) -> OptimizationSpec:
     section = data.get("optimizer", {})
     overrides = {}
     for key in (
@@ -367,14 +365,16 @@ def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpe
         raise ConfigError(
             "correlated optimization with d=0 needs an explicit correlations.l_c_eff"
         )
-    return OptimizationSpec(N=config.N, correlation=model, **overrides)
+    return OptimizationSpec(
+        N=config.N, correlation=model, f_EC=channel.f_EC, **overrides
+    )
 
 
 def cmd_scan(args) -> int:
     data = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
-    spec = _optimizer_spec(data, config, args)
+    spec = _optimizer_spec(data, config, channel, args)
     manifest = make_manifest(data["_raw_text"], args.seed)
     distances = parse_distances(args.distances)
     rows = scan_distance(spec, channel, distances, seed=args.seed)
@@ -399,7 +399,7 @@ def cmd_optimize(args) -> int:
     data = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
-    spec = _optimizer_spec(data, config, args)
+    spec = _optimizer_spec(data, config, channel, args)
     manifest = make_manifest(data["_raw_text"], args.seed)
     outcome = optimize_params(spec, channel, seed=args.seed)
     payload = {

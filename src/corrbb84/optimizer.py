@@ -1,7 +1,10 @@
 """Derivative-free maximization of the certified key length.
 
 Coordinate descent with golden-section line searches over box bounds,
-restarted from a small set of scrambled-Sobol initial points. The objective
+restarted from the centre of the box and the first points of a scrambled
+Sobol' sequence (Joe-Kuo direction numbers, S. Joe and F. Y. Kuo, SIAM J.
+Sci. Comput. 30, 2635 (2008); LMS plus digital-shift scrambling), generated
+in-package and equal bit for bit to ``scipy.stats.qmc.Sobol``. The objective
 is the key length of the expected-value pipeline (deterministic counts;
 sampled counts would make the objective noisy), so a fixed (spec, seed) pair
 yields a reproducible trajectory and result.
@@ -19,16 +22,21 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from .correlations import CorrelationModel, required_truncation_length
-from .keyrate import KeyRateResult, evaluate_pipeline
+from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline
 from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity
 from .simulator import ChannelModel, expected_counts
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 PARAM_NAMES = ("s", "w", "p_s", "p_w", "p_keep", "u_A", "u_B")
+
+# Joe-Kuo primitive polynomials and initial direction numbers m_{d,j} for
+# Sobol' dimensions 2..7 (dimension 1 needs none); 30 bits per coordinate.
+_SOBOL_POLYS = (3, 7, 11, 13, 19, 25)
+_SOBOL_INIT = ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13))
+_SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,7 @@ class OptimizationSpec:
     eps_PA: float = 1e-10
     eps_EV: float = 1e-10
     correlation: CorrelationModel | None = None
-    f_EC: float = 1.16
+    f_EC: float = DEFAULT_F_EC
     budget: int = 400
     restarts: int = 5
     coordinate_passes: int = 3
@@ -233,9 +241,46 @@ def _center_start(spec: OptimizationSpec) -> np.ndarray:
     )
 
 
+def _sobol_points(n: int, seed: int | None) -> np.ndarray:
+    """First n points of the 7-dimensional scrambled Sobol' sequence.
+
+    Direction numbers m_{d,j} follow the Joe-Kuo recurrence; a lower-triangular
+    (LMS) scramble and a digital shift, drawn from ``default_rng(seed)``, act
+    on their 30-bit expansions; point k XORs the direction numbers selected by
+    the Gray code of k into the shift. Bit for bit equal to
+    ``scipy.stats.qmc.Sobol(7, scramble=True, seed=seed).random(n)``.
+    """
+    bits, dim = _SOBOL_BITS, len(PARAM_NAMES)
+    cols = max(n - 1, 0).bit_length()  # Gray codes of k < n use only these columns
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32)[:, ::-1]
+    lower = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32)[:, :, :cols])
+    lower[:, range(cols), range(cols)] = 1
+    m = [[1] * cols]  # dimension 1 is van der Corput: m_j = 1
+    for poly, init in zip(_SOBOL_POLYS, _SOBOL_INIT):
+        deg, row = len(init), list(init[:cols])
+        for j in range(deg, cols):
+            new = row[j - deg] ^ (row[j - deg] << deg)
+            for k in range(1, deg):
+                new ^= ((poly >> (deg - k)) & 1) * (row[j - k] << k)
+            row.append(new)
+        m.append(row)
+    # bit c (most significant first) of direction number j is bit j - c of
+    # m_j, so only the first `cols` columns of the scramble matrix act on it
+    direction = np.array(
+        [[(row[j] >> (j - c)) & 1 if c <= j else 0 for j in range(cols)]
+         for row in m for c in range(cols)],
+        dtype=np.int64,
+    ).reshape(dim, cols, cols)
+    scrambled = lower @ direction % 2
+    k = np.arange(n)
+    gray = ((k ^ (k >> 1))[:, None] >> np.arange(cols)) & 1
+    point_bits = (shift + np.einsum("dcj,kj->kdc", scrambled, gray)) % 2
+    return point_bits @ 0.5 ** np.arange(1, bits + 1)
+
+
 def _initial_points(spec: OptimizationSpec, seed: int) -> np.ndarray:
-    sampler = qmc.Sobol(d=len(PARAM_NAMES), scramble=True, seed=seed)
-    unit = sampler.random(spec.restarts)
+    unit = _sobol_points(spec.restarts, seed)
     boxes = np.array(spec.boxes())
     points = boxes[:, 0] + unit * (boxes[:, 1] - boxes[:, 0])
     points[0] = _center_start(spec)
@@ -281,8 +326,10 @@ def optimize_params(
     config, model = built
     observed, _ = expected_counts(config, channel)
     result = evaluate_pipeline(observed, config, model, f_EC=spec.f_EC)
-    # the reported winner must reproduce its score exactly
-    assert result.key_length == best_score, "winner re-evaluation disagrees"
+    if result.key_length != best_score:
+        raise RuntimeError(
+            f"winner re-evaluation disagrees: {result.key_length} != {best_score}"
+        )
     return OptimizationResult(
         params=_describe(best_point, spec),
         key_length=result.key_length,

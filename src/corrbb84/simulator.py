@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import ExplicitDeltas, round_minus_probability
-from .keyrate import ObservedCounts
+from .keyrate import DEFAULT_F_EC, ObservedCounts
 from .model import ProtocolConfig, single_photon_prob
 from .decoy import CountTriple
 
@@ -41,7 +41,7 @@ class ChannelModel:
 
     Defaults: 0.2 dB/km fiber, 25% detector efficiency, 1e-7 dark-count
     probability per detector per gate, 1% misalignment, error-correction
-    inefficiency 1.16.
+    inefficiency ``keyrate.DEFAULT_F_EC``.
     """
 
     distance_km: float
@@ -49,7 +49,7 @@ class ChannelModel:
     detector_efficiency: float = 0.25
     dark_count_prob: float = 1e-7
     misalignment: float = 0.01
-    f_EC: float = 1.16
+    f_EC: float = DEFAULT_F_EC
 
     @property
     def transmittance(self) -> float:

@@ -7,15 +7,18 @@ budgets. Each test prints a single PASS line with its runtime.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import corrbb84
 from corrbb84 import correlations as corr
 from corrbb84.concentration import azuma_delta, bernstein_upper_delta
 from corrbb84.correlations import CorrelationModel, required_truncation_length
@@ -241,9 +244,13 @@ CLI_CONFIG = {
 
 
 def _run_cli(args, cwd):
+    # the child runs in cwd, so a relative PYTHONPATH would not find the package
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "corrbb84.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

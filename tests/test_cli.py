@@ -127,6 +127,20 @@ def test_optimize_writes_result(config_path, tmp_path):
     assert payload["result"]["evaluations"] <= 30
 
 
+def test_optimize_uses_channel_f_ec(tmp_path):
+    keys = {}
+    for f_ec in (1.16, 2.0):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["channel"]["f_EC"] = f_ec
+        config["optimizer"] = {"budget": 30, "restarts": 1, "coordinate_passes": 1}
+        path = tmp_path / f"opt_{f_ec}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"best_{f_ec}.json"
+        assert main(["optimize", "--config", str(path), "--seed", "2", "--out", str(out)]) == 0
+        keys[f_ec] = json.loads(out.read_text())["result"]["key_length"]
+    assert 0 < keys[2.0] < keys[1.16]
+
+
 def test_validate_quick_passes_and_repeats(capsys):
     assert main(["validate", "--level", "quick", "--seed", "7"]) == 0
     first = capsys.readouterr().out

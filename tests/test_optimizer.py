@@ -1,11 +1,22 @@
+import itertools
+import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import corrbb84
+from corrbb84 import optimizer
 from corrbb84.correlations import CorrelationModel
 from corrbb84.optimizer import (
+    PARAM_NAMES,
     OptimizationSpec,
     _build_config,
+    _sobol_points,
     optimize_params,
     scan_distance,
 )
@@ -80,3 +91,42 @@ def test_scan_monotone_and_warm_start(channel_10km):
             f"warm/cold scans disagree beyond 2%: {warm_key} vs {cold_key}",
             stacklevel=1,
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 64])
+def test_sobol_points_equal_scipy_bit_for_bit(n):
+    pytest.importorskip("scipy")
+    from scipy.stats import qmc
+
+    for seed in [*range(200), 9973]:
+        with warnings.catch_warnings():
+            # scipy warns that n = 5 breaks the power-of-2 balance properties
+            warnings.simplefilter("ignore", UserWarning)
+            expected = qmc.Sobol(d=len(PARAM_NAMES), scramble=True, seed=seed).random(n)
+        got = _sobol_points(n, seed)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), f"seed {seed}"
+
+
+def test_import_leaves_scipy_unloaded():
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    probe = "import sys, corrbb84, corrbb84.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_winner_disagreement_raises(monkeypatch, channel_10km):
+    real = optimizer.evaluate_pipeline
+    drift = itertools.count(1)
+
+    def drifting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return replace(result, key_length=result.key_length + next(drift))
+
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", drifting)
+    with pytest.raises(RuntimeError, match="winner re-evaluation disagrees"):
+        optimize_params(OptimizationSpec(**FAST), channel_10km, seed=1)
