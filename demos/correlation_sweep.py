@@ -11,8 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from corrbb84 import evaluate_pipeline, expected_counts
-from corrbb84.correlations import CorrelationModel, required_truncation_length
-from corrbb84.model import mean_intensity
+from corrbb84.correlations import CorrelationModel
 from corrbb84.validation import reference_channel, reference_config
 
 try:
@@ -31,7 +30,6 @@ def main():
     swept = replace(config, epsilon_budget=replace(config.epsilon_budget, d=1e-12))
     channel = reference_channel(10.0)
     observed, _ = expected_counts(config, channel)
-    mu_bar = mean_intensity(config.intensity_set)
 
     print(" Delta_1 |  l_c_eff | coin bound |  e_ph bound | key length")
     print("---------+----------+------------+-------------+-----------")
@@ -40,15 +38,13 @@ def main():
     for delta_1 in sweep:
         if delta_1 == 0.0:
             result = evaluate_pipeline(observed, config, None)
-            l_c, coin = 0, 0.0
         else:
             model = CorrelationModel(
                 delta_1=float(delta_1), decay_C=1.0, truncation_d=1e-12
             )
-            l_c = required_truncation_length(config.N, mu_bar, model)
-            model = replace(model, l_c_eff=l_c)
             result = evaluate_pipeline(observed, swept, model)
-            coin = result.audit["correlation"]["coin_parameter"]
+        l_c = result.audit["correlation"]["l_c"]
+        coin = result.audit["correlation"]["coin_parameter"]
         keys.append(result.key_length)
         print(f"  {delta_1:.4f} | {l_c:8d} | {coin:10.3e} | {result.e_ph_upper:11.5f} "
               f"| {result.key_length:10d}")

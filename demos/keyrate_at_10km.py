@@ -16,8 +16,7 @@ from corrbb84 import (
     evaluate_pipeline,
     expected_counts,
 )
-from corrbb84.correlations import CorrelationModel, required_truncation_length
-from corrbb84.model import mean_intensity
+from corrbb84.correlations import CorrelationModel
 
 
 def main():
@@ -37,14 +36,13 @@ def main():
     print(f"total detected sifted rounds:          {observed.n_sifted_det}")
     print(f"true single-photon Z detections:       {truth.z_det_single()}")
 
-    # mild encoder correlations, truncated so the state error stays below d
+    # mild encoder correlations; the pipeline truncates them at the length
+    # that keeps the state error below d
     model = CorrelationModel(delta_1=0.05, decay_C=1.0, truncation_d=1e-12)
-    l_c = required_truncation_length(config.N, mean_intensity(config.intensity_set), model)
-    model = CorrelationModel(delta_1=0.05, decay_C=1.0, truncation_d=1e-12, l_c_eff=l_c)
-    print(f"\ncorrelation model: Delta_1 = 0.05, C = 1.0 -> l_c_eff = {l_c}")
-
     result = evaluate_pipeline(observed, config, model)
     audit = result.audit
+    print(f"\ncorrelation model: Delta_1 = 0.05, C = 1.0 -> "
+          f"l_c_eff = {audit['correlation']['l_c']}")
     print(f"decoy single-photon Z bounds: [{audit['decoy_bounds']['z_det_lower']:.1f}, "
           f"{audit['decoy_bounds']['z_det_upper']:.1f}]")
     print(f"coin parameter bound:         {audit['correlation']['coin_parameter']:.3e}")

@@ -27,20 +27,11 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
-from .correlations import CorrelationModel, required_truncation_length
+from .correlations import CorrelationModel, validate_correlation
 from .decoy import CountTriple
 from .keyrate import DEFAULT_F_EC, ObservedCounts, evaluate_pipeline
-from .model import (
-    ConfigError,
-    EpsilonBudget,
-    IntensitySet,
-    ProtocolConfig,
-    mean_intensity,
-    validate_config,
-)
+from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, validate_config
 from .optimizer import OptimizationSpec, optimize_params, scan_distance
 from .simulator import ChannelModel, expected_counts, sample_counts, validate_channel
 from .validation import run_validation
@@ -52,6 +43,12 @@ MANIFEST_PREFIX = "# corrbb84-manifest: "
 COUNT_CATEGORIES = ("det", "err")
 BASES = ("Z", "X")
 INTENSITIES = ("s", "w", "v")
+EPSILONS = ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")
+CHANNEL_OPTIONAL = (
+    "attenuation_db_per_km", "detector_efficiency", "dark_count_prob", "misalignment",
+)
+# numpy's multinomial draws int64 counts
+MAX_SAMPLED_N = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -78,21 +75,6 @@ def make_manifest(config_text: str, seed: int | None) -> RunManifest:
     )
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars so json.dumps round-trips exactly."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def _fmt(value: float) -> str:
     """17-significant-digit decimal; round-trip exact for doubles."""
     return format(float(value), ".17g")
@@ -105,6 +87,21 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required field {where}.{key}")
     return section[key]
+
+
+def _number(section: dict, key: str, where: str, default=None) -> float:
+    """A JSON number, required when ``default`` is None."""
+    value = _require(section, key, where) if default is None else section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return value
+
+
+def _whole(section: dict, key: str, where: str, default=None) -> int:
+    value = _number(section, key, where, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def load_config(path: str) -> dict:
@@ -126,25 +123,14 @@ def parse_protocol(data: dict) -> ProtocolConfig:
     intensities = _require(protocol, "intensities", "protocol")
     probs = _require(protocol, "intensity_probs", "protocol")
     epsilons = _require(data, "epsilons", "config")
-    budget = EpsilonBudget(
-        eps_A=_require(epsilons, "eps_A", "epsilons"),
-        eps_B=_require(epsilons, "eps_B", "epsilons"),
-        eps_C=_require(epsilons, "eps_C", "epsilons"),
-        eps_PA=_require(epsilons, "eps_PA", "epsilons"),
-        eps_EV=_require(epsilons, "eps_EV", "epsilons"),
-        d=_require(epsilons, "d", "epsilons"),
-    )
+    budget = EpsilonBudget(**{eps: _number(epsilons, eps, "epsilons") for eps in EPSILONS})
     config = ProtocolConfig(
-        N=int(_require(protocol, "N", "protocol")),
+        N=_whole(protocol, "N", "protocol"),
         intensity_set=IntensitySet(
-            s=_require(intensities, "s", "protocol.intensities"),
-            w=_require(intensities, "w", "protocol.intensities"),
-            v=_require(intensities, "v", "protocol.intensities"),
-            p_s=_require(probs, "s", "protocol.intensity_probs"),
-            p_w=_require(probs, "w", "protocol.intensity_probs"),
-            p_v=_require(probs, "v", "protocol.intensity_probs"),
+            **{mu: _number(intensities, mu, "protocol.intensities") for mu in INTENSITIES},
+            **{f"p_{mu}": _number(probs, mu, "protocol.intensity_probs") for mu in INTENSITIES},
         ),
-        p_keep=_require(protocol, "p_keep", "protocol"),
+        p_keep=_number(protocol, "p_keep", "protocol"),
         epsilon_budget=budget,
     )
     problems = validate_config(config)
@@ -153,15 +139,21 @@ def parse_protocol(data: dict) -> ProtocolConfig:
     return config
 
 
+def parse_f_ec(data: dict) -> float:
+    """``channel.f_EC``; a counts file is certified without the rest of the
+    channel section."""
+    f_ec = _number(data.get("channel", {}), "f_EC", "channel", DEFAULT_F_EC)
+    if f_ec < 1.0:
+        raise ConfigError("f_EC must be >= 1")
+    return f_ec
+
+
 def parse_channel(data: dict) -> ChannelModel:
     section = _require(data, "channel", "config")
     channel = ChannelModel(
-        distance_km=_require(section, "distance_km", "channel"),
-        attenuation_db_per_km=section.get("attenuation_db_per_km", 0.2),
-        detector_efficiency=section.get("detector_efficiency", 0.25),
-        dark_count_prob=section.get("dark_count_prob", 1e-7),
-        misalignment=section.get("misalignment", 0.01),
-        f_EC=section.get("f_EC", DEFAULT_F_EC),
+        distance_km=_number(section, "distance_km", "channel"),
+        f_EC=parse_f_ec(data),
+        **{key: _number(section, key, "channel") for key in CHANNEL_OPTIONAL if key in section},
     )
     problems = validate_channel(channel)
     if problems:
@@ -170,21 +162,20 @@ def parse_channel(data: dict) -> ChannelModel:
 
 
 def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel | None:
+    """The correlation model; without ``l_c_eff`` the pipeline derives the
+    length from d (``correlations.effective_length``)."""
     section = data.get("correlations")
     if section is None:
         return None
-    d = config.epsilon_budget.d
     model = CorrelationModel(
-        delta_1=_require(section, "delta_1", "correlations"),
-        decay_C=_require(section, "decay_C", "correlations"),
-        truncation_d=d,
-        l_c_eff=int(section.get("l_c_eff", 0)),
+        delta_1=_number(section, "delta_1", "correlations"),
+        decay_C=_number(section, "decay_C", "correlations"),
+        truncation_d=config.epsilon_budget.d,
+        l_c_eff=_whole(section, "l_c_eff", "correlations", 0),
     )
-    if model.delta_1 > 0 and d > 0 and "l_c_eff" not in section:
-        needed = required_truncation_length(
-            config.N, mean_intensity(config.intensity_set), model
-        )
-        model = dataclasses.replace(model, l_c_eff=needed)
+    problems = validate_correlation(model)
+    if problems:
+        raise ConfigError("; ".join(problems))
     return model
 
 
@@ -225,11 +216,16 @@ def read_counts_csv(path: str) -> ObservedCounts:
         for row in rows:
             if not row:
                 continue
-            category, basis, intensity, count = row
+            if len(row) != 4:
+                raise ConfigError(f"counts file {path}: row {row} needs 4 fields")
+            category, basis, intensity, text = row
+            if not text.isdecimal():
+                raise ConfigError(f"counts file {path}: {text!r} is not a nonnegative whole count")
+            count = int(text)
             if category == "sifted_total":
-                sifted_total = int(count)
+                sifted_total = count
             else:
-                cells[(category, basis, intensity)] = int(count)
+                cells[(category, basis, intensity)] = count
     if sifted_total is None:
         raise ConfigError(f"counts file {path} lacks the sifted_total row")
     try:
@@ -269,7 +265,7 @@ def write_truth_csv(path: str, truth, manifest: RunManifest) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
         with open(path, "w") as handle:
             handle.write(text + "\n")
@@ -277,24 +273,28 @@ def _write_json(path: str | None, payload: dict) -> None:
         print(text)
 
 
+def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: int | None):
+    if mode == "expected":
+        return expected_counts(config, channel)
+    if seed is None:
+        raise ConfigError("sampled simulation requires --seed")
+    if config.N > MAX_SAMPLED_N:
+        raise ConfigError(f"sampled simulation needs N <= {MAX_SAMPLED_N}, got {config.N}")
+    return sample_counts(config, channel, seed)
+
+
 def cmd_keyrate(args) -> int:
     data = load_config(args.config)
     config = parse_protocol(data)
     model = parse_correlations(data, config)
     manifest = make_manifest(data["_raw_text"], args.seed)
+    f_ec = parse_f_ec(data)
     if args.counts:
         observed = read_counts_csv(args.counts)
     elif args.simulate:
-        channel = parse_channel(data)
-        if args.mode == "sampled":
-            if args.seed is None:
-                raise ConfigError("sampled simulation requires --seed")
-            observed, _ = sample_counts(config, channel, args.seed)
-        else:
-            observed, _ = expected_counts(config, channel)
+        observed, _ = _simulate(config, parse_channel(data), args.mode, args.seed)
     else:
         raise ConfigError("keyrate needs either --counts FILE or --simulate")
-    f_ec = data.get("channel", {}).get("f_EC", DEFAULT_F_EC)
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
     payload = {
         "manifest": manifest.to_dict(),
@@ -317,12 +317,7 @@ def cmd_simulate(args) -> int:
     config = parse_protocol(data)
     channel = parse_channel(data)
     manifest = make_manifest(data["_raw_text"], args.seed)
-    if args.mode == "sampled":
-        if args.seed is None:
-            raise ConfigError("sampled simulation requires --seed")
-        observed, truth = sample_counts(config, channel, args.seed)
-    else:
-        observed, truth = expected_counts(config, channel)
+    observed, truth = _simulate(config, channel, args.mode, args.seed)
     write_counts_csv(args.counts_out, observed, manifest)
     if args.truth_out:
         write_truth_csv(args.truth_out, truth, manifest)
@@ -360,13 +355,8 @@ def _optimizer_spec(
             overrides[key] = section[key]
     if args.budget is not None:
         overrides["budget"] = args.budget
-    model = parse_correlations(data, config)
-    if model is not None and model.delta_1 > 0 and model.truncation_d <= 0 and model.l_c_eff <= 0:
-        raise ConfigError(
-            "correlated optimization with d=0 needs an explicit correlations.l_c_eff"
-        )
     return OptimizationSpec(
-        N=config.N, correlation=model, f_EC=channel.f_EC, **overrides
+        N=config.N, correlation=parse_correlations(data, config), f_EC=channel.f_EC, **overrides
     )
 
 
@@ -422,7 +412,7 @@ def cmd_validate(args) -> int:
     lines = []
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
-        stats = json.dumps(_jsonable(check.stats), sort_keys=True)
+        stats = json.dumps(check.stats, sort_keys=True)
         lines.append(f"{status} {check.name} {stats}")
     report = "\n".join(lines)
     print(report)
@@ -430,7 +420,7 @@ def cmd_validate(args) -> int:
         payload = {
             "manifest": manifest.to_dict(),
             "checks": [
-                {"name": c.name, "passed": c.passed, "stats": _jsonable(c.stats)}
+                {"name": c.name, "passed": c.passed, "stats": c.stats}
                 for c in checks
             ],
         }

@@ -10,7 +10,9 @@ distance between the actual and truncated source states.
 Two families of results live here:
 
 * closed-form bounds used by the key-rate pipeline (``coin_parameter_bound``,
-  ``trace_distance_bound``, ``required_truncation_length``), and
+  ``trace_distance_bound``, ``required_truncation_length``), the one rule that
+  picks the length the analysis runs at (``effective_length``) and the
+  model's invariants (``validate_correlation``), and
 * exact brute-force oracles at desk scale (``exact_coin_parameter``,
   ``exact_global_fidelity``) that the bounds are validated against.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IntensitySet
+from .model import ConfigError, IntensitySet
 
 Z, X = 0, 1
 
@@ -39,8 +41,9 @@ class CorrelationModel:
 
     ``delta_1`` is the nearest-neighbour magnitude (radians, in [0, pi]),
     ``decay_C`` the exponential decay rate (> 0), ``truncation_d`` the
-    tolerated truncation error in [0, 1), and ``l_c_eff`` the effective
-    correlation length the analysis is run at (0 for an uncorrelated source).
+    tolerated truncation error in [0, 1), and ``l_c_eff`` an explicit
+    correlation length >= 0 (0: derive it from d, see :func:`effective_length`).
+    Use :func:`validate_correlation` for the list of violated invariants.
     """
 
     delta_1: float
@@ -114,6 +117,48 @@ def required_truncation_length(N: int, mean_mu: float, model: CorrelationModel) 
     return max(1, math.ceil(math.log(arg) / model.decay_C))
 
 
+def validate_correlation(model: CorrelationModel) -> list[str]:
+    """List of violated invariants; empty means the model is usable."""
+    problems = []
+    if not (0.0 <= model.delta_1 <= math.pi):
+        problems.append(f"delta_1 must lie in [0, pi], got {model.delta_1}")
+    if not (0.0 < model.decay_C < math.inf):
+        problems.append(f"decay_C must be positive and finite, got {model.decay_C}")
+    if not (0.0 <= model.truncation_d < 1.0):
+        problems.append(f"truncation_d must lie in [0, 1), got {model.truncation_d}")
+    if model.l_c_eff < 0:
+        problems.append(f"l_c_eff must be nonnegative, got {model.l_c_eff}")
+    elif model.delta_1 > 0.0 and model.truncation_d == 0.0 and model.l_c_eff == 0:
+        problems.append("correlated source with d=0 needs an explicit positive l_c_eff")
+    return problems
+
+
+def effective_length(N: int, mean_mu: float, model: CorrelationModel | None) -> int:
+    """Correlation length the analysis runs at: 0 without a model, else the
+    explicit ``l_c_eff``, else the length that truncation budget d requires.
+
+    With delta_1 > 0 and d > 0 an explicit length must reach
+    :func:`required_truncation_length`; any violation raises
+    :class:`~corrbb84.model.ConfigError`.
+    """
+    if model is None:
+        return 0
+    problems = validate_correlation(model)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    if model.delta_1 == 0.0 or model.truncation_d == 0.0:
+        return model.l_c_eff
+    needed = required_truncation_length(N, mean_mu, model)
+    if model.l_c_eff == 0:
+        return needed
+    if model.l_c_eff < needed:
+        raise ConfigError(
+            f"l_c_eff={model.l_c_eff} below the required truncation length {needed} "
+            f"for d={model.truncation_d}"
+        )
+    return model.l_c_eff
+
+
 def trace_distance_bound(N: int, mean_mu: float, l_c: int, model: CorrelationModel) -> float:
     """Bound on the trace distance between the actual source state over N
     rounds and the one with correlations truncated at length l_c:
@@ -183,17 +228,6 @@ def exact_coin_parameter(
     if l_c < 0 or l_c > MAX_ORACLE_LC:
         raise ValueError(f"exact oracle supports 0 <= l_c <= {MAX_ORACLE_LC}, got {l_c}")
     return 0.5 * (1.0 - _coin_overlap_sum(l_c, deltas, intensity_set))
-
-
-def round_minus_probability(
-    l_c: int, deltas: ExplicitDeltas, intensity_set: IntensitySet
-) -> float:
-    """Per-round conditional coin-minus probability for the sampling oracle.
-
-    Identical for every round and neighbourhood under the LTI table (see
-    :func:`_coin_overlap_sum`), and equal to :func:`exact_coin_parameter`.
-    """
-    return exact_coin_parameter(l_c, deltas, intensity_set)
 
 
 def exact_global_fidelity(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .concentration import binomial_bound_pair
-from .model import IntensitySet, ProtocolConfig, single_photon_prob
+from .model import IntensitySet, ProtocolConfig, poisson_pmf, single_photon_prob
 
 if TYPE_CHECKING:
     from .keyrate import ObservedCounts
@@ -78,7 +78,7 @@ def intensity_posterior(mu: str, m: int, intensity_set: IntensitySet) -> float:
     if m < 0:
         raise ValueError(f"photon number must be nonnegative, got {m}")
     weights = {
-        label: prob * _poisson_weight(m, value)
+        label: prob * poisson_pmf(m, value)
         for label, (value, prob) in zip("swv", intensity_set.pairs())
     }
     denom = sum(weights.values())
@@ -87,12 +87,6 @@ def intensity_posterior(mu: str, m: int, intensity_set: IntensitySet) -> float:
             f"no intensity has support at photon number {m}; posterior undefined"
         )
     return weights[mu] / denom
-
-
-def _poisson_weight(m: int, mu: float) -> float:
-    if mu == 0.0:
-        return 1.0 if m == 0 else 0.0
-    return math.exp(-mu + m * math.log(mu) - math.lgamma(m + 1))
 
 
 def _lower_denominator(iset: IntensitySet) -> float:

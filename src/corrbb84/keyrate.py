@@ -17,7 +17,7 @@ are base 2 (key lengths in bits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import correlations as corr
 from .decoy import CountTriple, apply_decoy_bounds
@@ -127,7 +127,9 @@ def evaluate_pipeline(
 
     ``correlation_model=None`` bypasses the correlation stage entirely
     (uncorrelated source: l_c = 0, d = 0, zero coin parameter); a model with
-    delta_1 = 0 must produce the identical result. Degenerate statistics
+    delta_1 = 0 must produce the identical result. A model without ``l_c_eff``
+    runs at the length its truncation budget d requires
+    (:func:`~corrbb84.correlations.effective_length`). Degenerate statistics
     yield key_length 0 with the reason in the audit, never an exception;
     invalid configurations raise :class:`~corrbb84.model.ConfigError`.
     """
@@ -138,36 +140,18 @@ def evaluate_pipeline(
     budget = config.epsilon_budget
     iset = config.intensity_set
 
-    if correlation_model is None:
-        if budget.d != 0.0:
-            raise ConfigError(
-                f"truncation budget d={budget.d} without a correlation model"
-            )
-        l_c, d_used, coin_param = 0, 0.0, 0.0
-    else:
-        if budget.d != correlation_model.truncation_d:
-            raise ConfigError(
-                f"epsilon budget carries d={budget.d} but the correlation model "
-                f"carries truncation_d={correlation_model.truncation_d}"
-            )
-        l_c = correlation_model.l_c_eff
-        d_used = correlation_model.truncation_d
-        if correlation_model.delta_1 > 0.0 and d_used > 0.0:
-            needed = corr.required_truncation_length(
-                config.N, mean_intensity(iset), correlation_model
-            )
-            if l_c < needed:
-                raise ConfigError(
-                    f"l_c_eff={l_c} below the required truncation length {needed} "
-                    f"for d={d_used}"
-                )
-        if correlation_model.delta_1 > 0.0 and d_used <= 0.0 and l_c <= 0:
-            raise ConfigError(
-                "correlated source with d=0 needs an explicit positive l_c_eff"
-            )
+    d_model = 0.0 if correlation_model is None else correlation_model.truncation_d
+    if budget.d != d_model:
+        raise ConfigError(
+            f"epsilon budget carries d={budget.d} but the correlation model "
+            f"carries truncation_d={d_model} (0 when there is none)"
+        )
+    l_c = corr.effective_length(config.N, mean_intensity(iset), correlation_model)
+    coin_param = 0.0
+    if correlation_model is not None:
         coin_param = corr.coin_parameter_bound(l_c, iset, correlation_model)
 
-    eps_PE = total_pe_failure(budget.eps_A, budget.eps_B, budget.eps_C, l_c, d_used)
+    eps_PE = total_pe_failure(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
 
     decoy_bounds = apply_decoy_bounds(observed, config)
     p1 = single_photon_prob(iset)
@@ -177,7 +161,6 @@ def evaluate_pipeline(
     phase = phase_error_rate_bound(
         decoy_bounds, trash_upper, observed.n_sifted_det, config.p_keep, budget.eps_A
     )
-    phase = replace(phase, eps_PE=eps_PE)
 
     lambda_EC = ec_leakage(observed.z_det.total, observed.z_err.total, f_EC)
     n_K1_lower = decoy_bounds.z_det_lower
@@ -211,7 +194,7 @@ def evaluate_pipeline(
             "azuma_5_eps_A": 5.0 * budget.eps_A,
             "trash_lc1_eps_C": (l_c + 1) * budget.eps_C,
             "decoy_10_eps_B": 10.0 * budget.eps_B,
-            "truncation_d": d_used,
+            "truncation_d": budget.d,
         },
         "eps_PE": eps_PE,
         "meaningful": eps_sec < 1.0,

@@ -12,8 +12,10 @@ yields a reproducible trajectory and result.
 Free parameters: intensities s and w, their probabilities, p_keep, and the
 split of the parameter-estimation failure budget across the three
 concentration epsilons. The vacuum intensity v, the block size, the channel
-and the correlation model stay fixed. Infeasible candidates (ordering or
-simplex violations) score zero without consuming budget.
+and the correlation model stay fixed; each candidate runs at the correlation
+length of ``correlations.effective_length``. Infeasible candidates (ordering
+or simplex violations, or an explicit ``l_c_eff`` shorter than the candidate's
+required truncation length) score zero without consuming budget.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlations import CorrelationModel, required_truncation_length
+from .correlations import CorrelationModel, effective_length, validate_correlation
 from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline
 from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity
 from .simulator import ChannelModel, expected_counts
@@ -82,9 +84,7 @@ class OptimizationResult:
     zero_key_everywhere: bool = False
 
 
-def _build_config(
-    candidate: np.ndarray, spec: OptimizationSpec
-) -> tuple[ProtocolConfig, CorrelationModel | None] | None:
+def _build_config(candidate: np.ndarray, spec: OptimizationSpec) -> ProtocolConfig | None:
     """Candidate vector -> runnable configuration, or None when infeasible."""
     s, w, p_s, p_w, p_keep, u_a, u_b = candidate
     if not (s > w > spec.v):
@@ -96,17 +96,11 @@ def _build_config(
     if u_c <= 1e-6:
         return None
     iset = IntensitySet(s=s, w=w, v=spec.v, p_s=p_s, p_w=p_w, p_v=p_v)
-    model = spec.correlation
-    if model is None or model.delta_1 <= 0.0:
-        model_used, l_c = None, 0
-        d = 0.0
-    else:
-        d = model.truncation_d
-        if d > 0.0:
-            l_c = required_truncation_length(spec.N, mean_intensity(iset), model)
-        else:
-            l_c = model.l_c_eff
-        model_used = replace(model, l_c_eff=l_c)
+    try:
+        l_c = effective_length(spec.N, mean_intensity(iset), spec.correlation)
+    except ConfigError:  # an explicit l_c_eff too short for this candidate
+        return None
+    d = 0.0 if spec.correlation is None else spec.correlation.truncation_d
     pe_mass = spec.eps_pe_target - d
     if pe_mass <= 0.0:
         return None
@@ -118,10 +112,7 @@ def _build_config(
         eps_EV=spec.eps_EV,
         d=d,
     )
-    config = ProtocolConfig(
-        N=spec.N, intensity_set=iset, p_keep=p_keep, epsilon_budget=budget
-    )
-    return config, model_used
+    return ProtocolConfig(N=spec.N, intensity_set=iset, p_keep=p_keep, epsilon_budget=budget)
 
 
 @dataclass
@@ -135,8 +126,8 @@ class _Objective:
         return self.spec.budget - self.evaluations
 
     def __call__(self, candidate: np.ndarray) -> int:
-        built = _build_config(candidate, self.spec)
-        if built is None:
+        config = _build_config(candidate, self.spec)
+        if config is None:
             return 0
         key = tuple(float(x) for x in candidate)
         if key in self.cache:
@@ -144,11 +135,12 @@ class _Objective:
         if self.remaining() <= 0:
             # exhausted: score as no-improvement instead of spending
             return 0
-        config, model = built
         self.evaluations += 1
         try:
             observed, _ = expected_counts(config, self.channel)
-            result = evaluate_pipeline(observed, config, model, f_EC=self.spec.f_EC)
+            result = evaluate_pipeline(
+                observed, config, self.spec.correlation, f_EC=self.spec.f_EC
+            )
             score = result.key_length
         except ConfigError:
             score = 0
@@ -305,8 +297,12 @@ def optimize_params(
 
     Deterministic for fixed (spec, channel, seed, extra_starts). A run where
     every candidate scores zero is reported with ``zero_key_everywhere``
-    rather than treated as a failure.
+    rather than treated as a failure; an invalid correlation model raises
+    :class:`~corrbb84.model.ConfigError`.
     """
+    problems = [] if spec.correlation is None else validate_correlation(spec.correlation)
+    if problems:
+        raise ConfigError("; ".join(problems))
     objective = _Objective(spec, channel)
     starts = [np.asarray(p, dtype=float) for p in (extra_starts or [])]
     starts.extend(_initial_points(spec, seed))
@@ -317,15 +313,14 @@ def optimize_params(
         point, score = _coordinate_descent(objective, start)
         if score > best_score:
             best_point, best_score = point, score
-    built = _build_config(best_point, spec) if best_point is not None else None
-    if built is None:
+    config = _build_config(best_point, spec) if best_point is not None else None
+    if config is None:
         return OptimizationResult(
             params={}, key_length=0, result=None,
             evaluations=objective.evaluations, zero_key_everywhere=True,
         )
-    config, model = built
     observed, _ = expected_counts(config, channel)
-    result = evaluate_pipeline(observed, config, model, f_EC=spec.f_EC)
+    result = evaluate_pipeline(observed, config, spec.correlation, f_EC=spec.f_EC)
     if result.key_length != best_score:
         raise RuntimeError(
             f"winner re-evaluation disagrees: {result.key_length} != {best_score}"

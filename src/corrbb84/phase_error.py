@@ -39,9 +39,6 @@ class PhaseErrorBound:
     """Phase-error-rate bound plus the intermediates needed for audit."""
 
     e_ph_upper: float
-    trash_minus_upper: float
-    delta_A: float
-    eps_PE: float | None = None
     audit: dict = field(default_factory=dict, compare=False)
 
 
@@ -149,9 +146,7 @@ def phase_error_rate_bound(
 
     def trivial(reason: str) -> PhaseErrorBound:
         audit["trivial_bound_reason"] = reason
-        return PhaseErrorBound(
-            e_ph_upper=1.0, trash_minus_upper=trash_upper, delta_A=delta_A, audit=audit
-        )
+        return PhaseErrorBound(e_ph_upper=1.0, audit=audit)
 
     if decoy.z_det_lower <= 0.0:
         return trivial("z_det_lower_nonpositive")
@@ -169,12 +164,7 @@ def phase_error_rate_bound(
     g_plus = g_interval(y, z)[1]
     audit["g_plus"] = g_plus
     e_ph = ((decoy.z_det_upper + delta_A) * g_plus + delta_A) / decoy.z_det_lower
-    return PhaseErrorBound(
-        e_ph_upper=min(1.0, e_ph),
-        trash_minus_upper=trash_upper,
-        delta_A=delta_A,
-        audit=audit,
-    )
+    return PhaseErrorBound(e_ph_upper=min(1.0, e_ph), audit=audit)
 
 
 def coin_inequality_check(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import ExplicitDeltas, round_minus_probability
+from .correlations import ExplicitDeltas, exact_coin_parameter
 from .keyrate import DEFAULT_F_EC, ObservedCounts
 from .model import ProtocolConfig, single_photon_prob
 from .decoy import CountTriple
@@ -310,12 +310,12 @@ def coin_monte_carlo(
     is assigned to trash (1 - p_keep) and sifted (1/2); a qualifying round
     yields minus with the exact conditional probability of its setting
     neighbourhood, which the LTI delta table makes identical for every
-    round (see :func:`~corrbb84.correlations.round_minus_probability`), so
+    round (see :func:`~corrbb84.correlations.exact_coin_parameter`), so
     the tally is sampled with nested binomials -- distributionally exact.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    p_minus = round_minus_probability(l_c, deltas, config.intensity_set)
+    p_minus = exact_coin_parameter(l_c, deltas, config.intensity_set)
     p_qualify = (
         single_photon_prob(config.intensity_set) * (1.0 - config.p_keep) / 2.0
     )

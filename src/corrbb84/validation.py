@@ -27,7 +27,7 @@ import numpy as np
 from . import correlations as corr
 from .concentration import bernstein_upper_delta, binomial_bound_pair
 from .decoy import apply_decoy_bounds
-from .model import EpsilonBudget, IntensitySet, ProtocolConfig
+from .model import EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity, single_photon_prob
 from .phase_error import coin_inequality_check, g_interval, trash_minus_upper
 from .simulator import ChannelModel, coin_monte_carlo, sample_counts
 
@@ -130,7 +130,7 @@ def check_trace_distance_domination(seed: int = 0, tables: int = 100) -> Validat
     rng = np.random.default_rng(seed)
     iset = reference_intensities()
     model = corr.CorrelationModel(delta_1=0.2, decay_C=0.8)
-    mu_bar = sum(mu * p for mu, p in iset.pairs())
+    mu_bar = mean_intensity(iset)
     failures = 0
     worst_gap = -math.inf
     for N in (2, 4, 6, 8):
@@ -164,7 +164,7 @@ def check_trash_bound_mc(
     model = corr.CorrelationModel(delta_1=0.3, decay_C=0.5)
     deltas = corr.extreme_deltas(model, l_c)
     coin = corr.coin_parameter_bound(l_c, config.intensity_set, model)
-    p1 = sum(mu * p * math.exp(-mu) for mu, p in config.intensity_set.pairs())
+    p1 = single_photon_prob(config.intensity_set)
     bound = trash_minus_upper(N, p1, config.p_keep, l_c, coin, eps_C)
     tallies = coin_monte_carlo(N, config, deltas, l_c, trials, seed)
     violations = int((tallies > bound).sum())
@@ -196,7 +196,7 @@ def check_coin_inequality_mc(
     config = reference_config(N, eps=eps)
     channel = reference_channel()
     model = corr.CorrelationModel(delta_1=0.1, decay_C=0.5)
-    p_minus = corr.round_minus_probability(
+    p_minus = corr.exact_coin_parameter(
         l_c, corr.extreme_deltas(model, l_c), config.intensity_set
     )
     rng = np.random.default_rng(seed)

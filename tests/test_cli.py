@@ -193,3 +193,65 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     path = tmp_path / "bad_opt.json"
     path.write_text(json.dumps(config))
     assert main(["optimize", "--config", str(path), "--budget", "5"]) == 2
+
+
+@pytest.mark.parametrize("edits, cell, mode", [
+    ({}, "-5", "counts"),
+    ({}, "1.5", "counts"),
+    ({}, "abc", "counts"),
+    ({"channel.f_EC": 0.5}, None, "counts"),
+    ({"protocol.N": "abc"}, None, "expected"),
+    ({"protocol.N": 1.5e9 + 0.5}, None, "expected"),
+    ({"protocol.intensities.s": "0.5"}, None, "expected"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 0}}, None, "expected"),
+    ({"correlations": {"delta_1": -0.1, "decay_C": 1.0, "l_c_eff": 2}}, None, "expected"),
+    ({"correlations": {"delta_1": 0.1, "decay_C": 1.0, "l_c_eff": "abc"}}, None, "expected"),
+    ({"protocol.N": 2**63}, None, "sampled"),
+], ids=[
+    "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
+    "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
+    "N_beyond_int64_sampled",
+])
+def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        section = config
+        for name in parents:
+            section = section[name]
+        section[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(config))
+    argv = ["keyrate", "--config", str(path)]
+    if mode == "counts":
+        counts = tmp_path / "counts.csv"
+        main(["simulate", "--config", config_path, "--mode", "expected",
+              "--counts-out", str(counts)])
+        if cell is not None:
+            lines = counts.read_text().splitlines()
+            lines = [f"det,Z,s,{cell}" if l.startswith("det,Z,s,") else l for l in lines]
+            counts.write_text("\n".join(lines) + "\n")
+        argv += ["--counts", str(counts)]
+    else:
+        argv += ["--simulate", "--mode", mode, "--seed", "1"]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_optimize_honours_explicit_length(tmp_path):
+    keys = {}
+    for l_c_eff in (None, 400):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["epsilons"]["d"] = 1e-12
+        config["correlations"] = {"delta_1": 0.05, "decay_C": 1.0}
+        if l_c_eff is not None:
+            config["correlations"]["l_c_eff"] = l_c_eff
+        config["optimizer"] = {"budget": 30, "restarts": 1, "coordinate_passes": 1}
+        path = tmp_path / f"opt_{l_c_eff}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"best_{l_c_eff}.json"
+        assert main(["optimize", "--config", str(path), "--seed", "2", "--out", str(out)]) == 0
+        keys[l_c_eff] = json.loads(out.read_text())["result"]["key_length"]
+    # the derived length is about 35; at 400 the smaller eps_C share and the
+    # wider trash bound cost key
+    assert 0 < keys[400] < keys[None]

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from corrbb84 import correlations as corr
-from corrbb84.model import IntensitySet
+from corrbb84.model import ConfigError, IntensitySet
 from corrbb84.validation import reference_intensities
 
 # frozen from independent high-precision evaluation
@@ -53,6 +54,40 @@ def test_tail_sum_monotone_to_zero():
     values = [corr.tail_sum(l_c, MODEL) for l_c in range(0, 60, 5)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
+
+
+@pytest.mark.parametrize("model, field", [
+    (corr.CorrelationModel(delta_1=-0.1, decay_C=1.0), "delta_1"),
+    (corr.CorrelationModel(delta_1=3.5, decay_C=1.0, l_c_eff=2), "delta_1"),
+    (corr.CorrelationModel(delta_1=0.1, decay_C=0.0, l_c_eff=2), "decay_C"),
+    (corr.CorrelationModel(delta_1=0.1, decay_C=math.inf, l_c_eff=2), "decay_C"),
+    (corr.CorrelationModel(delta_1=0.1, decay_C=1.0, truncation_d=1.0, l_c_eff=2),
+     "truncation_d"),
+    (corr.CorrelationModel(delta_1=0.0, decay_C=1.0, l_c_eff=-1), "l_c_eff"),
+    (corr.CorrelationModel(delta_1=0.1, decay_C=1.0), "explicit positive l_c_eff"),
+], ids=["delta_1_negative", "delta_1_above_pi", "decay_C_zero", "decay_C_infinite",
+        "d_one", "l_c_eff_negative", "d_zero_without_length"])
+def test_validate_correlation_reports_each_violation(model, field):
+    problems = corr.validate_correlation(model)
+    assert len(problems) == 1 and field in problems[0]
+    with pytest.raises(ConfigError, match=field):
+        corr.effective_length(10**9, 0.4, model)
+
+
+def test_effective_length_rules():
+    truncated = corr.CorrelationModel(delta_1=0.1, decay_C=0.5, truncation_d=1e-10)
+    needed = corr.required_truncation_length(10**10, 0.5, truncated)
+    assert corr.validate_correlation(truncated) == []
+    assert corr.effective_length(10**10, 0.5, None) == 0
+    assert corr.effective_length(10**10, 0.5, truncated) == needed
+    longer = replace(truncated, l_c_eff=needed + 5)
+    assert corr.effective_length(10**10, 0.5, longer) == needed + 5
+    with pytest.raises(ConfigError, match="below the required truncation length"):
+        corr.effective_length(10**10, 0.5, replace(truncated, l_c_eff=needed - 1))
+    bounded = replace(truncated, truncation_d=0.0, l_c_eff=3)
+    assert corr.effective_length(10**10, 0.5, bounded) == 3
+    uncorrelated = corr.CorrelationModel(delta_1=0.0, decay_C=1.0, truncation_d=1e-10)
+    assert corr.effective_length(10**10, 0.5, uncorrelated) == 0
 
 
 def test_required_truncation_length_known_case():

@@ -164,6 +164,39 @@ def test_pipeline_rejects_correlated_without_length(config_1e9, channel_10km):
         evaluate_pipeline(observed, config_1e9, model)
 
 
+def test_pipeline_derives_missing_length(config_1e9, channel_10km):
+    """Without l_c_eff the pipeline runs at required_truncation_length, bit
+    for bit as if the caller had filled it in."""
+    observed, _ = expected_counts(config_1e9, channel_10km)
+    config = replace(
+        config_1e9, epsilon_budget=replace(config_1e9.epsilon_budget, d=1e-12)
+    )
+    model = CorrelationModel(delta_1=0.05, decay_C=1.0, truncation_d=1e-12)
+    needed = required_truncation_length(
+        config.N, mean_intensity(config.intensity_set), model
+    )
+    derived = evaluate_pipeline(observed, config, model)
+    filled = evaluate_pipeline(observed, config, replace(model, l_c_eff=needed))
+    assert derived.key_length == filled.key_length > 0
+    assert derived.eps_sec == filled.eps_sec
+    assert derived.e_ph_upper == filled.e_ph_upper
+    assert derived.audit["correlation"]["l_c"] == filled.audit["correlation"]["l_c"] == needed
+
+
+@pytest.mark.parametrize("model", [
+    CorrelationModel(delta_1=-0.1, decay_C=1.0, truncation_d=1e-12),
+    CorrelationModel(delta_1=0.1, decay_C=0.0, truncation_d=1e-12),
+    CorrelationModel(delta_1=0.0, decay_C=1.0, truncation_d=1e-12, l_c_eff=-1),
+], ids=["negative_delta_1", "zero_decay_C", "negative_l_c_eff"])
+def test_pipeline_rejects_invalid_model(config_1e9, channel_10km, model):
+    observed, _ = expected_counts(config_1e9, channel_10km)
+    config = replace(
+        config_1e9, epsilon_budget=replace(config_1e9.epsilon_budget, d=1e-12)
+    )
+    with pytest.raises(ConfigError):
+        evaluate_pipeline(observed, config, model)
+
+
 def test_pipeline_rejects_inconsistent_truncation_budget(config_1e9, channel_10km):
     observed, _ = expected_counts(config_1e9, channel_10km)
     budgeted = replace(

@@ -7,9 +7,7 @@ import pytest
 from corrbb84.correlations import (
     CorrelationModel,
     ExplicitDeltas,
-    exact_coin_parameter,
     extreme_deltas,
-    round_minus_probability,
 )
 from corrbb84.model import single_photon_prob
 from corrbb84.simulator import (
@@ -167,14 +165,6 @@ def test_coin_mc_deterministic(config_1e6):
     first = coin_monte_carlo(10**5, config_1e6, deltas, 1, trials=20, seed=11)
     again = coin_monte_carlo(10**5, config_1e6, deltas, 1, trials=20, seed=11)
     assert (first == again).all()
-
-
-def test_coin_mc_round_probability_matches_exact(config_1e6):
-    rng = np.random.default_rng(5)
-    table = rng.uniform(-0.1, 0.1, size=(2, 2, 2))
-    deltas = ExplicitDeltas(table)
-    iset = config_1e6.intensity_set
-    assert round_minus_probability(2, deltas, iset) == exact_coin_parameter(2, deltas, iset)
 
 
 def test_coin_mc_rejects_large_lc(config_1e6):
