@@ -47,6 +47,8 @@ EPSILONS = ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")
 CHANNEL_OPTIONAL = (
     "attenuation_db_per_km", "detector_efficiency", "dark_count_prob", "misalignment",
 )
+OPTIMIZER_REALS = ("eps_pe_target", "eps_PA", "eps_EV", "v")
+OPTIMIZER_COUNTS = ("budget", "restarts", "coordinate_passes")
 # numpy's multinomial draws int64 counts
 MAX_SAMPLED_N = 2**63 - 1
 
@@ -112,7 +114,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers beyond Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     data["_raw_text"] = raw
     return data
@@ -124,8 +126,11 @@ def parse_protocol(data: dict) -> ProtocolConfig:
     probs = _require(protocol, "intensity_probs", "protocol")
     epsilons = _require(data, "epsilons", "config")
     budget = EpsilonBudget(**{eps: _number(epsilons, eps, "epsilons") for eps in EPSILONS})
+    N = _whole(protocol, "N", "protocol")
+    if N > sys.float_info.max:  # the simulator and the bounds compute with float(N)
+        raise ConfigError("protocol.N must not exceed the largest float")
     config = ProtocolConfig(
-        N=_whole(protocol, "N", "protocol"),
+        N=N,
         intensity_set=IntensitySet(
             **{mu: _number(intensities, mu, "protocol.intensities") for mu in INTENSITIES},
             **{f"p_{mu}": _number(probs, mu, "protocol.intensity_probs") for mu in INTENSITIES},
@@ -346,13 +351,12 @@ def _optimizer_spec(
     data: dict, config: ProtocolConfig, channel: ChannelModel, args
 ) -> OptimizationSpec:
     section = data.get("optimizer", {})
-    overrides = {}
-    for key in (
-        "eps_pe_target", "eps_PA", "eps_EV", "budget", "restarts",
-        "coordinate_passes", "v",
-    ):
-        if key in section:
-            overrides[key] = section[key]
+    overrides = {
+        key: read(section, key, "optimizer")
+        for read, keys in ((_number, OPTIMIZER_REALS), (_whole, OPTIMIZER_COUNTS))
+        for key in keys
+        if key in section
+    }
     if args.budget is not None:
         overrides["budget"] = args.budget
     return OptimizationSpec(
@@ -480,6 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -238,7 +238,14 @@ def exact_global_fidelity(
     reference: tuple[int, int] = (0, Z),
 ) -> float:
     """Exact fidelity between the actual and lag-l_c-truncated source states
-    over N rounds, enumerating all 4^N bit/basis histories.
+    over N rounds: the mean over all 4^N bit/basis histories of the product
+    of per-round overlaps.
+
+    Round k's phase difference reads only the settings of rounds 1 .. k-l_c-1
+    (those more than l_c rounds back), so the last l_c+1 settings enter no
+    factor and averaging over them changes nothing. The product is therefore
+    grown over setting prefixes, one axis of 4 per round, and every one of the
+    4^(N-l_c-1) prefixes that enters F is enumerated exactly.
 
     ``deltas`` must cover lags up to N-1; entries beyond lag l_c are the
     long-range contributions the truncated source replaces by the fixed
@@ -251,29 +258,18 @@ def exact_global_fidelity(
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
     if deltas.lags < N - 1:
         raise ValueError(f"delta table covers {deltas.lags} lags, need {N - 1}")
-    ref_id = 2 * reference[0] + reference[1]
-    n_hist = 4**N
-    codes = np.arange(n_hist)
-    # digits[k] holds the setting id of round k+1 for every history
-    digits = np.empty((N, n_hist), dtype=np.int64)
-    for k in range(N):
-        digits[k] = (codes // 4**k) % 4
     flat = deltas.flat()
-    mus = np.array([mu for mu, _ in intensity_set.pairs()])
-    probs = np.array([p for _, p in intensity_set.pairs()])
-    total = np.ones(n_hist)
-    for k in range(1, N + 1):
-        # phase difference of round k: contributions from rounds more than
-        # l_c steps back, relative to the fixed reference choice
-        if k - 1 <= l_c:
-            continue
-        dtheta = np.zeros(n_hist)
-        for lag in range(l_c + 1, k):
-            row = flat[lag - 1]
-            dtheta += row[digits[k - lag - 1]] - row[ref_id]
+    # off[lag-1, s]: lag-l contribution of setting s relative to the reference
+    off = flat - flat[:, 2 * reference[0] + reference[1], None]
+    total = np.ones(())
+    for m in range(1, N - l_c):
+        # round m+l_c+1 sees round j <= m at lag m+l_c+1-j; axis j-1 holds its setting
+        dtheta = 0.0
+        for j in range(m, 0, -1):
+            dtheta = dtheta + off[m + l_c - j].reshape((4,) + (1,) * (m - j))
         one_minus_cos = 1.0 - np.cos(dtheta)
-        per_round = (probs[:, None] * np.exp(-np.outer(mus, one_minus_cos))).sum(axis=0)
-        total *= per_round
+        per_round = sum(p * np.exp(-mu * one_minus_cos) for mu, p in intensity_set.pairs())
+        total = total[..., None] * per_round
     return float(total.mean())
 
 

@@ -10,7 +10,8 @@ Checks:
 * g_plus boundary characterization against its defining inequality,
 * coin-parameter bound vs the exact desk-scale evaluation (with an extreme
   table approaching equality),
-* trace-distance bound vs exact global fidelity over all 4^N histories,
+* trace-distance bound vs exact global fidelity, over every setting prefix
+  that enters it (the last l_c+1 rounds of a history enter no factor),
 * trash-count bound vs sampled coin tallies,
 * count-level coin inequality on sampled honest-channel runs,
 * two-sided binomial-bound coverage and one-sided deviation validity,

@@ -207,10 +207,14 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({"correlations": {"delta_1": -0.1, "decay_C": 1.0, "l_c_eff": 2}}, None, "expected"),
     ({"correlations": {"delta_1": 0.1, "decay_C": 1.0, "l_c_eff": "abc"}}, None, "expected"),
     ({"protocol.N": 2**63}, None, "sampled"),
+    ({"protocol.N": 10**400}, None, "expected"),
+    ({"optimizer": {"budget": "abc"}}, None, "optimize"),
+    ({"optimizer": {"restarts": 2.5}}, None, "optimize"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
-    "N_beyond_int64_sampled",
+    "N_beyond_int64_sampled", "N_beyond_float", "optimizer_budget_text",
+    "optimizer_restarts_fraction",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -223,7 +227,9 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(config))
     argv = ["keyrate", "--config", str(path)]
-    if mode == "counts":
+    if mode == "optimize":
+        argv[0] = "optimize"
+    elif mode == "counts":
         counts = tmp_path / "counts.csv"
         main(["simulate", "--config", config_path, "--mode", "expected",
               "--counts-out", str(counts)])
@@ -236,6 +242,30 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
         argv += ["--simulate", "--mode", mode, "--seed", "1"]
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_integer_beyond_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(BASE_CONFIG).replace(str(10**9), "9" * 5000))
+    assert main(["keyrate", "--config", str(path), "--simulate"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("keyrate", ["--simulate", "--mode", "sampled"]),
+    ("simulate", ["--counts-out", "counts.csv"]),
+    ("optimize", []),
+    ("scan", ["--distances", "0", "--out", "scan.csv"]),
+    ("validate", []),
+], ids=["keyrate", "simulate", "optimize", "scan", "validate"])
+def test_negative_seed_exits_2(config_path, tmp_path, monkeypatch, capsys, command, extra):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--seed", "-1", *extra]
+    if command != "validate":
+        argv += ["--config", config_path]
+    assert main(argv) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_optimize_honours_explicit_length(tmp_path):

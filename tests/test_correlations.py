@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrbb84 import correlations as corr
 from corrbb84.model import ConfigError, IntensitySet
@@ -213,6 +215,63 @@ def test_fidelity_rejects_large_N(intensity_set):
     deltas = corr.ExplicitDeltas(np.zeros((10, 2, 2)))
     with pytest.raises(ValueError):
         corr.exact_global_fidelity(9, 1, deltas, intensity_set)
+
+
+def _fidelity_all_histories(N, l_c, deltas, intensity_set, reference):
+    """Reference oracle: the per-round overlap product on every one of the
+    4^N histories, trailing rounds included, then the mean."""
+    ref_id = 2 * reference[0] + reference[1]
+    codes = np.arange(4**N)
+    digits = np.array([(codes // 4**k) % 4 for k in range(N)])
+    flat = deltas.flat()
+    total = np.ones(4**N)
+    for k in range(l_c + 2, N + 1):
+        dtheta = np.zeros(4**N)
+        for lag in range(l_c + 1, k):
+            dtheta += flat[lag - 1][digits[k - lag - 1]] - flat[lag - 1][ref_id]
+        one_minus_cos = 1.0 - np.cos(dtheta)
+        total *= sum(p * np.exp(-mu * one_minus_cos) for mu, p in intensity_set.pairs())
+    return float(total.mean())
+
+
+REFERENCES = [(0, corr.Z), (0, corr.X), (1, corr.Z), (1, corr.X)]
+
+
+@pytest.mark.parametrize("N", range(1, corr.MAX_ORACLE_ROUNDS + 1))
+def test_fidelity_matches_all_history_enumeration(N, intensity_set):
+    model = corr.CorrelationModel(delta_1=0.4, decay_C=0.5)
+    rng = np.random.default_rng(100 + N)
+    lags = max(1, N - 1)
+    for l_c in range(N + 1):
+        for reference in REFERENCES:
+            wide = corr.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2)))
+            for deltas in (corr.random_admissible_deltas(model, lags, rng), wide):
+                fast = corr.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
+                full = _fidelity_all_histories(N, l_c, deltas, intensity_set, reference)
+                assert math.isclose(fast, full, rel_tol=1e-12), (l_c, reference)
+
+
+_TABLE_ENTRIES = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    l_c=st.integers(0, 5),
+    reference=st.sampled_from(REFERENCES),
+    table=st.lists(_TABLE_ENTRIES, min_size=16, max_size=16),
+    redraw=st.lists(_TABLE_ENTRIES, min_size=16, max_size=16),
+)
+def test_fidelity_ignores_untruncated_lags(N, l_c, reference, table, redraw):
+    intensity_set = reference_intensities()
+    deltas = corr.ExplicitDeltas(np.reshape(table, (4, 2, 2)))
+    fidelity = corr.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
+    assert 0.0 <= fidelity <= 1.0
+    # rows at lags <= l_c are kept by the truncated source too, so they never enter F
+    redrawn = np.array(deltas.table)
+    redrawn[:l_c] = np.reshape(redraw, (4, 2, 2))[:l_c]
+    redrawn = corr.ExplicitDeltas(redrawn)
+    assert corr.exact_global_fidelity(N, l_c, redrawn, intensity_set, reference) == fidelity
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
