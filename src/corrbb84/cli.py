@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -51,6 +52,8 @@ OPTIMIZER_REALS = ("eps_pe_target", "eps_PA", "eps_EV", "v")
 OPTIMIZER_COUNTS = ("budget", "restarts", "coordinate_passes")
 # numpy's multinomial draws int64 counts
 MAX_SAMPLED_N = 2**63 - 1
+# each scanned distance is one optimization, so a longer range is a typo
+MAX_DISTANCES = 10_000
 
 
 @dataclass(frozen=True)
@@ -329,22 +332,39 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _distance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"distance must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"distance must be finite, got {text!r}")
+    return value
+
+
 def parse_distances(spec: str) -> list[float]:
-    """Either a comma list "0,10,25" or an inclusive range "start:stop:step"."""
+    """Either a comma list "0,10,25" or an inclusive range "start:stop:step"
+    of at most MAX_DISTANCES values; every part a finite number, and at
+    least one distance."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_distance(p) for p in parts)
         if step <= 0:
             raise ConfigError("distance step must be positive")
+        if (stop - start) / step >= MAX_DISTANCES:
+            raise ConfigError(f"a distance range may hold at most {MAX_DISTANCES} values")
         values = []
         current = start
         while current <= stop + 1e-9:
             values.append(round(current, 9))
             current += step
-        return values
-    return [float(p) for p in spec.split(",") if p]
+    else:
+        values = [_distance(p) for p in spec.split(",") if p]
+    if not values:
+        raise ConfigError(f"no distances in {spec!r}")
+    return values
 
 
 def _optimizer_spec(
@@ -371,6 +391,10 @@ def cmd_scan(args) -> int:
     spec = _optimizer_spec(data, config, channel, args)
     manifest = make_manifest(data["_raw_text"], args.seed)
     distances = parse_distances(args.distances)
+    for distance in distances:
+        problems = validate_channel(dataclasses.replace(channel, distance_km=distance))
+        if problems:
+            raise ConfigError("; ".join(problems))
     rows = scan_distance(spec, channel, distances, seed=args.seed)
     columns = ["distance_km", "key_length", "eps_sec", "evaluations"] + sorted(
         {key for row in rows for key in row if key.startswith("param_")}

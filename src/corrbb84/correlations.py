@@ -168,13 +168,6 @@ def trace_distance_bound(N: int, mean_mu: float, l_c: int, model: CorrelationMod
     return min(1.0, math.sqrt(N * mean_mu) * tail_sum(l_c, model))
 
 
-def _lag_overlap_floor(l: int, intensity_set: IntensitySet, model: CorrelationModel) -> float:
-    delta_l = correlation_magnitude(l, model)
-    return sum(
-        p * math.exp(-mu * (1.0 - math.cos(delta_l))) for mu, p in intensity_set.pairs()
-    )
-
-
 def coin_parameter_bound(
     l_c: int, intensity_set: IntensitySet, model: CorrelationModel
 ) -> float:
@@ -182,13 +175,24 @@ def coin_parameter_bound(
     single-photon trash round, for spreads bounded by the model:
     (1/2) [1 - prod_{l=1}^{l_c} sum_mu p_mu exp(-mu (1 - cos Delta_l))].
 
-    Monotone nondecreasing in l_c, Delta_1 and every intensity; in [0, 1/2].
+    A lag where 1 - cos Delta_l rounds to 0.0 (Delta_l below about 1e-8, the
+    tail of a long l_c) multiplies by the intensity sum at 0.0, computed once;
+    every lag is still checked, so the product is the per-lag one bit for bit.
+
+    Monotone nondecreasing in l_c, Delta_1 and every intensity, and in
+    [0, 1/2], when the probabilities sum to at most 1 in floating point.
     """
     if l_c < 0:
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
+    pairs = intensity_set.pairs()
+    flat = sum(p * math.exp(-mu * 0.0) for mu, p in pairs)
     product = 1.0
     for l in range(1, l_c + 1):
-        product *= _lag_overlap_floor(l, intensity_set, model)
+        one_minus_cos = 1.0 - math.cos(correlation_magnitude(l, model))
+        if one_minus_cos == 0.0:
+            product *= flat
+        else:
+            product *= sum(p * math.exp(-mu * one_minus_cos) for mu, p in pairs)
     return 0.5 * (1.0 - product)
 
 

@@ -75,6 +75,25 @@ class OptimizationSpec:
         ]
 
 
+def validate_optimization(spec: OptimizationSpec) -> list[str]:
+    """List of violated invariants; empty means the spec is usable."""
+    problems = [
+        f"{name} must be >= 1, got {getattr(spec, name)}"
+        for name in ("budget", "restarts")
+        if not getattr(spec, name) >= 1
+    ]
+    if not spec.v >= 0.0:
+        problems.append(f"v must be nonnegative, got {spec.v}")
+    problems.extend(
+        f"{name} must lie strictly in (0, 1), got {getattr(spec, name)}"
+        for name in ("eps_pe_target", "eps_PA", "eps_EV")
+        if not 0.0 < getattr(spec, name) < 1.0
+    )
+    if spec.correlation is not None:
+        problems.extend(validate_correlation(spec.correlation))
+    return problems
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     params: dict
@@ -297,10 +316,10 @@ def optimize_params(
 
     Deterministic for fixed (spec, channel, seed, extra_starts). A run where
     every candidate scores zero is reported with ``zero_key_everywhere``
-    rather than treated as a failure; an invalid correlation model raises
-    :class:`~corrbb84.model.ConfigError`.
+    rather than treated as a failure; a spec that fails
+    :func:`validate_optimization` raises :class:`~corrbb84.model.ConfigError`.
     """
-    problems = [] if spec.correlation is None else validate_correlation(spec.correlation)
+    problems = validate_optimization(spec)
     if problems:
         raise ConfigError("; ".join(problems))
     objective = _Objective(spec, channel)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from corrbb84.cli import main, parse_distances, read_counts_csv
+from corrbb84.model import ConfigError
 
 BASE_CONFIG = {
     "protocol": {
@@ -29,6 +30,14 @@ def config_path(tmp_path):
 def test_parse_distances_range_and_list():
     assert parse_distances("0:100:10") == [float(d) for d in range(0, 101, 10)]
     assert parse_distances("0,5.5,20") == [0.0, 5.5, 20.0]
+
+
+@pytest.mark.parametrize("spec", ["0:20000:1", "0:10:0", "0:10"])
+def test_parse_distances_rejects_unbounded_ranges(spec):
+    # every part is checked before the range is expanded; a range of more
+    # than MAX_DISTANCES values is refused rather than expanded
+    with pytest.raises(ConfigError):
+        parse_distances(spec)
 
 
 def test_simulate_counts_round_trip(config_path, tmp_path):
@@ -210,11 +219,25 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({"protocol.N": 10**400}, None, "expected"),
     ({"optimizer": {"budget": "abc"}}, None, "optimize"),
     ({"optimizer": {"restarts": 2.5}}, None, "optimize"),
+    ({"optimizer": {"restarts": 0}}, None, "optimize"),
+    ({"optimizer": {"budget": 0}}, None, "optimize"),
+    ({"optimizer": {"v": -1}}, None, "optimize"),
+    ({"optimizer": {"eps_pe_target": 2}}, None, "optimize"),
+    ({}, "abc", "scan"),
+    ({}, "nan", "scan"),
+    ({}, "inf", "scan"),
+    ({}, "-5", "scan"),
+    ({}, "10:0:5", "scan"),
+    ({}, "0:nan:5", "scan"),
+    ({}, ",", "scan"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
     "N_beyond_int64_sampled", "N_beyond_float", "optimizer_budget_text",
-    "optimizer_restarts_fraction",
+    "optimizer_restarts_fraction", "optimizer_restarts_zero", "optimizer_budget_zero",
+    "optimizer_v_negative", "optimizer_eps_pe_target_above_1", "distances_text",
+    "distances_nan", "distances_inf", "distance_negative", "distance_range_empty",
+    "distance_range_nan_stop", "distances_none",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -229,6 +252,9 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
     argv = ["keyrate", "--config", str(path)]
     if mode == "optimize":
         argv[0] = "optimize"
+    elif mode == "scan":
+        argv = ["scan", "--config", str(path), "--distances", cell, "--budget", "5",
+                "--out", str(tmp_path / "scan.csv")]
     elif mode == "counts":
         counts = tmp_path / "counts.csv"
         main(["simulate", "--config", config_path, "--mode", "expected",
@@ -242,6 +268,17 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
         argv += ["--simulate", "--mode", mode, "--seed", "1"]
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "scan"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_flag_below_1_exits_2(config_path, tmp_path, capsys, command, budget):
+    argv = [command, "--config", config_path, "--budget", budget]
+    if command == "scan":
+        argv += ["--distances", "0", "--out", str(tmp_path / "scan.csv")]
+    assert main(argv) == 2
+    assert "budget must be >= 1" in capsys.readouterr().err
 
 
 def test_integer_beyond_digit_limit_exits_2(tmp_path, capsys):

@@ -1,9 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrbb84 import concentration
 from corrbb84.concentration import (
+    BISECTION_TOL,
     azuma_delta,
     bernoulli_kl,
     bernstein_upper_delta,
@@ -126,3 +131,123 @@ def test_coverage_smoke():
     slack = 3.0 * math.sqrt(eps * (1 - eps) / trials)
     assert low / trials <= eps + slack
     assert high / trials <= eps + slack
+
+
+# --- the replayed bisection equals the evaluated one --------------------------
+
+
+def _evaluated_solve_kl(p_hat, target, lo, hi):
+    """Bisection that evaluates D at every step: the reference that the
+    replayed bisection of ``concentration._solve_kl`` must equal bit for bit."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if bernoulli_kl(p_hat, mid) >= target:
+            if mid < p_hat:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            if mid < p_hat:
+                hi = mid
+            else:
+                lo = mid
+        if hi - lo <= BISECTION_TOL:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _evaluated_bound_pair(epsilon, observed, total):
+    if total == 0:
+        return (0.0, 0.0)
+    p_hat = observed / total
+    target = math.log(1.0 / epsilon) / total
+    lower = 0.0 if observed == 0 else total * _evaluated_solve_kl(p_hat, target, 0.0, p_hat)
+    upper = (
+        float(total) if observed == total
+        else total * _evaluated_solve_kl(p_hat, target, p_hat, 1.0)
+    )
+    return (min(lower, float(observed)), max(upper, float(observed)))
+
+
+def _solved_bound_pair(epsilon, observed, total):
+    """binomial_bound_pair past its cache, so every call runs the solver."""
+    return binomial_bound_pair.__wrapped__(epsilon, observed, total)
+
+
+# beyond 1e15 a root can lie within a few ulp of p_hat
+GRID_TOTALS = (1, 2, 3, 7, 10, 100, 1000, 12_345, 10**6, 10**8 + 7, 10**9, 10**11,
+               10**15, 10**20, 10**30)
+GRID_EPSILONS = (1e-300, 1e-30, 1e-20, 1e-10, 1e-3, 0.1, 0.5, 0.9999, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("total", GRID_TOTALS)
+def test_replayed_bisection_equals_evaluated_on_grid(total):
+    rng = random.Random(total)
+    special = (0, 1, 2, total // 2, total - 1, total)
+    observed = sorted({k for k in special if 0 <= k <= total}
+                      | {rng.randint(0, total) for _ in range(3)})
+    for epsilon in GRID_EPSILONS:
+        for k in observed:
+            assert _solved_bound_pair(epsilon, k, total) == _evaluated_bound_pair(
+                epsilon, k, total
+            ), (epsilon, k, total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exponent=st.floats(0.0, 11.0),
+    fraction=st.floats(0.0, 1.0),
+    log_epsilon=st.floats(-30.0, math.log10(0.9999)),
+)
+def test_replayed_bisection_equals_evaluated_on_drawn_inputs(exponent, fraction, log_epsilon):
+    total = max(1, int(10.0**exponent))
+    observed = round(fraction * total)
+    epsilon = 10.0**log_epsilon
+    assert _solved_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
+        epsilon, observed, total
+    )
+
+
+@pytest.mark.parametrize("misplace", ["none", "toward_p_hat", "away_from_p_hat"])
+def test_replay_never_depends_on_newton(monkeypatch, misplace):
+    """A missing or misplaced Newton root must fall back to the evaluated
+    bisection, never change the result."""
+    newton = concentration._newton_root
+
+    def misplaced(p_hat, target, lower):
+        root = newton(p_hat, target, lower)
+        if misplace == "none" or root is None:
+            return None
+        if misplace == "toward_p_hat":
+            return 0.5 * (root + p_hat)
+        return 0.5 * root if lower else 0.5 * (root + 1.0)
+
+    monkeypatch.setattr(concentration, "_newton_root", misplaced)
+    for epsilon, observed, total in [(1e-10, 12_345, 10**6), (1e-3, 3, 10**9),
+                                     (0.5, 10**8, 10**11), (1e-30, 1, 2)]:
+        assert _solved_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
+            epsilon, observed, total
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponent=st.floats(0.0, 8.0),
+    fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    log_epsilon=st.floats(-30.0, -3.0),
+)
+def test_bound_pair_brackets_and_is_monotone_in_observed(exponent, fractions, log_epsilon):
+    total = max(1, int(10.0**exponent))
+    k1, k2 = sorted(round(f * total) for f in fractions)
+    epsilon = 10.0**log_epsilon
+    (lower1, upper1), (lower2, upper2) = (binomial_bound_pair(epsilon, k, total) for k in (k1, k2))
+    assert 0.0 <= lower1 <= k1 <= upper1 <= total
+    assert 0.0 <= lower2 <= k2 <= upper2 <= total
+    # each end is within BISECTION_TOL (in the rate) of the exact root, which
+    # is nondecreasing in observed; for these totals and epsilons the noise
+    # window of D is narrower than the tolerance
+    slack = 2.0 * total * BISECTION_TOL
+    assert lower2 >= lower1 - slack
+    assert upper2 >= upper1 - slack

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrbb84 import correlations as corr
@@ -305,3 +305,82 @@ def test_admissibility_flags_violations():
 
 def test_reference_intensities_helper_matches_fixture(intensity_set):
     assert reference_intensities() == intensity_set
+
+
+# --- coin bound: flat-lag shortcut equals the per-lag product ------------------
+
+
+def _per_lag_coin_bound(l_c, intensity_set, model):
+    """coin_parameter_bound with every lag through the intensity sum: the
+    reference that the flat-lag shortcut must equal bit for bit."""
+    product = 1.0
+    for l in range(1, l_c + 1):
+        delta_l = corr.correlation_magnitude(l, model)
+        product *= sum(
+            p * math.exp(-mu * (1.0 - math.cos(delta_l))) for mu, p in intensity_set.pairs()
+        )
+    return 0.5 * (1.0 - product)
+
+
+COIN_SETS = (
+    reference_intensities(),
+    SINGLE,
+    IntensitySet(s=0.6, w=0.2, v=0.01, p_s=0.5, p_w=0.3, p_v=0.2),
+)
+
+
+@pytest.mark.parametrize("delta_1", [1e-9, 1e-3, 0.05, 0.2, 1.0, math.pi])
+@pytest.mark.parametrize("decay_C", [0.05, 0.3, 1.0, 5.0])
+def test_coin_bound_equals_per_lag_product_on_grid(delta_1, decay_C):
+    model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
+    for intensity_set in COIN_SETS:
+        for l_c in (0, 1, 2, 10, 35, 100, 190, 300):
+            assert corr.coin_parameter_bound(l_c, intensity_set, model) == _per_lag_coin_bound(
+                l_c, intensity_set, model
+            )
+
+
+@st.composite
+def _coin_intensity_sets(draw):
+    s = draw(st.floats(0.05, 1.0))
+    w = draw(st.floats(0.0, 1.0)) * s
+    v = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0)) * w]))
+    p_s = draw(st.floats(0.05, 0.9))
+    p_w = draw(st.floats(0.0, 1.0)) * (1.0 - p_s)
+    return IntensitySet(s=s, w=w, v=v, p_s=p_s, p_w=p_w, p_v=1.0 - p_s - p_w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    intensity_set=_coin_intensity_sets(),
+    delta_1=st.floats(0.0, math.pi),
+    decay_C=st.floats(0.05, 5.0),
+    l_c=st.integers(0, 300),
+)
+def test_coin_bound_equals_per_lag_product_on_drawn_inputs(intensity_set, delta_1, decay_C, l_c):
+    model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
+    assert corr.coin_parameter_bound(l_c, intensity_set, model) == _per_lag_coin_bound(
+        l_c, intensity_set, model
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    intensity_set=_coin_intensity_sets(),
+    delta_1=st.floats(0.0, math.pi),
+    stronger=st.floats(0.0, 1.0),
+    decay_C=st.floats(0.05, 5.0),
+    l_c=st.integers(0, 300),
+    longer=st.integers(1, 50),
+)
+def test_coin_bound_nondecreasing_in_length_and_delta(
+    intensity_set, delta_1, stronger, decay_C, l_c, longer
+):
+    # every lag factor is at most 1 only when the probabilities sum to at most 1
+    assume(sum(p for _, p in intensity_set.pairs()) <= 1.0)
+    model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
+    bound = corr.coin_parameter_bound(l_c, intensity_set, model)
+    assert 0.0 <= bound <= 0.5
+    assert corr.coin_parameter_bound(l_c + longer, intensity_set, model) >= bound
+    wider = replace(model, delta_1=min(math.pi, delta_1 + stronger * (math.pi - delta_1)))
+    assert corr.coin_parameter_bound(l_c, intensity_set, wider) >= bound
