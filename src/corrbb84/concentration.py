@@ -7,10 +7,12 @@ Three primitives back all statistical estimates:
   Delta+(x, eps) = sqrt(2 x ln(1/eps)) + (2/3) ln(1/eps).
 * ``azuma_delta`` -- martingale deviation sqrt(2 n ln(1/eps)) for bounded
   increments over n steps.
-* ``binomial_bound_pair`` -- two-sided confidence bounds on the mean of a
-  sum of independent Bernoulli variables given an observed count, obtained
-  by inverting the Chernoff bound exp(-n D(k/n || p)) in the Bernoulli
-  relative entropy D. Bisection to absolute tolerance 1e-12 in the rate.
+* ``binomial_bound_pair`` -- confidence bounds on the mean of a sum of
+  independent Bernoulli variables given an observed count, obtained by
+  inverting the Chernoff bound exp(-n D(k/n || p)) in the Bernoulli relative
+  entropy D. Bisection to absolute tolerance 1e-12 in the rate. Each side
+  is one KL inversion and is computed only when asked for; a side not asked
+  for is its trivial bound.
 
 The computed D(p || x) takes the log of a ratio near 1, so it carries an
 absolute error of a few ulp of (1 + D). Within a *noise window* of width
@@ -191,16 +193,20 @@ def _solve_kl(p_hat: float, target: float, lower: bool) -> float:
 
 
 @lru_cache(maxsize=1 << 17)
-def binomial_bound_pair(epsilon: float, observed: int, total: int) -> tuple[float, float]:
-    """Two-sided bounds on the expectation of a Bernoulli sum.
+def binomial_bound_pair(
+    epsilon: float, observed: int, total: int, lower: bool = True, upper: bool = True
+) -> tuple[float, float]:
+    """Bounds on the expectation of a Bernoulli sum.
 
     For ``observed`` successes out of ``total`` independent (not necessarily
     identical) Bernoulli trials, returns counts ``(lower, upper)`` such that
     the true expectation of the sum lies outside either bound with
-    probability at most ``epsilon`` per side. ``lower <= observed <= upper``,
-    and both ends are nondecreasing in ``observed`` up to the solver's
-    precision: each lies within BISECTION_TOL of the exact root in the rate,
-    or within the noise window of D where that is wider.
+    probability at most ``epsilon`` per side. Only the sides whose flag is
+    set are solved; the other comes back as its trivial bound, 0.0 below and
+    ``total`` above, which holds with certainty. ``lower <= observed <=
+    upper``, and each solved end is nondecreasing in ``observed`` up to the
+    solver's precision: it lies within BISECTION_TOL of the exact root in the
+    rate, or within the noise window of D where that is wider.
     """
     _check_epsilon(epsilon)
     if observed < 0 or total < 0 or observed > total:
@@ -210,23 +216,10 @@ def binomial_bound_pair(epsilon: float, observed: int, total: int) -> tuple[floa
         return (0.0, 0.0)
     p_hat = observed / total
     target = math.log(1.0 / epsilon) / total
-    if observed == 0:
-        lower = 0.0
-    else:
-        lower = total * _solve_kl(p_hat, target, True)
-    if observed == total:
-        upper = float(total)
-    else:
-        upper = total * _solve_kl(p_hat, target, False)
+    low, high = 0.0, float(total)
     # bisection may land an ulp past the observation; keep the contract exact
-    lower = min(lower, float(observed))
-    upper = max(upper, float(observed))
-    return (lower, upper)
-
-
-def identity_bound_pair(epsilon: float, observed: int, total: int) -> tuple[float, float]:
-    """Degenerate bound pair (observed, observed); used to evaluate the decoy
-    formulas on exact expectations in analytic cross-checks."""
-    if observed < 0 or observed > total:
-        raise ValueError(f"need 0 <= observed <= total, got {observed}/{total}")
-    return (float(observed), float(observed))
+    if lower and observed > 0:
+        low = min(total * _solve_kl(p_hat, target, True), float(observed))
+    if upper and observed < total:
+        high = max(total * _solve_kl(p_hat, target, False), float(observed))
+    return (low, high)

@@ -173,26 +173,30 @@ def coin_parameter_bound(
 ) -> float:
     """Worst-case minus probability of the basis-coin measurement on a
     single-photon trash round, for spreads bounded by the model:
-    (1/2) [1 - prod_{l=1}^{l_c} sum_mu p_mu exp(-mu (1 - cos Delta_l))].
+    (1/2) [1 - prod_{l=1}^{l_c} min(1, sum_mu p_mu exp(-mu (1 - cos Delta_l)))].
 
-    A lag where 1 - cos Delta_l rounds to 0.0 (Delta_l below about 1e-8, the
-    tail of a long l_c) multiplies by the intensity sum at 0.0, computed once;
-    every lag is still checked, so the product is the per-lag one bit for bit.
+    The clamp changes nothing unless the probabilities sum above 1 (allowed
+    within ``PROB_SUM_TOL``). Delta_l decreases, so past the first lag where
+    1 - cos Delta_l rounds to 0.0 (Delta_l below about 1e-8) every factor is
+    the clamped probability sum; if that is exactly 1 the loop stops there.
 
-    Monotone nondecreasing in l_c, Delta_1 and every intensity, and in
-    [0, 1/2], when the probabilities sum to at most 1 in floating point.
+    Monotone nondecreasing in l_c, Delta_1 and every intensity; in [0, 1/2].
     """
     if l_c < 0:
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
-    pairs = intensity_set.pairs()
-    flat = sum(p * math.exp(-mu * 0.0) for mu, p in pairs)
+    (s, p_s), (w, p_w), (v, p_v) = intensity_set.pairs()
+    flat = min(1.0, p_s + p_w + p_v)
     product = 1.0
     for l in range(1, l_c + 1):
-        one_minus_cos = 1.0 - math.cos(correlation_magnitude(l, model))
+        one_minus_cos = 1.0 - math.cos(model.delta_1 * math.exp(-model.decay_C * (l - 1)))
         if one_minus_cos == 0.0:
+            if flat == 1.0:
+                break
             product *= flat
         else:
-            product *= sum(p * math.exp(-mu * one_minus_cos) for mu, p in pairs)
+            factor = (p_s * math.exp(-s * one_minus_cos) + p_w * math.exp(-w * one_minus_cos)
+                      + p_v * math.exp(-v * one_minus_cos))
+            product *= min(1.0, factor)
     return 0.5 * (1.0 - product)
 
 

@@ -9,8 +9,10 @@ then Bernoulli sums amenable to :func:`~corrbb84.concentration.binomial_bound_pa
 
 The analytic three-intensity bounds require the solvability condition
 s(w - v) - w^2 + v^2 > 0, i.e. s > w + v. A full evaluation of one event
-class consumes eps_B five times (3 for the lower bound, 2 for the upper);
-the four bound evaluations of a protocol run consume 10 eps_B in total.
+class consumes eps_B once per one-sided substitution (3 for the lower bound,
+2 for the upper) and asks ``bound_pair`` only for those sides; the side flags
+are passed positionally, so a wrapper that records the positional arguments
+can replay the call. The four evaluations of a run consume 10 eps_B.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .model import IntensitySet, ProtocolConfig, poisson_pmf, single_photon_prob
 if TYPE_CHECKING:
     from .keyrate import ObservedCounts
 
-BoundPair = Callable[[float, int, int], tuple[float, float]]
+BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
 
 class DecoySolvabilityError(ValueError):
@@ -105,9 +107,9 @@ def _single_photon_lower(
             f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"
         )
     total = counts.total
-    m_w_lo = bound_pair(eps_B, counts.m_w, total)[0]
-    m_v_hi = bound_pair(eps_B, counts.m_v, total)[1]
-    m_s_hi = bound_pair(eps_B, counts.m_s, total)[1]
+    m_w_lo = bound_pair(eps_B, counts.m_w, total, True, False)[0]
+    m_v_hi = bound_pair(eps_B, counts.m_v, total, False, True)[1]
+    m_s_hi = bound_pair(eps_B, counts.m_s, total, False, True)[1]
     p1 = single_photon_prob(iset)
     raw = (p1 * iset.s / denom) * (
         math.exp(iset.w) / iset.p_w * m_w_lo
@@ -132,8 +134,8 @@ def _single_photon_upper(
     if iset.w <= iset.v:
         raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
     total = counts.total
-    m_w_hi = bound_pair(eps_B, counts.m_w, total)[1]
-    m_v_lo = bound_pair(eps_B, counts.m_v, total)[0]
+    m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]
+    m_v_lo = bound_pair(eps_B, counts.m_v, total, True, False)[0]
     p1 = single_photon_prob(iset)
     raw = (p1 / (iset.w - iset.v)) * (
         math.exp(iset.w) / iset.p_w * m_w_hi - math.exp(iset.v) / iset.p_v * m_v_lo

@@ -3,6 +3,17 @@ import pytest
 from corrbb84.validation import reference_channel, reference_config, reference_intensities
 
 
+def identity_bound_pair(
+    epsilon: float, observed: int, total: int, lower: bool = True, upper: bool = True
+) -> tuple[float, float]:
+    """Degenerate bound pair (observed, observed), with a side not asked for
+    at its trivial bound as in ``binomial_bound_pair``; evaluates the decoy
+    formulas on exact expectations in analytic cross-checks."""
+    if observed < 0 or observed > total:
+        raise ValueError(f"need 0 <= observed <= total, got {observed}/{total}")
+    return (float(observed) if lower else 0.0, float(observed) if upper else float(total))
+
+
 @pytest.fixture
 def intensity_set():
     return reference_intensities()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import identity_bound_pair
 
 from corrbb84 import concentration
 from corrbb84.concentration import (
@@ -13,8 +14,10 @@ from corrbb84.concentration import (
     bernoulli_kl,
     bernstein_upper_delta,
     binomial_bound_pair,
-    identity_bound_pair,
 )
+from corrbb84.keyrate import evaluate_pipeline
+from corrbb84.simulator import expected_counts, sample_counts
+from corrbb84.validation import reference_channel
 
 # frozen from independent high-precision evaluation
 BERNSTEIN_0_001 = 3.0701134573253942
@@ -119,6 +122,8 @@ def test_binomial_bounds_reject_bad_counts():
 
 def test_identity_bound_pair():
     assert identity_bound_pair(0.01, 7, 100) == (7.0, 7.0)
+    assert identity_bound_pair(0.01, 7, 100, True, False) == (7.0, 100.0)
+    assert identity_bound_pair(0.01, 7, 100, False, True) == (0.0, 7.0)
 
 
 def test_coverage_smoke():
@@ -251,3 +256,70 @@ def test_bound_pair_brackets_and_is_monotone_in_observed(exponent, fractions, lo
     slack = 2.0 * total * BISECTION_TOL
     assert lower2 >= lower1 - slack
     assert upper2 >= upper1 - slack
+
+
+# --- one-sided requests solve only the side asked for -------------------------
+
+
+def _assert_one_sided_ends_match(epsilon, observed, total):
+    """Each one-sided request returns that end of the two-sided pair bit for
+    bit and the other end at its trivial bound, 0.0 or ``total``."""
+    solve = binomial_bound_pair.__wrapped__
+    lower, upper = solve(epsilon, observed, total)
+    assert solve(epsilon, observed, total, True, False) == (lower, float(total))
+    assert solve(epsilon, observed, total, False, True) == (0.0, upper)
+    assert solve(epsilon, observed, total, False, False) == (0.0, float(total))
+
+
+@pytest.mark.parametrize("total", GRID_TOTALS)
+def test_one_sided_request_equals_that_end_on_grid(total):
+    observed = sorted({k for k in (0, 1, 2, total // 2, total - 1, total) if 0 <= k <= total})
+    for epsilon in (1e-300, 1e-10, 1e-3, 0.9999):
+        for k in observed:
+            _assert_one_sided_ends_match(epsilon, k, total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponent=st.floats(0.0, 11.0),
+    fraction=st.floats(0.0, 1.0),
+    log_epsilon=st.floats(-30.0, math.log10(0.9999)),
+)
+def test_one_sided_request_equals_that_end_on_drawn_inputs(exponent, fraction, log_epsilon):
+    total = max(1, int(10.0**exponent))
+    _assert_one_sided_ends_match(10.0**log_epsilon, round(fraction * total), total)
+
+
+def _cold_kl_sides(monkeypatch, observed, config) -> int:
+    """``_solve_kl`` calls of one certification on an empty bound cache."""
+    calls = 0
+    solve = concentration._solve_kl
+
+    def counted(p_hat, target, lower):
+        nonlocal calls
+        calls += 1
+        return solve(p_hat, target, lower)
+
+    monkeypatch.setattr(concentration, "_solve_kl", counted)
+    binomial_bound_pair.cache_clear()
+    try:
+        evaluate_pipeline(observed, config)
+    finally:
+        binomial_bound_pair.cache_clear()
+    return calls
+
+
+def test_certification_solves_only_the_sides_it_reads(monkeypatch, config_1e9):
+    """3 sides for each lower decoy bound and 2 for each upper one: 10 on
+    sampled counts, 7 when the test-basis detections equal the key-basis ones
+    (as ``expected_counts`` gives), where the cache shares the lower sides."""
+    channel = reference_channel(10.0)
+    sampled, _ = sample_counts(config_1e9, channel, seed=3)
+    triples = (sampled.z_det, sampled.x_det, sampled.x_err)
+    assert all(0 < m < t.total for t in triples for m in (t.m_s, t.m_w, t.m_v))
+    assert sampled.x_det != sampled.z_det
+    assert _cold_kl_sides(monkeypatch, sampled, config_1e9) == 10
+
+    expected, _ = expected_counts(config_1e9, channel)
+    assert expected.x_det == expected.z_det
+    assert _cold_kl_sides(monkeypatch, expected, config_1e9) == 7

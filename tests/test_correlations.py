@@ -1,13 +1,14 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrbb84 import correlations as corr
-from corrbb84.model import ConfigError, IntensitySet
+from corrbb84.model import ConfigError, IntensitySet, validate_intensity_set
 from corrbb84.validation import reference_intensities
 
 # frozen from independent high-precision evaluation
@@ -310,16 +311,22 @@ def test_reference_intensities_helper_matches_fixture(intensity_set):
 # --- coin bound: flat-lag shortcut equals the per-lag product ------------------
 
 
-def _per_lag_coin_bound(l_c, intensity_set, model):
-    """coin_parameter_bound with every lag through the intensity sum: the
-    reference that the flat-lag shortcut must equal bit for bit."""
+def _per_lag_coin_bound(l_c, intensity_set, model, clamp=True):
+    """coin_parameter_bound with every lag through the intensity sum, each
+    factor clamped at 1 (unless ``clamp`` is off): the reference that the
+    flat-lag shortcut must equal bit for bit."""
     product = 1.0
     for l in range(1, l_c + 1):
         delta_l = corr.correlation_magnitude(l, model)
-        product *= sum(
+        factor = sum(
             p * math.exp(-mu * (1.0 - math.cos(delta_l))) for mu, p in intensity_set.pairs()
         )
+        product *= min(1.0, factor) if clamp else factor
     return 0.5 * (1.0 - product)
+
+
+def _sums_to_at_most_one(intensity_set):
+    return sum(p for _, p in intensity_set.pairs()) <= 1.0
 
 
 COIN_SETS = (
@@ -335,9 +342,12 @@ def test_coin_bound_equals_per_lag_product_on_grid(delta_1, decay_C):
     model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
     for intensity_set in COIN_SETS:
         for l_c in (0, 1, 2, 10, 35, 100, 190, 300):
-            assert corr.coin_parameter_bound(l_c, intensity_set, model) == _per_lag_coin_bound(
-                l_c, intensity_set, model
-            )
+            bound = corr.coin_parameter_bound(l_c, intensity_set, model)
+            assert bound == _per_lag_coin_bound(l_c, intensity_set, model)
+            assert bound == _per_lag_coin_bound(l_c, intensity_set, model, clamp=False)
+    # the flat-lag break relies on every lag after a flat one being flat too
+    flat = [1.0 - math.cos(corr.correlation_magnitude(l, model)) == 0.0 for l in range(1, 301)]
+    assert flat == sorted(flat)
 
 
 @st.composite
@@ -359,9 +369,11 @@ def _coin_intensity_sets(draw):
 )
 def test_coin_bound_equals_per_lag_product_on_drawn_inputs(intensity_set, delta_1, decay_C, l_c):
     model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
-    assert corr.coin_parameter_bound(l_c, intensity_set, model) == _per_lag_coin_bound(
-        l_c, intensity_set, model
-    )
+    bound = corr.coin_parameter_bound(l_c, intensity_set, model)
+    assert bound == _per_lag_coin_bound(l_c, intensity_set, model)
+    if _sums_to_at_most_one(intensity_set):
+        # the clamp changes nothing unless the probabilities sum above 1
+        assert bound == _per_lag_coin_bound(l_c, intensity_set, model, clamp=False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -376,11 +388,41 @@ def test_coin_bound_equals_per_lag_product_on_drawn_inputs(intensity_set, delta_
 def test_coin_bound_nondecreasing_in_length_and_delta(
     intensity_set, delta_1, stronger, decay_C, l_c, longer
 ):
-    # every lag factor is at most 1 only when the probabilities sum to at most 1
-    assume(sum(p for _, p in intensity_set.pairs()) <= 1.0)
     model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
     bound = corr.coin_parameter_bound(l_c, intensity_set, model)
     assert 0.0 <= bound <= 0.5
     assert corr.coin_parameter_bound(l_c + longer, intensity_set, model) >= bound
     wider = replace(model, delta_1=min(math.pi, delta_1 + stronger * (math.pi - delta_1)))
     assert corr.coin_parameter_bound(l_c, intensity_set, wider) >= bound
+
+
+def test_coin_bound_clamps_a_probability_sum_above_one():
+    """Probabilities summing above 1 within PROB_SUM_TOL: every factor is
+    clamped at 1, so the bound cannot fall with l_c or turn negative."""
+    over = IntensitySet(s=0.6, w=0.2, v=0.01, p_s=0.7, p_w=0.15, p_v=0.15 + 5e-13)
+    assert not _sums_to_at_most_one(over)
+    assert validate_intensity_set(over) == []
+    model = corr.CorrelationModel(delta_1=0.05, decay_C=1.0)
+    bounds = [corr.coin_parameter_bound(l_c, over, model) for l_c in (0, 10, 200, 10**6)]
+    assert bounds == sorted(bounds) and bounds[0] == 0.0
+    assert bounds[2] == bounds[3] == _per_lag_coin_bound(200, over, model)
+    # below 1 the flat factor is not 1, so every flat lag still multiplies
+    under = replace(over, p_v=0.15 - 5e-13)
+    assert corr.coin_parameter_bound(1000, under, model) == _per_lag_coin_bound(1000, under, model)
+    assert corr.coin_parameter_bound(1000, under, model) > bounds[2]
+
+
+def test_cos_is_exactly_one_below_the_flat_threshold():
+    """The flat-lag break relies on 1 - cos(Delta_l) rounding to 0.0 for
+    every Delta_l this small."""
+    assert math.cos(2.0**-27) == 1.0
+    assert math.cos(1e-9) == 1.0
+
+
+def test_coin_bound_at_huge_length_stops_at_the_first_flat_lag(intensity_set):
+    """l_c 10**7 and 10**9 give the l_c 200 value, each well within 50 ms."""
+    reference = corr.coin_parameter_bound(200, intensity_set, MODEL)
+    for l_c in (10**7, 10**9):
+        start = time.perf_counter()
+        assert corr.coin_parameter_bound(l_c, intensity_set, MODEL) == reference
+        assert time.perf_counter() - start < 0.05

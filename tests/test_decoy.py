@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import identity_bound_pair
 
-from corrbb84.concentration import binomial_bound_pair, identity_bound_pair
+from corrbb84.concentration import binomial_bound_pair
 from corrbb84.decoy import (
     CountTriple,
     DecoySolvabilityError,
