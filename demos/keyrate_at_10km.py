@@ -34,7 +34,7 @@ def main():
     observed, truth = expected_counts(config, channel)
     print(f"detected keep-sifted Z counts (s/w/v): {observed.z_det}")
     print(f"total detected sifted rounds:          {observed.n_sifted_det}")
-    print(f"true single-photon Z detections:       {truth.z_det_single()}")
+    print(f"true single-photon Z detections:       {truth.z_det[1].total}")
 
     # mild encoder correlations; the pipeline truncates them at the length
     # that keeps the state error below d

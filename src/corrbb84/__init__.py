@@ -10,8 +10,9 @@ desk scale.
 __version__ = "0.1.0"
 
 from .correlations import CorrelationModel, ExplicitDeltas
-from .decoy import CountTriple, DecoyBounds
-from .keyrate import KeyRateResult, ObservedCounts, evaluate_pipeline
+from .counts import CountTriple, ObservedCounts
+from .decoy import DecoyBounds
+from .keyrate import KeyRateResult, evaluate_pipeline
 from .model import EpsilonBudget, IntensitySet, ProtocolConfig, validate_config
 from .optimizer import OptimizationSpec, optimize_params, scan_distance
 from .simulator import ChannelModel, expected_counts, sample_counts

@@ -26,12 +26,13 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
 from .correlations import CorrelationModel, validate_correlation
-from .decoy import CountTriple
-from .keyrate import DEFAULT_F_EC, ObservedCounts, evaluate_pipeline
+from .counts import CountTriple, GroundTruth, ObservedCounts
+from .keyrate import DEFAULT_F_EC, evaluate_pipeline
 from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, validate_config
 from .optimizer import OptimizationSpec, optimize_params, scan_distance
 from .simulator import ChannelModel, expected_counts, sample_counts, validate_channel
@@ -44,6 +45,12 @@ MANIFEST_PREFIX = "# corrbb84-manifest: "
 COUNT_CATEGORIES = ("det", "err")
 BASES = ("Z", "X")
 INTENSITIES = ("s", "w", "v")
+# the counts CSV's (category, basis) -> ObservedCounts and GroundTruth field
+COUNT_FIELDS = {
+    ("det", "Z"): "z_det", ("err", "Z"): "z_err", ("det", "X"): "x_det", ("err", "X"): "x_err",
+}
+COUNTS_HEADER = ["category", "basis", "intensity", "count"]
+SIFTED_TOTAL = ("sifted_total", "", "")
 EPSILONS = ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")
 CHANNEL_OPTIONAL = (
     "attenuation_db_per_km", "detector_efficiency", "dark_count_prob", "misalignment",
@@ -190,28 +197,30 @@ def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel |
 # --- counts CSV -------------------------------------------------------------
 
 
-def write_counts_csv(path: str, observed: ObservedCounts, manifest: RunManifest) -> None:
+@contextmanager
+def _csv_output(path: str, manifest: RunManifest, header: list[str]):
+    """A CSV writer on ``path``, after the manifest line and ``header``."""
     with open(path, "w", newline="") as handle:
         handle.write(MANIFEST_PREFIX + json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
         writer = csv.writer(handle)
-        writer.writerow(["category", "basis", "intensity", "count"])
-        triples = {
-            ("det", "Z"): observed.z_det,
-            ("err", "Z"): observed.z_err,
-            ("det", "X"): observed.x_det,
-            ("err", "X"): observed.x_err,
-        }
+        writer.writerow(header)
+        yield writer
+
+
+def write_counts_csv(path: str, observed: ObservedCounts, manifest: RunManifest) -> None:
+    with _csv_output(path, manifest, COUNTS_HEADER) as writer:
         for category in COUNT_CATEGORIES:
             for basis in BASES:
-                triple = triples[(category, basis)]
-                for label, value in zip(INTENSITIES, (triple.m_s, triple.m_w, triple.m_v)):
+                triple = getattr(observed, COUNT_FIELDS[(category, basis)])
+                for label, value in zip(INTENSITIES, triple):
                     writer.writerow([category, basis, label, value])
-        writer.writerow(["sifted_total", "", "", observed.n_sifted_det])
+        writer.writerow([*SIFTED_TOTAL, observed.n_sifted_det])
 
 
 def read_counts_csv(path: str) -> ObservedCounts:
+    """The counts file as ObservedCounts; every cell of ``COUNT_FIELDS`` and
+    the ``sifted_total`` row exactly once, and no other row."""
     cells: dict[tuple[str, str, str], int] = {}
-    sifted_total = None
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -219,7 +228,7 @@ def read_counts_csv(path: str) -> ObservedCounts:
     with handle:
         rows = csv.reader(line for line in handle if not line.startswith("#"))
         header = next(rows, None)
-        if header != ["category", "basis", "intensity", "count"]:
+        if header != COUNTS_HEADER:
             raise ConfigError(f"unexpected counts CSV header in {path}: {header}")
         for row in rows:
             if not row:
@@ -227,44 +236,34 @@ def read_counts_csv(path: str) -> ObservedCounts:
             if len(row) != 4:
                 raise ConfigError(f"counts file {path}: row {row} needs 4 fields")
             category, basis, intensity, text = row
+            cell = (category, basis, intensity)
             if not text.isdecimal():
                 raise ConfigError(f"counts file {path}: {text!r} is not a nonnegative whole count")
-            count = int(text)
-            if category == "sifted_total":
-                sifted_total = count
-            else:
-                cells[(category, basis, intensity)] = count
-    if sifted_total is None:
-        raise ConfigError(f"counts file {path} lacks the sifted_total row")
+            if cell != SIFTED_TOTAL and (
+                (category, basis) not in COUNT_FIELDS or intensity not in INTENSITIES
+            ):
+                raise ConfigError(f"counts file {path}: unknown cell {cell}")
+            if cell in cells:
+                raise ConfigError(f"counts file {path}: cell {cell} appears twice")
+            cells[cell] = int(text)
     try:
-        def triple(category: str, basis: str) -> CountTriple:
-            return CountTriple(*(cells[(category, basis, mu)] for mu in INTENSITIES))
-
         return ObservedCounts(
-            z_det=triple("det", "Z"),
-            z_err=triple("err", "Z"),
-            x_det=triple("det", "X"),
-            x_err=triple("err", "X"),
-            n_sifted_det=sifted_total,
+            **{
+                name: CountTriple(*(cells[(category, basis, mu)] for mu in INTENSITIES))
+                for (category, basis), name in COUNT_FIELDS.items()
+            },
+            n_sifted_det=cells[SIFTED_TOTAL],
         )
     except KeyError as exc:
         raise ConfigError(f"counts file {path} is missing cell {exc}") from exc
 
 
-def write_truth_csv(path: str, truth, manifest: RunManifest) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(MANIFEST_PREFIX + json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(["category", "basis", "intensity", "photon_number", "count"])
-        categories = {
-            ("det", "Z"): truth.z_det,
-            ("err", "Z"): truth.z_err,
-            ("det", "X"): truth.x_det,
-            ("err", "X"): truth.x_err,
-        }
-        for (category, basis), table in categories.items():
-            for label in INTENSITIES:
-                for bucket, value in sorted(table[label].items()):
+def write_truth_csv(path: str, truth: GroundTruth, manifest: RunManifest) -> None:
+    header = ["category", "basis", "intensity", "photon_number", "count"]
+    with _csv_output(path, manifest, header) as writer:
+        for (category, basis), name in COUNT_FIELDS.items():
+            for label, *by_bucket in zip(INTENSITIES, *getattr(truth, name)):
+                for bucket, value in enumerate(by_bucket):
                     writer.writerow([category, basis, label, bucket, value])
         writer.writerow(["trash_minus", "", "", 1, truth.trash_minus_single])
 
@@ -399,10 +398,7 @@ def cmd_scan(args) -> int:
     columns = ["distance_km", "key_length", "eps_sec", "evaluations"] + sorted(
         {key for row in rows for key in row if key.startswith("param_")}
     )
-    with open(args.out, "w", newline="") as handle:
-        handle.write(MANIFEST_PREFIX + json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(columns)
+    with _csv_output(args.out, manifest, columns) as writer:
         for row in rows:
             writer.writerow(
                 [

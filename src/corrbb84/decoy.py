@@ -1,7 +1,11 @@
 """Three-intensity decoy-state estimation.
 
 Converts per-intensity counts of one event class (detections or errors, per
-basis) into bounds on the single-photon contribution. The estimate rests on
+basis; a :class:`~corrbb84.counts.CountTriple`) into bounds on the
+single-photon contribution: ``single_photon_lower`` and
+``single_photon_upper`` return one bound with its intermediates, and
+``apply_decoy_bounds`` evaluates the four that the announced
+:class:`~corrbb84.counts.ObservedCounts` of a run need. The estimate rests on
 the counterfactual in which the per-photon-number counts are fixed first and
 each event is assigned an intensity with the Bayes posterior
 p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
@@ -19,36 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .concentration import binomial_bound_pair
+from .counts import CountTriple, ObservedCounts
 from .model import IntensitySet, ProtocolConfig, poisson_pmf, single_photon_prob
-
-if TYPE_CHECKING:
-    from .keyrate import ObservedCounts
 
 BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
 
 class DecoySolvabilityError(ValueError):
     """Intensity set violates s(w - v) - w^2 + v^2 > 0 (or w = v)."""
-
-
-@dataclass(frozen=True)
-class CountTriple:
-    """Counts of one event class per intensity, (s, w, v) order."""
-
-    m_s: int
-    m_w: int
-    m_v: int
-
-    def __post_init__(self):
-        if min(self.m_s, self.m_w, self.m_v) < 0:
-            raise ValueError(f"counts must be nonnegative, got {self}")
-
-    @property
-    def total(self) -> int:
-        return self.m_s + self.m_w + self.m_v
 
 
 @dataclass(frozen=True)
@@ -95,12 +80,18 @@ def _lower_denominator(iset: IntensitySet) -> float:
     return iset.s * (iset.w - iset.v) - iset.w**2 + iset.v**2
 
 
-def _single_photon_lower(
+def single_photon_lower(
     counts: CountTriple,
     iset: IntensitySet,
     eps_B: float,
-    bound_pair: BoundPair,
+    bound_pair: BoundPair = binomial_bound_pair,
 ) -> dict:
+    """Lower bound on the single-photon share of one event class.
+
+    ``["value"]`` holds except with probability 3 * eps_B (three one-sided
+    bound substitutions) and is clamped to [0, total]; a negative analytic
+    value carries no information. The other entries are its intermediates.
+    """
     denom = _lower_denominator(iset)
     if denom <= 0.0:
         raise DecoySolvabilityError(
@@ -125,12 +116,17 @@ def _single_photon_lower(
     }
 
 
-def _single_photon_upper(
+def single_photon_upper(
     counts: CountTriple,
     iset: IntensitySet,
     eps_B: float,
-    bound_pair: BoundPair,
+    bound_pair: BoundPair = binomial_bound_pair,
 ) -> dict:
+    """Upper bound on the single-photon share of one event class.
+
+    ``["value"]`` holds except with probability 2 * eps_B and is clamped to
+    [0, total]. The other entries are its intermediates.
+    """
     if iset.w <= iset.v:
         raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
     total = counts.total
@@ -148,36 +144,8 @@ def _single_photon_upper(
     }
 
 
-def decoy_single_photon_lower(
-    counts: CountTriple,
-    intensity_set: IntensitySet,
-    eps_B: float,
-    bound_pair: BoundPair = binomial_bound_pair,
-) -> float:
-    """Lower bound on the single-photon share of one event class.
-
-    Holds except with probability 3 * eps_B (three one-sided bound
-    substitutions). Clamped to [0, total]; a negative analytic value carries
-    no information.
-    """
-    return _single_photon_lower(counts, intensity_set, eps_B, bound_pair)["value"]
-
-
-def decoy_single_photon_upper(
-    counts: CountTriple,
-    intensity_set: IntensitySet,
-    eps_B: float,
-    bound_pair: BoundPair = binomial_bound_pair,
-) -> float:
-    """Upper bound on the single-photon share of one event class.
-
-    Holds except with probability 2 * eps_B. Clamped to [0, total].
-    """
-    return _single_photon_upper(counts, intensity_set, eps_B, bound_pair)["value"]
-
-
 def apply_decoy_bounds(
-    observed: "ObservedCounts",
+    observed: ObservedCounts,
     config: ProtocolConfig,
     bound_pair: BoundPair = binomial_bound_pair,
 ) -> DecoyBounds:
@@ -189,10 +157,10 @@ def apply_decoy_bounds(
     """
     iset = config.intensity_set
     eps_B = config.epsilon_budget.eps_B
-    z_lo = _single_photon_lower(observed.z_det, iset, eps_B, bound_pair)
-    z_hi = _single_photon_upper(observed.z_det, iset, eps_B, bound_pair)
-    x_lo = _single_photon_lower(observed.x_det, iset, eps_B, bound_pair)
-    e_hi = _single_photon_upper(observed.x_err, iset, eps_B, bound_pair)
+    z_lo = single_photon_lower(observed.z_det, iset, eps_B, bound_pair)
+    z_hi = single_photon_upper(observed.z_det, iset, eps_B, bound_pair)
+    x_lo = single_photon_lower(observed.x_det, iset, eps_B, bound_pair)
+    e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair)
     return DecoyBounds(
         z_det_lower=z_lo["value"],
         z_det_upper=z_hi["value"],

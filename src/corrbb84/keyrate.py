@@ -20,39 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 from . import correlations as corr
-from .decoy import CountTriple, apply_decoy_bounds
+from .counts import ObservedCounts
+from .decoy import apply_decoy_bounds
 from .model import ConfigError, ProtocolConfig, mean_intensity, require_valid, single_photon_prob
 from .phase_error import phase_error_rate_bound, total_pe_failure, trash_minus_upper
 
 DEFAULT_F_EC = 1.16
-
-
-@dataclass(frozen=True)
-class ObservedCounts:
-    """The announced data of one run: per-intensity detected/error counts of
-    keep-sifted rounds by basis, plus the total detected sifted count
-    (keep and trash)."""
-
-    z_det: CountTriple
-    z_err: CountTriple
-    x_det: CountTriple
-    x_err: CountTriple
-    n_sifted_det: int
-
-    def validate(self) -> list[str]:
-        problems = []
-        for err, det, label in (
-            (self.z_err, self.z_det, "Z"),
-            (self.x_err, self.x_det, "X"),
-        ):
-            for mu in ("m_s", "m_w", "m_v"):
-                if getattr(err, mu) > getattr(det, mu):
-                    problems.append(f"{label}-basis errors exceed detections at {mu}")
-        if self.z_det.total + self.x_det.total > self.n_sifted_det:
-            problems.append("keep-sifted detections exceed total sifted detections")
-        if self.n_sifted_det < 0:
-            problems.append("n_sifted_det must be nonnegative")
-        return problems
 
 
 @dataclass(frozen=True)

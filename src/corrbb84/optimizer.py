@@ -33,6 +33,12 @@ from .simulator import ChannelModel, expected_counts
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 PARAM_NAMES = ("s", "w", "p_s", "p_w", "p_keep", "u_A", "u_B")
+# search box of each parameter, in PARAM_NAMES order
+BOXES = (
+    (0.1, 1.0), (0.01, 0.5), (0.05, 0.95), (0.05, 0.95), (0.5, 0.999), (0.05, 0.9), (0.05, 0.9),
+)
+# a line search stops once its bracket is this fraction of the box
+LINE_SEARCH_TOL = 5e-3
 
 # Joe-Kuo primitive polynomials and initial direction numbers m_{d,j} for
 # Sobol' dimensions 2..7 (dimension 1 needs none); 30 bits per coordinate.
@@ -43,16 +49,10 @@ _SOBOL_BITS = 30
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Search box, fixed quantities and evaluation budget."""
+    """Fixed quantities and evaluation budget; the search box is ``BOXES``."""
 
     N: int
     v: float = 0.0
-    s_bounds: tuple[float, float] = (0.1, 1.0)
-    w_bounds: tuple[float, float] = (0.01, 0.5)
-    p_s_bounds: tuple[float, float] = (0.05, 0.95)
-    p_w_bounds: tuple[float, float] = (0.05, 0.95)
-    p_keep_bounds: tuple[float, float] = (0.5, 0.999)
-    weight_bounds: tuple[float, float] = (0.05, 0.9)
     eps_pe_target: float = 1e-10
     eps_PA: float = 1e-10
     eps_EV: float = 1e-10
@@ -61,18 +61,6 @@ class OptimizationSpec:
     budget: int = 400
     restarts: int = 5
     coordinate_passes: int = 3
-    line_search_tol: float = 5e-3
-
-    def boxes(self) -> list[tuple[float, float]]:
-        return [
-            self.s_bounds,
-            self.w_bounds,
-            self.p_s_bounds,
-            self.p_w_bounds,
-            self.p_keep_bounds,
-            self.weight_bounds,
-            self.weight_bounds,
-        ]
 
 
 def validate_optimization(spec: OptimizationSpec) -> list[str]:
@@ -183,7 +171,7 @@ def _golden_section(
 
     best_point = candidate.copy()
     best_score = objective(candidate)
-    tol = objective.spec.line_search_tol * (hi - lo)
+    tol = LINE_SEARCH_TOL * (hi - lo)
     a, b = lo, hi
     c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
     fc, fd = objective(at(c)), objective(at(d))
@@ -209,12 +197,11 @@ def _golden_section(
 def _coordinate_descent(
     objective: _Objective, start: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    boxes = objective.spec.boxes()
     current = start.copy()
     current_score = objective(current)
     for _ in range(objective.spec.coordinate_passes):
         improved = False
-        for coord, (lo, hi) in enumerate(boxes):
+        for coord, (lo, hi) in enumerate(BOXES):
             if objective.remaining() <= 0:
                 return current, current_score
             if coord == 1:
@@ -231,25 +218,12 @@ def _coordinate_descent(
     return current, current_score
 
 
-def _center_start(spec: OptimizationSpec) -> np.ndarray:
-    """Feasible default start: mid-box signal, weak decoy well below it,
-    signal-heavy probabilities, even epsilon split."""
-
-    def clip(value, bounds):
-        return min(max(value, bounds[0]), bounds[1])
-
-    s = 0.5 * (spec.s_bounds[0] + spec.s_bounds[1])
-    return np.array(
-        [
-            s,
-            clip(s / 4.0, (spec.w_bounds[0], min(spec.w_bounds[1], 0.8 * s))),
-            clip(0.7, spec.p_s_bounds),
-            clip(0.15, spec.p_w_bounds),
-            0.5 * (spec.p_keep_bounds[0] + spec.p_keep_bounds[1]),
-            clip(1.0 / 3.0, spec.weight_bounds),
-            clip(1.0 / 3.0, spec.weight_bounds),
-        ]
-    )
+def _center_start() -> np.ndarray:
+    """Feasible default start: mid-box signal, weak decoy at a quarter of it,
+    signal-heavy probabilities, mid-box p_keep, even epsilon split."""
+    s = 0.5 * (BOXES[0][0] + BOXES[0][1])
+    p_keep = 0.5 * (BOXES[4][0] + BOXES[4][1])
+    return np.array([s, s / 4.0, 0.7, 0.15, p_keep, 1.0 / 3.0, 1.0 / 3.0])
 
 
 def _sobol_points(n: int, seed: int | None) -> np.ndarray:
@@ -292,9 +266,9 @@ def _sobol_points(n: int, seed: int | None) -> np.ndarray:
 
 def _initial_points(spec: OptimizationSpec, seed: int) -> np.ndarray:
     unit = _sobol_points(spec.restarts, seed)
-    boxes = np.array(spec.boxes())
+    boxes = np.array(BOXES)
     points = boxes[:, 0] + unit * (boxes[:, 1] - boxes[:, 0])
-    points[0] = _center_start(spec)
+    points[0] = _center_start()
     return points
 
 
@@ -358,14 +332,14 @@ def scan_distance(
     channel: ChannelModel,
     distances: list[float],
     seed: int = 0,
-    warm_start: bool = True,
 ) -> list[dict]:
-    """Optimized key length per channel distance; one row per distance."""
+    """Optimized key length per channel distance; one row per distance, each
+    search also started from the previous distance's winner."""
     rows = []
     previous: np.ndarray | None = None
     for distance in distances:
         dist_channel = replace(channel, distance_km=distance)
-        extra = [previous] if (warm_start and previous is not None) else None
+        extra = [previous] if previous is not None else None
         outcome = optimize_params(spec, dist_channel, seed=seed, extra_starts=extra)
         if outcome.params:
             previous = np.array([outcome.params[name] for name in PARAM_NAMES])

@@ -13,8 +13,9 @@ rounds. That bound is assembled from:
 * ``total_pe_failure`` -- the failure-probability bookkeeping.
 
 ``coin_inequality_check`` evaluates the underlying count-level inequality on
-simulator ground truth (true photon numbers are never observable in real
-operation); it exists for validation only.
+the single-photon bucket of a simulator's
+:class:`~corrbb84.counts.GroundTruth` (true photon numbers are never
+observable in real operation); it exists for validation only.
 
 Degenerate statistics never raise: any undefined or out-of-range envelope
 argument falls back to the trivial bound e_ph = 1, with the responsible guard
@@ -25,13 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .concentration import azuma_delta
+from .counts import GroundTruth
 from .decoy import DecoyBounds
-
-if TYPE_CHECKING:
-    from .simulator import GroundTruth
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def phase_error_rate_bound(
 
 
 def coin_inequality_check(
-    ground_truth: "GroundTruth",
+    ground_truth: GroundTruth,
     n_sifted_det: int,
     p_keep: float,
     eps_A: float,
@@ -181,10 +179,10 @@ def coin_inequality_check(
     + Delta_A. Requires simulator ground truth; degenerate envelope arguments
     fall back to the deterministic bound (errors <= detections).
     """
-    n_z_err = ground_truth.z_err_single()
-    n_z_det = ground_truth.z_det_single()
-    n_x_err = ground_truth.x_err_single()
-    n_x_det = ground_truth.x_det_single()
+    n_z_err = ground_truth.z_err[1].total
+    n_z_det = ground_truth.z_det[1].total
+    n_x_err = ground_truth.x_err[1].total
+    n_x_det = ground_truth.x_det[1].total
     n_minus = ground_truth.trash_minus_single
     delta_A = azuma_delta(n_sifted_det, eps_A)
 

@@ -2,9 +2,10 @@
 
 ``expected_counts`` produces deterministic rounded expectations,
 ``sample_counts`` draws one protocol realization; both return the announced
-:class:`~corrbb84.keyrate.ObservedCounts` together with a hidden
-:class:`GroundTruth` that resolves every tally by photon number (buckets
-0, 1, 2+), which the validation oracles need and which no real run could see.
+:class:`~corrbb84.counts.ObservedCounts` together with a hidden
+:class:`~corrbb84.counts.GroundTruth` that resolves every tally by photon
+number (buckets 0, 1, 2+), which the validation oracles need and which no
+real run could see.
 
 Channel model: per emitted m-photon pulse, a signal click occurs with
 probability 1 - (1-eta)^m (bit then decided by the signal, error probability
@@ -22,17 +23,14 @@ PCG64 via ``default_rng(seed)``; one seed fixes the entire draw order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .correlations import ExplicitDeltas, exact_coin_parameter
-from .keyrate import DEFAULT_F_EC, ObservedCounts
+from .counts import CountTriple, GroundTruth, ObservedCounts
+from .keyrate import DEFAULT_F_EC
 from .model import ProtocolConfig, single_photon_prob
-from .decoy import CountTriple
-
-INTENSITY_LABELS = ("s", "w", "v")
-PHOTON_BUCKETS = (0, 1, 2)  # 2 stands for ">= 2"
 
 
 @dataclass(frozen=True)
@@ -82,56 +80,6 @@ def validate_channel(channel: ChannelModel) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Photon-number-resolved tallies hidden from the announced data.
-
-    Each category maps intensity label -> {bucket: count}; buckets are 0, 1
-    and 2 (meaning two or more photons). ``trash_minus_single`` counts the
-    coin-minus outcomes among all single-photon trash-sifted rounds,
-    detected or not.
-    """
-
-    z_det: dict = field(default_factory=dict)
-    z_err: dict = field(default_factory=dict)
-    x_det: dict = field(default_factory=dict)
-    x_err: dict = field(default_factory=dict)
-    trash_minus_single: int = 0
-
-    def _single(self, category: dict) -> int:
-        return sum(category[label][1] for label in INTENSITY_LABELS)
-
-    def z_det_single(self) -> int:
-        return self._single(self.z_det)
-
-    def z_err_single(self) -> int:
-        return self._single(self.z_err)
-
-    def x_det_single(self) -> int:
-        return self._single(self.x_det)
-
-    def x_err_single(self) -> int:
-        return self._single(self.x_err)
-
-    def marginal(self, category: dict) -> CountTriple:
-        return CountTriple(
-            *(sum(category[label].values()) for label in INTENSITY_LABELS)
-        )
-
-    def consistent_with(self, observed: ObservedCounts) -> list[str]:
-        """Exact marginal check against the announced counts."""
-        problems = []
-        for name, category, triple in (
-            ("z_det", self.z_det, observed.z_det),
-            ("z_err", self.z_err, observed.z_err),
-            ("x_det", self.x_det, observed.x_det),
-            ("x_err", self.x_err, observed.x_err),
-        ):
-            if self.marginal(category) != triple:
-                problems.append(f"{name} marginals disagree with observed counts")
-        return problems
-
-
 def channel_yield(m: int, channel: ChannelModel) -> float:
     """Detection probability of an m-photon pulse,
     Y_m = 1 - (1 - Y0)(1 - eta)^m."""
@@ -178,8 +126,14 @@ def _category_pvals(p_keep: float, error_prob: float) -> np.ndarray:
     return pvals
 
 
-def _empty_category() -> dict:
-    return {label: {b: 0 for b in PHOTON_BUCKETS} for label in INTENSITY_LABELS}
+def _by_category(cells: list) -> list:
+    """Regroup ``cells[intensity][bucket][category]`` into, per category, one
+    CountTriple per photon bucket."""
+    by_bucket = (
+        [CountTriple(*per_intensity) for per_intensity in zip(*bucket)]
+        for bucket in zip(*cells)
+    )
+    return list(zip(*by_bucket))
 
 
 def expected_counts(
@@ -196,49 +150,35 @@ def expected_counts(
     pk = config.p_keep
     e_mis = channel.misalignment
     y0 = channel.dark_click_prob
-    gt = GroundTruth(
-        z_det=_empty_category(),
-        z_err=_empty_category(),
-        x_det=_empty_category(),
-        x_err=_empty_category(),
-        trash_minus_single=round(
-            config.N * single_photon_prob(config.intensity_set)
-            * (1.0 - pk) / 2.0 * coin_minus_prob
-        ),
-    )
+    cells = []
     total_detected = 0.0
-    for label, (mu, p_mu) in zip(INTENSITY_LABELS, config.intensity_set.pairs()):
-        for bucket, (p_bucket, sig_prob) in zip(
-            PHOTON_BUCKETS, _bucket_stats(mu, channel)
-        ):
+    for mu, p_mu in config.intensity_set.pairs():
+        row = []
+        for p_bucket, sig_prob in _bucket_stats(mu, channel):
             n_cell = config.N * p_mu * p_bucket
             sig = n_cell * sig_prob
             dark = (n_cell - sig) * y0
             detected = sig + dark
             errors = sig * e_mis + dark * 0.5
             total_detected += detected
-            det_cell = round(detected * pk / 4.0)
-            err_cell = round(errors * pk / 4.0)
-            gt.z_det[label][bucket] = det_cell
-            gt.z_err[label][bucket] = err_cell
-            gt.x_det[label][bucket] = det_cell
-            gt.x_err[label][bucket] = err_cell
-    keep_sifted = 2 * sum(
-        gt.z_det[label][bucket]
-        for label in INTENSITY_LABELS
-        for bucket in PHOTON_BUCKETS
+            row.append((round(detected * pk / 4.0), round(errors * pk / 4.0)))
+        cells.append(row)
+    det, err = _by_category(cells)  # the Z and X bases are symmetric
+    truth = GroundTruth(
+        z_det=det,
+        z_err=err,
+        x_det=det,
+        x_err=err,
+        trash_minus_single=round(
+            config.N * single_photon_prob(config.intensity_set)
+            * (1.0 - pk) / 2.0 * coin_minus_prob
+        ),
     )
+    keep_sifted = 2 * sum(triple.total for triple in truth.z_det)
     # per-cell rounding may nudge keep-sifted sums past detected/2; keep the
     # count invariant keep-sifted <= sifted intact
     n_sifted_det = max(round(total_detected / 2.0), keep_sifted)
-    observed = ObservedCounts(
-        z_det=gt.marginal(gt.z_det),
-        z_err=gt.marginal(gt.z_err),
-        x_det=gt.marginal(gt.x_det),
-        x_err=gt.marginal(gt.x_err),
-        n_sifted_det=n_sifted_det,
-    )
-    return observed, gt
+    return truth.observed(n_sifted_det), truth
 
 
 def sample_counts(
@@ -257,42 +197,34 @@ def sample_counts(
     pk = config.p_keep
     y0 = channel.dark_click_prob
     iset = config.intensity_set
-    z_det, z_err = _empty_category(), _empty_category()
-    x_det, x_err = _empty_category(), _empty_category()
+    cells = []
     n_by_intensity = rng.multinomial(config.N, [iset.p_s, iset.p_w, iset.p_v])
     n_sifted_det = 0
     trash_sifted_single = 0
     sig_pvals = _category_pvals(pk, channel.misalignment)
     dark_pvals = _category_pvals(pk, 0.5)
-    for label, n_mu, (mu, _) in zip(INTENSITY_LABELS, n_by_intensity, iset.pairs()):
+    for n_mu, (mu, _) in zip(n_by_intensity, iset.pairs()):
         stats = _bucket_stats(mu, channel)
         bucket_p = np.array([p for p, _ in stats])
         n_buckets = rng.multinomial(n_mu, bucket_p / bucket_p.sum())
-        for bucket, n_cell, (_, sig_prob) in zip(PHOTON_BUCKETS, n_buckets, stats):
+        row = []
+        for bucket, (n_cell, (_, sig_prob)) in enumerate(zip(n_buckets, stats)):
             sig = int(rng.binomial(n_cell, sig_prob))
             dark = int(rng.binomial(n_cell - sig, y0))
-            split = rng.multinomial(sig, sig_pvals) + rng.multinomial(dark, dark_pvals)
-            z_det[label][bucket] = int(split[0] + split[1])
-            z_err[label][bucket] = int(split[0])
-            x_det[label][bucket] = int(split[2] + split[3])
-            x_err[label][bucket] = int(split[2])
-            n_sifted_det += int(split[0] + split[1] + split[2] + split[3] + split[5])
+            split = (
+                rng.multinomial(sig, sig_pvals) + rng.multinomial(dark, dark_pvals)
+            ).tolist()
+            # one cell per GroundTruth category: z_det, z_err, x_det, x_err
+            row.append((split[0] + split[1], split[0], split[2] + split[3], split[2]))
+            n_sifted_det += split[0] + split[1] + split[2] + split[3] + split[5]
             if bucket == 1:
                 undetected = n_cell - sig - dark
-                trash_sifted_single += int(split[5])
+                trash_sifted_single += split[5]
                 trash_sifted_single += int(rng.binomial(undetected, (1.0 - pk) / 2.0))
+        cells.append(row)
     minus = int(rng.binomial(trash_sifted_single, coin_minus_prob))
-    gt = GroundTruth(
-        z_det=z_det, z_err=z_err, x_det=x_det, x_err=x_err, trash_minus_single=minus
-    )
-    observed = ObservedCounts(
-        z_det=gt.marginal(gt.z_det),
-        z_err=gt.marginal(gt.z_err),
-        x_det=gt.marginal(gt.x_det),
-        x_err=gt.marginal(gt.x_err),
-        n_sifted_det=n_sifted_det,
-    )
-    return observed, gt
+    truth = GroundTruth(*_by_category(cells), trash_minus_single=minus)
+    return truth.observed(n_sifted_det), truth
 
 
 def coin_monte_carlo(

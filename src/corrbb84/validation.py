@@ -304,7 +304,7 @@ def check_decoy_bracketing(
     for run_seed in seeds:
         observed, truth = sample_counts(config, channel, int(run_seed))
         bounds = apply_decoy_bounds(observed, config)
-        z1, x1, xe1 = truth.z_det_single(), truth.x_det_single(), truth.x_err_single()
+        z1, x1, xe1 = truth.z_det[1].total, truth.x_det[1].total, truth.x_err[1].total
         failed = (
             z1 < bounds.z_det_lower
             or z1 > bounds.z_det_upper

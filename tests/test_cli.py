@@ -230,6 +230,12 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({}, "10:0:5", "scan"),
     ({}, "0:nan:5", "scan"),
     ({}, ",", "scan"),
+    ({}, "det,Z,s,10000000", "counts_extra_row"),
+    ({}, "det,Y,s,7", "counts_extra_row"),
+    ({}, "det,Z,q,7", "counts_extra_row"),
+    ({}, "bogus,,,1", "counts_extra_row"),
+    ({}, "sifted_total,,,999999999999", "counts_extra_row"),
+    ({}, "sifted_total,Z,,5", "counts_extra_row"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -237,7 +243,9 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     "optimizer_restarts_fraction", "optimizer_restarts_zero", "optimizer_budget_zero",
     "optimizer_v_negative", "optimizer_eps_pe_target_above_1", "distances_text",
     "distances_nan", "distances_inf", "distance_negative", "distance_range_empty",
-    "distance_range_nan_stop", "distances_none",
+    "distance_range_nan_stop", "distances_none", "count_cell_twice", "count_basis_unknown",
+    "count_intensity_unknown", "count_category_unknown", "sifted_total_twice",
+    "sifted_total_with_basis",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -255,11 +263,13 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
     elif mode == "scan":
         argv = ["scan", "--config", str(path), "--distances", cell, "--budget", "5",
                 "--out", str(tmp_path / "scan.csv")]
-    elif mode == "counts":
+    elif mode.startswith("counts"):
         counts = tmp_path / "counts.csv"
         main(["simulate", "--config", config_path, "--mode", "expected",
               "--counts-out", str(counts)])
-        if cell is not None:
+        if mode == "counts_extra_row":
+            counts.write_text(counts.read_text() + cell + "\n")
+        elif cell is not None:
             lines = counts.read_text().splitlines()
             lines = [f"det,Z,s,{cell}" if l.startswith("det,Z,s,") else l for l in lines]
             counts.write_text("\n".join(lines) + "\n")

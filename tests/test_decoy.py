@@ -9,9 +9,9 @@ from corrbb84.decoy import (
     CountTriple,
     DecoySolvabilityError,
     apply_decoy_bounds,
-    decoy_single_photon_lower,
-    decoy_single_photon_upper,
     intensity_posterior,
+    single_photon_lower,
+    single_photon_upper,
 )
 from corrbb84.keyrate import ObservedCounts
 from corrbb84.model import IntensitySet, single_photon_prob
@@ -53,13 +53,13 @@ def test_posterior_rejects_zero_support():
 
 def test_lower_zero_counts_clamp():
     zero = CountTriple(0, 0, 0)
-    assert decoy_single_photon_lower(zero, UNIFORM, 1e-3) == 0.0
+    assert single_photon_lower(zero, UNIFORM, 1e-3)["value"] == 0.0
 
 
 def test_upper_zero_counts_structure():
     """All-zero counts: only the w upper-bound term survives."""
     zero = CountTriple(0, 0, 0)
-    value = decoy_single_photon_upper(zero, UNIFORM, 1e-3)
+    value = single_photon_upper(zero, UNIFORM, 1e-3)["value"]
     ceiling = binomial_bound_pair(1e-3, 0, 0)[1]
     p1 = single_photon_prob(UNIFORM)
     expected = ceiling * p1 * math.exp(UNIFORM.w) / (UNIFORM.p_w * (UNIFORM.w - UNIFORM.v))
@@ -72,8 +72,8 @@ def test_lossless_identity_mode_bounds():
     N = 3 * 10**6
     counts = CountTriple(N // 3, N // 3, N // 3)
     p1 = single_photon_prob(UNIFORM)
-    lower = decoy_single_photon_lower(counts, UNIFORM, 1e-3, bound_pair=identity_bound_pair)
-    upper = decoy_single_photon_upper(counts, UNIFORM, 1e-3, bound_pair=identity_bound_pair)
+    lower = single_photon_lower(counts, UNIFORM, 1e-3, bound_pair=identity_bound_pair)["value"]
+    upper = single_photon_upper(counts, UNIFORM, 1e-3, bound_pair=identity_bound_pair)["value"]
     assert math.isclose(lower, N * p1 * FL_LOSSLESS_COEFF, rel_tol=1e-12)
     assert math.isclose(upper, N * p1 * FU_LOSSLESS_COEFF, rel_tol=1e-12)
     true_singles = N * p1
@@ -92,16 +92,16 @@ def test_lower_monotone_in_weak_counts(intensity_set):
     rng = np.random.default_rng(11)
     for triple in _random_triples(100, rng):
         bumped = CountTriple(triple.m_s, triple.m_w + 1, triple.m_v)
-        low = decoy_single_photon_lower(triple, intensity_set, 1e-6)
-        low_bumped = decoy_single_photon_lower(bumped, intensity_set, 1e-6)
+        low = single_photon_lower(triple, intensity_set, 1e-6)["value"]
+        low_bumped = single_photon_lower(bumped, intensity_set, 1e-6)["value"]
         assert low_bumped >= low - 1e-9
 
 
 def test_lower_never_exceeds_upper(intensity_set):
     rng = np.random.default_rng(13)
     for triple in _random_triples(100, rng):
-        low = decoy_single_photon_lower(triple, intensity_set, 1e-6)
-        high = decoy_single_photon_upper(triple, intensity_set, 1e-6)
+        low = single_photon_lower(triple, intensity_set, 1e-6)["value"]
+        high = single_photon_upper(triple, intensity_set, 1e-6)["value"]
         assert low <= high + 1e-9
 
 
@@ -109,10 +109,10 @@ def test_solvability_rejected():
     bad = IntensitySet(s=0.15, w=0.1, v=0.06, p_s=THIRD, p_w=THIRD, p_v=THIRD)
     counts = CountTriple(10, 10, 10)
     with pytest.raises(DecoySolvabilityError):
-        decoy_single_photon_lower(counts, bad, 1e-3)
+        single_photon_lower(counts, bad, 1e-3)
     flat = IntensitySet(s=0.5, w=0.1, v=0.1, p_s=THIRD, p_w=THIRD, p_v=THIRD)
     with pytest.raises(DecoySolvabilityError):
-        decoy_single_photon_upper(counts, flat, 1e-3)
+        single_photon_upper(counts, flat, 1e-3)
 
 
 def test_apply_bounds_all_zero(config_1e6):
@@ -131,9 +131,9 @@ def test_apply_bounds_all_zero(config_1e6):
 def test_apply_bounds_bracket_simulated_truth(config_1e9, channel_10km):
     observed, truth = expected_counts(config_1e9, channel_10km)
     bounds = apply_decoy_bounds(observed, config_1e9)
-    assert bounds.z_det_lower <= truth.z_det_single() <= bounds.z_det_upper
-    assert bounds.x_det_lower <= truth.x_det_single()
-    assert truth.x_err_single() <= bounds.x_err_upper
+    assert bounds.z_det_lower <= truth.z_det[1].total <= bounds.z_det_upper
+    assert bounds.x_det_lower <= truth.x_det[1].total
+    assert truth.x_err[1].total <= bounds.x_err_upper
 
 
 def test_nonzero_vacuum_intensity_supported(channel_10km):
@@ -148,7 +148,7 @@ def test_nonzero_vacuum_intensity_supported(channel_10km):
     config = replace(reference_config(10**9), intensity_set=iset)
     observed, truth = expected(config, channel_10km)
     bounds = apply_decoy_bounds(observed, config)
-    assert bounds.z_det_lower <= truth.z_det_single() <= bounds.z_det_upper
+    assert bounds.z_det_lower <= truth.z_det[1].total <= bounds.z_det_upper
     assert evaluate_pipeline(observed, config, None).key_length > 0
 
 

@@ -11,7 +11,7 @@ from corrbb84.phase_error import (
     total_pe_failure,
     trash_minus_upper,
 )
-from corrbb84.simulator import GroundTruth
+from corrbb84.counts import CountTriple, GroundTruth
 
 # frozen from independent high-precision evaluation
 G_PLUS_005_09 = 0.392
@@ -201,11 +201,8 @@ def test_phase_bound_monotone_in_z_det_upper():
 
 def _truth(z_det=1000, z_err=10, x_det=1000, x_err=10, minus=0):
     def cat(total):
-        return {
-            "s": {0: 0, 1: total, 2: 0},
-            "w": {0: 0, 1: 0, 2: 0},
-            "v": {0: 0, 1: 0, 2: 0},
-        }
+        empty = CountTriple(0, 0, 0)
+        return (empty, CountTriple(total, 0, 0), empty)
 
     return GroundTruth(
         z_det=cat(z_det), z_err=cat(z_err), x_det=cat(x_det), x_err=cat(x_err),

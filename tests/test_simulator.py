@@ -64,7 +64,7 @@ def test_expected_no_errors_without_noise(config_1e6):
     )
     observed, truth = expected_counts(config_1e6, channel)
     assert observed.z_err.total == 0 and observed.x_err.total == 0
-    assert truth.z_err_single() == 0
+    assert truth.z_err[1].total == 0
 
 
 def test_expected_vacuum_intensity_sees_only_darks(config_1e6):
@@ -90,7 +90,7 @@ def test_expected_detection_total_matches_yields(config_1e6, channel_10km):
     keep_sifted = observed.z_det.total + observed.x_det.total
     # 18 rounded ground-truth cells bound the aggregation error
     assert abs(keep_sifted - expected_total * config_1e6.p_keep / 2.0) <= 9.0
-    assert truth.consistent_with(observed) == []
+    assert truth.observed(observed.n_sifted_det) == observed
 
 
 def test_expected_counts_deterministic(config_1e9, channel_10km):
@@ -102,7 +102,7 @@ def test_expected_counts_deterministic(config_1e9, channel_10km):
 def test_sampled_ground_truth_marginals_exact(config_1e6, channel_10km):
     for seed in (0, 1, 2, 3):
         observed, truth = sample_counts(config_1e6, channel_10km, seed)
-        assert truth.consistent_with(observed) == []
+        assert truth.observed(observed.n_sifted_det) == observed
         assert observed.validate() == []
 
 
