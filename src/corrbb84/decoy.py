@@ -27,7 +27,7 @@ from typing import Callable
 
 from .concentration import binomial_bound_pair
 from .counts import CountTriple, ObservedCounts
-from .model import IntensitySet, ProtocolConfig, poisson_pmf, single_photon_prob
+from .model import IntensitySet, ProtocolConfig, single_photon_prob
 
 BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
@@ -54,29 +54,9 @@ class DecoyBounds:
     audit: dict = field(default_factory=dict, compare=False)
 
 
-def intensity_posterior(mu: str, m: int, intensity_set: IntensitySet) -> float:
-    """Posterior probability that an m-photon event came from intensity ``mu``.
-
-    ``mu`` is one of the labels "s", "w", "v". Rows sum to 1 over the three
-    labels for any fixed m with nonzero support.
-    """
-    if mu not in ("s", "w", "v"):
-        raise ValueError(f"intensity label must be one of s/w/v, got {mu!r}")
-    if m < 0:
-        raise ValueError(f"photon number must be nonnegative, got {m}")
-    weights = {
-        label: prob * poisson_pmf(m, value)
-        for label, (value, prob) in zip("swv", intensity_set.pairs())
-    }
-    denom = sum(weights.values())
-    if denom <= 0.0:
-        raise ValueError(
-            f"no intensity has support at photon number {m}; posterior undefined"
-        )
-    return weights[mu] / denom
-
-
-def _lower_denominator(iset: IntensitySet) -> float:
+def lower_denominator(iset: IntensitySet) -> float:
+    """s(w - v) - w^2 + v^2: the lower bound is solvable only where this is
+    positive, i.e. s > w + v (for w > v)."""
     return iset.s * (iset.w - iset.v) - iset.w**2 + iset.v**2
 
 
@@ -92,7 +72,7 @@ def single_photon_lower(
     bound substitutions) and is clamped to [0, total]; a negative analytic
     value carries no information. The other entries are its intermediates.
     """
-    denom = _lower_denominator(iset)
+    denom = lower_denominator(iset)
     if denom <= 0.0:
         raise DecoySolvabilityError(
             f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"

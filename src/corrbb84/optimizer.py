@@ -13,9 +13,13 @@ Free parameters: intensities s and w, their probabilities, p_keep, and the
 split of the parameter-estimation failure budget across the three
 concentration epsilons. The vacuum intensity v, the block size, the channel
 and the correlation model stay fixed; each candidate runs at the correlation
-length of ``correlations.effective_length``. Infeasible candidates (ordering
-or simplex violations, or an explicit ``l_c_eff`` shorter than the candidate's
-required truncation length) score zero without consuming budget.
+length of ``correlations.effective_length``. A candidate is a tuple of plain
+floats in ``PARAM_NAMES`` order (numpy makes only the Sobol' points), so every
+configuration the objective certifies holds builtin floats. Infeasible
+candidates score zero without consuming budget: ordering or simplex
+violations, intensities the decoy bounds cannot solve
+(``decoy.lower_denominator`` not positive, i.e. s <= w + v), or an explicit
+``l_c_eff`` shorter than the candidate's required truncation length.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .correlations import CorrelationModel, effective_length, validate_correlation
+from .decoy import lower_denominator
 from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline
 from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity
 from .simulator import ChannelModel, expected_counts
@@ -39,6 +44,8 @@ BOXES = (
 )
 # a line search stops once its bracket is this fraction of the box
 LINE_SEARCH_TOL = 5e-3
+# one point of the search: a plain float per PARAM_NAMES entry
+Candidate = tuple[float, ...]
 
 # Joe-Kuo primitive polynomials and initial direction numbers m_{d,j} for
 # Sobol' dimensions 2..7 (dimension 1 needs none); 30 bits per coordinate.
@@ -91,8 +98,8 @@ class OptimizationResult:
     zero_key_everywhere: bool = False
 
 
-def _build_config(candidate: np.ndarray, spec: OptimizationSpec) -> ProtocolConfig | None:
-    """Candidate vector -> runnable configuration, or None when infeasible."""
+def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfig | None:
+    """Candidate -> runnable configuration, or None when infeasible."""
     s, w, p_s, p_w, p_keep, u_a, u_b = candidate
     if not (s > w > spec.v):
         return None
@@ -103,6 +110,8 @@ def _build_config(candidate: np.ndarray, spec: OptimizationSpec) -> ProtocolConf
     if u_c <= 1e-6:
         return None
     iset = IntensitySet(s=s, w=w, v=spec.v, p_s=p_s, p_w=p_w, p_v=p_v)
+    if lower_denominator(iset) <= 0.0:  # the decoy bounds are unsolvable
+        return None
     try:
         l_c = effective_length(spec.N, mean_intensity(iset), spec.correlation)
     except ConfigError:  # an explicit l_c_eff too short for this candidate
@@ -132,13 +141,12 @@ class _Objective:
     def remaining(self) -> int:
         return self.spec.budget - self.evaluations
 
-    def __call__(self, candidate: np.ndarray) -> int:
+    def __call__(self, candidate: Candidate) -> int:
         config = _build_config(candidate, self.spec)
         if config is None:
             return 0
-        key = tuple(float(x) for x in candidate)
-        if key in self.cache:
-            return self.cache[key]
+        if candidate in self.cache:
+            return self.cache[candidate]
         if self.remaining() <= 0:
             # exhausted: score as no-improvement instead of spending
             return 0
@@ -151,25 +159,23 @@ class _Objective:
             score = result.key_length
         except ConfigError:
             score = 0
-        self.cache[key] = score
+        self.cache[candidate] = score
         return score
 
 
 def _golden_section(
     objective: _Objective,
-    candidate: np.ndarray,
+    candidate: Candidate,
     coord: int,
     lo: float,
     hi: float,
-) -> tuple[np.ndarray, int]:
+) -> tuple[Candidate, int]:
     """Maximize along one coordinate; returns the best point seen."""
 
-    def at(value: float) -> np.ndarray:
-        point = candidate.copy()
-        point[coord] = value
-        return point
+    def at(value: float) -> Candidate:
+        return candidate[:coord] + (value,) + candidate[coord + 1:]
 
-    best_point = candidate.copy()
+    best_point = candidate
     best_score = objective(candidate)
     tol = LINE_SEARCH_TOL * (hi - lo)
     a, b = lo, hi
@@ -195,9 +201,9 @@ def _golden_section(
 
 
 def _coordinate_descent(
-    objective: _Objective, start: np.ndarray
-) -> tuple[np.ndarray, int]:
-    current = start.copy()
+    objective: _Objective, start: Candidate
+) -> tuple[Candidate, int]:
+    current = start
     current_score = objective(current)
     for _ in range(objective.spec.coordinate_passes):
         improved = False
@@ -218,12 +224,13 @@ def _coordinate_descent(
     return current, current_score
 
 
-def _center_start() -> np.ndarray:
-    """Feasible default start: mid-box signal, weak decoy at a quarter of it,
-    signal-heavy probabilities, mid-box p_keep, even epsilon split."""
+def _center_start() -> Candidate:
+    """Feasible default start (for v = 0): mid-box signal, weak decoy at a
+    quarter of it, signal-heavy probabilities, mid-box p_keep, even epsilon
+    split."""
     s = 0.5 * (BOXES[0][0] + BOXES[0][1])
     p_keep = 0.5 * (BOXES[4][0] + BOXES[4][1])
-    return np.array([s, s / 4.0, 0.7, 0.15, p_keep, 1.0 / 3.0, 1.0 / 3.0])
+    return (s, s / 4.0, 0.7, 0.15, p_keep, 1.0 / 3.0, 1.0 / 3.0)
 
 
 def _sobol_points(n: int, seed: int | None) -> np.ndarray:
@@ -264,16 +271,16 @@ def _sobol_points(n: int, seed: int | None) -> np.ndarray:
     return point_bits @ 0.5 ** np.arange(1, bits + 1)
 
 
-def _initial_points(spec: OptimizationSpec, seed: int) -> np.ndarray:
+def _initial_points(spec: OptimizationSpec, seed: int) -> list[Candidate]:
+    """The centre start, then Sobol' points 2..restarts scaled to the box."""
     unit = _sobol_points(spec.restarts, seed)
     boxes = np.array(BOXES)
     points = boxes[:, 0] + unit * (boxes[:, 1] - boxes[:, 0])
-    points[0] = _center_start()
-    return points
+    return [_center_start(), *map(tuple, points[1:].tolist())]
 
 
-def _describe(candidate: np.ndarray, spec: OptimizationSpec) -> dict:
-    params = dict(zip(PARAM_NAMES, (float(x) for x in candidate)))
+def _describe(candidate: Candidate, spec: OptimizationSpec) -> dict:
+    params = dict(zip(PARAM_NAMES, candidate))
     params["v"] = spec.v
     params["p_v"] = 1.0 - params["p_s"] - params["p_w"]
     params["u_C"] = 1.0 - params["u_A"] - params["u_B"]
@@ -284,7 +291,7 @@ def optimize_params(
     spec: OptimizationSpec,
     channel: ChannelModel,
     seed: int = 0,
-    extra_starts: list[np.ndarray] | None = None,
+    extra_starts: list[Candidate] | None = None,
 ) -> OptimizationResult:
     """Best (parameters, key rate) found within the evaluation budget.
 
@@ -297,7 +304,7 @@ def optimize_params(
     if problems:
         raise ConfigError("; ".join(problems))
     objective = _Objective(spec, channel)
-    starts = [np.asarray(p, dtype=float) for p in (extra_starts or [])]
+    starts = [tuple(map(float, p)) for p in (extra_starts or [])]
     starts.extend(_initial_points(spec, seed))
     best_point, best_score = None, -1
     for start in starts:
@@ -336,13 +343,13 @@ def scan_distance(
     """Optimized key length per channel distance; one row per distance, each
     search also started from the previous distance's winner."""
     rows = []
-    previous: np.ndarray | None = None
+    previous: Candidate | None = None
     for distance in distances:
         dist_channel = replace(channel, distance_km=distance)
         extra = [previous] if previous is not None else None
         outcome = optimize_params(spec, dist_channel, seed=seed, extra_starts=extra)
         if outcome.params:
-            previous = np.array([outcome.params[name] for name in PARAM_NAMES])
+            previous = tuple(outcome.params[name] for name in PARAM_NAMES)
         row = {
             "distance_km": distance,
             "key_length": outcome.key_length,

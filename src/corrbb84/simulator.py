@@ -80,20 +80,10 @@ def validate_channel(channel: ChannelModel) -> list[str]:
     return problems
 
 
-def channel_yield(m: int, channel: ChannelModel) -> float:
-    """Detection probability of an m-photon pulse,
-    Y_m = 1 - (1 - Y0)(1 - eta)^m."""
-    if m < 0:
-        raise ValueError(f"photon number must be nonnegative, got {m}")
-    eta = channel.transmittance
-    return 1.0 - (1.0 - channel.dark_click_prob) * (1.0 - eta) ** m
-
-
-def _bucket_stats(mu: float, channel: ChannelModel) -> list[tuple[float, float]]:
+def _bucket_stats(mu: float, eta: float) -> list[tuple[float, float]]:
     """Per bucket: (emission probability, signal-click probability within
-    the bucket). Bucket 2 aggregates m >= 2 exactly via the Poisson identity
-    sum_m p_m (1-eta)^m = exp(-mu eta)."""
-    eta = channel.transmittance
+    the bucket) at transmittance eta. Bucket 2 aggregates m >= 2 exactly via
+    the Poisson identity sum_m p_m (1-eta)^m = exp(-mu eta)."""
     p0 = math.exp(-mu)
     p1 = mu * math.exp(-mu)
     p2 = max(0.0, 1.0 - p0 - p1)
@@ -150,35 +140,39 @@ def expected_counts(
     pk = config.p_keep
     e_mis = channel.misalignment
     y0 = channel.dark_click_prob
-    cells = []
+    eta = channel.transmittance
+    # rounded cells, det[bucket][intensity] and err[bucket][intensity]
+    det = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    err = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     total_detected = 0.0
-    for mu, p_mu in config.intensity_set.pairs():
-        row = []
-        for p_bucket, sig_prob in _bucket_stats(mu, channel):
+    for i, (mu, p_mu) in enumerate(config.intensity_set.pairs()):
+        for bucket, (p_bucket, sig_prob) in enumerate(_bucket_stats(mu, eta)):
             n_cell = config.N * p_mu * p_bucket
             sig = n_cell * sig_prob
             dark = (n_cell - sig) * y0
             detected = sig + dark
-            errors = sig * e_mis + dark * 0.5
             total_detected += detected
-            row.append((round(detected * pk / 4.0), round(errors * pk / 4.0)))
-        cells.append(row)
-    det, err = _by_category(cells)  # the Z and X bases are symmetric
-    truth = GroundTruth(
-        z_det=det,
-        z_err=err,
-        x_det=det,
-        x_err=err,
+            det[bucket][i] = round(detected * pk / 4.0)
+            err[bucket][i] = round((sig * e_mis + dark * 0.5) * pk / 4.0)
+    det_marginal = CountTriple(*map(sum, zip(*det)))
+    err_marginal = CountTriple(*map(sum, zip(*err)))
+    det_buckets = tuple(CountTriple(*row) for row in det)
+    err_buckets = tuple(CountTriple(*row) for row in err)
+    truth = GroundTruth(  # the Z and X bases are symmetric
+        z_det=det_buckets,
+        z_err=err_buckets,
+        x_det=det_buckets,
+        x_err=err_buckets,
         trash_minus_single=round(
             config.N * single_photon_prob(config.intensity_set)
             * (1.0 - pk) / 2.0 * coin_minus_prob
         ),
     )
-    keep_sifted = 2 * sum(triple.total for triple in truth.z_det)
     # per-cell rounding may nudge keep-sifted sums past detected/2; keep the
     # count invariant keep-sifted <= sifted intact
-    n_sifted_det = max(round(total_detected / 2.0), keep_sifted)
-    return truth.observed(n_sifted_det), truth
+    n_sifted_det = max(round(total_detected / 2.0), 2 * det_marginal.total)
+    observed = ObservedCounts(det_marginal, err_marginal, det_marginal, err_marginal, n_sifted_det)
+    return observed, truth
 
 
 def sample_counts(
@@ -203,8 +197,9 @@ def sample_counts(
     trash_sifted_single = 0
     sig_pvals = _category_pvals(pk, channel.misalignment)
     dark_pvals = _category_pvals(pk, 0.5)
+    eta = channel.transmittance
     for n_mu, (mu, _) in zip(n_by_intensity, iset.pairs()):
-        stats = _bucket_stats(mu, channel)
+        stats = _bucket_stats(mu, eta)
         bucket_p = np.array([p for p, _ in stats])
         n_buckets = rng.multinomial(n_mu, bucket_p / bucket_p.sum())
         row = []

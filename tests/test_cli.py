@@ -136,6 +136,23 @@ def test_optimize_writes_result(config_path, tmp_path):
     assert payload["result"]["evaluations"] <= 30
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_optimize_positive_vacuum_intensity_exits_0(tmp_path, seed):
+    """Candidates the decoy bounds cannot solve (s <= w + v) score zero
+    instead of raising."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["channel"]["distance_km"] = 0.0
+    config["optimizer"] = {"v": 0.2, "budget": 150}
+    path = tmp_path / "opt_config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "best.json"
+    assert main(["optimize", "--config", str(path), "--seed", seed, "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["evaluations"] <= 150
+    params = result["params"]
+    assert not params or params["s"] > params["w"] + params["v"]
+
+
 def test_optimize_uses_channel_f_ec(tmp_path):
     keys = {}
     for f_ec in (1.16, 2.0):

