@@ -255,6 +255,13 @@ def exact_global_fidelity(
     grown over setting prefixes, one axis of 4 per round, and every one of the
     4^(N-l_c-1) prefixes that enters F is enumerated exactly.
 
+    The phase differences of round m are those of round m-1 on axes 1 .. m-1
+    plus one new axis in front, summed in the same order, so each round costs
+    one addition. All rounds share one buffer (round m holds the 4^m slots
+    from (4^m - 1)/3 on), so each ufunc runs once per table, in place. A zero
+    intensity's term is the constant p, as p * exp(-0.0 * x) == p. The result
+    is the same bit for bit as building every round's table afresh.
+
     ``deltas`` must cover lags up to N-1; entries beyond lag l_c are the
     long-range contributions the truncated source replaces by the fixed
     ``reference`` setting. The exact trace distance is sqrt(1 - F^2),
@@ -266,19 +273,41 @@ def exact_global_fidelity(
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
     if deltas.lags < N - 1:
         raise ValueError(f"delta table covers {deltas.lags} lags, need {N - 1}")
+    rounds = N - l_c - 1
+    if rounds < 1:
+        return 1.0  # no round reads a lag beyond l_c
     flat = deltas.flat()
     # off[lag-1, s]: lag-l contribution of setting s relative to the reference
     off = flat - flat[:, 2 * reference[0] + reference[1], None]
-    total = np.ones(())
-    for m in range(1, N - l_c):
-        # round m+l_c+1 sees round j <= m at lag m+l_c+1-j; axis j-1 holds its setting
-        dtheta = 0.0
-        for j in range(m, 0, -1):
-            dtheta = dtheta + off[m + l_c - j].reshape((4,) + (1,) * (m - j))
-        one_minus_cos = 1.0 - np.cos(dtheta)
-        per_round = sum(p * np.exp(-mu * one_minus_cos) for mu, p in intensity_set.pairs())
-        total = total[..., None] * per_round
-    return float(total.mean())
+    pairs = intensity_set.pairs()
+    neg_mu = np.array([-mu for mu, _ in pairs if mu != 0.0])[:, None]
+    p_mu = np.array([p for mu, p in pairs if mu != 0.0])[:, None]
+    starts = [(4**m - 1) // 3 for m in range(rounds + 2)]  # round m: starts[m] .. starts[m+1]
+    work = np.empty((3 + len(neg_mu), starts[-1]))
+    dtheta, one_minus_cos, per_round = work[:3]
+    terms = work[3:]
+    dtheta[0] = 0.0  # round 0: no lag summed yet
+    for m in range(1, rounds + 1):
+        # the factor of round m+l_c+1 sees round j <= m at lag m+l_c+1-j, and
+        # axis j-1 holds that setting: axis 0 adds lag l_c+m to round m-1's sum
+        np.add(off[l_c + m - 1, :, None], dtheta[starts[m - 1]:starts[m]],
+               out=dtheta[starts[m]:starts[m + 1]].reshape(4, -1))
+    np.cos(dtheta, out=one_minus_cos)
+    np.subtract(1.0, one_minus_cos, out=one_minus_cos)
+    np.multiply(neg_mu, one_minus_cos, out=terms)
+    np.exp(terms, out=terms)
+    np.multiply(terms, p_mu, out=terms)
+    # the intensity terms in (s, w, v) order
+    rows = iter(terms)
+    acc = None
+    for mu, p in pairs:
+        term = p if mu == 0.0 else next(rows)
+        acc = term if acc is None else np.add(acc, term, out=per_round)
+    per_round[0] = 1.0  # round 0: the empty product
+    for m in range(1, rounds + 1):  # round m's slots become the product up to m
+        grown = per_round[starts[m]:starts[m + 1]].reshape(-1, 4)
+        np.multiply(grown, per_round[starts[m - 1]:starts[m], None], out=grown)
+    return float(per_round[starts[-2]:].mean())
 
 
 def check_admissible(deltas: ExplicitDeltas, model: CorrelationModel) -> list[str]:

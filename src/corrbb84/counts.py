@@ -83,7 +83,9 @@ class GroundTruth:
         """The announced counts: each category summed over photon buckets."""
 
         def marginal(buckets: Buckets) -> CountTriple:
-            return CountTriple(*map(sum, zip(*buckets)))
+            b0, b1, b2 = buckets
+            return CountTriple(b0.m_s + b1.m_s + b2.m_s, b0.m_w + b1.m_w + b2.m_w,
+                               b0.m_v + b1.m_v + b2.m_v)
 
         return ObservedCounts(
             z_det=marginal(self.z_det),

@@ -120,11 +120,11 @@ def evaluate_pipeline(
             f"carries truncation_d={d_model} (0 when there is none)"
         )
     l_c = corr.effective_length(config.N, mean_intensity(iset), correlation_model)
+    # before the coin bound, whose cost grows with l_c
+    eps_PE = total_pe_failure(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
     coin_param = 0.0
     if correlation_model is not None:
         coin_param = corr.coin_parameter_bound(l_c, iset, correlation_model)
-
-    eps_PE = total_pe_failure(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
 
     decoy_bounds = apply_decoy_bounds(observed, config)
     p1 = single_photon_prob(iset)

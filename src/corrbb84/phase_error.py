@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .concentration import azuma_delta
 from .counts import GroundTruth
 from .decoy import DecoyBounds
+from .model import ConfigError
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,13 @@ def total_pe_failure(
     eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float
 ) -> float:
     """Total parameter-estimation failure probability
-    5 eps_A + (l_c + 1) eps_C + 10 eps_B + d; rejected when >= 1."""
+    5 eps_A + (l_c + 1) eps_C + 10 eps_B + d; a total >= 1 raises
+    :class:`~corrbb84.model.ConfigError`."""
     if l_c < 0:
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
     total = 5.0 * eps_A + (l_c + 1) * eps_C + 10.0 * eps_B + d
     if total >= 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"parameter-estimation failure budget {total} >= 1; nothing can be certified"
         )
     return total

@@ -18,6 +18,10 @@ The honest channel does not emulate any correlation-induced error on Bob's
 side; correlations enter the security bound and, optionally, the ground-truth
 coin tally through ``coin_minus_prob``. Randomness comes from numpy's
 PCG64 via ``default_rng(seed)``; one seed fixes the entire draw order.
+``sample_counts`` skips the draws numpy answers without touching the bit
+generator (a binomial with n == 0 or p == 0.0, a multinomial with n == 0),
+so the stream of random numbers, and every seeded output, is the same as
+with every draw made.
 """
 
 from __future__ import annotations
@@ -101,29 +105,21 @@ def _category_pvals(p_keep: float, error_prob: float) -> np.ndarray:
     """Detected-round split [kZ-err, kZ-ok, kX-err, kX-ok, keep-unsifted,
     trash-sifted, trash-unsifted]."""
     quarter = p_keep / 4.0
-    pvals = np.array(
-        [
-            quarter * error_prob,
-            quarter * (1.0 - error_prob),
-            quarter * error_prob,
-            quarter * (1.0 - error_prob),
-            p_keep / 2.0,
-            (1.0 - p_keep) / 2.0,
-            0.0,
-        ]
-    )
-    pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
-    return pvals
+    kz_err = kx_err = quarter * error_prob
+    kz_ok = kx_ok = quarter * (1.0 - error_prob)
+    keep_unsifted = p_keep / 2.0
+    trash_sifted = (1.0 - p_keep) / 2.0
+    # left to right, as numpy sums fewer than eight values
+    sifted = kz_err + kz_ok + kx_err + kx_ok + keep_unsifted + trash_sifted
+    return np.array([kz_err, kz_ok, kx_err, kx_ok, keep_unsifted, trash_sifted,
+                     max(0.0, 1.0 - sifted)])
 
 
-def _by_category(cells: list) -> list:
-    """Regroup ``cells[intensity][bucket][category]`` into, per category, one
-    CountTriple per photon bucket."""
-    by_bucket = (
-        [CountTriple(*per_intensity) for per_intensity in zip(*bucket)]
-        for bucket in zip(*cells)
-    )
-    return list(zip(*by_bucket))
+def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
+    """``rng.binomial(n, p)`` as a Python int. numpy answers n == 0 and
+    p == 0.0 with 0 before it touches the bit generator, so those draws are
+    skipped; p == 1.0 still consumes and is drawn."""
+    return int(rng.binomial(n, p)) if n and p != 0.0 else 0
 
 
 def expected_counts(
@@ -186,39 +182,62 @@ def sample_counts(
     Sampling is hierarchical over intensity choice, photon-number bucket,
     click type and round classification, which reproduces the per-round
     category model exactly without materializing N rounds.
+
+    A binomial draw with n == 0 or p == 0.0 and a multinomial draw with
+    n == 0 return zeros without consuming randomness, so they are skipped;
+    every other draw is made in the same order with the same arguments, and
+    a seed gives the same counts as drawing all of them.
     """
+    if not 0.0 <= coin_minus_prob <= 1.0:
+        raise ValueError(f"coin_minus_prob must lie in [0, 1], got {coin_minus_prob}")
     rng = np.random.default_rng(seed)
     pk = config.p_keep
     y0 = channel.dark_click_prob
+    eta = channel.transmittance
     iset = config.intensity_set
-    cells = []
-    n_by_intensity = rng.multinomial(config.N, [iset.p_s, iset.p_w, iset.p_v])
-    n_sifted_det = 0
-    trash_sifted_single = 0
     sig_pvals = _category_pvals(pk, channel.misalignment)
     dark_pvals = _category_pvals(pk, 0.5)
-    eta = channel.transmittance
-    for n_mu, (mu, _) in zip(n_by_intensity, iset.pairs()):
+    # cells[category][bucket][intensity] for z_det, z_err, x_det, x_err
+    cells = [[[0, 0, 0] for _ in range(3)] for _ in range(4)]
+    z_det, z_err, x_det, x_err = cells
+    n_sifted_det = 0
+    trash_sifted_single = 0
+    n_by_intensity = (
+        rng.multinomial(config.N, [iset.p_s, iset.p_w, iset.p_v]).tolist()
+        if config.N else (0, 0, 0)
+    )
+    for i, (n_mu, (mu, _)) in enumerate(zip(n_by_intensity, iset.pairs())):
+        if not n_mu:
+            continue
         stats = _bucket_stats(mu, eta)
-        bucket_p = np.array([p for p, _ in stats])
-        n_buckets = rng.multinomial(n_mu, bucket_p / bucket_p.sum())
-        row = []
+        (p0, _), (p1, _), (p2, _) = stats
+        norm = p0 + p1 + p2  # numpy's sum of three values, left to right
+        n_buckets = rng.multinomial(n_mu, [p0 / norm, p1 / norm, p2 / norm]).tolist()
         for bucket, (n_cell, (_, sig_prob)) in enumerate(zip(n_buckets, stats)):
-            sig = int(rng.binomial(n_cell, sig_prob))
-            dark = int(rng.binomial(n_cell - sig, y0))
-            split = (
-                rng.multinomial(sig, sig_pvals) + rng.multinomial(dark, dark_pvals)
-            ).tolist()
-            # one cell per GroundTruth category: z_det, z_err, x_det, x_err
-            row.append((split[0] + split[1], split[0], split[2] + split[3], split[2]))
-            n_sifted_det += split[0] + split[1] + split[2] + split[3] + split[5]
+            if not n_cell:
+                continue
+            sig = _binomial(rng, n_cell, sig_prob)
+            dark = _binomial(rng, n_cell - sig, y0)
+            split = rng.multinomial(sig, sig_pvals) if sig else None
+            if dark:
+                dark_split = rng.multinomial(dark, dark_pvals)
+                split = dark_split if split is None else split + dark_split
+            trash_sifted = 0
+            if split is not None:
+                kz_err, kz_ok, kx_err, kx_ok, _, trash_sifted, _ = split.tolist()
+                z_det[bucket][i] = kz_err + kz_ok
+                z_err[bucket][i] = kz_err
+                x_det[bucket][i] = kx_err + kx_ok
+                x_err[bucket][i] = kx_err
+                n_sifted_det += kz_err + kz_ok + kx_err + kx_ok + trash_sifted
             if bucket == 1:
                 undetected = n_cell - sig - dark
-                trash_sifted_single += split[5]
-                trash_sifted_single += int(rng.binomial(undetected, (1.0 - pk) / 2.0))
-        cells.append(row)
-    minus = int(rng.binomial(trash_sifted_single, coin_minus_prob))
-    truth = GroundTruth(*_by_category(cells), trash_minus_single=minus)
+                trash_sifted_single += trash_sifted
+                trash_sifted_single += _binomial(rng, undetected, (1.0 - pk) / 2.0)
+    truth = GroundTruth(
+        *[(CountTriple(*b0), CountTriple(*b1), CountTriple(*b2)) for b0, b1, b2 in cells],
+        trash_minus_single=_binomial(rng, trash_sifted_single, coin_minus_prob),
+    )
     return truth.observed(n_sifted_det), truth
 
 

@@ -110,6 +110,17 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["keyrate", "--config", str(path2), "--simulate"]) == 2
 
 
+def test_over_budget_epsilons_exit_2(tmp_path, capsys):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["epsilons"]["eps_C"] = 1e-3
+    config["correlations"] = {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 5000}
+    path = tmp_path / "over_budget.json"
+    path.write_text(json.dumps(config))
+    assert main(["keyrate", "--config", str(path), "--simulate", "--mode", "expected"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "failure budget" in err
+
+
 def test_scan_row_count(config_path, tmp_path):
     out = tmp_path / "scan.csv"
     config = json.loads(json.dumps(BASE_CONFIG))

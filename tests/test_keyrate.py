@@ -1,7 +1,10 @@
 import math
+import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrbb84.correlations import CorrelationModel, required_truncation_length
 from corrbb84.decoy import CountTriple
@@ -15,6 +18,7 @@ from corrbb84.keyrate import (
 )
 from corrbb84.model import ConfigError, mean_intensity
 from corrbb84.simulator import expected_counts
+from corrbb84.validation import reference_channel, reference_config
 
 # frozen from independent high-precision evaluation
 H_011 = 0.49991595816452800
@@ -223,6 +227,43 @@ def test_pipeline_monotone_in_correlation_strength(config_1e9, channel_10km):
         )
         keys.append(evaluate_pipeline(observed, config, model).key_length)
     assert all(a >= b for a, b in zip(keys, keys[1:]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    deltas=st.lists(st.floats(0.0, 0.3), min_size=2, max_size=2),
+    decay_C=st.floats(0.2, 3.0),
+    l_c_eff=st.integers(1, 80),
+    distance_km=st.sampled_from([0.0, 10.0, 30.0, 60.0]),
+)
+def test_key_length_nonincreasing_in_delta_1(deltas, decay_C, l_c_eff, distance_km):
+    config = reference_config(10**9)
+    observed, _ = expected_counts(config, reference_channel(distance_km))
+    weaker, stronger = sorted(deltas)
+    keys = [
+        evaluate_pipeline(
+            observed, config, CorrelationModel(delta_1=delta_1, decay_C=decay_C, l_c_eff=l_c_eff)
+        ).key_length
+        for delta_1 in (weaker, stronger)
+    ]
+    assert keys[0] >= keys[1]
+
+
+def test_pipeline_checks_failure_budget_before_coin_bound(config_1e9, channel_10km):
+    """An over-budget allocation is refused before the coin bound, whose
+    loop runs once per lag when the probabilities sum just below 1."""
+    iset = replace(config_1e9.intensity_set, p_v=0.15 - 5e-13)
+    config = replace(
+        config_1e9,
+        intensity_set=iset,
+        epsilon_budget=replace(config_1e9.epsilon_budget, eps_C=1e-3),
+    )
+    observed, _ = expected_counts(config, channel_10km)
+    model = CorrelationModel(delta_1=0.05, decay_C=1.0, l_c_eff=10**12)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="failure budget"):
+        evaluate_pipeline(observed, config, model)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pipeline_tiny_block_never_crashes(channel_10km):

@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrbb84.correlations import (
     CorrelationModel,
     ExplicitDeltas,
     extreme_deltas,
 )
-from corrbb84.model import single_photon_prob
+from corrbb84.model import IntensitySet, ProtocolConfig, single_photon_prob
 from corrbb84.simulator import (
     ChannelModel,
     coin_monte_carlo,
@@ -17,7 +19,7 @@ from corrbb84.simulator import (
     sample_counts,
     validate_channel,
 )
-from corrbb84.validation import reference_config
+from corrbb84.validation import reference_budget, reference_config
 
 YIELD_EXAMPLE = 0.100009  # m=1, eta=0.1, Y0=1e-5
 
@@ -142,6 +144,54 @@ def test_sampled_means_match_expectation(channel_10km):
         totals = np.array([pick(o) for o in samples])
         spread = totals.std(ddof=1) / math.sqrt(len(totals))
         assert abs(totals.mean() - target) <= 5.0 * max(spread, 1.0)
+
+
+SAMPLED_RUNS = 30
+CLT_Z = 6.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    log10_N=st.floats(3.0, 9.0),
+    p_keep=st.floats(0.5, 0.95),
+    s=st.floats(0.3, 0.8),
+    w=st.floats(0.05, 0.2),
+    v=st.sampled_from([0.0, 0.01, 0.03]),
+    p_s=st.floats(0.4, 0.7),
+    p_w=st.floats(0.1, 0.3),
+    distance_km=st.floats(0.0, 100.0),
+    dark=st.sampled_from([0.0, 1e-7, 1e-5, 1e-3]),
+    misalignment=st.floats(0.0, 0.05),
+)
+def test_sampled_marginals_match_expectation(
+    log10_N, p_keep, s, w, v, p_s, p_w, distance_km, dark, misalignment
+):
+    """Each announced count is binomial over the N rounds, so its variance
+    is at most its mean E, and the mean of K runs lies within
+    z sqrt(E / K) of E (CLT, z = 6) plus the rounding of expected_counts'
+    cells (1/2 per cell, three photon buckets per marginal)."""
+    config = ProtocolConfig(
+        N=round(10.0**log10_N),
+        intensity_set=IntensitySet(s=s, w=w, v=v, p_s=p_s, p_w=p_w, p_v=1.0 - p_s - p_w),
+        p_keep=p_keep,
+        epsilon_budget=reference_budget(),
+    )
+    channel = ChannelModel(
+        distance_km=distance_km, dark_count_prob=dark, misalignment=misalignment
+    )
+
+    def marginals(observed):
+        cells = [observed.n_sifted_det]
+        for triple in (observed.z_det, observed.z_err, observed.x_det, observed.x_err):
+            cells.extend(triple)
+        return cells
+
+    expected = marginals(expected_counts(config, channel)[0])
+    runs = np.array([marginals(sample_counts(config, channel, seed)[0])
+                     for seed in range(SAMPLED_RUNS)])
+    for cell, (target, mean) in enumerate(zip(expected, runs.mean(axis=0))):
+        slack = CLT_Z * math.sqrt(max(target, 1.0) / SAMPLED_RUNS) + 1.5
+        assert abs(mean - target) <= slack, (cell, mean, target)
 
 
 def test_sampled_coin_tally_present(config_1e6, channel_10km):
