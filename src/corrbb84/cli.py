@@ -7,7 +7,7 @@ pass/fail report).
 
 Configs are JSON with explicit fields for every protocol, channel and
 correlation parameter; the security epsilons carry no defaults and must be
-spelled out. Every output embeds a RunManifest (tool version, config hash,
+spelled out. Every output embeds a run manifest (tool version, config hash,
 seeds, bound-algorithm id, timestamp); for fixed (config, seed, version) the
 numeric sections are byte-identical across runs -- only the manifest
 timestamp varies.
@@ -27,13 +27,14 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import __version__
 from .correlations import CorrelationModel, validate_correlation
 from .counts import CountTriple, GroundTruth, ObservedCounts
 from .keyrate import DEFAULT_F_EC, evaluate_pipeline
-from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, validate_config
+from .model import (
+    ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, require, validate_config,
+)
 from .optimizer import OptimizationSpec, optimize_params, scan_distance
 from .simulator import ChannelModel, expected_counts, sample_counts, validate_channel
 from .validation import run_validation
@@ -63,28 +64,15 @@ MAX_SAMPLED_N = 2**63 - 1
 MAX_DISTANCES = 10_000
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    version: str
-    config_hash: str
-    seed: int | None
-    bound_algorithm: str
-    rng_algorithm: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def make_manifest(config_text: str, seed: int | None) -> RunManifest:
-    return RunManifest(
-        version=__version__,
-        config_hash=hashlib.sha256(config_text.encode()).hexdigest(),
-        seed=seed,
-        bound_algorithm=BOUND_ALGORITHM,
-        rng_algorithm=RNG_ALGORITHM,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
+def make_manifest(config_text: str, seed: int | None) -> dict:
+    return {
+        "version": __version__,
+        "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
+        "seed": seed,
+        "bound_algorithm": BOUND_ALGORITHM,
+        "rng_algorithm": RNG_ALGORITHM,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
 
 
 def _fmt(value: float) -> str:
@@ -99,6 +87,14 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required field {where}.{key}")
     return section[key]
+
+
+def _section(parent: dict, key: str, where: str, default=None) -> dict:
+    """The JSON object at ``where.key``, required when ``default`` is None."""
+    value = _require(parent, key, where) if default is None else parent.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}.{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _number(section: dict, key: str, where: str, default=None) -> float:
@@ -126,15 +122,17 @@ def load_config(path: str) -> dict:
         data = json.loads(raw)
     except ValueError as exc:  # also integers beyond Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, not {type(data).__name__}")
     data["_raw_text"] = raw
     return data
 
 
 def parse_protocol(data: dict) -> ProtocolConfig:
-    protocol = _require(data, "protocol", "config")
-    intensities = _require(protocol, "intensities", "protocol")
-    probs = _require(protocol, "intensity_probs", "protocol")
-    epsilons = _require(data, "epsilons", "config")
+    protocol = _section(data, "protocol", "config")
+    intensities = _section(protocol, "intensities", "protocol")
+    probs = _section(protocol, "intensity_probs", "protocol")
+    epsilons = _section(data, "epsilons", "config")
     budget = EpsilonBudget(**{eps: _number(epsilons, eps, "epsilons") for eps in EPSILONS})
     N = _whole(protocol, "N", "protocol")
     if N > sys.float_info.max:  # the simulator and the bounds compute with float(N)
@@ -148,49 +146,42 @@ def parse_protocol(data: dict) -> ProtocolConfig:
         p_keep=_number(protocol, "p_keep", "protocol"),
         epsilon_budget=budget,
     )
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    require(validate_config(config))
     return config
 
 
 def parse_f_ec(data: dict) -> float:
-    """``channel.f_EC``; a counts file is certified without the rest of the
-    channel section."""
-    f_ec = _number(data.get("channel", {}), "f_EC", "channel", DEFAULT_F_EC)
+    """``channel.f_EC``, passed to the pipeline and the optimizer; a counts
+    file is certified without the rest of the channel section."""
+    f_ec = _number(_section(data, "channel", "config", {}), "f_EC", "channel", DEFAULT_F_EC)
     if f_ec < 1.0:
         raise ConfigError("f_EC must be >= 1")
     return f_ec
 
 
 def parse_channel(data: dict) -> ChannelModel:
-    section = _require(data, "channel", "config")
+    section = _section(data, "channel", "config")
     channel = ChannelModel(
         distance_km=_number(section, "distance_km", "channel"),
-        f_EC=parse_f_ec(data),
         **{key: _number(section, key, "channel") for key in CHANNEL_OPTIONAL if key in section},
     )
-    problems = validate_channel(channel)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    require(validate_channel(channel))
     return channel
 
 
 def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel | None:
     """The correlation model; without ``l_c_eff`` the pipeline derives the
     length from d (``correlations.effective_length``)."""
-    section = data.get("correlations")
-    if section is None:
+    if data.get("correlations") is None:
         return None
+    section = _section(data, "correlations", "config")
     model = CorrelationModel(
         delta_1=_number(section, "delta_1", "correlations"),
         decay_C=_number(section, "decay_C", "correlations"),
         truncation_d=config.epsilon_budget.d,
         l_c_eff=_whole(section, "l_c_eff", "correlations", 0),
     )
-    problems = validate_correlation(model)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    require(validate_correlation(model))
     return model
 
 
@@ -198,16 +189,16 @@ def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel |
 
 
 @contextmanager
-def _csv_output(path: str, manifest: RunManifest, header: list[str]):
+def _csv_output(path: str, manifest: dict, header: list[str]):
     """A CSV writer on ``path``, after the manifest line and ``header``."""
     with open(path, "w", newline="") as handle:
-        handle.write(MANIFEST_PREFIX + json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
+        handle.write(MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(handle)
         writer.writerow(header)
         yield writer
 
 
-def write_counts_csv(path: str, observed: ObservedCounts, manifest: RunManifest) -> None:
+def write_counts_csv(path: str, observed: ObservedCounts, manifest: dict) -> None:
     with _csv_output(path, manifest, COUNTS_HEADER) as writer:
         for category in COUNT_CATEGORIES:
             for basis in BASES:
@@ -258,7 +249,7 @@ def read_counts_csv(path: str) -> ObservedCounts:
         raise ConfigError(f"counts file {path} is missing cell {exc}") from exc
 
 
-def write_truth_csv(path: str, truth: GroundTruth, manifest: RunManifest) -> None:
+def write_truth_csv(path: str, truth: GroundTruth, manifest: dict) -> None:
     header = ["category", "basis", "intensity", "photon_number", "count"]
     with _csv_output(path, manifest, header) as writer:
         for (category, basis), name in COUNT_FIELDS.items():
@@ -304,7 +295,7 @@ def cmd_keyrate(args) -> int:
         raise ConfigError("keyrate needs either --counts FILE or --simulate")
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
     payload = {
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
         "result": {
             "key_length": result.key_length,
             "eps_sec": result.eps_sec,
@@ -366,10 +357,8 @@ def parse_distances(spec: str) -> list[float]:
     return values
 
 
-def _optimizer_spec(
-    data: dict, config: ProtocolConfig, channel: ChannelModel, args
-) -> OptimizationSpec:
-    section = data.get("optimizer", {})
+def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpec:
+    section = _section(data, "optimizer", "config", {})
     overrides = {
         key: read(section, key, "optimizer")
         for read, keys in ((_number, OPTIMIZER_REALS), (_whole, OPTIMIZER_COUNTS))
@@ -379,7 +368,8 @@ def _optimizer_spec(
     if args.budget is not None:
         overrides["budget"] = args.budget
     return OptimizationSpec(
-        N=config.N, correlation=parse_correlations(data, config), f_EC=channel.f_EC, **overrides
+        N=config.N, correlation=parse_correlations(data, config), f_EC=parse_f_ec(data),
+        **overrides,
     )
 
 
@@ -387,13 +377,11 @@ def cmd_scan(args) -> int:
     data = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
-    spec = _optimizer_spec(data, config, channel, args)
+    spec = _optimizer_spec(data, config, args)
     manifest = make_manifest(data["_raw_text"], args.seed)
     distances = parse_distances(args.distances)
     for distance in distances:
-        problems = validate_channel(dataclasses.replace(channel, distance_km=distance))
-        if problems:
-            raise ConfigError("; ".join(problems))
+        require(validate_channel(dataclasses.replace(channel, distance_km=distance)))
     rows = scan_distance(spec, channel, distances, seed=args.seed)
     columns = ["distance_km", "key_length", "eps_sec", "evaluations"] + sorted(
         {key for row in rows for key in row if key.startswith("param_")}
@@ -413,11 +401,11 @@ def cmd_optimize(args) -> int:
     data = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
-    spec = _optimizer_spec(data, config, channel, args)
+    spec = _optimizer_spec(data, config, args)
     manifest = make_manifest(data["_raw_text"], args.seed)
     outcome = optimize_params(spec, channel, seed=args.seed)
     payload = {
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
         "result": {
             "params": outcome.params,
             "key_length": outcome.key_length,
@@ -442,7 +430,7 @@ def cmd_validate(args) -> int:
     print(report)
     if args.out:
         payload = {
-            "manifest": manifest.to_dict(),
+            "manifest": manifest,
             "checks": [
                 {"name": c.name, "passed": c.passed, "stats": c.stats}
                 for c in checks

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, IntensitySet
+from .model import ConfigError, IntensitySet, require
 
 Z, X = 0, 1
 
@@ -56,9 +56,9 @@ class CorrelationModel:
 class ExplicitDeltas:
     """Explicit per-lag phase contributions delta[lag-1, bit, basis] (radians).
 
-    ``table`` has shape (lags, 2, 2); row l-1 holds the four lag-l values.
-    Admissibility against a :class:`CorrelationModel` means the spread of the
-    four values at lag l is at most Delta_l.
+    ``table`` has shape (lags, 2, 2) and finite entries; row l-1 holds the
+    four lag-l values. Admissibility against a :class:`CorrelationModel`
+    means the spread of the four values at lag l is at most Delta_l.
     """
 
     table: np.ndarray
@@ -67,6 +67,9 @@ class ExplicitDeltas:
         table = np.asarray(self.table, dtype=float)
         if table.ndim != 3 or table.shape[1:] != (2, 2):
             raise ValueError(f"delta table must have shape (lags, 2, 2), got {table.shape}")
+        if not np.isfinite(table).all():
+            # a NaN spread would pass check_admissible and the oracles return NaN
+            raise ValueError("delta table entries must be finite")
         object.__setattr__(self, "table", table)
 
     @property
@@ -143,9 +146,7 @@ def effective_length(N: int, mean_mu: float, model: CorrelationModel | None) -> 
     """
     if model is None:
         return 0
-    problems = validate_correlation(model)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    require(validate_correlation(model))
     if model.delta_1 == 0.0 or model.truncation_d == 0.0:
         return model.l_c_eff
     needed = required_truncation_length(N, mean_mu, model)

@@ -16,7 +16,7 @@ s(w - v) - w^2 + v^2 > 0, i.e. s > w + v. A full evaluation of one event
 class consumes eps_B once per one-sided substitution (3 for the lower bound,
 2 for the upper) and asks ``bound_pair`` only for those sides; the side flags
 are passed positionally, so a wrapper that records the positional arguments
-can replay the call. The four evaluations of a run consume 10 eps_B.
+can replay the call. A run's four evaluations consume ``DECOY_TERMS`` eps_B.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .model import IntensitySet, ProtocolConfig, single_photon_prob
 
 BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
+# one eps_B per one-sided substitution of a run: 3 + 2 + 3 + 2 over its four bounds
+DECOY_TERMS = 10
+
 
 class DecoySolvabilityError(ValueError):
     """Intensity set violates s(w - v) - w^2 + v^2 > 0 (or w = v)."""
@@ -42,15 +45,14 @@ class DecoyBounds:
 
     ``z_det_lower/z_det_upper`` bracket the single-photon detections in the
     key basis, ``x_det_lower`` and ``x_err_upper`` bound the test-basis
-    detections and errors. ``eps_decoy = 10 * eps_B`` is the union failure
-    budget of the four evaluations.
+    detections and errors; jointly they fail with probability at most
+    ``DECOY_TERMS * eps_B``.
     """
 
     z_det_lower: float
     z_det_upper: float
     x_det_lower: float
     x_err_upper: float
-    eps_decoy: float
     audit: dict = field(default_factory=dict, compare=False)
 
 
@@ -133,7 +135,7 @@ def apply_decoy_bounds(
 
     Lower and upper bounds on key-basis detections, lower bound on test-basis
     detections, upper bound on test-basis errors; joint failure probability at
-    most ``10 * eps_B``.
+    most ``DECOY_TERMS * eps_B``.
     """
     iset = config.intensity_set
     eps_B = config.epsilon_budget.eps_B
@@ -146,7 +148,6 @@ def apply_decoy_bounds(
         z_det_upper=z_hi["value"],
         x_det_lower=x_lo["value"],
         x_err_upper=e_hi["value"],
-        eps_decoy=10.0 * eps_B,
         audit={
             "eps_B": eps_B,
             "z_det_lower": z_lo,

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 from . import correlations as corr
 from .counts import ObservedCounts
 from .decoy import apply_decoy_bounds
-from .model import ConfigError, ProtocolConfig, mean_intensity, require_valid, single_photon_prob
-from .phase_error import phase_error_rate_bound, total_pe_failure, trash_minus_upper
+from .model import (
+    ConfigError, ProtocolConfig, mean_intensity, require, single_photon_prob, validate_config,
+)
+from .phase_error import pe_shares, phase_error_rate_bound, total_pe_failure, trash_minus_upper
 
 DEFAULT_F_EC = 1.16
 
@@ -106,10 +108,8 @@ def evaluate_pipeline(
     yield key_length 0 with the reason in the audit, never an exception;
     invalid configurations raise :class:`~corrbb84.model.ConfigError`.
     """
-    require_valid(config)
-    problems = observed.validate()
-    if problems:
-        raise ConfigError("; ".join(problems))
+    require(validate_config(config))
+    require(observed.validate())
     budget = config.epsilon_budget
     iset = config.intensity_set
 
@@ -163,12 +163,7 @@ def evaluate_pipeline(
         "lambda_EC": lambda_EC,
         "n_K1_lower": n_K1_lower,
         # every epsilon consumed, exactly once; shares sum to eps_PE
-        "epsilon_shares": {
-            "azuma_5_eps_A": 5.0 * budget.eps_A,
-            "trash_lc1_eps_C": (l_c + 1) * budget.eps_C,
-            "decoy_10_eps_B": 10.0 * budget.eps_B,
-            "truncation_d": budget.d,
-        },
+        "epsilon_shares": pe_shares(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d),
         "eps_PE": eps_PE,
         "meaningful": eps_sec < 1.0,
     }

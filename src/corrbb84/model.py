@@ -34,12 +34,6 @@ class IntensitySet:
     p_w: float
     p_v: float
 
-    def intensities(self) -> tuple[float, float, float]:
-        return (self.s, self.w, self.v)
-
-    def probabilities(self) -> tuple[float, float, float]:
-        return (self.p_s, self.p_w, self.p_v)
-
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """(intensity, probability) pairs in (s, w, v) order."""
         return ((self.s, self.p_s), (self.w, self.p_w), (self.v, self.p_v))
@@ -133,7 +127,7 @@ def validate_config(config: ProtocolConfig) -> list[str]:
     """Every violated invariant of the protocol configuration, as messages.
 
     An empty report means the configuration is runnable. Reporting only;
-    callers that must hard-fail raise :class:`ConfigError` themselves.
+    callers that must hard-fail pass the report to :func:`require`.
     """
     problems = []
     if config.N < 1:
@@ -146,8 +140,8 @@ def validate_config(config: ProtocolConfig) -> list[str]:
     return problems
 
 
-def require_valid(config: ProtocolConfig) -> None:
-    """Raise ConfigError listing every violation; no-op for valid configs."""
-    problems = validate_config(config)
+def require(problems: list[str]) -> None:
+    """Raise ConfigError listing every problem of a validation report; no-op
+    for an empty one."""
     if problems:
         raise ConfigError("; ".join(problems))

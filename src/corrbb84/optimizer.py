@@ -30,9 +30,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .correlations import CorrelationModel, effective_length, validate_correlation
-from .decoy import lower_denominator
+from .decoy import DECOY_TERMS, lower_denominator
 from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline
-from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity
+from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity, require
+from .phase_error import AZUMA_TERMS
 from .simulator import ChannelModel, expected_counts
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -121,8 +122,8 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfi
     if pe_mass <= 0.0:
         return None
     budget = EpsilonBudget(
-        eps_A=u_a * pe_mass / 5.0,
-        eps_B=u_b * pe_mass / 10.0,
+        eps_A=u_a * pe_mass / AZUMA_TERMS,
+        eps_B=u_b * pe_mass / DECOY_TERMS,
         eps_C=u_c * pe_mass / (l_c + 1),
         eps_PA=spec.eps_PA,
         eps_EV=spec.eps_EV,
@@ -300,9 +301,7 @@ def optimize_params(
     rather than treated as a failure; a spec that fails
     :func:`validate_optimization` raises :class:`~corrbb84.model.ConfigError`.
     """
-    problems = validate_optimization(spec)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    require(validate_optimization(spec))
     objective = _Objective(spec, channel)
     starts = [tuple(map(float, p)) for p in (extra_starts or [])]
     starts.extend(_initial_points(spec, seed))

@@ -10,7 +10,8 @@ rounds. That bound is assembled from:
   outcomes among single-photon trash rounds,
 * ``phase_error_rate_bound`` -- the composition with the decoy-state bounds
   and martingale deviations, and
-* ``total_pe_failure`` -- the failure-probability bookkeeping.
+* ``pe_shares`` and ``total_pe_failure`` -- the one failure-probability
+  bookkeeping.
 
 ``coin_inequality_check`` evaluates the underlying count-level inequality on
 the single-photon bucket of a simulator's
@@ -29,8 +30,10 @@ from dataclasses import dataclass, field
 
 from .concentration import azuma_delta
 from .counts import GroundTruth
-from .decoy import DecoyBounds
+from .decoy import DECOY_TERMS, DecoyBounds
 from .model import ConfigError
+
+AZUMA_TERMS = 5  # martingale deviations of the phase-error bound, one eps_A each
 
 
 @dataclass(frozen=True)
@@ -102,15 +105,23 @@ def trash_minus_upper(
     return mean + deviation + residual
 
 
-def total_pe_failure(
-    eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float
-) -> float:
-    """Total parameter-estimation failure probability
-    5 eps_A + (l_c + 1) eps_C + 10 eps_B + d; a total >= 1 raises
-    :class:`~corrbb84.model.ConfigError`."""
+def pe_shares(eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float) -> dict:
+    """Every parameter-estimation failure probability, once: 5 eps_A (Azuma),
+    (l_c + 1) eps_C (trash count), 10 eps_B (decoy) and the truncation d."""
     if l_c < 0:
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
-    total = 5.0 * eps_A + (l_c + 1) * eps_C + 10.0 * eps_B + d
+    return {
+        "azuma_5_eps_A": AZUMA_TERMS * eps_A,
+        "trash_lc1_eps_C": (l_c + 1) * eps_C,
+        "decoy_10_eps_B": DECOY_TERMS * eps_B,
+        "truncation_d": d,
+    }
+
+
+def total_pe_failure(eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float) -> float:
+    """eps_PE, the sum of :func:`pe_shares` in order; a total >= 1 raises
+    :class:`~corrbb84.model.ConfigError`."""
+    total = sum(pe_shares(eps_A, eps_B, eps_C, l_c, d).values())
     if total >= 1.0:
         raise ConfigError(
             f"parameter-estimation failure budget {total} >= 1; nothing can be certified"

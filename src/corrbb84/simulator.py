@@ -15,9 +15,9 @@ double clicks are squashed to a random bit, hence the 1/2). The overall
 yield is Y_m = 1 - (1 - Y0)(1 - eta)^m.
 
 The honest channel does not emulate any correlation-induced error on Bob's
-side; correlations enter the security bound and, optionally, the ground-truth
-coin tally through ``coin_minus_prob``. Randomness comes from numpy's
-PCG64 via ``default_rng(seed)``; one seed fixes the entire draw order.
+side; correlations enter the security bound and, optionally, the sampled
+ground-truth coin tally through ``coin_minus_prob``. Randomness comes from
+numpy's PCG64 via ``default_rng(seed)``; one seed fixes the entire draw order.
 ``sample_counts`` skips the draws numpy answers without touching the bit
 generator (a binomial with n == 0 or p == 0.0, a multinomial with n == 0),
 so the stream of random numbers, and every seeded output, is the same as
@@ -33,7 +33,6 @@ import numpy as np
 
 from .correlations import ExplicitDeltas, exact_coin_parameter
 from .counts import CountTriple, GroundTruth, ObservedCounts
-from .keyrate import DEFAULT_F_EC
 from .model import ProtocolConfig, single_photon_prob
 
 
@@ -42,8 +41,7 @@ class ChannelModel:
     """Honest lossy channel with threshold detectors.
 
     Defaults: 0.2 dB/km fiber, 25% detector efficiency, 1e-7 dark-count
-    probability per detector per gate, 1% misalignment, error-correction
-    inefficiency ``keyrate.DEFAULT_F_EC``.
+    probability per detector per gate, 1% misalignment.
     """
 
     distance_km: float
@@ -51,7 +49,6 @@ class ChannelModel:
     detector_efficiency: float = 0.25
     dark_count_prob: float = 1e-7
     misalignment: float = 0.01
-    f_EC: float = DEFAULT_F_EC
 
     @property
     def transmittance(self) -> float:
@@ -79,8 +76,6 @@ def validate_channel(channel: ChannelModel) -> list[str]:
         problems.append("dark count probability outside [0, 1)")
     if not (0.0 <= channel.misalignment <= 0.5):
         problems.append("misalignment outside [0, 0.5]")
-    if channel.f_EC < 1.0:
-        problems.append("f_EC must be >= 1")
     return problems
 
 
@@ -123,15 +118,14 @@ def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
 
 
 def expected_counts(
-    config: ProtocolConfig,
-    channel: ChannelModel,
-    coin_minus_prob: float = 0.0,
+    config: ProtocolConfig, channel: ChannelModel
 ) -> tuple[ObservedCounts, GroundTruth]:
     """Deterministic rounded expectations of one protocol run.
 
     Every ground-truth cell is rounded individually and the announced counts
     are sums of those cells, so the marginal-consistency invariant holds
-    exactly. ``n_sifted_det`` is half of the expected detections.
+    exactly. ``n_sifted_det`` is half of the expected detections; the honest
+    channel's coin tally ``trash_minus_single`` is 0.
     """
     pk = config.p_keep
     e_mis = channel.misalignment
@@ -159,10 +153,6 @@ def expected_counts(
         z_err=err_buckets,
         x_det=det_buckets,
         x_err=err_buckets,
-        trash_minus_single=round(
-            config.N * single_photon_prob(config.intensity_set)
-            * (1.0 - pk) / 2.0 * coin_minus_prob
-        ),
     )
     # per-cell rounding may nudge keep-sifted sums past detected/2; keep the
     # count invariant keep-sifted <= sifted intact

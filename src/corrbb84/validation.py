@@ -2,10 +2,8 @@
 
 Each check is a pure function of an explicit seed, so a fixed (level, seed)
 pair reproduces the identical report. The same functions back the CLI
-``validate`` subcommand and the acceptance test suite; trial counts shrink
-at level="quick".
-
-Checks:
+``validate`` subcommand (``run_validation``; trial counts shrink at
+level="quick") and the acceptance test suite. ``validate`` runs:
 
 * g_plus boundary characterization against its defining inequality,
 * coin-parameter bound vs the exact desk-scale evaluation (with an extreme
@@ -13,9 +11,12 @@ Checks:
 * trace-distance bound vs exact global fidelity, over every setting prefix
   that enters it (the last l_c+1 rounds of a history enter no factor),
 * trash-count bound vs sampled coin tallies,
-* count-level coin inequality on sampled honest-channel runs,
-* two-sided binomial-bound coverage and one-sided deviation validity,
-* decoy bounds bracketing true single-photon tallies on sampled runs.
+* count-level coin inequality on sampled honest-channel runs.
+
+Only ``tests/test_acceptance.py`` runs ``check_binomial_coverage``,
+``check_bernstein_validity`` and ``check_decoy_bracketing``: two-sided
+binomial-bound coverage, one-sided deviation validity, and decoy bounds
+bracketing true single-photon tallies on sampled runs.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import correlations as corr
 from .concentration import bernstein_upper_delta, binomial_bound_pair
-from .decoy import apply_decoy_bounds
+from .decoy import DECOY_TERMS, apply_decoy_bounds
 from .model import EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity, single_photon_prob
-from .phase_error import coin_inequality_check, g_interval, trash_minus_upper
+from .phase_error import AZUMA_TERMS, coin_inequality_check, g_interval, trash_minus_upper
 from .simulator import ChannelModel, coin_monte_carlo, sample_counts
 
 
@@ -213,7 +214,7 @@ def check_coin_inequality_mc(
         )
         violations += 0 if outcome.holds else 1
         trivial += 1 if outcome.trivial_branch else 0
-    threshold = 5.0 * eps + (l_c + 1) * eps
+    threshold = AZUMA_TERMS * eps + (l_c + 1) * eps
     frequency = violations / runs
     return ValidationCheck(
         name="coin_inequality_end_to_end",
@@ -290,7 +291,8 @@ def check_decoy_bracketing(
     eps_B: float = 1e-3,
 ) -> ValidationCheck:
     """Decoy bounds bracket the true single-photon tallies of sampled runs
-    within the 10 eps_B union failure budget (3 sigma sampling slack)."""
+    within the ``DECOY_TERMS`` eps_B union failure budget (3 sigma sampling
+    slack)."""
     config = ProtocolConfig(
         N=N,
         intensity_set=IntensitySet(s=0.5, w=0.1, v=0.0, p_s=0.5, p_w=0.35, p_v=0.15),
@@ -312,7 +314,7 @@ def check_decoy_bracketing(
             or xe1 > bounds.x_err_upper
         )
         failures += 1 if failed else 0
-    budget = 10.0 * eps_B
+    budget = DECOY_TERMS * eps_B
     threshold = budget + 3.0 * math.sqrt(budget * (1.0 - budget) / runs)
     frequency = failures / runs
     return ValidationCheck(

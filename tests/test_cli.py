@@ -264,6 +264,14 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({}, "bogus,,,1", "counts_extra_row"),
     ({}, "sifted_total,,,999999999999", "counts_extra_row"),
     ({}, "sifted_total,Z,,5", "counts_extra_row"),
+    ({"protocol": 5}, None, "expected"),
+    ({"protocol.intensities": 0.5}, None, "expected"),
+    ({"protocol.intensity_probs": 0.7}, None, "expected"),
+    ({"epsilons": 1e-10}, None, "expected"),
+    ({"channel": 5}, None, "expected"),
+    ({"channel": 5}, None, "counts"),
+    ({"correlations": 3}, None, "expected"),
+    ({"optimizer": 3}, None, "optimize"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -273,7 +281,9 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     "distances_nan", "distances_inf", "distance_negative", "distance_range_empty",
     "distance_range_nan_stop", "distances_none", "count_cell_twice", "count_basis_unknown",
     "count_intensity_unknown", "count_category_unknown", "sifted_total_twice",
-    "sifted_total_with_basis",
+    "sifted_total_with_basis", "protocol_not_object", "intensities_not_object",
+    "intensity_probs_not_object", "epsilons_not_object", "channel_not_object",
+    "channel_not_object_with_counts", "correlations_not_object", "optimizer_not_object",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -317,6 +327,13 @@ def test_budget_flag_below_1_exits_2(config_path, tmp_path, capsys, command, bud
         argv += ["--distances", "0", "--out", str(tmp_path / "scan.csv")]
     assert main(argv) == 2
     assert "budget must be >= 1" in capsys.readouterr().err
+
+
+def test_top_level_not_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["keyrate", "--config", str(path), "--simulate"]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_integer_beyond_digit_limit_exits_2(tmp_path, capsys):

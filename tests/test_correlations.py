@@ -218,6 +218,16 @@ def test_fidelity_rejects_large_N(intensity_set):
         corr.exact_global_fidelity(9, 1, deltas, intensity_set)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_explicit_deltas_reject_non_finite_entries(bad):
+    # a NaN spread compares False against the lag bound, so without this
+    # check_admissible would pass the table and the oracles would return NaN
+    for table in (np.full((3, 2, 2), bad), np.zeros((3, 2, 2))):
+        table[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            corr.ExplicitDeltas(table)
+
+
 def _fidelity_all_histories(N, l_c, deltas, intensity_set, reference):
     """Reference oracle: the per-round overlap product on every one of the
     4^N histories, trailing rounds included, then the mean."""

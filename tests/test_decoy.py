@@ -6,6 +6,7 @@ from conftest import identity_bound_pair
 
 from corrbb84.concentration import binomial_bound_pair
 from corrbb84.decoy import (
+    DECOY_TERMS,
     CountTriple,
     DecoySolvabilityError,
     apply_decoy_bounds,
@@ -141,9 +142,16 @@ def test_apply_bounds_all_zero(config_1e6):
         x_err=CountTriple(0, 0, 0),
         n_sifted_det=0,
     )
-    bounds = apply_decoy_bounds(observed, config_1e6)
+    sides = []
+
+    def recording(epsilon, observed, total, lower, upper):
+        sides.append(lower + upper)
+        return binomial_bound_pair(epsilon, observed, total, lower, upper)
+
+    bounds = apply_decoy_bounds(observed, config_1e6, recording)
     assert bounds.z_det_lower == 0.0 and bounds.x_det_lower == 0.0
-    assert bounds.eps_decoy == 10 * config_1e6.epsilon_budget.eps_B
+    # DECOY_TERMS counts the one-sided substitutions, one eps_B each
+    assert sum(sides) == DECOY_TERMS == 10
 
 
 def test_apply_bounds_bracket_simulated_truth(config_1e9, channel_10km):

@@ -280,15 +280,21 @@ def test_pipeline_tiny_block_never_crashes(channel_10km):
             assert 0.0 <= result.e_ph_upper <= 1.0
 
 
-def test_pipeline_audit_epsilon_shares(config_1e9, channel_10km):
-    observed, _ = expected_counts(config_1e9, channel_10km)
-    result = evaluate_pipeline(observed, config_1e9, None)
+@pytest.mark.parametrize("d", [0.0, 1e-12], ids=["uncorrelated", "correlated"])
+def test_pipeline_audit_epsilon_shares(config_1e9, channel_10km, d):
+    model = None if d == 0.0 else CorrelationModel(0.05, 1.0, d)
+    config = replace(config_1e9, epsilon_budget=replace(config_1e9.epsilon_budget, d=d))
+    observed, _ = expected_counts(config, channel_10km)
+    result = evaluate_pipeline(observed, config, model)
     shares = result.audit["epsilon_shares"]
     assert set(shares) == {
         "azuma_5_eps_A", "trash_lc1_eps_C", "decoy_10_eps_B", "truncation_d",
     }
-    assert math.isclose(sum(shares.values()), result.audit["eps_PE"], rel_tol=1e-15)
-    budget = config_1e9.epsilon_budget
+    assert sum(shares.values()) == result.audit["eps_PE"]
+    budget = config.epsilon_budget
+    l_c = result.audit["correlation"]["l_c"]
+    assert (l_c > 0) == (model is not None)
     assert shares["azuma_5_eps_A"] == 5 * budget.eps_A
+    assert shares["trash_lc1_eps_C"] == (l_c + 1) * budget.eps_C
     assert shares["decoy_10_eps_B"] == 10 * budget.eps_B
-    assert shares["truncation_d"] == 0.0
+    assert shares["truncation_d"] == d

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,18 @@ def test_optimizer_respects_budget(channel_10km):
     outcome = optimize_params(spec, channel_10km, seed=1)
     assert outcome.evaluations <= spec.budget
     assert outcome.key_length > 0
+
+
+@pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, 1e-12)],
+                         ids=["uncorrelated", "correlated"])
+def test_winner_spends_its_failure_target(channel_10km, model):
+    """The split of eps_pe_target - d over the epsilons adds back up to the
+    target in the winner's audit, up to rounding."""
+    spec = OptimizationSpec(correlation=model, **FAST)
+    outcome = optimize_params(spec, channel_10km, seed=1)
+    assert outcome.key_length > 0
+    eps_pe = outcome.result.audit["eps_PE"]
+    assert math.isclose(eps_pe, spec.eps_pe_target, rel_tol=1e-14, abs_tol=0.0)
 
 
 def test_optimizer_degenerate_channel_reports_zero_key():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from corrbb84.decoy import DecoyBounds
+from corrbb84.decoy import DECOY_TERMS, DecoyBounds
 from corrbb84.phase_error import (
+    AZUMA_TERMS,
     coin_inequality_check,
     g_interval,
+    pe_shares,
     phase_error_rate_bound,
     total_pe_failure,
     trash_minus_upper,
@@ -20,11 +22,8 @@ TRASH_SQRT_TERM = 952.35931671315874
 TRASH_BERNSTEIN_TERM = 36.841361487904731
 
 
-def _bounds(z_lo, z_hi, x_lo, x_err, eps=1e-10):
-    return DecoyBounds(
-        z_det_lower=z_lo, z_det_upper=z_hi, x_det_lower=x_lo, x_err_upper=x_err,
-        eps_decoy=10 * eps,
-    )
+def _bounds(z_lo, z_hi, x_lo, x_err):
+    return DecoyBounds(z_det_lower=z_lo, z_det_upper=z_hi, x_det_lower=x_lo, x_err_upper=x_err)
 
 
 def test_g_perfect_coin_pins_rate():
@@ -125,6 +124,20 @@ def test_total_pe_failure_values():
     assert math.isclose(
         total_pe_failure(2e-12, 2e-12, 2e-12, 66, 2e-10), 2 * value, rel_tol=1e-12
     )
+
+
+def test_pe_shares_compose_total():
+    shares = pe_shares(1e-12, 3e-12, 2e-12, 66, 1e-10)
+    assert shares == {
+        "azuma_5_eps_A": AZUMA_TERMS * 1e-12,
+        "trash_lc1_eps_C": 67 * 2e-12,
+        "decoy_10_eps_B": DECOY_TERMS * 3e-12,
+        "truncation_d": 1e-10,
+    }
+    assert (AZUMA_TERMS, DECOY_TERMS) == (5, 10)
+    assert total_pe_failure(1e-12, 3e-12, 2e-12, 66, 1e-10) == sum(shares.values())
+    with pytest.raises(ValueError):
+        pe_shares(1e-12, 1e-12, 1e-12, -1, 0.0)
 
 
 def test_total_pe_failure_rejects_saturated_budget():
