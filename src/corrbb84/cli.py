@@ -13,7 +13,8 @@ numeric sections are byte-identical across runs -- only the manifest
 timestamp varies.
 
 Exit codes: 0 success (including zero-key results, which set a flag in the
-output), 1 oracle-suite failure, 2 configuration errors.
+output), 1 oracle-suite failure or a closed output pipe, 2 configuration
+errors.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -494,10 +496,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

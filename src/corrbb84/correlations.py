@@ -177,11 +177,15 @@ def coin_parameter_bound(
     (1/2) [1 - prod_{l=1}^{l_c} min(1, sum_mu p_mu exp(-mu (1 - cos Delta_l)))].
 
     The clamp changes nothing unless the probabilities sum above 1 (allowed
-    within ``PROB_SUM_TOL``). Delta_l decreases, so past the first lag where
+    within ``PROB_SUM_TOL``). Delta_l decreases, so from the first lag where
     1 - cos Delta_l rounds to 0.0 (Delta_l below about 1e-8) every factor is
-    the clamped probability sum; if that is exactly 1 the loop stops there.
+    the clamped probability sum ``flat``. If that is exactly 1 the loop stops
+    there; otherwise the remaining factors are taken as one power of
+    ``flat``, rounded down, which can only raise the bound.
 
     Monotone nondecreasing in l_c, Delta_1 and every intensity; in [0, 1/2].
+    In Delta_1 that holds to one ulp of 1 when the probabilities sum below 1,
+    because a lag that turns flat moves its factor into the rounded-down tail.
     """
     if l_c < 0:
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
@@ -191,13 +195,12 @@ def coin_parameter_bound(
     for l in range(1, l_c + 1):
         one_minus_cos = 1.0 - math.cos(model.delta_1 * math.exp(-model.decay_C * (l - 1)))
         if one_minus_cos == 0.0:
-            if flat == 1.0:
-                break
-            product *= flat
-        else:
-            factor = (p_s * math.exp(-s * one_minus_cos) + p_w * math.exp(-w * one_minus_cos)
-                      + p_v * math.exp(-v * one_minus_cos))
-            product *= min(1.0, factor)
+            if flat != 1.0:
+                product = math.nextafter(product * flat ** (l_c - l + 1), 0.0)
+            break
+        factor = (p_s * math.exp(-s * one_minus_cos) + p_w * math.exp(-w * one_minus_cos)
+                  + p_v * math.exp(-v * one_minus_cos))
+        product *= min(1.0, factor)
     return 0.5 * (1.0 - product)
 
 

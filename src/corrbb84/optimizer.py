@@ -1,22 +1,21 @@
 """Derivative-free maximization of the certified key length.
 
 Coordinate descent with golden-section line searches over box bounds,
-restarted from the centre of the box and the first points of a scrambled
-Sobol' sequence (Joe-Kuo direction numbers, S. Joe and F. Y. Kuo, SIAM J.
-Sci. Comput. 30, 2635 (2008); LMS plus digital-shift scrambling), generated
-in-package and equal bit for bit to ``scipy.stats.qmc.Sobol``. The objective
-is the key length of the expected-value pipeline (deterministic counts;
-sampled counts would make the objective noisy), so a fixed (spec, seed) pair
-yields a reproducible trajectory and result.
+restarted from the centre of the box and from seeded uniform points in it.
+The objective is the key length of the expected-value pipeline
+(deterministic counts; sampled counts would make the objective noisy), so a
+fixed (spec, seed) pair yields a reproducible trajectory and result. Where
+the key is zero the objective scores ``-e_ph_upper`` instead, which still
+varies across a zero-key plateau and so leads the search off it.
 
 Free parameters: intensities s and w, their probabilities, p_keep, and the
 split of the parameter-estimation failure budget across the three
 concentration epsilons. The vacuum intensity v, the block size, the channel
 and the correlation model stay fixed; each candidate runs at the correlation
 length of ``correlations.effective_length``. A candidate is a tuple of plain
-floats in ``PARAM_NAMES`` order (numpy makes only the Sobol' points), so every
-configuration the objective certifies holds builtin floats. Infeasible
-candidates score zero without consuming budget: ordering or simplex
+floats in ``PARAM_NAMES`` order (numpy draws only the uniform starts), so
+every configuration the objective certifies holds builtin floats. Infeasible
+candidates score ``-inf`` without consuming budget: ordering or simplex
 violations, intensities the decoy bounds cannot solve
 (``decoy.lower_denominator`` not positive, i.e. s <= w + v), or an explicit
 ``l_c_eff`` shorter than the candidate's required truncation length.
@@ -47,13 +46,6 @@ BOXES = (
 LINE_SEARCH_TOL = 5e-3
 # one point of the search: a plain float per PARAM_NAMES entry
 Candidate = tuple[float, ...]
-
-# Joe-Kuo primitive polynomials and initial direction numbers m_{d,j} for
-# Sobol' dimensions 2..7 (dimension 1 needs none); 30 bits per coordinate.
-_SOBOL_POLYS = (3, 7, 11, 13, 19, 25)
-_SOBOL_INIT = ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13))
-_SOBOL_BITS = 30
-
 
 @dataclass(frozen=True)
 class OptimizationSpec:
@@ -132,6 +124,11 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfi
     return ProtocolConfig(N=spec.N, intensity_set=iset, p_keep=p_keep, epsilon_budget=budget)
 
 
+def _score(result: KeyRateResult) -> float:
+    """Key length when positive, else -e_ph_upper in [-1, 0]."""
+    return result.key_length if result.key_length > 0 else -result.e_ph_upper
+
+
 @dataclass
 class _Objective:
     spec: OptimizationSpec
@@ -142,24 +139,24 @@ class _Objective:
     def remaining(self) -> int:
         return self.spec.budget - self.evaluations
 
-    def __call__(self, candidate: Candidate) -> int:
+    def __call__(self, candidate: Candidate) -> float:
         config = _build_config(candidate, self.spec)
         if config is None:
-            return 0
+            return -math.inf
         if candidate in self.cache:
             return self.cache[candidate]
         if self.remaining() <= 0:
             # exhausted: score as no-improvement instead of spending
-            return 0
+            return -math.inf
         self.evaluations += 1
         try:
             observed, _ = expected_counts(config, self.channel)
             result = evaluate_pipeline(
                 observed, config, self.spec.correlation, f_EC=self.spec.f_EC
             )
-            score = result.key_length
+            score = _score(result)
         except ConfigError:
-            score = 0
+            score = -math.inf
         self.cache[candidate] = score
         return score
 
@@ -170,7 +167,7 @@ def _golden_section(
     coord: int,
     lo: float,
     hi: float,
-) -> tuple[Candidate, int]:
+) -> tuple[Candidate, float]:
     """Maximize along one coordinate; returns the best point seen."""
 
     def at(value: float) -> Candidate:
@@ -203,7 +200,7 @@ def _golden_section(
 
 def _coordinate_descent(
     objective: _Objective, start: Candidate
-) -> tuple[Candidate, int]:
+) -> tuple[Candidate, float]:
     current = start
     current_score = objective(current)
     for _ in range(objective.spec.coordinate_passes):
@@ -234,50 +231,13 @@ def _center_start() -> Candidate:
     return (s, s / 4.0, 0.7, 0.15, p_keep, 1.0 / 3.0, 1.0 / 3.0)
 
 
-def _sobol_points(n: int, seed: int | None) -> np.ndarray:
-    """First n points of the 7-dimensional scrambled Sobol' sequence.
-
-    Direction numbers m_{d,j} follow the Joe-Kuo recurrence; a lower-triangular
-    (LMS) scramble and a digital shift, drawn from ``default_rng(seed)``, act
-    on their 30-bit expansions; point k XORs the direction numbers selected by
-    the Gray code of k into the shift. Bit for bit equal to
-    ``scipy.stats.qmc.Sobol(7, scramble=True, seed=seed).random(n)``.
-    """
-    bits, dim = _SOBOL_BITS, len(PARAM_NAMES)
-    cols = max(n - 1, 0).bit_length()  # Gray codes of k < n use only these columns
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32)[:, ::-1]
-    lower = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32)[:, :, :cols])
-    lower[:, range(cols), range(cols)] = 1
-    m = [[1] * cols]  # dimension 1 is van der Corput: m_j = 1
-    for poly, init in zip(_SOBOL_POLYS, _SOBOL_INIT):
-        deg, row = len(init), list(init[:cols])
-        for j in range(deg, cols):
-            new = row[j - deg] ^ (row[j - deg] << deg)
-            for k in range(1, deg):
-                new ^= ((poly >> (deg - k)) & 1) * (row[j - k] << k)
-            row.append(new)
-        m.append(row)
-    # bit c (most significant first) of direction number j is bit j - c of
-    # m_j, so only the first `cols` columns of the scramble matrix act on it
-    direction = np.array(
-        [[(row[j] >> (j - c)) & 1 if c <= j else 0 for j in range(cols)]
-         for row in m for c in range(cols)],
-        dtype=np.int64,
-    ).reshape(dim, cols, cols)
-    scrambled = lower @ direction % 2
-    k = np.arange(n)
-    gray = ((k ^ (k >> 1))[:, None] >> np.arange(cols)) & 1
-    point_bits = (shift + np.einsum("dcj,kj->kdc", scrambled, gray)) % 2
-    return point_bits @ 0.5 ** np.arange(1, bits + 1)
-
-
 def _initial_points(spec: OptimizationSpec, seed: int) -> list[Candidate]:
-    """The centre start, then Sobol' points 2..restarts scaled to the box."""
-    unit = _sobol_points(spec.restarts, seed)
-    boxes = np.array(BOXES)
-    points = boxes[:, 0] + unit * (boxes[:, 1] - boxes[:, 0])
-    return [_center_start(), *map(tuple, points[1:].tolist())]
+    """The centre start, then restarts - 1 points drawn uniformly from the box
+    by ``default_rng(seed)``."""
+    unit = np.random.default_rng(seed).random((spec.restarts - 1, len(BOXES))).tolist()
+    return [_center_start()] + [
+        tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(row, BOXES)) for row in unit
+    ]
 
 
 def _describe(candidate: Candidate, spec: OptimizationSpec) -> dict:
@@ -296,8 +256,8 @@ def optimize_params(
 ) -> OptimizationResult:
     """Best (parameters, key rate) found within the evaluation budget.
 
-    Deterministic for fixed (spec, channel, seed, extra_starts). A run where
-    every candidate scores zero is reported with ``zero_key_everywhere``
+    Deterministic for fixed (spec, channel, seed, extra_starts). A run whose
+    best candidate certifies no key is reported with ``zero_key_everywhere``
     rather than treated as a failure; a spec that fails
     :func:`validate_optimization` raises :class:`~corrbb84.model.ConfigError`.
     """
@@ -305,7 +265,7 @@ def optimize_params(
     objective = _Objective(spec, channel)
     starts = [tuple(map(float, p)) for p in (extra_starts or [])]
     starts.extend(_initial_points(spec, seed))
-    best_point, best_score = None, -1
+    best_point, best_score = None, -math.inf
     for start in starts:
         if objective.remaining() <= 0:
             break
@@ -320,16 +280,16 @@ def optimize_params(
         )
     observed, _ = expected_counts(config, channel)
     result = evaluate_pipeline(observed, config, spec.correlation, f_EC=spec.f_EC)
-    if result.key_length != best_score:
+    if _score(result) != best_score:
         raise RuntimeError(
-            f"winner re-evaluation disagrees: {result.key_length} != {best_score}"
+            f"winner re-evaluation disagrees: {_score(result)} != {best_score}"
         )
     return OptimizationResult(
         params=_describe(best_point, spec),
         key_length=result.key_length,
         result=result,
         evaluations=objective.evaluations,
-        zero_key_everywhere=(best_score == 0),
+        zero_key_everywhere=(result.key_length == 0),
     )
 
 

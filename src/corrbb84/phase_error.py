@@ -129,6 +129,29 @@ def total_pe_failure(eps_A: float, eps_B: float, eps_C: float, l_c: int, d: floa
     return total
 
 
+def _coin_envelope(z_det, x_det, x_err, minus, delta_A, p_keep, audit: dict) -> float | str:
+    """The count-level coin inequality's bound on key-basis errors,
+    (z_det + Delta_A) G+(y, z) + Delta_A with
+    y = (x_err + Delta_A) / (x_det - Delta_A) and
+    z = 1 - 2 p_keep (minus + Delta_A) / ((1 - p_keep)(z_det + x_det)),
+    or the name of the guard that fired. Records y, z and G+ in ``audit``.
+    """
+    if x_det <= delta_A:
+        return "x_det_lower_not_above_delta_A"
+    y = (x_err + delta_A) / (x_det - delta_A)
+    audit["y"] = y
+    if not (0.0 <= y <= 1.0):
+        return "y_out_of_range"
+    denom = (1.0 - p_keep) * (z_det + x_det)
+    if denom <= 0.0:
+        return "coin_denominator_nonpositive"
+    z = 1.0 - 2.0 * p_keep * (minus + delta_A) / denom
+    audit["z"] = z
+    g_plus = g_interval(y, z)[1]
+    audit["g_plus"] = g_plus
+    return (z_det + delta_A) * g_plus + delta_A
+
+
 def phase_error_rate_bound(
     decoy: DecoyBounds,
     trash_upper: float,
@@ -138,13 +161,11 @@ def phase_error_rate_bound(
 ) -> PhaseErrorBound:
     """Data-driven upper bound on the single-photon phase-error rate.
 
-    With Delta_A the martingale deviation for n_sifted_det rounds,
-    y = (x_err_upper + Delta_A) / (x_det_lower - Delta_A) and
-    z = 1 - 2 p_keep (trash_upper + Delta_A)
-            / ((1 - p_keep)(z_det_upper + x_det_lower)),
-    the bound is ((z_det_upper + Delta_A) G+(y, z) + Delta_A) / z_det_lower,
-    capped at 1. Out-of-range intermediates yield the trivial bound 1, with
-    the guard that fired recorded in the audit.
+    With Delta_A the martingale deviation for n_sifted_det rounds, the bound
+    is the coin envelope of (z_det_upper, x_det_lower, x_err_upper,
+    trash_upper) over z_det_lower, capped at 1. Out-of-range intermediates
+    yield the trivial bound 1, with the guard that fired recorded in the
+    audit.
     """
     delta_A = azuma_delta(n_sifted_det, eps_A)
     audit: dict = {
@@ -161,21 +182,11 @@ def phase_error_rate_bound(
 
     if decoy.z_det_lower <= 0.0:
         return trivial("z_det_lower_nonpositive")
-    if decoy.x_det_lower <= delta_A:
-        return trivial("x_det_lower_not_above_delta_A")
-    y = (decoy.x_err_upper + delta_A) / (decoy.x_det_lower - delta_A)
-    audit["y"] = y
-    if not (0.0 <= y <= 1.0):
-        return trivial("y_out_of_range")
-    denom = (1.0 - p_keep) * (decoy.z_det_upper + decoy.x_det_lower)
-    if denom <= 0.0:
-        return trivial("coin_denominator_nonpositive")
-    z = 1.0 - 2.0 * p_keep * (trash_upper + delta_A) / denom
-    audit["z"] = z
-    g_plus = g_interval(y, z)[1]
-    audit["g_plus"] = g_plus
-    e_ph = ((decoy.z_det_upper + delta_A) * g_plus + delta_A) / decoy.z_det_lower
-    return PhaseErrorBound(e_ph_upper=min(1.0, e_ph), audit=audit)
+    envelope = _coin_envelope(decoy.z_det_upper, decoy.x_det_lower, decoy.x_err_upper,
+                              trash_upper, delta_A, p_keep, audit)
+    if isinstance(envelope, str):
+        return trivial(envelope)
+    return PhaseErrorBound(e_ph_upper=min(1.0, envelope / decoy.z_det_lower), audit=audit)
 
 
 def coin_inequality_check(
@@ -187,10 +198,10 @@ def coin_inequality_check(
     """Evaluate the count-level coin inequality on true single-photon tallies.
 
     Checks whether the number of key-basis single-photon errors is at most
-    (n_z_det + Delta_A) G+((n_x_err + Delta_A)/(n_x_det - Delta_A),
-    1 - 2 p_keep (n_minus + Delta_A)/((1-p_keep)(n_z_det + n_x_det)))
-    + Delta_A. Requires simulator ground truth; degenerate envelope arguments
-    fall back to the deterministic bound (errors <= detections).
+    the coin envelope of (n_z_det, n_x_det, n_x_err, n_minus), the one that
+    ``phase_error_rate_bound`` certifies with. Requires simulator ground
+    truth; where a guard fires, the check falls back to the deterministic
+    bound (errors <= detections).
     """
     n_z_err = ground_truth.z_err[1].total
     n_z_det = ground_truth.z_det[1].total
@@ -198,21 +209,10 @@ def coin_inequality_check(
     n_x_det = ground_truth.x_det[1].total
     n_minus = ground_truth.trash_minus_single
     delta_A = azuma_delta(n_sifted_det, eps_A)
-
-    trivial = False
-    if n_x_det <= delta_A or n_z_det + n_x_det == 0:
-        trivial = True
-    else:
-        y = (n_x_err + delta_A) / (n_x_det - delta_A)
-        if not (0.0 <= y <= 1.0):
-            trivial = True
+    rhs = _coin_envelope(n_z_det, n_x_det, n_x_err, n_minus, delta_A, p_keep, {})
+    trivial = isinstance(rhs, str)
     if trivial:
         rhs = float(n_z_det)
-    else:
-        z = 1.0 - 2.0 * p_keep * (n_minus + delta_A) / (
-            (1.0 - p_keep) * (n_z_det + n_x_det)
-        )
-        rhs = (n_z_det + delta_A) * g_interval(y, z)[1] + delta_A
     margin = rhs - n_z_err
     return CoinCheckResult(
         holds=margin >= 0.0,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corrbb84
 from corrbb84.cli import main, parse_distances, read_counts_csv
 from corrbb84.model import ConfigError
 
@@ -377,3 +382,27 @@ def test_optimize_honours_explicit_length(tmp_path):
     # the derived length is about 35; at 400 the smaller eps_C share and the
     # wider trash bound cost key
     assert 0 < keys[400] < keys[None]
+
+
+@pytest.mark.parametrize("argv", [["keyrate", "--simulate"], ["validate", "--level", "quick"]],
+                         ids=["keyrate", "validate"])
+def test_closed_stdout_pipe_exits_1_without_traceback(config_path, argv):
+    """A reader that has gone away (``corrbb84 ... | head``) ends the run with
+    exit 1 and nothing but the report's absence."""
+    if argv[0] == "keyrate":
+        argv = [*argv, "--config", config_path]
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrbb84.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

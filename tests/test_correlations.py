@@ -2,6 +2,7 @@ import math
 import time
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,8 +336,29 @@ def _per_lag_coin_bound(l_c, intensity_set, model, clamp=True):
     return 0.5 * (1.0 - product)
 
 
+def _probability_sum(intensity_set):
+    return sum(p for _, p in intensity_set.pairs())
+
+
 def _sums_to_at_most_one(intensity_set):
-    return sum(p for _, p in intensity_set.pairs()) <= 1.0
+    return _probability_sum(intensity_set) <= 1.0
+
+
+def _exact_coin_bound(l_c, intensity_set, model):
+    """The per-lag factors as coin_parameter_bound evaluates them in floats,
+    multiplied exactly at 50 digits: the reference for the flat tail, whose
+    closed form is not bit-identical to the per-lag float product."""
+    flat = min(1.0, _probability_sum(intensity_set))
+    with mp.workdps(50):
+        product = mp.mpf(1)
+        for l in range(1, l_c + 1):
+            one_minus_cos = 1.0 - math.cos(corr.correlation_magnitude(l, model))
+            if one_minus_cos == 0.0:
+                product *= mp.mpf(flat) ** (l_c - l + 1)
+                break
+            product *= min(1.0, sum(p * math.exp(-mu * one_minus_cos)
+                                    for mu, p in intensity_set.pairs()))
+        return (1 - product) / 2
 
 
 COIN_SETS = (
@@ -380,6 +402,11 @@ def _coin_intensity_sets(draw):
 def test_coin_bound_equals_per_lag_product_on_drawn_inputs(intensity_set, delta_1, decay_C, l_c):
     model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
     bound = corr.coin_parameter_bound(l_c, intensity_set, model)
+    if _probability_sum(intensity_set) < 1.0:
+        # the flat tail is one rounded power, within an ulp of 1 per lag of
+        # the per-lag product; the mpmath test below checks it is conservative
+        assert abs(bound - _per_lag_coin_bound(l_c, intensity_set, model)) <= l_c * 2.0**-52
+        return
     assert bound == _per_lag_coin_bound(l_c, intensity_set, model)
     if _sums_to_at_most_one(intensity_set):
         # the clamp changes nothing unless the probabilities sum above 1
@@ -406,6 +433,9 @@ def test_coin_bound_nondecreasing_in_length_and_delta(
     assert corr.coin_parameter_bound(l_c, intensity_set, wider) >= bound
 
 
+UNDER_ONE = IntensitySet(s=0.6, w=0.2, v=0.01, p_s=0.7, p_w=0.15, p_v=0.15 - 5e-13)
+
+
 def test_coin_bound_clamps_a_probability_sum_above_one():
     """Probabilities summing above 1 within PROB_SUM_TOL: every factor is
     clamped at 1, so the bound cannot fall with l_c or turn negative."""
@@ -416,10 +446,33 @@ def test_coin_bound_clamps_a_probability_sum_above_one():
     bounds = [corr.coin_parameter_bound(l_c, over, model) for l_c in (0, 10, 200, 10**6)]
     assert bounds == sorted(bounds) and bounds[0] == 0.0
     assert bounds[2] == bounds[3] == _per_lag_coin_bound(200, over, model)
-    # below 1 the flat factor is not 1, so every flat lag still multiplies
-    under = replace(over, p_v=0.15 - 5e-13)
-    assert corr.coin_parameter_bound(1000, under, model) == _per_lag_coin_bound(1000, under, model)
-    assert corr.coin_parameter_bound(1000, under, model) > bounds[2]
+    # below 1 the flat factor is not 1, so every flat lag still counts
+    assert corr.coin_parameter_bound(1000, UNDER_ONE, model) > bounds[2]
+
+
+@pytest.mark.parametrize("delta_1", [0.0, 0.05], ids=["every_lag_flat", "flat_from_lag_17"])
+@pytest.mark.parametrize("l_c", [10, 10**3, 10**5, 10**6])
+def test_coin_bound_flat_tail_below_one_is_conservative(delta_1, l_c):
+    """Probabilities summing just below 1: the flat tail, taken as one power
+    rounded down, is never below the exact product's coin parameter and at
+    most one ulp of 1 above it. That is within 1e-12 relative at delta_1
+    0.05, and the resolution of 1 - product at delta_1 0 (coin 2.5e-12 at
+    l_c 10)."""
+    assert _probability_sum(UNDER_ONE) < 1.0 and validate_intensity_set(UNDER_ONE) == []
+    model = corr.CorrelationModel(delta_1=delta_1, decay_C=1.0)
+    bound = corr.coin_parameter_bound(l_c, UNDER_ONE, model)
+    exact = _exact_coin_bound(l_c, UNDER_ONE, model)
+    assert exact <= bound <= exact + 2.0**-52
+    if delta_1:
+        assert bound - exact <= 1e-12 * exact
+
+
+def test_coin_bound_below_one_at_huge_length_is_fast():
+    model = corr.CorrelationModel(delta_1=0.05, decay_C=1.0)
+    start = time.perf_counter()
+    bound = corr.coin_parameter_bound(10**9, UNDER_ONE, model)
+    assert time.perf_counter() - start < 0.01
+    assert bound >= _exact_coin_bound(10**9, UNDER_ONE, model)
 
 
 def test_cos_is_exactly_one_below_the_flat_threshold():
