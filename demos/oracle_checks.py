@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from corrbb84 import correlations as corr
+from corrbb84 import oracles
 from corrbb84.model import single_photon_prob
 from corrbb84.phase_error import trash_minus_upper
 from corrbb84.simulator import coin_monte_carlo
@@ -28,10 +29,10 @@ def main():
     for l_c in (1, 2, 3):
         bound = corr.coin_parameter_bound(l_c, iset, model)
         exact_values = [
-            corr.exact_coin_parameter(l_c, corr.random_admissible_deltas(model, l_c, rng), iset)
+            oracles.exact_coin_parameter(l_c, oracles.random_admissible_deltas(model, l_c, rng), iset)
             for _ in range(200)
         ]
-        extreme = corr.exact_coin_parameter(l_c, corr.extreme_deltas(model, l_c), iset)
+        extreme = oracles.exact_coin_parameter(l_c, oracles.extreme_deltas(model, l_c), iset)
         print(f"   l_c={l_c}: bound={bound:.6e}  max over 200 random tables="
               f"{max(exact_values):.6e}  extreme table={extreme:.6e}")
 
@@ -42,14 +43,14 @@ def main():
         bound = corr.trace_distance_bound(N, mu_bar, 1, tr_model)
         worst = 0.0
         for _ in range(100):
-            deltas = corr.random_admissible_deltas(tr_model, N - 1, rng)
+            deltas = oracles.random_admissible_deltas(tr_model, N - 1, rng)
             fidelity = corr.exact_global_fidelity(N, 1, deltas, iset)
             worst = max(worst, math.sqrt(max(0.0, 1.0 - fidelity**2)))
         print(f"   N={N}: bound={bound:.5f}  worst exact over 100 tables={worst:.5f}")
 
     print("\n3) trash-count bound vs sampled tallies (N=1e5, 1000 trials)")
     config = reference_config(10**5)
-    deltas = corr.extreme_deltas(model, 1)
+    deltas = oracles.extreme_deltas(model, 1)
     coin = corr.coin_parameter_bound(1, iset, model)
     p1 = single_photon_prob(iset)
     bound = trash_minus_upper(config.N, p1, config.p_keep, 1, coin, 1e-3)

@@ -7,15 +7,31 @@ parameter, with every analytical bound backed by a brute-force oracle at
 desk scale.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .correlations import CorrelationModel, ExplicitDeltas
+from .correlations import CorrelationModel
 from .counts import CountTriple, ObservedCounts
 from .decoy import DecoyBounds
 from .keyrate import KeyRateResult, evaluate_pipeline
 from .model import EpsilonBudget, IntensitySet, ProtocolConfig, validate_config
-from .optimizer import OptimizationSpec, optimize_params, scan_distance
-from .simulator import ChannelModel, expected_counts, sample_counts
+
+# The counts -> key path above needs only the standard library; the
+# numpy-backed names are imported from their module on first access.
+_LAZY = {
+    **dict.fromkeys(("ChannelModel", "expected_counts", "sample_counts"), "simulator"),
+    **dict.fromkeys(("OptimizationSpec", "optimize_params", "scan_distance"), "optimizer"),
+    "ExplicitDeltas": "oracles",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
 
 __all__ = [
     "__version__",

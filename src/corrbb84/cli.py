@@ -12,6 +12,9 @@ seeds, bound-algorithm id, timestamp); for fixed (config, seed, version) the
 numeric sections are byte-identical across runs -- only the manifest
 timestamp varies.
 
+Subcommands import the simulator, optimizer and oracle suites only when they
+run, so certifying a counts file never loads numpy.
+
 Exit codes: 0 success (including zero-key results, which set a flag in the
 output), 1 oracle-suite failure or a closed output pipe, 2 configuration
 errors.
@@ -29,6 +32,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .correlations import CorrelationModel, validate_correlation
@@ -37,9 +41,10 @@ from .keyrate import DEFAULT_F_EC, evaluate_pipeline
 from .model import (
     ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, require, validate_config,
 )
-from .optimizer import OptimizationSpec, optimize_params, scan_distance
-from .simulator import ChannelModel, expected_counts, sample_counts, validate_channel
-from .validation import run_validation
+
+if TYPE_CHECKING:
+    from .optimizer import OptimizationSpec
+    from .simulator import ChannelModel
 
 BOUND_ALGORITHM = "kl-bisection"
 RNG_ALGORITHM = "numpy-pcg64"
@@ -162,6 +167,7 @@ def parse_f_ec(data: dict) -> float:
 
 
 def parse_channel(data: dict) -> ChannelModel:
+    from .simulator import ChannelModel, validate_channel
     section = _section(data, "channel", "config")
     channel = ChannelModel(
         distance_km=_number(section, "distance_km", "channel"),
@@ -238,7 +244,10 @@ def read_counts_csv(path: str) -> ObservedCounts:
                 raise ConfigError(f"counts file {path}: unknown cell {cell}")
             if cell in cells:
                 raise ConfigError(f"counts file {path}: cell {cell} appears twice")
-            cells[cell] = int(text)
+            try:
+                cells[cell] = int(text)
+            except ValueError as exc:  # beyond Python's integer digit limit
+                raise ConfigError(f"counts file {path}: cell {cell}: {exc}") from exc
     try:
         return ObservedCounts(
             **{
@@ -274,6 +283,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: int | None):
+    from .simulator import expected_counts, sample_counts
     if mode == "expected":
         return expected_counts(config, channel)
     if seed is None:
@@ -360,6 +370,7 @@ def parse_distances(spec: str) -> list[float]:
 
 
 def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpec:
+    from .optimizer import OptimizationSpec
     section = _section(data, "optimizer", "config", {})
     overrides = {
         key: read(section, key, "optimizer")
@@ -376,6 +387,8 @@ def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpe
 
 
 def cmd_scan(args) -> int:
+    from .optimizer import scan_distance
+    from .simulator import validate_channel
     data = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
@@ -400,6 +413,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .optimizer import optimize_params
     data = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
@@ -421,6 +435,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validation import run_validation
     manifest = make_manifest(f"validate:{args.level}", args.seed)
     checks = run_validation(level=args.level, seed=args.seed)
     lines = []

@@ -1,10 +1,7 @@
 """Concentration-inequality layer.
 
-Three primitives back all statistical estimates:
+Two primitives back all statistical estimates:
 
-* ``bernstein_upper_delta`` -- one-sided upward deviation for sums of
-  independent Bernoulli variables with known mean,
-  Delta+(x, eps) = sqrt(2 x ln(1/eps)) + (2/3) ln(1/eps).
 * ``azuma_delta`` -- martingale deviation sqrt(2 n ln(1/eps)) for bounded
   increments over n steps.
 * ``binomial_bound_pair`` -- confidence bounds on the mean of a sum of
@@ -44,20 +41,6 @@ _ROUNDOFF = 2.0**-52
 def _check_epsilon(epsilon: float) -> None:
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
-
-
-def bernstein_upper_delta(mean: float, epsilon: float) -> float:
-    """Upward deviation allowance for a Bernoulli sum with expectation ``mean``.
-
-    Exceeding ``mean + bernstein_upper_delta(mean, epsilon)`` has probability
-    at most ``epsilon``. Monotone increasing in ``mean``, decreasing in
-    ``epsilon``.
-    """
-    _check_epsilon(epsilon)
-    if mean < 0:
-        raise ValueError(f"mean must be nonnegative, got {mean}")
-    log_term = math.log(1.0 / epsilon)
-    return math.sqrt(2.0 * mean * log_term) + (2.0 / 3.0) * log_term
 
 
 def azuma_delta(n: int, epsilon: float) -> float:

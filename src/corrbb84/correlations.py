@@ -12,9 +12,11 @@ Two families of results live here:
 * closed-form bounds used by the key-rate pipeline (``coin_parameter_bound``,
   ``trace_distance_bound``, ``required_truncation_length``), the one rule that
   picks the length the analysis runs at (``effective_length``) and the
-  model's invariants (``validate_correlation``), and
-* exact brute-force oracles at desk scale (``exact_coin_parameter``,
-  ``exact_global_fidelity``) that the bounds are validated against.
+  model's invariants (``validate_correlation``), all in plain ``math``, and
+* the exact desk-scale fidelity oracle ``exact_global_fidelity`` that the
+  trace-distance bound is validated against; it imports numpy when called.
+
+The coin oracle and the explicit delta tables live in :mod:`corrbb84.oracles`.
 
 Bit/basis settings are indexed as a in {0, 1} and basis Z=0, X=1 throughout;
 a flat setting id is ``2*a + basis``.
@@ -24,14 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import ConfigError, IntensitySet, require
 
+if TYPE_CHECKING:
+    from .oracles import ExplicitDeltas
+
 Z, X = 0, 1
 
-MAX_ORACLE_LC = 3
 MAX_ORACLE_ROUNDS = 8
 
 
@@ -50,35 +53,6 @@ class CorrelationModel:
     decay_C: float
     truncation_d: float = 0.0
     l_c_eff: int = 0
-
-
-@dataclass(frozen=True)
-class ExplicitDeltas:
-    """Explicit per-lag phase contributions delta[lag-1, bit, basis] (radians).
-
-    ``table`` has shape (lags, 2, 2) and finite entries; row l-1 holds the
-    four lag-l values. Admissibility against a :class:`CorrelationModel`
-    means the spread of the four values at lag l is at most Delta_l.
-    """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 3 or table.shape[1:] != (2, 2):
-            raise ValueError(f"delta table must have shape (lags, 2, 2), got {table.shape}")
-        if not np.isfinite(table).all():
-            # a NaN spread would pass check_admissible and the oracles return NaN
-            raise ValueError("delta table entries must be finite")
-        object.__setattr__(self, "table", table)
-
-    @property
-    def lags(self) -> int:
-        return self.table.shape[0]
-
-    def flat(self) -> np.ndarray:
-        """Shape (lags, 4) view indexed by setting id 2*a + basis."""
-        return self.table.reshape(self.lags, 4)
 
 
 def correlation_magnitude(l: int, model: CorrelationModel) -> float:
@@ -204,44 +178,6 @@ def coin_parameter_bound(
     return 0.5 * (1.0 - product)
 
 
-def _coin_overlap_sum(l_c: int, deltas: ExplicitDeltas, intensity_set: IntensitySet) -> float:
-    """Sign-compensated overlap sum S of the four (X-bit, Z-bit) branch pairs.
-
-    The coin-minus probability of a single-photon trash round is (1 - S)/2.
-    Only phase *differences* of the two compared round-k settings enter each
-    later-round overlap, so the surrounding setting history cancels and S is
-    the same for every neighbourhood; the maximum over neighbourhoods is
-    therefore S itself, with no enumeration needed.
-    """
-    if deltas.lags < l_c:
-        raise ValueError(f"delta table covers {deltas.lags} lags, need {l_c}")
-    total = 0.0
-    for a_x in (0, 1):
-        for a_z in (0, 1):
-            product = 1.0
-            for l in range(1, l_c + 1):
-                diff = deltas.table[l - 1, a_x, X] - deltas.table[l - 1, a_z, Z]
-                product *= sum(
-                    p * math.exp(-mu * (1.0 - math.cos(diff)))
-                    for mu, p in intensity_set.pairs()
-                )
-            total += product
-    return 0.25 * total
-
-
-def exact_coin_parameter(
-    l_c: int, deltas: ExplicitDeltas, intensity_set: IntensitySet
-) -> float:
-    """Exact coin-minus probability for an explicit delta table, desk scale.
-
-    Brute-force counterpart of :func:`coin_parameter_bound`; restricted to
-    l_c <= 3 (bulk rounds dominate: edge rounds carry fewer overlap factors,
-    each of which lies in (0, 1])."""
-    if l_c < 0 or l_c > MAX_ORACLE_LC:
-        raise ValueError(f"exact oracle supports 0 <= l_c <= {MAX_ORACLE_LC}, got {l_c}")
-    return 0.5 * (1.0 - _coin_overlap_sum(l_c, deltas, intensity_set))
-
-
 def exact_global_fidelity(
     N: int,
     l_c: int,
@@ -271,6 +207,8 @@ def exact_global_fidelity(
     ``reference`` setting. The exact trace distance is sqrt(1 - F^2),
     directly comparable to :func:`trace_distance_bound`.
     """
+    import numpy as np
+
     if N < 1 or N > MAX_ORACLE_ROUNDS:
         raise ValueError(f"exact oracle supports 1 <= N <= {MAX_ORACLE_ROUNDS}, got {N}")
     if l_c < 0:
@@ -312,35 +250,3 @@ def exact_global_fidelity(
         grown = per_round[starts[m]:starts[m + 1]].reshape(-1, 4)
         np.multiply(grown, per_round[starts[m - 1]:starts[m], None], out=grown)
     return float(per_round[starts[-2]:].mean())
-
-
-def check_admissible(deltas: ExplicitDeltas, model: CorrelationModel) -> list[str]:
-    """Per-lag admissibility report: spread at lag l must not exceed Delta_l."""
-    problems = []
-    for l in range(1, deltas.lags + 1):
-        values = deltas.table[l - 1]
-        spread = float(values.max() - values.min())
-        limit = correlation_magnitude(l, model)
-        if spread > limit + 1e-12:
-            problems.append(f"lag {l}: spread {spread} exceeds Delta_l = {limit}")
-    return problems
-
-
-def random_admissible_deltas(
-    model: CorrelationModel, lags: int, rng: np.random.Generator
-) -> ExplicitDeltas:
-    """Uniform draw from [-Delta_l/2, +Delta_l/2] per setting at each lag;
-    every pairwise difference then respects the lag's spread bound."""
-    half = np.array([correlation_magnitude(l, model) / 2.0 for l in range(1, lags + 1)])
-    table = rng.uniform(-1.0, 1.0, size=(lags, 2, 2)) * half[:, None, None]
-    return ExplicitDeltas(table)
-
-
-def extreme_deltas(model: CorrelationModel, lags: int) -> ExplicitDeltas:
-    """Admissible table that saturates every X-vs-Z difference at Delta_l,
-    which attains the closed-form coin bound exactly."""
-    half = np.array([correlation_magnitude(l, model) / 2.0 for l in range(1, lags + 1)])
-    table = np.empty((lags, 2, 2))
-    table[:, :, Z] = -half[:, None]
-    table[:, :, X] = half[:, None]
-    return ExplicitDeltas(table)

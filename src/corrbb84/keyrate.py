@@ -106,10 +106,15 @@ def evaluate_pipeline(
     runs at the length its truncation budget d requires
     (:func:`~corrbb84.correlations.effective_length`). Degenerate statistics
     yield key_length 0 with the reason in the audit, never an exception;
-    invalid configurations raise :class:`~corrbb84.model.ConfigError`.
+    invalid configurations, and counts with more sifted detections than the
+    block has rounds, raise :class:`~corrbb84.model.ConfigError`.
     """
     require(validate_config(config))
     require(observed.validate())
+    if observed.n_sifted_det > config.N:
+        raise ConfigError(
+            f"{observed.n_sifted_det} sifted detections exceed the block size N={config.N}"
+        )
     budget = config.epsilon_budget
     iset = config.intensity_set
 

@@ -1,4 +1,4 @@
-"""Protocol parameter types, Poisson photon-number statistics and validation.
+"""Protocol parameter types, their Poisson emission weights and validation.
 
 Everything downstream (decoy estimation, coin analysis, key-rate pipeline)
 consumes the types defined here. The photon-number distribution is fixed to
@@ -67,18 +67,6 @@ class ProtocolConfig:
     intensity_set: IntensitySet
     p_keep: float
     epsilon_budget: EpsilonBudget
-
-
-def poisson_pmf(m: int, mu: float) -> float:
-    """P[photon number = m] for mean photon number mu: e^{-mu} mu^m / m!."""
-    if mu < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {mu}")
-    if m < 0:
-        raise ValueError(f"photon number must be nonnegative, got {m}")
-    if mu == 0.0:
-        return 1.0 if m == 0 else 0.0
-    # log-space evaluation keeps large m / small mu stable
-    return math.exp(-mu + m * math.log(mu) - math.lgamma(m + 1))
 
 
 def single_photon_prob(intensity_set: IntensitySet) -> float:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import ExplicitDeltas, exact_coin_parameter
 from .counts import CountTriple, GroundTruth, ObservedCounts
 from .model import ProtocolConfig, single_photon_prob
+from .oracles import ExplicitDeltas, exact_coin_parameter
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def coin_monte_carlo(
     is assigned to trash (1 - p_keep) and sifted (1/2); a qualifying round
     yields minus with the exact conditional probability of its setting
     neighbourhood, which the LTI delta table makes identical for every
-    round (see :func:`~corrbb84.correlations.exact_coin_parameter`), so
+    round (see :func:`~corrbb84.oracles.exact_coin_parameter`), so
     the tally is sampled with nested binomials -- distributionally exact.
     """
     if trials < 1:

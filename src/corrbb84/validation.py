@@ -12,11 +12,6 @@ level="quick") and the acceptance test suite. ``validate`` runs:
   that enters it (the last l_c+1 rounds of a history enter no factor),
 * trash-count bound vs sampled coin tallies,
 * count-level coin inequality on sampled honest-channel runs.
-
-Only ``tests/test_acceptance.py`` runs ``check_binomial_coverage``,
-``check_bernstein_validity`` and ``check_decoy_bracketing``: two-sided
-binomial-bound coverage, one-sided deviation validity, and decoy bounds
-bracketing true single-photon tallies on sampled runs.
 """
 
 from __future__ import annotations
@@ -26,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the fidelity oracle is looked up as ``corr.exact_global_fidelity`` at call
+# time, so that replacing the module attribute reaches the suites
 from . import correlations as corr
-from .concentration import bernstein_upper_delta, binomial_bound_pair
-from .decoy import DECOY_TERMS, apply_decoy_bounds
 from .model import EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity, single_photon_prob
+from .oracles import exact_coin_parameter, extreme_deltas, random_admissible_deltas
 from .phase_error import AZUMA_TERMS, coin_inequality_check, g_interval, trash_minus_upper
 from .simulator import ChannelModel, coin_monte_carlo, sample_counts
 
@@ -104,13 +100,13 @@ def check_coin_domination(seed: int = 0, tables: int = 100) -> ValidationCheck:
     for l_c in (1, 2, 3):
         bound = corr.coin_parameter_bound(l_c, iset, model)
         for _ in range(tables):
-            deltas = corr.random_admissible_deltas(model, l_c, rng)
-            exact = corr.exact_coin_parameter(l_c, deltas, iset)
+            deltas = random_admissible_deltas(model, l_c, rng)
+            exact = exact_coin_parameter(l_c, deltas, iset)
             gap = exact - bound
             worst_gap = max(worst_gap, gap)
             if gap > 1e-12:
                 failures += 1
-        extreme = corr.exact_coin_parameter(l_c, corr.extreme_deltas(model, l_c), iset)
+        extreme = exact_coin_parameter(l_c, extreme_deltas(model, l_c), iset)
         rel_gap = (bound - extreme) / bound
         extreme_rel_gaps[l_c] = rel_gap
         if not (-1e-12 <= rel_gap < 0.10):
@@ -139,7 +135,7 @@ def check_trace_distance_domination(seed: int = 0, tables: int = 100) -> Validat
         for l_c in (0, 1):
             bound = corr.trace_distance_bound(N, mu_bar, l_c, model)
             for _ in range(tables):
-                deltas = corr.random_admissible_deltas(model, max(1, N - 1), rng)
+                deltas = random_admissible_deltas(model, max(1, N - 1), rng)
                 fidelity = corr.exact_global_fidelity(N, l_c, deltas, iset)
                 exact = math.sqrt(max(0.0, 1.0 - fidelity * fidelity))
                 gap = exact - bound
@@ -164,7 +160,7 @@ def check_trash_bound_mc(
     l_c = 1
     config = reference_config(N)
     model = corr.CorrelationModel(delta_1=0.3, decay_C=0.5)
-    deltas = corr.extreme_deltas(model, l_c)
+    deltas = extreme_deltas(model, l_c)
     coin = corr.coin_parameter_bound(l_c, config.intensity_set, model)
     p1 = single_photon_prob(config.intensity_set)
     bound = trash_minus_upper(N, p1, config.p_keep, l_c, coin, eps_C)
@@ -198,9 +194,7 @@ def check_coin_inequality_mc(
     config = reference_config(N, eps=eps)
     channel = reference_channel()
     model = corr.CorrelationModel(delta_1=0.1, decay_C=0.5)
-    p_minus = corr.exact_coin_parameter(
-        l_c, corr.extreme_deltas(model, l_c), config.intensity_set
-    )
+    p_minus = exact_coin_parameter(l_c, extreme_deltas(model, l_c), config.intensity_set)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=runs)
     violations = 0
@@ -225,106 +219,6 @@ def check_coin_inequality_mc(
             "frequency": frequency,
             "threshold": threshold,
             "trivial_branch_runs": trivial,
-        },
-    )
-
-
-def check_binomial_coverage(seed: int = 0, trials: int = 10_000) -> ValidationCheck:
-    """Two-sided bound coverage over a (p, n, eps) grid of binomial draws."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = {}
-    for p in (0.001, 0.01, 0.1, 0.5):
-        for n in (1000, 10_000):
-            draws = rng.binomial(n, p, size=trials)
-            values, counts = np.unique(draws, return_counts=True)
-            for eps in (1e-2, 1e-3):
-                low_viol = 0
-                high_viol = 0
-                for k, count in zip(values, counts):
-                    lower, upper = binomial_bound_pair(eps, int(k), n)
-                    if n * p < lower:
-                        low_viol += count
-                    if n * p > upper:
-                        high_viol += count
-                slack = 3.0 * math.sqrt(eps * (1.0 - eps) / trials)
-                for side, viol in (("low", int(low_viol)), ("high", int(high_viol))):
-                    freq = viol / trials
-                    key = f"p={p},n={n},eps={eps},{side}"
-                    worst[key] = freq
-                    if freq > eps + slack:
-                        failures += 1
-    worst_freq = max(worst.values())
-    return ValidationCheck(
-        name="binomial_bound_coverage",
-        passed=failures == 0,
-        stats={"trials": trials, "failures": failures, "worst_frequency": worst_freq},
-    )
-
-
-def check_bernstein_validity(seed: int = 0, trials: int = 10_000) -> ValidationCheck:
-    """One-sided deviation bound on Bernoulli sums with known mean."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst_freq = 0.0
-    for p in (0.001, 0.01, 0.1, 0.5):
-        for n in (1000, 10_000):
-            mean = n * p
-            draws = rng.binomial(n, p, size=trials)
-            for eps in (1e-2, 1e-3):
-                limit = mean + bernstein_upper_delta(mean, eps)
-                freq = float((draws > limit).mean())
-                worst_freq = max(worst_freq, freq)
-                if freq > eps + 3.0 * math.sqrt(eps * (1.0 - eps) / trials):
-                    failures += 1
-    return ValidationCheck(
-        name="bernstein_validity",
-        passed=failures == 0,
-        stats={"trials": trials, "failures": failures, "worst_frequency": worst_freq},
-    )
-
-
-def check_decoy_bracketing(
-    seed: int = 0,
-    N: int = 1_000_000,
-    runs: int = 200,
-    eps_B: float = 1e-3,
-) -> ValidationCheck:
-    """Decoy bounds bracket the true single-photon tallies of sampled runs
-    within the ``DECOY_TERMS`` eps_B union failure budget (3 sigma sampling
-    slack)."""
-    config = ProtocolConfig(
-        N=N,
-        intensity_set=IntensitySet(s=0.5, w=0.1, v=0.0, p_s=0.5, p_w=0.35, p_v=0.15),
-        p_keep=0.8,
-        epsilon_budget=reference_budget(eps_B),
-    )
-    channel = reference_channel()
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=runs)
-    failures = 0
-    for run_seed in seeds:
-        observed, truth = sample_counts(config, channel, int(run_seed))
-        bounds = apply_decoy_bounds(observed, config)
-        z1, x1, xe1 = truth.z_det[1].total, truth.x_det[1].total, truth.x_err[1].total
-        failed = (
-            z1 < bounds.z_det_lower
-            or z1 > bounds.z_det_upper
-            or x1 < bounds.x_det_lower
-            or xe1 > bounds.x_err_upper
-        )
-        failures += 1 if failed else 0
-    budget = DECOY_TERMS * eps_B
-    threshold = budget + 3.0 * math.sqrt(budget * (1.0 - budget) / runs)
-    frequency = failures / runs
-    return ValidationCheck(
-        name="decoy_bracketing",
-        passed=frequency <= threshold,
-        stats={
-            "runs": runs,
-            "failures": failures,
-            "frequency": frequency,
-            "threshold": threshold,
         },
     )
 

@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from corrbb84.correlations import MAX_ORACLE_ROUNDS, Z, ExplicitDeltas
+from corrbb84.correlations import MAX_ORACLE_ROUNDS, Z
 from corrbb84.counts import CountTriple, GroundTruth, ObservedCounts
 from corrbb84.model import IntensitySet, ProtocolConfig
+from corrbb84.oracles import ExplicitDeltas
 from corrbb84.simulator import ChannelModel
 
 

@@ -17,21 +17,24 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from oracle_suites import (
+    bernstein_upper_delta,
+    check_bernstein_validity,
+    check_binomial_coverage,
+    check_decoy_bracketing,
+)
 
 import corrbb84
 from corrbb84 import correlations as corr
-from corrbb84.concentration import azuma_delta, bernstein_upper_delta
+from corrbb84.concentration import azuma_delta
 from corrbb84.correlations import CorrelationModel, required_truncation_length
 from corrbb84.keyrate import evaluate_pipeline, key_length, security_parameter
 from corrbb84.model import IntensitySet, mean_intensity
 from corrbb84.phase_error import g_interval
 from corrbb84.simulator import expected_counts
 from corrbb84.validation import (
-    check_bernstein_validity,
-    check_binomial_coverage,
     check_coin_domination,
     check_coin_inequality_mc,
-    check_decoy_bracketing,
     check_trace_distance_domination,
     check_trash_bound_mc,
     reference_channel,

@@ -269,6 +269,9 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({}, "bogus,,,1", "counts_extra_row"),
     ({}, "sifted_total,,,999999999999", "counts_extra_row"),
     ({}, "sifted_total,Z,,5", "counts_extra_row"),
+    ({}, "9" * 5000, "counts"),
+    ({}, "5000000000", "counts_sifted_total"),
+    ({}, "9" * 400, "counts_sifted_total"),
     ({"protocol": 5}, None, "expected"),
     ({"protocol.intensities": 0.5}, None, "expected"),
     ({"protocol.intensity_probs": 0.7}, None, "expected"),
@@ -286,7 +289,8 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     "distances_nan", "distances_inf", "distance_negative", "distance_range_empty",
     "distance_range_nan_stop", "distances_none", "count_cell_twice", "count_basis_unknown",
     "count_intensity_unknown", "count_category_unknown", "sifted_total_twice",
-    "sifted_total_with_basis", "protocol_not_object", "intensities_not_object",
+    "sifted_total_with_basis", "count_beyond_digit_limit", "sifted_total_beyond_N",
+    "sifted_total_beyond_float", "protocol_not_object", "intensities_not_object",
     "intensity_probs_not_object", "epsilons_not_object", "channel_not_object",
     "channel_not_object_with_counts", "correlations_not_object", "optimizer_not_object",
 ])
@@ -313,8 +317,9 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
         if mode == "counts_extra_row":
             counts.write_text(counts.read_text() + cell + "\n")
         elif cell is not None:
+            row = "sifted_total,,," if mode == "counts_sifted_total" else "det,Z,s,"
             lines = counts.read_text().splitlines()
-            lines = [f"det,Z,s,{cell}" if l.startswith("det,Z,s,") else l for l in lines]
+            lines = [row + cell if l.startswith(row) else l for l in lines]
             counts.write_text("\n".join(lines) + "\n")
         argv += ["--counts", str(counts)]
     else:
@@ -406,3 +411,66 @@ def test_closed_stdout_pipe_exits_1_without_traceback(config_path, argv):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+# Runs in a fresh interpreter where any import of numpy raises ImportError:
+# ``keyrate --counts`` on argv[1:4], then one library certification of the
+# counts in argv[4]; prints the library result.
+NUMPY_BLOCKED_PROBE = """
+import json, sys
+sys.modules["numpy"] = None
+from corrbb84 import (CorrelationModel, CountTriple, EpsilonBudget, IntensitySet,
+                      ObservedCounts, ProtocolConfig, evaluate_pipeline)
+from corrbb84.cli import main
+config, counts, out, observed = sys.argv[1:]
+if main(["keyrate", "--config", config, "--counts", counts, "--out", out]) != 0:
+    sys.exit("keyrate --counts failed")
+*triples, n_sifted_det = json.loads(observed)
+result = evaluate_pipeline(
+    ObservedCounts(*(CountTriple(*t) for t in triples), n_sifted_det),
+    ProtocolConfig(
+        N=10**9,
+        intensity_set=IntensitySet(s=0.5, w=0.1, v=0.0, p_s=0.7, p_w=0.15, p_v=0.15),
+        p_keep=0.8,
+        epsilon_budget=EpsilonBudget(1e-10, 1e-10, 1e-10, 1e-10, 1e-10, d=1e-12),
+    ),
+    CorrelationModel(delta_1=0.05, decay_C=1.0, truncation_d=1e-12),
+)
+print(json.dumps([result.key_length, result.eps_sec, result.e_ph_upper]))
+"""
+
+
+def test_counts_certification_runs_without_numpy(tmp_path):
+    """The counts -> key path, from the command line and from the library,
+    never imports numpy, and certifies what a normal run certifies."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["epsilons"]["d"] = 1e-12
+    config["correlations"] = {"delta_1": 0.05, "decay_C": 1.0}  # l_c_eff derived
+    path = tmp_path / "corr.json"
+    path.write_text(json.dumps(config))
+    counts, normal, blocked = (tmp_path / name for name in ("c.csv", "a.json", "b.json"))
+    assert main(["simulate", "--config", str(path), "--mode", "sampled", "--seed", "3",
+                 "--counts-out", str(counts)]) == 0
+    assert main(["keyrate", "--config", str(path), "--counts", str(counts),
+                 "--out", str(normal)]) == 0
+    observed = read_counts_csv(str(counts))
+    packed = [list(observed.z_det), list(observed.z_err), list(observed.x_det),
+              list(observed.x_err), observed.n_sifted_det]
+
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED_PROBE, str(path), str(counts), str(blocked),
+         json.dumps(packed)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    a, b = (json.loads(p.read_text()) for p in (normal, blocked))
+    for payload in (a, b):
+        del payload["manifest"]["timestamp"]
+    assert a == b
+    assert a["result"]["audit"]["correlation"]["l_c"] > 0
+    result = a["result"]
+    assert json.loads(proc.stdout) == [result["key_length"], result["eps_sec"],
+                                       result["e_ph_upper"]]

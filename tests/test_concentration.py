@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import identity_bound_pair
+from oracle_suites import bernstein_upper_delta
 
 from corrbb84 import concentration
 from corrbb84.concentration import (
     BISECTION_TOL,
     azuma_delta,
     bernoulli_kl,
-    bernstein_upper_delta,
     binomial_bound_pair,
 )
 from corrbb84.keyrate import evaluate_pipeline

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrbb84 import correlations as corr
+from corrbb84 import oracles
 from corrbb84.model import ConfigError, IntensitySet, validate_intensity_set
 from corrbb84.validation import reference_intensities
 
@@ -148,24 +149,24 @@ def test_coin_bound_monotone_and_bounded(intensity_set):
 
 
 def test_exact_coin_ideal_source_is_zero(intensity_set):
-    deltas = corr.ExplicitDeltas(np.full((2, 2, 2), 0.123))
-    assert abs(corr.exact_coin_parameter(2, deltas, intensity_set)) < 1e-15
+    deltas = oracles.ExplicitDeltas(np.full((2, 2, 2), 0.123))
+    assert abs(oracles.exact_coin_parameter(2, deltas, intensity_set)) < 1e-15
 
 
 def test_exact_coin_shift_invariance(intensity_set):
     rng = np.random.default_rng(3)
-    deltas = corr.random_admissible_deltas(MODEL, 2, rng)
+    deltas = oracles.random_admissible_deltas(MODEL, 2, rng)
     shifted = deltas.table.copy()
     shifted[1] += 0.7  # constant shift at one lag leaves differences alone
-    value = corr.exact_coin_parameter(2, deltas, intensity_set)
-    value_shifted = corr.exact_coin_parameter(2, corr.ExplicitDeltas(shifted), intensity_set)
+    value = oracles.exact_coin_parameter(2, deltas, intensity_set)
+    value_shifted = oracles.exact_coin_parameter(2, oracles.ExplicitDeltas(shifted), intensity_set)
     assert math.isclose(value, value_shifted, rel_tol=1e-12)
 
 
 def test_exact_coin_rejects_large_lc(intensity_set):
-    deltas = corr.ExplicitDeltas(np.zeros((4, 2, 2)))
+    deltas = oracles.ExplicitDeltas(np.zeros((4, 2, 2)))
     with pytest.raises(ValueError):
-        corr.exact_coin_parameter(4, deltas, intensity_set)
+        oracles.exact_coin_parameter(4, deltas, intensity_set)
 
 
 @pytest.mark.parametrize("l_c", [1, 2, 3])
@@ -174,15 +175,15 @@ def test_exact_coin_dominated_by_bound(l_c, intensity_set):
     rng = np.random.default_rng(17)
     bound = corr.coin_parameter_bound(l_c, intensity_set, model)
     for _ in range(25):
-        deltas = corr.random_admissible_deltas(model, l_c, rng)
-        assert corr.exact_coin_parameter(l_c, deltas, intensity_set) <= bound + 1e-12
+        deltas = oracles.random_admissible_deltas(model, l_c, rng)
+        assert oracles.exact_coin_parameter(l_c, deltas, intensity_set) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("l_c", [1, 2, 3])
 def test_extreme_table_attains_bound(l_c, intensity_set):
     model = corr.CorrelationModel(delta_1=0.3, decay_C=0.7)
     bound = corr.coin_parameter_bound(l_c, intensity_set, model)
-    exact = corr.exact_coin_parameter(l_c, corr.extreme_deltas(model, l_c), intensity_set)
+    exact = oracles.exact_coin_parameter(l_c, oracles.extreme_deltas(model, l_c), intensity_set)
     assert math.isclose(exact, bound, rel_tol=1e-12)
 
 
@@ -192,11 +193,11 @@ def test_bulk_rounds_dominate_edges(intensity_set):
     model = corr.CorrelationModel(delta_1=0.3, decay_C=0.7)
     rng = np.random.default_rng(23)
     for _ in range(20):
-        deltas = corr.random_admissible_deltas(model, 3, rng)
-        full = corr.exact_coin_parameter(3, deltas, intensity_set)
+        deltas = oracles.random_admissible_deltas(model, 3, rng)
+        full = oracles.exact_coin_parameter(3, deltas, intensity_set)
         for shorter in (0, 1, 2):
-            edge = corr.exact_coin_parameter(
-                shorter, corr.ExplicitDeltas(deltas.table[:shorter]), intensity_set
+            edge = oracles.exact_coin_parameter(
+                shorter, oracles.ExplicitDeltas(deltas.table[:shorter]), intensity_set
             )
             assert edge <= full + 1e-15
 
@@ -204,17 +205,17 @@ def test_bulk_rounds_dominate_edges(intensity_set):
 def test_fidelity_reference_tail_is_one(intensity_set):
     table = np.zeros((5, 2, 2))
     table[0] = [[0.3, -0.2], [0.1, 0.05]]  # lag 1 may differ; it is not truncated
-    deltas = corr.ExplicitDeltas(table)
+    deltas = oracles.ExplicitDeltas(table)
     assert corr.exact_global_fidelity(6, 1, deltas, intensity_set) == 1.0
 
 
 def test_fidelity_single_round_is_one(intensity_set):
-    deltas = corr.ExplicitDeltas(np.zeros((1, 2, 2)))
+    deltas = oracles.ExplicitDeltas(np.zeros((1, 2, 2)))
     assert corr.exact_global_fidelity(1, 0, deltas, intensity_set) == 1.0
 
 
 def test_fidelity_rejects_large_N(intensity_set):
-    deltas = corr.ExplicitDeltas(np.zeros((10, 2, 2)))
+    deltas = oracles.ExplicitDeltas(np.zeros((10, 2, 2)))
     with pytest.raises(ValueError):
         corr.exact_global_fidelity(9, 1, deltas, intensity_set)
 
@@ -226,7 +227,7 @@ def test_explicit_deltas_reject_non_finite_entries(bad):
     for table in (np.full((3, 2, 2), bad), np.zeros((3, 2, 2))):
         table[1, 0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            corr.ExplicitDeltas(table)
+            oracles.ExplicitDeltas(table)
 
 
 def _fidelity_all_histories(N, l_c, deltas, intensity_set, reference):
@@ -256,8 +257,8 @@ def test_fidelity_matches_all_history_enumeration(N, intensity_set):
     lags = max(1, N - 1)
     for l_c in range(N + 1):
         for reference in REFERENCES:
-            wide = corr.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2)))
-            for deltas in (corr.random_admissible_deltas(model, lags, rng), wide):
+            wide = oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2)))
+            for deltas in (oracles.random_admissible_deltas(model, lags, rng), wide):
                 fast = corr.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
                 full = _fidelity_all_histories(N, l_c, deltas, intensity_set, reference)
                 assert math.isclose(fast, full, rel_tol=1e-12), (l_c, reference)
@@ -276,13 +277,13 @@ _TABLE_ENTRIES = st.floats(-math.pi, math.pi, allow_nan=False)
 )
 def test_fidelity_ignores_untruncated_lags(N, l_c, reference, table, redraw):
     intensity_set = reference_intensities()
-    deltas = corr.ExplicitDeltas(np.reshape(table, (4, 2, 2)))
+    deltas = oracles.ExplicitDeltas(np.reshape(table, (4, 2, 2)))
     fidelity = corr.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
     assert 0.0 <= fidelity <= 1.0
     # rows at lags <= l_c are kept by the truncated source too, so they never enter F
     redrawn = np.array(deltas.table)
     redrawn[:l_c] = np.reshape(redraw, (4, 2, 2))[:l_c]
-    redrawn = corr.ExplicitDeltas(redrawn)
+    redrawn = oracles.ExplicitDeltas(redrawn)
     assert corr.exact_global_fidelity(N, l_c, redrawn, intensity_set, reference) == fidelity
 
 
@@ -294,7 +295,7 @@ def test_trace_distance_dominates_exact(N, intensity_set):
     for l_c in (0, 1):
         bound = corr.trace_distance_bound(N, mu_bar, l_c, model)
         for _ in range(20):
-            deltas = corr.random_admissible_deltas(model, max(1, N - 1), rng)
+            deltas = oracles.random_admissible_deltas(model, max(1, N - 1), rng)
             fidelity = corr.exact_global_fidelity(N, l_c, deltas, intensity_set)
             exact = math.sqrt(max(0.0, 1.0 - fidelity**2))
             assert exact <= bound + 1e-12
@@ -303,15 +304,15 @@ def test_trace_distance_dominates_exact(N, intensity_set):
 def test_random_tables_are_admissible():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        deltas = corr.random_admissible_deltas(MODEL, 6, rng)
-        assert corr.check_admissible(deltas, MODEL) == []
-    assert corr.check_admissible(corr.extreme_deltas(MODEL, 6), MODEL) == []
+        deltas = oracles.random_admissible_deltas(MODEL, 6, rng)
+        assert oracles.check_admissible(deltas, MODEL) == []
+    assert oracles.check_admissible(oracles.extreme_deltas(MODEL, 6), MODEL) == []
 
 
 def test_admissibility_flags_violations():
     table = np.zeros((2, 2, 2))
     table[1, 0, 0] = 1.0  # lag-2 spread far beyond Delta_2
-    report = corr.check_admissible(corr.ExplicitDeltas(table), MODEL)
+    report = oracles.check_admissible(oracles.ExplicitDeltas(table), MODEL)
     assert len(report) == 1 and "lag 2" in report[0]
 
 

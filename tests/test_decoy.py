@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import identity_bound_pair
+from oracle_suites import poisson_pmf
 
 from corrbb84.concentration import binomial_bound_pair
 from corrbb84.decoy import (
@@ -14,7 +15,7 @@ from corrbb84.decoy import (
     single_photon_upper,
 )
 from corrbb84.keyrate import ObservedCounts
-from corrbb84.model import IntensitySet, poisson_pmf, single_photon_prob
+from corrbb84.model import IntensitySet, single_photon_prob
 from corrbb84.simulator import expected_counts
 
 # frozen from independent high-precision evaluation

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from corrbb84 import correlations as corr
+from corrbb84 import oracles
 from corrbb84 import validation
 from corrbb84.model import IntensitySet
 from corrbb84.simulator import ChannelModel, sample_counts
@@ -85,10 +86,10 @@ def test_exact_global_fidelity_equals_frozen(N):
                 signed_zero = rng.uniform(-1.0, 1.0, size=(lags, 2, 2))
                 signed_zero[:, 0, :] = -0.0
                 tables = (
-                    corr.random_admissible_deltas(model, lags, rng),
-                    corr.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2))),
-                    corr.extreme_deltas(model, lags),
-                    corr.ExplicitDeltas(signed_zero),
+                    oracles.random_admissible_deltas(model, lags, rng),
+                    oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2))),
+                    oracles.extreme_deltas(model, lags),
+                    oracles.ExplicitDeltas(signed_zero),
                 )
                 for deltas in tables:
                     new = corr.exact_global_fidelity(N, l_c, deltas, iset, reference)

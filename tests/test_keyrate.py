@@ -129,6 +129,14 @@ def test_pipeline_rejects_inconsistent_counts(config_1e6):
         evaluate_pipeline(counts, config_1e6)
 
 
+def test_pipeline_rejects_more_sifted_detections_than_rounds(config_1e6):
+    counts = replace(_zero_counts(), n_sifted_det=config_1e6.N + 1)
+    with pytest.raises(ConfigError, match="exceed the block size"):
+        evaluate_pipeline(counts, config_1e6)
+    # N detections is the most a block can hold
+    evaluate_pipeline(replace(counts, n_sifted_det=config_1e6.N), config_1e6)
+
+
 def test_pipeline_uncorrelated_reduction_is_bit_exact(config_1e9, channel_10km):
     """delta_1 = 0, d = 0, l_c = 0 must equal the bypassed pipeline exactly."""
     observed, _ = expected_counts(config_1e9, channel_10km)

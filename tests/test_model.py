@@ -1,13 +1,13 @@
 import math
 
 import pytest
+from oracle_suites import poisson_pmf
 
 from corrbb84.model import (
     EpsilonBudget,
     IntensitySet,
     ProtocolConfig,
     mean_intensity,
-    poisson_pmf,
     single_photon_prob,
     validate_config,
 )

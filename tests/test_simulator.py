@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrbb84.correlations import (
-    CorrelationModel,
-    ExplicitDeltas,
-    extreme_deltas,
-)
+from corrbb84.correlations import CorrelationModel
 from corrbb84.model import IntensitySet, ProtocolConfig, single_photon_prob
+from corrbb84.oracles import ExplicitDeltas, extreme_deltas
 from corrbb84.simulator import (
     ChannelModel,
     coin_monte_carlo,
