@@ -13,14 +13,16 @@ Two primitives back all statistical estimates:
 
 The computed D(p || x) takes the log of a ratio near 1, so it carries an
 absolute error of a few ulp of (1 + D). Within a *noise window* of width
-about u (1 + D) x (1 - x) / |x - p| around the root (u = 2^-52) the sign of
-D - target is decided by that noise, and the window is comparable to the
+u (1 + D) x (1 - x) / |x - p| + ulp(x) around the root (u = 2^-52) the sign
+of D - target is decided by that noise, and the window is comparable to the
 bisection tolerance, so the returned midpoint depends on the exact sequence
 of comparisons. ``_solve_kl`` therefore first locates the root with a
-bracketed Newton iteration and then *replays* the bisection: every step
-farther than ``REPLAY_MARGIN`` windows from the root is decided from the
-root, only the few steps inside evaluate D. The returned bound is the
-evaluated bisection's bit for bit, at about an eighth of its D evaluations.
+bracketed Newton iteration and then runs one bisection loop that decides
+every midpoint farther than ``REPLAY_MARGIN`` windows from that root without
+evaluating D; only the few midpoints inside evaluate it. When Newton cannot
+be trusted the same loop evaluates every midpoint. Either way the returned
+bound is the fully evaluated bisection's bit for bit, the replay at about an
+eighth of its D evaluations.
 
 All logarithms are natural. Pure functions, safe under concurrency.
 """
@@ -56,6 +58,8 @@ def bernoulli_kl(p: float, q: float) -> float:
 
     Uses the 0*log(0) = 0 convention; infinite when q puts no mass where p does.
     """
+    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
+        return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise ValueError(f"arguments must be probabilities, got p={p}, q={q}")
     kl = 0.0
@@ -70,13 +74,6 @@ def bernoulli_kl(p: float, q: float) -> float:
     return kl
 
 
-def _noise_window(p_hat: float, target: float, x: float) -> float:
-    """Width in x around the root of D(p_hat || x) = target inside which the
-    computed sign of D - target is rounding noise: the error u (1 + target)
-    of D over its slope (x - p_hat) / (x (1 - x)), plus one ulp of x."""
-    return _ROUNDOFF * (1.0 + target) * x * (1.0 - x) / abs(x - p_hat) + math.ulp(x)
-
-
 def _newton_root(p_hat: float, target: float, lower: bool) -> float | None:
     """Root of D(p_hat || x) = target below (``lower``) or above p_hat, to
     within its noise window; None if the iteration does not settle.
@@ -89,6 +86,8 @@ def _newton_root(p_hat: float, target: float, lower: bool) -> float | None:
     step, or the error that the curvature predicts after it, is inside the
     noise window.
     """
+    exp, ulp = math.exp, math.ulp
+    noise = _ROUNDOFF * (1.0 + target)
     q = p_hat if lower else 1.0 - p_hat
     w_out, w_in = 0.0, q  # outer end (D >= target) and inner end of the bracket
     # start from the cubic Taylor expansion of D(q || q - d) = target in d
@@ -101,7 +100,8 @@ def _newton_root(p_hat: float, target: float, lower: bool) -> float | None:
         x = w if lower else 1.0 - w
         if x == p_hat:
             return None
-        if min(error, step) <= _noise_window(p_hat, target, x):
+        # the noise window at x (see the module docstring)
+        if (step if step < error else error) <= noise * x * (1.0 - x) / abs(x - p_hat) + ulp(x):
             return x
         if not lower:
             w = 1.0 - x  # step from the rounded x that is evaluated
@@ -113,9 +113,9 @@ def _newton_root(p_hat: float, target: float, lower: bool) -> float | None:
         else:
             w_in = w
         s = f * (1.0 - w) / (q - w)  # Newton step in log w; capped below exp overflow
-        new = w * math.exp(min(s, 700.0))
+        new = w * exp(700.0 if s > 700.0 else s)
         if w_out < new < w_in:
-            m = max(w, new)  # the curvature grows with w, so bound it at the larger end
+            m = new if new > w else w  # the curvature grows with w, so bound it at the larger end
             error = 0.5 * s * s * m * m * (1.0 - q) * (1.0 - w) / ((1.0 - m) ** 2 * (q - w))
         else:
             new, error = 0.5 * (w_out + w_in), math.inf
@@ -124,55 +124,51 @@ def _newton_root(p_hat: float, target: float, lower: bool) -> float | None:
     return None
 
 
-def _bisect(p_hat: float, target: float, lo: float, hi: float,
-            below: float, above: float) -> float:
-    """Bisection for D(p_hat || x) = target on [lo, hi], one side of p_hat.
-
-    A midpoint below ``below`` or above ``above`` is decided from the root
-    that these bracket; any other evaluates D. With ``below, above = lo, hi``
-    every step evaluates D.
-    """
-    lower = hi <= p_hat
-    # D(p_hat || .) is monotone on either side of p_hat, so plain bisection
-    # converges; 100 halvings take the bracket far below BISECTION_TOL.
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        # a midpoint below the root moves lo, one above it hi; below p_hat
-        # that is D >= target, above p_hat D < target
-        if mid < below:
-            lo = mid
-        elif mid > above:
-            hi = mid
-        elif (bernoulli_kl(p_hat, mid) >= target) == lower:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECTION_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _solve_kl(p_hat: float, target: float, lower: bool) -> float:
     """Root of D(p_hat || x) = target on [0, p_hat] (``lower``) or [p_hat, 1],
-    as returned by the bisection that evaluates D at every step.
+    as returned by the bisection that evaluates D at every midpoint.
 
-    The Newton root r decides every step outside r -+ ``REPLAY_MARGIN``
-    noise windows. D is evaluated once at each end of that band first; if
-    either lands on the wrong side of the target, or Newton did not settle,
-    every step evaluates D, so the result never depends on Newton.
+    The loop decides a midpoint below ``below`` from the root (it moves lo),
+    one above ``above`` likewise (it moves hi), and evaluates D at any other.
+    The band edges are the Newton root r -+ ``REPLAY_MARGIN`` noise windows
+    once D at each edge lies on that edge's side of the target. If Newton
+    does not settle or an edge check fails, the edges are ``lo, hi`` and
+    every midpoint evaluates D, so the result never depends on Newton.
     """
     lo, hi = (0.0, p_hat) if lower else (p_hat, 1.0)
+    below, above = lo, hi
     root = _newton_root(p_hat, target, lower)
     if root is not None:
-        margin = REPLAY_MARGIN * _noise_window(p_hat, target, root)
-        below, above = root - margin, root + margin
-        if (below <= lo or (bernoulli_kl(p_hat, below) >= target) == lower) and (
-            above >= hi or (bernoulli_kl(p_hat, above) >= target) != lower
+        # REPLAY_MARGIN noise windows at the root (see the module docstring)
+        margin = REPLAY_MARGIN * (_ROUNDOFF * (1.0 + target) * root * (1.0 - root)
+                                  / abs(root - p_hat) + math.ulp(root))
+        edge_lo, edge_hi = root - margin, root + margin
+        if (edge_lo <= lo or (bernoulli_kl(p_hat, edge_lo) >= target) == lower) and (
+            edge_hi >= hi or (bernoulli_kl(p_hat, edge_hi) >= target) != lower
         ):
-            return _bisect(p_hat, target, lo, hi, below, above)
-    return _bisect(p_hat, target, lo, hi, lo, hi)
+            below, above = edge_lo, edge_hi
+    tol = BISECTION_TOL
+    # D(p_hat || .) is monotone on either side of p_hat, so plain bisection
+    # converges. A bracket wider than BISECTION_TOL has its midpoint strictly
+    # inside, so only the first midpoint, of a bracket an ulp or less wide
+    # (p_hat next to 1), can land on an end and stop the search.
+    mid = 0.5 * (lo + hi)
+    if lo < mid < hi:
+        while True:
+            # a midpoint below the root moves lo, one above it hi; below
+            # p_hat that is D >= target, above p_hat D < target
+            if mid < below:
+                lo = mid
+            elif mid > above:
+                hi = mid
+            elif (bernoulli_kl(p_hat, mid) >= target) == lower:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=1 << 17)

@@ -165,16 +165,17 @@ def coin_parameter_bound(
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
     (s, p_s), (w, p_w), (v, p_v) = intensity_set.pairs()
     flat = min(1.0, p_s + p_w + p_v)
+    delta_1, minus_c, exp, cos = model.delta_1, -model.decay_C, math.exp, math.cos
     product = 1.0
     for l in range(1, l_c + 1):
-        one_minus_cos = 1.0 - math.cos(model.delta_1 * math.exp(-model.decay_C * (l - 1)))
+        one_minus_cos = 1.0 - cos(delta_1 * exp(minus_c * (l - 1)))
         if one_minus_cos == 0.0:
             if flat != 1.0:
                 product = math.nextafter(product * flat ** (l_c - l + 1), 0.0)
             break
-        factor = (p_s * math.exp(-s * one_minus_cos) + p_w * math.exp(-w * one_minus_cos)
-                  + p_v * math.exp(-v * one_minus_cos))
-        product *= min(1.0, factor)
+        factor = (p_s * exp(-s * one_minus_cos) + p_w * exp(-w * one_minus_cos)
+                  + p_v * exp(-v * one_minus_cos))
+        product *= factor if factor < 1.0 else 1.0
     return 0.5 * (1.0 - product)
 
 

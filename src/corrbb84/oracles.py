@@ -1,9 +1,9 @@
 """Exact brute-force coin oracles at desk scale, with their delta tables.
 
 An :class:`ExplicitDeltas` table fixes every per-lag phase contribution of a
-source; ``check_admissible`` tests it against a
-:class:`~corrbb84.correlations.CorrelationModel`, which the random and
-extreme tables satisfy. ``exact_coin_parameter`` is the exact counterpart of
+source. The random and extreme tables are admissible for a
+:class:`~corrbb84.correlations.CorrelationModel`: their spread at every lag
+stays within Delta_l. ``exact_coin_parameter`` is the exact counterpart of
 ``coin_parameter_bound``; no certification reads it.
 """
 
@@ -36,7 +36,7 @@ class ExplicitDeltas:
         if table.ndim != 3 or table.shape[1:] != (2, 2):
             raise ValueError(f"delta table must have shape (lags, 2, 2), got {table.shape}")
         if not np.isfinite(table).all():
-            # a NaN spread would pass check_admissible and the oracles return NaN
+            # a NaN spread would pass an admissibility check and the oracles return NaN
             raise ValueError("delta table entries must be finite")
         object.__setattr__(self, "table", table)
 
@@ -85,18 +85,6 @@ def exact_coin_parameter(
     if l_c < 0 or l_c > MAX_ORACLE_LC:
         raise ValueError(f"exact oracle supports 0 <= l_c <= {MAX_ORACLE_LC}, got {l_c}")
     return 0.5 * (1.0 - _coin_overlap_sum(l_c, deltas, intensity_set))
-
-
-def check_admissible(deltas: ExplicitDeltas, model: CorrelationModel) -> list[str]:
-    """Per-lag admissibility report: spread at lag l must not exceed Delta_l."""
-    problems = []
-    for l in range(1, deltas.lags + 1):
-        values = deltas.table[l - 1]
-        spread = float(values.max() - values.min())
-        limit = correlation_magnitude(l, model)
-        if spread > limit + 1e-12:
-            problems.append(f"lag {l}: spread {spread} exceeds Delta_l = {limit}")
-    return problems
 
 
 def random_admissible_deltas(

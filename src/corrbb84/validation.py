@@ -37,20 +37,18 @@ class ValidationCheck:
     stats: dict = field(default_factory=dict)
 
 
-def reference_intensities(p_s: float = 0.7, p_w: float = 0.15) -> IntensitySet:
-    return IntensitySet(s=0.5, w=0.1, v=0.0, p_s=p_s, p_w=p_w, p_v=1.0 - p_s - p_w)
+def reference_intensities() -> IntensitySet:
+    return IntensitySet(s=0.5, w=0.1, v=0.0, p_s=0.7, p_w=0.15, p_v=1.0 - 0.7 - 0.15)
 
 
-def reference_budget(eps: float = 1e-10, d: float = 0.0) -> EpsilonBudget:
-    return EpsilonBudget(eps_A=eps, eps_B=eps, eps_C=eps, eps_PA=eps, eps_EV=eps, d=d)
+def reference_budget(eps: float = 1e-10) -> EpsilonBudget:
+    return EpsilonBudget(eps_A=eps, eps_B=eps, eps_C=eps, eps_PA=eps, eps_EV=eps)
 
 
-def reference_config(
-    N: int, p_keep: float = 0.8, eps: float = 1e-10, **kwargs
-) -> ProtocolConfig:
+def reference_config(N: int, p_keep: float = 0.8, eps: float = 1e-10) -> ProtocolConfig:
     return ProtocolConfig(
         N=N,
-        intensity_set=reference_intensities(**kwargs),
+        intensity_set=reference_intensities(),
         p_keep=p_keep,
         epsilon_budget=reference_budget(eps),
     )

@@ -1,8 +1,9 @@
-"""The sampled simulator and the exact fidelity oracle as first written,
-frozen verbatim. They drew every binomial and multinomial, including the ones
-numpy answers without randomness, and built every table with fresh
-temporaries. ``test_equivalence.py`` pins the rewritten package functions to
-them bit for bit; do not edit them.
+"""The sampled simulator, the exact fidelity oracle and the Bernoulli
+relative entropy as first written, frozen verbatim. The first two drew every
+binomial and multinomial, including the ones numpy answers without
+randomness, and built every table with fresh temporaries; ``bernoulli_kl``
+ran every range check before its interior case. ``test_equivalence.py`` pins
+the rewritten package functions to them bit for bit; do not edit them.
 """
 
 from __future__ import annotations
@@ -153,3 +154,21 @@ def exact_global_fidelity(
         total = total[..., None] * per_round
     return float(total.mean())
 
+
+def bernoulli_kl(p: float, q: float) -> float:
+    """Relative entropy D(p || q) between Bernoulli(p) and Bernoulli(q), nats.
+
+    Uses the 0*log(0) = 0 convention; infinite when q puts no mass where p does.
+    """
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+        raise ValueError(f"arguments must be probabilities, got p={p}, q={q}")
+    kl = 0.0
+    if p > 0.0:
+        if q == 0.0:
+            return math.inf
+        kl += p * math.log(p / q)
+    if p < 1.0:
+        if q == 1.0:
+            return math.inf
+        kl += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+    return kl

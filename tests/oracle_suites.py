@@ -1,8 +1,9 @@
 """Reference functions and oracle suites that only the tests run.
 
 ``poisson_pmf`` is the photon-number distribution the decoy cross-checks
-weigh with, and ``bernstein_upper_delta`` the one-sided Bernoulli-sum
-deviation that ``check_bernstein_validity`` samples. The three suites check
+weigh with, ``bernstein_upper_delta`` the one-sided Bernoulli-sum deviation
+that ``check_bernstein_validity`` samples, and ``check_admissible`` tests an
+explicit delta table against a correlation model. The three suites check
 two-sided binomial-bound coverage, one-sided deviation validity, and decoy
 bounds bracketing true single-photon tallies on sampled runs; each is a pure
 function of its seed and reports a :class:`~corrbb84.validation.ValidationCheck`
@@ -14,8 +15,10 @@ import math
 import numpy as np
 
 from corrbb84.concentration import _check_epsilon, binomial_bound_pair
+from corrbb84.correlations import CorrelationModel, correlation_magnitude
 from corrbb84.decoy import DECOY_TERMS, apply_decoy_bounds
 from corrbb84.model import IntensitySet, ProtocolConfig
+from corrbb84.oracles import ExplicitDeltas
 from corrbb84.simulator import sample_counts
 from corrbb84.validation import ValidationCheck, reference_budget, reference_channel
 
@@ -44,6 +47,18 @@ def bernstein_upper_delta(mean: float, epsilon: float) -> float:
         raise ValueError(f"mean must be nonnegative, got {mean}")
     log_term = math.log(1.0 / epsilon)
     return math.sqrt(2.0 * mean * log_term) + (2.0 / 3.0) * log_term
+
+
+def check_admissible(deltas: ExplicitDeltas, model: CorrelationModel) -> list[str]:
+    """Per-lag admissibility report: spread at lag l must not exceed Delta_l."""
+    problems = []
+    for l in range(1, deltas.lags + 1):
+        values = deltas.table[l - 1]
+        spread = float(values.max() - values.min())
+        limit = correlation_magnitude(l, model)
+        if spread > limit + 1e-12:
+            problems.append(f"lag {l}: spread {spread} exceeds Delta_l = {limit}")
+    return problems
 
 
 def check_binomial_coverage(seed: int = 0, trials: int = 10_000) -> ValidationCheck:

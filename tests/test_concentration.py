@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from corrbb84.concentration import (
     bernoulli_kl,
     binomial_bound_pair,
 )
+from corrbb84.correlations import CorrelationModel
 from corrbb84.keyrate import evaluate_pipeline
-from corrbb84.simulator import expected_counts, sample_counts
-from corrbb84.validation import reference_channel
+from corrbb84.simulator import ChannelModel, expected_counts, sample_counts
+from corrbb84.validation import reference_channel, reference_config
 
 # frozen from independent high-precision evaluation
 BERNSTEIN_0_001 = 3.0701134573253942
@@ -235,6 +237,65 @@ def test_replay_never_depends_on_newton(monkeypatch, misplace):
         assert _solved_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
             epsilon, observed, total
         )
+
+
+@pytest.fixture(scope="module")
+def production_sides():
+    """The (p_hat, target, lower) of every KL side that 100 cold
+    certifications of ``sample_counts`` records solve: ``reference_config(10**9)``
+    at 0-60 km, one record in four uncorrelated, the rest with a correlation
+    model and its truncation budget d = 1e-12."""
+    sides = []
+    solve = concentration._solve_kl
+
+    def recorded(p_hat, target, lower):
+        sides.append((p_hat, target, lower))
+        return solve(p_hat, target, lower)
+
+    uncorrelated = reference_config(10**9)
+    correlated = replace(
+        uncorrelated, epsilon_budget=replace(uncorrelated.epsilon_budget, d=1e-12)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concentration, "_solve_kl", recorded)
+        for i in range(100):
+            model = None if i % 4 == 0 else CorrelationModel(0.01 + 0.002 * i, 0.5, 1e-12)
+            config = uncorrelated if model is None else correlated
+            observed, _ = sample_counts(config, ChannelModel(distance_km=0.6 * i), seed=i)
+            binomial_bound_pair.cache_clear()
+            evaluate_pipeline(observed, config, model)
+    binomial_bound_pair.cache_clear()
+    return sides
+
+
+def test_replayed_bisection_equals_evaluated_on_production_sides(production_sides):
+    for p_hat, target, lower in production_sides:
+        lo, hi = (0.0, p_hat) if lower else (p_hat, 1.0)
+        assert concentration._solve_kl(p_hat, target, lower) == _evaluated_solve_kl(
+            p_hat, target, lo, hi
+        ), (p_hat, target, lower)
+
+
+# the sides and their bernoulli_kl calls when this guard was added: 4.55 per side
+PRODUCTION_SIDES, PRODUCTION_KL_CALLS = 992, 4518
+
+
+def test_production_sides_evaluate_d_no_more_often(production_sides, monkeypatch):
+    """A machine-independent guard against a slower solver: the mean number
+    of D evaluations per side must not rise."""
+    calls = 0
+    kl = concentration.bernoulli_kl
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return kl(p, q)
+
+    monkeypatch.setattr(concentration, "bernoulli_kl", counted)
+    for side in production_sides:
+        concentration._solve_kl(*side)
+    assert len(production_sides) == PRODUCTION_SIDES
+    assert calls / len(production_sides) <= PRODUCTION_KL_CALLS / PRODUCTION_SIDES
 
 
 @settings(max_examples=200, deadline=None)

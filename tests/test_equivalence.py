@@ -1,5 +1,6 @@
-"""The rewritten sampler and fidelity oracle against their frozen first
-versions (``frozen_reference.py``): equal bit for bit, draw for draw."""
+"""The rewritten sampler, fidelity oracle and Bernoulli relative entropy
+against their frozen first versions (``frozen_reference.py``): equal bit for
+bit, draw for draw."""
 
 import math
 from dataclasses import replace
@@ -7,10 +8,13 @@ from dataclasses import replace
 import frozen_reference as frozen
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrbb84 import correlations as corr
 from corrbb84 import oracles
 from corrbb84 import validation
+from corrbb84.concentration import bernoulli_kl
 from corrbb84.model import IntensitySet
 from corrbb84.simulator import ChannelModel, sample_counts
 from corrbb84.validation import reference_config, reference_intensities, run_validation
@@ -103,3 +107,38 @@ def test_full_validation_report_equals_frozen(seed, monkeypatch):
     monkeypatch.setattr(validation, "sample_counts", frozen.sample_counts)
     monkeypatch.setattr(corr, "exact_global_fidelity", frozen.exact_global_fidelity)
     assert repr(run_validation("full", seed)) == repr(report)
+
+
+# the ends of [0, 1], the smallest subnormal, a tiny normal, an interior
+# point and the double just below 1
+KL_GRID = (0.0, 5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0)
+KL_OUT_OF_RANGE = (-5e-324, -0.5, math.nextafter(1.0, 2.0), 2.0, math.inf, -math.inf, math.nan)
+
+
+def _assert_kl_equals_frozen(p, q):
+    """The same value (inf included) or the same ValueError as the frozen D."""
+    try:
+        expected = frozen.bernoulli_kl(p, q)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            bernoulli_kl(p, q)
+        assert str(raised.value) == str(error)
+        return
+    assert bernoulli_kl(p, q) == expected, (p, q)
+
+
+def test_bernoulli_kl_equals_frozen_on_grid():
+    values = KL_GRID + KL_OUT_OF_RANGE
+    for p in values:
+        for q in values:
+            _assert_kl_equals_frozen(p, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from(KL_GRID), st.floats(0.0, 1.0), st.floats()),
+    q=st.one_of(st.sampled_from(KL_GRID), st.floats(0.0, 1.0), st.floats()),
+)
+def test_bernoulli_kl_equals_frozen_on_drawn_inputs(p, q):
+    _assert_kl_equals_frozen(p, q)
+    _assert_kl_equals_frozen(p, p)
