@@ -75,7 +75,8 @@ def required_truncation_length(N: int, mean_mu: float, model: CorrelationModel) 
 
     Ceiling of (1/C) ln(sqrt(N mu_bar) Delta_1 / (d (1 - e^-C))), floored at 1.
     Meaningless when d = 0 or Delta_1 = 0 (no truncation needed); callers then
-    supply an explicit length instead.
+    supply an explicit length instead. Raises
+    :class:`~corrbb84.model.ConfigError` when the length overflows a float.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -86,12 +87,13 @@ def required_truncation_length(N: int, mean_mu: float, model: CorrelationModel) 
             "required_truncation_length needs d > 0 and delta_1 > 0; "
             "use an explicit correlation length otherwise"
         )
-    arg = (
-        math.sqrt(N * mean_mu)
-        * model.delta_1
-        / (model.truncation_d * (1.0 - math.exp(-model.decay_C)))
-    )
-    return max(1, math.ceil(math.log(arg) / model.decay_C))
+    denom = model.truncation_d * (1.0 - math.exp(-model.decay_C))
+    length = (math.log(math.sqrt(N * mean_mu) * model.delta_1 / denom) / model.decay_C
+              if denom > 0.0 else math.inf)
+    if length == math.inf:  # 1 - e^-C, or d times it, rounds to 0
+        raise ConfigError(f"decay_C={model.decay_C} with d={model.truncation_d} "
+                          "needs a truncation length beyond any float")
+    return max(1, math.ceil(length))
 
 
 def validate_correlation(model: CorrelationModel) -> list[str]:
@@ -151,7 +153,8 @@ def coin_parameter_bound(
     (1/2) [1 - prod_{l=1}^{l_c} min(1, sum_mu p_mu exp(-mu (1 - cos Delta_l)))].
 
     The clamp changes nothing unless the probabilities sum above 1 (allowed
-    within ``PROB_SUM_TOL``). Delta_l decreases, so from the first lag where
+    within ``PROB_SUM_TOL``). A vacuum intensity v = 0 adds p_v itself, the
+    exact value of its term. Delta_l decreases, so from the first lag where
     1 - cos Delta_l rounds to 0.0 (Delta_l below about 1e-8) every factor is
     the clamped probability sum ``flat``. If that is exactly 1 the loop stops
     there; otherwise the remaining factors are taken as one power of
@@ -166,15 +169,16 @@ def coin_parameter_bound(
     (s, p_s), (w, p_w), (v, p_v) = intensity_set.pairs()
     flat = min(1.0, p_s + p_w + p_v)
     delta_1, minus_c, exp, cos = model.delta_1, -model.decay_C, math.exp, math.cos
+    minus_s, minus_w, minus_v, vacuum = -s, -w, -v, v == 0.0
     product = 1.0
-    for l in range(1, l_c + 1):
-        one_minus_cos = 1.0 - cos(delta_1 * exp(minus_c * (l - 1)))
+    for lag in range(l_c):  # lag = l - 1 for l = 1 .. l_c
+        one_minus_cos = 1.0 - cos(delta_1 * exp(minus_c * lag))
         if one_minus_cos == 0.0:
             if flat != 1.0:
-                product = math.nextafter(product * flat ** (l_c - l + 1), 0.0)
+                product = math.nextafter(product * flat ** (l_c - lag), 0.0)
             break
-        factor = (p_s * exp(-s * one_minus_cos) + p_w * exp(-w * one_minus_cos)
-                  + p_v * exp(-v * one_minus_cos))
+        factor = (p_s * exp(minus_s * one_minus_cos) + p_w * exp(minus_w * one_minus_cos)
+                  + (p_v if vacuum else p_v * exp(minus_v * one_minus_cos)))
         product *= factor if factor < 1.0 else 1.0
     return 0.5 * (1.0 - product)
 

@@ -1,12 +1,13 @@
-"""Three-intensity decoy-state estimation.
+"""Three-intensity decoy-state estimation (Lim et al., PRA 89, 022307 (2014)).
 
 Converts per-intensity counts of one event class (detections or errors, per
 basis; a :class:`~corrbb84.counts.CountTriple`) into bounds on the
 single-photon contribution: ``single_photon_lower`` and
 ``single_photon_upper`` return one bound with its intermediates, and
 ``apply_decoy_bounds`` evaluates the four that the announced
-:class:`~corrbb84.counts.ObservedCounts` of a run need. The estimate rests on
-the counterfactual in which the per-photon-number counts are fixed first and
+:class:`~corrbb84.counts.ObservedCounts` of a run need, with p1 and the
+e^mu / p_mu weights derived once for all four. The estimate rests on the
+counterfactual in which the per-photon-number counts are fixed first and
 each event is assigned an intensity with the Bayes posterior
 p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
 then Bernoulli sums amenable to :func:`~corrbb84.concentration.binomial_bound_pair`.
@@ -62,6 +63,41 @@ def lower_denominator(iset: IntensitySet) -> float:
     return iset.s * (iset.w - iset.v) - iset.w**2 + iset.v**2
 
 
+def _weights(iset: IntensitySet) -> tuple[float, float, float, float]:
+    """p1 and the weights e^w / p_w, e^v / p_v and (w^2 - v^2) / s^2 e^s / p_s,
+    each grouped as the bound expressions have always grouped it."""
+    return (single_photon_prob(iset), math.exp(iset.w) / iset.p_w, math.exp(iset.v) / iset.p_v,
+            (iset.w**2 - iset.v**2) / iset.s**2 * math.exp(iset.s) / iset.p_s)
+
+
+def _lower(counts, iset, eps_B, bound_pair, weights) -> dict:
+    denom = lower_denominator(iset)
+    if denom <= 0.0:
+        raise DecoySolvabilityError(
+            f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"
+        )
+    p1, w_weight, v_weight, s_weight = weights
+    total = counts.total
+    m_w_lo = bound_pair(eps_B, counts.m_w, total, True, False)[0]
+    m_v_hi = bound_pair(eps_B, counts.m_v, total, False, True)[1]
+    m_s_hi = bound_pair(eps_B, counts.m_s, total, False, True)[1]
+    raw = (p1 * iset.s / denom) * (w_weight * m_w_lo - v_weight * m_v_hi - s_weight * m_s_hi)
+    return {"raw": raw, "value": min(max(0.0, raw), float(total)),
+            "m_w_lower": m_w_lo, "m_v_upper": m_v_hi, "m_s_upper": m_s_hi}
+
+
+def _upper(counts, iset, eps_B, bound_pair, weights) -> dict:
+    if iset.w <= iset.v:
+        raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
+    p1, w_weight, v_weight, _ = weights
+    total = counts.total
+    m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]
+    m_v_lo = bound_pair(eps_B, counts.m_v, total, True, False)[0]
+    raw = (p1 / (iset.w - iset.v)) * (w_weight * m_w_hi - v_weight * m_v_lo)
+    return {"raw": raw, "value": min(max(0.0, raw), float(total)),
+            "m_w_upper": m_w_hi, "m_v_lower": m_v_lo}
+
+
 def single_photon_lower(
     counts: CountTriple,
     iset: IntensitySet,
@@ -74,28 +110,7 @@ def single_photon_lower(
     bound substitutions) and is clamped to [0, total]; a negative analytic
     value carries no information. The other entries are its intermediates.
     """
-    denom = lower_denominator(iset)
-    if denom <= 0.0:
-        raise DecoySolvabilityError(
-            f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"
-        )
-    total = counts.total
-    m_w_lo = bound_pair(eps_B, counts.m_w, total, True, False)[0]
-    m_v_hi = bound_pair(eps_B, counts.m_v, total, False, True)[1]
-    m_s_hi = bound_pair(eps_B, counts.m_s, total, False, True)[1]
-    p1 = single_photon_prob(iset)
-    raw = (p1 * iset.s / denom) * (
-        math.exp(iset.w) / iset.p_w * m_w_lo
-        - math.exp(iset.v) / iset.p_v * m_v_hi
-        - (iset.w**2 - iset.v**2) / iset.s**2 * math.exp(iset.s) / iset.p_s * m_s_hi
-    )
-    return {
-        "raw": raw,
-        "value": min(max(0.0, raw), float(total)),
-        "m_w_lower": m_w_lo,
-        "m_v_upper": m_v_hi,
-        "m_s_upper": m_s_hi,
-    }
+    return _lower(counts, iset, eps_B, bound_pair, _weights(iset))
 
 
 def single_photon_upper(
@@ -109,21 +124,7 @@ def single_photon_upper(
     ``["value"]`` holds except with probability 2 * eps_B and is clamped to
     [0, total]. The other entries are its intermediates.
     """
-    if iset.w <= iset.v:
-        raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
-    total = counts.total
-    m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]
-    m_v_lo = bound_pair(eps_B, counts.m_v, total, True, False)[0]
-    p1 = single_photon_prob(iset)
-    raw = (p1 / (iset.w - iset.v)) * (
-        math.exp(iset.w) / iset.p_w * m_w_hi - math.exp(iset.v) / iset.p_v * m_v_lo
-    )
-    return {
-        "raw": raw,
-        "value": min(max(0.0, raw), float(total)),
-        "m_w_upper": m_w_hi,
-        "m_v_lower": m_v_lo,
-    }
+    return _upper(counts, iset, eps_B, bound_pair, _weights(iset))
 
 
 def apply_decoy_bounds(
@@ -139,20 +140,14 @@ def apply_decoy_bounds(
     """
     iset = config.intensity_set
     eps_B = config.epsilon_budget.eps_B
-    z_lo = single_photon_lower(observed.z_det, iset, eps_B, bound_pair)
-    z_hi = single_photon_upper(observed.z_det, iset, eps_B, bound_pair)
-    x_lo = single_photon_lower(observed.x_det, iset, eps_B, bound_pair)
-    e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair)
+    weights = _weights(iset)
+    z_lo = _lower(observed.z_det, iset, eps_B, bound_pair, weights)
+    z_hi = _upper(observed.z_det, iset, eps_B, bound_pair, weights)
+    x_lo = _lower(observed.x_det, iset, eps_B, bound_pair, weights)
+    e_hi = _upper(observed.x_err, iset, eps_B, bound_pair, weights)
     return DecoyBounds(
-        z_det_lower=z_lo["value"],
-        z_det_upper=z_hi["value"],
-        x_det_lower=x_lo["value"],
-        x_err_upper=e_hi["value"],
-        audit={
-            "eps_B": eps_B,
-            "z_det_lower": z_lo,
-            "z_det_upper": z_hi,
-            "x_det_lower": x_lo,
-            "x_err_upper": e_hi,
-        },
+        z_det_lower=z_lo["value"], z_det_upper=z_hi["value"],
+        x_det_lower=x_lo["value"], x_err_upper=e_hi["value"],
+        audit={"eps_B": eps_B, "z_det_lower": z_lo, "z_det_upper": z_hi,
+               "x_det_lower": x_lo, "x_err_upper": e_hi},
     )

@@ -126,7 +126,8 @@ def evaluate_pipeline(
         )
     l_c = corr.effective_length(config.N, mean_intensity(iset), correlation_model)
     # before the coin bound, whose cost grows with l_c
-    eps_PE = total_pe_failure(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
+    shares = pe_shares(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
+    eps_PE = total_pe_failure(shares)
     coin_param = 0.0
     if correlation_model is not None:
         coin_param = corr.coin_parameter_bound(l_c, iset, correlation_model)
@@ -168,7 +169,7 @@ def evaluate_pipeline(
         "lambda_EC": lambda_EC,
         "n_K1_lower": n_K1_lower,
         # every epsilon consumed, exactly once; shares sum to eps_PE
-        "epsilon_shares": pe_shares(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d),
+        "epsilon_shares": shares,
         "eps_PE": eps_PE,
         "meaningful": eps_sec < 1.0,
     }

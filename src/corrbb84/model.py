@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 PROB_SUM_TOL = 1e-12
+MAX_INTENSITY = 709.782712893384  # ln(DBL_MAX): e^mu overflows a double above it
 
 
 class ConfigError(ValueError):
@@ -71,12 +72,14 @@ class ProtocolConfig:
 
 def single_photon_prob(intensity_set: IntensitySet) -> float:
     """Overall single-photon emission probability sum_mu p_mu * mu * e^{-mu}."""
-    return sum(p * mu * math.exp(-mu) for mu, p in intensity_set.pairs())
+    i, exp = intensity_set, math.exp
+    return sum((i.p_s * i.s * exp(-i.s), i.p_w * i.w * exp(-i.w), i.p_v * i.v * exp(-i.v)))
 
 
 def mean_intensity(intensity_set: IntensitySet) -> float:
     """Probability-weighted mean photon number sum_mu p_mu * mu."""
-    return sum(p * mu for mu, p in intensity_set.pairs())
+    i = intensity_set
+    return sum((i.p_s * i.s, i.p_w * i.w, i.p_v * i.v))
 
 
 def validate_intensity_set(iset: IntensitySet) -> list[str]:
@@ -87,6 +90,8 @@ def validate_intensity_set(iset: IntensitySet) -> list[str]:
             f"intensity ordering violated: need s > w > v >= 0, "
             f"got s={iset.s}, w={iset.w}, v={iset.v}"
         )
+    elif not iset.s <= MAX_INTENSITY:  # then every intensity is finite and fits
+        problems.append(f"intensity s must be finite and <= ln(DBL_MAX), got {iset.s}")
     for name, p in (("p_s", iset.p_s), ("p_w", iset.p_w), ("p_v", iset.p_v)):
         if not (0.0 < p < 1.0):
             problems.append(f"{name} must lie strictly in (0, 1), got {p}")

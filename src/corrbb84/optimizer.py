@@ -134,17 +134,17 @@ class _Objective:
     spec: OptimizationSpec
     channel: ChannelModel
     evaluations: int = 0
-    cache: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict)  # scores of candidates that built a config
 
     def remaining(self) -> int:
         return self.spec.budget - self.evaluations
 
     def __call__(self, candidate: Candidate) -> float:
+        if candidate in self.cache:
+            return self.cache[candidate]
         config = _build_config(candidate, self.spec)
         if config is None:
             return -math.inf
-        if candidate in self.cache:
-            return self.cache[candidate]
         if self.remaining() <= 0:
             # exhausted: score as no-improvement instead of spending
             return -math.inf

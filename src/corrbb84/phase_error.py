@@ -118,10 +118,10 @@ def pe_shares(eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float) -> d
     }
 
 
-def total_pe_failure(eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float) -> float:
-    """eps_PE, the sum of :func:`pe_shares` in order; a total >= 1 raises
-    :class:`~corrbb84.model.ConfigError`."""
-    total = sum(pe_shares(eps_A, eps_B, eps_C, l_c, d).values())
+def total_pe_failure(shares: dict) -> float:
+    """eps_PE, the sum of the :func:`pe_shares` record in order; a total >= 1
+    raises :class:`~corrbb84.model.ConfigError`."""
+    total = sum(shares.values())
     if total >= 1.0:
         raise ConfigError(
             f"parameter-estimation failure budget {total} >= 1; nothing can be certified"
@@ -176,16 +176,12 @@ def phase_error_rate_bound(
         "trivial_bound_reason": None,
     }
 
-    def trivial(reason: str) -> PhaseErrorBound:
-        audit["trivial_bound_reason"] = reason
-        return PhaseErrorBound(e_ph_upper=1.0, audit=audit)
-
-    if decoy.z_det_lower <= 0.0:
-        return trivial("z_det_lower_nonpositive")
-    envelope = _coin_envelope(decoy.z_det_upper, decoy.x_det_lower, decoy.x_err_upper,
-                              trash_upper, delta_A, p_keep, audit)
+    envelope = ("z_det_lower_nonpositive" if decoy.z_det_lower <= 0.0
+                else _coin_envelope(decoy.z_det_upper, decoy.x_det_lower, decoy.x_err_upper,
+                                    trash_upper, delta_A, p_keep, audit))
     if isinstance(envelope, str):
-        return trivial(envelope)
+        audit["trivial_bound_reason"] = envelope
+        return PhaseErrorBound(e_ph_upper=1.0, audit=audit)
     return PhaseErrorBound(e_ph_upper=min(1.0, envelope / decoy.z_det_lower), audit=audit)
 
 

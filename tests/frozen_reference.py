@@ -1,9 +1,13 @@
-"""The sampled simulator, the exact fidelity oracle and the Bernoulli
-relative entropy as first written, frozen verbatim. The first two drew every
-binomial and multinomial, including the ones numpy answers without
-randomness, and built every table with fresh temporaries; ``bernoulli_kl``
-ran every range check before its interior case. ``test_equivalence.py`` pins
-the rewritten package functions to them bit for bit; do not edit them.
+"""The sampled simulator, the exact fidelity oracle, the Bernoulli relative
+entropy, the decoy bounds and the coin-parameter bound as first written,
+frozen verbatim. The first two drew every binomial and multinomial,
+including the ones numpy answers without randomness, and built every table
+with fresh temporaries; ``bernoulli_kl`` ran every range check before its
+interior case; ``single_photon_prob`` and ``mean_intensity`` summed a
+generator over ``pairs()``; the decoy bounds derived p1 and the e^mu / p_mu
+weights afresh in each of a run's four bounds, and the coin bound evaluated
+p_v exp(-v x) at v = 0. ``test_equivalence.py`` pins the rewritten package
+functions to them bit for bit; do not edit them.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ import math
 
 import numpy as np
 
-from corrbb84.correlations import MAX_ORACLE_ROUNDS, Z
+from corrbb84.concentration import binomial_bound_pair
+from corrbb84.correlations import MAX_ORACLE_ROUNDS, Z, CorrelationModel
 from corrbb84.counts import CountTriple, GroundTruth, ObservedCounts
+from corrbb84.decoy import BoundPair, DecoyBounds, DecoySolvabilityError, lower_denominator
 from corrbb84.model import IntensitySet, ProtocolConfig
 from corrbb84.oracles import ExplicitDeltas
 from corrbb84.simulator import ChannelModel
@@ -172,3 +178,145 @@ def bernoulli_kl(p: float, q: float) -> float:
             return math.inf
         kl += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
     return kl
+
+
+def single_photon_lower(
+    counts: CountTriple,
+    iset: IntensitySet,
+    eps_B: float,
+    bound_pair: BoundPair = binomial_bound_pair,
+) -> dict:
+    """Lower bound on the single-photon share of one event class.
+
+    ``["value"]`` holds except with probability 3 * eps_B (three one-sided
+    bound substitutions) and is clamped to [0, total]; a negative analytic
+    value carries no information. The other entries are its intermediates.
+    """
+    denom = lower_denominator(iset)
+    if denom <= 0.0:
+        raise DecoySolvabilityError(
+            f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"
+        )
+    total = counts.total
+    m_w_lo = bound_pair(eps_B, counts.m_w, total, True, False)[0]
+    m_v_hi = bound_pair(eps_B, counts.m_v, total, False, True)[1]
+    m_s_hi = bound_pair(eps_B, counts.m_s, total, False, True)[1]
+    p1 = single_photon_prob(iset)
+    raw = (p1 * iset.s / denom) * (
+        math.exp(iset.w) / iset.p_w * m_w_lo
+        - math.exp(iset.v) / iset.p_v * m_v_hi
+        - (iset.w**2 - iset.v**2) / iset.s**2 * math.exp(iset.s) / iset.p_s * m_s_hi
+    )
+    return {
+        "raw": raw,
+        "value": min(max(0.0, raw), float(total)),
+        "m_w_lower": m_w_lo,
+        "m_v_upper": m_v_hi,
+        "m_s_upper": m_s_hi,
+    }
+
+
+def single_photon_upper(
+    counts: CountTriple,
+    iset: IntensitySet,
+    eps_B: float,
+    bound_pair: BoundPair = binomial_bound_pair,
+) -> dict:
+    """Upper bound on the single-photon share of one event class.
+
+    ``["value"]`` holds except with probability 2 * eps_B and is clamped to
+    [0, total]. The other entries are its intermediates.
+    """
+    if iset.w <= iset.v:
+        raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
+    total = counts.total
+    m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]
+    m_v_lo = bound_pair(eps_B, counts.m_v, total, True, False)[0]
+    p1 = single_photon_prob(iset)
+    raw = (p1 / (iset.w - iset.v)) * (
+        math.exp(iset.w) / iset.p_w * m_w_hi - math.exp(iset.v) / iset.p_v * m_v_lo
+    )
+    return {
+        "raw": raw,
+        "value": min(max(0.0, raw), float(total)),
+        "m_w_upper": m_w_hi,
+        "m_v_lower": m_v_lo,
+    }
+
+
+def apply_decoy_bounds(
+    observed: ObservedCounts,
+    config: ProtocolConfig,
+    bound_pair: BoundPair = binomial_bound_pair,
+) -> DecoyBounds:
+    """Evaluate all four single-photon bounds of a protocol run.
+
+    Lower and upper bounds on key-basis detections, lower bound on test-basis
+    detections, upper bound on test-basis errors; joint failure probability at
+    most ``DECOY_TERMS * eps_B``.
+    """
+    iset = config.intensity_set
+    eps_B = config.epsilon_budget.eps_B
+    z_lo = single_photon_lower(observed.z_det, iset, eps_B, bound_pair)
+    z_hi = single_photon_upper(observed.z_det, iset, eps_B, bound_pair)
+    x_lo = single_photon_lower(observed.x_det, iset, eps_B, bound_pair)
+    e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair)
+    return DecoyBounds(
+        z_det_lower=z_lo["value"],
+        z_det_upper=z_hi["value"],
+        x_det_lower=x_lo["value"],
+        x_err_upper=e_hi["value"],
+        audit={
+            "eps_B": eps_B,
+            "z_det_lower": z_lo,
+            "z_det_upper": z_hi,
+            "x_det_lower": x_lo,
+            "x_err_upper": e_hi,
+        },
+    )
+
+
+def coin_parameter_bound(
+    l_c: int, intensity_set: IntensitySet, model: CorrelationModel
+) -> float:
+    """Worst-case minus probability of the basis-coin measurement on a
+    single-photon trash round, for spreads bounded by the model:
+    (1/2) [1 - prod_{l=1}^{l_c} min(1, sum_mu p_mu exp(-mu (1 - cos Delta_l)))].
+
+    The clamp changes nothing unless the probabilities sum above 1 (allowed
+    within ``PROB_SUM_TOL``). Delta_l decreases, so from the first lag where
+    1 - cos Delta_l rounds to 0.0 (Delta_l below about 1e-8) every factor is
+    the clamped probability sum ``flat``. If that is exactly 1 the loop stops
+    there; otherwise the remaining factors are taken as one power of
+    ``flat``, rounded down, which can only raise the bound.
+
+    Monotone nondecreasing in l_c, Delta_1 and every intensity; in [0, 1/2].
+    In Delta_1 that holds to one ulp of 1 when the probabilities sum below 1,
+    because a lag that turns flat moves its factor into the rounded-down tail.
+    """
+    if l_c < 0:
+        raise ValueError(f"l_c must be nonnegative, got {l_c}")
+    (s, p_s), (w, p_w), (v, p_v) = intensity_set.pairs()
+    flat = min(1.0, p_s + p_w + p_v)
+    delta_1, minus_c, exp, cos = model.delta_1, -model.decay_C, math.exp, math.cos
+    product = 1.0
+    for l in range(1, l_c + 1):
+        one_minus_cos = 1.0 - cos(delta_1 * exp(minus_c * (l - 1)))
+        if one_minus_cos == 0.0:
+            if flat != 1.0:
+                product = math.nextafter(product * flat ** (l_c - l + 1), 0.0)
+            break
+        factor = (p_s * exp(-s * one_minus_cos) + p_w * exp(-w * one_minus_cos)
+                  + p_v * exp(-v * one_minus_cos))
+        product *= factor if factor < 1.0 else 1.0
+    return 0.5 * (1.0 - product)
+
+
+def single_photon_prob(intensity_set: IntensitySet) -> float:
+    """Overall single-photon emission probability sum_mu p_mu * mu * e^{-mu}."""
+    return sum(p * mu * math.exp(-mu) for mu, p in intensity_set.pairs())
+
+
+def mean_intensity(intensity_set: IntensitySet) -> float:
+    """Probability-weighted mean photon number sum_mu p_mu * mu."""
+    return sum(p * mu for mu, p in intensity_set.pairs())

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -280,6 +281,11 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({"channel": 5}, None, "counts"),
     ({"correlations": 3}, None, "expected"),
     ({"optimizer": 3}, None, "optimize"),
+    ({"protocol.intensities.s": 800}, None, "counts"),
+    ({"protocol.intensities.s": 1e300}, None, "counts"),
+    ({"protocol.intensities.s": math.inf}, None, "counts"),
+    ({"protocol.intensities.s": math.inf}, None, "expected"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-300}}, None, "expected"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -293,6 +299,7 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     "sifted_total_beyond_float", "protocol_not_object", "intensities_not_object",
     "intensity_probs_not_object", "epsilons_not_object", "channel_not_object",
     "channel_not_object_with_counts", "correlations_not_object", "optimizer_not_object",
+    "s_800_with_counts", "s_1e300_with_counts", "s_inf_with_counts", "s_inf", "decay_C_tiny",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))

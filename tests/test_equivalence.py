@@ -1,6 +1,6 @@
-"""The rewritten sampler, fidelity oracle and Bernoulli relative entropy
-against their frozen first versions (``frozen_reference.py``): equal bit for
-bit, draw for draw."""
+"""The rewritten sampler, fidelity oracle, Bernoulli relative entropy,
+intensity sums, decoy bounds and coin bound against their frozen first
+versions (``frozen_reference.py``): equal bit for bit, draw for draw."""
 
 import math
 from dataclasses import replace
@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 from corrbb84 import correlations as corr
 from corrbb84 import oracles
 from corrbb84 import validation
-from corrbb84.concentration import bernoulli_kl
-from corrbb84.model import IntensitySet
+from corrbb84.concentration import bernoulli_kl, binomial_bound_pair
+from corrbb84.counts import CountTriple, ObservedCounts
+from corrbb84.decoy import apply_decoy_bounds, single_photon_lower, single_photon_upper
+from corrbb84.model import PROB_SUM_TOL, IntensitySet, mean_intensity, single_photon_prob
 from corrbb84.simulator import ChannelModel, sample_counts
-from corrbb84.validation import reference_config, reference_intensities, run_validation
+from corrbb84.validation import (
+    reference_budget, reference_config, reference_intensities, run_validation,
+)
 
 VACUUM_SET = reference_intensities()
 WEAK_VACUUM_SET = IntensitySet(s=0.5, w=0.1, v=0.02, p_s=0.7, p_w=0.15, p_v=0.15)
@@ -142,3 +146,92 @@ def test_bernoulli_kl_equals_frozen_on_grid():
 def test_bernoulli_kl_equals_frozen_on_drawn_inputs(p, q):
     _assert_kl_equals_frozen(p, q)
     _assert_kl_equals_frozen(p, p)
+
+
+# the decoy bounds and the coin bound: the vacuum intensity at 0 and above
+# it, and probability sums from 1 - PROB_SUM_TOL to 1 + PROB_SUM_TOL
+@st.composite
+def intensity_sets(draw, solvable=True):
+    v = draw(st.one_of(st.just(0.0), st.floats(1e-6, 0.3)))
+    w = v + draw(st.floats(1e-4, 1.0))
+    s = (w + v if solvable else 0.0) + draw(st.floats(1e-4, 3.0))
+    p_s = draw(st.floats(0.01, 0.97))
+    p_w = draw(st.floats(0.01, 0.98 - p_s))
+    excess = draw(st.one_of(st.sampled_from((0.0, PROB_SUM_TOL, -PROB_SUM_TOL)),
+                            st.floats(-PROB_SUM_TOL, PROB_SUM_TOL)))
+    return IntensitySet(s=s, w=w, v=v, p_s=p_s, p_w=p_w, p_v=1.0 - p_s - p_w + excess)
+
+
+def count_triples():
+    counts = st.one_of(st.integers(0, 20), st.integers(0, 10**9))
+    return st.builds(CountTriple, counts, counts, counts)
+
+
+def _recording(calls):
+    def bound_pair(*args):
+        calls.append(args)
+        return binomial_bound_pair(*args)
+    return bound_pair
+
+
+def _outcome(bound, *args):
+    """repr of the returned dict, or the type and message of the error."""
+    try:
+        return repr(bound(*args))
+    except ValueError as error:
+        return type(error).__name__, str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(iset=intensity_sets(), triples=st.lists(count_triples(), min_size=4, max_size=4),
+       eps_B=st.floats(1e-15, 1e-2))
+def test_apply_decoy_bounds_equals_frozen(iset, triples, eps_B):
+    observed = ObservedCounts(*triples, n_sifted_det=sum(t.total for t in triples))
+    config = replace(reference_config(10**9), intensity_set=iset,
+                     epsilon_budget=replace(reference_budget(), eps_B=eps_B))
+    new_calls, old_calls = [], []
+    new = apply_decoy_bounds(observed, config, _recording(new_calls))
+    old = frozen.apply_decoy_bounds(observed, config, _recording(old_calls))
+    # the audit dicts too: repr shows every value, key order and -0.0
+    assert repr(new) == repr(old)
+    assert new_calls == old_calls  # the same sides, asked in the same order
+    assert repr(apply_decoy_bounds(observed, config)) == repr(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(iset=st.one_of(intensity_sets(), intensity_sets(solvable=False)),
+       counts=count_triples(), eps_B=st.floats(1e-15, 1e-2))
+def test_single_photon_bounds_equal_frozen(iset, counts, eps_B):
+    for new, old in ((single_photon_lower, frozen.single_photon_lower),
+                     (single_photon_upper, frozen.single_photon_upper)):
+        assert _outcome(new, counts, iset, eps_B) == _outcome(old, counts, iset, eps_B)
+
+
+def test_coin_parameter_bound_equals_frozen_on_grid():
+    sets = (VACUUM_SET, WEAK_VACUUM_SET,
+            replace(VACUUM_SET, p_v=VACUUM_SET.p_v + PROB_SUM_TOL),
+            replace(VACUUM_SET, p_v=VACUUM_SET.p_v - PROB_SUM_TOL))
+    for iset in sets:
+        for delta_1, decay_C in ((0.05, 1.0), (0.2, 0.2), (math.pi, 0.01), (1e-9, 1.0)):
+            model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
+            for l_c in (0, 1, 2, 35, 64, 128, 200, 400):
+                new = corr.coin_parameter_bound(l_c, iset, model)
+                old = frozen.coin_parameter_bound(l_c, iset, model)
+                assert repr(new) == repr(old), (iset, delta_1, decay_C, l_c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(iset=intensity_sets(), l_c=st.integers(0, 400),
+       delta_1=st.one_of(st.floats(0.0, math.pi), st.floats(1e-12, 1e-6)),
+       decay_C=st.floats(1e-3, 10.0))
+def test_coin_parameter_bound_equals_frozen_on_drawn_inputs(iset, l_c, delta_1, decay_C):
+    model = corr.CorrelationModel(delta_1=delta_1, decay_C=decay_C)
+    new = corr.coin_parameter_bound(l_c, iset, model)
+    assert repr(new) == repr(frozen.coin_parameter_bound(l_c, iset, model))
+
+
+@settings(max_examples=500, deadline=None)
+@given(iset=st.one_of(intensity_sets(), intensity_sets(solvable=False)))
+def test_intensity_sums_equal_frozen(iset):
+    assert repr(single_photon_prob(iset)) == repr(frozen.single_photon_prob(iset))
+    assert repr(mean_intensity(iset)) == repr(frozen.mean_intensity(iset))

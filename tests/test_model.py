@@ -1,15 +1,18 @@
 import math
+import sys
 
 import pytest
 from oracle_suites import poisson_pmf
 
 from corrbb84.model import (
+    MAX_INTENSITY,
     EpsilonBudget,
     IntensitySet,
     ProtocolConfig,
     mean_intensity,
     single_photon_prob,
     validate_config,
+    validate_intensity_set,
 )
 from corrbb84.validation import reference_budget
 
@@ -128,3 +131,25 @@ def test_validate_config_rejects_bad_epsilons():
     bad = EpsilonBudget(eps_A=0.0, eps_B=1e-10, eps_C=1e-10, eps_PA=1e-10, eps_EV=1e-10)
     report = validate_config(_config(epsilon_budget=bad))
     assert any("eps_A" in line for line in report)
+
+
+@pytest.mark.parametrize("s", [800.0, 1e300, math.inf, math.nextafter(MAX_INTENSITY, 1e3)])
+def test_validate_config_rejects_intensity_beyond_exp_range(s):
+    bad = IntensitySet(s=s, w=0.1, v=0.0, p_s=0.7, p_w=0.15, p_v=0.15)
+    report = validate_config(_config(intensity_set=bad))
+    assert any("intensity s must be finite and <= ln(DBL_MAX)" in line for line in report)
+
+
+@pytest.mark.parametrize("name", ["s", "w", "v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_config_rejects_any_non_finite_intensity(name, value):
+    fields = dict(s=0.5, w=0.1, v=0.0, p_s=0.7, p_w=0.15, p_v=0.15)
+    fields[name] = value
+    assert validate_intensity_set(IntensitySet(**fields)) != []
+
+
+def test_largest_accepted_intensity_has_a_finite_exponential():
+    assert MAX_INTENSITY == math.log(sys.float_info.max)
+    assert math.isfinite(math.exp(MAX_INTENSITY))
+    edge = IntensitySet(s=MAX_INTENSITY, w=0.1, v=0.0, p_s=0.7, p_w=0.15, p_v=0.15)
+    assert validate_intensity_set(edge) == []

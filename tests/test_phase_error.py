@@ -118,11 +118,11 @@ def test_trash_bound_rejects_bad_inputs():
 
 
 def test_total_pe_failure_values():
-    assert total_pe_failure(0.0, 0.0, 0.0, 3, 0.0) == 0.0
-    value = total_pe_failure(1e-12, 1e-12, 1e-12, 66, 1e-10)
+    assert total_pe_failure(pe_shares(0.0, 0.0, 0.0, 3, 0.0)) == 0.0
+    value = total_pe_failure(pe_shares(1e-12, 1e-12, 1e-12, 66, 1e-10))
     assert math.isclose(value, 1.82e-10, rel_tol=1e-12)
     assert math.isclose(
-        total_pe_failure(2e-12, 2e-12, 2e-12, 66, 2e-10), 2 * value, rel_tol=1e-12
+        total_pe_failure(pe_shares(2e-12, 2e-12, 2e-12, 66, 2e-10)), 2 * value, rel_tol=1e-12
     )
 
 
@@ -135,14 +135,14 @@ def test_pe_shares_compose_total():
         "truncation_d": 1e-10,
     }
     assert (AZUMA_TERMS, DECOY_TERMS) == (5, 10)
-    assert total_pe_failure(1e-12, 3e-12, 2e-12, 66, 1e-10) == sum(shares.values())
+    assert total_pe_failure(shares) == sum(shares.values())
     with pytest.raises(ValueError):
         pe_shares(1e-12, 1e-12, 1e-12, -1, 0.0)
 
 
 def test_total_pe_failure_rejects_saturated_budget():
     with pytest.raises(ValueError):
-        total_pe_failure(0.1, 0.1, 0.1, 10, 0.0)
+        total_pe_failure(pe_shares(0.1, 0.1, 0.1, 10, 0.0))
 
 
 def test_phase_bound_huge_trash_saturates():
