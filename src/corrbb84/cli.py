@@ -274,7 +274,10 @@ def write_truth_csv(path: str, truth: GroundTruth, manifest: dict) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity: main exits 2, writing nothing
+        raise ConfigError(f"the output holds a non-finite number ({exc})") from exc
     if path:
         with open(path, "w") as handle:
             handle.write(text + "\n")

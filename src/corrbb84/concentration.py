@@ -24,6 +24,15 @@ be trusted the same loop evaluates every midpoint. Either way the returned
 bound is the fully evaluated bisection's bit for bit, the replay at about an
 eighth of its D evaluations.
 
+Newton works in w, the distance of x from the end of [0, 1] on its side,
+and q, that of p. With r = min(p, 1 - p), few counts (target >= r) start from
+D = r (y - 1 - ln y) + r^2 (y - 1)^2 / 2 + O(r^3), x at r y from the end
+nearer p (and w = exp(-r y (1 + r / 2)) where y > 1); many counts invert
+D(q || q - d) = sum_n a_n d^n to fourth order in u = sqrt(2 q (1 - q) target).
+After each step Newton stops once the step, or the error that the curvature
+predicts after it, is inside the noise window at the new point: most sides
+after one evaluation of D.
+
 All logarithms are natural. Pure functions, safe under concurrency.
 """
 
@@ -78,31 +87,41 @@ def _newton_root(p_hat: float, target: float, lower: bool) -> float | None:
     """Root of D(p_hat || x) = target below (``lower``) or above p_hat, to
     within its noise window; None if the iteration does not settle.
 
-    Works in w, the distance of x from the end of [0, 1] on its side (w = x
-    below p_hat, 1 - x above), and q, that of p_hat. D is convex and
+    Start, w, q and stopping rule as in the module docstring. D is convex and
     decreasing in log w, so a Newton step in log w keeps w > 0 and, after
     the first step, approaches the root from outside; a step that leaves the
-    bracket of evaluated signs falls back to its midpoint. It stops when the
-    step, or the error that the curvature predicts after it, is inside the
-    noise window.
+    bracket of evaluated signs falls back to its midpoint.
     """
-    exp, ulp = math.exp, math.ulp
-    noise = _ROUNDOFF * (1.0 + target)
+    exp, log, ulp = math.exp, math.log, math.ulp
     q = p_hat if lower else 1.0 - p_hat
+    r = p_hat if p_hat < 0.5 else 1.0 - p_hat
+    w = 0.5 * q  # the start where p_hat is 0 or 1 and D = -ln w: one step lands
+    if target >= r > 0.0:  # few counts: the Poisson form
+        c = target / r
+        if q < 0.5:  # x between p_hat and the end nearer it: y < 1, a contraction by y
+            y = exp(-1.0 - c)
+            for _ in range(4):
+                y = exp(y - 1.0 - c)
+        else:  # y > 1: Newton steps on y - ln y = 1 + c
+            y = 1.0 + c + log(1.0 + c)
+            for _ in range(2):
+                y *= (c + log(y)) / (y - 1.0)
+        w = r * y * (1.0 + 0.5 * r * (1.0 - y)) if q < 0.5 else exp(-r * y * (1.0 + 0.5 * r))
+    elif r > 0.0:  # many counts: d = q - w to fourth order in u, with k = 1 / (q (1 - q))
+        k = 1.0 / (p_hat * (1.0 - p_hat))
+        u = math.sqrt(2.0 * target / k)
+        w = q - u * (1.0 + (k - 13.0) * target / 18.0
+                     - (1.0 - 2.0 * q) * k * u / 3.0 * (1.0 - (k + 23.0) * target / 45.0))
+    noise = _ROUNDOFF * (1.0 + target)
     w_out, w_in = 0.0, q  # outer end (D >= target) and inner end of the bracket
-    # start from the cubic Taylor expansion of D(q || q - d) = target in d
-    d = math.sqrt(2.0 * p_hat * (1.0 - p_hat) * target)
-    w = q - d * (1.0 + d * (q / (1.0 - q) - (1.0 - q) / q) / 3.0) if 0.0 < q < 1.0 else q - d
+    if not lower and w < 0.5 * _ROUNDOFF:  # 1 - w would round to 1: start just below it
+        w = 0.5 * _ROUNDOFF
     if not w_out < w < w_in:
         w = 0.5 * q
-    step = error = math.inf
+    x = w if lower else 1.0 - w
+    if x == p_hat:
+        return None
     for _ in range(NEWTON_STEPS):
-        x = w if lower else 1.0 - w
-        if x == p_hat:
-            return None
-        # the noise window at x (see the module docstring)
-        if (step if step < error else error) <= noise * x * (1.0 - x) / abs(x - p_hat) + ulp(x):
-            return x
         if not lower:
             w = 1.0 - x  # step from the rounded x that is evaluated
         f = bernoulli_kl(p_hat, x) - target
@@ -114,12 +133,18 @@ def _newton_root(p_hat: float, target: float, lower: bool) -> float | None:
             w_in = w
         s = f * (1.0 - w) / (q - w)  # Newton step in log w; capped below exp overflow
         new = w * exp(700.0 if s > 700.0 else s)
-        if w_out < new < w_in:
+        if w_out < new < w_in or new == w:  # new == w: the step is below an ulp of w
             m = new if new > w else w  # the curvature grows with w, so bound it at the larger end
-            error = 0.5 * s * s * m * m * (1.0 - q) * (1.0 - w) / ((1.0 - m) ** 2 * (q - w))
+            error = s * s * m * m * (1.0 - q) * (1.0 - w) / (2.0 * (1.0 - m) * (1.0 - m) * (q - w))
         else:
             new, error = 0.5 * (w_out + w_in), math.inf
         step = abs(new - w)
+        x = new if lower else 1.0 - new
+        if x == p_hat:
+            return None
+        # the noise window at x (see the module docstring)
+        if (step if step < error else error) <= noise * x * (1.0 - x) / abs(x - p_hat) + ulp(x):
+            return x
         w = new
     return None
 
@@ -187,7 +212,8 @@ def binomial_bound_pair(
     solver's precision: it lies within BISECTION_TOL of the exact root in the
     rate, or within the noise window of D where that is wider.
     """
-    _check_epsilon(epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
     if observed < 0 or total < 0 or observed > total:
         raise ValueError(f"need 0 <= observed <= total, got {observed}/{total}")
     if total == 0:
@@ -195,10 +221,12 @@ def binomial_bound_pair(
         return (0.0, 0.0)
     p_hat = observed / total
     target = math.log(1.0 / epsilon) / total
-    low, high = 0.0, float(total)
+    low, high, count = 0.0, float(total), float(observed)
     # bisection may land an ulp past the observation; keep the contract exact
     if lower and observed > 0:
-        low = min(total * _solve_kl(p_hat, target, True), float(observed))
+        low = total * _solve_kl(p_hat, target, True)
+        low = count if low > count else low
     if upper and observed < total:
-        high = max(total * _solve_kl(p_hat, target, False), float(observed))
+        high = total * _solve_kl(p_hat, target, False)
+        high = count if high < count else high
     return (low, high)

@@ -76,7 +76,7 @@ def required_truncation_length(N: int, mean_mu: float, model: CorrelationModel) 
     Ceiling of (1/C) ln(sqrt(N mu_bar) Delta_1 / (d (1 - e^-C))), floored at 1.
     Meaningless when d = 0 or Delta_1 = 0 (no truncation needed); callers then
     supply an explicit length instead. Raises
-    :class:`~corrbb84.model.ConfigError` when the length overflows a float.
+    :class:`~corrbb84.model.ConfigError` when the log's argument is 0 or inf.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -88,8 +88,10 @@ def required_truncation_length(N: int, mean_mu: float, model: CorrelationModel) 
             "use an explicit correlation length otherwise"
         )
     denom = model.truncation_d * (1.0 - math.exp(-model.decay_C))
-    length = (math.log(math.sqrt(N * mean_mu) * model.delta_1 / denom) / model.decay_C
-              if denom > 0.0 else math.inf)
+    ratio = math.sqrt(N * mean_mu) * model.delta_1 / denom if denom > 0.0 else math.inf
+    if ratio == 0.0:
+        raise ConfigError(f"sqrt(N mu_bar) delta_1 / (d (1 - e^-C)) underflows to 0 at {mean_mu}")
+    length = math.log(ratio) / model.decay_C
     if length == math.inf:  # 1 - e^-C, or d times it, rounds to 0
         raise ConfigError(f"decay_C={model.decay_C} with d={model.truncation_d} "
                           "needs a truncation length beyond any float")

@@ -28,7 +28,7 @@ from typing import Callable
 
 from .concentration import binomial_bound_pair
 from .counts import CountTriple, ObservedCounts
-from .model import IntensitySet, ProtocolConfig, single_photon_prob
+from .model import IntensitySet, ProtocolConfig, lower_denominator, single_photon_prob
 
 BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
@@ -55,12 +55,6 @@ class DecoyBounds:
     x_det_lower: float
     x_err_upper: float
     audit: dict = field(default_factory=dict, compare=False)
-
-
-def lower_denominator(iset: IntensitySet) -> float:
-    """s(w - v) - w^2 + v^2: the lower bound is solvable only where this is
-    positive, i.e. s > w + v (for w > v)."""
-    return iset.s * (iset.w - iset.v) - iset.w**2 + iset.v**2
 
 
 def _weights(iset: IntensitySet) -> tuple[float, float, float, float]:

@@ -3,7 +3,8 @@
 Everything downstream (decoy estimation, coin analysis, key-rate pipeline)
 consumes the types defined here. The photon-number distribution is fixed to
 Poisson, i.e. phase-randomized coherent pulses; non-Poissonian sources are out
-of scope. All functions are pure and thread-safe.
+of scope. All functions are pure and thread-safe. Sums of floats add left to
+right, so their bits do not depend on the Python version's ``sum``.
 """
 
 from __future__ import annotations
@@ -73,13 +74,19 @@ class ProtocolConfig:
 def single_photon_prob(intensity_set: IntensitySet) -> float:
     """Overall single-photon emission probability sum_mu p_mu * mu * e^{-mu}."""
     i, exp = intensity_set, math.exp
-    return sum((i.p_s * i.s * exp(-i.s), i.p_w * i.w * exp(-i.w), i.p_v * i.v * exp(-i.v)))
+    return i.p_s * i.s * exp(-i.s) + i.p_w * i.w * exp(-i.w) + i.p_v * i.v * exp(-i.v)
 
 
 def mean_intensity(intensity_set: IntensitySet) -> float:
     """Probability-weighted mean photon number sum_mu p_mu * mu."""
     i = intensity_set
-    return sum((i.p_s * i.s, i.p_w * i.w, i.p_v * i.v))
+    return i.p_s * i.s + i.p_w * i.w + i.p_v * i.v
+
+
+def lower_denominator(iset: IntensitySet) -> float:
+    """s(w - v) - w^2 + v^2: the decoy lower bound is solvable only where this
+    is positive, i.e. s > w + v (for w > v)."""
+    return iset.s * (iset.w - iset.v) - iset.w**2 + iset.v**2
 
 
 def validate_intensity_set(iset: IntensitySet) -> list[str]:
@@ -92,6 +99,8 @@ def validate_intensity_set(iset: IntensitySet) -> list[str]:
         )
     elif not iset.s <= MAX_INTENSITY:  # then every intensity is finite and fits
         problems.append(f"intensity s must be finite and <= ln(DBL_MAX), got {iset.s}")
+    elif lower_denominator(iset) <= 0.0:  # also where it underflows to 0
+        problems.append("decoy bounds unsolvable: need s(w-v) - w^2 + v^2 > 0 (s > w + v)")
     for name, p in (("p_s", iset.p_s), ("p_w", iset.p_w), ("p_v", iset.p_v)):
         if not (0.0 < p < 1.0):
             problems.append(f"{name} must lie strictly in (0, 1), got {p}")
@@ -109,8 +118,8 @@ def validate_epsilon_budget(budget: EpsilonBudget) -> list[str]:
     problems = []
     for name in ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV"):
         value = getattr(budget, name)
-        if not (0.0 < value < 1.0):
-            problems.append(f"{name} must lie strictly in (0, 1), got {value}")
+        if not (0.0 < value < 1.0) or 1.0 / value == math.inf:  # the bounds take log(1/eps)
+            problems.append(f"{name} must lie in (0, 1) with 1/{name} finite, got {value}")
     if not (0.0 <= budget.d < 1.0):
         problems.append(f"truncation tolerance d must lie in [0, 1), got {budget.d}")
     return problems

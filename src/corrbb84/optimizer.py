@@ -17,7 +17,7 @@ floats in ``PARAM_NAMES`` order (numpy draws only the uniform starts), so
 every configuration the objective certifies holds builtin floats. Infeasible
 candidates score ``-inf`` without consuming budget: ordering or simplex
 violations, intensities the decoy bounds cannot solve
-(``decoy.lower_denominator`` not positive, i.e. s <= w + v), or an explicit
+(``model.lower_denominator`` not positive, i.e. s <= w + v), or an explicit
 ``l_c_eff`` shorter than the candidate's required truncation length.
 """
 
@@ -29,9 +29,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .correlations import CorrelationModel, effective_length, validate_correlation
-from .decoy import DECOY_TERMS, lower_denominator
+from .decoy import DECOY_TERMS
 from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline
-from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity, require
+from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, lower_denominator,
+                    mean_intensity, require)
 from .phase_error import AZUMA_TERMS
 from .simulator import ChannelModel, expected_counts
 

@@ -119,9 +119,11 @@ def pe_shares(eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float) -> d
 
 
 def total_pe_failure(shares: dict) -> float:
-    """eps_PE, the sum of the :func:`pe_shares` record in order; a total >= 1
+    """eps_PE, the :func:`pe_shares` record added left to right; a total >= 1
     raises :class:`~corrbb84.model.ConfigError`."""
-    total = sum(shares.values())
+    total = 0.0
+    for share in shares.values():
+        total += share
     if total >= 1.0:
         raise ConfigError(
             f"parameter-estimation failure budget {total} >= 1; nothing can be certified"

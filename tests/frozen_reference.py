@@ -7,7 +7,10 @@ interior case; ``single_photon_prob`` and ``mean_intensity`` summed a
 generator over ``pairs()``; the decoy bounds derived p1 and the e^mu / p_mu
 weights afresh in each of a run's four bounds, and the coin bound evaluated
 p_v exp(-v x) at v = 0. ``test_equivalence.py`` pins the rewritten package
-functions to them bit for bit; do not edit them.
+functions to them bit for bit; do not edit them. ``newton_root`` is the KL
+root search with its cubic Taylor start, which only places the replay band
+of ``concentration._solve_kl``; ``test_concentration.py`` counts its D
+evaluations against the package's.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ import math
 
 import numpy as np
 
+from corrbb84 import concentration
 from corrbb84.concentration import binomial_bound_pair
 from corrbb84.correlations import MAX_ORACLE_ROUNDS, Z, CorrelationModel
 from corrbb84.counts import CountTriple, GroundTruth, ObservedCounts
-from corrbb84.decoy import BoundPair, DecoyBounds, DecoySolvabilityError, lower_denominator
-from corrbb84.model import IntensitySet, ProtocolConfig
+from corrbb84.decoy import BoundPair, DecoyBounds, DecoySolvabilityError
+from corrbb84.model import IntensitySet, ProtocolConfig, lower_denominator
 from corrbb84.oracles import ExplicitDeltas
 from corrbb84.simulator import ChannelModel
 
@@ -320,3 +324,45 @@ def single_photon_prob(intensity_set: IntensitySet) -> float:
 def mean_intensity(intensity_set: IntensitySet) -> float:
     """Probability-weighted mean photon number sum_mu p_mu * mu."""
     return sum(p * mu for mu, p in intensity_set.pairs())
+
+
+def newton_root(p_hat: float, target: float, lower: bool) -> float | None:
+    """Root of D(p_hat || x) = target below (``lower``) or above p_hat, to
+    within its noise window; None if the iteration does not settle. Every D
+    goes through ``concentration.bernoulli_kl``, looked up at call time."""
+    exp, ulp = math.exp, math.ulp
+    noise = 2.0**-52 * (1.0 + target)
+    q = p_hat if lower else 1.0 - p_hat
+    w_out, w_in = 0.0, q  # outer end (D >= target) and inner end of the bracket
+    # start from the cubic Taylor expansion of D(q || q - d) = target in d
+    d = math.sqrt(2.0 * p_hat * (1.0 - p_hat) * target)
+    w = q - d * (1.0 + d * (q / (1.0 - q) - (1.0 - q) / q) / 3.0) if 0.0 < q < 1.0 else q - d
+    if not w_out < w < w_in:
+        w = 0.5 * q
+    step = error = math.inf
+    for _ in range(60):
+        x = w if lower else 1.0 - w
+        if x == p_hat:
+            return None
+        # the noise window at x (see the docstring of concentration)
+        if (step if step < error else error) <= noise * x * (1.0 - x) / abs(x - p_hat) + ulp(x):
+            return x
+        if not lower:
+            w = 1.0 - x  # step from the rounded x that is evaluated
+        f = concentration.bernoulli_kl(p_hat, x) - target
+        if f == 0.0:
+            return x
+        if f > 0.0:
+            w_out = w
+        else:
+            w_in = w
+        s = f * (1.0 - w) / (q - w)  # Newton step in log w; capped below exp overflow
+        new = w * exp(700.0 if s > 700.0 else s)
+        if w_out < new < w_in:
+            m = new if new > w else w  # the curvature grows with w, so bound it at the larger end
+            error = 0.5 * s * s * m * m * (1.0 - q) * (1.0 - w) / ((1.0 - m) ** 2 * (q - w))
+        else:
+            new, error = 0.5 * (w_out + w_in), math.inf
+        step = abs(new - w)
+        w = new
+    return None

@@ -286,6 +286,15 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({"protocol.intensities.s": math.inf}, None, "counts"),
     ({"protocol.intensities.s": math.inf}, None, "expected"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-300}}, None, "expected"),
+    ({"protocol.intensities": {"s": 1e-300, "w": 5e-301, "v": 0.0}, "epsilons.d": 1e-12,
+      "correlations": {"delta_1": 5e-324, "decay_C": 1.0}}, None, "expected"),
+    ({"protocol.intensities": {"s": 2e-160, "w": 1e-160, "v": 0.0}, "epsilons.d": 1e-12,
+      "correlations": {"delta_1": 5e-324, "decay_C": 1.0}}, None, "expected"),
+    ({"protocol.intensities.w": 5e-324, "epsilons.d": 1e-12,
+      "correlations": {"delta_1": 0.05, "decay_C": 1.0}}, None, "expected"),
+    ({"epsilons.eps_A": 5e-324}, None, "expected"),
+    ({"epsilons.eps_C": 5e-324}, None, "expected"),
+    ({"protocol.intensities": {"s": 709.7, "w": 709.0, "v": 0.0}}, None, "counts"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -300,6 +309,8 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     "intensity_probs_not_object", "epsilons_not_object", "channel_not_object",
     "channel_not_object_with_counts", "correlations_not_object", "optimizer_not_object",
     "s_800_with_counts", "s_1e300_with_counts", "s_inf_with_counts", "s_inf", "decay_C_tiny",
+    "intensities_1e-300_delta_1_tiny", "truncation_log_argument_underflows", "w_tiny",
+    "eps_A_inverse_overflows", "eps_C_inverse_overflows", "non_finite_audit_with_counts",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import frozen_reference as frozen
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,14 +277,14 @@ def test_replayed_bisection_equals_evaluated_on_production_sides(production_side
         ), (p_hat, target, lower)
 
 
-# the sides and their bernoulli_kl calls when this guard was added: 4.55 per side
-PRODUCTION_SIDES, PRODUCTION_KL_CALLS = 992, 4518
+# the sides, their bernoulli_kl calls (3.39 per side; 4.55 from the cubic
+# Taylor start) and the _newton_root evaluations among them (1.02 per side; 2.18)
+PRODUCTION_SIDES, PRODUCTION_KL_CALLS, PRODUCTION_NEWTON_CALLS = 992, 3363, 1008
 
 
-def test_production_sides_evaluate_d_no_more_often(production_sides, monkeypatch):
-    """A machine-independent guard against a slower solver: the mean number
-    of D evaluations per side must not rise."""
-    calls = 0
+def _d_evaluations(solve, sides) -> list[int]:
+    """The D evaluations that ``solve`` spends on each side."""
+    counts, calls = [], 0
     kl = concentration.bernoulli_kl
 
     def counted(p, q):
@@ -291,11 +292,63 @@ def test_production_sides_evaluate_d_no_more_often(production_sides, monkeypatch
         calls += 1
         return kl(p, q)
 
-    monkeypatch.setattr(concentration, "bernoulli_kl", counted)
-    for side in production_sides:
-        concentration._solve_kl(*side)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concentration, "bernoulli_kl", counted)
+        for side in sides:
+            calls = 0
+            solve(*side)
+            counts.append(calls)
+    return counts
+
+
+def test_production_sides_evaluate_d_no_more_often(production_sides):
+    """A machine-independent guard against a slower solver: the mean number
+    of D evaluations per side must not rise."""
     assert len(production_sides) == PRODUCTION_SIDES
-    assert calls / len(production_sides) <= PRODUCTION_KL_CALLS / PRODUCTION_SIDES
+    assert sum(_d_evaluations(concentration._solve_kl, production_sides)) <= PRODUCTION_KL_CALLS
+
+
+def test_production_sides_settle_after_one_newton_evaluation(production_sides):
+    """The Poisson and fourth-order starts put almost every root within one
+    Newton step of the noise window: the mean must not rise."""
+    counts = _d_evaluations(concentration._newton_root, production_sides)
+    assert sum(counts) <= PRODUCTION_NEWTON_CALLS
+
+
+# sides where a start took more evaluations than the cubic Taylor start: two
+# certify sides (upper, 3 against 5 without the r^2 term of the Poisson form),
+# one where the step fell below an ulp of w, and one where a third-order
+# start took 3 against 2
+NEWTON_SIDES = [
+    (2.958832214019435e-07, 1.70324073716793e-06, False),
+    (2.3363265960293896e-07, 1.3448976980956986e-06, False),
+    (1.3751715526511933e-06, 3.636683429699404e-05, False),
+    (0.07603614833281395, 0.008236940433693463, False),
+]
+
+
+def _newton_grid():
+    """Both sides at observed/total from 1e-7 to 1, five per decade, and the
+    mirror counts total - observed, for totals 1 to 1e12 and epsilons 1e-300
+    to 0.9999."""
+    sides = []
+    for total in [10**k for k in range(13)] + [12_345, 7 * 10**8 + 3]:
+        ks = {round(total * 10.0 ** (-e / 5)) for e in range(36)} | {0, 1, 2, total // 2}
+        ks |= {total - k for k in ks}
+        for epsilon in (1e-300, 1e-30, 1e-12, 1e-3, 0.5, 0.9999):
+            target = math.log(1.0 / epsilon) / total
+            for k in sorted(k for k in ks if 0 <= k <= total):
+                sides += [(k / total, target, lower) for lower in (True, False)
+                          if (k > 0 if lower else k < total)]
+    return sides
+
+
+def test_no_side_takes_more_newton_evaluations_than_the_cubic_start(production_sides):
+    sides = NEWTON_SIDES + list(production_sides) + _newton_grid()
+    new = _d_evaluations(concentration._newton_root, sides)
+    old = _d_evaluations(frozen.newton_root, sides)
+    worse = [(side, a, b) for side, a, b in zip(sides, old, new) if b > a]
+    assert not worse, worse[:10]
 
 
 @settings(max_examples=200, deadline=None)

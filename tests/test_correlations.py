@@ -115,6 +115,13 @@ def test_required_truncation_length_rejects_zero_d():
         corr.required_truncation_length(10**6, 0.5, MODEL)
 
 
+def test_required_truncation_length_rejects_an_underflowing_log_argument():
+    # sqrt(N mu_bar) delta_1 rounds to 0: a config error, not a math domain error
+    model = corr.CorrelationModel(delta_1=5e-324, decay_C=1.0, truncation_d=1e-12)
+    with pytest.raises(ConfigError, match="underflows to 0"):
+        corr.required_truncation_length(10**9, 1.55e-160, model)
+
+
 def test_trace_distance_bound_zero_correlations():
     model = corr.CorrelationModel(delta_1=0.0, decay_C=0.5)
     assert corr.trace_distance_bound(10**9, 0.5, 0, model) == 0.0

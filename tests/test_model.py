@@ -9,11 +9,13 @@ from corrbb84.model import (
     EpsilonBudget,
     IntensitySet,
     ProtocolConfig,
+    lower_denominator,
     mean_intensity,
     single_photon_prob,
     validate_config,
     validate_intensity_set,
 )
+from corrbb84.phase_error import total_pe_failure
 from corrbb84.validation import reference_budget
 
 # frozen from independent high-precision evaluation (mpmath, 40 digits)
@@ -153,3 +155,42 @@ def test_largest_accepted_intensity_has_a_finite_exponential():
     assert math.isfinite(math.exp(MAX_INTENSITY))
     edge = IntensitySet(s=MAX_INTENSITY, w=0.1, v=0.0, p_s=0.7, p_w=0.15, p_v=0.15)
     assert validate_intensity_set(edge) == []
+
+
+def test_validate_config_rejects_an_epsilon_whose_inverse_overflows():
+    for name in ("eps_A", "eps_C"):
+        fields = dict(eps_A=1e-10, eps_B=1e-10, eps_C=1e-10, eps_PA=1e-10, eps_EV=1e-10)
+        fields[name] = 5e-324
+        report = validate_config(_config(epsilon_budget=EpsilonBudget(**fields)))
+        assert any(f"with 1/{name} finite, got 5e-324" in line for line in report)
+    smallest_normal = sys.float_info.min
+    assert validate_config(_config(epsilon_budget=EpsilonBudget(
+        smallest_normal, 1e-10, smallest_normal, 1e-10, 1e-10))) == []
+
+
+@pytest.mark.parametrize("s, w, v", [(0.5, 0.3, 0.2), (0.5, 5e-324, 0.0), (1e-300, 5e-301, 0.0)])
+def test_validate_intensity_set_rejects_unsolvable_decoy_bounds(s, w, v):
+    """s <= w + v, or s (w - v) - w^2 + v^2 underflowing to 0: the decoy
+    lower bound has no positive denominator."""
+    iset = IntensitySet(s=s, w=w, v=v, p_s=0.7, p_w=0.15, p_v=0.15)
+    assert lower_denominator(iset) <= 0.0
+    assert any("decoy bounds unsolvable" in line for line in validate_intensity_set(iset))
+
+
+def test_sums_add_left_to_right():
+    """The two small terms are 0.4 and 0.375 ulp of the first, so a
+    compensated sum (math.fsum, or sum() from Python 3.12) rounds up where
+    adding left to right does not."""
+    ulp = 2.0**-55  # of 0.5 / e
+    p1_set = IntensitySet(s=1.0, w=1.6 * ulp, v=1.5 * ulp, p_s=0.5, p_w=0.25, p_v=0.25)
+    terms = [p * mu * math.exp(-mu) for mu, p in p1_set.pairs()]
+    assert single_photon_prob(p1_set) == terms[0] + terms[1] + terms[2] != math.fsum(terms)
+
+    ulp = 2.0**-52  # of 1
+    mean_set = IntensitySet(s=2.0, w=1.6 * ulp, v=1.5 * ulp, p_s=0.5, p_w=0.25, p_v=0.25)
+    terms = [p * mu for mu, p in mean_set.pairs()]
+    assert mean_intensity(mean_set) == terms[0] + terms[1] + terms[2] != math.fsum(terms)
+
+    ulp = 2.0**-53  # of 0.5
+    shares = {"a": 0.5, "b": 0.4 * ulp, "c": 0.375 * ulp, "d": 0.0}
+    assert total_pe_failure(shares) == 0.5 != math.fsum(shares.values())

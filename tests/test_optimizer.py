@@ -14,7 +14,7 @@ import corrbb84
 from corrbb84 import optimizer
 from corrbb84.concentration import binomial_bound_pair
 from corrbb84.correlations import CorrelationModel
-from corrbb84.decoy import lower_denominator
+from corrbb84.model import lower_denominator
 from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.optimizer import (
     BOXES,
