@@ -28,7 +28,7 @@ Newton works in w, the distance of x from the end of [0, 1] on its side,
 and q, that of p. With r = min(p, 1 - p), few counts (target >= r) start from
 D = r (y - 1 - ln y) + r^2 (y - 1)^2 / 2 + O(r^3), x at r y from the end
 nearer p (and w = exp(-r y (1 + r / 2)) where y > 1); many counts invert
-D(q || q - d) = sum_n a_n d^n to fourth order in u = sqrt(2 q (1 - q) target).
+D(q || q - d) = sum_n a_n d^n = target to fourth order in sqrt(2 q (1 - q) target).
 After each step Newton stops once the step, or the error that the curvature
 predicts after it, is inside the noise window at the new point: most sides
 after one evaluation of D.

@@ -315,10 +315,10 @@ def test_production_sides_settle_after_one_newton_evaluation(production_sides):
     assert sum(counts) <= PRODUCTION_NEWTON_CALLS
 
 
-# sides where a start took more evaluations than the cubic Taylor start: two
-# certify sides (upper, 3 against 5 without the r^2 term of the Poisson form),
-# one where the step fell below an ulp of w, and one where a third-order
-# start took 3 against 2
+# sides where an earlier form of the search took more evaluations than the
+# cubic Taylor start: three upper sides (two from certify) where a step fell
+# below an ulp of w and the search bisected its bracket (5, 5 and 21 against
+# 3), and one where a third-order start took 3 against 2
 NEWTON_SIDES = [
     (2.958832214019435e-07, 1.70324073716793e-06, False),
     (2.3363265960293896e-07, 1.3448976980956986e-06, False),
