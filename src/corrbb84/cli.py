@@ -105,10 +105,14 @@ def _section(parent: dict, key: str, where: str, default=None) -> dict:
 
 
 def _number(section: dict, key: str, where: str, default=None) -> float:
-    """A JSON number, required when ``default`` is None."""
+    """A JSON number that a float holds finitely, required when ``default``
+    is None; the pipeline computes with float(value)."""
     value = _require(section, key, where) if default is None else section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # also NaN
+        raise ConfigError(f"{where}.{key} must be a finite number within the float range, "
+                          f"got {value!r}")
     return value
 
 
@@ -141,11 +145,8 @@ def parse_protocol(data: dict) -> ProtocolConfig:
     probs = _section(protocol, "intensity_probs", "protocol")
     epsilons = _section(data, "epsilons", "config")
     budget = EpsilonBudget(**{eps: _number(epsilons, eps, "epsilons") for eps in EPSILONS})
-    N = _whole(protocol, "N", "protocol")
-    if N > sys.float_info.max:  # the simulator and the bounds compute with float(N)
-        raise ConfigError("protocol.N must not exceed the largest float")
     config = ProtocolConfig(
-        N=N,
+        N=_whole(protocol, "N", "protocol"),
         intensity_set=IntensitySet(
             **{mu: _number(intensities, mu, "protocol.intensities") for mu in INTENSITIES},
             **{f"p_{mu}": _number(probs, mu, "protocol.intensity_probs") for mu in INTENSITIES},

@@ -20,7 +20,7 @@ class CountTriple:
     m_v: int
 
     def __post_init__(self):
-        if min(self.m_s, self.m_w, self.m_v) < 0:
+        if self.m_s < 0 or self.m_w < 0 or self.m_v < 0:
             raise ValueError(f"counts must be nonnegative, got {self}")
 
     def __iter__(self):
@@ -45,14 +45,15 @@ class ObservedCounts:
 
     def validate(self) -> list[str]:
         problems = []
-        for err, det, label in (
-            (self.z_err, self.z_det, "Z"),
-            (self.x_err, self.x_det, "X"),
-        ):
-            for mu in ("m_s", "m_w", "m_v"):
-                if getattr(err, mu) > getattr(det, mu):
-                    problems.append(f"{label}-basis errors exceed detections at {mu}")
-        if self.z_det.total + self.x_det.total > self.n_sifted_det:
+        z_det, x_det = self.z_det, self.x_det
+        for label, err, det in (("Z", self.z_err, z_det), ("X", self.x_err, x_det)):
+            if err.m_s > det.m_s:
+                problems.append(f"{label}-basis errors exceed detections at m_s")
+            if err.m_w > det.m_w:
+                problems.append(f"{label}-basis errors exceed detections at m_w")
+            if err.m_v > det.m_v:
+                problems.append(f"{label}-basis errors exceed detections at m_v")
+        if z_det.total + x_det.total > self.n_sifted_det:
             problems.append("keep-sifted detections exceed total sifted detections")
         if self.n_sifted_det < 0:
             problems.append("n_sifted_det must be nonnegative")
@@ -81,16 +82,12 @@ class GroundTruth:
 
     def observed(self, n_sifted_det: int) -> ObservedCounts:
         """The announced counts: each category summed over photon buckets."""
-
-        def marginal(buckets: Buckets) -> CountTriple:
-            b0, b1, b2 = buckets
-            return CountTriple(b0.m_s + b1.m_s + b2.m_s, b0.m_w + b1.m_w + b2.m_w,
-                               b0.m_v + b1.m_v + b2.m_v)
-
         return ObservedCounts(
-            z_det=marginal(self.z_det),
-            z_err=marginal(self.z_err),
-            x_det=marginal(self.x_det),
-            x_err=marginal(self.x_err),
-            n_sifted_det=n_sifted_det,
+            _marginal(self.z_det), _marginal(self.z_err), _marginal(self.x_det),
+            _marginal(self.x_err), n_sifted_det,
         )
+
+
+def _marginal(buckets: Buckets) -> CountTriple:
+    b0, b1, b2 = buckets
+    return CountTriple(b0.m_s + b1.m_s + b2.m_s, b0.m_w + b1.m_w + b2.m_w, b0.m_v + b1.m_v + b2.m_v)

@@ -47,6 +47,8 @@ BOXES = (
 LINE_SEARCH_TOL = 5e-3
 # one point of the search: a plain float per PARAM_NAMES entry
 Candidate = tuple[float, ...]
+# every restart's start point is drawn up front, so a larger count is a typo
+MAX_RESTARTS = 10_000
 
 @dataclass(frozen=True)
 class OptimizationSpec:
@@ -71,6 +73,8 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
         for name in ("budget", "restarts")
         if not getattr(spec, name) >= 1
     ]
+    if not spec.restarts <= MAX_RESTARTS:
+        problems.append(f"restarts must be at most {MAX_RESTARTS}, got {spec.restarts}")
     if not spec.v >= 0.0:
         problems.append(f"v must be nonnegative, got {spec.v}")
     problems.extend(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountTriple, GroundTruth, ObservedCounts
+from .counts import Buckets, CountTriple, GroundTruth, ObservedCounts
 from .model import ProtocolConfig, single_photon_prob
 from .oracles import ExplicitDeltas, exact_coin_parameter
 
@@ -70,7 +70,8 @@ def validate_channel(channel: ChannelModel) -> list[str]:
         problems.append(f"distance must be nonnegative, got {channel.distance_km}")
     if channel.attenuation_db_per_km <= 0:
         problems.append("attenuation must be positive")
-    if not (0.0 < channel.transmittance <= 1.0):
+    # at a negative distance 10**(-dB/10) is a gain, which can overflow
+    elif not channel.distance_km < 0 and not (0.0 < channel.transmittance <= 1.0):
         problems.append(f"transmittance {channel.transmittance} outside (0, 1]")
     if not (0.0 <= channel.dark_count_prob < 1.0):
         problems.append("dark count probability outside [0, 1)")
@@ -117,6 +118,14 @@ def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
     return int(rng.binomial(n, p)) if n and p != 0.0 else 0
 
 
+def _triples(cells: list[int]) -> tuple[CountTriple, Buckets]:
+    """Rounded cells in (s, w, v) x (bucket 0, 1, 2) order as the triple
+    summed over buckets and the triple of each bucket."""
+    s0, s1, s2, w0, w1, w2, v0, v1, v2 = cells
+    return (CountTriple(s0 + s1 + s2, w0 + w1 + w2, v0 + v1 + v2),
+            (CountTriple(s0, w0, v0), CountTriple(s1, w1, v1), CountTriple(s2, w2, v2)))
+
+
 def expected_counts(
     config: ProtocolConfig, channel: ChannelModel
 ) -> tuple[ObservedCounts, GroundTruth]:
@@ -131,29 +140,22 @@ def expected_counts(
     e_mis = channel.misalignment
     y0 = channel.dark_click_prob
     eta = channel.transmittance
-    # rounded cells, det[bucket][intensity] and err[bucket][intensity]
-    det = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    err = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    N = config.N
+    det, err = [], []  # rounded cells
     total_detected = 0.0
-    for i, (mu, p_mu) in enumerate(config.intensity_set.pairs()):
-        for bucket, (p_bucket, sig_prob) in enumerate(_bucket_stats(mu, eta)):
-            n_cell = config.N * p_mu * p_bucket
+    for mu, p_mu in config.intensity_set.pairs():
+        for p_bucket, sig_prob in _bucket_stats(mu, eta):
+            n_cell = N * p_mu * p_bucket
             sig = n_cell * sig_prob
             dark = (n_cell - sig) * y0
             detected = sig + dark
             total_detected += detected
-            det[bucket][i] = round(detected * pk / 4.0)
-            err[bucket][i] = round((sig * e_mis + dark * 0.5) * pk / 4.0)
-    det_marginal = CountTriple(*map(sum, zip(*det)))
-    err_marginal = CountTriple(*map(sum, zip(*err)))
-    det_buckets = tuple(CountTriple(*row) for row in det)
-    err_buckets = tuple(CountTriple(*row) for row in err)
-    truth = GroundTruth(  # the Z and X bases are symmetric
-        z_det=det_buckets,
-        z_err=err_buckets,
-        x_det=det_buckets,
-        x_err=err_buckets,
-    )
+            det.append(round(detected * pk / 4.0))
+            err.append(round((sig * e_mis + dark * 0.5) * pk / 4.0))
+    det_marginal, det_buckets = _triples(det)
+    err_marginal, err_buckets = _triples(err)
+    # the Z and X bases are symmetric
+    truth = GroundTruth(det_buckets, err_buckets, det_buckets, err_buckets)
     # per-cell rounding may nudge keep-sifted sums past detected/2; keep the
     # count invariant keep-sifted <= sifted intact
     n_sifted_det = max(round(total_detected / 2.0), 2 * det_marginal.total)

@@ -10,7 +10,10 @@ p_v exp(-v x) at v = 0. ``test_equivalence.py`` pins the rewritten package
 functions to them bit for bit; do not edit them. ``newton_root`` is the KL
 root search with its cubic Taylor start, which only places the replay band
 of ``concentration._solve_kl``; ``test_concentration.py`` counts its D
-evaluations against the package's.
+evaluations against the package's. ``expected_counts``, ``observed`` (the
+method ``GroundTruth.observed``) and ``validate`` (``ObservedCounts.validate``)
+built the counts records through ``zip``/``map``/``sum`` passes, a nested
+helper and a ``getattr`` loop.
 """
 
 from __future__ import annotations
@@ -366,3 +369,81 @@ def newton_root(p_hat: float, target: float, lower: bool) -> float | None:
         step = abs(new - w)
         w = new
     return None
+
+
+def expected_counts(
+    config: ProtocolConfig, channel: ChannelModel
+) -> tuple[ObservedCounts, GroundTruth]:
+    """Deterministic rounded expectations of one protocol run.
+
+    Every ground-truth cell is rounded individually and the announced counts
+    are sums of those cells, so the marginal-consistency invariant holds
+    exactly. ``n_sifted_det`` is half of the expected detections; the honest
+    channel's coin tally ``trash_minus_single`` is 0.
+    """
+    pk = config.p_keep
+    e_mis = channel.misalignment
+    y0 = channel.dark_click_prob
+    eta = channel.transmittance
+    # rounded cells, det[bucket][intensity] and err[bucket][intensity]
+    det = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    err = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    total_detected = 0.0
+    for i, (mu, p_mu) in enumerate(config.intensity_set.pairs()):
+        for bucket, (p_bucket, sig_prob) in enumerate(_bucket_stats(mu, eta)):
+            n_cell = config.N * p_mu * p_bucket
+            sig = n_cell * sig_prob
+            dark = (n_cell - sig) * y0
+            detected = sig + dark
+            total_detected += detected
+            det[bucket][i] = round(detected * pk / 4.0)
+            err[bucket][i] = round((sig * e_mis + dark * 0.5) * pk / 4.0)
+    det_marginal = CountTriple(*map(sum, zip(*det)))
+    err_marginal = CountTriple(*map(sum, zip(*err)))
+    det_buckets = tuple(CountTriple(*row) for row in det)
+    err_buckets = tuple(CountTriple(*row) for row in err)
+    truth = GroundTruth(  # the Z and X bases are symmetric
+        z_det=det_buckets,
+        z_err=err_buckets,
+        x_det=det_buckets,
+        x_err=err_buckets,
+    )
+    # per-cell rounding may nudge keep-sifted sums past detected/2; keep the
+    # count invariant keep-sifted <= sifted intact
+    n_sifted_det = max(round(total_detected / 2.0), 2 * det_marginal.total)
+    observed = ObservedCounts(det_marginal, err_marginal, det_marginal, err_marginal, n_sifted_det)
+    return observed, truth
+
+
+def observed(truth: GroundTruth, n_sifted_det: int) -> ObservedCounts:
+    """``GroundTruth.observed``: each category summed over photon buckets."""
+
+    def marginal(buckets) -> CountTriple:
+        b0, b1, b2 = buckets
+        return CountTriple(b0.m_s + b1.m_s + b2.m_s, b0.m_w + b1.m_w + b2.m_w,
+                           b0.m_v + b1.m_v + b2.m_v)
+
+    return ObservedCounts(
+        z_det=marginal(truth.z_det),
+        z_err=marginal(truth.z_err),
+        x_det=marginal(truth.x_det),
+        x_err=marginal(truth.x_err),
+        n_sifted_det=n_sifted_det,
+    )
+
+
+def validate(counts: ObservedCounts) -> list[str]:
+    """``ObservedCounts.validate``."""
+    problems = []
+    for err, det, label in (
+        (counts.z_err, counts.z_det, "Z"),
+        (counts.x_err, counts.x_det, "X"),
+    ):
+        for mu in ("m_s", "m_w", "m_v"):
+            if getattr(err, mu) > getattr(det, mu):
+                problems.append(f"{label}-basis errors exceed detections at {mu}")
+    if counts.z_det.total + counts.x_det.total > counts.n_sifted_det:
+        problems.append("keep-sifted detections exceed total sifted detections")
+    if counts.n_sifted_det < 0:
+        problems.append("n_sifted_det must be nonnegative")
+    return problems

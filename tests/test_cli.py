@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import corrbb84
-from corrbb84.cli import main, parse_distances, read_counts_csv
+from corrbb84.cli import _number, main, parse_distances, read_counts_csv
 from corrbb84.model import ConfigError
 
 BASE_CONFIG = {
@@ -295,6 +295,12 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({"epsilons.eps_A": 5e-324}, None, "expected"),
     ({"epsilons.eps_C": 5e-324}, None, "expected"),
     ({"protocol.intensities": {"s": 709.7, "w": 709.0, "v": 0.0}}, None, "counts"),
+    ({"protocol.intensity_probs.v": 10**400}, None, "expected"),
+    ({"channel.distance_km": 10**400}, None, "expected"),
+    ({"channel.f_EC": math.nan}, None, "counts"),
+    ({"channel.f_EC": math.inf}, None, "counts"),
+    ({"channel.distance_km": -15413.0}, None, "expected"),
+    ({"optimizer": {"restarts": 10_001}}, None, "optimize"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -311,6 +317,8 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     "s_800_with_counts", "s_1e300_with_counts", "s_inf_with_counts", "s_inf", "decay_C_tiny",
     "intensities_1e-300_delta_1_tiny", "truncation_log_argument_underflows", "w_tiny",
     "eps_A_inverse_overflows", "eps_C_inverse_overflows", "non_finite_audit_with_counts",
+    "intensity_prob_v_beyond_float", "distance_beyond_float", "f_ec_nan_with_counts",
+    "f_ec_inf_with_counts", "distance_negative_gain_overflows", "optimizer_restarts_beyond_cap",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -345,6 +353,20 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, math.nan, math.inf, -math.inf],
+                         ids=["int_above", "int_below", "nan", "inf", "-inf"])
+def test_number_outside_float_range_names_the_field(value):
+    with pytest.raises(ConfigError, match=r"^channel\.f_EC must be a finite number"):
+        _number({"f_EC": value}, "f_EC", "channel")
+
+
+@pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max, 5e-324, 0, -7])
+def test_number_accepts_values_a_float_holds(value):
+    assert _number({"x": value}, "x", "section") == value
+    limit = int(sys.float_info.max)
+    assert _number({"x": limit}, "x", "section") == limit
 
 
 @pytest.mark.parametrize("command", ["optimize", "scan"])

@@ -1,6 +1,7 @@
 """The rewritten sampler, fidelity oracle, Bernoulli relative entropy,
-intensity sums, decoy bounds and coin bound against their frozen first
-versions (``frozen_reference.py``): equal bit for bit, draw for draw."""
+intensity sums, decoy bounds, coin bound and counts records against their
+frozen first versions (``frozen_reference.py``): equal bit for bit, draw for
+draw."""
 
 import math
 from dataclasses import replace
@@ -15,10 +16,10 @@ from corrbb84 import correlations as corr
 from corrbb84 import oracles
 from corrbb84 import validation
 from corrbb84.concentration import bernoulli_kl, binomial_bound_pair
-from corrbb84.counts import CountTriple, ObservedCounts
+from corrbb84.counts import CountTriple, GroundTruth, ObservedCounts
 from corrbb84.decoy import apply_decoy_bounds, single_photon_lower, single_photon_upper
 from corrbb84.model import PROB_SUM_TOL, IntensitySet, mean_intensity, single_photon_prob
-from corrbb84.simulator import ChannelModel, sample_counts
+from corrbb84.simulator import ChannelModel, expected_counts, sample_counts
 from corrbb84.validation import (
     reference_budget, reference_config, reference_intensities, run_validation,
 )
@@ -235,3 +236,69 @@ def test_coin_parameter_bound_equals_frozen_on_drawn_inputs(iset, l_c, delta_1, 
 def test_intensity_sums_equal_frozen(iset):
     assert repr(single_photon_prob(iset)) == repr(frozen.single_photon_prob(iset))
     assert repr(mean_intensity(iset)) == repr(frozen.mean_intensity(iset))
+
+
+# the counts records: v = 0 and v > 0, p_keep up to 0.999, N from 1 to 1e15,
+# 0 to 200 km and a zero dark-count rate
+@settings(max_examples=400, deadline=None)
+@given(iset=st.one_of(intensity_sets(), intensity_sets(solvable=False)),
+       N=st.one_of(st.integers(1, 1000), st.integers(1, 10**15)),
+       p_keep=st.one_of(st.just(0.999), st.floats(0.001, 0.999)),
+       distance=st.one_of(st.sampled_from((0.0, 200.0)), st.floats(0.0, 200.0)),
+       dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 0.5)),
+       misalignment=st.floats(0.0, 0.5), efficiency=st.floats(1e-3, 1.0))
+def test_expected_counts_equals_frozen(iset, N, p_keep, distance, dark, misalignment, efficiency):
+    config = replace(reference_config(N, p_keep=p_keep), intensity_set=iset)
+    channel = ChannelModel(distance_km=distance, detector_efficiency=efficiency,
+                           dark_count_prob=dark, misalignment=misalignment)
+    observed, truth = expected_counts(config, channel)
+    assert repr((observed, truth)) == repr(frozen.expected_counts(config, channel))
+    n_sifted_det = observed.n_sifted_det
+    assert repr(truth.observed(n_sifted_det)) == repr(frozen.observed(truth, n_sifted_det))
+
+
+def bucket_triples():
+    return st.tuples(count_triples(), count_triples(), count_triples())
+
+
+@settings(max_examples=300, deadline=None)
+@given(buckets=st.lists(bucket_triples(), min_size=4, max_size=4),
+       n_sifted_det=st.integers(0, 10**10))
+def test_ground_truth_observed_equals_frozen(buckets, n_sifted_det):
+    truth = GroundTruth(*buckets)
+    assert repr(truth.observed(n_sifted_det)) == repr(frozen.observed(truth, n_sifted_det))
+
+
+# small counts make errors above detections and keep-sifted sums above the
+# sifted total common; negative totals reach the last check
+@settings(max_examples=500, deadline=None)
+@given(triples=st.lists(st.builds(CountTriple, *[st.integers(0, 6)] * 3),
+                       min_size=4, max_size=4), n_sifted_det=st.integers(-3, 40))
+def test_validate_equals_frozen(triples, n_sifted_det):
+    counts = ObservedCounts(*triples, n_sifted_det=n_sifted_det)
+    assert counts.validate() == frozen.validate(counts)
+
+
+def test_validate_reports_every_violation_as_frozen():
+    high, low = CountTriple(5, 5, 5), CountTriple(1, 1, 1)
+    cases = [ObservedCounts(high, low, high, low, 30)]  # valid
+    for field in ("m_s", "m_w", "m_v"):
+        err = replace(low, **{field: 9})
+        cases += [ObservedCounts(high, err, high, low, 30), ObservedCounts(high, low, high, err, 30)]
+    cases += [ObservedCounts(high, low, high, low, 29), ObservedCounts(high, low, high, low, -1),
+              ObservedCounts(low, high, low, high, -1)]  # every check fails at once
+    reported = set()
+    for counts in cases:
+        problems = counts.validate()
+        assert problems == frozen.validate(counts)
+        reported.update(problems)
+    assert len(reported) == 2 * 3 + 2
+
+
+@pytest.mark.parametrize("values", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-2, -3, 4), (-5, -5, -5)])
+def test_count_triple_rejects_negative_field_with_parent_message(values):
+    m_s, m_w, m_v = values
+    with pytest.raises(ValueError) as raised:
+        CountTriple(*values)
+    assert str(raised.value) == (
+        f"counts must be nonnegative, got CountTriple(m_s={m_s}, m_w={m_w}, m_v={m_v})")

@@ -1,0 +1,121 @@
+"""The config and counts-file boundary under fuzzing: ``cli.main`` run in
+process on the reference config with one or two numeric fields (or counts
+cells) set to edge values or to random numbers. Every run must exit 0 or 2;
+exit 2 must come with a ``config error:`` line, and exit 0 with strict JSON
+(no NaN or Infinity). Fixed examples (``derandomize``), a few seconds in all.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrbb84.cli import main
+
+BASE_CONFIG = {
+    "protocol": {
+        "N": 10**9,
+        "p_keep": 0.8,
+        "intensities": {"s": 0.5, "w": 0.1, "v": 0.0},
+        "intensity_probs": {"s": 0.7, "w": 0.15, "v": 0.15},
+    },
+    "epsilons": {
+        "eps_A": 1e-10, "eps_B": 1e-10, "eps_C": 1e-10,
+        "eps_PA": 1e-10, "eps_EV": 1e-10, "d": 1e-12,
+    },
+    "channel": {"distance_km": 10.0},
+    "correlations": {"delta_1": 0.05, "decay_C": 1.0},
+}
+# every numeric field the CLI reads from a config
+FIELDS = (
+    "protocol.N", "protocol.p_keep",
+    *(f"protocol.intensities.{mu}" for mu in "swv"),
+    *(f"protocol.intensity_probs.{mu}" for mu in "swv"),
+    *(f"epsilons.{eps}" for eps in ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")),
+    *(f"channel.{key}" for key in ("distance_km", "attenuation_db_per_km",
+                                   "detector_efficiency", "dark_count_prob",
+                                   "misalignment", "f_EC")),
+    *(f"correlations.{key}" for key in ("delta_1", "decay_C", "l_c_eff")),
+    *(f"optimizer.{key}" for key in ("eps_pe_target", "eps_PA", "eps_EV", "v", "budget",
+                                     "restarts", "coordinate_passes")),
+)
+EDGE_VALUES = (
+    0, 1, -1, 0.0, 1.0, -1.0, 5e-324, 1e-300, 1e-16, 709.7, 710, 1.7e308, -1.7e308,
+    10**400, -(10**400), True, False, math.nan, math.inf, -math.inf,
+)
+VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20),
+)
+# the counts CSV cells, as (category, basis, intensity) prefixes of a row
+COUNT_ROWS = tuple(
+    f"{category},{basis},{mu},"
+    for category in ("det", "err") for basis in ("Z", "X") for mu in "swv"
+) + ("sifted_total,,,",)
+COUNT_TEXTS = st.one_of(
+    st.sampled_from(("0", "1", "-1", "5e-324", "1e-300", "1e-16", "709.7", "710",
+                     "1.7e+308", "9" * 401, "True", "False", "NaN", "Infinity", "")),
+    st.integers(0, 10**30).map(str),
+)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name: str):
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
+def _check(argv: list[str]) -> None:
+    status, out, err = _run(argv)
+    assert status in (0, 2), (status, err)
+    if status == 2:
+        assert "config error:" in err
+    else:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(edits=st.dictionaries(st.sampled_from(FIELDS), VALUES, min_size=1, max_size=2),
+       command=st.sampled_from(("expected", "sampled", "optimize")))
+def test_config_fields_exit_0_or_2(edits, command):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        section = config
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        if command == "optimize":  # the flag bounds the search, the field is still read
+            _check(["optimize", "--config", str(path), "--budget", "3"])
+        else:
+            _check(["keyrate", "--config", str(path), "--simulate", "--mode", command,
+                    "--seed", "1"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(cells=st.dictionaries(st.sampled_from(COUNT_ROWS), COUNT_TEXTS, min_size=1, max_size=2))
+def test_counts_cells_exit_0_or_2(cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, counts = Path(tmp) / "config.json", Path(tmp) / "counts.csv"
+        config.write_text(json.dumps(BASE_CONFIG))
+        assert _run(["simulate", "--config", str(config), "--mode", "expected",
+                     "--counts-out", str(counts)])[0] == 0
+        lines = counts.read_text().splitlines()
+        for row, text in cells.items():
+            lines = [row + text if line.startswith(row) else line for line in lines]
+        counts.write_text("\n".join(lines) + "\n")
+        _check(["keyrate", "--config", str(config), "--counts", str(counts)])

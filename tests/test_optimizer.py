@@ -81,6 +81,26 @@ def _field_values(config):
 
 
 @pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, truncation_d=1e-12)])
+def test_each_evaluation_calls_counts_then_pipeline(monkeypatch, channel_10km, model):
+    """The optimize benchmark times one request from optimizer.expected_counts
+    to the return of optimizer.evaluate_pipeline, so each counted evaluation,
+    and the winner's re-evaluation, calls both names once, counts first."""
+    calls = []
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "expected_counts", counting("counts", expected_counts))
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", counting("pipeline", evaluate_pipeline))
+    outcome = optimize_params(OptimizationSpec(correlation=model, **FAST), channel_10km, seed=1)
+    assert outcome.key_length > 0
+    assert calls == ["counts", "pipeline"] * (outcome.evaluations + 1)
+
+
+@pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, truncation_d=1e-12)])
 def test_objective_certifies_builtin_floats(monkeypatch, channel_10km, model):
     configs = []
 
