@@ -16,7 +16,6 @@ from corrbb84 import correlations as corr
 from corrbb84 import oracles
 from corrbb84.model import single_photon_prob
 from corrbb84.phase_error import trash_minus_upper
-from corrbb84.simulator import coin_monte_carlo
 from corrbb84.validation import reference_config, reference_intensities
 
 
@@ -54,7 +53,7 @@ def main():
     coin = corr.coin_parameter_bound(1, iset, model)
     p1 = single_photon_prob(iset)
     bound = trash_minus_upper(config.N, p1, config.p_keep, 1, coin, 1e-3)
-    tallies = coin_monte_carlo(config.N, config, deltas, 1, trials=1000, seed=42)
+    tallies = oracles.coin_monte_carlo(config.N, config, deltas, 1, trials=1000, seed=42)
     print(f"   bound={bound:.1f}  tally mean={tallies.mean():.1f}  "
           f"max={tallies.max()}  exceedances={(tallies > bound).sum()}/1000 "
           f"(budget allows {2 * 1e-3:.1%})")

@@ -9,14 +9,15 @@ distance between the actual and truncated source states.
 
 Two families of results live here:
 
-* closed-form bounds used by the key-rate pipeline (``coin_parameter_bound``,
-  ``trace_distance_bound``, ``required_truncation_length``), the one rule that
+* closed-form bounds in plain ``math``. The key-rate pipeline runs
+  ``coin_parameter_bound``, ``required_truncation_length``, the one rule that
   picks the length the analysis runs at (``effective_length``) and the
-  model's invariants (``validate_correlation``), all in plain ``math``, and
+  model's invariants (``validate_correlation``); ``trace_distance_bound`` is
+  the forward form of the truncation rule, which only validation calls;
 * the exact desk-scale fidelity oracle ``exact_global_fidelity`` that the
   trace-distance bound is validated against; it imports numpy when called.
 
-The coin oracle and the explicit delta tables live in :mod:`corrbb84.oracles`.
+Coin oracles, delta tables and their Delta_l live in :mod:`corrbb84.oracles`.
 
 Bit/basis settings are indexed as a in {0, 1} and basis Z=0, X=1 throughout;
 a flat setting id is ``2*a + basis``.
@@ -53,13 +54,6 @@ class CorrelationModel:
     decay_C: float
     truncation_d: float = 0.0
     l_c_eff: int = 0
-
-
-def correlation_magnitude(l: int, model: CorrelationModel) -> float:
-    """Spread bound Delta_l = Delta_1 * exp(-C (l-1)) at lag l >= 1."""
-    if l < 1:
-        raise ValueError(f"lag must be >= 1, got {l}")
-    return model.delta_1 * math.exp(-model.decay_C * (l - 1))
 
 
 def tail_sum(l_c: int, model: CorrelationModel) -> float:

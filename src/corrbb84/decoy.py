@@ -3,12 +3,13 @@
 Converts per-intensity counts of one event class (detections or errors, per
 basis; a :class:`~corrbb84.counts.CountTriple`) into bounds on the
 single-photon contribution: ``single_photon_lower`` and
-``single_photon_upper`` return one bound with its intermediates, and
+``single_photon_upper`` return one bound with its intermediates, given p1
+and the e^mu / p_mu weights of :func:`~corrbb84.model.decoy_weights`, and
 ``apply_decoy_bounds`` evaluates the four that the announced
-:class:`~corrbb84.counts.ObservedCounts` of a run need, with p1 and the
-e^mu / p_mu weights derived once for all four. The estimate rests on the
-counterfactual in which the per-photon-number counts are fixed first and
-each event is assigned an intensity with the Bayes posterior
+:class:`~corrbb84.counts.ObservedCounts` of a run need, with the weights
+derived once for all four. The estimate rests on the counterfactual in
+which the per-photon-number counts are fixed first and each event is
+assigned an intensity with the Bayes posterior
 p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
 then Bernoulli sums amenable to :func:`~corrbb84.concentration.binomial_bound_pair`.
 
@@ -22,13 +23,12 @@ can replay the call. A run's four evaluations consume ``DECOY_TERMS`` eps_B.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .concentration import binomial_bound_pair
 from .counts import CountTriple, ObservedCounts
-from .model import IntensitySet, ProtocolConfig, lower_denominator, single_photon_prob
+from .model import IntensitySet, ProtocolConfig, decoy_weights, lower_denominator
 
 BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
@@ -57,14 +57,15 @@ class DecoyBounds:
     audit: dict = field(default_factory=dict, compare=False)
 
 
-def _weights(iset: IntensitySet) -> tuple[float, float, float, float]:
-    """p1 and the weights e^w / p_w, e^v / p_v and (w^2 - v^2) / s^2 e^s / p_s,
-    each grouped as the bound expressions have always grouped it."""
-    return (single_photon_prob(iset), math.exp(iset.w) / iset.p_w, math.exp(iset.v) / iset.p_v,
-            (iset.w**2 - iset.v**2) / iset.s**2 * math.exp(iset.s) / iset.p_s)
+def single_photon_lower(counts: CountTriple, iset: IntensitySet, eps_B: float,
+                        bound_pair: BoundPair, weights: tuple[float, ...]) -> dict:
+    """Lower bound on the single-photon share of one event class.
 
-
-def _lower(counts, iset, eps_B, bound_pair, weights) -> dict:
+    ``["value"]`` holds except with probability 3 * eps_B (three one-sided
+    bound substitutions) and is clamped to [0, total]; a negative analytic
+    value carries no information. The other entries are its intermediates.
+    ``weights`` is :func:`~corrbb84.model.decoy_weights` of ``iset``.
+    """
     denom = lower_denominator(iset)
     if denom <= 0.0:
         raise DecoySolvabilityError(
@@ -80,7 +81,13 @@ def _lower(counts, iset, eps_B, bound_pair, weights) -> dict:
             "m_w_lower": m_w_lo, "m_v_upper": m_v_hi, "m_s_upper": m_s_hi}
 
 
-def _upper(counts, iset, eps_B, bound_pair, weights) -> dict:
+def single_photon_upper(counts: CountTriple, iset: IntensitySet, eps_B: float,
+                        bound_pair: BoundPair, weights: tuple[float, ...]) -> dict:
+    """Upper bound on the single-photon share of one event class.
+
+    ``["value"]`` holds except with probability 2 * eps_B and is clamped to
+    [0, total]. The other entries are its intermediates.
+    """
     if iset.w <= iset.v:
         raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
     p1, w_weight, v_weight, _ = weights
@@ -90,35 +97,6 @@ def _upper(counts, iset, eps_B, bound_pair, weights) -> dict:
     raw = (p1 / (iset.w - iset.v)) * (w_weight * m_w_hi - v_weight * m_v_lo)
     return {"raw": raw, "value": min(max(0.0, raw), float(total)),
             "m_w_upper": m_w_hi, "m_v_lower": m_v_lo}
-
-
-def single_photon_lower(
-    counts: CountTriple,
-    iset: IntensitySet,
-    eps_B: float,
-    bound_pair: BoundPair = binomial_bound_pair,
-) -> dict:
-    """Lower bound on the single-photon share of one event class.
-
-    ``["value"]`` holds except with probability 3 * eps_B (three one-sided
-    bound substitutions) and is clamped to [0, total]; a negative analytic
-    value carries no information. The other entries are its intermediates.
-    """
-    return _lower(counts, iset, eps_B, bound_pair, _weights(iset))
-
-
-def single_photon_upper(
-    counts: CountTriple,
-    iset: IntensitySet,
-    eps_B: float,
-    bound_pair: BoundPair = binomial_bound_pair,
-) -> dict:
-    """Upper bound on the single-photon share of one event class.
-
-    ``["value"]`` holds except with probability 2 * eps_B and is clamped to
-    [0, total]. The other entries are its intermediates.
-    """
-    return _upper(counts, iset, eps_B, bound_pair, _weights(iset))
 
 
 def apply_decoy_bounds(
@@ -134,11 +112,11 @@ def apply_decoy_bounds(
     """
     iset = config.intensity_set
     eps_B = config.epsilon_budget.eps_B
-    weights = _weights(iset)
-    z_lo = _lower(observed.z_det, iset, eps_B, bound_pair, weights)
-    z_hi = _upper(observed.z_det, iset, eps_B, bound_pair, weights)
-    x_lo = _lower(observed.x_det, iset, eps_B, bound_pair, weights)
-    e_hi = _upper(observed.x_err, iset, eps_B, bound_pair, weights)
+    weights = decoy_weights(iset)
+    z_lo = single_photon_lower(observed.z_det, iset, eps_B, bound_pair, weights)
+    z_hi = single_photon_upper(observed.z_det, iset, eps_B, bound_pair, weights)
+    x_lo = single_photon_lower(observed.x_det, iset, eps_B, bound_pair, weights)
+    e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair, weights)
     return DecoyBounds(
         z_det_lower=z_lo["value"], z_det_upper=z_hi["value"],
         x_det_lower=x_lo["value"], x_err_upper=e_hi["value"],

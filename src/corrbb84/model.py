@@ -89,6 +89,14 @@ def lower_denominator(iset: IntensitySet) -> float:
     return iset.s * (iset.w - iset.v) - iset.w**2 + iset.v**2
 
 
+def decoy_weights(iset: IntensitySet) -> tuple[float, float, float, float]:
+    """p1 and the decoy bounds' weights e^w / p_w, e^v / p_v and
+    (w^2 - v^2) / s^2 e^s / p_s, each grouped as the bound expressions have
+    always grouped it."""
+    return (single_photon_prob(iset), math.exp(iset.w) / iset.p_w, math.exp(iset.v) / iset.p_v,
+            (iset.w**2 - iset.v**2) / iset.s**2 * math.exp(iset.s) / iset.p_s)
+
+
 def validate_intensity_set(iset: IntensitySet) -> list[str]:
     """List of violated invariants; empty means the set is usable."""
     problems = []
@@ -111,6 +119,11 @@ def validate_intensity_set(iset: IntensitySet) -> list[str]:
         problems.append(
             f"intensity probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}"
         )
+    # with no problem so far each weight is defined and positive; dividing by p_mu can overflow
+    if not problems and math.inf in (weights := decoy_weights(iset)):
+        names = ("e^w / p_w", "e^v / p_v", "(w^2 - v^2) / s^2 e^s / p_s")
+        problems.extend(f"decoy weight {name} must be finite, got {weight}"
+                        for name, weight in zip(names, weights[1:]) if weight == math.inf)
     return problems
 
 

@@ -70,7 +70,7 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
     """List of violated invariants; empty means the spec is usable."""
     problems = [
         f"{name} must be >= 1, got {getattr(spec, name)}"
-        for name in ("budget", "restarts")
+        for name in ("budget", "restarts", "coordinate_passes")
         if not getattr(spec, name) >= 1
     ]
     if not spec.restarts <= MAX_RESTARTS:

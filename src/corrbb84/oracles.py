@@ -3,8 +3,10 @@
 An :class:`ExplicitDeltas` table fixes every per-lag phase contribution of a
 source. The random and extreme tables are admissible for a
 :class:`~corrbb84.correlations.CorrelationModel`: their spread at every lag
-stays within Delta_l. ``exact_coin_parameter`` is the exact counterpart of
-``coin_parameter_bound``; no certification reads it.
+stays within Delta_l (``correlation_magnitude``, derived apart from the
+certification code). ``exact_coin_parameter`` is the exact counterpart of
+``coin_parameter_bound`` and ``coin_monte_carlo`` samples the tally it
+implies; no certification reads them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import X, Z, CorrelationModel, correlation_magnitude
-from .model import IntensitySet
+from .correlations import X, Z, CorrelationModel
+from .model import IntensitySet, ProtocolConfig, single_photon_prob
 
 MAX_ORACLE_LC = 3
 
@@ -47,6 +49,13 @@ class ExplicitDeltas:
     def flat(self) -> np.ndarray:
         """Shape (lags, 4) view indexed by setting id 2*a + basis."""
         return self.table.reshape(self.lags, 4)
+
+
+def correlation_magnitude(l: int, model: CorrelationModel) -> float:
+    """Spread bound Delta_l = Delta_1 * exp(-C (l-1)) at lag l >= 1."""
+    if l < 1:
+        raise ValueError(f"lag must be >= 1, got {l}")
+    return model.delta_1 * math.exp(-model.decay_C * (l - 1))
 
 
 def _coin_overlap_sum(l_c: int, deltas: ExplicitDeltas, intensity_set: IntensitySet) -> float:
@@ -105,3 +114,32 @@ def extreme_deltas(model: CorrelationModel, lags: int) -> ExplicitDeltas:
     table[:, :, Z] = -half[:, None]
     table[:, :, X] = half[:, None]
     return ExplicitDeltas(table)
+
+
+def coin_monte_carlo(
+    N: int,
+    config: ProtocolConfig,
+    deltas: ExplicitDeltas,
+    l_c: int,
+    trials: int,
+    seed: int,
+) -> np.ndarray:
+    """Empirical distribution of the single-photon trash-sifted coin-minus
+    tally over ``trials`` independent runs of N rounds.
+
+    A round qualifies when it emits exactly one photon (probability p1),
+    is assigned to trash (1 - p_keep) and sifted (1/2); a qualifying round
+    yields minus with the exact conditional probability of its setting
+    neighbourhood, which the LTI delta table makes identical for every
+    round (see :func:`exact_coin_parameter`), so the tally is sampled with
+    nested binomials -- distributionally exact.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    p_minus = exact_coin_parameter(l_c, deltas, config.intensity_set)
+    p_qualify = (
+        single_photon_prob(config.intensity_set) * (1.0 - config.p_keep) / 2.0
+    )
+    rng = np.random.default_rng(seed)
+    qualifying = rng.binomial(N, p_qualify, size=trials)
+    return rng.binomial(qualifying, p_minus)

@@ -8,15 +8,12 @@ rounds. That bound is assembled from:
   given coin statistics,
 * ``trash_minus_upper`` -- a concentration bound on the number of coin-minus
   outcomes among single-photon trash rounds,
+* ``coin_envelope`` -- the count-level coin inequality's bound on key-basis
+  errors, which validation also evaluates on true tallies,
 * ``phase_error_rate_bound`` -- the composition with the decoy-state bounds
   and martingale deviations, and
 * ``pe_shares`` and ``total_pe_failure`` -- the one failure-probability
   bookkeeping.
-
-``coin_inequality_check`` evaluates the underlying count-level inequality on
-the single-photon bucket of a simulator's
-:class:`~corrbb84.counts.GroundTruth` (true photon numbers are never
-observable in real operation); it exists for validation only.
 
 Degenerate statistics never raise: any undefined or out-of-range envelope
 argument falls back to the trivial bound e_ph = 1, with the responsible guard
@@ -29,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 from .concentration import azuma_delta
-from .counts import GroundTruth
 from .decoy import DECOY_TERMS, DecoyBounds
 from .model import ConfigError
 
@@ -42,17 +38,6 @@ class PhaseErrorBound:
 
     e_ph_upper: float
     audit: dict = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class CoinCheckResult:
-    """Outcome of the count-level coin inequality on ground-truth tallies."""
-
-    holds: bool
-    margin: float
-    lhs: float
-    rhs: float
-    trivial_branch: bool
 
 
 def g_interval(y: float, z: float) -> tuple[float, float]:
@@ -131,7 +116,7 @@ def total_pe_failure(shares: dict) -> float:
     return total
 
 
-def _coin_envelope(z_det, x_det, x_err, minus, delta_A, p_keep, audit: dict) -> float | str:
+def coin_envelope(z_det, x_det, x_err, minus, delta_A, p_keep, audit: dict) -> float | str:
     """The count-level coin inequality's bound on key-basis errors,
     (z_det + Delta_A) G+(y, z) + Delta_A with
     y = (x_err + Delta_A) / (x_det - Delta_A) and
@@ -179,43 +164,9 @@ def phase_error_rate_bound(
     }
 
     envelope = ("z_det_lower_nonpositive" if decoy.z_det_lower <= 0.0
-                else _coin_envelope(decoy.z_det_upper, decoy.x_det_lower, decoy.x_err_upper,
-                                    trash_upper, delta_A, p_keep, audit))
+                else coin_envelope(decoy.z_det_upper, decoy.x_det_lower, decoy.x_err_upper,
+                                   trash_upper, delta_A, p_keep, audit))
     if isinstance(envelope, str):
         audit["trivial_bound_reason"] = envelope
         return PhaseErrorBound(e_ph_upper=1.0, audit=audit)
     return PhaseErrorBound(e_ph_upper=min(1.0, envelope / decoy.z_det_lower), audit=audit)
-
-
-def coin_inequality_check(
-    ground_truth: GroundTruth,
-    n_sifted_det: int,
-    p_keep: float,
-    eps_A: float,
-) -> CoinCheckResult:
-    """Evaluate the count-level coin inequality on true single-photon tallies.
-
-    Checks whether the number of key-basis single-photon errors is at most
-    the coin envelope of (n_z_det, n_x_det, n_x_err, n_minus), the one that
-    ``phase_error_rate_bound`` certifies with. Requires simulator ground
-    truth; where a guard fires, the check falls back to the deterministic
-    bound (errors <= detections).
-    """
-    n_z_err = ground_truth.z_err[1].total
-    n_z_det = ground_truth.z_det[1].total
-    n_x_err = ground_truth.x_err[1].total
-    n_x_det = ground_truth.x_det[1].total
-    n_minus = ground_truth.trash_minus_single
-    delta_A = azuma_delta(n_sifted_det, eps_A)
-    rhs = _coin_envelope(n_z_det, n_x_det, n_x_err, n_minus, delta_A, p_keep, {})
-    trivial = isinstance(rhs, str)
-    if trivial:
-        rhs = float(n_z_det)
-    margin = rhs - n_z_err
-    return CoinCheckResult(
-        holds=margin >= 0.0,
-        margin=margin,
-        lhs=float(n_z_err),
-        rhs=rhs,
-        trivial_branch=trivial,
-    )

@@ -1,4 +1,4 @@
-"""Honest lossy-channel statistics generator and the coin sampling oracle.
+"""Honest lossy-channel statistics generator.
 
 ``expected_counts`` produces deterministic rounded expectations,
 ``sample_counts`` draws one protocol realization; both return the announced
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import Buckets, CountTriple, GroundTruth, ObservedCounts
-from .model import ProtocolConfig, single_photon_prob
-from .oracles import ExplicitDeltas, exact_coin_parameter
+from .model import ProtocolConfig
 
 
 @dataclass(frozen=True)
@@ -231,32 +230,3 @@ def sample_counts(
         trash_minus_single=_binomial(rng, trash_sifted_single, coin_minus_prob),
     )
     return truth.observed(n_sifted_det), truth
-
-
-def coin_monte_carlo(
-    N: int,
-    config: ProtocolConfig,
-    deltas: ExplicitDeltas,
-    l_c: int,
-    trials: int,
-    seed: int,
-) -> np.ndarray:
-    """Empirical distribution of the single-photon trash-sifted coin-minus
-    tally over ``trials`` independent runs of N rounds.
-
-    A round qualifies when it emits exactly one photon (probability p1),
-    is assigned to trash (1 - p_keep) and sifted (1/2); a qualifying round
-    yields minus with the exact conditional probability of its setting
-    neighbourhood, which the LTI delta table makes identical for every
-    round (see :func:`~corrbb84.oracles.exact_coin_parameter`), so
-    the tally is sampled with nested binomials -- distributionally exact.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    p_minus = exact_coin_parameter(l_c, deltas, config.intensity_set)
-    p_qualify = (
-        single_photon_prob(config.intensity_set) * (1.0 - config.p_keep) / 2.0
-    )
-    rng = np.random.default_rng(seed)
-    qualifying = rng.binomial(N, p_qualify, size=trials)
-    return rng.binomial(qualifying, p_minus)

@@ -11,7 +11,8 @@ level="quick") and the acceptance test suite. ``validate`` runs:
 * trace-distance bound vs exact global fidelity, over every setting prefix
   that enters it (the last l_c+1 rounds of a history enter no factor),
 * trash-count bound vs sampled coin tallies,
-* count-level coin inequality on sampled honest-channel runs.
+* count-level coin inequality (the pipeline's coin envelope) on the true
+  single-photon tallies of sampled honest-channel runs.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ import numpy as np
 # the fidelity oracle is looked up as ``corr.exact_global_fidelity`` at call
 # time, so that replacing the module attribute reaches the suites
 from . import correlations as corr
+from .concentration import azuma_delta
+from .counts import GroundTruth
 from .model import EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity, single_photon_prob
-from .oracles import exact_coin_parameter, extreme_deltas, random_admissible_deltas
-from .phase_error import AZUMA_TERMS, coin_inequality_check, g_interval, trash_minus_upper
-from .simulator import ChannelModel, coin_monte_carlo, sample_counts
+from .oracles import (coin_monte_carlo, exact_coin_parameter, extreme_deltas,
+                      random_admissible_deltas)
+from .phase_error import AZUMA_TERMS, coin_envelope, g_interval, trash_minus_upper
+from .simulator import ChannelModel, sample_counts
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,17 @@ class ValidationCheck:
     name: str
     passed: bool
     stats: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class CoinCheckResult:
+    """Outcome of the count-level coin inequality on ground-truth tallies."""
+
+    holds: bool
+    margin: float
+    lhs: float
+    rhs: float
+    trivial_branch: bool
 
 
 def reference_intensities() -> IntensitySet:
@@ -178,6 +193,40 @@ def check_trash_bound_mc(
             "bound": bound,
             "mean_tally": float(tallies.mean()),
         },
+    )
+
+
+def coin_inequality_check(
+    ground_truth: GroundTruth,
+    n_sifted_det: int,
+    p_keep: float,
+    eps_A: float,
+) -> CoinCheckResult:
+    """Evaluate the count-level coin inequality on true single-photon tallies.
+
+    Checks whether the number of key-basis single-photon errors is at most
+    the coin envelope of (n_z_det, n_x_det, n_x_err, n_minus), the one that
+    ``phase_error_rate_bound`` certifies with. Requires simulator ground
+    truth; where a guard fires, the check falls back to the deterministic
+    bound (errors <= detections).
+    """
+    n_z_err = ground_truth.z_err[1].total
+    n_z_det = ground_truth.z_det[1].total
+    n_x_err = ground_truth.x_err[1].total
+    n_x_det = ground_truth.x_det[1].total
+    n_minus = ground_truth.trash_minus_single
+    delta_A = azuma_delta(n_sifted_det, eps_A)
+    rhs = coin_envelope(n_z_det, n_x_det, n_x_err, n_minus, delta_A, p_keep, {})
+    trivial = isinstance(rhs, str)
+    if trivial:
+        rhs = float(n_z_det)
+    margin = rhs - n_z_err
+    return CoinCheckResult(
+        holds=margin >= 0.0,
+        margin=margin,
+        lhs=float(n_z_err),
+        rhs=rhs,
+        trivial_branch=trivial,
     )
 
 

@@ -15,10 +15,10 @@ import math
 import numpy as np
 
 from corrbb84.concentration import _check_epsilon, binomial_bound_pair
-from corrbb84.correlations import CorrelationModel, correlation_magnitude
+from corrbb84.correlations import CorrelationModel
 from corrbb84.decoy import DECOY_TERMS, apply_decoy_bounds
 from corrbb84.model import IntensitySet, ProtocolConfig
-from corrbb84.oracles import ExplicitDeltas
+from corrbb84.oracles import ExplicitDeltas, correlation_magnitude
 from corrbb84.simulator import sample_counts
 from corrbb84.validation import ValidationCheck, reference_budget, reference_channel
 

@@ -238,6 +238,15 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     assert main(["optimize", "--config", str(path), "--budget", "5"]) == 2
 
 
+# rows whose message is pinned, because a later, generic check would also exit 2
+MALFORMED_MESSAGES = {
+    "non_finite_audit_with_counts": "decoy weight e^w / p_w must be finite, got inf",
+    "p_w_tiny_with_counts": "decoy weight e^w / p_w must be finite, got inf",
+    "optimizer_coordinate_passes_zero": "coordinate_passes must be >= 1, got 0",
+    "optimizer_coordinate_passes_negative": "coordinate_passes must be >= 1, got -3",
+}
+
+
 @pytest.mark.parametrize("edits, cell, mode", [
     ({}, "-5", "counts"),
     ({}, "1.5", "counts"),
@@ -301,6 +310,9 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     ({"channel.f_EC": math.inf}, None, "counts"),
     ({"channel.distance_km": -15413.0}, None, "expected"),
     ({"optimizer": {"restarts": 10_001}}, None, "optimize"),
+    ({"protocol.intensity_probs": {"s": 0.85, "w": 5e-324, "v": 0.15}}, None, "counts"),
+    ({"optimizer": {"coordinate_passes": 0}}, None, "optimize"),
+    ({"optimizer": {"coordinate_passes": -3}}, None, "optimize"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -319,8 +331,10 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     "eps_A_inverse_overflows", "eps_C_inverse_overflows", "non_finite_audit_with_counts",
     "intensity_prob_v_beyond_float", "distance_beyond_float", "f_ec_nan_with_counts",
     "f_ec_inf_with_counts", "distance_negative_gain_overflows", "optimizer_restarts_beyond_cap",
+    "p_w_tiny_with_counts", "optimizer_coordinate_passes_zero",
+    "optimizer_coordinate_passes_negative",
 ])
-def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mode):
+def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
     for dotted, value in edits.items():
         *parents, key = dotted.split(".")
@@ -351,7 +365,9 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, edits, cell, mod
     else:
         argv += ["--simulate", "--mode", mode, "--seed", "1"]
     assert main(argv) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
     assert not (tmp_path / "scan.csv").exists()
 
 

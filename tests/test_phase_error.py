@@ -6,7 +6,6 @@ import pytest
 from corrbb84.decoy import DECOY_TERMS, DecoyBounds
 from corrbb84.phase_error import (
     AZUMA_TERMS,
-    coin_inequality_check,
     g_interval,
     pe_shares,
     phase_error_rate_bound,
@@ -14,6 +13,7 @@ from corrbb84.phase_error import (
     trash_minus_upper,
 )
 from corrbb84.counts import CountTriple, GroundTruth
+from corrbb84.validation import coin_inequality_check
 
 # frozen from independent high-precision evaluation
 G_PLUS_005_09 = 0.392

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from corrbb84.correlations import CorrelationModel
 from corrbb84.model import IntensitySet, ProtocolConfig, single_photon_prob
-from corrbb84.oracles import ExplicitDeltas, extreme_deltas
+from corrbb84.oracles import ExplicitDeltas, coin_monte_carlo, extreme_deltas
 from corrbb84.simulator import (
     ChannelModel,
-    coin_monte_carlo,
     expected_counts,
     sample_counts,
     validate_channel,
