@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .correlations import CorrelationModel, validate_correlation
 from .counts import CountTriple, GroundTruth, ObservedCounts
-from .keyrate import DEFAULT_F_EC, evaluate_pipeline
+from .keyrate import DEFAULT_F_EC, evaluate_pipeline, validate_f_ec
 from .model import (
     ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, require, validate_config,
 )
@@ -162,8 +162,7 @@ def parse_f_ec(data: dict) -> float:
     """``channel.f_EC``, passed to the pipeline and the optimizer; a counts
     file is certified without the rest of the channel section."""
     f_ec = _number(_section(data, "channel", "config", {}), "f_EC", "channel", DEFAULT_F_EC)
-    if f_ec < 1.0:
-        raise ConfigError("f_EC must be >= 1")
+    require(validate_f_ec(f_ec))
     return f_ec
 
 
@@ -310,18 +309,8 @@ def cmd_keyrate(args) -> int:
     else:
         raise ConfigError("keyrate needs either --counts FILE or --simulate")
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
-    payload = {
-        "manifest": manifest,
-        "result": {
-            "key_length": result.key_length,
-            "eps_sec": result.eps_sec,
-            "e_ph_upper": result.e_ph_upper,
-            "z_det_lower": result.z_det_lower,
-            "lambda_EC": result.lambda_EC,
-            "zero_key": result.key_length == 0,
-            "audit": result.audit,
-        },
-    }
+    payload = {"manifest": manifest,
+               "result": {**dataclasses.asdict(result), "zero_key": result.key_length == 0}}
     _write_json(args.out, payload)
     return 0
 
@@ -442,22 +431,12 @@ def cmd_validate(args) -> int:
     from .validation import run_validation
     manifest = make_manifest(f"validate:{args.level}", args.seed)
     checks = run_validation(level=args.level, seed=args.seed)
-    lines = []
     for check in checks:
-        status = "PASS" if check.passed else "FAIL"
         stats = json.dumps(check.stats, sort_keys=True)
-        lines.append(f"{status} {check.name} {stats}")
-    report = "\n".join(lines)
-    print(report)
+        print("PASS" if check.passed else "FAIL", check.name, stats)
     if args.out:
-        payload = {
-            "manifest": manifest,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "stats": c.stats}
-                for c in checks
-            ],
-        }
-        _write_json(args.out, payload)
+        checks_out = [dataclasses.asdict(check) for check in checks]
+        _write_json(args.out, {"manifest": manifest, "checks": checks_out})
     return 0 if all(check.passed for check in checks) else 1
 
 

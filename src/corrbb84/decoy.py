@@ -14,7 +14,8 @@ p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
 then Bernoulli sums amenable to :func:`~corrbb84.concentration.binomial_bound_pair`.
 
 The analytic three-intensity bounds require the solvability condition
-s(w - v) - w^2 + v^2 > 0, i.e. s > w + v. A full evaluation of one event
+s(w - v) - w^2 + v^2 > 0, i.e. s > w + v, and raise the model's ConfigError
+where it fails. A full evaluation of one event
 class consumes eps_B once per one-sided substitution (3 for the lower bound,
 2 for the upper) and asks ``bound_pair`` only for those sides; the side flags
 are passed positionally, so a wrapper that records the positional arguments
@@ -28,16 +29,12 @@ from typing import Callable
 
 from .concentration import binomial_bound_pair
 from .counts import CountTriple, ObservedCounts
-from .model import IntensitySet, ProtocolConfig, decoy_weights, lower_denominator
+from .model import ConfigError, IntensitySet, ProtocolConfig, decoy_weights, lower_denominator
 
 BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
 # one eps_B per one-sided substitution of a run: 3 + 2 + 3 + 2 over its four bounds
 DECOY_TERMS = 10
-
-
-class DecoySolvabilityError(ValueError):
-    """Intensity set violates s(w - v) - w^2 + v^2 > 0 (or w = v)."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ def single_photon_lower(counts: CountTriple, iset: IntensitySet, eps_B: float,
     """
     denom = lower_denominator(iset)
     if denom <= 0.0:
-        raise DecoySolvabilityError(
+        raise ConfigError(
             f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"
         )
     p1, w_weight, v_weight, s_weight = weights
@@ -89,7 +86,7 @@ def single_photon_upper(counts: CountTriple, iset: IntensitySet, eps_B: float,
     [0, total]. The other entries are its intermediates.
     """
     if iset.w <= iset.v:
-        raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
+        raise ConfigError(f"need w > v, got w={iset.w}, v={iset.v}")
     p1, w_weight, v_weight, _ = weights
     total = counts.total
     m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]

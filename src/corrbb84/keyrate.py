@@ -53,11 +53,16 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def validate_f_ec(f_EC: float) -> list[str]:
+    """The error-correction inefficiency's rule: finite and at least 1."""
+    return [] if 1.0 <= f_EC < math.inf else [f"f_EC must be finite and >= 1, got {f_EC}"]
+
+
 def ec_leakage(z_det_total: int, z_err_total: int, f_EC: float = DEFAULT_F_EC) -> float:
     """Bits disclosed by one-way error correction, modeled as
-    f_EC * n * h(QBER); zero for an empty or error-free key."""
-    if f_EC < 1.0:
-        raise ValueError(f"error-correction inefficiency must be >= 1, got {f_EC}")
+    f_EC * n * h(QBER); zero for an empty or error-free key. An ``f_EC``
+    that breaks :func:`validate_f_ec` raises ConfigError."""
+    require(validate_f_ec(f_EC))
     if z_err_total > z_det_total:
         raise ValueError("error count exceeds detection count")
     if z_det_total == 0:
@@ -72,10 +77,8 @@ def key_length(
     eps_PA: float,
     eps_EV: float,
 ) -> int:
-    """Certified key length in bits (floor of the max(0, .) expression)."""
-    for name, value in (("eps_PA", eps_PA), ("eps_EV", eps_EV)):
-        if not (0.0 < value < 1.0):
-            raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
+    """Certified key length in bits (floor of the max(0, .) expression), for
+    epsilons that :func:`~corrbb84.model.validate_epsilons` admits."""
     raw = (
         n_K1_lower * (1.0 - binary_entropy(e_ph_upper))
         - lambda_EC

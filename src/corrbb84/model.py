@@ -127,12 +127,25 @@ def validate_intensity_set(iset: IntensitySet) -> list[str]:
     return problems
 
 
-def validate_epsilon_budget(budget: EpsilonBudget) -> list[str]:
+def validate_epsilons(holder: object, names: tuple[str, ...]) -> list[str]:
+    """The failure-probability rule for the fields ``names`` of ``holder``,
+    one message per field that breaks it: each lies in (0, 1) with a finite
+    reciprocal, since the bounds take log(1/eps)."""
     problems = []
-    for name in ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV"):
-        value = getattr(budget, name)
-        if not (0.0 < value < 1.0) or 1.0 / value == math.inf:  # the bounds take log(1/eps)
+    for name in names:
+        value = getattr(holder, name)
+        if not (0.0 < value < 1.0) or 1.0 / value == math.inf:
             problems.append(f"{name} must lie in (0, 1) with 1/{name} finite, got {value}")
+    return problems
+
+
+def validate_block_size(N: int) -> list[str]:
+    """The block-size rule: at least one round."""
+    return [] if N >= 1 else [f"N must be a positive round count, got {N}"]
+
+
+def validate_epsilon_budget(budget: EpsilonBudget) -> list[str]:
+    problems = validate_epsilons(budget, ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV"))
     if not (0.0 <= budget.d < 1.0):
         problems.append(f"truncation tolerance d must lie in [0, 1), got {budget.d}")
     return problems
@@ -144,9 +157,7 @@ def validate_config(config: ProtocolConfig) -> list[str]:
     An empty report means the configuration is runnable. Reporting only;
     callers that must hard-fail pass the report to :func:`require`.
     """
-    problems = []
-    if config.N < 1:
-        problems.append(f"N must be a positive round count, got {config.N}")
+    problems = validate_block_size(config.N)
     if not (0.0 < config.p_keep < 1.0):
         # both p_keep and 1 - p_keep appear as divisors in the coin analysis
         problems.append(f"p_keep must lie strictly in (0, 1), got {config.p_keep}")

@@ -30,9 +30,9 @@ import numpy as np
 
 from .correlations import CorrelationModel, effective_length, validate_correlation
 from .decoy import DECOY_TERMS
-from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline
+from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline, validate_f_ec
 from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, lower_denominator,
-                    mean_intensity, require)
+                    mean_intensity, require, validate_block_size, validate_epsilons)
 from .phase_error import AZUMA_TERMS
 from .simulator import ChannelModel, expected_counts
 
@@ -67,7 +67,10 @@ class OptimizationSpec:
 
 
 def validate_optimization(spec: OptimizationSpec) -> list[str]:
-    """List of violated invariants; empty means the spec is usable."""
+    """List of violated invariants; empty means the spec is usable. ``N``, the
+    epsilons and ``f_EC`` follow their owners' rules in ``model`` and
+    ``keyrate``; the ``v`` and ``eps_pe_target`` rules leave some candidate
+    feasible and give every one a positive concentration budget."""
     problems = [
         f"{name} must be >= 1, got {getattr(spec, name)}"
         for name in ("budget", "restarts", "coordinate_passes")
@@ -75,15 +78,17 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
     ]
     if not spec.restarts <= MAX_RESTARTS:
         problems.append(f"restarts must be at most {MAX_RESTARTS}, got {spec.restarts}")
-    if not spec.v >= 0.0:
-        problems.append(f"v must be nonnegative, got {spec.v}")
-    problems.extend(
-        f"{name} must lie strictly in (0, 1), got {getattr(spec, name)}"
-        for name in ("eps_pe_target", "eps_PA", "eps_EV")
-        if not 0.0 < getattr(spec, name) < 1.0
-    )
+    if not 0.0 <= spec.v < BOXES[1][1]:
+        problems.append(f"v must lie in [0, {BOXES[1][1]}), below the top of the box of w, "
+                        f"got {spec.v}")
+    problems += validate_block_size(spec.N) + validate_f_ec(spec.f_EC)
+    problems += validate_epsilons(spec, ("eps_pe_target", "eps_PA", "eps_EV"))
     if spec.correlation is not None:
         problems.extend(validate_correlation(spec.correlation))
+        d = spec.correlation.truncation_d
+        if not spec.eps_pe_target > d:
+            problems.append(f"eps_pe_target must exceed the correlation model's "
+                            f"truncation_d={d}, got {spec.eps_pe_target}")
     return problems
 
 
@@ -115,9 +120,7 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfi
     except ConfigError:  # an explicit l_c_eff too short for this candidate
         return None
     d = 0.0 if spec.correlation is None else spec.correlation.truncation_d
-    pe_mass = spec.eps_pe_target - d
-    if pe_mass <= 0.0:
-        return None
+    pe_mass = spec.eps_pe_target - d  # positive: validate_optimization
     budget = EpsilonBudget(
         eps_A=u_a * pe_mass / AZUMA_TERMS,
         eps_B=u_b * pe_mass / DECOY_TERMS,

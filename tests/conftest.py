@@ -14,6 +14,11 @@ def identity_bound_pair(
     return (float(observed) if lower else 0.0, float(observed) if upper else float(total))
 
 
+def reject_constant(name: str):
+    """``parse_constant`` of strict JSON: a NaN or an Infinity fails the test."""
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
 @pytest.fixture
 def intensity_set():
     return reference_intensities()

@@ -26,8 +26,8 @@ from corrbb84 import concentration
 from corrbb84.concentration import binomial_bound_pair
 from corrbb84.correlations import MAX_ORACLE_ROUNDS, Z, CorrelationModel
 from corrbb84.counts import CountTriple, GroundTruth, ObservedCounts
-from corrbb84.decoy import BoundPair, DecoyBounds, DecoySolvabilityError
-from corrbb84.model import IntensitySet, ProtocolConfig, lower_denominator
+from corrbb84.decoy import BoundPair, DecoyBounds
+from corrbb84.model import ConfigError, IntensitySet, ProtocolConfig, lower_denominator
 from corrbb84.oracles import ExplicitDeltas
 from corrbb84.simulator import ChannelModel
 
@@ -201,7 +201,7 @@ def single_photon_lower(
     """
     denom = lower_denominator(iset)
     if denom <= 0.0:
-        raise DecoySolvabilityError(
+        raise ConfigError(
             f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"
         )
     total = counts.total
@@ -235,7 +235,7 @@ def single_photon_upper(
     [0, total]. The other entries are its intermediates.
     """
     if iset.w <= iset.v:
-        raise DecoySolvabilityError(f"need w > v, got w={iset.w}, v={iset.v}")
+        raise ConfigError(f"need w > v, got w={iset.w}, v={iset.v}")
     total = counts.total
     m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]
     m_v_lo = bound_pair(eps_B, counts.m_v, total, True, False)[0]

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import reject_constant
 
 import corrbb84
 from corrbb84.cli import _number, main, parse_distances, read_counts_csv
@@ -90,6 +91,47 @@ def test_keyrate_from_counts_matches_simulate(config_path, tmp_path):
 
 def test_keyrate_needs_counts_or_simulate(config_path):
     assert main(["keyrate", "--config", config_path]) == 2
+
+
+def _counts_file(config_path, tmp_path, edit=None):
+    """The expected counts of the base config, its lines passed through ``edit``."""
+    counts = tmp_path / "counts.csv"
+    main(["simulate", "--config", config_path, "--mode", "expected",
+          "--counts-out", str(counts)])
+    if edit is not None:
+        counts.write_text("\n".join(edit(counts.read_text().splitlines())) + "\n")
+    return str(counts)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("unreadable", "cannot read counts file "),
+    (lambda lines: [lines[0], "category,basis,mu,count", *lines[2:]],
+     "unexpected counts CSV header in "),
+    (lambda lines: [*lines, "det,Z,7"], "row ['det', 'Z', '7'] needs 4 fields"),
+    (lambda lines: [*lines, "det,Z,s,7,8"], "row ['det', 'Z', 's', '7', '8'] needs 4 fields"),
+    (lambda lines: [l for l in lines if not l.startswith("err,X,v,")],
+     "is missing cell ('err', 'X', 'v')"),
+], ids=["unreadable_path", "wrong_header", "three_fields", "five_fields", "missing_cell"])
+def test_counts_file_rejections_exit_2(config_path, tmp_path, capsys, edit, message):
+    if edit == "unreadable":
+        counts = str(tmp_path / "absent.csv")
+    else:
+        counts = _counts_file(config_path, tmp_path, edit)
+    assert main(["keyrate", "--config", config_path, "--counts", counts]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    with pytest.raises(ConfigError) as raised:
+        read_counts_csv(counts)
+    assert err == f"config error: {raised.value}\n"
+
+
+def test_counts_file_blank_lines_are_skipped(config_path, tmp_path, capsys):
+    plain = read_counts_csv(_counts_file(config_path, tmp_path))
+    spaced = _counts_file(config_path, tmp_path,
+                          lambda lines: [lines[0], lines[1], "", *lines[2:], ""])
+    assert read_counts_csv(spaced) == plain
+    assert main(["keyrate", "--config", config_path, "--counts", spaced]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["key_length"] > 0
 
 
 def test_sampled_simulation_requires_seed(config_path, tmp_path):
@@ -184,13 +226,25 @@ def test_optimize_uses_channel_f_ec(tmp_path):
     assert 0 < keys[2.0] < keys[1.16]
 
 
-def test_validate_quick_passes_and_repeats(capsys):
-    assert main(["validate", "--level", "quick", "--seed", "7"]) == 0
-    first = capsys.readouterr().out
-    assert main(["validate", "--level", "quick", "--seed", "7"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    assert all(line.startswith("PASS") for line in first.strip().splitlines())
+def test_validate_quick_passes_and_repeats(tmp_path, capsys):
+    """Every check passes, the --out report holds the printed checks as strict
+    JSON, and a second run differs only in the manifest timestamp."""
+    reports = []
+    for run in ("first.json", "second.json"):
+        out = tmp_path / run
+        assert main(["validate", "--level", "quick", "--seed", "7", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert set(report) == {"manifest", "checks"}
+        assert [
+            f"{'PASS' if check['passed'] else 'FAIL'} {check['name']} "
+            f"{json.dumps(check['stats'], sort_keys=True)}"
+            for check in report["checks"]
+        ] == printed
+        assert printed and all(check["passed"] is True for check in report["checks"])
+        assert report["manifest"]["seed"] == 7
+        reports.append(out.read_text().replace(report["manifest"]["timestamp"], ""))
+    assert reports[0] == reports[1]
 
 
 def test_correlated_config_derives_truncation(config_path, tmp_path):
@@ -244,6 +298,16 @@ MALFORMED_MESSAGES = {
     "p_w_tiny_with_counts": "decoy weight e^w / p_w must be finite, got inf",
     "optimizer_coordinate_passes_zero": "coordinate_passes must be >= 1, got 0",
     "optimizer_coordinate_passes_negative": "coordinate_passes must be >= 1, got -3",
+    "optimizer_eps_PA_inverse_overflows":
+        "eps_PA must lie in (0, 1) with 1/eps_PA finite, got 5e-324",
+    "optimizer_eps_EV_inverse_overflows":
+        "eps_EV must lie in (0, 1) with 1/eps_EV finite, got 5e-324",
+    "optimizer_eps_pe_target_inverse_overflows":
+        "eps_pe_target must lie in (0, 1) with 1/eps_pe_target finite, got 5e-324",
+    "optimizer_eps_pe_target_at_d":
+        "eps_pe_target must exceed the correlation model's truncation_d=1e-12, got 1e-12",
+    "optimizer_v_at_weak_box_top": "v must lie in [0, 0.5), below the top of the box of w, got 0.6",
+    "f_ec_below_1_with_counts": "f_EC must be finite and >= 1, got 0.5",
 }
 
 
@@ -313,6 +377,12 @@ MALFORMED_MESSAGES = {
     ({"protocol.intensity_probs": {"s": 0.85, "w": 5e-324, "v": 0.15}}, None, "counts"),
     ({"optimizer": {"coordinate_passes": 0}}, None, "optimize"),
     ({"optimizer": {"coordinate_passes": -3}}, None, "optimize"),
+    ({"optimizer": {"eps_PA": 5e-324}}, None, "optimize"),
+    ({"optimizer": {"eps_EV": 5e-324}}, None, "optimize"),
+    ({"optimizer": {"eps_pe_target": 5e-324}}, None, "optimize"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1.0},
+      "optimizer": {"eps_pe_target": 1e-12}}, None, "optimize"),
+    ({"optimizer": {"v": 0.6}}, None, "optimize"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -332,7 +402,9 @@ MALFORMED_MESSAGES = {
     "intensity_prob_v_beyond_float", "distance_beyond_float", "f_ec_nan_with_counts",
     "f_ec_inf_with_counts", "distance_negative_gain_overflows", "optimizer_restarts_beyond_cap",
     "p_w_tiny_with_counts", "optimizer_coordinate_passes_zero",
-    "optimizer_coordinate_passes_negative",
+    "optimizer_coordinate_passes_negative", "optimizer_eps_PA_inverse_overflows",
+    "optimizer_eps_EV_inverse_overflows", "optimizer_eps_pe_target_inverse_overflows",
+    "optimizer_eps_pe_target_at_d", "optimizer_v_at_weak_box_top",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))

@@ -9,13 +9,12 @@ from corrbb84.concentration import binomial_bound_pair
 from corrbb84.decoy import (
     DECOY_TERMS,
     CountTriple,
-    DecoySolvabilityError,
     apply_decoy_bounds,
     single_photon_lower,
     single_photon_upper,
 )
 from corrbb84.keyrate import ObservedCounts
-from corrbb84.model import IntensitySet, decoy_weights, single_photon_prob
+from corrbb84.model import ConfigError, IntensitySet, decoy_weights, single_photon_prob
 from corrbb84.simulator import expected_counts
 
 # frozen from independent high-precision evaluation
@@ -133,10 +132,10 @@ def test_lower_never_exceeds_upper(intensity_set):
 def test_solvability_rejected():
     bad = IntensitySet(s=0.15, w=0.1, v=0.06, p_s=THIRD, p_w=THIRD, p_v=THIRD)
     counts = CountTriple(10, 10, 10)
-    with pytest.raises(DecoySolvabilityError):
+    with pytest.raises(ConfigError, match=r"must be positive \(need s > w \+ v\)"):
         single_photon_lower(counts, bad, 1e-3, binomial_bound_pair, decoy_weights(bad))
     flat = IntensitySet(s=0.5, w=0.1, v=0.1, p_s=THIRD, p_w=THIRD, p_v=THIRD)
-    with pytest.raises(DecoySolvabilityError):
+    with pytest.raises(ConfigError, match=r"^need w > v, got w=0.1, v=0.1$"):
         single_photon_upper(counts, flat, 1e-3, binomial_bound_pair, decoy_weights(flat))
 
 

@@ -12,6 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
+from conftest import reject_constant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,17 +73,13 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-def _reject_constant(name: str):
-    raise AssertionError(f"non-finite number {name} in the output")
-
-
 def _check(argv: list[str]) -> None:
     status, out, err = _run(argv)
     assert status in (0, 2), (status, err)
     if status == 2:
         assert "config error:" in err
     else:
-        json.loads(out, parse_constant=_reject_constant)
+        json.loads(out, parse_constant=reject_constant)
 
 
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)

@@ -306,3 +306,10 @@ def test_pipeline_audit_epsilon_shares(config_1e9, channel_10km, d):
     assert shares["trash_lc1_eps_C"] == (l_c + 1) * budget.eps_C
     assert shares["decoy_10_eps_B"] == 10 * budget.eps_B
     assert shares["truncation_d"] == d
+
+
+@pytest.mark.parametrize("f_ec", [math.nan, math.inf, 0.5], ids=["nan", "inf", "below_1"])
+def test_pipeline_rejects_f_ec_outside_its_rule(config_1e9, channel_10km, f_ec):
+    observed, _ = expected_counts(config_1e9, channel_10km)
+    with pytest.raises(ConfigError, match=r"^f_EC must be finite and >= 1, got "):
+        evaluate_pipeline(observed, config_1e9, f_EC=f_ec)

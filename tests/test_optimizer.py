@@ -14,7 +14,7 @@ import corrbb84
 from corrbb84 import optimizer
 from corrbb84.concentration import binomial_bound_pair
 from corrbb84.correlations import CorrelationModel
-from corrbb84.model import lower_denominator
+from corrbb84.model import ConfigError, lower_denominator
 from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.optimizer import (
     BOXES,
@@ -24,6 +24,7 @@ from corrbb84.optimizer import (
     _initial_points,
     optimize_params,
     scan_distance,
+    validate_optimization,
 )
 from corrbb84.simulator import ChannelModel, expected_counts
 from corrbb84.validation import reference_channel
@@ -246,3 +247,32 @@ def test_winner_disagreement_raises(monkeypatch, channel_10km):
     monkeypatch.setattr(optimizer, "evaluate_pipeline", drifting)
     with pytest.raises(RuntimeError, match="winner re-evaluation disagrees"):
         optimize_params(OptimizationSpec(**FAST), channel_10km, seed=1)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"f_EC": 0.5}, "f_EC must be finite and >= 1, got 0.5"),
+    ({"f_EC": math.nan}, "f_EC must be finite and >= 1, got nan"),
+    ({"N": 0}, "N must be a positive round count, got 0"),
+    ({"v": 0.6}, "v must lie in [0, 0.5), below the top of the box of w, got 0.6"),
+    ({"eps_PA": 5e-324}, "eps_PA must lie in (0, 1) with 1/eps_PA finite, got 5e-324"),
+    ({"eps_pe_target": 1e-12, "correlation": CorrelationModel(0.05, 1.0, truncation_d=1e-12)},
+     "eps_pe_target must exceed the correlation model's truncation_d=1e-12, got 1e-12"),
+], ids=["f_ec_below_1", "f_ec_nan", "N_zero", "v_above_box", "eps_PA_inverse_overflows",
+        "eps_pe_target_at_d"])
+def test_invalid_spec_raises_before_any_evaluation(monkeypatch, channel_10km, edits, message):
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated an invalid spec")
+
+    monkeypatch.setattr(optimizer, "expected_counts", never)
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", never)
+    spec = OptimizationSpec(**{**FAST, **edits})
+    assert validate_optimization(spec) == [message]
+    with pytest.raises(ConfigError) as raised:
+        optimize_params(spec, channel_10km, seed=1)
+    assert str(raised.value) == message
+
+
+def test_v_below_the_top_of_the_weak_box_is_valid():
+    top = BOXES[1][1]
+    assert validate_optimization(OptimizationSpec(N=10**9, v=math.nextafter(top, 0.0))) == []
+    assert validate_optimization(OptimizationSpec(N=10**9, v=top)) != []
