@@ -7,10 +7,11 @@ pass/fail report).
 
 Configs are JSON with explicit fields for every protocol, channel and
 correlation parameter; the security epsilons carry no defaults and must be
-spelled out. Every output embeds a run manifest (tool version, config hash,
-seeds, bound-algorithm id, timestamp); for fixed (config, seed, version) the
-numeric sections are byte-identical across runs -- only the manifest
-timestamp varies.
+spelled out, and a key outside its section's ``SECTION_KEYS`` is refused.
+Every output embeds a run manifest (tool version, config hash, seeds,
+bound-algorithm id, timestamp); for fixed (config, seed, version) the numeric
+sections are byte-identical across runs -- only the manifest timestamp
+varies.
 
 Subcommands import the simulator, optimizer and oracle suites only when they
 run, so certifying a counts file never loads numpy.
@@ -63,8 +64,19 @@ EPSILONS = ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")
 CHANNEL_OPTIONAL = (
     "attenuation_db_per_km", "detector_efficiency", "dark_count_prob", "misalignment",
 )
-OPTIMIZER_REALS = ("eps_pe_target", "eps_PA", "eps_EV", "v")
+OPTIMIZER_REALS = ("eps_pe_target",)
 OPTIMIZER_COUNTS = ("budget", "restarts", "coordinate_passes")
+# the keys each config section may hold, by its dotted path; any other is refused
+SECTION_KEYS = {
+    "config": ("protocol", "epsilons", "channel", "correlations", "optimizer"),
+    "protocol": ("N", "p_keep", "intensities", "intensity_probs"),
+    "protocol.intensities": INTENSITIES,
+    "protocol.intensity_probs": INTENSITIES,
+    "epsilons": EPSILONS,
+    "channel": ("distance_km", "f_EC", *CHANNEL_OPTIONAL),
+    "correlations": ("delta_1", "decay_C", "l_c_eff"),
+    "optimizer": OPTIMIZER_REALS + OPTIMIZER_COUNTS,
+}
 # numpy's multinomial draws int64 counts
 MAX_SAMPLED_N = 2**63 - 1
 # each scanned distance is one optimization, so a longer range is a typo
@@ -96,12 +108,22 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _section(parent: dict, key: str, where: str, default=None) -> dict:
-    """The JSON object at ``where.key``, required when ``default`` is None."""
+def _known(section: dict, path: str) -> dict:
+    """``section``, refusing any key outside ``SECTION_KEYS[path]``."""
+    for key in section:
+        if key not in SECTION_KEYS[path]:
+            raise ConfigError(f"unknown field {path}.{key}")
+    return section
+
+
+def _section(parent: dict, path: str, default=None) -> dict:
+    """The JSON object at dotted ``path``, required when ``default`` is None."""
+    where, _, key = path.rpartition(".")
+    where = where or "config"
     value = _require(parent, key, where) if default is None else parent.get(key, default)
     if not isinstance(value, dict):
         raise ConfigError(f"{where}.{key} must be a JSON object, got {value!r}")
-    return value
+    return _known(value, path)
 
 
 def _number(section: dict, key: str, where: str, default=None) -> float:
@@ -123,7 +145,8 @@ def _whole(section: dict, key: str, where: str, default=None) -> int:
     return int(value)
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple[dict, str]:
+    """The config file's JSON object and its text, which the manifest hashes."""
     try:
         with open(path) as handle:
             raw = handle.read()
@@ -135,15 +158,14 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, not {type(data).__name__}")
-    data["_raw_text"] = raw
-    return data
+    return _known(data, "config"), raw
 
 
 def parse_protocol(data: dict) -> ProtocolConfig:
-    protocol = _section(data, "protocol", "config")
-    intensities = _section(protocol, "intensities", "protocol")
-    probs = _section(protocol, "intensity_probs", "protocol")
-    epsilons = _section(data, "epsilons", "config")
+    protocol = _section(data, "protocol")
+    intensities = _section(protocol, "protocol.intensities")
+    probs = _section(protocol, "protocol.intensity_probs")
+    epsilons = _section(data, "epsilons")
     budget = EpsilonBudget(**{eps: _number(epsilons, eps, "epsilons") for eps in EPSILONS})
     config = ProtocolConfig(
         N=_whole(protocol, "N", "protocol"),
@@ -161,14 +183,14 @@ def parse_protocol(data: dict) -> ProtocolConfig:
 def parse_f_ec(data: dict) -> float:
     """``channel.f_EC``, passed to the pipeline and the optimizer; a counts
     file is certified without the rest of the channel section."""
-    f_ec = _number(_section(data, "channel", "config", {}), "f_EC", "channel", DEFAULT_F_EC)
+    f_ec = _number(_section(data, "channel", {}), "f_EC", "channel", DEFAULT_F_EC)
     require(validate_f_ec(f_ec))
     return f_ec
 
 
 def parse_channel(data: dict) -> ChannelModel:
     from .simulator import ChannelModel, validate_channel
-    section = _section(data, "channel", "config")
+    section = _section(data, "channel")
     channel = ChannelModel(
         distance_km=_number(section, "distance_km", "channel"),
         **{key: _number(section, key, "channel") for key in CHANNEL_OPTIONAL if key in section},
@@ -182,7 +204,7 @@ def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel |
     length from d (``correlations.effective_length``)."""
     if data.get("correlations") is None:
         return None
-    section = _section(data, "correlations", "config")
+    section = _section(data, "correlations")
     model = CorrelationModel(
         delta_1=_number(section, "delta_1", "correlations"),
         decay_C=_number(section, "decay_C", "correlations"),
@@ -297,10 +319,10 @@ def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: in
 
 
 def cmd_keyrate(args) -> int:
-    data = load_config(args.config)
+    data, text = load_config(args.config)
     config = parse_protocol(data)
     model = parse_correlations(data, config)
-    manifest = make_manifest(data["_raw_text"], args.seed)
+    manifest = make_manifest(text, args.seed)
     f_ec = parse_f_ec(data)
     if args.counts:
         observed = read_counts_csv(args.counts)
@@ -316,10 +338,10 @@ def cmd_keyrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    data = load_config(args.config)
+    data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
-    manifest = make_manifest(data["_raw_text"], args.seed)
+    manifest = make_manifest(text, args.seed)
     observed, truth = _simulate(config, channel, args.mode, args.seed)
     write_counts_csv(args.counts_out, observed, manifest)
     if args.truth_out:
@@ -363,8 +385,10 @@ def parse_distances(spec: str) -> list[float]:
 
 
 def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpec:
+    """The search's own settings from the ``optimizer`` section; ``v``,
+    ``eps_PA`` and ``eps_EV`` are the protocol's, which it holds fixed."""
     from .optimizer import OptimizationSpec
-    section = _section(data, "optimizer", "config", {})
+    section = _section(data, "optimizer", {})
     overrides = {
         key: read(section, key, "optimizer")
         for read, keys in ((_number, OPTIMIZER_REALS), (_whole, OPTIMIZER_COUNTS))
@@ -373,20 +397,22 @@ def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpe
     }
     if args.budget is not None:
         overrides["budget"] = args.budget
+    epsilons = config.epsilon_budget
     return OptimizationSpec(
-        N=config.N, correlation=parse_correlations(data, config), f_EC=parse_f_ec(data),
-        **overrides,
+        N=config.N, v=float(config.intensity_set.v),
+        eps_PA=epsilons.eps_PA, eps_EV=epsilons.eps_EV,
+        correlation=parse_correlations(data, config), f_EC=parse_f_ec(data), **overrides,
     )
 
 
 def cmd_scan(args) -> int:
     from .optimizer import scan_distance
     from .simulator import validate_channel
-    data = load_config(args.config)
+    data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
     spec = _optimizer_spec(data, config, args)
-    manifest = make_manifest(data["_raw_text"], args.seed)
+    manifest = make_manifest(text, args.seed)
     distances = parse_distances(args.distances)
     for distance in distances:
         require(validate_channel(dataclasses.replace(channel, distance_km=distance)))
@@ -407,11 +433,11 @@ def cmd_scan(args) -> int:
 
 def cmd_optimize(args) -> int:
     from .optimizer import optimize_params
-    data = load_config(args.config)
+    data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
     spec = _optimizer_spec(data, config, args)
-    manifest = make_manifest(data["_raw_text"], args.seed)
+    manifest = make_manifest(text, args.seed)
     outcome = optimize_params(spec, channel, seed=args.seed)
     payload = {
         "manifest": manifest,

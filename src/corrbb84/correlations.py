@@ -37,6 +37,9 @@ if TYPE_CHECKING:
 Z, X = 0, 1
 
 MAX_ORACLE_ROUNDS = 8
+# the coin bound computes a factor per lag (about 0.3 us) until 1 - cos Delta_l
+# rounds to 0, Delta_l below about 2^-26; effective_length refuses more lags
+MAX_COIN_LAGS = 10**5
 
 
 @dataclass(frozen=True)
@@ -113,23 +116,32 @@ def effective_length(N: int, mean_mu: float, model: CorrelationModel | None) -> 
     explicit ``l_c_eff``, else the length that truncation budget d requires.
 
     With delta_1 > 0 and d > 0 an explicit length must reach
-    :func:`required_truncation_length`; any violation raises
-    :class:`~corrbb84.model.ConfigError`.
+    :func:`required_truncation_length`. A length beyond ``MAX_COIN_LAGS`` is
+    refused when 1 - cos Delta_l is still nonzero at that lag, where
+    :func:`coin_parameter_bound` would not yet have stopped. Any violation
+    raises :class:`~corrbb84.model.ConfigError`.
     """
     if model is None:
         return 0
     require(validate_correlation(model))
-    if model.delta_1 == 0.0 or model.truncation_d == 0.0:
-        return model.l_c_eff
-    needed = required_truncation_length(N, mean_mu, model)
-    if model.l_c_eff == 0:
-        return needed
-    if model.l_c_eff < needed:
+    l_c = model.l_c_eff
+    if model.delta_1 > 0.0 and model.truncation_d > 0.0:
+        needed = required_truncation_length(N, mean_mu, model)
+        if l_c == 0:
+            l_c = needed
+        elif l_c < needed:
+            raise ConfigError(
+                f"l_c_eff={l_c} below the required truncation length {needed} "
+                f"for d={model.truncation_d}"
+            )
+    if l_c > MAX_COIN_LAGS and (
+        1.0 - math.cos(model.delta_1 * math.exp(-model.decay_C * MAX_COIN_LAGS)) != 0.0
+    ):
         raise ConfigError(
-            f"l_c_eff={model.l_c_eff} below the required truncation length {needed} "
-            f"for d={model.truncation_d}"
+            f"decay_C={model.decay_C} with delta_1={model.delta_1} and l_c={l_c} makes the "
+            f"coin bound compute more than {MAX_COIN_LAGS} lags"
         )
-    return model.l_c_eff
+    return l_c
 
 
 def trace_distance_bound(N: int, mean_mu: float, l_c: int, model: CorrelationModel) -> float:

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -59,7 +61,7 @@ def test_simulate_counts_round_trip(config_path, tmp_path):
     from corrbb84.simulator import sample_counts
     from corrbb84.cli import load_config, parse_protocol, parse_channel
 
-    data = load_config(config_path)
+    data, _ = load_config(config_path)
     observed, _ = sample_counts(parse_protocol(data), parse_channel(data), 9)
     assert parsed == observed
     assert counts.read_text().startswith("# corrbb84-manifest: ")
@@ -201,7 +203,8 @@ def test_optimize_positive_vacuum_intensity_exits_0(tmp_path, seed):
     instead of raising."""
     config = json.loads(json.dumps(BASE_CONFIG))
     config["channel"]["distance_km"] = 0.0
-    config["optimizer"] = {"v": 0.2, "budget": 150}
+    config["protocol"]["intensities"] = {"s": 0.6, "w": 0.3, "v": 0.2}
+    config["optimizer"] = {"budget": 150}
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "best.json"
@@ -224,6 +227,49 @@ def test_optimize_uses_channel_f_ec(tmp_path):
         assert main(["optimize", "--config", str(path), "--seed", "2", "--out", str(out)]) == 0
         keys[f_ec] = json.loads(out.read_text())["result"]["key_length"]
     assert 0 < keys[2.0] < keys[1.16]
+
+
+def test_optimize_reads_the_protocols_v_and_epsilons(tmp_path, capsys):
+    """``v``, ``eps_PA`` and ``eps_EV`` come from the protocol and epsilon
+    sections, which the optimizer holds fixed; it splits only eps_pe_target."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["protocol"]["intensities"]["v"] = 0.02
+    config["epsilons"]["eps_PA"] = 1e-6
+    path = tmp_path / "protocol_v.json"
+    path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(path), "--budget", "30"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["params"]["v"] == 0.02
+    assert result["eps_sec"] == pytest.approx(2 * math.sqrt(1e-10) + 1e-6 + 1e-10, rel=1e-12)
+
+
+def test_optimize_ends_quickly_on_a_slowly_decaying_model(tmp_path):
+    """decay_C = 1e-7 derives l_c ~ 5e8 with Delta_l flat only after ~1.5e8
+    lags, which keyrate refuses (``decay_C_1e-7_beyond_lag_cap``); optimize
+    finds every candidate infeasible instead of running for minutes."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["epsilons"]["d"] = 1e-12
+    config["correlations"] = {"delta_1": 0.05, "decay_C": 1e-7}
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert main(["optimize", "--config", str(path), "--budget", "5",
+                 "--out", str(tmp_path / "best.json")]) in (0, 2)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_readme_config_runs(tmp_path):
+    """The README's documented config is accepted as written, so a stale field
+    there fails here under the unknown-key rule."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.json"
+    path.write_text(blocks[0])
+    assert main(["keyrate", "--config", str(path), "--simulate",
+                 "--out", str(tmp_path / "keyrate.json")]) == 0
+    assert main(["optimize", "--config", str(path), "--budget", "5",
+                 "--out", str(tmp_path / "best.json")]) == 0
 
 
 def test_validate_quick_passes_and_repeats(tmp_path, capsys):
@@ -298,15 +344,23 @@ MALFORMED_MESSAGES = {
     "p_w_tiny_with_counts": "decoy weight e^w / p_w must be finite, got inf",
     "optimizer_coordinate_passes_zero": "coordinate_passes must be >= 1, got 0",
     "optimizer_coordinate_passes_negative": "coordinate_passes must be >= 1, got -3",
-    "optimizer_eps_PA_inverse_overflows":
+    "eps_PA_inverse_overflows_optimize":
         "eps_PA must lie in (0, 1) with 1/eps_PA finite, got 5e-324",
-    "optimizer_eps_EV_inverse_overflows":
+    "eps_EV_inverse_overflows_optimize":
         "eps_EV must lie in (0, 1) with 1/eps_EV finite, got 5e-324",
     "optimizer_eps_pe_target_inverse_overflows":
         "eps_pe_target must lie in (0, 1) with 1/eps_pe_target finite, got 5e-324",
     "optimizer_eps_pe_target_at_d":
         "eps_pe_target must exceed the correlation model's truncation_d=1e-12, got 1e-12",
-    "optimizer_v_at_weak_box_top": "v must lie in [0, 0.5), below the top of the box of w, got 0.6",
+    "v_at_weak_box_top_optimize": "v must lie in [0, 0.5), below the top of the box of w, got 0.6",
+    "channel_key_misspelled": "unknown field channel.misalignmnet",
+    "intensities_key_unknown": "unknown field protocol.intensities.u",
+    "correlations_section_misspelled": "unknown field config.correlation",
+    "optimizer_v_retired": "unknown field optimizer.v",
+    "optimizer_eps_PA_retired": "unknown field optimizer.eps_PA",
+    "optimizer_eps_EV_retired": "unknown field optimizer.eps_EV",
+    "decay_C_1e-7_beyond_lag_cap": "coin bound compute more than 100000 lags",
+    "l_c_eff_beyond_lag_cap": "coin bound compute more than 100000 lags",
     "f_ec_below_1_with_counts": "f_EC must be finite and >= 1, got 0.5",
 }
 
@@ -328,7 +382,7 @@ MALFORMED_MESSAGES = {
     ({"optimizer": {"restarts": 2.5}}, None, "optimize"),
     ({"optimizer": {"restarts": 0}}, None, "optimize"),
     ({"optimizer": {"budget": 0}}, None, "optimize"),
-    ({"optimizer": {"v": -1}}, None, "optimize"),
+    ({"protocol.intensities.v": -1}, None, "optimize"),
     ({"optimizer": {"eps_pe_target": 2}}, None, "optimize"),
     ({}, "abc", "scan"),
     ({}, "nan", "scan"),
@@ -377,18 +431,26 @@ MALFORMED_MESSAGES = {
     ({"protocol.intensity_probs": {"s": 0.85, "w": 5e-324, "v": 0.15}}, None, "counts"),
     ({"optimizer": {"coordinate_passes": 0}}, None, "optimize"),
     ({"optimizer": {"coordinate_passes": -3}}, None, "optimize"),
-    ({"optimizer": {"eps_PA": 5e-324}}, None, "optimize"),
-    ({"optimizer": {"eps_EV": 5e-324}}, None, "optimize"),
+    ({"epsilons.eps_PA": 5e-324}, None, "optimize"),
+    ({"epsilons.eps_EV": 5e-324}, None, "optimize"),
     ({"optimizer": {"eps_pe_target": 5e-324}}, None, "optimize"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1.0},
       "optimizer": {"eps_pe_target": 1e-12}}, None, "optimize"),
-    ({"optimizer": {"v": 0.6}}, None, "optimize"),
+    ({"protocol.intensities": {"s": 2.0, "w": 0.7, "v": 0.6}}, None, "optimize"),
+    ({"channel.misalignmnet": 0.05}, None, "expected"),
+    ({"protocol.intensities.u": 0.05}, None, "counts"),
+    ({"correlation": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 35}}, None, "expected"),
+    ({"optimizer": {"v": 0.0}}, None, "optimize"),
+    ({"optimizer": {"eps_PA": 1e-10}}, None, "optimize"),
+    ({"optimizer": {"eps_EV": 1e-10}}, None, "optimize"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "expected"),
+    ({"correlations": {"delta_1": 0.05, "decay_C": 1e-5, "l_c_eff": 10**9}}, None, "counts"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
     "N_beyond_int64_sampled", "N_beyond_float", "optimizer_budget_text",
     "optimizer_restarts_fraction", "optimizer_restarts_zero", "optimizer_budget_zero",
-    "optimizer_v_negative", "optimizer_eps_pe_target_above_1", "distances_text",
+    "v_negative_optimize", "optimizer_eps_pe_target_above_1", "distances_text",
     "distances_nan", "distances_inf", "distance_negative", "distance_range_empty",
     "distance_range_nan_stop", "distances_none", "count_cell_twice", "count_basis_unknown",
     "count_intensity_unknown", "count_category_unknown", "sifted_total_twice",
@@ -402,9 +464,12 @@ MALFORMED_MESSAGES = {
     "intensity_prob_v_beyond_float", "distance_beyond_float", "f_ec_nan_with_counts",
     "f_ec_inf_with_counts", "distance_negative_gain_overflows", "optimizer_restarts_beyond_cap",
     "p_w_tiny_with_counts", "optimizer_coordinate_passes_zero",
-    "optimizer_coordinate_passes_negative", "optimizer_eps_PA_inverse_overflows",
-    "optimizer_eps_EV_inverse_overflows", "optimizer_eps_pe_target_inverse_overflows",
-    "optimizer_eps_pe_target_at_d", "optimizer_v_at_weak_box_top",
+    "optimizer_coordinate_passes_negative", "eps_PA_inverse_overflows_optimize",
+    "eps_EV_inverse_overflows_optimize", "optimizer_eps_pe_target_inverse_overflows",
+    "optimizer_eps_pe_target_at_d", "v_at_weak_box_top_optimize", "channel_key_misspelled",
+    "intensities_key_unknown", "correlations_section_misspelled", "optimizer_v_retired",
+    "optimizer_eps_PA_retired", "optimizer_eps_EV_retired", "decay_C_1e-7_beyond_lag_cap",
+    "l_c_eff_beyond_lag_cap",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))

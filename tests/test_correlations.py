@@ -96,6 +96,29 @@ def test_effective_length_rules():
     assert corr.effective_length(10**10, 0.5, uncorrelated) == 0
 
 
+def test_effective_length_caps_the_coin_bound_lags(intensity_set):
+    """A length beyond MAX_COIN_LAGS is refused exactly when 1 - cos Delta_l is
+    still nonzero at that lag (Delta_l above about 2^-26.5), where the coin
+    bound would still be computing factors; flat by then, any length runs."""
+    cap = corr.MAX_COIN_LAGS
+    derived = corr.CorrelationModel(delta_1=0.05, decay_C=1e-7, truncation_d=1e-12)
+    with pytest.raises(ConfigError, match=f"more than {cap} lags"):
+        corr.effective_length(10**9, 0.4, derived)
+    edge = math.log(0.05 * 2.0**26.5) / cap  # Delta_cap = 2^-26.5 at decay_C = edge
+    sloped = corr.CorrelationModel(delta_1=0.05, decay_C=0.99 * edge, l_c_eff=cap)
+    assert corr.effective_length(10**9, 0.4, sloped) == cap
+    with pytest.raises(ConfigError, match=f"more than {cap} lags"):
+        corr.effective_length(10**9, 0.4, replace(sloped, l_c_eff=cap + 1))
+    flat = replace(sloped, decay_C=1.01 * edge, l_c_eff=10**9)
+    assert corr.effective_length(10**9, 0.4, flat) == 10**9
+    start = time.perf_counter()
+    corr.coin_parameter_bound(10**9, intensity_set, flat)
+    assert time.perf_counter() - start < 1.0
+    # the smallest decay_C the tests draw, at the largest delta_1, is not refused
+    widest = corr.CorrelationModel(delta_1=math.pi, decay_C=1e-3, l_c_eff=10**9)
+    assert corr.effective_length(10**9, 0.4, widest) == 10**9
+
+
 def test_required_truncation_length_known_case():
     model = corr.CorrelationModel(delta_1=0.1, decay_C=0.5, truncation_d=1e-10)
     assert corr.required_truncation_length(10**10, 0.5, model) == 66

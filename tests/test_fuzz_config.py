@@ -2,7 +2,8 @@
 process on the reference config with one or two numeric fields (or counts
 cells) set to edge values or to random numbers. Every run must exit 0 or 2;
 exit 2 must come with a ``config error:`` line, and exit 0 with strict JSON
-(no NaN or Infinity). Fixed examples (``derandomize``), a few seconds in all.
+(no NaN or Infinity). A misspelled key in any section must exit 2. Fixed
+examples (``derandomize``), a few seconds in all.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from conftest import reject_constant
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrbb84.cli import main
@@ -42,9 +43,17 @@ FIELDS = (
                                    "detector_efficiency", "dark_count_prob",
                                    "misalignment", "f_EC")),
     *(f"correlations.{key}" for key in ("delta_1", "decay_C", "l_c_eff")),
-    *(f"optimizer.{key}" for key in ("eps_pe_target", "eps_PA", "eps_EV", "v", "budget",
-                                     "restarts", "coordinate_passes")),
+    *(f"optimizer.{key}" for key in ("eps_pe_target", "budget", "restarts",
+                                     "coordinate_passes")),
 )
+# every config section by its dotted path ("" is the top level), with the keys it holds
+SECTIONS = {
+    "": ("protocol", "epsilons", "channel", "correlations", "optimizer"),
+    "protocol": ("intensities", "intensity_probs"),
+}
+for field in FIELDS:
+    parent, _, key = field.rpartition(".")
+    SECTIONS[parent] = SECTIONS.get(parent, ()) + (key,)
 EDGE_VALUES = (
     0, 1, -1, 0.0, 1.0, -1.0, 5e-324, 1e-300, 1e-16, 709.7, 710, 1.7e308, -1.7e308,
     10**400, -(10**400), True, False, math.nan, math.inf, -math.inf,
@@ -66,11 +75,49 @@ COUNT_TEXTS = st.one_of(
 )
 
 
+@st.composite
+def misspellings(draw):
+    """A section path and a one-edit misspelling of one of its keys: a
+    character dropped, doubled, swapped with the next or changed."""
+    path = draw(st.sampled_from(sorted(SECTIONS)))
+    key = draw(st.sampled_from(SECTIONS[path]))
+    at = draw(st.integers(0, len(key) - 1))
+    edit = draw(st.sampled_from(("drop", "double", "swap", "change")))
+    if edit == "drop":
+        typo = key[:at] + key[at + 1:]
+    elif edit == "double":
+        typo = key[:at] + key[at] + key[at:]
+    elif edit == "swap":
+        typo = key[:at] + key[at + 1:at + 2] + key[at] + key[at + 2:]
+    else:
+        typo = key[:at] + draw(st.characters(min_codepoint=32, max_codepoint=126)) + key[at + 1:]
+    assume(typo not in SECTIONS[path])
+    return path, typo
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)
     return status, out.getvalue(), err.getvalue()
+
+
+def _set(config: dict, path: str, key: str, value) -> None:
+    """Set ``key`` in the section at dotted ``path`` ("" is the top level)."""
+    section = config
+    for name in filter(None, path.split(".")):
+        section = section.setdefault(name, {})
+    section[key] = value
+
+
+def _config_argv(tmp: str, config: dict, command: str) -> list[str]:
+    """Write ``config`` into ``tmp``; the argv of ``optimize`` on it, or of
+    ``keyrate --simulate`` in mode ``command``."""
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(config))
+    if command == "optimize":  # the flag bounds the search, the fields are still read
+        return ["optimize", "--config", str(path), "--budget", "3"]
+    return ["keyrate", "--config", str(path), "--simulate", "--mode", command, "--seed", "1"]
 
 
 def _check(argv: list[str]) -> None:
@@ -88,19 +135,10 @@ def _check(argv: list[str]) -> None:
 def test_config_fields_exit_0_or_2(edits, command):
     config = json.loads(json.dumps(BASE_CONFIG))
     for dotted, value in edits.items():
-        *parents, key = dotted.split(".")
-        section = config
-        for name in parents:
-            section = section.setdefault(name, {})
-        section[key] = value
+        path, _, key = dotted.rpartition(".")
+        _set(config, path, key, value)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
-        if command == "optimize":  # the flag bounds the search, the field is still read
-            _check(["optimize", "--config", str(path), "--budget", "3"])
-        else:
-            _check(["keyrate", "--config", str(path), "--simulate", "--mode", command,
-                    "--seed", "1"])
+        _check(_config_argv(tmp, config, command))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -116,3 +154,18 @@ def test_counts_cells_exit_0_or_2(cells):
             lines = [row + text if line.startswith(row) else line for line in lines]
         counts.write_text("\n".join(lines) + "\n")
         _check(["keyrate", "--config", str(config), "--counts", str(counts)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(misspelled=misspellings(), command=st.sampled_from(("expected", "optimize")))
+def test_misspelled_keys_exit_2(misspelled, command):
+    """A key that no section holds is refused, never read as absent; optimize
+    reads every section, keyrate all but ``optimizer``."""
+    path, typo = misspelled
+    if path == "optimizer":
+        command = "optimize"
+    config = json.loads(json.dumps(BASE_CONFIG))
+    _set(config, path, typo, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        status, _, err = _run(_config_argv(tmp, config, command))
+    assert status == 2 and "config error: unknown field " in err, (path, typo, err)
