@@ -7,7 +7,8 @@ pass/fail report).
 
 Configs are JSON with explicit fields for every protocol, channel and
 correlation parameter; the security epsilons carry no defaults and must be
-spelled out, and a key outside its section's ``SECTION_KEYS`` is refused.
+spelled out, and a key outside its section's ``SECTION_KEYS`` is refused in
+every section present, whichever command reads it.
 Every output embeds a run manifest (tool version, config hash, seeds,
 bound-algorithm id, timestamp); for fixed (config, seed, version) the numeric
 sections are byte-identical across runs -- only the manifest timestamp
@@ -39,9 +40,7 @@ from . import __version__
 from .correlations import CorrelationModel, validate_correlation
 from .counts import CountTriple, GroundTruth, ObservedCounts
 from .keyrate import DEFAULT_F_EC, evaluate_pipeline, validate_f_ec
-from .model import (
-    ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, require, validate_config,
-)
+from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, require
 
 if TYPE_CHECKING:
     from .optimizer import OptimizationSpec
@@ -108,12 +107,16 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _known(section: dict, path: str) -> dict:
-    """``section``, refusing any key outside ``SECTION_KEYS[path]``."""
-    for key in section:
+def _known(section: dict, path: str) -> None:
+    """Refuse any key of ``section`` outside ``SECTION_KEYS[path]``, and the
+    same in each sub-section present, which must be a JSON object whichever
+    command reads it; ``"correlations": null`` means no correlations."""
+    for key, value in section.items():
         if key not in SECTION_KEYS[path]:
             raise ConfigError(f"unknown field {path}.{key}")
-    return section
+        child = key if path == "config" else f"{path}.{key}"
+        if child in SECTION_KEYS and not (child == "correlations" and value is None):
+            _known(_section(section, child), child)
 
 
 def _section(parent: dict, path: str, default=None) -> dict:
@@ -123,7 +126,7 @@ def _section(parent: dict, path: str, default=None) -> dict:
     value = _require(parent, key, where) if default is None else parent.get(key, default)
     if not isinstance(value, dict):
         raise ConfigError(f"{where}.{key} must be a JSON object, got {value!r}")
-    return _known(value, path)
+    return value
 
 
 def _number(section: dict, key: str, where: str, default=None) -> float:
@@ -146,7 +149,8 @@ def _whole(section: dict, key: str, where: str, default=None) -> int:
 
 
 def load_config(path: str) -> tuple[dict, str]:
-    """The config file's JSON object and its text, which the manifest hashes."""
+    """The config file's JSON object, every section checked by :func:`_known`,
+    and its text, which the manifest hashes."""
     try:
         with open(path) as handle:
             raw = handle.read()
@@ -158,7 +162,8 @@ def load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, not {type(data).__name__}")
-    return _known(data, "config"), raw
+    _known(data, "config")
+    return data, raw
 
 
 def parse_protocol(data: dict) -> ProtocolConfig:
@@ -176,7 +181,7 @@ def parse_protocol(data: dict) -> ProtocolConfig:
         p_keep=_number(protocol, "p_keep", "protocol"),
         epsilon_budget=budget,
     )
-    require(validate_config(config))
+    require(config.problems)
     return config
 
 

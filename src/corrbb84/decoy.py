@@ -7,9 +7,9 @@ single-photon contribution: ``single_photon_lower`` and
 and the e^mu / p_mu weights of :func:`~corrbb84.model.decoy_weights`, and
 ``apply_decoy_bounds`` evaluates the four that the announced
 :class:`~corrbb84.counts.ObservedCounts` of a run need, with the weights
-derived once for all four. The estimate rests on the counterfactual in
-which the per-photon-number counts are fixed first and each event is
-assigned an intensity with the Bayes posterior
+that ``IntensitySet.weights`` derives once per intensity set. The estimate
+rests on the counterfactual in which the per-photon-number counts are fixed
+first and each event is assigned an intensity with the Bayes posterior
 p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
 then Bernoulli sums amenable to :func:`~corrbb84.concentration.binomial_bound_pair`.
 
@@ -29,7 +29,7 @@ from typing import Callable
 
 from .concentration import binomial_bound_pair
 from .counts import CountTriple, ObservedCounts
-from .model import ConfigError, IntensitySet, ProtocolConfig, decoy_weights, lower_denominator
+from .model import ConfigError, IntensitySet, ProtocolConfig, lower_denominator
 
 BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 
@@ -109,7 +109,7 @@ def apply_decoy_bounds(
     """
     iset = config.intensity_set
     eps_B = config.epsilon_budget.eps_B
-    weights = decoy_weights(iset)
+    weights = iset.weights
     z_lo = single_photon_lower(observed.z_det, iset, eps_B, bound_pair, weights)
     z_hi = single_photon_upper(observed.z_det, iset, eps_B, bound_pair, weights)
     x_lo = single_photon_lower(observed.x_det, iset, eps_B, bound_pair, weights)

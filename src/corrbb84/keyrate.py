@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from . import correlations as corr
 from .counts import ObservedCounts
 from .decoy import apply_decoy_bounds
-from .model import (
-    ConfigError, ProtocolConfig, mean_intensity, require, single_photon_prob, validate_config,
-)
+from .model import ConfigError, ProtocolConfig, mean_intensity, require
 from .phase_error import pe_shares, phase_error_rate_bound, total_pe_failure, trash_minus_upper
 
 DEFAULT_F_EC = 1.16
@@ -112,7 +110,7 @@ def evaluate_pipeline(
     invalid configurations, and counts with more sifted detections than the
     block has rounds, raise :class:`~corrbb84.model.ConfigError`.
     """
-    require(validate_config(config))
+    require(config.problems)
     require(observed.validate())
     if observed.n_sifted_det > config.N:
         raise ConfigError(
@@ -136,7 +134,7 @@ def evaluate_pipeline(
         coin_param = corr.coin_parameter_bound(l_c, iset, correlation_model)
 
     decoy_bounds = apply_decoy_bounds(observed, config)
-    p1 = single_photon_prob(iset)
+    p1 = iset.weights[0]
     trash_upper = trash_minus_upper(
         config.N, p1, config.p_keep, l_c, coin_param, budget.eps_C
     )

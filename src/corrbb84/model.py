@@ -5,6 +5,18 @@ consumes the types defined here. The photon-number distribution is fixed to
 Poisson, i.e. phase-randomized coherent pulses; non-Poissonian sources are out
 of scope. All functions are pure and thread-safe. Sums of floats add left to
 right, so their bits do not depend on the Python version's ``sum``.
+
+``ProtocolConfig.problems`` (the report of :func:`validate_config`) and
+``IntensitySet.weights`` (:func:`decoy_weights`, p1 first) are
+once-per-object memos, so records certified under one config validate it
+and derive its weights once; the two functions stay the owners of their
+rules and formulas. A memo lies outside the dataclass fields (no part in
+``==``, ``hash`` or ``repr``; ``dataclasses.replace`` starts afresh), reads a
+class-level ``None`` default and is stored with ``object.__setattr__``.
+Touching the instance dictionary instead, directly or through functools'
+cached property, materialises it on CPython 3.11, and every later attribute
+read on the object leaves the specialised fast path (about twice as slow).
+Two threads that fill a memo at once store equal tuples: a benign race.
 """
 
 from __future__ import annotations
@@ -25,8 +37,9 @@ class IntensitySet:
     """Three-intensity decoy setting: signal s > weak w > vacuum-like v >= 0.
 
     ``p_s + p_w + p_v`` must equal 1 within ``PROB_SUM_TOL``. Instances are
-    plain containers; use :func:`validate_intensity_set` to obtain the list of
-    violated invariants (empty list == valid).
+    plain containers with the memo of ``weights``; use
+    :func:`validate_intensity_set` to obtain the list of violated invariants
+    (empty list == valid).
     """
 
     s: float
@@ -36,9 +49,20 @@ class IntensitySet:
     p_w: float
     p_v: float
 
+    _weights = None  # the memo of ``weights``; not a field
+
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """(intensity, probability) pairs in (s, w, v) order."""
         return ((self.s, self.p_s), (self.w, self.p_w), (self.v, self.p_v))
+
+    @property
+    def weights(self) -> tuple[float, float, float, float]:
+        """:func:`decoy_weights` of this set (p1 first), derived on first read."""
+        weights = self._weights
+        if weights is None:
+            weights = decoy_weights(self)
+            object.__setattr__(self, "_weights", weights)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -69,6 +93,18 @@ class ProtocolConfig:
     intensity_set: IntensitySet
     p_keep: float
     epsilon_budget: EpsilonBudget
+
+    _problems = None  # the memo of ``problems``; not a field
+
+    @property
+    def problems(self) -> tuple[str, ...]:
+        """The report of :func:`validate_config` on this config, made on first
+        read; pass it to :func:`require` to hard-fail."""
+        problems = self._problems
+        if problems is None:
+            problems = tuple(validate_config(self))
+            object.__setattr__(self, "_problems", problems)
+        return problems
 
 
 def single_photon_prob(intensity_set: IntensitySet) -> float:
@@ -120,7 +156,7 @@ def validate_intensity_set(iset: IntensitySet) -> list[str]:
             f"intensity probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}"
         )
     # with no problem so far each weight is defined and positive; dividing by p_mu can overflow
-    if not problems and math.inf in (weights := decoy_weights(iset)):
+    if not problems and math.inf in (weights := iset.weights):
         names = ("e^w / p_w", "e^v / p_v", "(w^2 - v^2) / s^2 e^s / p_s")
         problems.extend(f"decoy weight {name} must be finite, got {weight}"
                         for name, weight in zip(names, weights[1:]) if weight == math.inf)
@@ -166,7 +202,7 @@ def validate_config(config: ProtocolConfig) -> list[str]:
     return problems
 
 
-def require(problems: list[str]) -> None:
+def require(problems: list[str] | tuple[str, ...]) -> None:
     """Raise ConfigError listing every problem of a validation report; no-op
     for an empty one."""
     if problems:

@@ -17,8 +17,12 @@ floats in ``PARAM_NAMES`` order (numpy draws only the uniform starts), so
 every configuration the objective certifies holds builtin floats. Infeasible
 candidates score ``-inf`` without consuming budget: ordering or simplex
 violations, intensities the decoy bounds cannot solve
-(``model.lower_denominator`` not positive, i.e. s <= w + v), or an explicit
-``l_c_eff`` shorter than the candidate's required truncation length.
+(``model.lower_denominator`` not positive, i.e. s <= w + v), or a
+correlation length that ``effective_length`` refuses (an explicit ``l_c_eff``
+shorter than the candidate's required truncation length, or more coin lags
+than its cap). A search that ends with no candidate evaluated raises the
+last such refusal, so a model that no candidate can run under is reported
+as the config error it is, not as a zero key.
 """
 
 from __future__ import annotations
@@ -102,7 +106,9 @@ class OptimizationResult:
 
 
 def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfig | None:
-    """Candidate -> runnable configuration, or None when infeasible."""
+    """Candidate -> runnable configuration, or None when infeasible; the
+    ConfigError of ``effective_length`` when it refuses the candidate's
+    correlation length."""
     s, w, p_s, p_w, p_keep, u_a, u_b = candidate
     if not (s > w > spec.v):
         return None
@@ -115,10 +121,7 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfi
     iset = IntensitySet(s=s, w=w, v=spec.v, p_s=p_s, p_w=p_w, p_v=p_v)
     if lower_denominator(iset) <= 0.0:  # the decoy bounds are unsolvable
         return None
-    try:
-        l_c = effective_length(spec.N, mean_intensity(iset), spec.correlation)
-    except ConfigError:  # an explicit l_c_eff too short for this candidate
-        return None
+    l_c = effective_length(spec.N, mean_intensity(iset), spec.correlation)
     d = 0.0 if spec.correlation is None else spec.correlation.truncation_d
     pe_mass = spec.eps_pe_target - d  # positive: validate_optimization
     budget = EpsilonBudget(
@@ -143,6 +146,7 @@ class _Objective:
     channel: ChannelModel
     evaluations: int = 0
     cache: dict = field(default_factory=dict)  # scores of candidates that built a config
+    refusal: ConfigError | None = None  # effective_length's last refusal
 
     def remaining(self) -> int:
         return self.spec.budget - self.evaluations
@@ -150,7 +154,11 @@ class _Objective:
     def __call__(self, candidate: Candidate) -> float:
         if candidate in self.cache:
             return self.cache[candidate]
-        config = _build_config(candidate, self.spec)
+        try:
+            config = _build_config(candidate, self.spec)
+        except ConfigError as exc:
+            self.refusal = exc
+            return -math.inf
         if config is None:
             return -math.inf
         if self.remaining() <= 0:
@@ -267,7 +275,9 @@ def optimize_params(
     Deterministic for fixed (spec, channel, seed, extra_starts). A run whose
     best candidate certifies no key is reported with ``zero_key_everywhere``
     rather than treated as a failure; a spec that fails
-    :func:`validate_optimization` raises :class:`~corrbb84.model.ConfigError`.
+    :func:`validate_optimization`, or a search that evaluated no candidate
+    because ``effective_length`` refused their correlation lengths, raises
+    :class:`~corrbb84.model.ConfigError`.
     """
     require(validate_optimization(spec))
     objective = _Objective(spec, channel)
@@ -282,6 +292,8 @@ def optimize_params(
             best_point, best_score = point, score
     config = _build_config(best_point, spec) if best_point is not None else None
     if config is None:
+        if objective.evaluations == 0 and objective.refusal is not None:
+            raise objective.refusal
         return OptimizationResult(
             params={}, key_length=0, result=None,
             evaluations=objective.evaluations, zero_key_everywhere=True,

@@ -362,6 +362,12 @@ MALFORMED_MESSAGES = {
     "decay_C_1e-7_beyond_lag_cap": "coin bound compute more than 100000 lags",
     "l_c_eff_beyond_lag_cap": "coin bound compute more than 100000 lags",
     "f_ec_below_1_with_counts": "f_EC must be finite and >= 1, got 0.5",
+    "decay_C_1e-7_beyond_lag_cap_optimize": "makes the coin bound compute more than 100000 lags",
+    "l_c_eff_below_every_candidate_optimize": "l_c_eff=5 below the required truncation length",
+    "l_c_eff_below_every_candidate_scan": "l_c_eff=5 below the required truncation length",
+    "optimizer_v_with_keyrate": "unknown field optimizer.v",
+    "optimizer_not_object_with_keyrate": "config.optimizer must be a JSON object, got 3",
+    "correlations_key_unknown_simulate": "unknown field correlations.bogus",
 }
 
 
@@ -445,6 +451,14 @@ MALFORMED_MESSAGES = {
     ({"optimizer": {"eps_EV": 1e-10}}, None, "optimize"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "expected"),
     ({"correlations": {"delta_1": 0.05, "decay_C": 1e-5, "l_c_eff": 10**9}}, None, "counts"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "optimize"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 5}},
+     None, "optimize"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 5}},
+     "0,10", "scan"),
+    ({"optimizer": {"v": 0.0}}, None, "expected"),
+    ({"optimizer": 3}, None, "expected"),
+    ({"correlations": {"delta_1": 0.05, "decay_C": 1.0, "bogus": 1}}, None, "simulate"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -469,7 +483,10 @@ MALFORMED_MESSAGES = {
     "optimizer_eps_pe_target_at_d", "v_at_weak_box_top_optimize", "channel_key_misspelled",
     "intensities_key_unknown", "correlations_section_misspelled", "optimizer_v_retired",
     "optimizer_eps_PA_retired", "optimizer_eps_EV_retired", "decay_C_1e-7_beyond_lag_cap",
-    "l_c_eff_beyond_lag_cap",
+    "l_c_eff_beyond_lag_cap", "decay_C_1e-7_beyond_lag_cap_optimize",
+    "l_c_eff_below_every_candidate_optimize", "l_c_eff_below_every_candidate_scan",
+    "optimizer_v_with_keyrate", "optimizer_not_object_with_keyrate",
+    "correlations_key_unknown_simulate",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -486,7 +503,10 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
         argv[0] = "optimize"
     elif mode == "scan":
         argv = ["scan", "--config", str(path), "--distances", cell, "--budget", "5",
-                "--out", str(tmp_path / "scan.csv")]
+                "--out", str(tmp_path / "out.csv")]
+    elif mode == "simulate":
+        argv = ["simulate", "--config", str(path), "--mode", "expected",
+                "--counts-out", str(tmp_path / "out.csv")]
     elif mode.startswith("counts"):
         counts = tmp_path / "counts.csv"
         main(["simulate", "--config", config_path, "--mode", "expected",
@@ -505,7 +525,7 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
     err = capsys.readouterr().err
     assert "config error:" in err
     assert MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
-    assert not (tmp_path / "scan.csv").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("value", [10**400, -10**400, math.nan, math.inf, -math.inf],

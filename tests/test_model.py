@@ -1,14 +1,25 @@
+import ast
+import dataclasses
 import math
+import pickle
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_suites import poisson_pmf
 
+from corrbb84 import model
+from corrbb84.correlations import CorrelationModel
+from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.model import (
     MAX_INTENSITY,
+    ConfigError,
     EpsilonBudget,
     IntensitySet,
     ProtocolConfig,
+    decoy_weights,
     lower_denominator,
     mean_intensity,
     single_photon_prob,
@@ -16,6 +27,7 @@ from corrbb84.model import (
     validate_intensity_set,
 )
 from corrbb84.phase_error import total_pe_failure
+from corrbb84.simulator import expected_counts
 from corrbb84.validation import reference_budget
 
 # frozen from independent high-precision evaluation (mpmath, 40 digits)
@@ -194,3 +206,117 @@ def test_sums_add_left_to_right():
     ulp = 2.0**-53  # of 0.5
     shares = {"a": 0.5, "b": 0.4 * ulp, "c": 0.375 * ulp, "d": 0.0}
     assert total_pe_failure(shares) == 0.5 != math.fsum(shares.values())
+
+
+# --- the once-per-object memos ----------------------------------------------
+
+_INTENSITIES = st.floats(0.0, 800.0, allow_nan=False)
+_PROBABILITIES = st.floats(-0.1, 1.1, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=st.floats(1e-3, MAX_INTENSITY), w=st.floats(0.0, MAX_INTENSITY),
+       v=st.floats(0.0, MAX_INTENSITY), p_s=st.floats(1e-300, 1.0),
+       p_w=st.floats(1e-300, 1.0), p_v=st.floats(1e-300, 1.0))
+def test_weights_memo_equals_decoy_weights_bit_for_bit(s, w, v, p_s, p_w, p_v):
+    iset = IntensitySet(s=s, w=w, v=v, p_s=p_s, p_w=p_w, p_v=p_v)
+    expected = [x.hex() for x in decoy_weights(iset)]
+    assert [x.hex() for x in iset.weights] == expected
+    assert iset.weights is iset.weights  # derived once
+    assert iset.weights[0].hex() == single_photon_prob(iset).hex()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=_INTENSITIES, w=_INTENSITIES, v=_INTENSITIES, p_s=_PROBABILITIES,
+       p_w=_PROBABILITIES, p_v=_PROBABILITIES, p_keep=st.floats(-0.5, 1.5),
+       N=st.integers(-2, 10**12), eps_A=st.floats(0.0, 1.5))
+def test_problems_memo_equals_validate_config(s, w, v, p_s, p_w, p_v, p_keep, N, eps_A):
+    config = ProtocolConfig(
+        N=N, intensity_set=IntensitySet(s=s, w=w, v=v, p_s=p_s, p_w=p_w, p_v=p_v),
+        p_keep=p_keep, epsilon_budget=dataclasses.replace(reference_budget(), eps_A=eps_A),
+    )
+    expected = tuple(validate_config(config))
+    assert config.problems == expected
+    assert config.problems is config.problems  # validated once
+
+
+def test_invalid_config_raises_on_every_evaluation(config_1e9, channel_10km):
+    observed, _ = expected_counts(config_1e9, channel_10km)
+    bad = dataclasses.replace(config_1e9, p_keep=1.0)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="p_keep must lie strictly in"):
+            evaluate_pipeline(observed, bad)
+
+
+def test_replace_gives_a_fresh_memo(config_1e9):
+    assert config_1e9.problems == ()
+    bad = dataclasses.replace(config_1e9, p_keep=1.0)
+    assert bad.problems == tuple(validate_config(bad)) != ()
+    assert config_1e9.problems == ()
+    iset = config_1e9.intensity_set
+    moved = dataclasses.replace(iset, s=0.6)
+    assert iset.weights == decoy_weights(iset)
+    assert moved.weights == decoy_weights(moved) != iset.weights
+
+
+def test_one_config_validates_once_across_certifications(monkeypatch, channel_10km):
+    calls = {"validate_config": 0, "decoy_weights": 0}
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(model, name, counted(name))
+    config = _config(N=10**9)
+    observed, _ = expected_counts(config, channel_10km)
+    correlated = dataclasses.replace(
+        config, epsilon_budget=dataclasses.replace(config.epsilon_budget, d=1e-12))
+    first = evaluate_pipeline(observed, config)
+    for _ in range(49):
+        assert evaluate_pipeline(observed, config) == first
+    evaluate_pipeline(observed, correlated, CorrelationModel(0.05, 1.0, 1e-12))
+    # the correlated config is a new object with its own report; its
+    # intensity set is the same object, whose weights are already derived
+    assert calls == {"validate_config": 2, "decoy_weights": 1}
+
+
+def test_certification_stores_nothing_on_per_record_inputs(config_1e9, channel_10km):
+    """Only the config and its intensity set carry memos; the counts, the
+    correlation model and the result hold their fields and nothing else."""
+    observed, _ = expected_counts(config_1e9, channel_10km)
+    correlation = CorrelationModel(0.05, 1.0, 1e-12)
+    budget = dataclasses.replace(config_1e9.epsilon_budget, d=1e-12)
+    config = dataclasses.replace(config_1e9, epsilon_budget=budget)
+    result = evaluate_pipeline(observed, config, correlation)
+    for record in (observed, observed.z_det, observed.x_err, correlation, result, budget):
+        assert set(vars(record)) == {f.name for f in dataclasses.fields(record)}
+    assert set(vars(config)) - {f.name for f in dataclasses.fields(config)} == {"_problems"}
+
+
+def test_pickle_round_trip_keeps_equality_and_hash(config_1e9):
+    fresh = _config()
+    assert config_1e9.problems == () and config_1e9.intensity_set.weights  # both memos filled
+    for config in (fresh, config_1e9):
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and hash(copy) == hash(config)
+        assert copy.problems == config.problems == ()
+        assert copy.intensity_set.weights == decoy_weights(config.intensity_set)
+
+
+def test_no_source_touches_an_instance_dictionary():
+    """Reading ``__dict__``, also through ``functools.cached_property``,
+    materialises an instance's dictionary on CPython 3.11, which slows every
+    later attribute read on that object; the memos use ``object.__setattr__``."""
+    found = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            names.update(alias.name for alias in getattr(node, "names", ()))
+            found += [f"{path.name}:{node.lineno}" for name in ("__dict__", "cached_property")
+                      if name in names]
+    assert found == []
