@@ -17,8 +17,9 @@ from .decoy import DecoyBounds
 from .keyrate import KeyRateResult, evaluate_pipeline
 from .model import EpsilonBudget, IntensitySet, ProtocolConfig, validate_config
 
-# The counts -> key path above needs only the standard library; the
-# numpy-backed names are imported from their module on first access.
+# The counts -> key path above needs only the standard library and none of
+# the code that simulates, optimizes or checks; so those names, which
+# ``keyrate --counts`` should not load, are imported on first access.
 _LAZY = {
     **dict.fromkeys(("ChannelModel", "expected_counts", "sample_counts"), "simulator"),
     **dict.fromkeys(("OptimizationSpec", "optimize_params", "scan_distance"), "optimizer"),

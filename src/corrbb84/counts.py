@@ -4,6 +4,8 @@
 ``ObservedCounts`` the announced data of one run. ``GroundTruth`` resolves
 each announced category by photon number (buckets 0, 1 and 2+); no real run
 could see it, so only the simulator produces it, for the validation oracles.
+The records are slotted frozen dataclasses, with no instance dictionary, so
+they are cheaper to build and to read.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CountTriple:
     """Counts of one event class per intensity, (s, w, v) order."""
 
@@ -19,8 +21,13 @@ class CountTriple:
     m_w: int
     m_v: int
 
-    def __post_init__(self):
-        if self.m_s < 0 or self.m_w < 0 or self.m_v < 0:
+    def __init__(self, m_s: int, m_w: int, m_v: int):
+        # checks the arguments; a __post_init__ would read the fields back
+        store = object.__setattr__
+        store(self, "m_s", m_s)
+        store(self, "m_w", m_w)
+        store(self, "m_v", m_v)
+        if m_s < 0 or m_w < 0 or m_v < 0:
             raise ValueError(f"counts must be nonnegative, got {self}")
 
     def __iter__(self):
@@ -31,7 +38,7 @@ class CountTriple:
         return self.m_s + self.m_w + self.m_v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservedCounts:
     """The announced data of one run: per-intensity detected/error counts of
     keep-sifted rounds by basis, plus the total detected sifted count
@@ -63,7 +70,7 @@ class ObservedCounts:
 Buckets = tuple[CountTriple, CountTriple, CountTriple]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     """Photon-number-resolved tallies hidden from the announced data.
 

@@ -37,7 +37,7 @@ BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 DECOY_TERMS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoyBounds:
     """Single-photon count bounds for one protocol run.
 
@@ -105,14 +105,18 @@ def apply_decoy_bounds(
 
     Lower and upper bounds on key-basis detections, lower bound on test-basis
     detections, upper bound on test-basis errors; joint failure probability at
-    most ``DECOY_TERMS * eps_B``.
+    most ``DECOY_TERMS * eps_B``. Where both bases hold one triple (as in
+    :func:`~corrbb84.simulator.expected_counts`), the test-basis lower bound
+    is the key-basis one, the same dict, and its three sides are not asked
+    for again.
     """
     iset = config.intensity_set
     eps_B = config.epsilon_budget.eps_B
     weights = iset.weights
-    z_lo = single_photon_lower(observed.z_det, iset, eps_B, bound_pair, weights)
-    z_hi = single_photon_upper(observed.z_det, iset, eps_B, bound_pair, weights)
-    x_lo = single_photon_lower(observed.x_det, iset, eps_B, bound_pair, weights)
+    z_det, x_det = observed.z_det, observed.x_det
+    z_lo = single_photon_lower(z_det, iset, eps_B, bound_pair, weights)
+    z_hi = single_photon_upper(z_det, iset, eps_B, bound_pair, weights)
+    x_lo = z_lo if x_det is z_det else single_photon_lower(x_det, iset, eps_B, bound_pair, weights)
     e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair, weights)
     return DecoyBounds(
         z_det_lower=z_lo["value"], z_det_upper=z_hi["value"],

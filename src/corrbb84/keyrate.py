@@ -28,7 +28,7 @@ from .phase_error import pe_shares, phase_error_rate_bound, total_pe_failure, tr
 DEFAULT_F_EC = 1.16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyRateResult:
     """Certified key length with its security parameter and audit trail."""
 

@@ -69,16 +69,18 @@ def _coin_overlap_sum(l_c: int, deltas: ExplicitDeltas, intensity_set: Intensity
     """
     if deltas.lags < l_c:
         raise ValueError(f"delta table covers {deltas.lags} lags, need {l_c}")
+    (s, p_s), (w, p_w), (v, p_v) = intensity_set.pairs()
     total = 0.0
     for a_x in (0, 1):
         for a_z in (0, 1):
             product = 1.0
             for l in range(1, l_c + 1):
                 diff = deltas.table[l - 1, a_x, X] - deltas.table[l - 1, a_z, Z]
-                product *= sum(
-                    p * math.exp(-mu * (1.0 - math.cos(diff)))
-                    for mu, p in intensity_set.pairs()
-                )
+                one_minus_cos = 1.0 - math.cos(diff)
+                # left to right: sum() compensates from Python 3.12 on
+                product *= (p_s * math.exp(-s * one_minus_cos)
+                            + p_w * math.exp(-w * one_minus_cos)
+                            + p_v * math.exp(-v * one_minus_cos))
             total += product
     return 0.25 * total
 

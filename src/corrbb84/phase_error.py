@@ -32,7 +32,7 @@ from .model import ConfigError
 AZUMA_TERMS = 5  # martingale deviations of the phase-error bound, one eps_A each
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseErrorBound:
     """Phase-error-rate bound plus the intermediates needed for audit."""
 

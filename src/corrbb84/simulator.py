@@ -21,18 +21,21 @@ numpy's PCG64 via ``default_rng(seed)``; one seed fixes the entire draw order.
 ``sample_counts`` skips the draws numpy answers without touching the bit
 generator (a binomial with n == 0 or p == 0.0, a multinomial with n == 0),
 so the stream of random numbers, and every seeded output, is the same as
-with every draw made.
+with every draw made. numpy is imported only when a sample is drawn, so the
+expected counts, and the commands built on them, never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .counts import Buckets, CountTriple, GroundTruth, ObservedCounts
+from .counts import CountTriple, GroundTruth, ObservedCounts
 from .model import ProtocolConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -79,24 +82,20 @@ def validate_channel(channel: ChannelModel) -> list[str]:
     return problems
 
 
-def _bucket_stats(mu: float, eta: float) -> list[tuple[float, float]]:
+def _bucket_stats(mu: float, eta: float) -> tuple[tuple[float, float], ...]:
     """Per bucket: (emission probability, signal-click probability within
     the bucket) at transmittance eta. Bucket 2 aggregates m >= 2 exactly via
     the Poisson identity sum_m p_m (1-eta)^m = exp(-mu eta)."""
     p0 = math.exp(-mu)
-    p1 = mu * math.exp(-mu)
+    p1 = mu * p0
     p2 = max(0.0, 1.0 - p0 - p1)
-    stats = [(p0, 0.0), (p1, eta)]
     if p2 > 0.0:
         no_click_mass = math.exp(-mu * eta) - p0 - p1 * (1.0 - eta)
-        sig2 = min(1.0, max(0.0, (p2 - no_click_mass) / p2))
-        stats.append((p2, sig2))
-    else:
-        stats.append((0.0, 0.0))
-    return stats
+        return (p0, 0.0), (p1, eta), (p2, min(1.0, max(0.0, (p2 - no_click_mass) / p2)))
+    return (p0, 0.0), (p1, eta), (0.0, 0.0)
 
 
-def _category_pvals(p_keep: float, error_prob: float) -> np.ndarray:
+def _category_pvals(p_keep: float, error_prob: float) -> list[float]:
     """Detected-round split [kZ-err, kZ-ok, kX-err, kX-ok, keep-unsifted,
     trash-sifted, trash-unsifted]."""
     quarter = p_keep / 4.0
@@ -106,8 +105,7 @@ def _category_pvals(p_keep: float, error_prob: float) -> np.ndarray:
     trash_sifted = (1.0 - p_keep) / 2.0
     # left to right, as numpy sums fewer than eight values
     sifted = kz_err + kz_ok + kx_err + kx_ok + keep_unsifted + trash_sifted
-    return np.array([kz_err, kz_ok, kx_err, kx_ok, keep_unsifted, trash_sifted,
-                     max(0.0, 1.0 - sifted)])
+    return [kz_err, kz_ok, kx_err, kx_ok, keep_unsifted, trash_sifted, max(0.0, 1.0 - sifted)]
 
 
 def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
@@ -115,14 +113,6 @@ def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
     p == 0.0 with 0 before it touches the bit generator, so those draws are
     skipped; p == 1.0 still consumes and is drawn."""
     return int(rng.binomial(n, p)) if n and p != 0.0 else 0
-
-
-def _triples(cells: list[int]) -> tuple[CountTriple, Buckets]:
-    """Rounded cells in (s, w, v) x (bucket 0, 1, 2) order as the triple
-    summed over buckets and the triple of each bucket."""
-    s0, s1, s2, w0, w1, w2, v0, v1, v2 = cells
-    return (CountTriple(s0 + s1 + s2, w0 + w1 + w2, v0 + v1 + v2),
-            (CountTriple(s0, w0, v0), CountTriple(s1, w1, v1), CountTriple(s2, w2, v2)))
 
 
 def expected_counts(
@@ -133,26 +123,32 @@ def expected_counts(
     Every ground-truth cell is rounded individually and the announced counts
     are sums of those cells, so the marginal-consistency invariant holds
     exactly. ``n_sifted_det`` is half of the expected detections; the honest
-    channel's coin tally ``trash_minus_single`` is 0.
+    channel's coin tally ``trash_minus_single`` is 0. Both bases share one
+    triple per category.
     """
     pk = config.p_keep
     e_mis = channel.misalignment
     y0 = channel.dark_click_prob
     eta = channel.transmittance
     N = config.N
-    det, err = [], []  # rounded cells
+    det, err = [], []  # rounded cells, (s, w, v) x (bucket 0, 1, 2)
     total_detected = 0.0
     for mu, p_mu in config.intensity_set.pairs():
+        n_mu = N * p_mu
         for p_bucket, sig_prob in _bucket_stats(mu, eta):
-            n_cell = N * p_mu * p_bucket
+            n_cell = n_mu * p_bucket
             sig = n_cell * sig_prob
             dark = (n_cell - sig) * y0
             detected = sig + dark
             total_detected += detected
             det.append(round(detected * pk / 4.0))
             err.append(round((sig * e_mis + dark * 0.5) * pk / 4.0))
-    det_marginal, det_buckets = _triples(det)
-    err_marginal, err_buckets = _triples(err)
+    s0, s1, s2, w0, w1, w2, v0, v1, v2 = det
+    det_marginal = CountTriple(s0 + s1 + s2, w0 + w1 + w2, v0 + v1 + v2)
+    det_buckets = (CountTriple(s0, w0, v0), CountTriple(s1, w1, v1), CountTriple(s2, w2, v2))
+    s0, s1, s2, w0, w1, w2, v0, v1, v2 = err
+    err_marginal = CountTriple(s0 + s1 + s2, w0 + w1 + w2, v0 + v1 + v2)
+    err_buckets = (CountTriple(s0, w0, v0), CountTriple(s1, w1, v1), CountTriple(s2, w2, v2))
     # the Z and X bases are symmetric
     truth = GroundTruth(det_buckets, err_buckets, det_buckets, err_buckets)
     # per-cell rounding may nudge keep-sifted sums past detected/2; keep the
@@ -181,13 +177,15 @@ def sample_counts(
     """
     if not 0.0 <= coin_minus_prob <= 1.0:
         raise ValueError(f"coin_minus_prob must lie in [0, 1], got {coin_minus_prob}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     pk = config.p_keep
     y0 = channel.dark_click_prob
     eta = channel.transmittance
     iset = config.intensity_set
-    sig_pvals = _category_pvals(pk, channel.misalignment)
-    dark_pvals = _category_pvals(pk, 0.5)
+    sig_pvals = np.array(_category_pvals(pk, channel.misalignment))
+    dark_pvals = np.array(_category_pvals(pk, 0.5))
     # cells[category][bucket][intensity] for z_det, z_err, x_det, x_err
     cells = [[[0, 0, 0] for _ in range(3)] for _ in range(4)]
     z_det, z_err, x_det, x_err = cells

@@ -4,10 +4,12 @@ frozen verbatim. The first two drew every binomial and multinomial,
 including the ones numpy answers without randomness, and built every table
 with fresh temporaries; ``bernoulli_kl`` ran every range check before its
 interior case; ``single_photon_prob`` and ``mean_intensity`` summed a
-generator over ``pairs()``; the decoy bounds derived p1 and the e^mu / p_mu
-weights afresh in each of a run's four bounds, and the coin bound evaluated
-p_v exp(-v x) at v = 0. ``test_equivalence.py`` pins the rewritten package
-functions to them bit for bit; do not edit them. ``newton_root`` is the KL
+generator over ``pairs()`` with ``sum()``, written out here left to right as
+``sum()`` added before Python 3.12 compensated it; the decoy bounds derived
+p1 and the e^mu / p_mu weights afresh in each of a run's four bounds, and
+the coin bound evaluated p_v exp(-v x) at v = 0. ``test_equivalence.py``
+pins the rewritten package functions to them bit for bit; do not edit them
+(the sums aside, they are as first written). ``newton_root`` is the KL
 root search with its cubic Taylor start, which only places the replay band
 of ``concentration._solve_kl``; ``test_concentration.py`` counts its D
 evaluations against the package's. ``expected_counts``, ``observed`` (the
@@ -321,12 +323,14 @@ def coin_parameter_bound(
 
 def single_photon_prob(intensity_set: IntensitySet) -> float:
     """Overall single-photon emission probability sum_mu p_mu * mu * e^{-mu}."""
-    return sum(p * mu * math.exp(-mu) for mu, p in intensity_set.pairs())
+    (s, p_s), (w, p_w), (v, p_v) = intensity_set.pairs()
+    return p_s * s * math.exp(-s) + p_w * w * math.exp(-w) + p_v * v * math.exp(-v)
 
 
 def mean_intensity(intensity_set: IntensitySet) -> float:
     """Probability-weighted mean photon number sum_mu p_mu * mu."""
-    return sum(p * mu for mu, p in intensity_set.pairs())
+    (s, p_s), (w, p_w), (v, p_v) = intensity_set.pairs()
+    return p_s * s + p_w * w + p_v * v
 
 
 def newton_root(p_hat: float, target: float, lower: bool) -> float | None:

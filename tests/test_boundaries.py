@@ -5,7 +5,8 @@ An oracle that calls the formula it checks cannot catch an error in it, so
 ``oracles`` takes no function from the certification modules; their types,
 ``X``/``Z`` and constants are shared vocabulary. The certification modules in
 turn import nothing from the oracles, the simulator, the optimizer or the
-validation suites, so that certifying counts never loads them.
+validation suites, so that certifying counts never loads them. No module
+calls the builtin ``sum``, whose float result changes with Python 3.12.
 """
 
 import ast
@@ -90,3 +91,16 @@ def test_boundary_reader_sees_every_import_form(tmp_path):
         ("oracles", None), ("simulator", "sample_counts"), ("optimizer", "optimize_params"),
         ("validation", None), ("correlations", "tail_sum"),
     ]
+
+
+def test_no_module_calls_the_builtin_sum():
+    """Python 3.12's ``sum()`` compensates float rounding, so a float sum
+    written with it would change certified values and reports from one
+    interpreter to the next; the package adds left to right instead.
+    ``array.sum()`` is a method and is not the builtin."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert found == []

@@ -687,3 +687,46 @@ def test_counts_certification_runs_without_numpy(tmp_path):
     result = a["result"]
     assert json.loads(proc.stdout) == [result["key_length"], result["eps_sec"],
                                        result["e_ph_upper"]]
+
+
+# Runs in a fresh interpreter: the expected-mode commands on argv[1:], then
+# prints whether numpy was loaded.
+EXPECTED_MODE_PROBE = """
+import sys
+from corrbb84.cli import main
+config, key, counts, truth = sys.argv[1:]
+if main(["keyrate", "--config", config, "--simulate", "--out", key]) != 0:
+    sys.exit("keyrate --simulate failed")
+if main(["simulate", "--config", config, "--mode", "expected", "--counts-out", counts,
+         "--truth-out", truth]) != 0:
+    sys.exit("simulate --mode expected failed")
+print("numpy" in sys.modules)
+"""
+
+
+def _without_timestamp(path: Path) -> str:
+    return re.sub(r'"timestamp": "[^"]*"', "", path.read_text())
+
+
+def test_expected_simulation_never_loads_numpy(config_path, tmp_path):
+    """``keyrate --simulate`` (expected mode) and ``simulate --mode expected``
+    draw no sample, so they never import numpy, and write what the same
+    commands write in a process that has it loaded."""
+    names = ("key.json", "counts.csv", "truth.csv")
+    fresh = [tmp_path / f"fresh_{name}" for name in names]
+    loaded = [tmp_path / f"loaded_{name}" for name in names]
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", EXPECTED_MODE_PROBE, config_path, *map(str, fresh)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+    key, counts, truth = map(str, loaded)
+    assert main(["keyrate", "--config", config_path, "--simulate", "--out", key]) == 0
+    assert main(["simulate", "--config", config_path, "--mode", "expected",
+                 "--counts-out", counts, "--truth-out", truth]) == 0
+    for a, b in zip(fresh, loaded):
+        assert _without_timestamp(a) == _without_timestamp(b)

@@ -425,8 +425,8 @@ def _cold_kl_sides(monkeypatch, observed, config) -> int:
 
 def test_certification_solves_only_the_sides_it_reads(monkeypatch, config_1e9):
     """3 sides for each lower decoy bound and 2 for each upper one: 10 on
-    sampled counts, 7 when the test-basis detections equal the key-basis ones
-    (as ``expected_counts`` gives), where the cache shares the lower sides."""
+    sampled counts, 7 when both bases hold one detections triple (as
+    ``expected_counts`` gives), whose lower bound serves both."""
     channel = reference_channel(10.0)
     sampled, _ = sample_counts(config_1e9, channel, seed=3)
     triples = (sampled.z_det, sampled.x_det, sampled.x_err)

@@ -199,6 +199,18 @@ def test_apply_decoy_bounds_equals_frozen(iset, triples, eps_B):
     assert new_calls == old_calls  # the same sides, asked in the same order
     assert repr(apply_decoy_bounds(observed, config)) == repr(old)
 
+    # both bases on one triple, as expected_counts gives them: the test-basis
+    # lower bound is the key-basis one, and its three sides are not asked again
+    z_det, z_err, _, x_err = triples
+    shared = ObservedCounts(z_det, z_err, z_det, x_err, observed.n_sifted_det)
+    new_calls, old_calls = [], []
+    new = apply_decoy_bounds(shared, config, _recording(new_calls))
+    old = frozen.apply_decoy_bounds(shared, config, _recording(old_calls))
+    assert repr(new) == repr(old)
+    assert new.audit["x_det_lower"] is new.audit["z_det_lower"]
+    assert old_calls[5:8] == old_calls[:3]  # x_det's three sides
+    assert new_calls == old_calls[:5] + old_calls[8:]
+
 
 @settings(max_examples=300, deadline=None)
 @given(iset=st.one_of(intensity_sets(), intensity_sets(solvable=False)),

@@ -12,6 +12,8 @@ from oracle_suites import poisson_pmf
 
 from corrbb84 import model
 from corrbb84.correlations import CorrelationModel
+from corrbb84.counts import CountTriple
+from corrbb84.decoy import apply_decoy_bounds
 from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.model import (
     MAX_INTENSITY,
@@ -26,7 +28,7 @@ from corrbb84.model import (
     validate_config,
     validate_intensity_set,
 )
-from corrbb84.phase_error import total_pe_failure
+from corrbb84.phase_error import phase_error_rate_bound, total_pe_failure
 from corrbb84.simulator import expected_counts
 from corrbb84.validation import reference_budget
 
@@ -286,16 +288,53 @@ def test_one_config_validates_once_across_certifications(monkeypatch, channel_10
 
 
 def test_certification_stores_nothing_on_per_record_inputs(config_1e9, channel_10km):
-    """Only the config and its intensity set carry memos; the counts, the
-    correlation model and the result hold their fields and nothing else."""
-    observed, _ = expected_counts(config_1e9, channel_10km)
+    """Only the config and its intensity set carry memos; the correlation
+    model holds its fields and nothing else, and the counts and the result
+    are slotted, with no instance dictionary to store anything in."""
+    observed, truth = expected_counts(config_1e9, channel_10km)
     correlation = CorrelationModel(0.05, 1.0, 1e-12)
     budget = dataclasses.replace(config_1e9.epsilon_budget, d=1e-12)
     config = dataclasses.replace(config_1e9, epsilon_budget=budget)
     result = evaluate_pipeline(observed, config, correlation)
-    for record in (observed, observed.z_det, observed.x_err, correlation, result, budget):
+    for record in (observed, observed.z_det, observed.x_err, truth, truth.z_det[1], result):
+        assert not hasattr(record, "__dict__")
+        assert type(record).__slots__ == tuple(f.name for f in dataclasses.fields(record))
+    for record in (correlation, budget):
         assert set(vars(record)) == {f.name for f in dataclasses.fields(record)}
     assert set(vars(config)) - {f.name for f in dataclasses.fields(config)} == {"_problems"}
+
+
+def _from_asdict(value):
+    """Undo ``dataclasses.asdict`` on the counts records: a dict with the
+    three intensity keys is a triple, a tuple holds one triple per bucket."""
+    if isinstance(value, dict) and value.keys() == {"m_s", "m_w", "m_v"}:
+        return CountTriple(**value)
+    if isinstance(value, tuple):
+        return tuple(_from_asdict(item) for item in value)
+    return value
+
+
+def test_slotted_records_round_trip(config_1e9, channel_10km):
+    """Pickle, ``replace`` and ``asdict`` give back an equal record with the
+    same hash and ``repr`` (audit included), and ``replace`` still checks a
+    triple's counts."""
+    observed, truth = expected_counts(config_1e9, channel_10km)
+    decoy = apply_decoy_bounds(observed, config_1e9)
+    phase = phase_error_rate_bound(decoy, 0.0, observed.n_sifted_det, config_1e9.p_keep,
+                                   config_1e9.epsilon_budget.eps_A)
+    result = evaluate_pipeline(observed, config_1e9)
+    changes = ((observed.z_det, {"m_v": 1}), (observed, {"n_sifted_det": 0}),
+               (truth, {"trash_minus_single": 1}), (decoy, {"x_det_lower": -1.0}),
+               (phase, {"e_ph_upper": 1.0}), (result, {"key_length": -1}))
+    for record, change in changes:
+        rebuilt = type(record)(**{name: _from_asdict(value)
+                                  for name, value in dataclasses.asdict(record).items()})
+        for copy in (pickle.loads(pickle.dumps(record)), dataclasses.replace(record), rebuilt):
+            assert type(copy) is type(record)
+            assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+        assert dataclasses.replace(record, **change) != record
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        dataclasses.replace(observed.z_det, m_w=-1)
 
 
 def test_pickle_round_trip_keeps_equality_and_hash(config_1e9):
