@@ -5,10 +5,10 @@ Subcommands: ``keyrate`` (counts file or simulation -> key-rate JSON),
 CSV), ``optimize`` (-> best-parameters JSON), ``validate`` (-> oracle-suite
 pass/fail report).
 
-Configs are JSON with explicit fields for every protocol, channel and
+Configs are UTF-8 JSON with explicit fields for every protocol, channel and
 correlation parameter; the security epsilons carry no defaults and must be
-spelled out, and a key outside its section's ``SECTION_KEYS`` is refused in
-every section present, whichever command reads it.
+spelled out, and a key outside its section's ``SECTION_KEYS``, or given twice
+in one object, is refused in every section present, whichever command reads it.
 Every output embeds a run manifest (tool version, config hash, seeds,
 bound-algorithm id, timestamp); for fixed (config, seed, version) the numeric
 sections are byte-identical across runs -- only the manifest timestamp
@@ -19,7 +19,7 @@ run, so certifying a counts file never loads numpy.
 
 Exit codes: 0 success (including zero-key results, which set a flag in the
 output), 1 oracle-suite failure or a closed output pipe, 2 configuration
-errors.
+errors, an unreadable input file or an output file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -148,16 +148,30 @@ def _whole(section: dict, key: str, where: str, default=None) -> int:
     return int(value)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused rather
+    than left to its last copy."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"key {key!r} appears twice in one JSON object")
+        data[key] = value
+    return data
+
+
 def load_config(path: str) -> tuple[dict, str]:
-    """The config file's JSON object, every section checked by :func:`_known`,
-    and its text, which the manifest hashes."""
+    """The config file's JSON object (UTF-8, no key twice in one object),
+    every section checked by :func:`_known`, and its text, which the manifest
+    hashes."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     except ValueError as exc:  # also integers beyond Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -223,10 +237,18 @@ def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel |
 # --- counts CSV -------------------------------------------------------------
 
 
+def _open_output(path: str, newline: str | None = None):
+    """``path`` opened for writing; a failure is a ConfigError naming it."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 @contextmanager
 def _csv_output(path: str, manifest: dict, header: list[str]):
     """A CSV writer on ``path``, after the manifest line and ``header``."""
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, newline="") as handle:
         handle.write(MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -243,16 +265,25 @@ def write_counts_csv(path: str, observed: ObservedCounts, manifest: dict) -> Non
         writer.writerow([*SIFTED_TOTAL, observed.n_sifted_det])
 
 
+def _counts_rows(path: str, handle):
+    """The CSV rows of the counts file's non-comment lines; a byte that is not
+    UTF-8 or a malformed field is the file's ConfigError."""
+    try:
+        yield from csv.reader(line for line in handle if not line.startswith("#"))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
+
+
 def read_counts_csv(path: str) -> ObservedCounts:
-    """The counts file as ObservedCounts; every cell of ``COUNT_FIELDS`` and
-    the ``sifted_total`` row exactly once, and no other row."""
+    """The UTF-8 counts file as ObservedCounts; every cell of ``COUNT_FIELDS``
+    and the ``sifted_total`` row exactly once, and no other row."""
     cells: dict[tuple[str, str, str], int] = {}
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
     with handle:
-        rows = csv.reader(line for line in handle if not line.startswith("#"))
+        rows = _counts_rows(path, handle)
         header = next(rows, None)
         if header != COUNTS_HEADER:
             raise ConfigError(f"unexpected counts CSV header in {path}: {header}")
@@ -306,7 +337,7 @@ def _write_json(path: str | None, payload: dict) -> None:
     except ValueError as exc:  # a NaN or an infinity: main exits 2, writing nothing
         raise ConfigError(f"the output holds a non-finite number ({exc})") from exc
     if path:
-        with open(path, "w") as handle:
+        with _open_output(path) as handle:
             handle.write(text + "\n")
     else:
         print(text)

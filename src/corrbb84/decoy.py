@@ -3,11 +3,10 @@
 Converts per-intensity counts of one event class (detections or errors, per
 basis; a :class:`~corrbb84.counts.CountTriple`) into bounds on the
 single-photon contribution: ``single_photon_lower`` and
-``single_photon_upper`` return one bound with its intermediates, given p1
-and the e^mu / p_mu weights of :func:`~corrbb84.model.decoy_weights`, and
-``apply_decoy_bounds`` evaluates the four that the announced
-:class:`~corrbb84.counts.ObservedCounts` of a run need, with the weights
-that ``IntensitySet.weights`` derives once per intensity set. The estimate
+``single_photon_upper`` return one bound with its intermediates, reading p1
+and the e^mu / p_mu weights from ``IntensitySet.weights`` (derived once per
+intensity set), and ``apply_decoy_bounds`` evaluates the four that the
+announced :class:`~corrbb84.counts.ObservedCounts` of a run need. The estimate
 rests on the counterfactual in which the per-photon-number counts are fixed
 first and each event is assigned an intensity with the Bayes posterior
 p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
@@ -55,20 +54,20 @@ class DecoyBounds:
 
 
 def single_photon_lower(counts: CountTriple, iset: IntensitySet, eps_B: float,
-                        bound_pair: BoundPair, weights: tuple[float, ...]) -> dict:
+                        bound_pair: BoundPair) -> dict:
     """Lower bound on the single-photon share of one event class.
 
     ``["value"]`` holds except with probability 3 * eps_B (three one-sided
     bound substitutions) and is clamped to [0, total]; a negative analytic
     value carries no information. The other entries are its intermediates.
-    ``weights`` is :func:`~corrbb84.model.decoy_weights` of ``iset``.
+    p1 and the weights are ``iset.weights``, read once the bound is solvable.
     """
     denom = lower_denominator(iset)
     if denom <= 0.0:
         raise ConfigError(
             f"s(w-v) - w^2 + v^2 = {denom} must be positive (need s > w + v)"
         )
-    p1, w_weight, v_weight, s_weight = weights
+    p1, w_weight, v_weight, s_weight = iset.weights
     total = counts.total
     m_w_lo = bound_pair(eps_B, counts.m_w, total, True, False)[0]
     m_v_hi = bound_pair(eps_B, counts.m_v, total, False, True)[1]
@@ -79,7 +78,7 @@ def single_photon_lower(counts: CountTriple, iset: IntensitySet, eps_B: float,
 
 
 def single_photon_upper(counts: CountTriple, iset: IntensitySet, eps_B: float,
-                        bound_pair: BoundPair, weights: tuple[float, ...]) -> dict:
+                        bound_pair: BoundPair) -> dict:
     """Upper bound on the single-photon share of one event class.
 
     ``["value"]`` holds except with probability 2 * eps_B and is clamped to
@@ -87,7 +86,7 @@ def single_photon_upper(counts: CountTriple, iset: IntensitySet, eps_B: float,
     """
     if iset.w <= iset.v:
         raise ConfigError(f"need w > v, got w={iset.w}, v={iset.v}")
-    p1, w_weight, v_weight, _ = weights
+    p1, w_weight, v_weight, _ = iset.weights
     total = counts.total
     m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]
     m_v_lo = bound_pair(eps_B, counts.m_v, total, True, False)[0]
@@ -112,12 +111,11 @@ def apply_decoy_bounds(
     """
     iset = config.intensity_set
     eps_B = config.epsilon_budget.eps_B
-    weights = iset.weights
     z_det, x_det = observed.z_det, observed.x_det
-    z_lo = single_photon_lower(z_det, iset, eps_B, bound_pair, weights)
-    z_hi = single_photon_upper(z_det, iset, eps_B, bound_pair, weights)
-    x_lo = z_lo if x_det is z_det else single_photon_lower(x_det, iset, eps_B, bound_pair, weights)
-    e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair, weights)
+    z_lo = single_photon_lower(z_det, iset, eps_B, bound_pair)
+    z_hi = single_photon_upper(z_det, iset, eps_B, bound_pair)
+    x_lo = z_lo if x_det is z_det else single_photon_lower(x_det, iset, eps_B, bound_pair)
+    e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair)
     return DecoyBounds(
         z_det_lower=z_lo["value"], z_det_upper=z_hi["value"],
         x_det_lower=x_lo["value"], x_err_upper=e_hi["value"],

@@ -15,9 +15,9 @@ and the correlation model stay fixed; each candidate runs at the correlation
 length of ``correlations.effective_length``. A candidate is a tuple of plain
 floats in ``PARAM_NAMES`` order (numpy draws only the uniform starts), so
 every configuration the objective certifies holds builtin floats. Infeasible
-candidates score ``-inf`` without consuming budget: ordering or simplex
-violations, intensities the decoy bounds cannot solve
-(``model.lower_denominator`` not positive, i.e. s <= w + v), or a
+candidates score ``-inf`` without consuming budget: p_v or u_C within 1e-6
+of zero, a configuration the model's ``problems`` report refuses (bad
+ordering, unsolvable decoy bounds, an epsilon share out of range), or a
 correlation length that ``effective_length`` refuses (an explicit ``l_c_eff``
 shorter than the candidate's required truncation length, or more coin lags
 than its cap). A search that ends with no candidate evaluated raises the
@@ -35,8 +35,8 @@ import numpy as np
 from .correlations import CorrelationModel, effective_length, validate_correlation
 from .decoy import DECOY_TERMS
 from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline, validate_f_ec
-from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, lower_denominator,
-                    mean_intensity, require, validate_block_size, validate_epsilons)
+from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity,
+                    require, validate_block_size, validate_epsilons)
 from .phase_error import AZUMA_TERMS
 from .simulator import ChannelModel, expected_counts
 
@@ -106,12 +106,10 @@ class OptimizationResult:
 
 
 def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfig | None:
-    """Candidate -> runnable configuration, or None when infeasible; the
-    ConfigError of ``effective_length`` when it refuses the candidate's
-    correlation length."""
+    """Candidate -> runnable configuration, or None when p_v or u_C is within
+    1e-6 of zero or the configuration's ``problems`` report is not empty; the
+    ConfigError of ``effective_length`` when it refuses its correlation length."""
     s, w, p_s, p_w, p_keep, u_a, u_b = candidate
-    if not (s > w > spec.v):
-        return None
     p_v = 1.0 - p_s - p_w
     if p_v <= 1e-6:
         return None
@@ -119,8 +117,6 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfi
     if u_c <= 1e-6:
         return None
     iset = IntensitySet(s=s, w=w, v=spec.v, p_s=p_s, p_w=p_w, p_v=p_v)
-    if lower_denominator(iset) <= 0.0:  # the decoy bounds are unsolvable
-        return None
     l_c = effective_length(spec.N, mean_intensity(iset), spec.correlation)
     d = 0.0 if spec.correlation is None else spec.correlation.truncation_d
     pe_mass = spec.eps_pe_target - d  # positive: validate_optimization
@@ -132,7 +128,8 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfi
         eps_EV=spec.eps_EV,
         d=d,
     )
-    return ProtocolConfig(N=spec.N, intensity_set=iset, p_keep=p_keep, epsilon_budget=budget)
+    config = ProtocolConfig(N=spec.N, intensity_set=iset, p_keep=p_keep, epsilon_budget=budget)
+    return None if config.problems else config
 
 
 def _score(result: KeyRateResult) -> float:

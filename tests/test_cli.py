@@ -96,12 +96,14 @@ def test_keyrate_needs_counts_or_simulate(config_path):
 
 
 def _counts_file(config_path, tmp_path, edit=None):
-    """The expected counts of the base config, its lines passed through ``edit``."""
+    """The expected counts of the base config, its lines passed through
+    ``edit``; a surrogate escape such as "\\udcff" is written as that raw byte."""
     counts = tmp_path / "counts.csv"
     main(["simulate", "--config", config_path, "--mode", "expected",
           "--counts-out", str(counts)])
     if edit is not None:
-        counts.write_text("\n".join(edit(counts.read_text().splitlines())) + "\n")
+        text = "\n".join(edit(counts.read_text().splitlines())) + "\n"
+        counts.write_bytes(text.encode("utf-8", "surrogateescape"))
     return str(counts)
 
 
@@ -113,7 +115,10 @@ def _counts_file(config_path, tmp_path, edit=None):
     (lambda lines: [*lines, "det,Z,s,7,8"], "row ['det', 'Z', 's', '7', '8'] needs 4 fields"),
     (lambda lines: [l for l in lines if not l.startswith("err,X,v,")],
      "is missing cell ('err', 'X', 'v')"),
-], ids=["unreadable_path", "wrong_header", "three_fields", "five_fields", "missing_cell"])
+    (lambda lines: [*lines, "det,Z,\udcff,7"], "'utf-8' codec can't decode byte 0xff"),
+    (lambda lines: [*lines, "det,Z,s," + "1" * 200_000], "field larger than field limit"),
+], ids=["unreadable_path", "wrong_header", "three_fields", "five_fields", "missing_cell",
+        "byte_not_utf8", "field_beyond_csv_limit"])
 def test_counts_file_rejections_exit_2(config_path, tmp_path, capsys, edit, message):
     if edit == "unreadable":
         counts = str(tmp_path / "absent.csv")
@@ -158,6 +163,50 @@ def test_config_errors_exit_2(tmp_path):
     path2 = tmp_path / "invalid.json"
     path2.write_text(json.dumps(invalid))
     assert main(["keyrate", "--config", str(path2), "--simulate"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["keyrate", "--simulate"], ["simulate", "--counts-out", "c.csv"], ["optimize"],
+    ["scan", "--distances", "0", "--out", "s.csv"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace(b'"channel"', b'"chan\xffnel"'),
+     "cannot read config file {}: 'utf-8' codec can't decode byte 0xff"),
+    (lambda text: text.replace(b'"eps_A": 1e-10', b'"eps_A": 1e-10, "eps_A": 0.001'),
+     "config file {}: key 'eps_A' appears twice in one JSON object"),
+    (lambda text: text[:-1] + b', "channel": {"distance_km": 50.0}}',
+     "config file {}: key 'channel' appears twice in one JSON object"),
+], ids=["byte_not_utf8", "eps_A_twice", "channel_twice"])
+def test_config_text_rejections_exit_2(tmp_path, monkeypatch, capsys, command, edit, message):
+    """Every command reads the config as UTF-8 and refuses a key given twice
+    in one object, where JSON parsing would keep the last copy."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_bytes(edit(json.dumps(BASE_CONFIG).encode()))
+    assert main([command[0], "--config", str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message.format(path))
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--simulate", "--out", "{}/result.json"],
+    ["optimize", "--budget", "5", "--out", "{}/best.json"],
+    ["scan", "--distances", "0", "--budget", "5", "--out", "{}/scan.csv"],
+    ["simulate", "--mode", "expected", "--counts-out", "{}/counts.csv"],
+    ["simulate", "--mode", "expected", "--counts-out", "counts.csv", "--truth-out", "{}/truth.csv"],
+    ["validate", "--out", "{}/report.json"],
+], ids=["keyrate_out", "optimize_out", "scan_out", "counts_out", "truth_out", "validate_out"])
+def test_output_in_missing_directory_exits_2(config_path, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "absent"
+    argv = [arg.format(missing) for arg in argv]
+    if argv[0] != "validate":
+        argv[1:1] = ["--config", config_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    target = next(arg for arg in argv if arg.startswith(str(missing)))
+    assert err.startswith(f"config error: cannot write output file {target}: ")
+    assert not missing.exists()
 
 
 def test_over_budget_epsilons_exit_2(tmp_path, capsys):

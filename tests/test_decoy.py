@@ -14,7 +14,7 @@ from corrbb84.decoy import (
     single_photon_upper,
 )
 from corrbb84.keyrate import ObservedCounts
-from corrbb84.model import ConfigError, IntensitySet, decoy_weights, single_photon_prob
+from corrbb84.model import ConfigError, IntensitySet, single_photon_prob
 from corrbb84.simulator import expected_counts
 
 # frozen from independent high-precision evaluation
@@ -24,7 +24,6 @@ FU_LOSSLESS_COEFF = 1.0517091807564762  # f_U / (N p1), identity bounds
 
 THIRD = 1.0 / 3.0
 UNIFORM = IntensitySet(s=0.5, w=0.1, v=0.0, p_s=THIRD, p_w=THIRD, p_v=THIRD)
-UNIFORM_WEIGHTS = decoy_weights(UNIFORM)
 
 
 def intensity_posterior(mu: str, m: int, intensity_set: IntensitySet) -> float:
@@ -73,14 +72,14 @@ def test_posterior_rejects_zero_support():
 
 def test_lower_zero_counts_clamp():
     zero = CountTriple(0, 0, 0)
-    lower = single_photon_lower(zero, UNIFORM, 1e-3, binomial_bound_pair, UNIFORM_WEIGHTS)
+    lower = single_photon_lower(zero, UNIFORM, 1e-3, binomial_bound_pair)
     assert lower["value"] == 0.0
 
 
 def test_upper_zero_counts_structure():
     """All-zero counts: only the w upper-bound term survives."""
     zero = CountTriple(0, 0, 0)
-    value = single_photon_upper(zero, UNIFORM, 1e-3, binomial_bound_pair, UNIFORM_WEIGHTS)["value"]
+    value = single_photon_upper(zero, UNIFORM, 1e-3, binomial_bound_pair)["value"]
     ceiling = binomial_bound_pair(1e-3, 0, 0)[1]
     p1 = single_photon_prob(UNIFORM)
     expected = ceiling * p1 * math.exp(UNIFORM.w) / (UNIFORM.p_w * (UNIFORM.w - UNIFORM.v))
@@ -93,7 +92,7 @@ def test_lossless_identity_mode_bounds():
     N = 3 * 10**6
     counts = CountTriple(N // 3, N // 3, N // 3)
     p1 = single_photon_prob(UNIFORM)
-    args = (UNIFORM, 1e-3, identity_bound_pair, UNIFORM_WEIGHTS)
+    args = (UNIFORM, 1e-3, identity_bound_pair)
     lower = single_photon_lower(counts, *args)["value"]
     upper = single_photon_upper(counts, *args)["value"]
     assert math.isclose(lower, N * p1 * FL_LOSSLESS_COEFF, rel_tol=1e-12)
@@ -112,7 +111,7 @@ def _random_triples(count, rng):
 
 def test_lower_monotone_in_weak_counts(intensity_set):
     rng = np.random.default_rng(11)
-    args = (intensity_set, 1e-6, binomial_bound_pair, decoy_weights(intensity_set))
+    args = (intensity_set, 1e-6, binomial_bound_pair)
     for triple in _random_triples(100, rng):
         bumped = CountTriple(triple.m_s, triple.m_w + 1, triple.m_v)
         low = single_photon_lower(triple, *args)["value"]
@@ -122,7 +121,7 @@ def test_lower_monotone_in_weak_counts(intensity_set):
 
 def test_lower_never_exceeds_upper(intensity_set):
     rng = np.random.default_rng(13)
-    args = (intensity_set, 1e-6, binomial_bound_pair, decoy_weights(intensity_set))
+    args = (intensity_set, 1e-6, binomial_bound_pair)
     for triple in _random_triples(100, rng):
         low = single_photon_lower(triple, *args)["value"]
         high = single_photon_upper(triple, *args)["value"]
@@ -133,10 +132,10 @@ def test_solvability_rejected():
     bad = IntensitySet(s=0.15, w=0.1, v=0.06, p_s=THIRD, p_w=THIRD, p_v=THIRD)
     counts = CountTriple(10, 10, 10)
     with pytest.raises(ConfigError, match=r"must be positive \(need s > w \+ v\)"):
-        single_photon_lower(counts, bad, 1e-3, binomial_bound_pair, decoy_weights(bad))
+        single_photon_lower(counts, bad, 1e-3, binomial_bound_pair)
     flat = IntensitySet(s=0.5, w=0.1, v=0.1, p_s=THIRD, p_w=THIRD, p_v=THIRD)
     with pytest.raises(ConfigError, match=r"^need w > v, got w=0.1, v=0.1$"):
-        single_photon_upper(counts, flat, 1e-3, binomial_bound_pair, decoy_weights(flat))
+        single_photon_upper(counts, flat, 1e-3, binomial_bound_pair)
 
 
 def test_apply_bounds_all_zero(config_1e6):

@@ -18,8 +18,7 @@ from corrbb84 import validation
 from corrbb84.concentration import bernoulli_kl, binomial_bound_pair
 from corrbb84.counts import CountTriple, GroundTruth, ObservedCounts
 from corrbb84.decoy import apply_decoy_bounds, single_photon_lower, single_photon_upper
-from corrbb84.model import (PROB_SUM_TOL, IntensitySet, decoy_weights, mean_intensity,
-                            single_photon_prob)
+from corrbb84.model import PROB_SUM_TOL, IntensitySet, mean_intensity, single_photon_prob
 from corrbb84.simulator import ChannelModel, expected_counts, sample_counts
 from corrbb84.validation import (
     reference_budget, reference_config, reference_intensities, run_validation,
@@ -216,11 +215,10 @@ def test_apply_decoy_bounds_equals_frozen(iset, triples, eps_B):
 @given(iset=st.one_of(intensity_sets(), intensity_sets(solvable=False)),
        counts=count_triples(), eps_B=st.floats(1e-15, 1e-2))
 def test_single_photon_bounds_equal_frozen(iset, counts, eps_B):
-    weights = decoy_weights(iset)
+    args = (counts, iset, eps_B, binomial_bound_pair)
     for new, old in ((single_photon_lower, frozen.single_photon_lower),
                      (single_photon_upper, frozen.single_photon_upper)):
-        assert (_outcome(new, counts, iset, eps_B, binomial_bound_pair, weights)
-                == _outcome(old, counts, iset, eps_B))
+        assert _outcome(new, *args) == _outcome(old, *args)
 
 
 def test_coin_parameter_bound_equals_frozen_on_grid():

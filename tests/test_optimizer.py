@@ -14,7 +14,7 @@ import corrbb84
 from corrbb84 import optimizer
 from corrbb84.concentration import binomial_bound_pair
 from corrbb84.correlations import CorrelationModel
-from corrbb84.model import ConfigError, lower_denominator
+from corrbb84.model import ConfigError, ProtocolConfig, lower_denominator
 from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.optimizer import (
     BOXES,
@@ -58,6 +58,51 @@ def test_unsolvable_decoy_candidates_are_rejected():
     assert config is not None and lower_denominator(config.intensity_set) > 0.0
     for s in (0.5, 0.45):  # s = w + v and s < w + v
         assert _build_config((s,) + solvable[1:], spec) is None
+
+
+@pytest.mark.parametrize("spec", [
+    OptimizationSpec(N=10**9),
+    OptimizationSpec(N=10**9, v=0.2),
+    OptimizationSpec(N=10**9, eps_pe_target=1e-308),
+    OptimizationSpec(N=10**9, eps_pe_target=1e-300, v=0.05,
+                     correlation=CorrelationModel(0.05, 1.0, truncation_d=1e-301)),
+], ids=["default", "v_0.2", "eps_pe_1e-308", "correlated_eps_pe_1e-300"])
+def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
+    """_build_config refuses a candidate exactly when the model's validation
+    report on the config it builds is not empty, and otherwise returns that
+    config, its report already made."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(ProtocolConfig(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(optimizer, "ProtocolConfig", recording)
+    points = _initial_points(replace(spec, restarts=64), seed=3)
+    # ordering and decoy-solvability edges of the centre start
+    center = _center_start()
+    points += [(0.1, 0.2) + center[2:], (0.3, 0.3) + center[2:], (0.5, 0.3) + center[2:]]
+    refused = []
+    for candidate in points:
+        built.clear()
+        config = _build_config(candidate, spec)
+        if not built:  # p_v or u_C within the search's own margin: nothing built
+            assert config is None
+            continue
+        assert (config is None) == bool(built[0].problems)
+        assert config is None or config is built[0] and config._problems == ()
+        refused.append(config is None)
+    assert len(refused) > 10 and any(refused)
+
+
+def test_refused_candidates_spend_no_budget():
+    """At eps_pe_target 1e-308 every split underflows an epsilon that
+    validate_epsilons refuses, so no candidate is evaluated."""
+    spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=20, restarts=2,
+                            coordinate_passes=1)
+    outcome = optimize_params(spec, reference_channel(10.0), seed=1)
+    assert outcome.evaluations == 0
+    assert outcome.zero_key_everywhere and outcome.params == {} and outcome.key_length == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
