@@ -17,6 +17,10 @@ varies.
 Subcommands import the simulator, optimizer and oracle suites only when they
 run, so certifying a counts file never loads numpy.
 
+Each output file is claimed before the command's work, as a temporary
+beside it that replaces it only once the command has finished, so a failed
+command leaves no partial output and every existing file as it was.
+
 Exit codes: 0 success (including zero-key results, which set a flag in the
 output), 1 oracle-suite failure or a closed output pipe, 2 configuration
 errors, an unreadable input file or an output file that cannot be opened.
@@ -33,7 +37,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -76,6 +80,8 @@ SECTION_KEYS = {
     "correlations": ("delta_1", "decay_C", "l_c_eff"),
     "optimizer": OPTIMIZER_REALS + OPTIMIZER_COUNTS,
 }
+# the arguments that name an output file
+OUTPUT_ARGS = ("out", "counts_out", "truth_out")
 # numpy's multinomial draws int64 counts
 MAX_SAMPLED_N = 2**63 - 1
 # each scanned distance is one optimization, so a longer range is a typo
@@ -235,6 +241,39 @@ def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel |
 
 
 # --- counts CSV -------------------------------------------------------------
+
+
+@contextmanager
+def _claimed_outputs(args):
+    """Each output file of ``args`` swapped for a new empty temporary beside
+    the file it names, which replaces that file only once the block has run.
+    On any failure the temporaries are removed. A path that names a device
+    or a pipe, such as /dev/stdout, is written in place."""
+    claims = []  # (target, temporary)
+    try:
+        for name in OUTPUT_ARGS:
+            path = getattr(args, name, None)
+            if not path or (os.path.exists(path)
+                            and not (os.path.isfile(path) or os.path.isdir(path))):
+                continue
+            target = os.path.realpath(path)  # a symlink keeps pointing at it
+            head, tail = os.path.split(target)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}-{len(claims)}.tmp")
+            try:
+                if os.path.exists(path):
+                    open(path, "a").close()  # refuses a directory or a read-only file
+                open(temp, "x").close()  # 0666 less the umask, as a plain open gives
+            except OSError as exc:  # name the path given, not the temporary
+                raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
+            claims.append((target, temp))
+            setattr(args, name, temp)
+        yield
+        for target, temp in claims:
+            os.replace(temp, target)
+    finally:
+        for _, temp in claims:
+            with suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _open_output(path: str, newline: str | None = None):
@@ -556,7 +595,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        status = args.func(args)
+        with _claimed_outputs(args):
+            status = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return status
     except ConfigError as exc:

@@ -33,13 +33,12 @@ After each step Newton stops once the step, or the error that the curvature
 predicts after it, is inside the noise window at the new point: most sides
 after one evaluation of D.
 
-All logarithms are natural. Pure functions, safe under concurrency.
+All logarithms are natural. Pure, uncached functions, safe under concurrency.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 BISECTION_TOL = 1e-12
 # The bisection evaluates D only within this many noise windows of the
@@ -196,7 +195,6 @@ def _solve_kl(p_hat: float, target: float, lower: bool) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=1 << 17)
 def binomial_bound_pair(
     epsilon: float, observed: int, total: int, lower: bool = True, upper: bool = True
 ) -> tuple[float, float]:
@@ -210,7 +208,9 @@ def binomial_bound_pair(
     ``total`` above, which holds with certainty. ``lower <= observed <=
     upper``, and each solved end is nondecreasing in ``observed`` up to the
     solver's precision: it lies within BISECTION_TOL of the exact root in the
-    rate, or within the noise window of D where that is wider.
+    rate, or within the noise window of D where that is wider. Uncached: the
+    benchmark's certify repeats 0.01% of its requests and optimize 14%, and
+    ``apply_decoy_bounds`` serves the detections triple both bases share.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie strictly in (0, 1), got {epsilon}")

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 from conftest import reject_constant
 
 import corrbb84
+from corrbb84 import cli, optimizer, simulator, validation
 from corrbb84.cli import _number, main, parse_distances, read_counts_csv
 from corrbb84.model import ConfigError
 
@@ -188,6 +190,17 @@ def test_config_text_rejections_exit_2(tmp_path, monkeypatch, capsys, command, e
     assert not any(tmp_path.glob("*.csv"))
 
 
+def _forbid_work(monkeypatch):
+    """Fail the test if a command reaches its work."""
+    def work(*args, **kwargs):
+        pytest.fail("the command worked before claiming its outputs")
+
+    for module, name in [(cli, "evaluate_pipeline"), (simulator, "expected_counts"),
+                         (simulator, "sample_counts"), (optimizer, "optimize_params"),
+                         (optimizer, "scan_distance"), (validation, "run_validation")]:
+        monkeypatch.setattr(module, name, work)
+
+
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--simulate", "--out", "{}/result.json"],
     ["optimize", "--budget", "5", "--out", "{}/best.json"],
@@ -197,16 +210,71 @@ def test_config_text_rejections_exit_2(tmp_path, monkeypatch, capsys, command, e
     ["validate", "--out", "{}/report.json"],
 ], ids=["keyrate_out", "optimize_out", "scan_out", "counts_out", "truth_out", "validate_out"])
 def test_output_in_missing_directory_exits_2(config_path, tmp_path, monkeypatch, capsys, argv):
+    """Every output path is claimed before the work, and a failed claim
+    leaves none of the command's outputs behind."""
+    _forbid_work(monkeypatch)
     monkeypatch.chdir(tmp_path)
     missing = tmp_path / "absent"
     argv = [arg.format(missing) for arg in argv]
     if argv[0] != "validate":
         argv[1:1] = ["--config", config_path]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     target = next(arg for arg in argv if arg.startswith(str(missing)))
     assert err.startswith(f"config error: cannot write output file {target}: ")
-    assert not missing.exists()
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_output_naming_a_directory_exits_2_before_the_work(tmp_path, monkeypatch, capsys):
+    _forbid_work(monkeypatch)
+    assert main(["validate", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output file {tmp_path}: Is a directory\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
+def test_failed_command_leaves_an_existing_output_as_it_was(config_path, tmp_path):
+    counts = tmp_path / "counts.csv"
+    assert main(["simulate", "--config", config_path, "--mode", "expected",
+                 "--counts-out", str(counts)]) == 0
+    text = re.sub(r"sifted_total,,,\d+", f"sifted_total,,,{10**9 + 1}", counts.read_text())
+    counts.write_text(text)
+    out = tmp_path / "result.json"
+    out.write_bytes(b"an earlier result\n")
+    assert main(["keyrate", "--config", config_path, "--counts", str(counts),
+                 "--out", str(out)]) == 2
+    assert out.read_bytes() == b"an earlier result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "counts.csv",
+                                                         "result.json"]
+
+
+def test_output_replaces_the_file_a_symlink_names_with_a_plain_open_mode(config_path, tmp_path):
+    plain = tmp_path / "plain"
+    open(plain, "w").close()
+    target, link = tmp_path / "result.json", tmp_path / "link.json"
+    target.write_text("an earlier result\n")
+    link.symlink_to(target)
+    assert main(["keyrate", "--config", config_path, "--simulate", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["result"]["key_length"] > 0
+    assert target.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "link.json", "plain",
+                                                         "result.json"]
+
+
+def test_output_to_a_pipe_is_written_in_place(config_path, tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["keyrate", "--config", config_path, "--simulate", "--out", str(pipe)]) == 0
+        text = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert json.loads(text)["result"]["key_length"] > 0
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 def test_over_budget_epsilons_exit_2(tmp_path, capsys):

@@ -179,11 +179,6 @@ def _evaluated_bound_pair(epsilon, observed, total):
     return (min(lower, float(observed)), max(upper, float(observed)))
 
 
-def _solved_bound_pair(epsilon, observed, total):
-    """binomial_bound_pair past its cache, so every call runs the solver."""
-    return binomial_bound_pair.__wrapped__(epsilon, observed, total)
-
-
 # beyond 1e15 a root can lie within a few ulp of p_hat
 GRID_TOTALS = (1, 2, 3, 7, 10, 100, 1000, 12_345, 10**6, 10**8 + 7, 10**9, 10**11,
                10**15, 10**20, 10**30)
@@ -198,7 +193,7 @@ def test_replayed_bisection_equals_evaluated_on_grid(total):
                       | {rng.randint(0, total) for _ in range(3)})
     for epsilon in GRID_EPSILONS:
         for k in observed:
-            assert _solved_bound_pair(epsilon, k, total) == _evaluated_bound_pair(
+            assert binomial_bound_pair(epsilon, k, total) == _evaluated_bound_pair(
                 epsilon, k, total
             ), (epsilon, k, total)
 
@@ -213,7 +208,7 @@ def test_replayed_bisection_equals_evaluated_on_drawn_inputs(exponent, fraction,
     total = max(1, int(10.0**exponent))
     observed = round(fraction * total)
     epsilon = 10.0**log_epsilon
-    assert _solved_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
+    assert binomial_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
         epsilon, observed, total
     )
 
@@ -235,14 +230,14 @@ def test_replay_never_depends_on_newton(monkeypatch, misplace):
     monkeypatch.setattr(concentration, "_newton_root", misplaced)
     for epsilon, observed, total in [(1e-10, 12_345, 10**6), (1e-3, 3, 10**9),
                                      (0.5, 10**8, 10**11), (1e-30, 1, 2)]:
-        assert _solved_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
+        assert binomial_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
             epsilon, observed, total
         )
 
 
 @pytest.fixture(scope="module")
 def production_sides():
-    """The (p_hat, target, lower) of every KL side that 100 cold
+    """The (p_hat, target, lower) of every KL side that 100
     certifications of ``sample_counts`` records solve: ``reference_config(10**9)``
     at 0-60 km, one record in four uncorrelated, the rest with a correlation
     model and its truncation budget d = 1e-12."""
@@ -263,9 +258,7 @@ def production_sides():
             model = None if i % 4 == 0 else CorrelationModel(0.01 + 0.002 * i, 0.5, 1e-12)
             config = uncorrelated if model is None else correlated
             observed, _ = sample_counts(config, ChannelModel(distance_km=0.6 * i), seed=i)
-            binomial_bound_pair.cache_clear()
             evaluate_pipeline(observed, config, model)
-    binomial_bound_pair.cache_clear()
     return sides
 
 
@@ -378,11 +371,10 @@ def test_bound_pair_brackets_and_is_monotone_in_observed(exponent, fractions, lo
 def _assert_one_sided_ends_match(epsilon, observed, total):
     """Each one-sided request returns that end of the two-sided pair bit for
     bit and the other end at its trivial bound, 0.0 or ``total``."""
-    solve = binomial_bound_pair.__wrapped__
-    lower, upper = solve(epsilon, observed, total)
-    assert solve(epsilon, observed, total, True, False) == (lower, float(total))
-    assert solve(epsilon, observed, total, False, True) == (0.0, upper)
-    assert solve(epsilon, observed, total, False, False) == (0.0, float(total))
+    lower, upper = binomial_bound_pair(epsilon, observed, total)
+    assert binomial_bound_pair(epsilon, observed, total, True, False) == (lower, float(total))
+    assert binomial_bound_pair(epsilon, observed, total, False, True) == (0.0, upper)
+    assert binomial_bound_pair(epsilon, observed, total, False, False) == (0.0, float(total))
 
 
 @pytest.mark.parametrize("total", GRID_TOTALS)
@@ -404,8 +396,17 @@ def test_one_sided_request_equals_that_end_on_drawn_inputs(exponent, fraction, l
     _assert_one_sided_ends_match(10.0**log_epsilon, round(fraction * total), total)
 
 
-def _cold_kl_sides(monkeypatch, observed, config) -> int:
-    """``_solve_kl`` calls of one certification on an empty bound cache."""
+def test_bound_pair_does_not_depend_on_earlier_calls():
+    """Equal arguments of another type give the same ends, but the ends of a
+    call with plain ints are builtin floats whatever was asked before."""
+    first = binomial_bound_pair(1e-7, 12_345, np.int64(67_890))
+    again = binomial_bound_pair(1e-7, 12_345, 67_890)
+    assert again == first
+    assert all(type(end) is float for end in again)
+
+
+def _kl_sides(monkeypatch, observed, config) -> int:
+    """``_solve_kl`` calls of one certification."""
     calls = 0
     solve = concentration._solve_kl
 
@@ -415,11 +416,7 @@ def _cold_kl_sides(monkeypatch, observed, config) -> int:
         return solve(p_hat, target, lower)
 
     monkeypatch.setattr(concentration, "_solve_kl", counted)
-    binomial_bound_pair.cache_clear()
-    try:
-        evaluate_pipeline(observed, config)
-    finally:
-        binomial_bound_pair.cache_clear()
+    evaluate_pipeline(observed, config)
     return calls
 
 
@@ -432,8 +429,8 @@ def test_certification_solves_only_the_sides_it_reads(monkeypatch, config_1e9):
     triples = (sampled.z_det, sampled.x_det, sampled.x_err)
     assert all(0 < m < t.total for t in triples for m in (t.m_s, t.m_w, t.m_v))
     assert sampled.x_det != sampled.z_det
-    assert _cold_kl_sides(monkeypatch, sampled, config_1e9) == 10
+    assert _kl_sides(monkeypatch, sampled, config_1e9) == 10
 
     expected, _ = expected_counts(config_1e9, channel)
     assert expected.x_det == expected.z_det
-    assert _cold_kl_sides(monkeypatch, expected, config_1e9) == 7
+    assert _kl_sides(monkeypatch, expected, config_1e9) == 7

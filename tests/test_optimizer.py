@@ -12,7 +12,6 @@ import pytest
 
 import corrbb84
 from corrbb84 import optimizer
-from corrbb84.concentration import binomial_bound_pair
 from corrbb84.correlations import CorrelationModel
 from corrbb84.model import ConfigError, ProtocolConfig, lower_denominator
 from corrbb84.keyrate import evaluate_pipeline
@@ -183,7 +182,6 @@ def test_numpy_and_float_candidates_certify_identically(model, distance):
         assert all(type(x) is np.float64 for x in _field_values(as_numpy)[:2])
         results = []
         for config in (as_floats, as_numpy):
-            binomial_bound_pair.cache_clear()  # equal keys would share entries
             observed, truth = expected_counts(config, channel)
             result = evaluate_pipeline(observed, config, model)
             results.append((observed, truth, result.key_length,
