@@ -445,13 +445,14 @@ def parse_distances(spec: str) -> list[float]:
         start, stop, step = (_distance(p) for p in parts)
         if step <= 0:
             raise ConfigError("distance step must be positive")
-        if (stop - start) / step >= MAX_DISTANCES:
+        # start + i step for i up to span, by index: adding the step cannot
+        # advance a float whose spacing exceeds twice the step, so a running
+        # sum may never pass stop
+        span = (stop + 1e-9 - start) / step
+        if span >= MAX_DISTANCES:
             raise ConfigError(f"a distance range may hold at most {MAX_DISTANCES} values")
-        values = []
-        current = start
-        while current <= stop + 1e-9:
-            values.append(round(current, 9))
-            current += step
+        count = math.floor(span) + 1 if span >= 0 else 0
+        values = [round(start + i * step, 9) for i in range(count)]
     else:
         values = [_distance(p) for p in spec.split(",") if p]
     if not values:

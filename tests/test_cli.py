@@ -43,10 +43,45 @@ def test_parse_distances_range_and_list():
     assert parse_distances("0,5.5,20") == [0.0, 5.5, 20.0]
 
 
-@pytest.mark.parametrize("spec", ["0:20000:1", "0:10:0", "0:10"])
+def _summed_distances(spec):
+    """The range as ``parse_distances`` built it before it built it by index:
+    a running sum of the step."""
+    start, stop, step = (float(part) for part in spec.split(":"))
+    values, current = [], start
+    while current <= stop + 1e-9:
+        values.append(round(current, 9))
+        current += step
+    return values
+
+
+def test_parse_distances_by_index_equals_the_running_sum():
+    """On ranges of up to 500 values the running sum never drifts past the
+    9-decimal rounding, so the values are the same."""
+    for start in (0.0, 0.1, 0.5, 2.5, 7.77, 33.3, 100.0):
+        for step in (0.01, 0.1, 0.25, 0.3, 0.7, 1.0, 2.5, 12.5, 33.3, 0.123):
+            for n in (0, 1, 2, 7, 33, 100, 500):
+                for stop in (start + n * step, start + n * step - 1e-10,
+                             start + (n + 0.5) * step, round(start + n * step, 6)):
+                    spec = f"{start!r}:{stop!r}:{step!r}"
+                    assert parse_distances(spec) == _summed_distances(spec), spec
+
+
+def test_parse_distances_ends_where_the_step_is_below_float_spacing():
+    # 1e16 + 1 == 1e16, and past 2^53 a step of 0.6 rounds back, so a running
+    # sum never passes stop; the index form also keeps the exact decimals
+    # that a long running sum loses
+    assert parse_distances("1e16:1e16:1") == [1e16]
+    assert len(parse_distances("9007199254740990:9007199254740995:0.6")) == 11  # stop rounds to ...996
+    assert parse_distances("0:6999.3:0.7")[6194] == 4335.8
+    assert _summed_distances("0:6999.3:0.7")[6194] == 4335.799999999
+
+
+@pytest.mark.parametrize("spec", ["0:20000:1", "0:10:0", "0:10", "0:0:1e-300",
+                                  "1e308:-1e308:1e-300"])
 def test_parse_distances_rejects_unbounded_ranges(spec):
     # every part is checked before the range is expanded; a range of more
-    # than MAX_DISTANCES values is refused rather than expanded
+    # than MAX_DISTANCES values, the 1e-9 inclusion tolerance counted, is
+    # refused rather than expanded, and one whose span overflows is empty
     with pytest.raises(ConfigError):
         parse_distances(spec)
 
@@ -457,6 +492,8 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
 
 # rows whose message is pinned, because a later, generic check would also exit 2
 MALFORMED_MESSAGES = {
+    "distance_range_step_below_float_spacing": "transmittance 0.0 outside (0, 1]",
+    "distance_range_across_2_53": "transmittance 0.0 outside (0, 1]",
     "non_finite_audit_with_counts": "decoy weight e^w / p_w must be finite, got inf",
     "p_w_tiny_with_counts": "decoy weight e^w / p_w must be finite, got inf",
     "optimizer_coordinate_passes_zero": "coordinate_passes must be >= 1, got 0",
@@ -576,6 +613,8 @@ MALFORMED_MESSAGES = {
     ({"optimizer": {"v": 0.0}}, None, "expected"),
     ({"optimizer": 3}, None, "expected"),
     ({"correlations": {"delta_1": 0.05, "decay_C": 1.0, "bogus": 1}}, None, "simulate"),
+    ({}, "1e16:1e16:1", "scan"),
+    ({}, "9007199254740990:9007199254740995:0.6", "scan"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -603,7 +642,8 @@ MALFORMED_MESSAGES = {
     "l_c_eff_beyond_lag_cap", "decay_C_1e-7_beyond_lag_cap_optimize",
     "l_c_eff_below_every_candidate_optimize", "l_c_eff_below_every_candidate_scan",
     "optimizer_v_with_keyrate", "optimizer_not_object_with_keyrate",
-    "correlations_key_unknown_simulate",
+    "correlations_key_unknown_simulate", "distance_range_step_below_float_spacing",
+    "distance_range_across_2_53",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))

@@ -1,8 +1,10 @@
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 import frozen_reference as frozen
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,14 +187,17 @@ GRID_TOTALS = (1, 2, 3, 7, 10, 100, 1000, 12_345, 10**6, 10**8 + 7, 10**9, 10**1
 GRID_EPSILONS = (1e-300, 1e-30, 1e-20, 1e-10, 1e-3, 0.1, 0.5, 0.9999, 1.0 - 2.0**-53)
 
 
-@pytest.mark.parametrize("total", GRID_TOTALS)
-def test_replayed_bisection_equals_evaluated_on_grid(total):
+def _grid_observed(total):
     rng = random.Random(total)
     special = (0, 1, 2, total // 2, total - 1, total)
-    observed = sorted({k for k in special if 0 <= k <= total}
-                      | {rng.randint(0, total) for _ in range(3)})
+    return sorted({k for k in special if 0 <= k <= total}
+                  | {rng.randint(0, total) for _ in range(3)})
+
+
+@pytest.mark.parametrize("total", GRID_TOTALS)
+def test_replayed_bisection_equals_evaluated_on_grid(total):
     for epsilon in GRID_EPSILONS:
-        for k in observed:
+        for k in _grid_observed(total):
             assert binomial_bound_pair(epsilon, k, total) == _evaluated_bound_pair(
                 epsilon, k, total
             ), (epsilon, k, total)
@@ -213,26 +218,118 @@ def test_replayed_bisection_equals_evaluated_on_drawn_inputs(exponent, fraction,
     )
 
 
+def _sides(epsilon, observed, total):
+    """The (p_hat, target, lower) of both sides of one bound pair."""
+    p_hat, target = observed / total, math.log(1.0 / epsilon) / total
+    return [(p_hat, target, lower) for lower in (True, False)
+            if (observed > 0 if lower else observed < total)]
+
+
+def _window(p_hat, target, x):
+    """The noise window at x (see the docstring of concentration)."""
+    return 2.0**-52 * (1.0 + target) * x * (1.0 - x) / abs(x - p_hat) + math.ulp(x)
+
+
+def _displaced(x, p_hat, target, lower, windows):
+    """x moved ``windows`` noise windows towards p_hat (away if negative)."""
+    if x == p_hat or not 0.0 <= x <= 1.0:
+        return x
+    return x + (windows if lower else -windows) * _window(p_hat, target, x)
+
+
+@contextmanager
+def _centres(start_at, newton_at):
+    """Make every start a centre, placed by ``start_at(x, p_hat, target,
+    lower)``, and every Newton root one placed by ``newton_at``."""
+    start, newton = concentration._start, concentration._newton_root
+
+    def placed_start(p_hat, target, lower):
+        x, _ = start(p_hat, target, lower)
+        return start_at(x, p_hat, target, lower), True
+
+    def placed_root(p_hat, target, lower, x0):
+        root = newton(p_hat, target, lower, x0)
+        return None if root is None else newton_at(root, p_hat, target, lower)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concentration, "_start", placed_start)
+        patch.setattr(concentration, "_newton_root", placed_root)
+        yield
+
+
+def _assert_solves_equal_evaluated(sides):
+    for p_hat, target, lower in sides:
+        lo, hi = (0.0, p_hat) if lower else (p_hat, 1.0)
+        assert concentration._solve_kl(p_hat, target, lower) == _evaluated_solve_kl(
+            p_hat, target, lo, hi
+        ), (p_hat, target, lower)
+
+
+def _drawn_sides(count=150):
+    """Sides drawn as ``test_replayed_bisection_equals_evaluated_on_drawn_inputs``
+    draws them, from a fixed seed."""
+    rng = random.Random(25)
+    sides = []
+    for _ in range(count):
+        total = max(1, int(10.0 ** rng.uniform(0.0, 11.0)))
+        epsilon = 10.0 ** rng.uniform(-30.0, math.log10(0.9999))
+        sides += _sides(epsilon, round(rng.random() * total), total)
+    return sides
+
+
 @pytest.mark.parametrize("misplace", ["none", "toward_p_hat", "away_from_p_hat"])
-def test_replay_never_depends_on_newton(monkeypatch, misplace):
-    """A missing or misplaced Newton root must fall back to the evaluated
-    bisection, never change the result."""
-    newton = concentration._newton_root
-
-    def misplaced(p_hat, target, lower):
-        root = newton(p_hat, target, lower)
-        if misplace == "none" or root is None:
-            return None
+def test_replay_never_depends_on_newton(misplace):
+    """A missing or grossly misplaced centre, start and Newton root alike,
+    must fall back to the evaluated bisection, never change the result."""
+    def misplaced(x, p_hat, target, lower):
+        if misplace == "none":
+            return math.nan
         if misplace == "toward_p_hat":
-            return 0.5 * (root + p_hat)
-        return 0.5 * root if lower else 0.5 * (root + 1.0)
+            return 0.5 * (x + p_hat)
+        return 0.5 * x if lower else 0.5 * (x + 1.0)
 
-    monkeypatch.setattr(concentration, "_newton_root", misplaced)
-    for epsilon, observed, total in [(1e-10, 12_345, 10**6), (1e-3, 3, 10**9),
-                                     (0.5, 10**8, 10**11), (1e-30, 1, 2)]:
-        assert binomial_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
-            epsilon, observed, total
-        )
+    with _centres(misplaced, misplaced):
+        for epsilon, observed, total in [(1e-10, 12_345, 10**6), (1e-3, 3, 10**9),
+                                         (0.5, 10**8, 10**11), (1e-30, 1, 2)]:
+            assert binomial_bound_pair(epsilon, observed, total) == _evaluated_bound_pair(
+                epsilon, observed, total
+            )
+
+
+@pytest.mark.parametrize("windows", [0, 4, -4, 8, -8, 15, -15, 17, -17])
+def test_band_centre_never_changes_the_result(windows, production_sides):
+    """Starts and Newton roots displaced by a few noise windows towards or
+    away from p_hat, each taken as the centre: the bound stays the evaluated
+    bisection's on the grid, on drawn sides and on the production sides."""
+    def displaced(x, p_hat, target, lower):
+        return _displaced(x, p_hat, target, lower, windows)
+
+    grid = [side for total in GRID_TOTALS for epsilon in GRID_EPSILONS
+            for k in _grid_observed(total) for side in _sides(epsilon, k, total)]
+    with _centres(displaced, displaced):
+        _assert_solves_equal_evaluated(grid + _drawn_sides() + list(production_sides))
+
+
+def test_edge_short_of_the_margin_is_refused():
+    """An edge on the right side of the target, but by less than
+    10 u (1 + D), proves nothing, though its sign alone would pass; one that
+    clears the margin proves its side. The centre moves away from p_hat a
+    quarter window at a time, which brings the inner edge towards the root."""
+    p_hat, target, lower = 0.013, 2.3e-7, True
+    start, trusted = concentration._start(p_hat, target, lower)
+    assert trusted
+    outcomes = set()
+    for quarters in range(4 * int(concentration.REPLAY_MARGIN)):
+        centre = _displaced(start, p_hat, target, lower, -quarters / 4)
+        inner = centre + concentration.REPLAY_MARGIN * _window(p_hat, target, centre)
+        d = bernoulli_kl(p_hat, inner)
+        if d >= target:  # the inner edge has crossed the root
+            break
+        short = target - d < 10.0 * 2.0**-52 * (1.0 + d)
+        band = concentration._proven_band(p_hat, target, lower, centre)
+        assert (band is None) == short, (quarters, target - d)
+        outcomes.add(short)
+    assert outcomes == {True, False}
 
 
 @pytest.fixture(scope="module")
@@ -270,9 +367,13 @@ def test_replayed_bisection_equals_evaluated_on_production_sides(production_side
         ), (p_hat, target, lower)
 
 
-# the sides, their bernoulli_kl calls (3.39 per side; 4.55 from the cubic
-# Taylor start) and the _newton_root evaluations among them (1.02 per side; 2.18)
-PRODUCTION_SIDES, PRODUCTION_KL_CALLS, PRODUCTION_NEWTON_CALLS = 992, 3363, 1008
+# the sides, their bernoulli_kl calls (2.47 per side; 3.39 with every band
+# centred on a Newton root, 4.55 from the cubic Taylor start), the
+# _newton_root calls among them (one side in ten; every side before) and
+# the evaluations _newton_root spends from the start (1.00 per side; 1.02
+# from the earlier Poisson start, 2.18 from the cubic one)
+PRODUCTION_SIDES, PRODUCTION_KL_CALLS = 992, 2455
+PRODUCTION_NEWTON_FALLBACKS, PRODUCTION_NEWTON_CALLS = 100, 992
 
 
 def _d_evaluations(solve, sides) -> list[int]:
@@ -294,6 +395,11 @@ def _d_evaluations(solve, sides) -> list[int]:
     return counts
 
 
+def _newton_from_start(p_hat, target, lower):
+    return concentration._newton_root(
+        p_hat, target, lower, concentration._start(p_hat, target, lower)[0])
+
+
 def test_production_sides_evaluate_d_no_more_often(production_sides):
     """A machine-independent guard against a slower solver: the mean number
     of D evaluations per side must not rise."""
@@ -301,10 +407,28 @@ def test_production_sides_evaluate_d_no_more_often(production_sides):
     assert sum(_d_evaluations(concentration._solve_kl, production_sides)) <= PRODUCTION_KL_CALLS
 
 
+def test_production_sides_centre_most_bands_on_the_start(production_sides):
+    """A machine-independent guard on the Newton fallback: the number of
+    sides whose band needs a Newton root must not rise."""
+    calls = 0
+    newton = concentration._newton_root
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return newton(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concentration, "_newton_root", counted)
+        for side in production_sides:
+            concentration._solve_kl(*side)
+    assert calls <= PRODUCTION_NEWTON_FALLBACKS
+
+
 def test_production_sides_settle_after_one_newton_evaluation(production_sides):
-    """The Poisson and fourth-order starts put almost every root within one
+    """The Poisson and fifth-order starts put almost every root within one
     Newton step of the noise window: the mean must not rise."""
-    counts = _d_evaluations(concentration._newton_root, production_sides)
+    counts = _d_evaluations(_newton_from_start, production_sides)
     assert sum(counts) <= PRODUCTION_NEWTON_CALLS
 
 
@@ -338,10 +462,39 @@ def _newton_grid():
 
 def test_no_side_takes_more_newton_evaluations_than_the_cubic_start(production_sides):
     sides = NEWTON_SIDES + list(production_sides) + _newton_grid()
-    new = _d_evaluations(concentration._newton_root, sides)
+    new = _d_evaluations(_newton_from_start, sides)
     old = _d_evaluations(frozen.newton_root, sides)
     worse = [(side, a, b) for side, a, b in zip(sides, old, new) if b > a]
     assert not worse, worse[:10]
+
+
+def _exact_root(p_hat, target, x0):
+    """The root of D(p_hat || x) = target next to x0, within a window of it,
+    by Newton steps at 40 digits; dD/dx = (x - p) / (x (1 - x))."""
+    with mpmath.workdps(40):
+        p, x = mpmath.mpf(p_hat), mpmath.mpf(x0)
+        for _ in range(6):
+            d = (p * mpmath.log(p / x) if p > 0 else 0) + (
+                (1 - p) * mpmath.log((1 - p) / (1 - x)) if p < 1 else 0)
+            x -= (d - target) * x * (1 - x) / (x - p)
+        return x
+
+
+def test_trusted_starts_lie_within_two_windows_of_the_root(production_sides):
+    """Where ``_start`` trusts its start, the first omitted term is within a
+    noise window, so the start is within two of the exact root: this pins
+    the series coefficients and the trust limits."""
+    sides = _newton_grid()[::7] + list(production_sides)[::3]
+    trusted = 0
+    for p_hat, target, lower in sides:
+        x, trust = concentration._start(p_hat, target, lower)
+        root = _newton_from_start(p_hat, target, lower)
+        if not trust or root is None or not 0.0 < root < 1.0:
+            continue
+        trusted += 1
+        exact = _exact_root(p_hat, target, root)
+        assert abs(x - exact) <= 2.0 * _window(p_hat, target, float(exact)), (p_hat, target, lower)
+    assert trusted >= 0.6 * len(sides)
 
 
 @settings(max_examples=200, deadline=None)
