@@ -406,8 +406,11 @@ def cmd_keyrate(args) -> int:
     else:
         raise ConfigError("keyrate needs either --counts FILE or --simulate")
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
+    # by name: the audit is built on read, so dataclasses.asdict does not see it
+    names = ("key_length", "eps_sec", "e_ph_upper", "z_det_lower", "lambda_EC", "audit")
     payload = {"manifest": manifest,
-               "result": {**dataclasses.asdict(result), "zero_key": result.key_length == 0}}
+               "result": {**{name: getattr(result, name) for name in names},
+                          "zero_key": result.key_length == 0}}
     _write_json(args.out, payload)
     return 0
 

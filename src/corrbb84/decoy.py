@@ -3,10 +3,12 @@
 Converts per-intensity counts of one event class (detections or errors, per
 basis; a :class:`~corrbb84.counts.CountTriple`) into bounds on the
 single-photon contribution: ``single_photon_lower`` and
-``single_photon_upper`` return one bound with its intermediates, reading p1
-and the e^mu / p_mu weights from ``IntensitySet.weights`` (derived once per
-intensity set), and ``apply_decoy_bounds`` evaluates the four that the
-announced :class:`~corrbb84.counts.ObservedCounts` of a run need. The estimate
+``single_photon_upper`` return one bound with its intermediates as a slotted
+record, reading p1 and the e^mu / p_mu weights from ``IntensitySet.weights``
+(derived once per intensity set), and ``apply_decoy_bounds`` evaluates the
+four that the announced :class:`~corrbb84.counts.ObservedCounts` of a run
+need; its ``DecoyBounds`` keeps the four records and builds the audit dict
+from them on first read. The estimate
 rests on the counterfactual in which the per-photon-number counts are fixed
 first and each event is assigned an intensity with the Bayes posterior
 p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
@@ -23,7 +25,7 @@ can replay the call. A run's four evaluations consume ``DECOY_TERMS`` eps_B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .concentration import binomial_bound_pair
@@ -36,6 +38,28 @@ BoundPair = Callable[[float, int, int, bool, bool], tuple[float, float]]
 DECOY_TERMS = 10
 
 
+@dataclass(slots=True)
+class LowerBound:
+    """A single-photon lower bound and its one-sided count bounds. Not frozen:
+    a frozen record's ``__init__`` costs about four times as much."""
+
+    raw: float
+    value: float
+    m_w_lower: float
+    m_v_upper: float
+    m_s_upper: float
+
+
+@dataclass(slots=True)
+class UpperBound:
+    """A single-photon upper bound and its one-sided count bounds."""
+
+    raw: float
+    value: float
+    m_w_upper: float
+    m_v_lower: float
+
+
 @dataclass(frozen=True, slots=True)
 class DecoyBounds:
     """Single-photon count bounds for one protocol run.
@@ -43,23 +67,41 @@ class DecoyBounds:
     ``z_det_lower/z_det_upper`` bracket the single-photon detections in the
     key basis, ``x_det_lower`` and ``x_err_upper`` bound the test-basis
     detections and errors; jointly they fail with probability at most
-    ``DECOY_TERMS * eps_B``.
+    ``DECOY_TERMS * eps_B``. ``records`` holds eps_B and the four bound
+    records in that order (empty for bounds built by hand); ``audit``
+    builds the dict of them on first read, where a record that serves both
+    detection lower bounds gives one dict twice.
     """
 
     z_det_lower: float
     z_det_upper: float
     x_det_lower: float
     x_err_upper: float
-    audit: dict = field(default_factory=dict, compare=False)
+    records: tuple = field(default=(), compare=False, repr=False)
+    _audit: dict | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def audit(self) -> dict:
+        audit = self._audit
+        if audit is None:
+            audit = {}
+            if self.records:
+                eps_B, z_lo, z_hi, x_lo, e_hi = self.records
+                z_lo_dict = asdict(z_lo)
+                audit = {"eps_B": eps_B, "z_det_lower": z_lo_dict, "z_det_upper": asdict(z_hi),
+                         "x_det_lower": z_lo_dict if x_lo is z_lo else asdict(x_lo),
+                         "x_err_upper": asdict(e_hi)}
+            object.__setattr__(self, "_audit", audit)
+        return audit
 
 
 def single_photon_lower(counts: CountTriple, iset: IntensitySet, eps_B: float,
-                        bound_pair: BoundPair) -> dict:
+                        bound_pair: BoundPair) -> LowerBound:
     """Lower bound on the single-photon share of one event class.
 
-    ``["value"]`` holds except with probability 3 * eps_B (three one-sided
+    ``value`` holds except with probability 3 * eps_B (three one-sided
     bound substitutions) and is clamped to [0, total]; a negative analytic
-    value carries no information. The other entries are its intermediates.
+    value carries no information. The other fields are its intermediates.
     p1 and the weights are ``iset.weights``, read once the bound is solvable.
     """
     denom = lower_denominator(iset)
@@ -73,16 +115,15 @@ def single_photon_lower(counts: CountTriple, iset: IntensitySet, eps_B: float,
     m_v_hi = bound_pair(eps_B, counts.m_v, total, False, True)[1]
     m_s_hi = bound_pair(eps_B, counts.m_s, total, False, True)[1]
     raw = (p1 * iset.s / denom) * (w_weight * m_w_lo - v_weight * m_v_hi - s_weight * m_s_hi)
-    return {"raw": raw, "value": min(max(0.0, raw), float(total)),
-            "m_w_lower": m_w_lo, "m_v_upper": m_v_hi, "m_s_upper": m_s_hi}
+    return LowerBound(raw, min(max(0.0, raw), float(total)), m_w_lo, m_v_hi, m_s_hi)
 
 
 def single_photon_upper(counts: CountTriple, iset: IntensitySet, eps_B: float,
-                        bound_pair: BoundPair) -> dict:
+                        bound_pair: BoundPair) -> UpperBound:
     """Upper bound on the single-photon share of one event class.
 
-    ``["value"]`` holds except with probability 2 * eps_B and is clamped to
-    [0, total]. The other entries are its intermediates.
+    ``value`` holds except with probability 2 * eps_B and is clamped to
+    [0, total]. The other fields are its intermediates.
     """
     if iset.w <= iset.v:
         raise ConfigError(f"need w > v, got w={iset.w}, v={iset.v}")
@@ -91,8 +132,7 @@ def single_photon_upper(counts: CountTriple, iset: IntensitySet, eps_B: float,
     m_w_hi = bound_pair(eps_B, counts.m_w, total, False, True)[1]
     m_v_lo = bound_pair(eps_B, counts.m_v, total, True, False)[0]
     raw = (p1 / (iset.w - iset.v)) * (w_weight * m_w_hi - v_weight * m_v_lo)
-    return {"raw": raw, "value": min(max(0.0, raw), float(total)),
-            "m_w_upper": m_w_hi, "m_v_lower": m_v_lo}
+    return UpperBound(raw, min(max(0.0, raw), float(total)), m_w_hi, m_v_lo)
 
 
 def apply_decoy_bounds(
@@ -106,7 +146,7 @@ def apply_decoy_bounds(
     detections, upper bound on test-basis errors; joint failure probability at
     most ``DECOY_TERMS * eps_B``. Where both bases hold one triple (as in
     :func:`~corrbb84.simulator.expected_counts`), the test-basis lower bound
-    is the key-basis one, the same dict, and its three sides are not asked
+    is the key-basis one, the same record, and its three sides are not asked
     for again.
     """
     iset = config.intensity_set
@@ -116,9 +156,5 @@ def apply_decoy_bounds(
     z_hi = single_photon_upper(z_det, iset, eps_B, bound_pair)
     x_lo = z_lo if x_det is z_det else single_photon_lower(x_det, iset, eps_B, bound_pair)
     e_hi = single_photon_upper(observed.x_err, iset, eps_B, bound_pair)
-    return DecoyBounds(
-        z_det_lower=z_lo["value"], z_det_upper=z_hi["value"],
-        x_det_lower=x_lo["value"], x_err_upper=e_hi["value"],
-        audit={"eps_B": eps_B, "z_det_lower": z_lo, "z_det_upper": z_hi,
-               "x_det_lower": x_lo, "x_err_upper": e_hi},
-    )
+    return DecoyBounds(z_lo.value, z_hi.value, x_lo.value, e_hi.value,
+                       (eps_B, z_lo, z_hi, x_lo, e_hi))

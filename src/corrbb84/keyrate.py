@@ -2,8 +2,11 @@
 
 ``evaluate_pipeline`` chains decoy estimation -> coin-parameter bound ->
 trash-round concentration -> phase-error bound -> error-correction leakage ->
-key length -> security parameter, and returns every intermediate in an audit
-record so a certified key length can be traced term by term.
+key length -> security parameter. Its result keeps the record of every stage
+and builds the audit dict from them on first read, so a certified key length
+can be traced term by term while a caller that never reads the audit (an
+optimizer search) does not pay for it. A ``StageMemo`` passed as ``stages``
+lets the calls of one search share the decoy and coin stages of equal inputs.
 
 The variable-length key formula is
 l = max(0, n_1_lower (1 - h(e_ph)) - lambda_EC - 2 log2(1/(2 eps_PA))
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 
 from . import correlations as corr
 from .counts import ObservedCounts
-from .decoy import apply_decoy_bounds
-from .model import ConfigError, ProtocolConfig, mean_intensity, require
+from .decoy import DecoyBounds, apply_decoy_bounds
+from .model import ConfigError, IntensitySet, ProtocolConfig, mean_intensity, require
 from .phase_error import pe_shares, phase_error_rate_bound, total_pe_failure, trash_minus_upper
 
 DEFAULT_F_EC = 1.16
@@ -30,14 +33,87 @@ DEFAULT_F_EC = 1.16
 
 @dataclass(frozen=True, slots=True)
 class KeyRateResult:
-    """Certified key length with its security parameter and audit trail."""
+    """Certified key length with its security parameter and audit trail.
+
+    ``records`` holds the stage records the audit is built from: the decoy
+    bounds, the phase-error bound, whether the correlation stage was
+    bypassed, l_c, the coin parameter, the epsilon shares and eps_PE (empty
+    for a result built by hand). ``audit`` builds the dict on first read;
+    ``dataclasses.asdict`` sees only fields, so a writer names ``audit``.
+    """
 
     key_length: int
     eps_sec: float
     e_ph_upper: float
     z_det_lower: float
     lambda_EC: float
-    audit: dict = field(default_factory=dict, compare=False)
+    records: tuple = field(default=(), compare=False, repr=False)
+    _audit: dict | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def audit(self) -> dict:
+        audit = self._audit
+        if audit is None:
+            audit = {}
+            if self.records:
+                decoy, phase, bypassed, l_c, coin_param, shares, eps_PE = self.records
+                audit = {
+                    "decoy": decoy.audit,
+                    "decoy_bounds": {
+                        "z_det_lower": decoy.z_det_lower,
+                        "z_det_upper": decoy.z_det_upper,
+                        "x_det_lower": decoy.x_det_lower,
+                        "x_err_upper": decoy.x_err_upper,
+                    },
+                    "correlation": {
+                        "bypassed": bypassed,
+                        "l_c": l_c,
+                        "coin_parameter": coin_param,
+                        "trash_minus_upper": phase.audit["trash_minus_upper"],
+                    },
+                    "phase_error": phase.audit,
+                    "e_ph_upper": self.e_ph_upper,
+                    "lambda_EC": self.lambda_EC,
+                    "n_K1_lower": decoy.z_det_lower,
+                    # every epsilon consumed, exactly once; shares sum to eps_PE
+                    "epsilon_shares": shares,
+                    "eps_PE": eps_PE,
+                    "meaningful": self.eps_sec < 1.0,
+                }
+            object.__setattr__(self, "_audit", audit)
+        return audit
+
+
+class StageMemo:
+    """The decoy bounds and coin parameters of one optimizer search, keyed by
+    every input their stage reads: the z_det, x_det and x_err counts, the
+    six intensity-set values and eps_B; (l_c, intensity set, model). One per
+    search, dropped with it, so no result depends on an earlier search.
+    """
+
+    __slots__ = ("decoy", "coin")
+
+    def __init__(self):
+        self.decoy: dict = {}
+        self.coin: dict = {}
+
+    def decoy_bounds(self, observed: ObservedCounts, config: ProtocolConfig) -> DecoyBounds:
+        # the triples' counts spelled out: hashing three triples costs twice this
+        z, x, e, iset = observed.z_det, observed.x_det, observed.x_err, config.intensity_set
+        key = (z.m_s, z.m_w, z.m_v, x.m_s, x.m_w, x.m_v, e.m_s, e.m_w, e.m_v, iset.s, iset.w,
+               iset.v, iset.p_s, iset.p_w, iset.p_v, config.epsilon_budget.eps_B)
+        bounds = self.decoy.get(key)
+        if bounds is None:
+            bounds = self.decoy[key] = apply_decoy_bounds(observed, config)
+        return bounds
+
+    def coin_parameter(self, l_c: int, iset: IntensitySet,
+                       model: corr.CorrelationModel) -> float:
+        key = (l_c, iset, model)
+        coin_param = self.coin.get(key)
+        if coin_param is None:
+            coin_param = self.coin[key] = corr.coin_parameter_bound(l_c, iset, model)
+        return coin_param
 
 
 def binary_entropy(x: float) -> float:
@@ -98,6 +174,8 @@ def evaluate_pipeline(
     config: ProtocolConfig,
     correlation_model: corr.CorrelationModel | None = None,
     f_EC: float = DEFAULT_F_EC,
+    *,
+    stages: StageMemo | None = None,
 ) -> KeyRateResult:
     """Full evaluation: observed counts + configuration -> certified key.
 
@@ -108,7 +186,9 @@ def evaluate_pipeline(
     (:func:`~corrbb84.correlations.effective_length`). Degenerate statistics
     yield key_length 0 with the reason in the audit, never an exception;
     invalid configurations, and counts with more sifted detections than the
-    block has rounds, raise :class:`~corrbb84.model.ConfigError`.
+    block has rounds, raise :class:`~corrbb84.model.ConfigError`. With
+    ``stages``, the decoy and coin stages are looked up there first and
+    stored there when computed; the result is the same bit for bit.
     """
     require(config.problems)
     require(observed.validate())
@@ -131,9 +211,11 @@ def evaluate_pipeline(
     eps_PE = total_pe_failure(shares)
     coin_param = 0.0
     if correlation_model is not None:
-        coin_param = corr.coin_parameter_bound(l_c, iset, correlation_model)
+        coin_param = (corr.coin_parameter_bound(l_c, iset, correlation_model) if stages is None
+                      else stages.coin_parameter(l_c, iset, correlation_model))
 
-    decoy_bounds = apply_decoy_bounds(observed, config)
+    decoy_bounds = (apply_decoy_bounds(observed, config) if stages is None
+                    else stages.decoy_bounds(observed, config))
     p1 = iset.weights[0]
     trash_upper = trash_minus_upper(
         config.N, p1, config.p_keep, l_c, coin_param, budget.eps_C
@@ -151,34 +233,7 @@ def evaluate_pipeline(
         length = 0
     eps_sec = security_parameter(eps_PE, budget.eps_PA, budget.eps_EV)
 
-    audit = {
-        "decoy": decoy_bounds.audit,
-        "decoy_bounds": {
-            "z_det_lower": decoy_bounds.z_det_lower,
-            "z_det_upper": decoy_bounds.z_det_upper,
-            "x_det_lower": decoy_bounds.x_det_lower,
-            "x_err_upper": decoy_bounds.x_err_upper,
-        },
-        "correlation": {
-            "bypassed": correlation_model is None,
-            "l_c": l_c,
-            "coin_parameter": coin_param,
-            "trash_minus_upper": trash_upper,
-        },
-        "phase_error": phase.audit,
-        "e_ph_upper": phase.e_ph_upper,
-        "lambda_EC": lambda_EC,
-        "n_K1_lower": n_K1_lower,
-        # every epsilon consumed, exactly once; shares sum to eps_PE
-        "epsilon_shares": shares,
-        "eps_PE": eps_PE,
-        "meaningful": eps_sec < 1.0,
-    }
     return KeyRateResult(
-        key_length=length,
-        eps_sec=eps_sec,
-        e_ph_upper=phase.e_ph_upper,
-        z_det_lower=decoy_bounds.z_det_lower,
-        lambda_EC=lambda_EC,
-        audit=audit,
+        length, eps_sec, phase.e_ph_upper, n_K1_lower, lambda_EC,
+        (decoy_bounds, phase, correlation_model is None, l_c, coin_param, shares, eps_PE),
     )

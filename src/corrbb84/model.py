@@ -6,11 +6,12 @@ Poisson, i.e. phase-randomized coherent pulses; non-Poissonian sources are out
 of scope. All functions are pure and thread-safe. Sums of floats add left to
 right, so their bits do not depend on the Python version's ``sum``.
 
-``ProtocolConfig.problems`` (the report of :func:`validate_config`) and
-``IntensitySet.weights`` (:func:`decoy_weights`, p1 first) are
-once-per-object memos, so records certified under one config validate it
-and derive its weights once; the two functions stay the owners of their
-rules and formulas. A memo lies outside the dataclass fields (no part in
+``ProtocolConfig.problems`` (the report of :func:`validate_config`, which
+reads ``IntensitySet.problems``, that of :func:`validate_intensity_set`)
+and ``IntensitySet.weights`` (:func:`decoy_weights`, p1 first) are
+once-per-object memos, so records certified under one config, or optimizer
+candidates sharing one intensity set, validate it and derive its weights
+once; the three functions stay the owners of their rules and formulas. A memo lies outside the dataclass fields (no part in
 ``==``, ``hash`` or ``repr``; ``dataclasses.replace`` starts afresh), reads a
 class-level ``None`` default and is stored with ``object.__setattr__``.
 Touching the instance dictionary instead, directly or through functools'
@@ -37,9 +38,9 @@ class IntensitySet:
     """Three-intensity decoy setting: signal s > weak w > vacuum-like v >= 0.
 
     ``p_s + p_w + p_v`` must equal 1 within ``PROB_SUM_TOL``. Instances are
-    plain containers with the memo of ``weights``; use
-    :func:`validate_intensity_set` to obtain the list of violated invariants
-    (empty list == valid).
+    plain containers with the memos of ``problems`` and ``weights``;
+    ``problems`` is the report of :func:`validate_intensity_set` (empty ==
+    valid).
     """
 
     s: float
@@ -49,7 +50,18 @@ class IntensitySet:
     p_w: float
     p_v: float
 
+    _problems = None  # the memo of ``problems``; not a field
     _weights = None  # the memo of ``weights``; not a field
+
+    @property
+    def problems(self) -> tuple[str, ...]:
+        """The report of :func:`validate_intensity_set` on this set, made on
+        first read."""
+        problems = self._problems
+        if problems is None:
+            problems = tuple(validate_intensity_set(self))
+            object.__setattr__(self, "_problems", problems)
+        return problems
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """(intensity, probability) pairs in (s, w, v) order."""
@@ -197,7 +209,7 @@ def validate_config(config: ProtocolConfig) -> list[str]:
     if not (0.0 < config.p_keep < 1.0):
         # both p_keep and 1 - p_keep appear as divisors in the coin analysis
         problems.append(f"p_keep must lie strictly in (0, 1), got {config.p_keep}")
-    problems.extend(validate_intensity_set(config.intensity_set))
+    problems.extend(config.intensity_set.problems)
     problems.extend(validate_epsilon_budget(config.epsilon_budget))
     return problems
 

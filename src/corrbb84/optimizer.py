@@ -23,6 +23,15 @@ shorter than the candidate's required truncation length, or more coin lags
 than its cap). A search that ends with no candidate evaluated raises the
 last such refusal, so a model that no candidate can run under is reported
 as the config error it is, not as a zero key.
+
+A coordinate move leaves most inputs alone, so one search computes each
+stage once per distinct input: the intensity set with its correlation length
+(keyed by s, w, p_s, p_w) and, through ``evaluate_pipeline``'s ``stages``,
+the decoy bounds and the coin parameter. The dicts live and die with the
+search's ``_Objective``, and every score equals the pipeline's without them.
+The expected counts are not reused yet: each evaluation calls
+``expected_counts`` and then ``evaluate_pipeline``, the pair the benchmark
+times as one request. The winner is re-evaluated without any memo.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 
 from .correlations import CorrelationModel, effective_length, validate_correlation
 from .decoy import DECOY_TERMS
-from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline, validate_f_ec
+from .keyrate import DEFAULT_F_EC, KeyRateResult, StageMemo, evaluate_pipeline, validate_f_ec
 from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity,
                     require, validate_block_size, validate_epsilons)
 from .phase_error import AZUMA_TERMS
@@ -105,10 +114,13 @@ class OptimizationResult:
     zero_key_everywhere: bool = False
 
 
-def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfig | None:
+def _build_config(candidate: Candidate, spec: OptimizationSpec,
+                  intensity_sets: dict | None = None) -> ProtocolConfig | None:
     """Candidate -> runnable configuration, or None when p_v or u_C is within
     1e-6 of zero or the configuration's ``problems`` report is not empty; the
-    ConfigError of ``effective_length`` when it refuses its correlation length."""
+    ConfigError of ``effective_length`` when it refuses its correlation length.
+    ``intensity_sets``, one search's memo, maps (s, w, p_s, p_w) to the
+    intensity set and its correlation length; a refusal is not stored."""
     s, w, p_s, p_w, p_keep, u_a, u_b = candidate
     p_v = 1.0 - p_s - p_w
     if p_v <= 1e-6:
@@ -116,8 +128,15 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec) -> ProtocolConfi
     u_c = 1.0 - u_a - u_b
     if u_c <= 1e-6:
         return None
-    iset = IntensitySet(s=s, w=w, v=spec.v, p_s=p_s, p_w=p_w, p_v=p_v)
-    l_c = effective_length(spec.N, mean_intensity(iset), spec.correlation)
+    if intensity_sets is None:
+        intensity_sets = {}
+    key = (s, w, p_s, p_w)
+    known = intensity_sets.get(key)
+    if known is None:
+        iset = IntensitySet(s=s, w=w, v=spec.v, p_s=p_s, p_w=p_w, p_v=p_v)
+        known = intensity_sets[key] = (
+            iset, effective_length(spec.N, mean_intensity(iset), spec.correlation))
+    iset, l_c = known
     d = 0.0 if spec.correlation is None else spec.correlation.truncation_d
     pe_mass = spec.eps_pe_target - d  # positive: validate_optimization
     budget = EpsilonBudget(
@@ -143,6 +162,8 @@ class _Objective:
     channel: ChannelModel
     evaluations: int = 0
     cache: dict = field(default_factory=dict)  # scores of candidates that built a config
+    intensity_sets: dict = field(default_factory=dict)  # see _build_config
+    stages: StageMemo = field(default_factory=StageMemo)
     refusal: ConfigError | None = None  # effective_length's last refusal
 
     def remaining(self) -> int:
@@ -152,7 +173,7 @@ class _Objective:
         if candidate in self.cache:
             return self.cache[candidate]
         try:
-            config = _build_config(candidate, self.spec)
+            config = _build_config(candidate, self.spec, self.intensity_sets)
         except ConfigError as exc:
             self.refusal = exc
             return -math.inf
@@ -165,7 +186,7 @@ class _Objective:
         try:
             observed, _ = expected_counts(config, self.channel)
             result = evaluate_pipeline(
-                observed, config, self.spec.correlation, f_EC=self.spec.f_EC
+                observed, config, self.spec.correlation, f_EC=self.spec.f_EC, stages=self.stages
             )
             score = _score(result)
         except ConfigError:

@@ -17,7 +17,8 @@ rounds. That bound is assembled from:
 
 Degenerate statistics never raise: any undefined or out-of-range envelope
 argument falls back to the trivial bound e_ph = 1, with the responsible guard
-named in the audit record.
+named in the audit record, which ``PhaseErrorBound`` builds from its
+intermediates on first read.
 """
 
 from __future__ import annotations
@@ -32,12 +33,34 @@ from .model import ConfigError
 AZUMA_TERMS = 5  # martingale deviations of the phase-error bound, one eps_A each
 
 
+# the audit keys of PhaseErrorBound.records; the coin envelope's y, z and G+
+# enter only once reached
+PHASE_AUDIT_KEYS = ("delta_A", "n_sifted_det", "eps_A", "trash_minus_upper",
+                    "trivial_bound_reason", "y", "z", "g_plus")
+
+
 @dataclass(frozen=True, slots=True)
 class PhaseErrorBound:
-    """Phase-error-rate bound plus the intermediates needed for audit."""
+    """Phase-error-rate bound plus the intermediates needed for audit.
+
+    ``records`` holds the values of ``PHASE_AUDIT_KEYS`` in order, None for
+    an intermediate not reached (empty for a bound built by hand); ``audit``
+    builds the dict of them on first read.
+    """
 
     e_ph_upper: float
-    audit: dict = field(default_factory=dict, compare=False)
+    records: tuple = field(default=(), compare=False, repr=False)
+    _audit: dict | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def audit(self) -> dict:
+        audit = self._audit
+        if audit is None:
+            audit = dict(zip(PHASE_AUDIT_KEYS[:5], self.records[:5]))
+            audit.update((key, value) for key, value in zip(PHASE_AUDIT_KEYS[5:], self.records[5:])
+                         if value is not None)
+            object.__setattr__(self, "_audit", audit)
+        return audit
 
 
 def g_interval(y: float, z: float) -> tuple[float, float]:
@@ -116,27 +139,25 @@ def total_pe_failure(shares: dict) -> float:
     return total
 
 
-def coin_envelope(z_det, x_det, x_err, minus, delta_A, p_keep, audit: dict) -> float | str:
+def coin_envelope(z_det, x_det, x_err, minus, delta_A, p_keep) -> tuple:
     """The count-level coin inequality's bound on key-basis errors,
     (z_det + Delta_A) G+(y, z) + Delta_A with
     y = (x_err + Delta_A) / (x_det - Delta_A) and
     z = 1 - 2 p_keep (minus + Delta_A) / ((1 - p_keep)(z_det + x_det)),
-    or the name of the guard that fired. Records y, z and G+ in ``audit``.
+    or the name of the guard that fired; then y, z and G+, each None where
+    the guard fired first.
     """
     if x_det <= delta_A:
-        return "x_det_lower_not_above_delta_A"
+        return "x_det_lower_not_above_delta_A", None, None, None
     y = (x_err + delta_A) / (x_det - delta_A)
-    audit["y"] = y
     if not (0.0 <= y <= 1.0):
-        return "y_out_of_range"
+        return "y_out_of_range", y, None, None
     denom = (1.0 - p_keep) * (z_det + x_det)
     if denom <= 0.0:
-        return "coin_denominator_nonpositive"
+        return "coin_denominator_nonpositive", y, None, None
     z = 1.0 - 2.0 * p_keep * (minus + delta_A) / denom
-    audit["z"] = z
     g_plus = g_interval(y, z)[1]
-    audit["g_plus"] = g_plus
-    return (z_det + delta_A) * g_plus + delta_A
+    return (z_det + delta_A) * g_plus + delta_A, y, z, g_plus
 
 
 def phase_error_rate_bound(
@@ -155,18 +176,12 @@ def phase_error_rate_bound(
     audit.
     """
     delta_A = azuma_delta(n_sifted_det, eps_A)
-    audit: dict = {
-        "delta_A": delta_A,
-        "n_sifted_det": n_sifted_det,
-        "eps_A": eps_A,
-        "trash_minus_upper": trash_upper,
-        "trivial_bound_reason": None,
-    }
-
-    envelope = ("z_det_lower_nonpositive" if decoy.z_det_lower <= 0.0
-                else coin_envelope(decoy.z_det_upper, decoy.x_det_lower, decoy.x_err_upper,
-                                   trash_upper, delta_A, p_keep, audit))
-    if isinstance(envelope, str):
-        audit["trivial_bound_reason"] = envelope
-        return PhaseErrorBound(e_ph_upper=1.0, audit=audit)
-    return PhaseErrorBound(e_ph_upper=min(1.0, envelope / decoy.z_det_lower), audit=audit)
+    if decoy.z_det_lower <= 0.0:
+        envelope, y, z, g_plus = "z_det_lower_nonpositive", None, None, None
+    else:
+        envelope, y, z, g_plus = coin_envelope(decoy.z_det_upper, decoy.x_det_lower,
+                                               decoy.x_err_upper, trash_upper, delta_A, p_keep)
+    reason = envelope if isinstance(envelope, str) else None
+    e_ph_upper = 1.0 if reason else min(1.0, envelope / decoy.z_det_lower)
+    return PhaseErrorBound(e_ph_upper,
+                           (delta_A, n_sifted_det, eps_A, trash_upper, reason, y, z, g_plus))

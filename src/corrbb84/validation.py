@@ -216,7 +216,7 @@ def coin_inequality_check(
     n_x_det = ground_truth.x_det[1].total
     n_minus = ground_truth.trash_minus_single
     delta_A = azuma_delta(n_sifted_det, eps_A)
-    rhs = coin_envelope(n_z_det, n_x_det, n_x_err, n_minus, delta_A, p_keep, {})
+    rhs = coin_envelope(n_z_det, n_x_det, n_x_err, n_minus, delta_A, p_keep)[0]
     trivial = isinstance(rhs, str)
     if trivial:
         rhs = float(n_z_det)

@@ -15,21 +15,30 @@ of ``concentration._solve_kl``; ``test_concentration.py`` counts its D
 evaluations against the package's. ``expected_counts``, ``observed`` (the
 method ``GroundTruth.observed``) and ``validate`` (``ObservedCounts.validate``)
 built the counts records through ``zip``/``map``/``sum`` passes, a nested
-helper and a ``getattr`` loop.
+helper and a ``getattr`` loop. ``DecoyBounds``, ``PhaseErrorBound``,
+``KeyRateResult``, ``coin_envelope``, ``phase_error_rate_bound`` and
+``evaluate_pipeline`` built the audit dicts on every call, before the
+package kept stage records and built the audit on first read; the pipeline
+here runs the decoy bounds above, whose audit values are the package's.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from corrbb84 import concentration
-from corrbb84.concentration import binomial_bound_pair
+from corrbb84 import correlations as corr
+from corrbb84.concentration import azuma_delta, binomial_bound_pair
 from corrbb84.correlations import MAX_ORACLE_ROUNDS, Z, CorrelationModel
 from corrbb84.counts import CountTriple, GroundTruth, ObservedCounts
-from corrbb84.decoy import BoundPair, DecoyBounds
-from corrbb84.model import ConfigError, IntensitySet, ProtocolConfig, lower_denominator
+from corrbb84.decoy import BoundPair
+from corrbb84.keyrate import DEFAULT_F_EC, ec_leakage, key_length, security_parameter
+from corrbb84.model import (ConfigError, IntensitySet, ProtocolConfig, lower_denominator,
+                            require)
+from corrbb84.phase_error import g_interval, pe_shares, total_pe_failure, trash_minus_upper
 from corrbb84.oracles import ExplicitDeltas
 from corrbb84.simulator import ChannelModel
 
@@ -187,6 +196,15 @@ def bernoulli_kl(p: float, q: float) -> float:
             return math.inf
         kl += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
     return kl
+
+
+@dataclass(frozen=True, slots=True)
+class DecoyBounds:
+    z_det_lower: float
+    z_det_upper: float
+    x_det_lower: float
+    x_err_upper: float
+    audit: dict = field(default_factory=dict, compare=False)
 
 
 def single_photon_lower(
@@ -451,3 +469,139 @@ def validate(counts: ObservedCounts) -> list[str]:
     if counts.n_sifted_det < 0:
         problems.append("n_sifted_det must be nonnegative")
     return problems
+
+
+@dataclass(frozen=True, slots=True)
+class PhaseErrorBound:
+    e_ph_upper: float
+    audit: dict = field(default_factory=dict, compare=False)
+
+
+def coin_envelope(z_det, x_det, x_err, minus, delta_A, p_keep, audit: dict) -> float | str:
+    if x_det <= delta_A:
+        return "x_det_lower_not_above_delta_A"
+    y = (x_err + delta_A) / (x_det - delta_A)
+    audit["y"] = y
+    if not (0.0 <= y <= 1.0):
+        return "y_out_of_range"
+    denom = (1.0 - p_keep) * (z_det + x_det)
+    if denom <= 0.0:
+        return "coin_denominator_nonpositive"
+    z = 1.0 - 2.0 * p_keep * (minus + delta_A) / denom
+    audit["z"] = z
+    g_plus = g_interval(y, z)[1]
+    audit["g_plus"] = g_plus
+    return (z_det + delta_A) * g_plus + delta_A
+
+
+def phase_error_rate_bound(
+    decoy,
+    trash_upper: float,
+    n_sifted_det: int,
+    p_keep: float,
+    eps_A: float,
+) -> PhaseErrorBound:
+    delta_A = azuma_delta(n_sifted_det, eps_A)
+    audit: dict = {
+        "delta_A": delta_A,
+        "n_sifted_det": n_sifted_det,
+        "eps_A": eps_A,
+        "trash_minus_upper": trash_upper,
+        "trivial_bound_reason": None,
+    }
+
+    envelope = ("z_det_lower_nonpositive" if decoy.z_det_lower <= 0.0
+                else coin_envelope(decoy.z_det_upper, decoy.x_det_lower, decoy.x_err_upper,
+                                   trash_upper, delta_A, p_keep, audit))
+    if isinstance(envelope, str):
+        audit["trivial_bound_reason"] = envelope
+        return PhaseErrorBound(e_ph_upper=1.0, audit=audit)
+    return PhaseErrorBound(e_ph_upper=min(1.0, envelope / decoy.z_det_lower), audit=audit)
+
+
+@dataclass(frozen=True, slots=True)
+class KeyRateResult:
+    key_length: int
+    eps_sec: float
+    e_ph_upper: float
+    z_det_lower: float
+    lambda_EC: float
+    audit: dict = field(default_factory=dict, compare=False)
+
+
+def evaluate_pipeline(
+    observed: ObservedCounts,
+    config: ProtocolConfig,
+    correlation_model: corr.CorrelationModel | None = None,
+    f_EC: float = DEFAULT_F_EC,
+) -> KeyRateResult:
+    require(config.problems)
+    require(observed.validate())
+    if observed.n_sifted_det > config.N:
+        raise ConfigError(
+            f"{observed.n_sifted_det} sifted detections exceed the block size N={config.N}"
+        )
+    budget = config.epsilon_budget
+    iset = config.intensity_set
+
+    d_model = 0.0 if correlation_model is None else correlation_model.truncation_d
+    if budget.d != d_model:
+        raise ConfigError(
+            f"epsilon budget carries d={budget.d} but the correlation model "
+            f"carries truncation_d={d_model} (0 when there is none)"
+        )
+    l_c = corr.effective_length(config.N, mean_intensity(iset), correlation_model)
+    shares = pe_shares(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
+    eps_PE = total_pe_failure(shares)
+    coin_param = 0.0
+    if correlation_model is not None:
+        coin_param = corr.coin_parameter_bound(l_c, iset, correlation_model)
+
+    decoy_bounds = apply_decoy_bounds(observed, config)
+    p1 = iset.weights[0]
+    trash_upper = trash_minus_upper(
+        config.N, p1, config.p_keep, l_c, coin_param, budget.eps_C
+    )
+    phase = phase_error_rate_bound(
+        decoy_bounds, trash_upper, observed.n_sifted_det, config.p_keep, budget.eps_A
+    )
+
+    lambda_EC = ec_leakage(observed.z_det.total, observed.z_err.total, f_EC)
+    n_K1_lower = decoy_bounds.z_det_lower
+    length = key_length(
+        n_K1_lower, phase.e_ph_upper, lambda_EC, budget.eps_PA, budget.eps_EV
+    )
+    if phase.e_ph_upper >= 1.0 or n_K1_lower <= 0.0:
+        length = 0
+    eps_sec = security_parameter(eps_PE, budget.eps_PA, budget.eps_EV)
+
+    audit = {
+        "decoy": decoy_bounds.audit,
+        "decoy_bounds": {
+            "z_det_lower": decoy_bounds.z_det_lower,
+            "z_det_upper": decoy_bounds.z_det_upper,
+            "x_det_lower": decoy_bounds.x_det_lower,
+            "x_err_upper": decoy_bounds.x_err_upper,
+        },
+        "correlation": {
+            "bypassed": correlation_model is None,
+            "l_c": l_c,
+            "coin_parameter": coin_param,
+            "trash_minus_upper": trash_upper,
+        },
+        "phase_error": phase.audit,
+        "e_ph_upper": phase.e_ph_upper,
+        "lambda_EC": lambda_EC,
+        "n_K1_lower": n_K1_lower,
+        "epsilon_shares": shares,
+        "eps_PE": eps_PE,
+        "meaningful": eps_sec < 1.0,
+    }
+    return KeyRateResult(
+        key_length=length,
+        eps_sec=eps_sec,
+        e_ph_upper=phase.e_ph_upper,
+        z_det_lower=decoy_bounds.z_det_lower,
+        lambda_EC=lambda_EC,
+        audit=audit,
+    )

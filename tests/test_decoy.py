@@ -73,13 +73,13 @@ def test_posterior_rejects_zero_support():
 def test_lower_zero_counts_clamp():
     zero = CountTriple(0, 0, 0)
     lower = single_photon_lower(zero, UNIFORM, 1e-3, binomial_bound_pair)
-    assert lower["value"] == 0.0
+    assert lower.value == 0.0
 
 
 def test_upper_zero_counts_structure():
     """All-zero counts: only the w upper-bound term survives."""
     zero = CountTriple(0, 0, 0)
-    value = single_photon_upper(zero, UNIFORM, 1e-3, binomial_bound_pair)["value"]
+    value = single_photon_upper(zero, UNIFORM, 1e-3, binomial_bound_pair).value
     ceiling = binomial_bound_pair(1e-3, 0, 0)[1]
     p1 = single_photon_prob(UNIFORM)
     expected = ceiling * p1 * math.exp(UNIFORM.w) / (UNIFORM.p_w * (UNIFORM.w - UNIFORM.v))
@@ -93,8 +93,8 @@ def test_lossless_identity_mode_bounds():
     counts = CountTriple(N // 3, N // 3, N // 3)
     p1 = single_photon_prob(UNIFORM)
     args = (UNIFORM, 1e-3, identity_bound_pair)
-    lower = single_photon_lower(counts, *args)["value"]
-    upper = single_photon_upper(counts, *args)["value"]
+    lower = single_photon_lower(counts, *args).value
+    upper = single_photon_upper(counts, *args).value
     assert math.isclose(lower, N * p1 * FL_LOSSLESS_COEFF, rel_tol=1e-12)
     assert math.isclose(upper, N * p1 * FU_LOSSLESS_COEFF, rel_tol=1e-12)
     true_singles = N * p1
@@ -114,8 +114,8 @@ def test_lower_monotone_in_weak_counts(intensity_set):
     args = (intensity_set, 1e-6, binomial_bound_pair)
     for triple in _random_triples(100, rng):
         bumped = CountTriple(triple.m_s, triple.m_w + 1, triple.m_v)
-        low = single_photon_lower(triple, *args)["value"]
-        low_bumped = single_photon_lower(bumped, *args)["value"]
+        low = single_photon_lower(triple, *args).value
+        low_bumped = single_photon_lower(bumped, *args).value
         assert low_bumped >= low - 1e-9
 
 
@@ -123,8 +123,8 @@ def test_lower_never_exceeds_upper(intensity_set):
     rng = np.random.default_rng(13)
     args = (intensity_set, 1e-6, binomial_bound_pair)
     for triple in _random_triples(100, rng):
-        low = single_photon_lower(triple, *args)["value"]
-        high = single_photon_upper(triple, *args)["value"]
+        low = single_photon_lower(triple, *args).value
+        high = single_photon_upper(triple, *args).value
         assert low <= high + 1e-9
 
 

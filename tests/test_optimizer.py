@@ -14,7 +14,7 @@ import corrbb84
 from corrbb84 import optimizer
 from corrbb84.correlations import CorrelationModel
 from corrbb84.model import ConfigError, ProtocolConfig, lower_denominator
-from corrbb84.keyrate import evaluate_pipeline
+from corrbb84.keyrate import StageMemo, evaluate_pipeline
 from corrbb84.optimizer import (
     BOXES,
     OptimizationSpec,
@@ -26,7 +26,7 @@ from corrbb84.optimizer import (
     validate_optimization,
 )
 from corrbb84.simulator import ChannelModel, expected_counts
-from corrbb84.validation import reference_channel
+from corrbb84.validation import reference_channel, reference_config
 
 # small budgets keep the search cheap; the objective itself is deterministic.
 # N must be large: the finite-size penalties zero out the key below ~1e9
@@ -319,3 +319,98 @@ def test_v_below_the_top_of_the_weak_box_is_valid():
     top = BOXES[1][1]
     assert validate_optimization(OptimizationSpec(N=10**9, v=math.nextafter(top, 0.0))) == []
     assert validate_optimization(OptimizationSpec(N=10**9, v=top)) != []
+
+
+# --- stage reuse within one search --------------------------------------------
+
+
+def _record_searches(monkeypatch):
+    """Wrap ``optimizer.evaluate_pipeline``: each call with ``stages`` is kept
+    with the sizes of its memo dicts before the call and the result."""
+    evaluate, calls = optimizer.evaluate_pipeline, []
+
+    def recorded(observed, config, model=None, f_EC=optimizer.DEFAULT_F_EC, *, stages=None):
+        sizes = None if stages is None else (len(stages.decoy), len(stages.coin))
+        result = evaluate(observed, config, model, f_EC, stages=stages)
+        if stages is not None:
+            calls.append((observed, config, model, f_EC, stages, sizes, result))
+        return result
+
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, 1e-12)],
+                         ids=["uncorrelated", "correlated"])
+def test_stage_reuse_scores_equal_fresh_evaluations(monkeypatch, channel_10km, model, seed):
+    """Budget 120: a smaller one ends before the first u_A line search,
+    where the decoy inputs first repeat."""
+    calls = _record_searches(monkeypatch)
+    outcome = optimize_params(OptimizationSpec(N=10**9, correlation=model, budget=120),
+                              channel_10km, seed=seed)
+    assert len(calls) == outcome.evaluations == 120
+    for observed, config, correlation, f_EC, _, _, result in calls:
+        fresh = evaluate_pipeline(observed, config, correlation, f_EC)
+        assert repr(optimizer._score(result)) == repr(optimizer._score(fresh))
+        assert result == fresh
+    stages = calls[-1][4]
+    # the search reused every stage, so the equalities above cover reuse
+    assert len(stages.decoy) < len(calls)
+    assert len({id(call[1].intensity_set) for call in calls}) < len(calls)
+    if model is None:
+        assert stages.coin == {}
+    else:
+        assert len(stages.coin) < len(calls)
+
+
+def test_stage_memo_keys_every_input_its_stage_reads(channel_10km):
+    """Calls that differ only in eps_B or in one count share no decoy entry,
+    and calls that differ only in l_c_eff (at the same l_c) or in delta_1
+    share no coin entry; every staged result is the fresh one."""
+    model = CorrelationModel(0.05, 1.0, 1e-12)
+    config = reference_config(10**9)
+    config = replace(config, epsilon_budget=replace(config.epsilon_budget, d=1e-12))
+    observed, _ = expected_counts(config, channel_10km)
+    stages = StageMemo()
+    base = evaluate_pipeline(observed, config, model, stages=stages)
+    assert evaluate_pipeline(observed, config, model, stages=stages) == base
+    assert (len(stages.decoy), len(stages.coin)) == (1, 1)
+
+    budget = config.epsilon_budget
+    fewer = replace(config, epsilon_budget=replace(budget, eps_B=budget.eps_B / 2))
+    bumped = replace(observed.z_det, m_s=observed.z_det.m_s + 1)
+    counted = replace(observed, z_det=bumped, x_det=bumped, n_sifted_det=observed.n_sifted_det + 2)
+    l_c = base.audit["correlation"]["l_c"]
+    variants = (
+        ("decoy", observed, fewer, model),
+        ("decoy", counted, config, model),
+        ("coin", observed, config, replace(model, l_c_eff=l_c)),
+        ("coin", observed, config, replace(model, delta_1=0.06)),
+    )
+    for stage, counts, variant, correlation in variants:
+        before = len(getattr(stages, stage))
+        staged = evaluate_pipeline(counts, variant, correlation, stages=stages)
+        assert len(getattr(stages, stage)) == before + 1, (stage, variant, correlation)
+        assert staged == evaluate_pipeline(counts, variant, correlation)
+    assert evaluate_pipeline(observed, config, replace(model, l_c_eff=l_c)).audit[
+        "correlation"]["l_c"] == l_c
+
+
+def test_each_search_starts_with_empty_stage_memos(monkeypatch, channel_10km):
+    """No stage outlives its search: a second search in the same process
+    starts from empty dicts and builds its own intensity sets."""
+    calls = _record_searches(monkeypatch)
+    spec = OptimizationSpec(N=10**9, correlation=CorrelationModel(0.05, 1.0, 1e-12), budget=30,
+                            restarts=2)
+    first = optimize_params(spec, channel_10km, seed=1)
+    searches = [calls[:first.evaluations]]
+    second = optimize_params(spec, channel_10km, seed=1)
+    searches.append(calls[first.evaluations:])
+    assert second == first and len(searches[1]) == second.evaluations
+    assert searches[0][0][4] is not searches[1][0][4]
+    for search in searches:
+        assert search[0][5] == (0, 0)
+        assert all(call[4] is search[0][4] for call in search)
+    isets = [{id(call[1].intensity_set) for call in search} for search in searches]
+    assert not isets[0] & isets[1]
