@@ -394,6 +394,8 @@ def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: in
 
 
 def cmd_keyrate(args) -> int:
+    if bool(args.counts) == args.simulate:
+        raise ConfigError("keyrate needs exactly one of --counts FILE and --simulate")
     data, text = load_config(args.config)
     config = parse_protocol(data)
     model = parse_correlations(data, config)
@@ -401,10 +403,8 @@ def cmd_keyrate(args) -> int:
     f_ec = parse_f_ec(data)
     if args.counts:
         observed = read_counts_csv(args.counts)
-    elif args.simulate:
-        observed, _ = _simulate(config, parse_channel(data), args.mode, args.seed)
     else:
-        raise ConfigError("keyrate needs either --counts FILE or --simulate")
+        observed, _ = _simulate(config, parse_channel(data), args.mode, args.seed)
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
     # by name: the audit is built on read, so dataclasses.asdict does not see it
     names = ("key_length", "eps_sec", "e_ph_upper", "z_det_lower", "lambda_EC", "audit")

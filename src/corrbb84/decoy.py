@@ -7,8 +7,8 @@ single-photon contribution: ``single_photon_lower`` and
 record, reading p1 and the e^mu / p_mu weights from ``IntensitySet.weights``
 (derived once per intensity set), and ``apply_decoy_bounds`` evaluates the
 four that the announced :class:`~corrbb84.counts.ObservedCounts` of a run
-need; its ``DecoyBounds`` keeps the four records and builds the audit dict
-from them on first read. The estimate
+need; its ``DecoyBounds`` keeps the four records, and its audit dict is
+built from the records on each read. The estimate
 rests on the counterfactual in which the per-photon-number counts are fixed
 first and each event is assigned an intensity with the Bayes posterior
 p(mu | m) = p_mu p(m|mu) / sum_nu p_nu p(m|nu); the per-intensity counts are
@@ -68,8 +68,8 @@ class DecoyBounds:
     key basis, ``x_det_lower`` and ``x_err_upper`` bound the test-basis
     detections and errors; jointly they fail with probability at most
     ``DECOY_TERMS * eps_B``. ``records`` holds eps_B and the four bound
-    records in that order (empty for bounds built by hand); ``audit``
-    builds the dict of them on first read, where a record that serves both
+    records in that order (empty for bounds built by hand); ``audit`` is
+    built from the records on each read, where a record that serves both
     detection lower bounds gives one dict twice.
     """
 
@@ -78,21 +78,16 @@ class DecoyBounds:
     x_det_lower: float
     x_err_upper: float
     records: tuple = field(default=(), compare=False, repr=False)
-    _audit: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def audit(self) -> dict:
-        audit = self._audit
-        if audit is None:
-            audit = {}
-            if self.records:
-                eps_B, z_lo, z_hi, x_lo, e_hi = self.records
-                z_lo_dict = asdict(z_lo)
-                audit = {"eps_B": eps_B, "z_det_lower": z_lo_dict, "z_det_upper": asdict(z_hi),
-                         "x_det_lower": z_lo_dict if x_lo is z_lo else asdict(x_lo),
-                         "x_err_upper": asdict(e_hi)}
-            object.__setattr__(self, "_audit", audit)
-        return audit
+        if not self.records:
+            return {}
+        eps_B, z_lo, z_hi, x_lo, e_hi = self.records
+        z_lo_dict = asdict(z_lo)
+        return {"eps_B": eps_B, "z_det_lower": z_lo_dict, "z_det_upper": asdict(z_hi),
+                "x_det_lower": z_lo_dict if x_lo is z_lo else asdict(x_lo),
+                "x_err_upper": asdict(e_hi)}
 
 
 def single_photon_lower(counts: CountTriple, iset: IntensitySet, eps_B: float,

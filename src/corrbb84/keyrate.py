@@ -2,10 +2,10 @@
 
 ``evaluate_pipeline`` chains decoy estimation -> coin-parameter bound ->
 trash-round concentration -> phase-error bound -> error-correction leakage ->
-key length -> security parameter. Its result keeps the record of every stage
-and builds the audit dict from them on first read, so a certified key length
-can be traced term by term while a caller that never reads the audit (an
-optimizer search) does not pay for it. A ``StageMemo`` passed as ``stages``
+key length -> security parameter. Its result keeps the record of every stage,
+and its audit dict is built from the records on each read, so a certified key
+length can be traced term by term while a caller that never reads the audit
+(an optimizer search) does not pay for it. A ``StageMemo`` passed as ``stages``
 lets the calls of one search share the decoy and coin stages of equal inputs.
 
 The variable-length key formula is
@@ -37,9 +37,9 @@ class KeyRateResult:
 
     ``records`` holds the stage records the audit is built from: the decoy
     bounds, the phase-error bound, whether the correlation stage was
-    bypassed, l_c, the coin parameter, the epsilon shares and eps_PE (empty
-    for a result built by hand). ``audit`` builds the dict on first read;
-    ``dataclasses.asdict`` sees only fields, so a writer names ``audit``.
+    bypassed, l_c, the coin parameter, the epsilon shares and eps_PE.
+    ``audit`` is built from the records on each read; ``dataclasses.asdict``
+    sees only fields, so a writer names ``audit``.
     """
 
     key_length: int
@@ -47,41 +47,35 @@ class KeyRateResult:
     e_ph_upper: float
     z_det_lower: float
     lambda_EC: float
-    records: tuple = field(default=(), compare=False, repr=False)
-    _audit: dict | None = field(default=None, init=False, compare=False, repr=False)
+    records: tuple = field(compare=False, repr=False)
 
     @property
     def audit(self) -> dict:
-        audit = self._audit
-        if audit is None:
-            audit = {}
-            if self.records:
-                decoy, phase, bypassed, l_c, coin_param, shares, eps_PE = self.records
-                audit = {
-                    "decoy": decoy.audit,
-                    "decoy_bounds": {
-                        "z_det_lower": decoy.z_det_lower,
-                        "z_det_upper": decoy.z_det_upper,
-                        "x_det_lower": decoy.x_det_lower,
-                        "x_err_upper": decoy.x_err_upper,
-                    },
-                    "correlation": {
-                        "bypassed": bypassed,
-                        "l_c": l_c,
-                        "coin_parameter": coin_param,
-                        "trash_minus_upper": phase.audit["trash_minus_upper"],
-                    },
-                    "phase_error": phase.audit,
-                    "e_ph_upper": self.e_ph_upper,
-                    "lambda_EC": self.lambda_EC,
-                    "n_K1_lower": decoy.z_det_lower,
-                    # every epsilon consumed, exactly once; shares sum to eps_PE
-                    "epsilon_shares": shares,
-                    "eps_PE": eps_PE,
-                    "meaningful": self.eps_sec < 1.0,
-                }
-            object.__setattr__(self, "_audit", audit)
-        return audit
+        decoy, phase, bypassed, l_c, coin_param, shares, eps_PE = self.records
+        terms = phase.audit
+        return {
+            "decoy": decoy.audit,
+            "decoy_bounds": {
+                "z_det_lower": decoy.z_det_lower,
+                "z_det_upper": decoy.z_det_upper,
+                "x_det_lower": decoy.x_det_lower,
+                "x_err_upper": decoy.x_err_upper,
+            },
+            "correlation": {
+                "bypassed": bypassed,
+                "l_c": l_c,
+                "coin_parameter": coin_param,
+                "trash_minus_upper": terms["trash_minus_upper"],
+            },
+            "phase_error": terms,
+            "e_ph_upper": self.e_ph_upper,
+            "lambda_EC": self.lambda_EC,
+            "n_K1_lower": decoy.z_det_lower,
+            # every epsilon consumed, exactly once; shares sum to eps_PE
+            "epsilon_shares": shares,
+            "eps_PE": eps_PE,
+            "meaningful": self.eps_sec < 1.0,
+        }
 
 
 class StageMemo:

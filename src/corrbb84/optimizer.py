@@ -42,11 +42,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .correlations import CorrelationModel, effective_length, validate_correlation
-from .decoy import DECOY_TERMS
 from .keyrate import DEFAULT_F_EC, KeyRateResult, StageMemo, evaluate_pipeline, validate_f_ec
 from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity,
                     require, validate_block_size, validate_epsilons)
-from .phase_error import AZUMA_TERMS
+from .phase_error import pe_epsilons
 from .simulator import ChannelModel, expected_counts
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,11 +110,14 @@ class OptimizationResult:
     key_length: int
     result: KeyRateResult | None
     evaluations: int
-    zero_key_everywhere: bool = False
+
+    @property
+    def zero_key_everywhere(self) -> bool:
+        return self.key_length == 0
 
 
 def _build_config(candidate: Candidate, spec: OptimizationSpec,
-                  intensity_sets: dict | None = None) -> ProtocolConfig | None:
+                  intensity_sets: dict) -> ProtocolConfig | None:
     """Candidate -> runnable configuration, or None when p_v or u_C is within
     1e-6 of zero or the configuration's ``problems`` report is not empty; the
     ConfigError of ``effective_length`` when it refuses its correlation length.
@@ -128,8 +130,6 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec,
     u_c = 1.0 - u_a - u_b
     if u_c <= 1e-6:
         return None
-    if intensity_sets is None:
-        intensity_sets = {}
     key = (s, w, p_s, p_w)
     known = intensity_sets.get(key)
     if known is None:
@@ -139,14 +139,8 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec,
     iset, l_c = known
     d = 0.0 if spec.correlation is None else spec.correlation.truncation_d
     pe_mass = spec.eps_pe_target - d  # positive: validate_optimization
-    budget = EpsilonBudget(
-        eps_A=u_a * pe_mass / AZUMA_TERMS,
-        eps_B=u_b * pe_mass / DECOY_TERMS,
-        eps_C=u_c * pe_mass / (l_c + 1),
-        eps_PA=spec.eps_PA,
-        eps_EV=spec.eps_EV,
-        d=d,
-    )
+    budget = EpsilonBudget(*pe_epsilons(u_a, u_b, u_c, pe_mass, l_c),
+                           eps_PA=spec.eps_PA, eps_EV=spec.eps_EV, d=d)
     config = ProtocolConfig(N=spec.N, intensity_set=iset, p_keep=p_keep, epsilon_budget=budget)
     return None if config.problems else config
 
@@ -308,13 +302,13 @@ def optimize_params(
         point, score = _coordinate_descent(objective, start)
         if score > best_score:
             best_point, best_score = point, score
-    config = _build_config(best_point, spec) if best_point is not None else None
+    config = _build_config(best_point, spec, {}) if best_point is not None else None
     if config is None:
         if objective.evaluations == 0 and objective.refusal is not None:
             raise objective.refusal
         return OptimizationResult(
             params={}, key_length=0, result=None,
-            evaluations=objective.evaluations, zero_key_everywhere=True,
+            evaluations=objective.evaluations,
         )
     observed, _ = expected_counts(config, channel)
     result = evaluate_pipeline(observed, config, spec.correlation, f_EC=spec.f_EC)
@@ -327,7 +321,6 @@ def optimize_params(
         key_length=result.key_length,
         result=result,
         evaluations=objective.evaluations,
-        zero_key_everywhere=(result.key_length == 0),
     )
 
 

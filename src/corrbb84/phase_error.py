@@ -17,8 +17,8 @@ rounds. That bound is assembled from:
 
 Degenerate statistics never raise: any undefined or out-of-range envelope
 argument falls back to the trivial bound e_ph = 1, with the responsible guard
-named in the audit record, which ``PhaseErrorBound`` builds from its
-intermediates on first read.
+named in the audit record, which ``PhaseErrorBound`` builds from the
+records on each read.
 """
 
 from __future__ import annotations
@@ -44,22 +44,18 @@ class PhaseErrorBound:
     """Phase-error-rate bound plus the intermediates needed for audit.
 
     ``records`` holds the values of ``PHASE_AUDIT_KEYS`` in order, None for
-    an intermediate not reached (empty for a bound built by hand); ``audit``
-    builds the dict of them on first read.
+    an intermediate not reached; ``audit`` is built from the records on each
+    read.
     """
 
     e_ph_upper: float
-    records: tuple = field(default=(), compare=False, repr=False)
-    _audit: dict | None = field(default=None, init=False, compare=False, repr=False)
+    records: tuple = field(compare=False, repr=False)
 
     @property
     def audit(self) -> dict:
-        audit = self._audit
-        if audit is None:
-            audit = dict(zip(PHASE_AUDIT_KEYS[:5], self.records[:5]))
-            audit.update((key, value) for key, value in zip(PHASE_AUDIT_KEYS[5:], self.records[5:])
-                         if value is not None)
-            object.__setattr__(self, "_audit", audit)
+        audit = dict(zip(PHASE_AUDIT_KEYS[:5], self.records[:5]))
+        audit.update((key, value) for key, value in zip(PHASE_AUDIT_KEYS[5:], self.records[5:])
+                     if value is not None)
         return audit
 
 
@@ -124,6 +120,13 @@ def pe_shares(eps_A: float, eps_B: float, eps_C: float, l_c: int, d: float) -> d
         "decoy_10_eps_B": DECOY_TERMS * eps_B,
         "truncation_d": d,
     }
+
+
+def pe_epsilons(u_A: float, u_B: float, u_C: float, pe_mass: float,
+                l_c: int) -> tuple[float, float, float]:
+    """The inverse of :func:`pe_shares`: (eps_A, eps_B, eps_C) whose Azuma,
+    decoy and trash shares are the fractions u_A, u_B and u_C of pe_mass."""
+    return u_A * pe_mass / AZUMA_TERMS, u_B * pe_mass / DECOY_TERMS, u_C * pe_mass / (l_c + 1)
 
 
 def total_pe_failure(shares: dict) -> float:

@@ -18,7 +18,7 @@ built the counts records through ``zip``/``map``/``sum`` passes, a nested
 helper and a ``getattr`` loop. ``DecoyBounds``, ``PhaseErrorBound``,
 ``KeyRateResult``, ``coin_envelope``, ``phase_error_rate_bound`` and
 ``evaluate_pipeline`` built the audit dicts on every call, before the
-package kept stage records and built the audit on first read; the pipeline
+package kept stage records and built the audit from them when read; the pipeline
 here runs the decoy bounds above, whose audit values are the package's.
 """
 

@@ -1,10 +1,10 @@
-"""The audit that a result builds from its stage records on first read equals
+"""The audit that a result builds from its stage records on each read equals
 the dict the pipeline built on every call (``frozen_reference``): every key,
 value and key order, -0.0 included, on the certified-output fingerprint grid
 and on drawn sampled records, and for each guard of the phase-error bound."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import frozen_reference as frozen
 import numpy as np
@@ -34,7 +34,7 @@ def _assert_parity(observed, config, model):
     new = evaluate_pipeline(observed, config, model)
     old = frozen.evaluate_pipeline(observed, config, model)
     assert _outputs(new) == _outputs(old)
-    assert new.audit is new.audit  # built once
+    assert new.audit == new.audit  # the same dict on every read
     decoy = new.audit["decoy"]
     shared = decoy["x_det_lower"] is decoy["z_det_lower"]
     assert shared == (observed.x_det is observed.z_det)
@@ -99,3 +99,21 @@ def test_phase_error_audit_names_each_guard(bounds, trash, n_sifted_det, p_keep,
     assert repr((new.e_ph_upper, new.audit)) == repr((old.e_ph_upper, old.audit))
     assert new.audit.get("trivial_bound_reason") == reason  # as the benchmark's tracer reads it
     assert (new.e_ph_upper == 1.0) == (reason is not None) and not math.isnan(new.e_ph_upper)
+
+
+def test_records_are_frozen():
+    """The decoy bounds, the phase-error bound and the result hold no memo:
+    setting any field raises, and so does setting the audit or a new name
+    (a TypeError on Python 3.11, whose slotted frozen dataclasses fail that
+    way for a name that is not a field)."""
+    config, model = _grid_case(10.0, GRID_CORRELATIONS[1])
+    observed, _ = expected_counts(config, ChannelModel(distance_km=10.0))
+    result = evaluate_pipeline(observed, config, model)
+    decoy, phase = result.records[:2]
+    for record in (decoy, phase, result):
+        for field in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, None)
+        for name in ("audit", "_audit"):
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                setattr(record, name, None)

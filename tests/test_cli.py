@@ -132,6 +132,17 @@ def test_keyrate_needs_counts_or_simulate(config_path):
     assert main(["keyrate", "--config", config_path]) == 2
 
 
+def test_keyrate_refuses_counts_with_simulate(config_path, tmp_path, capsys):
+    """--counts certifies a file and --simulate draws counts: given both,
+    keyrate exits 2 with a message instead of ignoring --simulate and --mode."""
+    counts = _counts_file(config_path, tmp_path)
+    out = tmp_path / "key.json"
+    assert main(["keyrate", "--config", config_path, "--counts", counts, "--simulate",
+                 "--mode", "sampled", "--seed", "1", "--out", str(out)]) == 2
+    assert "exactly one of --counts FILE and --simulate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _counts_file(config_path, tmp_path, edit=None):
     """The expected counts of the base config, its lines passed through
     ``edit``; a surrogate escape such as "\\udcff" is written as that raw byte."""

@@ -36,16 +36,16 @@ FAST = dict(N=10**9, budget=60, restarts=2, coordinate_passes=1)
 def test_infeasible_candidates_are_rejected():
     spec = OptimizationSpec(N=10**9)
     feasible = np.array([0.5, 0.1, 0.7, 0.15, 0.8, 1 / 3, 1 / 3])
-    assert _build_config(feasible, spec) is not None
+    assert _build_config(feasible, spec, {}) is not None
     ordering = feasible.copy()
     ordering[1] = 0.6  # w above s
-    assert _build_config(ordering, spec) is None
+    assert _build_config(ordering, spec, {}) is None
     simplex = feasible.copy()
     simplex[2], simplex[3] = 0.7, 0.4  # p_v would be negative
-    assert _build_config(simplex, spec) is None
+    assert _build_config(simplex, spec, {}) is None
     weights = feasible.copy()
     weights[5], weights[6] = 0.6, 0.5  # epsilon split exceeds the simplex
-    assert _build_config(weights, spec) is None
+    assert _build_config(weights, spec, {}) is None
 
 
 def test_unsolvable_decoy_candidates_are_rejected():
@@ -53,10 +53,10 @@ def test_unsolvable_decoy_candidates_are_rejected():
     s(w - v) - w^2 + v^2 > 0, i.e. s > w + v."""
     spec = OptimizationSpec(N=10**9, v=0.2)
     solvable = (0.7, 0.3, 0.7, 0.15, 0.8, 1 / 3, 1 / 3)
-    config = _build_config(solvable, spec)
+    config = _build_config(solvable, spec, {})
     assert config is not None and lower_denominator(config.intensity_set) > 0.0
     for s in (0.5, 0.45):  # s = w + v and s < w + v
-        assert _build_config((s,) + solvable[1:], spec) is None
+        assert _build_config((s,) + solvable[1:], spec, {}) is None
 
 
 @pytest.mark.parametrize("spec", [
@@ -84,7 +84,7 @@ def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
     refused = []
     for candidate in points:
         built.clear()
-        config = _build_config(candidate, spec)
+        config = _build_config(candidate, spec, {})
         if not built:  # p_v or u_C within the search's own margin: nothing built
             assert config is None
             continue
@@ -173,8 +173,8 @@ def test_numpy_and_float_candidates_certify_identically(model, distance):
     channel = reference_channel(distance)
     feasible = 0
     for candidate in _initial_points(spec, seed=11):
-        as_floats = _build_config(candidate, spec)
-        as_numpy = _build_config(np.array(candidate), spec)
+        as_floats = _build_config(candidate, spec, {})
+        as_numpy = _build_config(np.array(candidate), spec, {})
         assert (as_floats is None) == (as_numpy is None)
         if as_floats is None:
             continue
