@@ -28,8 +28,8 @@ def main():
     for l_c in (1, 2, 3):
         bound = corr.coin_parameter_bound(l_c, iset, model)
         exact_values = [
-            oracles.exact_coin_parameter(l_c, oracles.random_admissible_deltas(model, l_c, rng), iset)
-            for _ in range(200)
+            oracles.exact_coin_parameter(l_c, deltas, iset)
+            for deltas in oracles.random_admissible_deltas(model, l_c, rng, 200)
         ]
         extreme = oracles.exact_coin_parameter(l_c, oracles.extreme_deltas(model, l_c), iset)
         print(f"   l_c={l_c}: bound={bound:.6e}  max over 200 random tables="
@@ -41,9 +41,8 @@ def main():
     for N in (2, 4, 6, 8):
         bound = corr.trace_distance_bound(N, mu_bar, 1, tr_model)
         worst = 0.0
-        for _ in range(100):
-            deltas = oracles.random_admissible_deltas(tr_model, N - 1, rng)
-            fidelity = corr.exact_global_fidelity(N, 1, deltas, iset)
+        tables = oracles.random_admissible_deltas(tr_model, N - 1, rng, 100)
+        for fidelity in corr.exact_global_fidelity(N, 1, tables, iset):
             worst = max(worst, math.sqrt(max(0.0, 1.0 - fidelity**2)))
         print(f"   N={N}: bound={bound:.5f}  worst exact over 100 tables={worst:.5f}")
 

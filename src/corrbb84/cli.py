@@ -396,6 +396,8 @@ def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: in
 def cmd_keyrate(args) -> int:
     if bool(args.counts) == args.simulate:
         raise ConfigError("keyrate needs exactly one of --counts FILE and --simulate")
+    if args.counts and args.mode is not None:
+        raise ConfigError("keyrate --mode chooses how --simulate draws counts; --counts reads them")
     data, text = load_config(args.config)
     config = parse_protocol(data)
     model = parse_correlations(data, config)
@@ -404,7 +406,7 @@ def cmd_keyrate(args) -> int:
     if args.counts:
         observed = read_counts_csv(args.counts)
     else:
-        observed, _ = _simulate(config, parse_channel(data), args.mode, args.seed)
+        observed, _ = _simulate(config, parse_channel(data), args.mode or "expected", args.seed)
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
     # by name: the audit is built on read, so dataclasses.asdict does not see it
     names = ("key_length", "eps_sec", "e_ph_upper", "z_det_lower", "lambda_EC", "audit")
@@ -557,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     keyrate.add_argument("--config", required=True)
     keyrate.add_argument("--counts", help="observed-counts CSV")
     keyrate.add_argument("--simulate", action="store_true", help="generate counts instead")
-    keyrate.add_argument("--mode", choices=["expected", "sampled"], default="expected")
+    keyrate.add_argument("--mode", choices=["expected", "sampled"], help="--simulate only")
     keyrate.add_argument("--seed", type=int, default=None)
     keyrate.add_argument("--out", help="result JSON path (default: stdout)")
     keyrate.set_defaults(func=cmd_keyrate)

@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING
 from .model import ConfigError, IntensitySet, require
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .oracles import ExplicitDeltas
 
 Z, X = 0, 1
@@ -194,28 +196,31 @@ def coin_parameter_bound(
 def exact_global_fidelity(
     N: int,
     l_c: int,
-    deltas: ExplicitDeltas,
+    tables: Sequence[ExplicitDeltas],
     intensity_set: IntensitySet,
     reference: tuple[int, int] = (0, Z),
-) -> float:
+) -> list[float]:
     """Exact fidelity between the actual and lag-l_c-truncated source states
-    over N rounds: the mean over all 4^N bit/basis histories of the product
-    of per-round overlaps.
+    over N rounds, one per delta table: the mean over all 4^N bit/basis
+    histories of the product of per-round overlaps.
 
     Round k's phase difference reads only the settings of rounds 1 .. k-l_c-1
     (those more than l_c rounds back), so the last l_c+1 settings enter no
     factor and averaging over them changes nothing. The product is therefore
     grown over setting prefixes, one axis of 4 per round, and every one of the
-    4^(N-l_c-1) prefixes that enters F is enumerated exactly.
+    4^R prefixes (R = N-l_c-1) that enters F is enumerated exactly.
 
-    The phase differences of round m are those of round m-1 on axes 1 .. m-1
-    plus one new axis in front, summed in the same order, so each round costs
-    one addition. All rounds share one buffer (round m holds the 4^m slots
-    from (4^m - 1)/3 on), so each ufunc runs once per table, in place. A zero
-    intensity's term is the constant p, as p * exp(-0.0 * x) == p. The result
-    is the same bit for bit as building every round's table afresh.
+    Round m's phase differences are round m-1's on axes 1 .. m-1 plus one new
+    axis in front, summed in the same order. The reference's offset is 0.0
+    and 0.0 + x == x (cos ignores a zero's sign), so round m-1's table is the
+    reference quarter of round m's: cos and exp run on round R's 4^R slots
+    only, round m's factors being the 4^m from ref (4^R - 4^m)/3 on (ref is
+    the reference's setting id). Tables are stacked in chunks of at most 4^7
+    slots, and the products grow in used-up rows of the work array. A zero
+    intensity's term is the constant p, as p * exp(-0.0 * x) == p. Each
+    result is the same bit for bit as building every round's table afresh.
 
-    ``deltas`` must cover lags up to N-1; entries beyond lag l_c are the
+    Every table must cover lags up to N-1; entries beyond lag l_c are the
     long-range contributions the truncated source replaces by the fixed
     ``reference`` setting. The exact trace distance is sqrt(1 - F^2),
     directly comparable to :func:`trace_distance_bound`.
@@ -226,40 +231,42 @@ def exact_global_fidelity(
         raise ValueError(f"exact oracle supports 1 <= N <= {MAX_ORACLE_ROUNDS}, got {N}")
     if l_c < 0:
         raise ValueError(f"l_c must be nonnegative, got {l_c}")
-    if deltas.lags < N - 1:
-        raise ValueError(f"delta table covers {deltas.lags} lags, need {N - 1}")
+    if any(deltas.lags < N - 1 for deltas in tables):
+        raise ValueError(f"every delta table must cover {N - 1} lags")
     rounds = N - l_c - 1
-    if rounds < 1:
-        return 1.0  # no round reads a lag beyond l_c
-    flat = deltas.flat()
-    # off[lag-1, s]: lag-l contribution of setting s relative to the reference
-    off = flat - flat[:, 2 * reference[0] + reference[1], None]
+    if rounds < 1 or not tables:
+        return [1.0] * len(tables)  # no round reads a lag beyond l_c
+    ref = 2 * reference[0] + reference[1]
+    flat = np.array([deltas.flat()[l_c:N - 1] for deltas in tables])
+    # off[t, m-1, s]: table t's lag-(l_c+m) contribution of setting s relative to the reference
+    off = flat - flat[:, :, ref, None]
     pairs = intensity_set.pairs()
-    neg_mu = np.array([-mu for mu, _ in pairs if mu != 0.0])[:, None]
-    p_mu = np.array([p for mu, p in pairs if mu != 0.0])[:, None]
-    starts = [(4**m - 1) // 3 for m in range(rounds + 2)]  # round m: starts[m] .. starts[m+1]
-    work = np.empty((3 + len(neg_mu), starts[-1]))
-    dtheta, one_minus_cos, per_round = work[:3]
-    terms = work[3:]
-    dtheta[0] = 0.0  # round 0: no lag summed yet
-    for m in range(1, rounds + 1):
-        # the factor of round m+l_c+1 sees round j <= m at lag m+l_c+1-j, and
-        # axis j-1 holds that setting: axis 0 adds lag l_c+m to round m-1's sum
-        np.add(off[l_c + m - 1, :, None], dtheta[starts[m - 1]:starts[m]],
-               out=dtheta[starts[m]:starts[m + 1]].reshape(4, -1))
-    np.cos(dtheta, out=one_minus_cos)
-    np.subtract(1.0, one_minus_cos, out=one_minus_cos)
-    np.multiply(neg_mu, one_minus_cos, out=terms)
-    np.exp(terms, out=terms)
-    np.multiply(terms, p_mu, out=terms)
-    # the intensity terms in (s, w, v) order
-    rows = iter(terms)
-    acc = None
-    for mu, p in pairs:
-        term = p if mu == 0.0 else next(rows)
-        acc = term if acc is None else np.add(acc, term, out=per_round)
-    per_round[0] = 1.0  # round 0: the empty product
-    for m in range(1, rounds + 1):  # round m's slots become the product up to m
-        grown = per_round[starts[m]:starts[m + 1]].reshape(-1, 4)
-        np.multiply(grown, per_round[starts[m - 1]:starts[m], None], out=grown)
-    return float(per_round[starts[-2]:].mean())
+    neg_mu = np.array([-mu for mu, _ in pairs if mu != 0.0])[:, None, None]
+    p_mu = np.array([p for mu, p in pairs if mu != 0.0])[:, None, None]
+    size, per = 4**rounds, 4 ** (MAX_ORACLE_ROUNDS - 1 - rounds)  # slots, tables per chunk
+    starts = [ref * (size - 4**m) // 3 for m in range(rounds + 1)]  # round m: 4^m from here
+    work = np.empty((2 + len(neg_mu), min(per, len(tables)) * size))
+    fidelities = []
+    for chunk in np.split(off, range(per, len(tables), per)):
+        grid = work[:, :len(chunk) * size].reshape(len(work), len(chunk), size)
+        factor, terms = grid[1], grid[2:]
+        grid[rounds % 2, :, 0] = 0.0  # round 0: no lag summed yet
+        for m in range(1, rounds + 1):  # round m in row (R-m) % 2, so round R lands in row 0
+            # round m+l_c+1 sees round j <= m (axis j-1) at lag m+l_c+1-j: axis 0 adds lag l_c+m
+            np.add(chunk[:, m - 1, :, None], grid[(rounds - m + 1) % 2, :, None, :4 ** (m - 1)],
+                   out=grid[(rounds - m) % 2, :, :4**m].reshape(len(chunk), 4, -1))
+        np.cos(grid[0], out=grid[0])
+        np.subtract(1.0, grid[0], out=grid[0])
+        np.multiply(neg_mu, grid[0], out=terms)
+        np.exp(terms, out=terms)
+        np.multiply(terms, p_mu, out=terms)
+        left = iter(terms)  # the intensity terms in (s, w, v) order
+        s_term, w_term, v_term = (p if mu == 0.0 else next(left) for mu, p in pairs)
+        np.add(np.add(s_term, w_term, out=factor), v_term, out=factor)
+        product = factor[:, starts[1]:starts[1] + 4]
+        for m in range(2, rounds + 1):  # rows 0 and 2 take turns holding the product up to m
+            grown = grid[2 * (m % 2), :, :4**m].reshape(len(chunk), -1, 4)
+            block = factor[:, starts[m]:starts[m] + 4**m].reshape(grown.shape)
+            product = np.multiply(block, product[:, :, None], out=grown).reshape(len(chunk), -1)
+        fidelities += product.mean(axis=1).tolist()
+    return fidelities

@@ -99,13 +99,15 @@ def exact_coin_parameter(
 
 
 def random_admissible_deltas(
-    model: CorrelationModel, lags: int, rng: np.random.Generator
-) -> ExplicitDeltas:
-    """Uniform draw from [-Delta_l/2, +Delta_l/2] per setting at each lag;
-    every pairwise difference then respects the lag's spread bound."""
+    model: CorrelationModel, lags: int, rng: np.random.Generator, count: int
+) -> list[ExplicitDeltas]:
+    """``count`` tables, each a uniform draw from [-Delta_l/2, +Delta_l/2] per
+    setting at each lag; every pairwise difference then respects the lag's
+    spread bound. One ``rng.uniform`` call draws them all, the same values
+    as ``count`` draws of one table each."""
     half = np.array([correlation_magnitude(l, model) / 2.0 for l in range(1, lags + 1)])
-    table = rng.uniform(-1.0, 1.0, size=(lags, 2, 2)) * half[:, None, None]
-    return ExplicitDeltas(table)
+    tables = rng.uniform(-1.0, 1.0, size=(count, lags, 2, 2)) * half[:, None, None]
+    return [ExplicitDeltas(table) for table in tables]
 
 
 def extreme_deltas(model: CorrelationModel, lags: int) -> ExplicitDeltas:

@@ -112,8 +112,7 @@ def check_coin_domination(seed: int = 0, tables: int = 100) -> ValidationCheck:
     extreme_rel_gaps = {}
     for l_c in (1, 2, 3):
         bound = corr.coin_parameter_bound(l_c, iset, model)
-        for _ in range(tables):
-            deltas = random_admissible_deltas(model, l_c, rng)
+        for deltas in random_admissible_deltas(model, l_c, rng, tables):
             exact = exact_coin_parameter(l_c, deltas, iset)
             gap = exact - bound
             worst_gap = max(worst_gap, gap)
@@ -147,9 +146,8 @@ def check_trace_distance_domination(seed: int = 0, tables: int = 100) -> Validat
     for N in (2, 4, 6, 8):
         for l_c in (0, 1):
             bound = corr.trace_distance_bound(N, mu_bar, l_c, model)
-            for _ in range(tables):
-                deltas = random_admissible_deltas(model, max(1, N - 1), rng)
-                fidelity = corr.exact_global_fidelity(N, l_c, deltas, iset)
+            drawn = random_admissible_deltas(model, max(1, N - 1), rng, tables)
+            for fidelity in corr.exact_global_fidelity(N, l_c, drawn, iset):
                 exact = math.sqrt(max(0.0, 1.0 - fidelity * fidelity))
                 gap = exact - bound
                 worst_gap = max(worst_gap, gap)

@@ -20,6 +20,8 @@ helper and a ``getattr`` loop. ``DecoyBounds``, ``PhaseErrorBound``,
 ``evaluate_pipeline`` built the audit dicts on every call, before the
 package kept stage records and built the audit from them when read; the pipeline
 here runs the decoy bounds above, whose audit values are the package's.
+``random_admissible_deltas`` drew one table per call, before a case's tables
+were drawn in one call; the fidelity oracle took one table per call too.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from corrbb84.keyrate import DEFAULT_F_EC, ec_leakage, key_length, security_para
 from corrbb84.model import (ConfigError, IntensitySet, ProtocolConfig, lower_denominator,
                             require)
 from corrbb84.phase_error import g_interval, pe_shares, total_pe_failure, trash_minus_upper
-from corrbb84.oracles import ExplicitDeltas
+from corrbb84.oracles import ExplicitDeltas, correlation_magnitude
 from corrbb84.simulator import ChannelModel
 
 
@@ -177,6 +179,16 @@ def exact_global_fidelity(
         per_round = sum(p * np.exp(-mu * one_minus_cos) for mu, p in intensity_set.pairs())
         total = total[..., None] * per_round
     return float(total.mean())
+
+
+def random_admissible_deltas(
+    model: CorrelationModel, lags: int, rng: np.random.Generator
+) -> ExplicitDeltas:
+    """Uniform draw from [-Delta_l/2, +Delta_l/2] per setting at each lag;
+    every pairwise difference then respects the lag's spread bound."""
+    half = np.array([correlation_magnitude(l, model) / 2.0 for l in range(1, lags + 1)])
+    table = rng.uniform(-1.0, 1.0, size=(lags, 2, 2)) * half[:, None, None]
+    return ExplicitDeltas(table)
 
 
 def bernoulli_kl(p: float, q: float) -> float:

@@ -143,6 +143,18 @@ def test_keyrate_refuses_counts_with_simulate(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+def test_keyrate_refuses_mode_with_counts(config_path, tmp_path, capsys, mode):
+    """--mode chooses how --simulate draws counts; given with --counts, which
+    reads them, keyrate exits 2 with a message instead of ignoring it."""
+    counts = _counts_file(config_path, tmp_path)
+    out = tmp_path / "key.json"
+    assert main(["keyrate", "--config", config_path, "--counts", counts,
+                 "--mode", mode, "--seed", "3", "--out", str(out)]) == 2
+    assert "keyrate --mode chooses how --simulate draws counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _counts_file(config_path, tmp_path, edit=None):
     """The expected counts of the base config, its lines passed through
     ``edit``; a surrogate escape such as "\\udcff" is written as that raw byte."""

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -186,7 +187,7 @@ def test_exact_coin_ideal_source_is_zero(intensity_set):
 
 def test_exact_coin_shift_invariance(intensity_set):
     rng = np.random.default_rng(3)
-    deltas = oracles.random_admissible_deltas(MODEL, 2, rng)
+    deltas = oracles.random_admissible_deltas(MODEL, 2, rng, 1)[0]
     shifted = deltas.table.copy()
     shifted[1] += 0.7  # constant shift at one lag leaves differences alone
     value = oracles.exact_coin_parameter(2, deltas, intensity_set)
@@ -205,8 +206,7 @@ def test_exact_coin_dominated_by_bound(l_c, intensity_set):
     model = corr.CorrelationModel(delta_1=0.3, decay_C=0.7)
     rng = np.random.default_rng(17)
     bound = corr.coin_parameter_bound(l_c, intensity_set, model)
-    for _ in range(25):
-        deltas = oracles.random_admissible_deltas(model, l_c, rng)
+    for deltas in oracles.random_admissible_deltas(model, l_c, rng, 25):
         assert oracles.exact_coin_parameter(l_c, deltas, intensity_set) <= bound + 1e-12
 
 
@@ -223,8 +223,7 @@ def test_bulk_rounds_dominate_edges(intensity_set):
     never increases the coin parameter."""
     model = corr.CorrelationModel(delta_1=0.3, decay_C=0.7)
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        deltas = oracles.random_admissible_deltas(model, 3, rng)
+    for deltas in oracles.random_admissible_deltas(model, 3, rng, 20):
         full = oracles.exact_coin_parameter(3, deltas, intensity_set)
         for shorter in (0, 1, 2):
             edge = oracles.exact_coin_parameter(
@@ -237,18 +236,33 @@ def test_fidelity_reference_tail_is_one(intensity_set):
     table = np.zeros((5, 2, 2))
     table[0] = [[0.3, -0.2], [0.1, 0.05]]  # lag 1 may differ; it is not truncated
     deltas = oracles.ExplicitDeltas(table)
-    assert corr.exact_global_fidelity(6, 1, deltas, intensity_set) == 1.0
+    assert corr.exact_global_fidelity(6, 1, [deltas], intensity_set) == [1.0]
 
 
 def test_fidelity_single_round_is_one(intensity_set):
     deltas = oracles.ExplicitDeltas(np.zeros((1, 2, 2)))
-    assert corr.exact_global_fidelity(1, 0, deltas, intensity_set) == 1.0
+    assert corr.exact_global_fidelity(1, 0, [deltas], intensity_set) == [1.0]
+
+
+def test_fidelity_call_memory_stays_within_one_table_peak(intensity_set):
+    """One call on 100 tables at N=8 and l_c=0 evaluates them in chunks, so
+    its traced peak stays within 921 KiB: the 942,392 bytes one such table
+    took when the oracle evaluated a single table per call."""
+    tables = oracles.random_admissible_deltas(MODEL, 7, np.random.default_rng(37), 100)
+    corr.exact_global_fidelity(8, 0, tables[:1], intensity_set)  # numpy loaded and warm
+    tracemalloc.start()
+    try:
+        corr.exact_global_fidelity(8, 0, tables, intensity_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 921 * 1024
 
 
 def test_fidelity_rejects_large_N(intensity_set):
     deltas = oracles.ExplicitDeltas(np.zeros((10, 2, 2)))
     with pytest.raises(ValueError):
-        corr.exact_global_fidelity(9, 1, deltas, intensity_set)
+        corr.exact_global_fidelity(9, 1, [deltas], intensity_set)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -289,8 +303,8 @@ def test_fidelity_matches_all_history_enumeration(N, intensity_set):
     for l_c in range(N + 1):
         for reference in REFERENCES:
             wide = oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2)))
-            for deltas in (oracles.random_admissible_deltas(model, lags, rng), wide):
-                fast = corr.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
+            for deltas in (oracles.random_admissible_deltas(model, lags, rng, 1)[0], wide):
+                fast = corr.exact_global_fidelity(N, l_c, [deltas], intensity_set, reference)[0]
                 full = _fidelity_all_histories(N, l_c, deltas, intensity_set, reference)
                 assert math.isclose(fast, full, rel_tol=1e-12), (l_c, reference)
 
@@ -309,13 +323,13 @@ _TABLE_ENTRIES = st.floats(-math.pi, math.pi, allow_nan=False)
 def test_fidelity_ignores_untruncated_lags(N, l_c, reference, table, redraw):
     intensity_set = reference_intensities()
     deltas = oracles.ExplicitDeltas(np.reshape(table, (4, 2, 2)))
-    fidelity = corr.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
+    fidelity = corr.exact_global_fidelity(N, l_c, [deltas], intensity_set, reference)[0]
     assert 0.0 <= fidelity <= 1.0
     # rows at lags <= l_c are kept by the truncated source too, so they never enter F
     redrawn = np.array(deltas.table)
     redrawn[:l_c] = np.reshape(redraw, (4, 2, 2))[:l_c]
     redrawn = oracles.ExplicitDeltas(redrawn)
-    assert corr.exact_global_fidelity(N, l_c, redrawn, intensity_set, reference) == fidelity
+    assert corr.exact_global_fidelity(N, l_c, [redrawn], intensity_set, reference) == [fidelity]
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
@@ -325,17 +339,15 @@ def test_trace_distance_dominates_exact(N, intensity_set):
     rng = np.random.default_rng(29)
     for l_c in (0, 1):
         bound = corr.trace_distance_bound(N, mu_bar, l_c, model)
-        for _ in range(20):
-            deltas = oracles.random_admissible_deltas(model, max(1, N - 1), rng)
-            fidelity = corr.exact_global_fidelity(N, l_c, deltas, intensity_set)
+        tables = oracles.random_admissible_deltas(model, max(1, N - 1), rng, 20)
+        for fidelity in corr.exact_global_fidelity(N, l_c, tables, intensity_set):
             exact = math.sqrt(max(0.0, 1.0 - fidelity**2))
             assert exact <= bound + 1e-12
 
 
 def test_random_tables_are_admissible():
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        deltas = oracles.random_admissible_deltas(MODEL, 6, rng)
+    for deltas in oracles.random_admissible_deltas(MODEL, 6, rng, 20):
         assert check_admissible(deltas, MODEL) == []
     assert check_admissible(oracles.extreme_deltas(MODEL, 6), MODEL) == []
 

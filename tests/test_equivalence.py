@@ -1,5 +1,5 @@
-"""The rewritten sampler, fidelity oracle, Bernoulli relative entropy,
-intensity sums, decoy bounds, coin bound and counts records against their
+"""The rewritten sampler, fidelity oracle, delta-table draws, Bernoulli
+relative entropy, intensity sums, decoy bounds, coin bound and counts records against their
 frozen first versions (``frozen_reference.py``): equal bit for bit, draw for
 draw."""
 
@@ -94,23 +94,43 @@ def test_exact_global_fidelity_equals_frozen(N):
             for reference in REFERENCES:
                 signed_zero = rng.uniform(-1.0, 1.0, size=(lags, 2, 2))
                 signed_zero[:, 0, :] = -0.0
-                tables = (
-                    oracles.random_admissible_deltas(model, lags, rng),
+                tables = [
+                    oracles.random_admissible_deltas(model, lags, rng, 1)[0],
                     oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2))),
                     oracles.extreme_deltas(model, lags),
                     oracles.ExplicitDeltas(signed_zero),
-                )
-                for deltas in tables:
-                    new = corr.exact_global_fidelity(N, l_c, deltas, iset, reference)
-                    old = frozen.exact_global_fidelity(N, l_c, deltas, iset, reference)
-                    assert repr(new) == repr(old), (l_c, iset, reference)
+                ]
+                # one call on the four kinds stacked: each gets its own frozen value
+                new = corr.exact_global_fidelity(N, l_c, tables, iset, reference)
+                old = [frozen.exact_global_fidelity(N, l_c, deltas, iset, reference)
+                       for deltas in tables]
+                assert repr(new) == repr(old), (l_c, iset, reference)
+
+
+@pytest.mark.parametrize("lags", [1, 3, 7])
+def test_random_admissible_deltas_equal_one_table_draws(lags):
+    """``count`` tables from one call are, bit for bit, the tables of
+    ``count`` one-table draws from the same generator state."""
+    model = corr.CorrelationModel(delta_1=0.2, decay_C=0.8)
+    rng, single_rng, frozen_rng = (np.random.default_rng(41) for _ in range(3))
+    tables = oracles.random_admissible_deltas(model, lags, rng, 6)
+    singles = [oracles.random_admissible_deltas(model, lags, single_rng, 1)[0] for _ in range(6)]
+    frozen_draws = [frozen.random_admissible_deltas(model, lags, frozen_rng) for _ in range(6)]
+    for drawn in (singles, frozen_draws):
+        assert [t.table.tobytes() for t in tables] == [t.table.tobytes() for t in drawn]
+    assert rng.bit_generator.state == single_rng.bit_generator.state == frozen_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_full_validation_report_equals_frozen(seed, monkeypatch):
     report = run_validation("full", seed)
     monkeypatch.setattr(validation, "sample_counts", frozen.sample_counts)
-    monkeypatch.setattr(corr, "exact_global_fidelity", frozen.exact_global_fidelity)
+
+    def frozen_per_table(N, l_c, tables, intensity_set, reference=(0, corr.Z)):
+        return [frozen.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
+                for deltas in tables]
+
+    monkeypatch.setattr(corr, "exact_global_fidelity", frozen_per_table)
     assert repr(run_validation("full", seed)) == repr(report)
 
 
