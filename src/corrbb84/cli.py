@@ -7,8 +7,9 @@ pass/fail report).
 
 Configs are UTF-8 JSON with explicit fields for every protocol, channel and
 correlation parameter; the security epsilons carry no defaults and must be
-spelled out, and a key outside its section's ``SECTION_KEYS``, or given twice
-in one object, is refused in every section present, whichever command reads it.
+spelled out, and a key outside its section's ``SECTION_KEYS``, a value not of
+its kind there, or a key given twice in one object, is refused in every section
+present, whichever command reads it.
 Every output embeds a run manifest (tool version, config hash, seeds,
 bound-algorithm id, timestamp); for fixed (config, seed, version) the numeric
 sections are byte-identical across runs -- only the manifest timestamp
@@ -64,26 +65,23 @@ COUNT_FIELDS = {
 COUNTS_HEADER = ["category", "basis", "intensity", "count"]
 SIFTED_TOTAL = ("sifted_total", "", "")
 EPSILONS = ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")
-CHANNEL_OPTIONAL = (
-    "attenuation_db_per_km", "detector_efficiency", "dark_count_prob", "misalignment",
-)
-OPTIMIZER_REALS = ("eps_pe_target",)
-OPTIMIZER_COUNTS = ("budget", "restarts", "coordinate_passes")
-# the keys each config section may hold, by its dotted path; any other is refused
+# each config section by its dotted path: the keys it may hold (any other is
+# refused) and the kind of value each holds, a section (dict), a number that a
+# double holds finitely (float) or also a whole number (int)
 SECTION_KEYS = {
-    "config": ("protocol", "epsilons", "channel", "correlations", "optimizer"),
-    "protocol": ("N", "p_keep", "intensities", "intensity_probs"),
-    "protocol.intensities": INTENSITIES,
-    "protocol.intensity_probs": INTENSITIES,
-    "epsilons": EPSILONS,
-    "channel": ("distance_km", "f_EC", *CHANNEL_OPTIONAL),
-    "correlations": ("delta_1", "decay_C", "l_c_eff"),
-    "optimizer": OPTIMIZER_REALS + OPTIMIZER_COUNTS,
+    "config": dict.fromkeys(("protocol", "epsilons", "channel", "correlations", "optimizer"), dict),
+    "protocol": {"N": int, "p_keep": float, "intensities": dict, "intensity_probs": dict},
+    "protocol.intensities": dict.fromkeys(INTENSITIES, float),
+    "protocol.intensity_probs": dict.fromkeys(INTENSITIES, float),
+    "epsilons": dict.fromkeys(EPSILONS, float),
+    "channel": dict.fromkeys(("distance_km", "f_EC", "attenuation_db_per_km",
+                              "detector_efficiency", "dark_count_prob", "misalignment"), float),
+    "correlations": {"delta_1": float, "decay_C": float, "l_c_eff": int},
+    "optimizer": {"eps_pe_target": float, "budget": int, "restarts": int,
+                  "coordinate_passes": int},
 }
 # the arguments that name an output file
 OUTPUT_ARGS = ("out", "counts_out", "truth_out")
-# numpy's multinomial draws int64 counts
-MAX_SAMPLED_N = 2**63 - 1
 # each scanned distance is one optimization, so a longer range is a typo
 MAX_DISTANCES = 10_000
 
@@ -113,45 +111,33 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _known(section: dict, path: str) -> None:
-    """Refuse any key of ``section`` outside ``SECTION_KEYS[path]``, and the
-    same in each sub-section present, which must be a JSON object whichever
-    command reads it; ``"correlations": null`` means no correlations."""
+def _check_section(section: dict, path: str) -> None:
+    """Check each key of ``section`` against ``SECTION_KEYS[path]`` and its
+    value against the key's kind, and the same in each sub-section present,
+    whichever command reads it; ``"correlations": null`` means no
+    correlations. A whole number is stored as an int; the pipeline computes
+    with float(value)."""
+    kinds = SECTION_KEYS[path]
     for key, value in section.items():
-        if key not in SECTION_KEYS[path]:
-            raise ConfigError(f"unknown field {path}.{key}")
-        child = key if path == "config" else f"{path}.{key}"
-        if child in SECTION_KEYS and not (child == "correlations" and value is None):
-            _known(_section(section, child), child)
-
-
-def _section(parent: dict, path: str, default=None) -> dict:
-    """The JSON object at dotted ``path``, required when ``default`` is None."""
-    where, _, key = path.rpartition(".")
-    where = where or "config"
-    value = _require(parent, key, where) if default is None else parent.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}.{key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _number(section: dict, key: str, where: str, default=None) -> float:
-    """A JSON number that a float holds finitely, required when ``default``
-    is None; the pipeline computes with float(value)."""
-    value = _require(section, key, where) if default is None else section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:  # also NaN
-        raise ConfigError(f"{where}.{key} must be a finite number within the float range, "
-                          f"got {value!r}")
-    return value
-
-
-def _whole(section: dict, key: str, where: str, default=None) -> int:
-    value = _number(section, key, where, default)
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
-    return int(value)
+        field, kind = f"{path}.{key}", kinds.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown field {field}")
+        if kind is dict:
+            child = key if path == "config" else field
+            if isinstance(value, dict):
+                _check_section(value, child)
+            elif not (child == "correlations" and value is None):
+                raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{field} must be a number, got {value!r}")
+        if not -sys.float_info.max <= value <= sys.float_info.max:  # also NaN
+            raise ConfigError(f"{field} must be a finite number within the float range, "
+                              f"got {value!r}")
+        if kind is int:
+            if isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"{field} must be a whole number, got {value!r}")
+            section[key] = int(value)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -167,8 +153,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_config(path: str) -> tuple[dict, str]:
     """The config file's JSON object (UTF-8, no key twice in one object),
-    every section checked by :func:`_known`, and its text, which the manifest
-    hashes."""
+    every section checked by :func:`_check_section`, and its text, which the
+    manifest hashes."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = handle.read()
@@ -182,23 +168,23 @@ def load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, not {type(data).__name__}")
-    _known(data, "config")
+    _check_section(data, "config")
     return data, raw
 
 
 def parse_protocol(data: dict) -> ProtocolConfig:
-    protocol = _section(data, "protocol")
-    intensities = _section(protocol, "protocol.intensities")
-    probs = _section(protocol, "protocol.intensity_probs")
-    epsilons = _section(data, "epsilons")
-    budget = EpsilonBudget(**{eps: _number(epsilons, eps, "epsilons") for eps in EPSILONS})
+    protocol = _require(data, "protocol", "config")
+    intensities = _require(protocol, "intensities", "protocol")
+    probs = _require(protocol, "intensity_probs", "protocol")
+    epsilons = _require(data, "epsilons", "config")
+    budget = EpsilonBudget(**{eps: _require(epsilons, eps, "epsilons") for eps in EPSILONS})
     config = ProtocolConfig(
-        N=_whole(protocol, "N", "protocol"),
+        N=_require(protocol, "N", "protocol"),
         intensity_set=IntensitySet(
-            **{mu: _number(intensities, mu, "protocol.intensities") for mu in INTENSITIES},
-            **{f"p_{mu}": _number(probs, mu, "protocol.intensity_probs") for mu in INTENSITIES},
+            **{mu: _require(intensities, mu, "protocol.intensities") for mu in INTENSITIES},
+            **{f"p_{mu}": _require(probs, mu, "protocol.intensity_probs") for mu in INTENSITIES},
         ),
-        p_keep=_number(protocol, "p_keep", "protocol"),
+        p_keep=_require(protocol, "p_keep", "protocol"),
         epsilon_budget=budget,
     )
     require(config.problems)
@@ -208,18 +194,16 @@ def parse_protocol(data: dict) -> ProtocolConfig:
 def parse_f_ec(data: dict) -> float:
     """``channel.f_EC``, passed to the pipeline and the optimizer; a counts
     file is certified without the rest of the channel section."""
-    f_ec = _number(_section(data, "channel", {}), "f_EC", "channel", DEFAULT_F_EC)
+    f_ec = data.get("channel", {}).get("f_EC", DEFAULT_F_EC)
     require(validate_f_ec(f_ec))
     return f_ec
 
 
 def parse_channel(data: dict) -> ChannelModel:
     from .simulator import ChannelModel, validate_channel
-    section = _section(data, "channel")
-    channel = ChannelModel(
-        distance_km=_number(section, "distance_km", "channel"),
-        **{key: _number(section, key, "channel") for key in CHANNEL_OPTIONAL if key in section},
-    )
+    section = _require(data, "channel", "config")
+    _require(section, "distance_km", "channel")
+    channel = ChannelModel(**{key: value for key, value in section.items() if key != "f_EC"})
     require(validate_channel(channel))
     return channel
 
@@ -227,15 +211,12 @@ def parse_channel(data: dict) -> ChannelModel:
 def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel | None:
     """The correlation model; without ``l_c_eff`` the pipeline derives the
     length from d (``correlations.effective_length``)."""
-    if data.get("correlations") is None:
+    section = data.get("correlations")
+    if section is None:
         return None
-    section = _section(data, "correlations")
-    model = CorrelationModel(
-        delta_1=_number(section, "delta_1", "correlations"),
-        decay_C=_number(section, "decay_C", "correlations"),
-        truncation_d=config.epsilon_budget.d,
-        l_c_eff=_whole(section, "l_c_eff", "correlations", 0),
-    )
+    for key in ("delta_1", "decay_C"):
+        _require(section, key, "correlations")
+    model = CorrelationModel(**section, truncation_d=config.epsilon_budget.d)
     require(validate_correlation(model))
     return model
 
@@ -388,8 +369,6 @@ def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: in
         return expected_counts(config, channel)
     if seed is None:
         raise ConfigError("sampled simulation requires --seed")
-    if config.N > MAX_SAMPLED_N:
-        raise ConfigError(f"sampled simulation needs N <= {MAX_SAMPLED_N}, got {config.N}")
     return sample_counts(config, channel, seed)
 
 
@@ -469,13 +448,7 @@ def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpe
     """The search's own settings from the ``optimizer`` section; ``v``,
     ``eps_PA`` and ``eps_EV`` are the protocol's, which it holds fixed."""
     from .optimizer import OptimizationSpec
-    section = _section(data, "optimizer", {})
-    overrides = {
-        key: read(section, key, "optimizer")
-        for read, keys in ((_number, OPTIMIZER_REALS), (_whole, OPTIMIZER_COUNTS))
-        for key in keys
-        if key in section
-    }
+    overrides = dict(data.get("optimizer", {}))
     if args.budget is not None:
         overrides["budget"] = args.budget
     epsilons = config.epsilon_budget

@@ -198,7 +198,6 @@ def exact_global_fidelity(
     l_c: int,
     tables: Sequence[ExplicitDeltas],
     intensity_set: IntensitySet,
-    reference: tuple[int, int] = (0, Z),
 ) -> list[float]:
     """Exact fidelity between the actual and lag-l_c-truncated source states
     over N rounds, one per delta table: the mean over all 4^N bit/basis
@@ -211,19 +210,20 @@ def exact_global_fidelity(
     4^R prefixes (R = N-l_c-1) that enters F is enumerated exactly.
 
     Round m's phase differences are round m-1's on axes 1 .. m-1 plus one new
-    axis in front, summed in the same order. The reference's offset is 0.0
-    and 0.0 + x == x (cos ignores a zero's sign), so round m-1's table is the
-    reference quarter of round m's: cos and exp run on round R's 4^R slots
-    only, round m's factors being the 4^m from ref (4^R - 4^m)/3 on (ref is
-    the reference's setting id). Tables are stacked in chunks of at most 4^7
-    slots, and the products grow in used-up rows of the work array. A zero
-    intensity's term is the constant p, as p * exp(-0.0 * x) == p. Each
-    result is the same bit for bit as building every round's table afresh.
+    axis in front, summed in the same order. The reference setting's offset
+    is 0.0 and 0.0 + x == x (cos ignores a zero's sign), so round m-1's table
+    is the first quarter of round m's: cos and exp run on round R's 4^R slots
+    only, round m's factors being the first 4^m. Tables are stacked in chunks
+    of at most 4^7 slots, and the products grow in used-up rows of the work
+    array. A zero intensity's term is the constant p, as p * exp(-0.0 * x) ==
+    p. Each result is the same bit for bit as building every round's table
+    afresh.
 
     Every table must cover lags up to N-1; entries beyond lag l_c are the
-    long-range contributions the truncated source replaces by the fixed
-    ``reference`` setting. The exact trace distance is sqrt(1 - F^2),
-    directly comparable to :func:`trace_distance_bound`.
+    long-range contributions the truncated source replaces by those of the
+    fixed reference setting, bit 0 in basis Z (setting 0). The exact trace
+    distance is sqrt(1 - F^2), directly comparable to
+    :func:`trace_distance_bound`.
     """
     import numpy as np
 
@@ -236,15 +236,13 @@ def exact_global_fidelity(
     rounds = N - l_c - 1
     if rounds < 1 or not tables:
         return [1.0] * len(tables)  # no round reads a lag beyond l_c
-    ref = 2 * reference[0] + reference[1]
     flat = np.array([deltas.flat()[l_c:N - 1] for deltas in tables])
-    # off[t, m-1, s]: table t's lag-(l_c+m) contribution of setting s relative to the reference
-    off = flat - flat[:, :, ref, None]
+    # off[t, m-1, s]: table t's lag-(l_c+m) contribution of setting s relative to setting 0
+    off = flat - flat[:, :, :1]
     pairs = intensity_set.pairs()
     neg_mu = np.array([-mu for mu, _ in pairs if mu != 0.0])[:, None, None]
     p_mu = np.array([p for mu, p in pairs if mu != 0.0])[:, None, None]
     size, per = 4**rounds, 4 ** (MAX_ORACLE_ROUNDS - 1 - rounds)  # slots, tables per chunk
-    starts = [ref * (size - 4**m) // 3 for m in range(rounds + 1)]  # round m: 4^m from here
     work = np.empty((2 + len(neg_mu), min(per, len(tables)) * size))
     fidelities = []
     for chunk in np.split(off, range(per, len(tables), per)):
@@ -263,10 +261,10 @@ def exact_global_fidelity(
         left = iter(terms)  # the intensity terms in (s, w, v) order
         s_term, w_term, v_term = (p if mu == 0.0 else next(left) for mu, p in pairs)
         np.add(np.add(s_term, w_term, out=factor), v_term, out=factor)
-        product = factor[:, starts[1]:starts[1] + 4]
+        product = factor[:, :4]
         for m in range(2, rounds + 1):  # rows 0 and 2 take turns holding the product up to m
             grown = grid[2 * (m % 2), :, :4**m].reshape(len(chunk), -1, 4)
-            block = factor[:, starts[m]:starts[m] + 4**m].reshape(grown.shape)
+            block = factor[:, :4**m].reshape(grown.shape)
             product = np.multiply(block, product[:, :, None], out=grown).reshape(len(chunk), -1)
         fidelities += product.mean(axis=1).tolist()
     return fidelities

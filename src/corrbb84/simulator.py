@@ -32,10 +32,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .counts import CountTriple, GroundTruth, ObservedCounts
-from .model import ProtocolConfig
+from .model import ConfigError, ProtocolConfig
 
 if TYPE_CHECKING:
     import numpy as np
+
+# numpy's multinomial draws int64 counts
+MAX_SAMPLED_N = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,13 @@ def sample_counts(
     A binomial draw with n == 0 or p == 0.0 and a multinomial draw with
     n == 0 return zeros without consuming randomness, so they are skipped;
     every other draw is made in the same order with the same arguments, and
-    a seed gives the same counts as drawing all of them.
+    a seed gives the same counts as drawing all of them. An N beyond
+    ``MAX_SAMPLED_N`` is a ConfigError, raised before numpy is loaded.
     """
     if not 0.0 <= coin_minus_prob <= 1.0:
         raise ValueError(f"coin_minus_prob must lie in [0, 1], got {coin_minus_prob}")
+    if config.N > MAX_SAMPLED_N:
+        raise ConfigError(f"sampled simulation needs N <= {MAX_SAMPLED_N}, got {config.N}")
     import numpy as np
 
     rng = np.random.default_rng(seed)

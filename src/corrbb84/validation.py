@@ -160,15 +160,10 @@ def check_trace_distance_domination(seed: int = 0, tables: int = 100) -> Validat
     )
 
 
-def check_trash_bound_mc(
-    seed: int = 0,
-    N: int = 100_000,
-    trials: int = 1000,
-    eps_C: float = 1e-3,
-) -> ValidationCheck:
+def check_trash_bound_mc(seed: int = 0, trials: int = 1000) -> ValidationCheck:
     """Sampled coin tallies exceed the trash-count bound no more often than
     its (l_c + 1) eps_C failure budget allows (3 sigma sampling slack)."""
-    l_c = 1
+    N, l_c, eps_C = 100_000, 1, 1e-3
     config = reference_config(N)
     model = corr.CorrelationModel(delta_1=0.3, decay_C=0.5)
     deltas = extreme_deltas(model, l_c)
@@ -228,14 +223,9 @@ def coin_inequality_check(
     )
 
 
-def check_coin_inequality_mc(
-    seed: int = 0,
-    N: int = 1_000_000,
-    runs: int = 1000,
-    eps: float = 1e-3,
-) -> ValidationCheck:
+def check_coin_inequality_mc(seed: int = 0, runs: int = 1000) -> ValidationCheck:
     """Count-level coin inequality on sampled honest-channel ground truth."""
-    l_c = 1
+    N, l_c, eps = 1_000_000, 1, 1e-3
     config = reference_config(N, eps=eps)
     channel = reference_channel()
     model = corr.CorrelationModel(delta_1=0.1, decay_C=0.5)

@@ -166,7 +166,7 @@ def test_criterion_3_trace_distance_domination():
 
 def test_criterion_4_trash_bound_monte_carlo():
     start = time.perf_counter()
-    check = check_trash_bound_mc(seed=404, N=10**5, trials=1000, eps_C=1e-3)
+    check = check_trash_bound_mc(seed=404, trials=1000)
     assert check.passed, check.stats
     _report(4, "sampled coin tallies respect the trash bound at (l_c+1)*eps_C",
             time.perf_counter() - start, 300.0)
@@ -184,7 +184,7 @@ def test_criterion_5_concentration_coverage():
 
 def test_criterion_6_coin_inequality_end_to_end():
     start = time.perf_counter()
-    check = check_coin_inequality_mc(seed=606, N=10**6, runs=1000, eps=1e-3)
+    check = check_coin_inequality_mc(seed=606, runs=1000)
     assert check.passed, check.stats
     _report(6, "count-level coin inequality holds across sampled runs",
             time.perf_counter() - start, 600.0)

@@ -13,7 +13,7 @@ from conftest import reject_constant
 
 import corrbb84
 from corrbb84 import cli, optimizer, simulator, validation
-from corrbb84.cli import _number, main, parse_distances, read_counts_csv
+from corrbb84.cli import _check_section, main, parse_distances, read_counts_csv
 from corrbb84.model import ConfigError
 
 BASE_CONFIG = {
@@ -712,14 +712,15 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
                          ids=["int_above", "int_below", "nan", "inf", "-inf"])
 def test_number_outside_float_range_names_the_field(value):
     with pytest.raises(ConfigError, match=r"^channel\.f_EC must be a finite number"):
-        _number({"f_EC": value}, "f_EC", "channel")
+        _check_section({"f_EC": value}, "channel")
 
 
 @pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max, 5e-324, 0, -7])
 def test_number_accepts_values_a_float_holds(value):
-    assert _number({"x": value}, "x", "section") == value
     limit = int(sys.float_info.max)
-    assert _number({"x": limit}, "x", "section") == limit
+    section = {"distance_km": value, "f_EC": limit}
+    _check_section(section, "channel")
+    assert section == {"distance_km": value, "f_EC": limit}
 
 
 @pytest.mark.parametrize("command", ["optimize", "scan"])

@@ -275,10 +275,10 @@ def test_explicit_deltas_reject_non_finite_entries(bad):
             oracles.ExplicitDeltas(table)
 
 
-def _fidelity_all_histories(N, l_c, deltas, intensity_set, reference):
+def _fidelity_all_histories(N, l_c, deltas, intensity_set):
     """Reference oracle: the per-round overlap product on every one of the
-    4^N histories, trailing rounds included, then the mean."""
-    ref_id = 2 * reference[0] + reference[1]
+    4^N histories, trailing rounds included, then the mean; the truncated
+    source holds setting 0 (bit 0, basis Z) at every lag beyond l_c."""
     codes = np.arange(4**N)
     digits = np.array([(codes // 4**k) % 4 for k in range(N)])
     flat = deltas.flat()
@@ -286,13 +286,10 @@ def _fidelity_all_histories(N, l_c, deltas, intensity_set, reference):
     for k in range(l_c + 2, N + 1):
         dtheta = np.zeros(4**N)
         for lag in range(l_c + 1, k):
-            dtheta += flat[lag - 1][digits[k - lag - 1]] - flat[lag - 1][ref_id]
+            dtheta += flat[lag - 1][digits[k - lag - 1]] - flat[lag - 1][0]
         one_minus_cos = 1.0 - np.cos(dtheta)
         total *= sum(p * np.exp(-mu * one_minus_cos) for mu, p in intensity_set.pairs())
     return float(total.mean())
-
-
-REFERENCES = [(0, corr.Z), (0, corr.X), (1, corr.Z), (1, corr.X)]
 
 
 @pytest.mark.parametrize("N", range(1, corr.MAX_ORACLE_ROUNDS + 1))
@@ -301,12 +298,11 @@ def test_fidelity_matches_all_history_enumeration(N, intensity_set):
     rng = np.random.default_rng(100 + N)
     lags = max(1, N - 1)
     for l_c in range(N + 1):
-        for reference in REFERENCES:
-            wide = oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2)))
-            for deltas in (oracles.random_admissible_deltas(model, lags, rng, 1)[0], wide):
-                fast = corr.exact_global_fidelity(N, l_c, [deltas], intensity_set, reference)[0]
-                full = _fidelity_all_histories(N, l_c, deltas, intensity_set, reference)
-                assert math.isclose(fast, full, rel_tol=1e-12), (l_c, reference)
+        wide = oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2)))
+        for deltas in (oracles.random_admissible_deltas(model, lags, rng, 1)[0], wide):
+            fast = corr.exact_global_fidelity(N, l_c, [deltas], intensity_set)[0]
+            full = _fidelity_all_histories(N, l_c, deltas, intensity_set)
+            assert math.isclose(fast, full, rel_tol=1e-12), l_c
 
 
 _TABLE_ENTRIES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -316,20 +312,19 @@ _TABLE_ENTRIES = st.floats(-math.pi, math.pi, allow_nan=False)
 @given(
     N=st.integers(1, 5),
     l_c=st.integers(0, 5),
-    reference=st.sampled_from(REFERENCES),
     table=st.lists(_TABLE_ENTRIES, min_size=16, max_size=16),
     redraw=st.lists(_TABLE_ENTRIES, min_size=16, max_size=16),
 )
-def test_fidelity_ignores_untruncated_lags(N, l_c, reference, table, redraw):
+def test_fidelity_ignores_untruncated_lags(N, l_c, table, redraw):
     intensity_set = reference_intensities()
     deltas = oracles.ExplicitDeltas(np.reshape(table, (4, 2, 2)))
-    fidelity = corr.exact_global_fidelity(N, l_c, [deltas], intensity_set, reference)[0]
+    fidelity = corr.exact_global_fidelity(N, l_c, [deltas], intensity_set)[0]
     assert 0.0 <= fidelity <= 1.0
     # rows at lags <= l_c are kept by the truncated source too, so they never enter F
     redrawn = np.array(deltas.table)
     redrawn[:l_c] = np.reshape(redraw, (4, 2, 2))[:l_c]
     redrawn = oracles.ExplicitDeltas(redrawn)
-    assert corr.exact_global_fidelity(N, l_c, [redrawn], intensity_set, reference) == [fidelity]
+    assert corr.exact_global_fidelity(N, l_c, [redrawn], intensity_set) == [fidelity]
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])

@@ -81,9 +81,6 @@ def test_certain_binomial_consumes_randomness():
     assert rng.bit_generator.state != before
 
 
-REFERENCES = [(0, corr.Z), (0, corr.X), (1, corr.Z), (1, corr.X)]
-
-
 @pytest.mark.parametrize("N", range(1, corr.MAX_ORACLE_ROUNDS + 1))
 def test_exact_global_fidelity_equals_frozen(N):
     rng = np.random.default_rng(300 + N)
@@ -91,20 +88,18 @@ def test_exact_global_fidelity_equals_frozen(N):
     lags = max(1, N - 1)
     for l_c in range(4):
         for iset in (VACUUM_SET, WEAK_VACUUM_SET):
-            for reference in REFERENCES:
-                signed_zero = rng.uniform(-1.0, 1.0, size=(lags, 2, 2))
-                signed_zero[:, 0, :] = -0.0
-                tables = [
-                    oracles.random_admissible_deltas(model, lags, rng, 1)[0],
-                    oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2))),
-                    oracles.extreme_deltas(model, lags),
-                    oracles.ExplicitDeltas(signed_zero),
-                ]
-                # one call on the four kinds stacked: each gets its own frozen value
-                new = corr.exact_global_fidelity(N, l_c, tables, iset, reference)
-                old = [frozen.exact_global_fidelity(N, l_c, deltas, iset, reference)
-                       for deltas in tables]
-                assert repr(new) == repr(old), (l_c, iset, reference)
+            signed_zero = rng.uniform(-1.0, 1.0, size=(lags, 2, 2))
+            signed_zero[:, 0, :] = -0.0
+            tables = [
+                oracles.random_admissible_deltas(model, lags, rng, 1)[0],
+                oracles.ExplicitDeltas(rng.uniform(-math.pi, math.pi, size=(lags, 2, 2))),
+                oracles.extreme_deltas(model, lags),
+                oracles.ExplicitDeltas(signed_zero),
+            ]
+            # one call on the four kinds stacked: each gets its own frozen value
+            new = corr.exact_global_fidelity(N, l_c, tables, iset)
+            old = [frozen.exact_global_fidelity(N, l_c, deltas, iset) for deltas in tables]
+            assert repr(new) == repr(old), (l_c, iset)
 
 
 @pytest.mark.parametrize("lags", [1, 3, 7])
@@ -126,9 +121,8 @@ def test_full_validation_report_equals_frozen(seed, monkeypatch):
     report = run_validation("full", seed)
     monkeypatch.setattr(validation, "sample_counts", frozen.sample_counts)
 
-    def frozen_per_table(N, l_c, tables, intensity_set, reference=(0, corr.Z)):
-        return [frozen.exact_global_fidelity(N, l_c, deltas, intensity_set, reference)
-                for deltas in tables]
+    def frozen_per_table(N, l_c, tables, intensity_set):
+        return [frozen.exact_global_fidelity(N, l_c, deltas, intensity_set) for deltas in tables]
 
     monkeypatch.setattr(corr, "exact_global_fidelity", frozen_per_table)
     assert repr(run_validation("full", seed)) == repr(report)

@@ -2,8 +2,9 @@
 process on the reference config with one or two numeric fields (or counts
 cells) set to edge values or to random numbers. Every run must exit 0 or 2;
 exit 2 must come with a ``config error:`` line, and exit 0 with strict JSON
-(no NaN or Infinity). A misspelled key in any section must exit 2. Fixed
-examples (``derandomize``), a few seconds in all.
+(no NaN or Infinity). A misspelled key in any section must exit 2, and a
+value of the wrong kind in any field must make every command exit 2 with the
+same message. Fixed examples (``derandomize``), a few seconds in all.
 """
 
 import contextlib
@@ -46,6 +47,16 @@ FIELDS = (
     *(f"optimizer.{key}" for key in ("eps_pe_target", "budget", "restarts",
                                      "coordinate_passes")),
 )
+# the fields that hold a whole number
+WHOLE_FIELDS = ("protocol.N", "correlations.l_c_eff", "optimizer.budget", "optimizer.restarts",
+                "optimizer.coordinate_passes")
+# each field with each value of the wrong kind for it: 2.5 only for a whole-number one
+WRONG_KINDS = tuple(
+    (field, value) for field in FIELDS
+    for value in ("ten", True, math.nan, math.inf, -math.inf, 10**400, 2.5)
+    if value != 2.5 or field in WHOLE_FIELDS
+)
+COUNTS = Path(__file__).parent / "fixtures" / "cli_outputs" / "counts.csv"
 # every config section by its dotted path ("" is the top level), with the keys it holds
 SECTIONS = {
     "": ("protocol", "epsilons", "channel", "correlations", "optimizer"),
@@ -169,3 +180,27 @@ def test_misspelled_keys_exit_2(misspelled, command):
     with tempfile.TemporaryDirectory() as tmp:
         status, _, err = _run(_config_argv(tmp, config, command))
     assert status == 2 and "config error: unknown field " in err, (path, typo, err)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(wrong=st.sampled_from(WRONG_KINDS))
+def test_every_command_refuses_a_wrong_kind_alike(wrong):
+    """``keyrate --counts`` reads no channel distance and ``simulate`` no
+    optimizer section, yet each refuses a value of the wrong kind in any field
+    as the other commands do: exit 2 with one ``config error:`` line naming it."""
+    field, value = wrong
+    config = json.loads(json.dumps(BASE_CONFIG))
+    section, _, key = field.rpartition(".")
+    _set(config, section, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        runs = [_run([command, "--config", str(path), *flags]) for command, *flags in (
+            ("keyrate", "--counts", str(COUNTS)),
+            ("keyrate", "--simulate"),
+            ("simulate", "--mode", "expected", "--counts-out", str(Path(tmp) / "counts.csv")),
+            ("optimize", "--budget", "3"),
+        )]
+    assert {status for status, _, _ in runs} == {2}, (field, value, runs)
+    assert len({err for _, _, err in runs}) == 1, (field, value, runs)
+    assert runs[0][2].startswith(f"config error: {field} must be "), runs[0][2]

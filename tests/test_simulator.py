@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrbb84.correlations import CorrelationModel
-from corrbb84.model import IntensitySet, ProtocolConfig, single_photon_prob
+from corrbb84.model import ConfigError, IntensitySet, ProtocolConfig, single_photon_prob
 from corrbb84.oracles import ExplicitDeltas, coin_monte_carlo, extreme_deltas
 from corrbb84.simulator import (
+    MAX_SAMPLED_N,
     ChannelModel,
     expected_counts,
     sample_counts,
@@ -126,6 +127,16 @@ def test_sampled_zero_rounds(channel_10km):
     observed, truth = sample_counts(config, channel_10km, seed=1)
     assert observed.z_det.total == 0 and observed.n_sifted_det == 0
     assert truth.trash_minus_single == 0
+
+
+def test_sampled_n_beyond_int64_is_a_config_error(channel_10km):
+    """numpy's multinomial draws int64 counts: one more round is refused by
+    name, not left to numpy's OverflowError."""
+    assert MAX_SAMPLED_N == 2**63 - 1
+    config = replace(reference_config(10**6), N=2**63)
+    with pytest.raises(ConfigError, match=rf"^sampled simulation needs N <= {MAX_SAMPLED_N}, "
+                                          rf"got {2**63}$"):
+        sample_counts(config, channel_10km, seed=1)
 
 
 def test_sampled_means_match_expectation(channel_10km):
