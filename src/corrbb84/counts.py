@@ -22,11 +22,11 @@ class CountTriple:
     m_v: int
 
     def __init__(self, m_s: int, m_w: int, m_v: int):
-        # checks the arguments; a __post_init__ would read the fields back
-        store = object.__setattr__
-        store(self, "m_s", m_s)
-        store(self, "m_w", m_w)
-        store(self, "m_v", m_v)
+        # checks the arguments; a __post_init__ would read the fields back. The
+        # slots' own setters (bound below) cost half of object.__setattr__
+        _set_m_s(self, m_s)
+        _set_m_w(self, m_w)
+        _set_m_v(self, m_v)
         if m_s < 0 or m_w < 0 or m_v < 0:
             raise ValueError(f"counts must be nonnegative, got {self}")
 
@@ -36,6 +36,9 @@ class CountTriple:
     @property
     def total(self) -> int:
         return self.m_s + self.m_w + self.m_v
+
+
+_set_m_s, _set_m_w, _set_m_v = (getattr(CountTriple, f).__set__ for f in ("m_s", "m_w", "m_v"))
 
 
 @dataclass(frozen=True, slots=True)

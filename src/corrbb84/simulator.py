@@ -21,8 +21,10 @@ numpy's PCG64 via ``default_rng(seed)``; one seed fixes the entire draw order.
 ``sample_counts`` skips the draws numpy answers without touching the bit
 generator (a binomial with n == 0 or p == 0.0, a multinomial with n == 0),
 so the stream of random numbers, and every seeded output, is the same as
-with every draw made. numpy is imported only when a sample is drawn, so the
-expected counts, and the commands built on them, never load it.
+with every draw made. What no seed changes is a :class:`SamplePlan`, which a
+caller drawing many seeds of one setting builds once (``sample_plan``) and
+passes as ``plan=``; it moves no draw. numpy is imported only when a sample
+is drawn, so the expected counts, and the commands built on them, never load it.
 """
 
 from __future__ import annotations
@@ -111,13 +113,6 @@ def _category_pvals(p_keep: float, error_prob: float) -> list[float]:
     return [kz_err, kz_ok, kx_err, kx_ok, keep_unsifted, trash_sifted, max(0.0, 1.0 - sifted)]
 
 
-def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
-    """``rng.binomial(n, p)`` as a Python int. numpy answers n == 0 and
-    p == 0.0 with 0 before it touches the bit generator, so those draws are
-    skipped; p == 1.0 still consumes and is drawn."""
-    return int(rng.binomial(n, p)) if n and p != 0.0 else 0
-
-
 def expected_counts(
     config: ProtocolConfig, channel: ChannelModel
 ) -> tuple[ObservedCounts, GroundTruth]:
@@ -161,11 +156,50 @@ def expected_counts(
     return observed, truth
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class SamplePlan:
+    """What :func:`sample_counts` draws from and no seed changes, for one
+    config, channel and coin probability. It holds no generator."""
+
+    config: ProtocolConfig
+    channel: ChannelModel
+    coin_minus_prob: float
+    intensity_probs: list[float]
+    buckets: tuple  # per intensity: normalised bucket and signal-click probabilities
+    y0: float
+    sig_pvals: np.ndarray  # the 7-category splits of signal and dark clicks
+    dark_pvals: np.ndarray
+    trash_prob: float  # (1 - p_keep) / 2
+
+
+def sample_plan(
+    config: ProtocolConfig, channel: ChannelModel, coin_minus_prob: float = 0.0
+) -> SamplePlan:
+    """The :class:`SamplePlan` of a setting. A coin probability outside [0, 1] is a
+    ValueError, then an N beyond ``MAX_SAMPLED_N`` a ConfigError, before numpy loads."""
+    if not 0.0 <= coin_minus_prob <= 1.0:
+        raise ValueError(f"coin_minus_prob must lie in [0, 1], got {coin_minus_prob}")
+    if config.N > MAX_SAMPLED_N:
+        raise ConfigError(f"sampled simulation needs N <= {MAX_SAMPLED_N}, got {config.N}")
+    import numpy as np
+
+    iset, pk, buckets = config.intensity_set, config.p_keep, []
+    for mu, _ in iset.pairs():
+        stats = _bucket_stats(mu, channel.transmittance)
+        norm = stats[0][0] + stats[1][0] + stats[2][0]  # numpy's sum of three, left to right
+        buckets.append((np.array([p / norm for p, _ in stats]), tuple(sig for _, sig in stats)))
+    return SamplePlan(config, channel, coin_minus_prob, [iset.p_s, iset.p_w, iset.p_v],
+                      tuple(buckets), channel.dark_click_prob,
+                      np.array(_category_pvals(pk, channel.misalignment)),
+                      np.array(_category_pvals(pk, 0.5)), (1.0 - pk) / 2.0)
+
+
 def sample_counts(
     config: ProtocolConfig,
     channel: ChannelModel,
     seed: int,
     coin_minus_prob: float = 0.0,
+    *, plan: SamplePlan | None = None,
 ) -> tuple[ObservedCounts, GroundTruth]:
     """One sampled protocol realization; deterministic for a fixed seed.
 
@@ -176,50 +210,40 @@ def sample_counts(
     A binomial draw with n == 0 or p == 0.0 and a multinomial draw with
     n == 0 return zeros without consuming randomness, so they are skipped;
     every other draw is made in the same order with the same arguments, and
-    a seed gives the same counts as drawing all of them. An N beyond
-    ``MAX_SAMPLED_N`` is a ConfigError, raised before numpy is loaded.
+    a seed gives the same counts as drawing all of them. ``plan``, the
+    :func:`sample_plan` of the arguments (built here when not given, with its
+    checks), moves no draw; a plan of another setting is a ValueError.
     """
-    if not 0.0 <= coin_minus_prob <= 1.0:
-        raise ValueError(f"coin_minus_prob must lie in [0, 1], got {coin_minus_prob}")
-    if config.N > MAX_SAMPLED_N:
-        raise ConfigError(f"sampled simulation needs N <= {MAX_SAMPLED_N}, got {config.N}")
+    if plan is None:
+        plan = sample_plan(config, channel, coin_minus_prob)
+    elif (plan.config, plan.channel, plan.coin_minus_prob) != (config, channel, coin_minus_prob):
+        raise ValueError("plan was built for another config, channel or coin probability")
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    pk = config.p_keep
-    y0 = channel.dark_click_prob
-    eta = channel.transmittance
-    iset = config.intensity_set
-    sig_pvals = np.array(_category_pvals(pk, channel.misalignment))
-    dark_pvals = np.array(_category_pvals(pk, 0.5))
+    binomial, multinomial = rng.binomial, rng.multinomial
+    y0, sig_pvals, dark_pvals = plan.y0, plan.sig_pvals, plan.dark_pvals
     # cells[category][bucket][intensity] for z_det, z_err, x_det, x_err
     cells = [[[0, 0, 0] for _ in range(3)] for _ in range(4)]
     z_det, z_err, x_det, x_err = cells
-    n_sifted_det = 0
-    trash_sifted_single = 0
-    n_by_intensity = (
-        rng.multinomial(config.N, [iset.p_s, iset.p_w, iset.p_v]).tolist()
-        if config.N else (0, 0, 0)
-    )
-    for i, (n_mu, (mu, _)) in enumerate(zip(n_by_intensity, iset.pairs())):
+    n_sifted_det = trash_sifted_single = 0
+    n_by_intensity = multinomial(config.N, plan.intensity_probs).tolist() if config.N else (0, 0, 0)
+    for i, (n_mu, (bucket_probs, sig_probs)) in enumerate(zip(n_by_intensity, plan.buckets)):
         if not n_mu:
             continue
-        stats = _bucket_stats(mu, eta)
-        (p0, _), (p1, _), (p2, _) = stats
-        norm = p0 + p1 + p2  # numpy's sum of three values, left to right
-        n_buckets = rng.multinomial(n_mu, [p0 / norm, p1 / norm, p2 / norm]).tolist()
-        for bucket, (n_cell, (_, sig_prob)) in enumerate(zip(n_buckets, stats)):
+        n_buckets = multinomial(n_mu, bucket_probs).tolist()
+        for bucket, (n_cell, sig_prob) in enumerate(zip(n_buckets, sig_probs)):
             if not n_cell:
                 continue
-            sig = _binomial(rng, n_cell, sig_prob)
-            dark = _binomial(rng, n_cell - sig, y0)
-            split = rng.multinomial(sig, sig_pvals) if sig else None
+            sig = binomial(n_cell, sig_prob) if sig_prob != 0.0 else 0
+            dark = binomial(n_cell - sig, y0) if n_cell != sig and y0 != 0.0 else 0
+            split = multinomial(sig, sig_pvals).tolist() if sig else None
             if dark:
-                dark_split = rng.multinomial(dark, dark_pvals)
-                split = dark_split if split is None else split + dark_split
+                dark_split = multinomial(dark, dark_pvals).tolist()
+                split = dark_split if split is None else [a + b for a, b in zip(split, dark_split)]
             trash_sifted = 0
             if split is not None:
-                kz_err, kz_ok, kx_err, kx_ok, _, trash_sifted, _ = split.tolist()
+                kz_err, kz_ok, kx_err, kx_ok, _, trash_sifted, _ = split
                 z_det[bucket][i] = kz_err + kz_ok
                 z_err[bucket][i] = kz_err
                 x_det[bucket][i] = kx_err + kx_ok
@@ -228,9 +252,11 @@ def sample_counts(
             if bucket == 1:
                 undetected = n_cell - sig - dark
                 trash_sifted_single += trash_sifted
-                trash_sifted_single += _binomial(rng, undetected, (1.0 - pk) / 2.0)
+                if undetected and plan.trash_prob != 0.0:
+                    trash_sifted_single += binomial(undetected, plan.trash_prob)
     truth = GroundTruth(
         *[(CountTriple(*b0), CountTriple(*b1), CountTriple(*b2)) for b0, b1, b2 in cells],
-        trash_minus_single=_binomial(rng, trash_sifted_single, coin_minus_prob),
+        trash_minus_single=binomial(trash_sifted_single, coin_minus_prob)
+        if trash_sifted_single and coin_minus_prob != 0.0 else 0,
     )
     return truth.observed(n_sifted_det), truth

@@ -31,7 +31,7 @@ from .model import EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity, 
 from .oracles import (coin_monte_carlo, exact_coin_parameter, extreme_deltas,
                       random_admissible_deltas)
 from .phase_error import AZUMA_TERMS, coin_envelope, g_interval, trash_minus_upper
-from .simulator import ChannelModel, sample_counts
+from .simulator import ChannelModel, sample_counts, sample_plan
 
 
 @dataclass(frozen=True)
@@ -232,11 +232,12 @@ def check_coin_inequality_mc(seed: int = 0, runs: int = 1000) -> ValidationCheck
     p_minus = exact_coin_parameter(l_c, extreme_deltas(model, l_c), config.intensity_set)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=runs)
+    plan = sample_plan(config, channel, p_minus)  # one plan serves every run
     violations = 0
     trivial = 0
     for run_seed in seeds:
         observed, truth = sample_counts(
-            config, channel, int(run_seed), coin_minus_prob=p_minus
+            config, channel, int(run_seed), coin_minus_prob=p_minus, plan=plan
         )
         outcome = coin_inequality_check(
             truth, observed.n_sifted_det, config.p_keep, eps

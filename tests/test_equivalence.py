@@ -119,7 +119,11 @@ def test_random_admissible_deltas_equal_one_table_draws(lags):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_full_validation_report_equals_frozen(seed, monkeypatch):
     report = run_validation("full", seed)
-    monkeypatch.setattr(validation, "sample_counts", frozen.sample_counts)
+
+    def frozen_per_run(config, channel, seed, coin_minus_prob=0.0, *, plan=None):
+        return frozen.sample_counts(config, channel, seed, coin_minus_prob)
+
+    monkeypatch.setattr(validation, "sample_counts", frozen_per_run)
 
     def frozen_per_table(N, l_c, tables, intensity_set):
         return [frozen.exact_global_fidelity(N, l_c, deltas, intensity_set) for deltas in tables]

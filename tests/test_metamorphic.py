@@ -1,10 +1,11 @@
 """Metamorphic relations of the whole pipeline: a change to the inputs that
 can only weaken what the data certify must not raise the key. Halving any of
-the five epsilons, one more coin lag, a stronger nearest-neighbour
-correlation, one more Z error at the signal intensity, or one more sifted
-detection (in a trash round, or in the key basis at the signal intensity)
-leaves ``key_length`` where it was or lowers it. The last relation is the
-one that sees a flipped sign of the signal weight in the decoy lower bound.
+the five epsilons, one or seven more coin lags, a stronger nearest-neighbour
+correlation, 1% more rounds with the same counts, one more Z error at the
+signal intensity, or one more sifted detection (in a trash round, or in the
+key basis at the signal intensity) leaves ``key_length`` where it was or
+lowers it. The last relation is the one that sees a flipped sign of the
+signal weight in the decoy lower bound.
 
 Each record draws an intensity set with s > w + v and its probabilities, N
 from 1e7 to 1e11, each epsilon from 1e-14 to 1e-5, a correlation model in 70%
@@ -73,10 +74,23 @@ def _halved(name):
     return relate
 
 
-def _one_more_lag(observed, config, model):
-    assume(model is not None)
-    l_c = effective_length(config.N, mean_intensity(config.intensity_set), model)
-    return observed, config, replace(model, l_c_eff=l_c + 1)
+def _more_lags(extra):
+    def relate(observed, config, model):
+        assume(model is not None)
+        l_c = effective_length(config.N, mean_intensity(config.intensity_set), model)
+        return observed, config, replace(model, l_c_eff=l_c + extra)
+    return relate
+
+
+def _more_rounds(observed, config, model):
+    """N raised by 1% with the same counts: the added rounds saw no
+    detection. An explicit length is raised to the one the larger N
+    requires, which can only lower the key further."""
+    more = replace(config, N=round(1.01 * config.N))
+    if model is not None and model.l_c_eff:
+        needed = required_truncation_length(more.N, mean_intensity(config.intensity_set), model)
+        model = replace(model, l_c_eff=max(model.l_c_eff, needed))
+    return observed, more, model
 
 
 def _stronger_correlation(observed, config, model):
@@ -114,7 +128,9 @@ def _one_more_z_detection_at_s(observed, config, model):
 
 RELATIONS = {
     **{f"half_{name}": _halved(name) for name in ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV")},
-    "l_c_eff_plus_1": _one_more_lag,
+    "l_c_eff_plus_1": _more_lags(1),
+    "l_c_eff_plus_7": _more_lags(7),
+    "N_times_1.01": _more_rounds,
     "delta_1_times_1.5": _stronger_correlation,
     "z_error_at_s_plus_1": _one_more_z_error_at_s,
     "sifted_detection_plus_1": _one_more_sifted_detection,

@@ -1,12 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
+import frozen_reference as frozen
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrbb84.correlations import CorrelationModel
+from corrbb84.counts import CountTriple
 from corrbb84.model import ConfigError, IntensitySet, ProtocolConfig, single_photon_prob
 from corrbb84.oracles import ExplicitDeltas, coin_monte_carlo, extreme_deltas
 from corrbb84.simulator import (
@@ -14,6 +16,7 @@ from corrbb84.simulator import (
     ChannelModel,
     expected_counts,
     sample_counts,
+    sample_plan,
     validate_channel,
 )
 from corrbb84.validation import reference_budget, reference_config
@@ -137,6 +140,82 @@ def test_sampled_n_beyond_int64_is_a_config_error(channel_10km):
     with pytest.raises(ConfigError, match=rf"^sampled simulation needs N <= {MAX_SAMPLED_N}, "
                                           rf"got {2**63}$"):
         sample_counts(config, channel_10km, seed=1)
+
+
+PLAN_SETTINGS = {
+    "N_0": (replace(reference_config(10**6), N=0), ChannelModel(10.0)),
+    "N_1": (replace(reference_config(10**6), N=1), ChannelModel(10.0)),
+    "N_max": (replace(reference_config(10**6), N=MAX_SAMPLED_N), ChannelModel(10.0)),
+    "p_keep_0": (reference_config(10**6, p_keep=0.0), ChannelModel(10.0)),
+    "p_keep_1": (reference_config(10**6, p_keep=1.0), ChannelModel(10.0)),
+    "no_darks": (reference_config(10**6), ChannelModel(10.0, dark_count_prob=0.0)),
+    "weak_vacuum": (
+        replace(reference_config(10**6),
+                intensity_set=IntensitySet(s=0.5, w=0.1, v=0.02, p_s=0.7, p_w=0.15, p_v=0.15)),
+        ChannelModel(10.0),
+    ),
+    "0_km": (reference_config(10**6), ChannelModel(0.0)),
+    "200_km": (reference_config(10**6), ChannelModel(200.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_SETTINGS))
+@pytest.mark.parametrize("coin", [0.0, 0.013, 1.0])
+def test_reused_plan_draws_what_a_fresh_draw_does(name, coin):
+    """One plan serves many seeds: each draw is, bit for bit, the draw made
+    without a plan and the frozen sampler's draw."""
+    config, channel = PLAN_SETTINGS[name]
+    plan = sample_plan(config, channel, coin)
+    for seed in range(8):
+        planned = sample_counts(config, channel, seed, coin, plan=plan)
+        # repr also tells a builtin int from a numpy integer
+        assert repr(planned) == repr(sample_counts(config, channel, seed, coin)), seed
+        assert repr(planned) == repr(frozen.sample_counts(config, channel, seed, coin)), seed
+
+
+def test_sample_counts_refuses_a_plan_of_another_setting(config_1e6, channel_10km):
+    plan = sample_plan(config_1e6, channel_10km, 0.013)
+    others = (
+        (replace(config_1e6, N=config_1e6.N + 1), channel_10km, 0.013),
+        (replace(config_1e6, p_keep=0.7), channel_10km, 0.013),
+        (config_1e6, replace(channel_10km, distance_km=11.0), 0.013),
+        (config_1e6, replace(channel_10km, dark_count_prob=0.0), 0.013),
+        (config_1e6, channel_10km, 0.0),
+    )
+    for config, channel, coin in others:
+        with pytest.raises(ValueError, match=r"^plan was built for another config, "
+                                             r"channel or coin probability$"):
+            sample_counts(config, channel, 1, coin, plan=plan)
+    # an equal setting in new objects is the same setting
+    same = sample_counts(replace(config_1e6), replace(channel_10km), 1, 0.013, plan=plan)
+    assert same == sample_counts(config_1e6, channel_10km, 1, 0.013)
+
+
+def test_sample_plan_checks_coin_probability_before_n(channel_10km):
+    config = replace(reference_config(10**6), N=MAX_SAMPLED_N + 1)
+    with pytest.raises(ValueError, match=r"^coin_minus_prob must lie in \[0, 1\], got 1.5$"):
+        sample_plan(config, channel_10km, 1.5)
+    with pytest.raises(ConfigError, match=r"^sampled simulation needs N <= "):
+        sample_plan(config, channel_10km, 1.0)
+
+
+def test_count_triple_is_a_checked_frozen_record():
+    triple = CountTriple(3, 2, 1)
+    assert repr(triple) == "CountTriple(m_s=3, m_w=2, m_v=1)"
+    assert triple == CountTriple(3, 2, 1) and triple != CountTriple(3, 1, 2)
+    assert hash(triple) == hash((3, 2, 1))
+    assert asdict(triple) == {"m_s": 3, "m_w": 2, "m_v": 1}
+    assert tuple(triple) == (3, 2, 1) and triple.total == 6
+    with pytest.raises(FrozenInstanceError):
+        triple.m_s = 4
+    with pytest.raises(FrozenInstanceError):
+        del triple.m_v
+    assert not hasattr(triple, "__dict__")
+    for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match=rf"^counts must be nonnegative, got "
+                                             rf"CountTriple\(m_s={args[0]}, m_w={args[1]}, "
+                                             rf"m_v={args[2]}\)$"):
+            CountTriple(*args)
 
 
 def test_sampled_means_match_expectation(channel_10km):
