@@ -64,6 +64,8 @@ COUNT_FIELDS = {
 }
 COUNTS_HEADER = ["category", "basis", "intensity", "count"]
 SIFTED_TOTAL = ("sifted_total", "", "")
+# every (category, basis, intensity) cell a counts file holds, each exactly once
+COUNT_CELLS = {(*pair, mu) for pair in COUNT_FIELDS for mu in INTENSITIES} | {SIFTED_TOTAL}
 EPSILONS = ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")
 # each config section by its dotted path: the keys it may hold (any other is
 # refused) and the kind of value each holds, a section (dict), a number that a
@@ -295,8 +297,8 @@ def _counts_rows(path: str, handle):
 
 
 def read_counts_csv(path: str) -> ObservedCounts:
-    """The UTF-8 counts file as ObservedCounts; every cell of ``COUNT_FIELDS``
-    and the ``sifted_total`` row exactly once, and no other row."""
+    """The UTF-8 counts file as ObservedCounts; every cell of ``COUNT_CELLS``
+    exactly once, and no other row."""
     cells: dict[tuple[str, str, str], int] = {}
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -316,9 +318,7 @@ def read_counts_csv(path: str) -> ObservedCounts:
             cell = (category, basis, intensity)
             if not text.isdecimal():
                 raise ConfigError(f"counts file {path}: {text!r} is not a nonnegative whole count")
-            if cell != SIFTED_TOTAL and (
-                (category, basis) not in COUNT_FIELDS or intensity not in INTENSITIES
-            ):
+            if cell not in COUNT_CELLS:
                 raise ConfigError(f"counts file {path}: unknown cell {cell}")
             if cell in cells:
                 raise ConfigError(f"counts file {path}: cell {cell} appears twice")

@@ -6,18 +6,16 @@ Poisson, i.e. phase-randomized coherent pulses; non-Poissonian sources are out
 of scope. All functions are pure and thread-safe. Sums of floats add left to
 right, so their bits do not depend on the Python version's ``sum``.
 
-``ProtocolConfig.problems`` (the report of :func:`validate_config`, which
-reads ``IntensitySet.problems``, that of :func:`validate_intensity_set`)
-and ``IntensitySet.weights`` (:func:`decoy_weights`, p1 first) are
-once-per-object memos, so records certified under one config, or optimizer
-candidates sharing one intensity set, validate it and derive its weights
-once; the three functions stay the owners of their rules and formulas. A memo lies outside the dataclass fields (no part in
-``==``, ``hash`` or ``repr``; ``dataclasses.replace`` starts afresh), reads a
-class-level ``None`` default and is stored with ``object.__setattr__``.
-Touching the instance dictionary instead, directly or through functools'
-cached property, materialises it on CPython 3.11, and every later attribute
-read on the object leaves the specialised fast path (about twice as slow).
-Two threads that fill a memo at once store equal tuples: a benign race.
+``IntensitySet.problems`` and ``ProtocolConfig.problems``, the reports of
+:func:`validate_intensity_set` and :func:`validate_config`, are made when a
+record is built, so each record is validated once however often it is read.
+``IntensitySet.weights`` (:func:`decoy_weights`, p1 first) is a memo filled on
+first read, since a set that fails validation may have no weights. All three
+are stored with ``object.__setattr__`` outside the dataclass fields (no part
+in ``==``, ``hash`` or ``repr``; ``dataclasses.replace`` builds afresh).
+Reading the instance dictionary instead, directly or through functools'
+cached property, would slow every later attribute read on CPython 3.11.
+Two threads that fill the memo at once store equal tuples: a benign race.
 """
 
 from __future__ import annotations
@@ -37,10 +35,9 @@ class ConfigError(ValueError):
 class IntensitySet:
     """Three-intensity decoy setting: signal s > weak w > vacuum-like v >= 0.
 
-    ``p_s + p_w + p_v`` must equal 1 within ``PROB_SUM_TOL``. Instances are
-    plain containers with the memos of ``problems`` and ``weights``;
-    ``problems`` is the report of :func:`validate_intensity_set` (empty ==
-    valid).
+    ``p_s + p_w + p_v`` must equal 1 within ``PROB_SUM_TOL``. ``problems``
+    is the report of :func:`validate_intensity_set` (empty == valid), made
+    when the set is built.
     """
 
     s: float
@@ -50,18 +47,10 @@ class IntensitySet:
     p_w: float
     p_v: float
 
-    _problems = None  # the memo of ``problems``; not a field
     _weights = None  # the memo of ``weights``; not a field
 
-    @property
-    def problems(self) -> tuple[str, ...]:
-        """The report of :func:`validate_intensity_set` on this set, made on
-        first read."""
-        problems = self._problems
-        if problems is None:
-            problems = tuple(validate_intensity_set(self))
-            object.__setattr__(self, "_problems", problems)
-        return problems
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "problems", tuple(validate_intensity_set(self)))
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """(intensity, probability) pairs in (s, w, v) order."""
@@ -99,24 +88,17 @@ class EpsilonBudget:
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything Alice and Bob fix before running: block size, intensities,
-    keep probability and the epsilon budget."""
+    keep probability and the epsilon budget. ``problems`` is the report of
+    :func:`validate_config`, made when the config is built; pass it to
+    :func:`require` to hard-fail."""
 
     N: int
     intensity_set: IntensitySet
     p_keep: float
     epsilon_budget: EpsilonBudget
 
-    _problems = None  # the memo of ``problems``; not a field
-
-    @property
-    def problems(self) -> tuple[str, ...]:
-        """The report of :func:`validate_config` on this config, made on first
-        read; pass it to :func:`require` to hard-fail."""
-        problems = self._problems
-        if problems is None:
-            problems = tuple(validate_config(self))
-            object.__setattr__(self, "_problems", problems)
-        return problems
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "problems", tuple(validate_config(self)))
 
 
 def single_photon_prob(intensity_set: IntensitySet) -> float:

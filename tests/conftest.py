@@ -1,6 +1,16 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import corrbb84
 from corrbb84.validation import reference_channel, reference_config, reference_intensities
+
+# Hypothesis adds the number literals of every loaded local module to the pool
+# it draws from, so a derandomized test draws the same cases in every selection
+# and order of test files only if the same modules are loaded: load them all.
+for _module in pkgutil.iter_modules(corrbb84.__path__):
+    importlib.import_module(f"corrbb84.{_module.name}")
 
 
 def identity_bound_pair(

@@ -275,16 +275,18 @@ def test_one_config_validates_once_across_certifications(monkeypatch, channel_10
     for name in calls:
         monkeypatch.setattr(model, name, counted(name))
     config = _config(N=10**9)
-    observed, _ = expected_counts(config, channel_10km)
     correlated = dataclasses.replace(
         config, epsilon_budget=dataclasses.replace(config.epsilon_budget, d=1e-12))
+    # each config is validated when it is built; the correlated one shares the
+    # intensity set, whose weights its validation derived
+    assert calls == {"validate_config": 2, "decoy_weights": 1}
+    observed, _ = expected_counts(config, channel_10km)
     first = evaluate_pipeline(observed, config)
     for _ in range(49):
         assert evaluate_pipeline(observed, config) == first
     evaluate_pipeline(observed, correlated, CorrelationModel(0.05, 1.0, 1e-12))
-    # the correlated config is a new object with its own report; its
-    # intensity set is the same object, whose weights are already derived
-    assert calls == {"validate_config": 2, "decoy_weights": 1}
+    assert config.problems == correlated.problems == ()
+    assert calls == {"validate_config": 2, "decoy_weights": 1}  # no read validates
 
 
 def test_certification_stores_nothing_on_per_record_inputs(config_1e9, channel_10km):
@@ -301,7 +303,7 @@ def test_certification_stores_nothing_on_per_record_inputs(config_1e9, channel_1
         assert type(record).__slots__ == tuple(f.name for f in dataclasses.fields(record))
     for record in (correlation, budget):
         assert set(vars(record)) == {f.name for f in dataclasses.fields(record)}
-    assert set(vars(config)) - {f.name for f in dataclasses.fields(config)} == {"_problems"}
+    assert set(vars(config)) - {f.name for f in dataclasses.fields(config)} == {"problems"}
 
 
 def _from_asdict(value):
@@ -362,3 +364,12 @@ def test_no_source_touches_an_instance_dictionary():
             found += [f"{path.name}:{node.lineno}" for name in ("__dict__", "cached_property")
                       if name in names]
     assert found == []
+
+
+def test_a_record_with_a_non_numeric_field_fails_when_built():
+    """Each record is validated when it is built, so a field that cannot be
+    compared raises there, not at its first use."""
+    with pytest.raises(TypeError):
+        IntensitySet(s="0.5", w=0.1, v=0.0, p_s=0.7, p_w=0.15, p_v=0.15)
+    with pytest.raises(TypeError):
+        _config(N=None)

@@ -89,7 +89,7 @@ def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
             assert config is None
             continue
         assert (config is None) == bool(built[0].problems)
-        assert config is None or config is built[0] and config._problems == ()
+        assert config is None or config is built[0] and config.problems == ()
         refused.append(config is None)
     assert len(refused) > 10 and any(refused)
 
