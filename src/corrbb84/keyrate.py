@@ -5,8 +5,7 @@ trash-round concentration -> phase-error bound -> error-correction leakage ->
 key length -> security parameter. Its result keeps the record of every stage,
 and its audit dict is built from the records on each read, so a certified key
 length can be traced term by term while a caller that never reads the audit
-(an optimizer search) does not pay for it. A ``StageMemo`` passed as ``stages``
-lets the calls of one search share the decoy and coin stages of equal inputs.
+(an optimizer search) does not pay for it.
 
 The variable-length key formula is
 l = max(0, n_1_lower (1 - h(e_ph)) - lambda_EC - 2 log2(1/(2 eps_PA))
@@ -24,8 +23,8 @@ from dataclasses import dataclass, field
 
 from . import correlations as corr
 from .counts import ObservedCounts
-from .decoy import DecoyBounds, apply_decoy_bounds
-from .model import ConfigError, IntensitySet, ProtocolConfig, mean_intensity, require
+from .decoy import apply_decoy_bounds
+from .model import ConfigError, ProtocolConfig, mean_intensity, require
 from .phase_error import pe_shares, phase_error_rate_bound, total_pe_failure, trash_minus_upper
 
 DEFAULT_F_EC = 1.16
@@ -76,38 +75,6 @@ class KeyRateResult:
             "eps_PE": eps_PE,
             "meaningful": self.eps_sec < 1.0,
         }
-
-
-class StageMemo:
-    """The decoy bounds and coin parameters of one optimizer search, keyed by
-    every input their stage reads: the z_det, x_det and x_err counts, the
-    six intensity-set values and eps_B; (l_c, intensity set, model). One per
-    search, dropped with it, so no result depends on an earlier search.
-    """
-
-    __slots__ = ("decoy", "coin")
-
-    def __init__(self):
-        self.decoy: dict = {}
-        self.coin: dict = {}
-
-    def decoy_bounds(self, observed: ObservedCounts, config: ProtocolConfig) -> DecoyBounds:
-        # the triples' counts spelled out: hashing three triples costs twice this
-        z, x, e, iset = observed.z_det, observed.x_det, observed.x_err, config.intensity_set
-        key = (z.m_s, z.m_w, z.m_v, x.m_s, x.m_w, x.m_v, e.m_s, e.m_w, e.m_v, iset.s, iset.w,
-               iset.v, iset.p_s, iset.p_w, iset.p_v, config.epsilon_budget.eps_B)
-        bounds = self.decoy.get(key)
-        if bounds is None:
-            bounds = self.decoy[key] = apply_decoy_bounds(observed, config)
-        return bounds
-
-    def coin_parameter(self, l_c: int, iset: IntensitySet,
-                       model: corr.CorrelationModel) -> float:
-        key = (l_c, iset, model)
-        coin_param = self.coin.get(key)
-        if coin_param is None:
-            coin_param = self.coin[key] = corr.coin_parameter_bound(l_c, iset, model)
-        return coin_param
 
 
 def binary_entropy(x: float) -> float:
@@ -169,7 +136,7 @@ def evaluate_pipeline(
     correlation_model: corr.CorrelationModel | None = None,
     f_EC: float = DEFAULT_F_EC,
     *,
-    stages: StageMemo | None = None,
+    stages=None,
 ) -> KeyRateResult:
     """Full evaluation: observed counts + configuration -> certified key.
 
@@ -181,8 +148,9 @@ def evaluate_pipeline(
     yield key_length 0 with the reason in the audit, never an exception;
     invalid configurations, and counts with more sifted detections than the
     block has rounds, raise :class:`~corrbb84.model.ConfigError`. With
-    ``stages``, the decoy and coin stages are looked up there first and
-    stored there when computed; the result is the same bit for bit.
+    ``stages`` (an optimizer search), the decoy and coin stages come from its
+    ``decoy_bounds(observed, config)`` and ``coin_parameter(l_c, iset, model)``;
+    the result is the same bit for bit.
     """
     require(config.problems)
     require(observed.validate())

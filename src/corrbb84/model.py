@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 PROB_SUM_TOL = 1e-12
 MAX_INTENSITY = 709.782712893384  # ln(DBL_MAX): e^mu overflows a double above it
+# the largest int64, the sampler's count type; the bounds overflow near N = 1e307
+MAX_BLOCK_SIZE = 2**63 - 1
 
 
 class ConfigError(ValueError):
@@ -170,8 +172,10 @@ def validate_epsilons(holder: object, names: tuple[str, ...]) -> list[str]:
 
 
 def validate_block_size(N: int) -> list[str]:
-    """The block-size rule: at least one round."""
-    return [] if N >= 1 else [f"N must be a positive round count, got {N}"]
+    """The block-size rule: at least one round and at most ``MAX_BLOCK_SIZE``."""
+    if not N >= 1:
+        return [f"N must be a positive round count, got {N}"]
+    return [] if N <= MAX_BLOCK_SIZE else [f"N must be at most {MAX_BLOCK_SIZE}, got {N}"]
 
 
 def validate_epsilon_budget(budget: EpsilonBudget) -> list[str]:

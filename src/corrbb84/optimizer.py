@@ -26,12 +26,15 @@ as the config error it is, not as a zero key.
 
 A coordinate move leaves most inputs alone, so one search computes each
 stage once per distinct input: the intensity set with its correlation length
-(keyed by s, w, p_s, p_w) and, through ``evaluate_pipeline``'s ``stages``,
-the decoy bounds and the coin parameter. The dicts live and die with the
-search's ``_Objective``, and every score equals the pipeline's without them.
-The expected counts are not reused yet: each evaluation calls
-``expected_counts`` and then ``evaluate_pipeline``, the pair the benchmark
-times as one request. The winner is re-evaluated without any memo.
+(keyed by s, w, p_s, p_w), and the decoy bounds and the coin parameter that
+``evaluate_pipeline`` asks of its ``stages``, the search's ``_Objective``.
+That object holds the search's whole state; its memos live and die with it,
+and every score equals the pipeline's without them. A missed stage is called
+as ``keyrate.apply_decoy_bounds`` and ``correlations.coin_parameter_bound``,
+the names the benchmark's tracer wraps. The expected counts are not reused
+yet: each evaluation calls ``expected_counts`` and then ``evaluate_pipeline``,
+the pair the benchmark times as one request. The winner is re-evaluated
+without any memo.
 """
 
 from __future__ import annotations
@@ -41,8 +44,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import correlations, keyrate
 from .correlations import CorrelationModel, effective_length, validate_correlation
-from .keyrate import DEFAULT_F_EC, KeyRateResult, StageMemo, evaluate_pipeline, validate_f_ec
+from .counts import ObservedCounts
+from .decoy import DecoyBounds
+from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline, validate_f_ec
 from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity,
                     require, validate_block_size, validate_epsilons)
 from .phase_error import pe_epsilons
@@ -157,11 +163,32 @@ class _Objective:
     evaluations: int = 0
     cache: dict = field(default_factory=dict)  # scores of candidates that built a config
     intensity_sets: dict = field(default_factory=dict)  # see _build_config
-    stages: StageMemo = field(default_factory=StageMemo)
+    decoy: dict = field(default_factory=dict)  # see decoy_bounds
+    coin: dict = field(default_factory=dict)  # see coin_parameter
     refusal: ConfigError | None = None  # effective_length's last refusal
 
     def remaining(self) -> int:
         return self.spec.budget - self.evaluations
+
+    def decoy_bounds(self, observed: ObservedCounts, config: ProtocolConfig) -> DecoyBounds:
+        """The decoy stage, keyed by every input it reads: the z_det, x_det and
+        x_err counts, the six intensity-set values and eps_B."""
+        # the triples' counts spelled out: hashing three triples costs twice this
+        z, x, e, iset = observed.z_det, observed.x_det, observed.x_err, config.intensity_set
+        key = (z.m_s, z.m_w, z.m_v, x.m_s, x.m_w, x.m_v, e.m_s, e.m_w, e.m_v, iset.s, iset.w,
+               iset.v, iset.p_s, iset.p_w, iset.p_v, config.epsilon_budget.eps_B)
+        bounds = self.decoy.get(key)
+        if bounds is None:
+            bounds = self.decoy[key] = keyrate.apply_decoy_bounds(observed, config)
+        return bounds
+
+    def coin_parameter(self, l_c: int, iset: IntensitySet, model: CorrelationModel) -> float:
+        """The coin stage, keyed by every input it reads: (l_c, iset, model)."""
+        key = (l_c, iset, model)
+        coin_param = self.coin.get(key)
+        if coin_param is None:
+            coin_param = self.coin[key] = correlations.coin_parameter_bound(l_c, iset, model)
+        return coin_param
 
     def __call__(self, candidate: Candidate) -> float:
         if candidate in self.cache:
@@ -180,7 +207,7 @@ class _Objective:
         try:
             observed, _ = expected_counts(config, self.channel)
             result = evaluate_pipeline(
-                observed, config, self.spec.correlation, f_EC=self.spec.f_EC, stages=self.stages
+                observed, config, self.spec.correlation, f_EC=self.spec.f_EC, stages=self
             )
             score = _score(result)
         except ConfigError:

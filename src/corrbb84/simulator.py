@@ -34,13 +34,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .counts import CountTriple, GroundTruth, ObservedCounts
-from .model import ConfigError, ProtocolConfig
+from .model import MAX_BLOCK_SIZE, ConfigError, ProtocolConfig
 
 if TYPE_CHECKING:
     import numpy as np
-
-# numpy's multinomial draws int64 counts
-MAX_SAMPLED_N = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -175,12 +172,13 @@ class SamplePlan:
 def sample_plan(
     config: ProtocolConfig, channel: ChannelModel, coin_minus_prob: float = 0.0
 ) -> SamplePlan:
-    """The :class:`SamplePlan` of a setting. A coin probability outside [0, 1] is a
-    ValueError, then an N beyond ``MAX_SAMPLED_N`` a ConfigError, before numpy loads."""
+    """The :class:`SamplePlan` of a setting, validated or not (a library caller may
+    draw at N = 0). A coin probability outside [0, 1] is a ValueError, then an N
+    beyond the model's ``MAX_BLOCK_SIZE`` a ConfigError, before numpy loads."""
     if not 0.0 <= coin_minus_prob <= 1.0:
         raise ValueError(f"coin_minus_prob must lie in [0, 1], got {coin_minus_prob}")
-    if config.N > MAX_SAMPLED_N:
-        raise ConfigError(f"sampled simulation needs N <= {MAX_SAMPLED_N}, got {config.N}")
+    if config.N > MAX_BLOCK_SIZE:
+        raise ConfigError(f"sampled simulation needs N <= {MAX_BLOCK_SIZE}, got {config.N}")
     import numpy as np
 
     iset, pk, buckets = config.intensity_set, config.p_keep, []

@@ -513,6 +513,7 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     assert main(["optimize", "--config", str(path), "--budget", "5"]) == 2
 
 
+N_BEYOND_INT64 = "N must be at most 9223372036854775807, got 9223372036854775808"
 # rows whose message is pinned, because a later, generic check would also exit 2
 MALFORMED_MESSAGES = {
     "distance_range_step_below_float_spacing": "transmittance 0.0 outside (0, 1]",
@@ -545,6 +546,12 @@ MALFORMED_MESSAGES = {
     "optimizer_v_with_keyrate": "unknown field optimizer.v",
     "optimizer_not_object_with_keyrate": "config.optimizer must be a JSON object, got 3",
     "correlations_key_unknown_simulate": "unknown field correlations.bogus",
+    "N_beyond_int64_sampled": N_BEYOND_INT64,
+    "N_beyond_int64_expected": N_BEYOND_INT64,
+    "N_beyond_int64_counts": N_BEYOND_INT64,
+    "N_beyond_int64_simulate": N_BEYOND_INT64,
+    "N_beyond_int64_optimize": N_BEYOND_INT64,
+    "N_beyond_int64_scan": N_BEYOND_INT64,
 }
 
 
@@ -638,6 +645,11 @@ MALFORMED_MESSAGES = {
     ({"correlations": {"delta_1": 0.05, "decay_C": 1.0, "bogus": 1}}, None, "simulate"),
     ({}, "1e16:1e16:1", "scan"),
     ({}, "9007199254740990:9007199254740995:0.6", "scan"),
+    ({"protocol.N": 2**63}, None, "expected"),
+    ({"protocol.N": 2**63}, None, "counts"),
+    ({"protocol.N": 2**63}, None, "simulate"),
+    ({"protocol.N": 2**63}, None, "optimize"),
+    ({"protocol.N": 2**63}, "0", "scan"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -666,7 +678,8 @@ MALFORMED_MESSAGES = {
     "l_c_eff_below_every_candidate_optimize", "l_c_eff_below_every_candidate_scan",
     "optimizer_v_with_keyrate", "optimizer_not_object_with_keyrate",
     "correlations_key_unknown_simulate", "distance_range_step_below_float_spacing",
-    "distance_range_across_2_53",
+    "distance_range_across_2_53", "N_beyond_int64_expected", "N_beyond_int64_counts",
+    "N_beyond_int64_simulate", "N_beyond_int64_optimize", "N_beyond_int64_scan",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -706,6 +719,35 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
     assert "config error:" in err
     assert MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _scaled_fixture(tmp_path, factor):
+    """The README correlated config and the fixture counts with N and every
+    count multiplied by ``factor``."""
+    fixtures = Path(__file__).with_name("fixtures") / "cli_outputs"
+    config = json.loads((fixtures / "readme_correlated.json").read_text())
+    config["protocol"]["N"] *= factor
+    rows = [line.split(",") for line in (fixtures / "counts.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    rows[1:] = [row[:3] + [str(int(row[3]) * factor)] for row in rows[1:]]
+    config_path, counts_path = tmp_path / "scaled.json", tmp_path / "scaled.csv"
+    config_path.write_text(json.dumps(config))
+    counts_path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    return ["keyrate", "--config", str(config_path), "--counts", str(counts_path),
+            "--out", str(tmp_path / "key.json")]
+
+
+def test_block_size_beyond_int64_exits_2_by_its_rule(tmp_path, capsys):
+    """Scaled by 10^298 the input used to pass every rule and exit 2 for an
+    infinite trash bound in the output; the model's N ceiling now refuses it
+    by name. Scaled by 10^9 (N = 1e18) it certifies."""
+    assert main(_scaled_fixture(tmp_path, 10**298)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: N must be at most 9223372036854775807, got {10**307}\n")
+    assert not (tmp_path / "key.json").exists()
+    assert main(_scaled_fixture(tmp_path, 10**9)) == 0
+    key = json.loads((tmp_path / "key.json").read_text(), parse_constant=reject_constant)
+    assert key["result"]["key_length"] > 0
 
 
 @pytest.mark.parametrize("value", [10**400, -10**400, math.nan, math.inf, -math.inf],

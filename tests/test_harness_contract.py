@@ -4,8 +4,9 @@ package.
 Tier-1 never runs the benchmark's tracer or its request timer, so these tests
 pin what they assume: every package name the benchmark imports, reads or
 patches exists; the tracer replaces ``keyrate.apply_decoy_bounds`` with a
-wrapper of exactly two positional parameters; and the optimize workload times
-one request from each ``optimizer.expected_counts`` call to the
+wrapper of exactly two positional parameters; an optimizer search computes its
+decoy and coin stages through the two names the tracer wraps; and the optimize
+workload times one request from each ``optimizer.expected_counts`` call to the
 ``optimizer.evaluate_pipeline`` call after it.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from corrbb84 import keyrate, optimizer
+from corrbb84 import correlations, keyrate, optimizer
 from corrbb84.correlations import CorrelationModel
 from corrbb84.simulator import expected_counts
 from corrbb84.validation import reference_config
@@ -43,6 +44,48 @@ def test_keyrate_calls_apply_decoy_bounds_with_two_positional_arguments(
     wrapped = keyrate.evaluate_pipeline(observed, config, model)
     assert calls == [((observed, config), {})]
     assert wrapped == plain and wrapped.audit == plain.audit
+
+
+def test_search_computes_every_stage_through_the_traced_names(monkeypatch, channel_10km):
+    """Every decoy and coin entry a correlated search stores is the result of
+    one call of ``keyrate.apply_decoy_bounds`` (two positional arguments, as
+    the tracer's wrapper takes) or ``correlations.coin_parameter_bound``, so
+    the traced optimize metrics see each stage the search computes."""
+    decoy_calls, coin_calls, searches = [], [], []
+    apply_decoy_bounds = keyrate.apply_decoy_bounds
+    coin_parameter_bound = correlations.coin_parameter_bound
+    evaluate = optimizer.evaluate_pipeline
+
+    def decoy_call(observed, config):
+        decoy_calls.append(apply_decoy_bounds(observed, config))
+        return decoy_calls[-1]
+
+    def coin_call(*args):
+        coin_calls.append((args, coin_parameter_bound(*args)))
+        return coin_calls[-1][1]
+
+    def evaluate_call(*args, stages=None, **kwargs):
+        if stages is not None and stages not in searches:
+            searches.append(stages)
+        return evaluate(*args, stages=stages, **kwargs)
+
+    monkeypatch.setattr(keyrate, "apply_decoy_bounds", decoy_call)
+    monkeypatch.setattr(correlations, "coin_parameter_bound", coin_call)
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", evaluate_call)
+    spec = optimizer.OptimizationSpec(N=10**9, correlation=CorrelationModel(0.05, 1.0, 1e-12),
+                                      budget=120)
+    outcome = optimizer.optimize_params(spec, channel_10km, seed=1)
+    [search] = searches
+    assert outcome.evaluations == 120 and search.evaluations == 120
+    # a stage repeats within the search, so some evaluations read a stored entry
+    assert 0 < len(search.decoy) < 120 and 0 < len(search.coin) < 120
+    # each entry computed once, plus the winner's re-evaluation outside the search
+    assert len(decoy_calls) == len(search.decoy) + 1
+    assert len(coin_calls) == len(search.coin) + 1
+    assert all(any(stored is computed for computed in decoy_calls)
+               for stored in search.decoy.values())
+    assert all(any(args == key and value is stored for args, value in coin_calls)
+               for key, stored in search.coin.items())
 
 
 @pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, 1e-12)],

@@ -16,6 +16,7 @@ from corrbb84.counts import CountTriple
 from corrbb84.decoy import apply_decoy_bounds
 from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.model import (
+    MAX_BLOCK_SIZE,
     MAX_INTENSITY,
     ConfigError,
     EpsilonBudget,
@@ -180,6 +181,16 @@ def test_validate_config_rejects_an_epsilon_whose_inverse_overflows():
     smallest_normal = sys.float_info.min
     assert validate_config(_config(epsilon_budget=EpsilonBudget(
         smallest_normal, 1e-10, smallest_normal, 1e-10, 1e-10))) == []
+
+
+def test_block_size_ends_at_the_largest_int64():
+    """The model owns N's ceiling for every command: the sampler's int64
+    counts, and far below the N near 1e307 where the trash bound overflows."""
+    assert MAX_BLOCK_SIZE == 2**63 - 1
+    assert _config(N=MAX_BLOCK_SIZE).problems == ()
+    assert _config(N=2**63).problems == (
+        "N must be at most 9223372036854775807, got 9223372036854775808",)
+    assert _config(N=0).problems == ("N must be a positive round count, got 0",)
 
 
 @pytest.mark.parametrize("s, w, v", [(0.5, 0.3, 0.2), (0.5, 5e-324, 0.0), (1e-300, 5e-301, 0.0)])

@@ -14,7 +14,7 @@ import corrbb84
 from corrbb84 import optimizer
 from corrbb84.correlations import CorrelationModel
 from corrbb84.model import ConfigError, ProtocolConfig, lower_denominator
-from corrbb84.keyrate import StageMemo, evaluate_pipeline
+from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.optimizer import (
     BOXES,
     OptimizationSpec,
@@ -372,7 +372,7 @@ def test_stage_memo_keys_every_input_its_stage_reads(channel_10km):
     config = reference_config(10**9)
     config = replace(config, epsilon_budget=replace(config.epsilon_budget, d=1e-12))
     observed, _ = expected_counts(config, channel_10km)
-    stages = StageMemo()
+    stages = optimizer._Objective(OptimizationSpec(N=config.N, correlation=model), channel_10km)
     base = evaluate_pipeline(observed, config, model, stages=stages)
     assert evaluate_pipeline(observed, config, model, stages=stages) == base
     assert (len(stages.decoy), len(stages.coin)) == (1, 1)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from corrbb84.correlations import CorrelationModel
 from corrbb84.counts import CountTriple
-from corrbb84.model import ConfigError, IntensitySet, ProtocolConfig, single_photon_prob
+from corrbb84.model import (MAX_BLOCK_SIZE, ConfigError, IntensitySet, ProtocolConfig,
+                            single_photon_prob)
 from corrbb84.oracles import ExplicitDeltas, coin_monte_carlo, extreme_deltas
 from corrbb84.simulator import (
-    MAX_SAMPLED_N,
     ChannelModel,
     expected_counts,
     sample_counts,
@@ -135,9 +135,9 @@ def test_sampled_zero_rounds(channel_10km):
 def test_sampled_n_beyond_int64_is_a_config_error(channel_10km):
     """numpy's multinomial draws int64 counts: one more round is refused by
     name, not left to numpy's OverflowError."""
-    assert MAX_SAMPLED_N == 2**63 - 1
+    assert MAX_BLOCK_SIZE == 2**63 - 1
     config = replace(reference_config(10**6), N=2**63)
-    with pytest.raises(ConfigError, match=rf"^sampled simulation needs N <= {MAX_SAMPLED_N}, "
+    with pytest.raises(ConfigError, match=rf"^sampled simulation needs N <= {MAX_BLOCK_SIZE}, "
                                           rf"got {2**63}$"):
         sample_counts(config, channel_10km, seed=1)
 
@@ -145,7 +145,7 @@ def test_sampled_n_beyond_int64_is_a_config_error(channel_10km):
 PLAN_SETTINGS = {
     "N_0": (replace(reference_config(10**6), N=0), ChannelModel(10.0)),
     "N_1": (replace(reference_config(10**6), N=1), ChannelModel(10.0)),
-    "N_max": (replace(reference_config(10**6), N=MAX_SAMPLED_N), ChannelModel(10.0)),
+    "N_max": (replace(reference_config(10**6), N=MAX_BLOCK_SIZE), ChannelModel(10.0)),
     "p_keep_0": (reference_config(10**6, p_keep=0.0), ChannelModel(10.0)),
     "p_keep_1": (reference_config(10**6, p_keep=1.0), ChannelModel(10.0)),
     "no_darks": (reference_config(10**6), ChannelModel(10.0, dark_count_prob=0.0)),
@@ -192,7 +192,7 @@ def test_sample_counts_refuses_a_plan_of_another_setting(config_1e6, channel_10k
 
 
 def test_sample_plan_checks_coin_probability_before_n(channel_10km):
-    config = replace(reference_config(10**6), N=MAX_SAMPLED_N + 1)
+    config = replace(reference_config(10**6), N=MAX_BLOCK_SIZE + 1)
     with pytest.raises(ValueError, match=r"^coin_minus_prob must lie in \[0, 1\], got 1.5$"):
         sample_plan(config, channel_10km, 1.5)
     with pytest.raises(ConfigError, match=r"^sampled simulation needs N <= "):
