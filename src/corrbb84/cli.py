@@ -24,7 +24,8 @@ command leaves no partial output and every existing file as it was.
 
 Exit codes: 0 success (including zero-key results, which set a flag in the
 output), 1 oracle-suite failure or a closed output pipe, 2 configuration
-errors, an unreadable input file or an output file that cannot be opened.
+errors, an unreadable input file or an output that cannot be opened or
+written.
 """
 
 from __future__ import annotations
@@ -259,18 +260,10 @@ def _claimed_outputs(args):
                 os.remove(temp)
 
 
-def _open_output(path: str, newline: str | None = None):
-    """``path`` opened for writing; a failure is a ConfigError naming it."""
-    try:
-        return open(path, "w", newline=newline)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
-
-
 @contextmanager
 def _csv_output(path: str, manifest: dict, header: list[str]):
     """A CSV writer on ``path``, after the manifest line and ``header``."""
-    with _open_output(path, newline="") as handle:
+    with open(path, "w", newline="") as handle:
         handle.write(MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -357,7 +350,7 @@ def _write_json(path: str | None, payload: dict) -> None:
     except ValueError as exc:  # a NaN or an infinity: main exits 2, writing nothing
         raise ConfigError(f"the output holds a non-finite number ({exc})") from exc
     if path:
-        with _open_output(path) as handle:
+        with open(path, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -586,6 +579,13 @@ def main(argv: list[str] | None = None) -> int:
         # the flush at exit stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # an output file or stdout that cannot be written
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself, which would fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

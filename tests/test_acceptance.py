@@ -26,6 +26,7 @@ from oracle_suites import (
 
 import corrbb84
 from corrbb84 import correlations as corr
+from corrbb84 import validation
 from corrbb84.concentration import azuma_delta
 from corrbb84.correlations import CorrelationModel, required_truncation_length
 from corrbb84.keyrate import evaluate_pipeline, key_length, security_parameter
@@ -35,6 +36,7 @@ from corrbb84.simulator import expected_counts
 from corrbb84.validation import (
     check_coin_domination,
     check_coin_inequality_mc,
+    check_g_plus_characterization,
     check_trace_distance_domination,
     check_trash_bound_mc,
     reference_channel,
@@ -162,6 +164,29 @@ def test_criterion_3_trace_distance_domination():
     assert check.passed, check.stats
     _report(3, "exact trace distance dominated over all 4^N histories",
             time.perf_counter() - start, 120.0)
+
+
+def _raised_g_plus(y, z):
+    """G+ raised by 1e-5: on the suite's region G+ is at most 1 - 6.3e-5, so
+    the raised value and the suite's step past it stay below 1."""
+    g_minus, g_plus = g_interval(y, z)
+    return g_minus, g_plus + 1e-5
+
+
+# each suite at its quick size, with the bound it checks broken through the
+# name it reads
+@pytest.mark.parametrize("check, size, module, name, broken", [
+    (check_g_plus_characterization, {"samples": 100}, validation, "g_interval", _raised_g_plus),
+    (check_coin_domination, {"tables": 10}, corr, "coin_parameter_bound",
+     lambda *args, real=corr.coin_parameter_bound: 0.5 * real(*args)),
+    (check_trace_distance_domination, {"tables": 10}, corr, "trace_distance_bound",
+     lambda *args: 0.0),
+], ids=["g_plus_characterization", "coin_parameter_domination", "trace_distance_domination"])
+def test_oracle_suite_fails_on_a_broken_bound(monkeypatch, check, size, module, name, broken):
+    monkeypatch.setattr(module, name, broken)
+    outcome = check(seed=0, **size)
+    assert outcome.passed is False
+    assert outcome.stats["failures"] > 0
 
 
 def test_criterion_4_trash_bound_monte_carlo():

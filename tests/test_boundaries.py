@@ -53,6 +53,14 @@ def _runtime_imports(path: Path) -> list[tuple[str, str | None]]:
     return found
 
 
+def test_package_names_outside_certification_load_on_first_access(monkeypatch):
+    from corrbb84 import simulator
+    monkeypatch.delitem(vars(corrbb84), "ChannelModel", raising=False)
+    assert corrbb84.ChannelModel is simulator.ChannelModel
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        corrbb84.nope
+
+
 def test_oracles_take_no_function_from_the_modules_they_check():
     taken = []
     for source, name in _runtime_imports(PACKAGE / "oracles.py"):

@@ -849,6 +849,51 @@ def test_closed_stdout_pipe_exits_1_without_traceback(config_path, argv):
     assert "Exception ignored" not in proc.stderr
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--simulate", "--out", "/dev/full"],
+    ["simulate", "--mode", "expected", "--counts-out", "/dev/full"],
+    ["validate", "--out", "/dev/full"],
+], ids=["keyrate_out", "counts_out", "validate_out"])
+def test_output_that_cannot_be_written_exits_2(config_path, monkeypatch, capsys, argv):
+    """An output that opens but refuses the write (a full disk) ends the run
+    with exit 2 and one line, not a traceback."""
+    checks = [validation.ValidationCheck("stub", True)]
+    monkeypatch.setattr(validation, "run_validation", lambda level, seed: checks)
+    if argv[0] != "validate":
+        argv = [*argv, "--config", config_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
+
+
+@needs_dev_full
+def test_stdout_that_cannot_be_written_exits_2_without_traceback(config_path):
+    """Block-buffered, as a device's stdout is by default, the report fits the
+    buffer and the write fails at ``main``'s flush; what the buffer still holds
+    must not fail again at exit."""
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrbb84.cli", "keyrate", "--simulate", "--config",
+             config_path], stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_non_finite_output_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^the output holds a non-finite number"):
+        cli._write_json(None, {"x": math.inf})
+
+
 # Runs in a fresh interpreter where any import of numpy raises ImportError:
 # ``keyrate --counts`` on argv[1:4], then one library certification of the
 # counts in argv[4]; prints the library result.

@@ -9,6 +9,7 @@ from corrbb84.concentration import binomial_bound_pair
 from corrbb84.decoy import (
     DECOY_TERMS,
     CountTriple,
+    DecoyBounds,
     apply_decoy_bounds,
     single_photon_lower,
     single_photon_upper,
@@ -68,6 +69,10 @@ def test_posterior_rejects_zero_support():
     dead = IntensitySet(s=0.0, w=0.0, v=0.0, p_s=THIRD, p_w=THIRD, p_v=THIRD)
     with pytest.raises(ValueError):
         intensity_posterior("s", 1, dead)
+
+
+def test_bounds_built_by_hand_have_an_empty_audit():
+    assert DecoyBounds(10.0, 20.0, 5.0, 1.0).audit == {}
 
 
 def test_lower_zero_counts_clamp():

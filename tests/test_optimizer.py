@@ -94,6 +94,42 @@ def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
     assert len(refused) > 10 and any(refused)
 
 
+def test_pipeline_refusals_score_minus_inf_and_spend_budget(monkeypatch, channel_10km):
+    """At eps_pe_target 1 - 2^-53 some splits' shares sum to 1.0, which
+    ``total_pe_failure`` refuses; such a candidate scores -inf, spends its
+    evaluation and leaves the search running to its budget."""
+    real, refused = optimizer.evaluate_pipeline, []
+
+    def counted(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except ConfigError as exc:
+            refused.append(exc)
+            raise
+
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", counted)
+    spec = OptimizationSpec(N=1000, eps_pe_target=1 - 2**-53, budget=100, restarts=3)
+    outcome = optimize_params(spec, channel_10km, seed=1)
+    assert outcome.evaluations == spec.budget
+    assert refused
+
+
+def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel_10km):
+    """A start with p_v = 0 is infeasible for every s, so s keeps its 0.005,
+    below the weak intensity's box, whose top of 0.99 s then lies under its
+    floor: the pass searches every coordinate but w."""
+    real, searched = optimizer._golden_section, []
+
+    def recorded(objective, candidate, coord, lo, hi):
+        searched.append((coord, candidate[0]))
+        return real(objective, candidate, coord, lo, hi)
+
+    monkeypatch.setattr(optimizer, "_golden_section", recorded)
+    spec = OptimizationSpec(N=10**9, budget=60, restarts=1, coordinate_passes=1)
+    optimize_params(spec, channel_10km, extra_starts=[(0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3)])
+    assert searched == [(coord, 0.005) for coord in (0, 2, 3, 4, 5, 6)]
+
+
 def test_refused_candidates_spend_no_budget():
     """At eps_pe_target 1e-308 every split underflows an epsilon that
     validate_epsilons refuses, so no candidate is evaluated."""
