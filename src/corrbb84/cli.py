@@ -11,12 +11,12 @@ spelled out, and a key outside its section's ``SECTION_KEYS``, a value not of
 its kind there, or a key given twice in one object, is refused in every section
 present, whichever command reads it.
 Every output embeds a run manifest (tool version, config hash, seeds,
-bound-algorithm id, timestamp); for fixed (config, seed, version) the numeric
-sections are byte-identical across runs -- only the manifest timestamp
-varies.
-
-Subcommands import the simulator, optimizer and oracle suites only when they
-run, so certifying a counts file never loads numpy.
+bound-algorithm id, RNG id, timestamp); for fixed (config, seed, version) the
+numeric sections are byte-identical across runs -- only the timestamp varies.
+The RNG id of ``optimize`` and ``scan`` is ``python-mt19937`` (their starts'
+``random.Random``), else ``numpy-pcg64``. Subcommands import the simulator,
+optimizer and oracle suites only when they run; only a sample or an oracle
+suite loads numpy.
 
 Each output file is claimed before the command's work, as a temporary
 beside it that replaces it only once the command has finished, so a failed
@@ -89,13 +89,13 @@ OUTPUT_ARGS = ("out", "counts_out", "truth_out")
 MAX_DISTANCES = 10_000
 
 
-def make_manifest(config_text: str, seed: int | None) -> dict:
+def make_manifest(config_text: str, seed: int | None, rng_algorithm: str = RNG_ALGORITHM) -> dict:
     return {
         "version": __version__,
         "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": seed,
         "bound_algorithm": BOUND_ALGORITHM,
-        "rng_algorithm": RNG_ALGORITHM,
+        "rng_algorithm": rng_algorithm,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
@@ -453,13 +453,13 @@ def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpe
 
 
 def cmd_scan(args) -> int:
-    from .optimizer import scan_distance
+    from .optimizer import RNG_ALGORITHM as SEARCH_RNG, scan_distance
     from .simulator import validate_channel
     data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
     spec = _optimizer_spec(data, config, args)
-    manifest = make_manifest(text, args.seed)
+    manifest = make_manifest(text, args.seed, SEARCH_RNG)
     distances = parse_distances(args.distances)
     for distance in distances:
         require(validate_channel(dataclasses.replace(channel, distance_km=distance)))
@@ -479,12 +479,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .optimizer import optimize_params
+    from .optimizer import RNG_ALGORITHM as SEARCH_RNG, optimize_params
     data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
     spec = _optimizer_spec(data, config, args)
-    manifest = make_manifest(text, args.seed)
+    manifest = make_manifest(text, args.seed, SEARCH_RNG)
     outcome = optimize_params(spec, channel, seed=args.seed)
     payload = {
         "manifest": manifest,

@@ -13,16 +13,19 @@ split of the parameter-estimation failure budget across the three
 concentration epsilons. The vacuum intensity v, the block size, the channel
 and the correlation model stay fixed; each candidate runs at the correlation
 length of ``correlations.effective_length``. A candidate is a tuple of plain
-floats in ``PARAM_NAMES`` order (numpy draws only the uniform starts), so
-every configuration the objective certifies holds builtin floats. Infeasible
-candidates score ``-inf`` without consuming budget: p_v or u_C within 1e-6
-of zero, a configuration the model's ``problems`` report refuses (bad
-ordering, unsolvable decoy bounds, an epsilon share out of range), or a
-correlation length that ``effective_length`` refuses (an explicit ``l_c_eff``
-shorter than the candidate's required truncation length, or more coin lags
-than its cap). A search that ends with no candidate evaluated raises the
-last such refusal, so a model that no candidate can run under is reported
-as the config error it is, not as a zero key.
+floats in ``PARAM_NAMES`` order, but for p_w and u_A, held as their shares of
+1 - p_s and of 1 - u_B (``_params`` reads the values back), so every point of
+``BOXES`` leaves p_v and u_C at least 1e-6. u_B keeps its own coordinate, so
+a move of u_A's share leaves eps_B, and so the decoy stage, alone.
+``random.Random`` draws the starts: a search loads no numpy, and every
+configuration it certifies holds builtin floats. Infeasible candidates score
+``-inf`` without consuming budget: a configuration the model's ``problems``
+report refuses (w above s, unsolvable decoy bounds, an epsilon share out of
+range), or a correlation length that ``effective_length`` refuses (an
+explicit ``l_c_eff`` shorter than the candidate's required truncation length,
+or more coin lags than its cap). A search that ends with no candidate
+evaluated raises the last such refusal, so a model that no candidate can run
+under is reported as the config error it is, not as a zero key.
 
 A coordinate move leaves most inputs alone, so one search computes each
 stage once per distinct input: the intensity set with its correlation length
@@ -40,9 +43,8 @@ without any memo.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import correlations, keyrate
 from .correlations import CorrelationModel, effective_length, validate_correlation
@@ -57,9 +59,11 @@ from .simulator import ChannelModel, expected_counts
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 PARAM_NAMES = ("s", "w", "p_s", "p_w", "p_keep", "u_A", "u_B")
-# search box of each parameter, in PARAM_NAMES order
+# search box of each candidate coordinate, in PARAM_NAMES order; those of p_w
+# and u_A bound their shares (see _params)
 BOXES = (
-    (0.1, 1.0), (0.01, 0.5), (0.05, 0.95), (0.05, 0.95), (0.5, 0.999), (0.05, 0.9), (0.05, 0.9),
+    (0.1, 1.0), (0.01, 0.5), (0.05, 0.99), (0.02, 0.9999), (0.5, 0.999), (0.02, 0.9999),
+    (0.02, 0.99),
 )
 # a line search stops once its bracket is this fraction of the box
 LINE_SEARCH_TOL = 5e-3
@@ -67,6 +71,8 @@ LINE_SEARCH_TOL = 5e-3
 Candidate = tuple[float, ...]
 # every restart's start point is drawn up front, so a larger count is a typo
 MAX_RESTARTS = 10_000
+# the generator of the drawn starts, as the CLI's manifest names it
+RNG_ALGORITHM = "python-mt19937"
 
 @dataclass(frozen=True)
 class OptimizationSpec:
@@ -116,26 +122,29 @@ class OptimizationResult:
     key_length: int
     result: KeyRateResult | None
     evaluations: int
+    point: Candidate | None = None  # the winning candidate, which a scan passes on
 
     @property
     def zero_key_everywhere(self) -> bool:
         return self.key_length == 0
 
 
+def _params(candidate: Candidate) -> Candidate:
+    """The ``PARAM_NAMES`` values of a candidate, which holds p_w as its share
+    of 1 - p_s and u_A as its share of 1 - u_B."""
+    s, w, p_s, w_share, p_keep, a_share, u_b = candidate
+    return s, w, p_s, w_share * (1.0 - p_s), p_keep, a_share * (1.0 - u_b), u_b
+
+
 def _build_config(candidate: Candidate, spec: OptimizationSpec,
                   intensity_sets: dict) -> ProtocolConfig | None:
-    """Candidate -> runnable configuration, or None when p_v or u_C is within
-    1e-6 of zero or the configuration's ``problems`` report is not empty; the
-    ConfigError of ``effective_length`` when it refuses its correlation length.
-    ``intensity_sets``, one search's memo, maps (s, w, p_s, p_w) to the
-    intensity set and its correlation length; a refusal is not stored."""
-    s, w, p_s, p_w, p_keep, u_a, u_b = candidate
-    p_v = 1.0 - p_s - p_w
-    if p_v <= 1e-6:
-        return None
-    u_c = 1.0 - u_a - u_b
-    if u_c <= 1e-6:
-        return None
+    """Candidate -> runnable configuration, or None when its ``problems``
+    report is not empty; the ConfigError of ``effective_length`` when it
+    refuses its correlation length. ``intensity_sets``, one search's memo,
+    maps (s, w, p_s, p_w) to the intensity set and its correlation length; a
+    refusal is not stored."""
+    s, w, p_s, p_w, p_keep, u_a, u_b = _params(candidate)
+    p_v, u_c = 1.0 - p_s - p_w, 1.0 - u_a - u_b
     key = (s, w, p_s, p_w)
     known = intensity_sets.get(key)
     if known is None:
@@ -223,34 +232,29 @@ def _golden_section(
     lo: float,
     hi: float,
 ) -> tuple[Candidate, float]:
-    """Maximize along one coordinate; returns the best point seen."""
+    """Maximize along one coordinate; returns the best (point, score) seen,
+    the first of any tie."""
+    seen = [(candidate, objective(candidate))]
 
-    def at(value: float) -> Candidate:
-        return candidate[:coord] + (value,) + candidate[coord + 1:]
+    def probe(value: float) -> float:
+        point = candidate[:coord] + (value,) + candidate[coord + 1:]
+        seen.append((point, objective(point)))
+        return seen[-1][1]
 
-    best_point = candidate
-    best_score = objective(candidate)
     tol = LINE_SEARCH_TOL * (hi - lo)
     a, b = lo, hi
     c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
-    fc, fd = objective(at(c)), objective(at(d))
-    for value, score in ((c, fc), (d, fd)):
-        if score > best_score:
-            best_score, best_point = score, at(value)
+    fc, fd = probe(c), probe(d)
     while b - a > tol and objective.remaining() > 0:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - INVPHI * (b - a)
-            fc = objective(at(c))
-            if fc > best_score:
-                best_score, best_point = fc, at(c)
+            fc = probe(c)
         else:
             a, c, fc = c, d, fd
             d = a + INVPHI * (b - a)
-            fd = objective(at(d))
-            if fd > best_score:
-                best_score, best_point = fd, at(d)
-    return best_point, best_score
+            fd = probe(d)
+    return max(seen, key=lambda pair: pair[1])
 
 
 def _coordinate_descent(
@@ -279,24 +283,24 @@ def _coordinate_descent(
 
 def _center_start() -> Candidate:
     """Feasible default start (for v = 0): mid-box signal, weak decoy at a
-    quarter of it, signal-heavy probabilities, mid-box p_keep, even epsilon
-    split."""
+    quarter of it, probabilities (0.7, 0.15, 0.15), mid-box p_keep, even
+    epsilon split."""
     s = 0.5 * (BOXES[0][0] + BOXES[0][1])
     p_keep = 0.5 * (BOXES[4][0] + BOXES[4][1])
-    return (s, s / 4.0, 0.7, 0.15, p_keep, 1.0 / 3.0, 1.0 / 3.0)
+    return (s, s / 4.0, 0.7, 0.5, p_keep, 0.5, 1.0 / 3.0)
 
 
 def _initial_points(spec: OptimizationSpec, seed: int) -> list[Candidate]:
     """The centre start, then restarts - 1 points drawn uniformly from the box
-    by ``default_rng(seed)``."""
-    unit = np.random.default_rng(seed).random((spec.restarts - 1, len(BOXES))).tolist()
+    by ``random.Random(seed)``."""
+    draw = random.Random(seed).random
     return [_center_start()] + [
-        tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(row, BOXES)) for row in unit
+        tuple(lo + draw() * (hi - lo) for lo, hi in BOXES) for _ in range(spec.restarts - 1)
     ]
 
 
 def _describe(candidate: Candidate, spec: OptimizationSpec) -> dict:
-    params = dict(zip(PARAM_NAMES, candidate))
+    params = dict(zip(PARAM_NAMES, _params(candidate)))
     params["v"] = spec.v
     params["p_v"] = 1.0 - params["p_s"] - params["p_w"]
     params["u_C"] = 1.0 - params["u_A"] - params["u_B"]
@@ -343,12 +347,8 @@ def optimize_params(
         raise RuntimeError(
             f"winner re-evaluation disagrees: {_score(result)} != {best_score}"
         )
-    return OptimizationResult(
-        params=_describe(best_point, spec),
-        key_length=result.key_length,
-        result=result,
-        evaluations=objective.evaluations,
-    )
+    return OptimizationResult(params=_describe(best_point, spec), key_length=result.key_length,
+                              result=result, evaluations=objective.evaluations, point=best_point)
 
 
 def scan_distance(
@@ -359,14 +359,11 @@ def scan_distance(
 ) -> list[dict]:
     """Optimized key length per channel distance; one row per distance, each
     search also started from the previous distance's winner."""
-    rows = []
-    previous: Candidate | None = None
+    rows, warm = [], []
     for distance in distances:
         dist_channel = replace(channel, distance_km=distance)
-        extra = [previous] if previous is not None else None
-        outcome = optimize_params(spec, dist_channel, seed=seed, extra_starts=extra)
-        if outcome.params:
-            previous = tuple(outcome.params[name] for name in PARAM_NAMES)
+        outcome = optimize_params(spec, dist_channel, seed=seed, extra_starts=warm)
+        warm = [outcome.point] if outcome.point else warm
         row = {
             "distance_km": distance,
             "key_length": outcome.key_length,

@@ -1,0 +1,82 @@
+"""Optimizer grid: the key each cold search certifies on a fixed 70-cell grid.
+
+Cells are the distances 0-60 km in 10 km steps, two channel settings
+(uncorrelated at eps_pe_target 1e-10; delta_1 0.05, decay_C 1, d 1e-12 at
+eps_pe_target 2e-10) and seeds 1-5, at N = 1e9 on the reference channel.
+Each cell is one ``optimize_params`` call with no warm start, so a change to
+the search (its coordinates, boxes or starts) shows as a per-cell and a
+summed key. The grid runs at budgets 100 and 400; the whole report takes a
+few seconds.
+
+Run it from the repository root; it is a script, not a pytest module:
+
+    PYTHONPATH=src python tests/optimizer_grid.py [--summary FILE]
+
+The report goes to stdout; ``--summary`` also appends it to FILE, in a
+Markdown code block.
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+from corrbb84.correlations import CorrelationModel
+from corrbb84.optimizer import OptimizationSpec, optimize_params
+from corrbb84.validation import reference_channel
+
+N = 10**9
+DISTANCES_KM = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
+SEEDS = (1, 2, 3, 4, 5)
+BUDGETS = (100, 400)
+# name -> (correlation model, eps_pe_target)
+SETTINGS = {
+    "uncorrelated": (None, 1e-10),
+    "correlated": (CorrelationModel(delta_1=0.05, decay_C=1.0, truncation_d=1e-12), 2e-10),
+}
+
+
+def grid_keys(budget: int) -> dict[tuple[str, int, float], int]:
+    """(setting, seed, distance) -> the key length of that cell's search."""
+    keys = {}
+    for name, (model, eps_pe_target) in SETTINGS.items():
+        spec = OptimizationSpec(N=N, eps_pe_target=eps_pe_target, correlation=model,
+                                budget=budget)
+        for seed in SEEDS:
+            for distance in DISTANCES_KM:
+                outcome = optimize_params(spec, reference_channel(distance), seed=seed)
+                keys[name, seed, distance] = outcome.key_length
+    return keys
+
+
+def report() -> list[str]:
+    lines = []
+    for budget in BUDGETS:
+        started = time.perf_counter()
+        keys = grid_keys(budget)
+        elapsed = time.perf_counter() - started
+        lines.append(f"budget {budget} ({len(keys)} cells, {elapsed:.2f} s)")
+        lines.append(f"{'setting':<13} {'seed':>4} " + " ".join(f"{d:>10.0f}" for d in DISTANCES_KM))
+        for name in SETTINGS:
+            for seed in SEEDS:
+                row = " ".join(f"{keys[name, seed, d]:>10}" for d in DISTANCES_KM)
+                lines.append(f"{name:<13} {seed:>4} {row}")
+        lines.append(f"summed key at budget {budget}: {sum(keys.values())}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--summary", help="also append the report to this file")
+    args = parser.parse_args(argv)
+    lines = report()
+    print(*lines, sep="\n")
+    if args.summary:
+        with open(args.summary, "a") as handle:
+            print("Optimizer grid (cold searches, key bits per cell; columns in km)", file=handle)
+            print("```", *lines, "```", sep="\n", file=handle)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

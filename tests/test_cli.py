@@ -998,3 +998,46 @@ def test_expected_simulation_never_loads_numpy(config_path, tmp_path):
                  "--counts-out", counts, "--truth-out", truth]) == 0
     for a, b in zip(fresh, loaded):
         assert _without_timestamp(a) == _without_timestamp(b)
+
+
+# Runs in a fresh interpreter: optimize and scan at a small budget on
+# argv[1:], then prints whether numpy was loaded.
+SEARCH_PROBE = """
+import sys
+from corrbb84.cli import main
+config, optimized, scanned = sys.argv[1:]
+if main(["optimize", "--config", config, "--budget", "30", "--seed", "3", "--out", optimized]):
+    sys.exit("optimize failed")
+if main(["scan", "--config", config, "--distances", "0,30", "--budget", "30", "--seed", "3",
+         "--out", scanned]):
+    sys.exit("scan failed")
+print("numpy" in sys.modules)
+"""
+
+
+def test_search_commands_never_load_numpy(config_path, tmp_path):
+    """``optimize`` and ``scan`` draw their starts with ``random.Random``, so
+    they never import numpy, name that generator in the manifest, and write
+    what the same commands write in a process that has numpy loaded."""
+    import numpy  # noqa: F401  (the in-process runs below have it loaded)
+
+    fresh = [tmp_path / "fresh_optimize.json", tmp_path / "fresh_scan.csv"]
+    loaded = [tmp_path / "loaded_optimize.json", tmp_path / "loaded_scan.csv"]
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SEARCH_PROBE, config_path, *map(str, fresh)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+    optimized, scanned = map(str, loaded)
+    assert main(["optimize", "--config", config_path, "--budget", "30", "--seed", "3",
+                 "--out", optimized]) == 0
+    assert main(["scan", "--config", config_path, "--distances", "0,30", "--budget", "30",
+                 "--seed", "3", "--out", scanned]) == 0
+    for a, b in zip(fresh, loaded):
+        assert _without_timestamp(a) == _without_timestamp(b)
+        assert '"rng_algorithm": "python-mt19937"' in a.read_text()
+    assert json.loads(fresh[0].read_text())["result"]["key_length"] > 0

@@ -20,6 +20,7 @@ from corrbb84.optimizer import (
     OptimizationSpec,
     _build_config,
     _center_start,
+    _describe,
     _initial_points,
     optimize_params,
     scan_distance,
@@ -40,12 +41,21 @@ def test_infeasible_candidates_are_rejected():
     ordering = feasible.copy()
     ordering[1] = 0.6  # w above s
     assert _build_config(ordering, spec, {}) is None
-    simplex = feasible.copy()
-    simplex[2], simplex[3] = 0.7, 0.4  # p_v would be negative
-    assert _build_config(simplex, spec, {}) is None
-    weights = feasible.copy()
-    weights[5], weights[6] = 0.6, 0.5  # epsilon split exceeds the simplex
-    assert _build_config(weights, spec, {}) is None
+
+
+def test_every_box_corner_below_the_signal_builds_a_config():
+    """p_w and u_A are shares of what p_s and u_B leave, so every corner of
+    the box with w below s is a valid simplex: p_v and u_C stay positive and
+    the model accepts the configuration."""
+    spec = OptimizationSpec(N=10**9)
+    corners = [c for c in itertools.product(*BOXES) if c[1] < c[0]]
+    assert len(corners) == 3 * 2**5
+    for corner in corners:
+        config = _build_config(corner, spec, {})
+        params = _describe(corner, spec)
+        assert config is not None, corner
+        assert params["p_v"] > 0.0 and params["u_C"] > 0.0
+        assert config.intensity_set.p_v == params["p_v"] and config.epsilon_budget.eps_C > 0.0
 
 
 def test_unsolvable_decoy_candidates_are_rejected():
@@ -85,9 +95,7 @@ def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
     for candidate in points:
         built.clear()
         config = _build_config(candidate, spec, {})
-        if not built:  # p_v or u_C within the search's own margin: nothing built
-            assert config is None
-            continue
+        assert len(built) == 1
         assert (config is None) == bool(built[0].problems)
         assert config is None or config is built[0] and config.problems == ()
         refused.append(config is None)
@@ -115,9 +123,10 @@ def test_pipeline_refusals_score_minus_inf_and_spend_budget(monkeypatch, channel
 
 
 def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel_10km):
-    """A start with p_v = 0 is infeasible for every s, so s keeps its 0.005,
-    below the weak intensity's box, whose top of 0.99 s then lies under its
-    floor: the pass searches every coordinate but w."""
+    """At eps_pe_target 1e-308 every candidate is refused, so s keeps its
+    0.005 start, below the weak intensity's box, whose top of 0.99 s then
+    lies under its floor: that start's pass searches every coordinate but w,
+    and the centre start's pass, with s mid-box, searches all seven."""
     real, searched = optimizer._golden_section, []
 
     def recorded(objective, candidate, coord, lo, hi):
@@ -125,9 +134,14 @@ def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel
         return real(objective, candidate, coord, lo, hi)
 
     monkeypatch.setattr(optimizer, "_golden_section", recorded)
-    spec = OptimizationSpec(N=10**9, budget=60, restarts=1, coordinate_passes=1)
-    optimize_params(spec, channel_10km, extra_starts=[(0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3)])
-    assert searched == [(coord, 0.005) for coord in (0, 2, 3, 4, 5, 6)]
+    spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=60, restarts=1,
+                            coordinate_passes=1)
+    outcome = optimize_params(spec, channel_10km,
+                              extra_starts=[(0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3)])
+    assert outcome.evaluations == 0
+    centre = _center_start()[0]
+    assert searched == ([(coord, 0.005) for coord in (0, 2, 3, 4, 5, 6)]
+                        + [(coord, centre) for coord in range(len(BOXES))])
 
 
 def test_refused_candidates_spend_no_budget():
