@@ -2,8 +2,9 @@
 """Optimized key length as a function of channel distance.
 
 Runs the derivative-free parameter search at each distance (warm-started
-from the previous optimum) and prints the resulting curve. Equivalent to
-`corrbb84 scan` but narrated.
+from the previous optimum) and prints the resulting curve. Each start's
+coordinate descent runs until a pass improves nothing or the distance's
+150 evaluations are spent. Equivalent to `corrbb84 scan` but narrated.
 """
 
 from corrbb84.optimizer import OptimizationSpec, scan_distance
@@ -11,7 +12,7 @@ from corrbb84.simulator import ChannelModel
 
 
 def main():
-    spec = OptimizationSpec(N=10**9, budget=150, restarts=2, coordinate_passes=2)
+    spec = OptimizationSpec(N=10**9, budget=150, restarts=2)
     channel = ChannelModel(distance_km=0.0)
     distances = [0.0, 10.0, 20.0, 40.0, 60.0, 80.0]
     print(f"searching {len(distances)} distances, "

@@ -80,8 +80,7 @@ SECTION_KEYS = {
     "channel": dict.fromkeys(("distance_km", "f_EC", "attenuation_db_per_km",
                               "detector_efficiency", "dark_count_prob", "misalignment"), float),
     "correlations": {"delta_1": float, "decay_C": float, "l_c_eff": int},
-    "optimizer": {"eps_pe_target": float, "budget": int, "restarts": int,
-                  "coordinate_passes": int},
+    "optimizer": {"eps_pe_target": float, "budget": int, "restarts": int},
 }
 # the arguments that name an output file
 OUTPUT_ARGS = ("out", "counts_out", "truth_out")

@@ -1,7 +1,8 @@
 """Derivative-free maximization of the certified key length.
 
-Coordinate descent with golden-section line searches over box bounds,
-restarted from the centre of the box and from seeded uniform points in it.
+Coordinate descent with golden-section line searches over box bounds, in
+passes until one improves nothing (the evaluation budget is the one bound on
+work), restarted from the centre of the box and from seeded uniform points.
 The objective is the key length of the expected-value pipeline
 (deterministic counts; sampled counts would make the objective noisy), so a
 fixed (spec, seed) pair yields a reproducible trajectory and result. Where
@@ -24,7 +25,7 @@ report refuses (w above s, unsolvable decoy bounds, an epsilon share out of
 range), or a correlation length that ``effective_length`` refuses (an
 explicit ``l_c_eff`` shorter than the candidate's required truncation length,
 or more coin lags than its cap). A search that ends with no candidate
-evaluated raises the last such refusal, so a model that no candidate can run
+evaluated raises the first such refusal, so a model that no candidate can run
 under is reported as the config error it is, not as a zero key.
 
 A coordinate move leaves most inputs alone, so one search computes each
@@ -87,7 +88,6 @@ class OptimizationSpec:
     f_EC: float = DEFAULT_F_EC
     budget: int = 400
     restarts: int = 5
-    coordinate_passes: int = 3
 
 
 def validate_optimization(spec: OptimizationSpec) -> list[str]:
@@ -97,7 +97,7 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
     feasible and give every one a positive concentration budget."""
     problems = [
         f"{name} must be >= 1, got {getattr(spec, name)}"
-        for name in ("budget", "restarts", "coordinate_passes")
+        for name in ("budget", "restarts")
         if not getattr(spec, name) >= 1
     ]
     if not spec.restarts <= MAX_RESTARTS:
@@ -174,7 +174,7 @@ class _Objective:
     intensity_sets: dict = field(default_factory=dict)  # see _build_config
     decoy: dict = field(default_factory=dict)  # see decoy_bounds
     coin: dict = field(default_factory=dict)  # see coin_parameter
-    refusal: ConfigError | None = None  # effective_length's last refusal
+    refusal: ConfigError | None = None  # effective_length's first refusal
 
     def remaining(self) -> int:
         return self.spec.budget - self.evaluations
@@ -205,7 +205,8 @@ class _Objective:
         try:
             config = _build_config(candidate, self.spec, self.intensity_sets)
         except ConfigError as exc:
-            self.refusal = exc
+            if self.refusal is None:
+                self.refusal = exc
             return -math.inf
         if config is None:
             return -math.inf
@@ -262,7 +263,8 @@ def _coordinate_descent(
 ) -> tuple[Candidate, float]:
     current = start
     current_score = objective(current)
-    for _ in range(objective.spec.coordinate_passes):
+    improved = True
+    while improved:
         improved = False
         for coord, (lo, hi) in enumerate(BOXES):
             if objective.remaining() <= 0:
@@ -276,8 +278,6 @@ def _coordinate_descent(
             if score > current_score:
                 current, current_score = point, score
                 improved = True
-        if not improved:
-            break
     return current, current_score
 
 

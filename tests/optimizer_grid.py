@@ -1,12 +1,13 @@
-"""Optimizer grid: the key each cold search certifies on a fixed 70-cell grid.
+"""Optimizer grid: the key each cold search certifies on a fixed 105-cell grid.
 
-Cells are the distances 0-60 km in 10 km steps, two channel settings
-(uncorrelated at eps_pe_target 1e-10; delta_1 0.05, decay_C 1, d 1e-12 at
-eps_pe_target 2e-10) and seeds 1-5, at N = 1e9 on the reference channel.
+Cells are the distances 0-60 km in 10 km steps, three settings (uncorrelated
+at eps_pe_target 1e-10, with v = 0 and with a vacuum decoy of v = 0.1;
+delta_1 0.05, decay_C 1, d 1e-12 at eps_pe_target 2e-10, v = 0) and seeds
+1-5, at N = 1e9 on the reference channel.
 Each cell is one ``optimize_params`` call with no warm start, so a change to
-the search (its coordinates, boxes or starts) shows as a per-cell and a
-summed key. The grid runs at budgets 100 and 400; the whole report takes a
-few seconds.
+the search (its coordinates, boxes, starts or stopping rule) shows as a
+per-cell and a summed key. The grid runs at budgets 100 and 400; the whole
+report takes a few seconds.
 
 Run it from the repository root; it is a script, not a pytest module:
 
@@ -29,18 +30,19 @@ N = 10**9
 DISTANCES_KM = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 SEEDS = (1, 2, 3, 4, 5)
 BUDGETS = (100, 400)
-# name -> (correlation model, eps_pe_target)
+# name -> (correlation model, eps_pe_target, vacuum intensity v)
 SETTINGS = {
-    "uncorrelated": (None, 1e-10),
-    "correlated": (CorrelationModel(delta_1=0.05, decay_C=1.0, truncation_d=1e-12), 2e-10),
+    "uncorrelated": (None, 1e-10, 0.0),
+    "uncorr v=0.1": (None, 1e-10, 0.1),
+    "correlated": (CorrelationModel(delta_1=0.05, decay_C=1.0, truncation_d=1e-12), 2e-10, 0.0),
 }
 
 
 def grid_keys(budget: int) -> dict[tuple[str, int, float], int]:
     """(setting, seed, distance) -> the key length of that cell's search."""
     keys = {}
-    for name, (model, eps_pe_target) in SETTINGS.items():
-        spec = OptimizationSpec(N=N, eps_pe_target=eps_pe_target, correlation=model,
+    for name, (model, eps_pe_target, v) in SETTINGS.items():
+        spec = OptimizationSpec(N=N, v=v, eps_pe_target=eps_pe_target, correlation=model,
                                 budget=budget)
         for seed in SEEDS:
             for distance in DISTANCES_KM:

@@ -267,7 +267,7 @@ CLI_CONFIG = {
         "eps_PA": 1e-10, "eps_EV": 1e-10, "d": 0.0,
     },
     "channel": {"distance_km": 10.0},
-    "optimizer": {"budget": 10, "restarts": 1, "coordinate_passes": 1},
+    "optimizer": {"budget": 10, "restarts": 1},
 }
 
 

@@ -349,7 +349,7 @@ def test_over_budget_epsilons_exit_2(tmp_path, capsys):
 def test_scan_row_count(config_path, tmp_path):
     out = tmp_path / "scan.csv"
     config = json.loads(json.dumps(BASE_CONFIG))
-    config["optimizer"] = {"budget": 4, "restarts": 1, "coordinate_passes": 1}
+    config["optimizer"] = {"budget": 4, "restarts": 1}
     path = tmp_path / "scan_config.json"
     path.write_text(json.dumps(config))
     assert main([
@@ -363,7 +363,7 @@ def test_scan_row_count(config_path, tmp_path):
 def test_optimize_writes_result(config_path, tmp_path):
     out = tmp_path / "best.json"
     config = json.loads(json.dumps(BASE_CONFIG))
-    config["optimizer"] = {"budget": 30, "restarts": 1, "coordinate_passes": 1}
+    config["optimizer"] = {"budget": 30, "restarts": 1}
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
     assert main(["optimize", "--config", str(path), "--seed", "2", "--out", str(out)]) == 0
@@ -395,7 +395,7 @@ def test_optimize_uses_channel_f_ec(tmp_path):
     for f_ec in (1.16, 2.0):
         config = json.loads(json.dumps(BASE_CONFIG))
         config["channel"]["f_EC"] = f_ec
-        config["optimizer"] = {"budget": 30, "restarts": 1, "coordinate_passes": 1}
+        config["optimizer"] = {"budget": 30, "restarts": 1}
         path = tmp_path / f"opt_{f_ec}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{f_ec}.json"
@@ -520,8 +520,7 @@ MALFORMED_MESSAGES = {
     "distance_range_across_2_53": "transmittance 0.0 outside (0, 1]",
     "non_finite_audit_with_counts": "decoy weight e^w / p_w must be finite, got inf",
     "p_w_tiny_with_counts": "decoy weight e^w / p_w must be finite, got inf",
-    "optimizer_coordinate_passes_zero": "coordinate_passes must be >= 1, got 0",
-    "optimizer_coordinate_passes_negative": "coordinate_passes must be >= 1, got -3",
+    "optimizer_coordinate_passes_retired": "unknown field optimizer.coordinate_passes",
     "eps_PA_inverse_overflows_optimize":
         "eps_PA must lie in (0, 1) with 1/eps_PA finite, got 5e-324",
     "eps_EV_inverse_overflows_optimize":
@@ -540,7 +539,9 @@ MALFORMED_MESSAGES = {
     "decay_C_1e-7_beyond_lag_cap": "coin bound compute more than 100000 lags",
     "l_c_eff_beyond_lag_cap": "coin bound compute more than 100000 lags",
     "f_ec_below_1_with_counts": "f_EC must be finite and >= 1, got 0.5",
-    "decay_C_1e-7_beyond_lag_cap_optimize": "makes the coin bound compute more than 100000 lags",
+    "decay_C_1e-7_beyond_lag_cap_optimize": (
+        "decay_C=1e-07 with delta_1=0.05 and l_c=506638544 makes the coin bound compute more "
+        "than 100000 lags"),
     "l_c_eff_below_every_candidate_optimize": "l_c_eff=5 below the required truncation length",
     "l_c_eff_below_every_candidate_scan": "l_c_eff=5 below the required truncation length",
     "optimizer_v_with_keyrate": "unknown field optimizer.v",
@@ -619,8 +620,7 @@ MALFORMED_MESSAGES = {
     ({"channel.distance_km": -15413.0}, None, "expected"),
     ({"optimizer": {"restarts": 10_001}}, None, "optimize"),
     ({"protocol.intensity_probs": {"s": 0.85, "w": 5e-324, "v": 0.15}}, None, "counts"),
-    ({"optimizer": {"coordinate_passes": 0}}, None, "optimize"),
-    ({"optimizer": {"coordinate_passes": -3}}, None, "optimize"),
+    ({"optimizer": {"coordinate_passes": 3}}, None, "optimize"),
     ({"epsilons.eps_PA": 5e-324}, None, "optimize"),
     ({"epsilons.eps_EV": 5e-324}, None, "optimize"),
     ({"optimizer": {"eps_pe_target": 5e-324}}, None, "optimize"),
@@ -668,8 +668,8 @@ MALFORMED_MESSAGES = {
     "eps_A_inverse_overflows", "eps_C_inverse_overflows", "non_finite_audit_with_counts",
     "intensity_prob_v_beyond_float", "distance_beyond_float", "f_ec_nan_with_counts",
     "f_ec_inf_with_counts", "distance_negative_gain_overflows", "optimizer_restarts_beyond_cap",
-    "p_w_tiny_with_counts", "optimizer_coordinate_passes_zero",
-    "optimizer_coordinate_passes_negative", "eps_PA_inverse_overflows_optimize",
+    "p_w_tiny_with_counts", "optimizer_coordinate_passes_retired",
+    "eps_PA_inverse_overflows_optimize",
     "eps_EV_inverse_overflows_optimize", "optimizer_eps_pe_target_inverse_overflows",
     "optimizer_eps_pe_target_at_d", "v_at_weak_box_top_optimize", "channel_key_misspelled",
     "intensities_key_unknown", "correlations_section_misspelled", "optimizer_v_retired",
@@ -814,7 +814,7 @@ def test_optimize_honours_explicit_length(tmp_path):
         config["correlations"] = {"delta_1": 0.05, "decay_C": 1.0}
         if l_c_eff is not None:
             config["correlations"]["l_c_eff"] = l_c_eff
-        config["optimizer"] = {"budget": 30, "restarts": 1, "coordinate_passes": 1}
+        config["optimizer"] = {"budget": 30, "restarts": 1}
         path = tmp_path / f"opt_{l_c_eff}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{l_c_eff}.json"

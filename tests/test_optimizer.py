@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from corrbb84.validation import reference_channel, reference_config
 
 # small budgets keep the search cheap; the objective itself is deterministic.
 # N must be large: the finite-size penalties zero out the key below ~1e9
-FAST = dict(N=10**9, budget=60, restarts=2, coordinate_passes=1)
+FAST = dict(N=10**9, budget=60, restarts=2)
 
 
 def test_infeasible_candidates_are_rejected():
@@ -134,8 +135,7 @@ def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel
         return real(objective, candidate, coord, lo, hi)
 
     monkeypatch.setattr(optimizer, "_golden_section", recorded)
-    spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=60, restarts=1,
-                            coordinate_passes=1)
+    spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=60, restarts=1)
     outcome = optimize_params(spec, channel_10km,
                               extra_starts=[(0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3)])
     assert outcome.evaluations == 0
@@ -146,12 +146,45 @@ def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel
 
 def test_refused_candidates_spend_no_budget():
     """At eps_pe_target 1e-308 every split underflows an epsilon that
-    validate_epsilons refuses, so no candidate is evaluated."""
-    spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=20, restarts=2,
-                            coordinate_passes=1)
-    outcome = optimize_params(spec, reference_channel(10.0), seed=1)
-    assert outcome.evaluations == 0
-    assert outcome.zero_key_everywhere and outcome.params == {} and outcome.key_length == 0
+    validate_epsilons refuses, so no candidate is evaluated; no pass
+    improves either, so each descent stops after one pass however large the
+    budget."""
+    for budget in (20, 10**6):
+        spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=budget, restarts=2)
+        started = time.perf_counter()
+        outcome = optimize_params(spec, reference_channel(10.0), seed=1)
+        assert time.perf_counter() - started < 1.0
+        assert outcome.evaluations == 0
+        assert outcome.zero_key_everywhere and outcome.params == {} and outcome.key_length == 0
+
+
+@pytest.mark.parametrize("v, distance", [(0.0, 10.0), (0.1, 30.0)])
+def test_descent_stops_when_a_pass_improves_nothing(v, distance):
+    """A budget that does not bind leaves the no-improvement rule to end the
+    descent: well under budget, at a key no lower than a budget of 400 finds,
+    and at a point from which one more pass improves nothing (at v = 0.1 and
+    30 km the fourth pass still gains)."""
+    spec = OptimizationSpec(N=10**9, v=v, budget=10**6, restarts=1)
+    channel = reference_channel(distance)
+    outcome = optimize_params(spec, channel, seed=1)
+    assert outcome.evaluations < 5_000
+    capped = optimize_params(replace(spec, budget=400), channel, seed=1)
+    assert outcome.key_length >= capped.key_length > 0
+    objective = optimizer._Objective(spec, channel)
+    point, _ = optimizer._coordinate_descent(objective, outcome.point)
+    assert point == outcome.point
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_refusal_of_every_candidate_names_the_same_length_at_any_seed(channel_10km, seed):
+    """The search raises the first refusal, the centre start's, so the
+    reported correlation length does not depend on the drawn starts."""
+    model = CorrelationModel(delta_1=0.05, decay_C=1e-7, truncation_d=1e-12)
+    spec = OptimizationSpec(N=10**9, eps_pe_target=2e-10, correlation=model)
+    with pytest.raises(ConfigError) as raised:
+        optimize_params(spec, channel_10km, seed=seed)
+    assert str(raised.value) == ("decay_C=1e-07 with delta_1=0.05 and l_c=506638544 makes the "
+                                 "coin bound compute more than 100000 lags")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
@@ -204,9 +237,9 @@ def test_objective_certifies_builtin_floats(monkeypatch, channel_10km, model):
         return evaluate_pipeline(observed, config, *args, **kwargs)
 
     monkeypatch.setattr(optimizer, "evaluate_pipeline", recording)
-    # budget enough to search the uniform starts too; the second distance is
-    # also started from the first one's winner
-    spec = OptimizationSpec(N=10**9, budget=120, coordinate_passes=1, correlation=model)
+    # budget enough to search a uniform start after the centre one converges;
+    # the second distance is also started from the first one's winner
+    spec = OptimizationSpec(N=10**9, budget=400, correlation=model)
     scan_distance(spec, channel_10km, [10.0, 30.0], seed=1)
     assert len(configs) > spec.budget
     for config in configs:
@@ -270,7 +303,7 @@ def test_winner_spends_its_failure_target(channel_10km, model):
 
 def test_optimizer_degenerate_channel_reports_zero_key():
     dead = ChannelModel(distance_km=3000.0)  # ~ 600 dB of fiber
-    spec = OptimizationSpec(N=10**6, budget=20, restarts=1, coordinate_passes=1)
+    spec = OptimizationSpec(N=10**6, budget=20, restarts=1)
     outcome = optimize_params(spec, dead, seed=2)
     assert outcome.key_length == 0
     assert outcome.zero_key_everywhere
