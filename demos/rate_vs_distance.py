@@ -12,7 +12,7 @@ from corrbb84.simulator import ChannelModel
 
 
 def main():
-    spec = OptimizationSpec(N=10**9, budget=150, restarts=2)
+    spec = OptimizationSpec(N=10**9, budget=150)
     channel = ChannelModel(distance_km=0.0)
     distances = [0.0, 10.0, 20.0, 40.0, 60.0, 80.0]
     print(f"searching {len(distances)} distances, "

@@ -11,8 +11,10 @@ spelled out, and a key outside its section's ``SECTION_KEYS``, a value not of
 its kind there, or a key given twice in one object, is refused in every section
 present, whichever command reads it.
 Every output embeds a run manifest (tool version, config hash, seeds,
-bound-algorithm id, RNG id, timestamp); for fixed (config, seed, version) the
-numeric sections are byte-identical across runs -- only the timestamp varies.
+bound-algorithm id, RNG id, timestamp); for a fixed config, seed, version and
+command line (``--budget``, ``--distances``, ``--mode``; the manifest hashes
+only the config) the numeric sections are byte-identical across runs -- only
+the timestamp varies.
 The RNG id of ``optimize`` and ``scan`` is ``python-mt19937`` (their starts'
 ``random.Random``), else ``numpy-pcg64``. Subcommands import the simulator,
 optimizer and oracle suites only when they run; only a sample or an oracle
@@ -80,7 +82,7 @@ SECTION_KEYS = {
     "channel": dict.fromkeys(("distance_km", "f_EC", "attenuation_db_per_km",
                               "detector_efficiency", "dark_count_prob", "misalignment"), float),
     "correlations": {"delta_1": float, "decay_C": float, "l_c_eff": int},
-    "optimizer": {"eps_pe_target": float, "budget": int, "restarts": int},
+    "optimizer": {"eps_pe_target": float},
 }
 # the arguments that name an output file
 OUTPUT_ARGS = ("out", "counts_out", "truth_out")
@@ -437,17 +439,16 @@ def parse_distances(spec: str) -> list[float]:
 
 
 def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpec:
-    """The search's own settings from the ``optimizer`` section; ``v``,
-    ``eps_PA`` and ``eps_EV`` are the protocol's, which it holds fixed."""
+    """``eps_pe_target`` from the ``optimizer`` section, the budget from
+    ``--budget``, and the protocol's ``v``, ``eps_PA`` and ``eps_EV``, held fixed."""
     from .optimizer import OptimizationSpec
-    overrides = dict(data.get("optimizer", {}))
-    if args.budget is not None:
-        overrides["budget"] = args.budget
     epsilons = config.epsilon_budget
     return OptimizationSpec(
         N=config.N, v=float(config.intensity_set.v),
         eps_PA=epsilons.eps_PA, eps_EV=epsilons.eps_EV,
-        correlation=parse_correlations(data, config), f_EC=parse_f_ec(data), **overrides,
+        correlation=parse_correlations(data, config), f_EC=parse_f_ec(data),
+        budget=OptimizationSpec.budget if args.budget is None else args.budget,
+        **data.get("optimizer", {}),
     )
 
 

@@ -2,7 +2,8 @@
 
 Coordinate descent with golden-section line searches over box bounds, in
 passes until one improves nothing (the evaluation budget is the one bound on
-work), restarted from the centre of the box and from seeded uniform points.
+work), restarted from the centre of the box and from ``DRAWN_STARTS`` seeded
+uniform points.
 The objective is the key length of the expected-value pipeline
 (deterministic counts; sampled counts would make the objective noisy), so a
 fixed (spec, seed) pair yields a reproducible trajectory and result. Where
@@ -70,8 +71,9 @@ BOXES = (
 LINE_SEARCH_TOL = 5e-3
 # one point of the search: a plain float per PARAM_NAMES entry
 Candidate = tuple[float, ...]
-# every restart's start point is drawn up front, so a larger count is a typo
-MAX_RESTARTS = 10_000
+# uniform starts searched after the centre one, drawn from the search's seed;
+# they add key only where the budget outlasts the centre start's descent
+DRAWN_STARTS = 4
 # the generator of the drawn starts, as the CLI's manifest names it
 RNG_ALGORITHM = "python-mt19937"
 
@@ -87,7 +89,6 @@ class OptimizationSpec:
     correlation: CorrelationModel | None = None
     f_EC: float = DEFAULT_F_EC
     budget: int = 400
-    restarts: int = 5
 
 
 def validate_optimization(spec: OptimizationSpec) -> list[str]:
@@ -95,13 +96,7 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
     epsilons and ``f_EC`` follow their owners' rules in ``model`` and
     ``keyrate``; the ``v`` and ``eps_pe_target`` rules leave some candidate
     feasible and give every one a positive concentration budget."""
-    problems = [
-        f"{name} must be >= 1, got {getattr(spec, name)}"
-        for name in ("budget", "restarts")
-        if not getattr(spec, name) >= 1
-    ]
-    if not spec.restarts <= MAX_RESTARTS:
-        problems.append(f"restarts must be at most {MAX_RESTARTS}, got {spec.restarts}")
+    problems = [] if spec.budget >= 1 else [f"budget must be >= 1, got {spec.budget}"]
     if not 0.0 <= spec.v < BOXES[1][1]:
         problems.append(f"v must lie in [0, {BOXES[1][1]}), below the top of the box of w, "
                         f"got {spec.v}")
@@ -290,12 +285,12 @@ def _center_start() -> Candidate:
     return (s, s / 4.0, 0.7, 0.5, p_keep, 0.5, 1.0 / 3.0)
 
 
-def _initial_points(spec: OptimizationSpec, seed: int) -> list[Candidate]:
-    """The centre start, then restarts - 1 points drawn uniformly from the box
-    by ``random.Random(seed)``."""
+def _initial_points(seed: int) -> list[Candidate]:
+    """The centre start, then ``DRAWN_STARTS`` points drawn uniformly from the
+    box by ``random.Random(seed)``."""
     draw = random.Random(seed).random
     return [_center_start()] + [
-        tuple(lo + draw() * (hi - lo) for lo, hi in BOXES) for _ in range(spec.restarts - 1)
+        tuple(lo + draw() * (hi - lo) for lo, hi in BOXES) for _ in range(DRAWN_STARTS)
     ]
 
 
@@ -325,7 +320,7 @@ def optimize_params(
     require(validate_optimization(spec))
     objective = _Objective(spec, channel)
     starts = [tuple(map(float, p)) for p in (extra_starts or [])]
-    starts.extend(_initial_points(spec, seed))
+    starts.extend(_initial_points(seed))
     best_point, best_score = None, -math.inf
     for start in starts:
         if objective.remaining() <= 0:

@@ -6,7 +6,9 @@ delta_1 0.05, decay_C 1, d 1e-12 at eps_pe_target 2e-10, v = 0) and seeds
 1-5, at N = 1e9 on the reference channel.
 Each cell is one ``optimize_params`` call with no warm start, so a change to
 the search (its coordinates, boxes, starts or stopping rule) shows as a
-per-cell and a summed key. The grid runs at budgets 100 and 400; the whole
+per-cell and a summed key. For each budget and setting the report also
+counts the distances whose key differs across the seeds, which move only the
+search's drawn starts. The grid runs at budgets 100 and 400; the whole
 report takes a few seconds.
 
 Run it from the repository root; it is a script, not a pytest module:
@@ -63,6 +65,11 @@ def report() -> list[str]:
             for seed in SEEDS:
                 row = " ".join(f"{keys[name, seed, d]:>10}" for d in DISTANCES_KM)
                 lines.append(f"{name:<13} {seed:>4} {row}")
+        moved = ", ".join(
+            f"{name} {sum(len({keys[name, s, d] for s in SEEDS}) > 1 for d in DISTANCES_KM)}"
+            for name in SETTINGS)
+        lines.append(f"distances whose key differs across seeds {SEEDS[0]}-{SEEDS[-1]} "
+                     f"(of {len(DISTANCES_KM)}): {moved}")
         lines.append(f"summed key at budget {budget}: {sum(keys.values())}")
     return lines
 

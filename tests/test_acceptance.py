@@ -267,7 +267,6 @@ CLI_CONFIG = {
         "eps_PA": 1e-10, "eps_EV": 1e-10, "d": 0.0,
     },
     "channel": {"distance_km": 10.0},
-    "optimizer": {"budget": 10, "restarts": 1},
 }
 
 
@@ -325,13 +324,13 @@ def test_criterion_9_determinism(command, tmp_path):
             outputs.append(_numeric_json(out))
         elif command == "optimize":
             out = tmp_path / f"best_{attempt}.json"
-            _run_cli(["optimize", "--config", str(config), "--seed", "3",
+            _run_cli(["optimize", "--config", str(config), "--seed", "3", "--budget", "10",
                       "--out", str(out)], tmp_path)
             outputs.append(_numeric_json(out))
         elif command == "scan":
             out = tmp_path / f"scan_{attempt}.csv"
             _run_cli(["scan", "--config", str(config), "--distances", "0:20:10",
-                      "--seed", "1", "--out", str(out)], tmp_path)
+                      "--seed", "1", "--budget", "10", "--out", str(out)], tmp_path)
             outputs.append(_numeric_lines(out))
         else:
             stdout = _run_cli(["validate", "--level", "quick", "--seed", "7"], tmp_path)

@@ -349,12 +349,11 @@ def test_over_budget_epsilons_exit_2(tmp_path, capsys):
 def test_scan_row_count(config_path, tmp_path):
     out = tmp_path / "scan.csv"
     config = json.loads(json.dumps(BASE_CONFIG))
-    config["optimizer"] = {"budget": 4, "restarts": 1}
     path = tmp_path / "scan_config.json"
     path.write_text(json.dumps(config))
     assert main([
         "scan", "--config", str(path), "--distances", "0:100:10",
-        "--seed", "1", "--out", str(out),
+        "--seed", "1", "--budget", "4", "--out", str(out),
     ]) == 0
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert len(lines) == 1 + 11  # header + one row per distance
@@ -363,10 +362,10 @@ def test_scan_row_count(config_path, tmp_path):
 def test_optimize_writes_result(config_path, tmp_path):
     out = tmp_path / "best.json"
     config = json.loads(json.dumps(BASE_CONFIG))
-    config["optimizer"] = {"budget": 30, "restarts": 1}
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(path), "--seed", "2", "--out", str(out)]) == 0
+    assert main(["optimize", "--config", str(path), "--seed", "2", "--budget", "30",
+                 "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["result"]["key_length"] > 0
     assert payload["result"]["evaluations"] <= 30
@@ -379,11 +378,11 @@ def test_optimize_positive_vacuum_intensity_exits_0(tmp_path, seed):
     config = json.loads(json.dumps(BASE_CONFIG))
     config["channel"]["distance_km"] = 0.0
     config["protocol"]["intensities"] = {"s": 0.6, "w": 0.3, "v": 0.2}
-    config["optimizer"] = {"budget": 150}
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "best.json"
-    assert main(["optimize", "--config", str(path), "--seed", seed, "--out", str(out)]) == 0
+    assert main(["optimize", "--config", str(path), "--seed", seed, "--budget", "150",
+                 "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
     assert result["evaluations"] <= 150
     params = result["params"]
@@ -395,11 +394,11 @@ def test_optimize_uses_channel_f_ec(tmp_path):
     for f_ec in (1.16, 2.0):
         config = json.loads(json.dumps(BASE_CONFIG))
         config["channel"]["f_EC"] = f_ec
-        config["optimizer"] = {"budget": 30, "restarts": 1}
         path = tmp_path / f"opt_{f_ec}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{f_ec}.json"
-        assert main(["optimize", "--config", str(path), "--seed", "2", "--out", str(out)]) == 0
+        assert main(["optimize", "--config", str(path), "--seed", "2", "--budget", "30",
+                     "--out", str(out)]) == 0
         keys[f_ec] = json.loads(out.read_text())["result"]["key_length"]
     assert 0 < keys[2.0] < keys[1.16]
 
@@ -545,6 +544,11 @@ MALFORMED_MESSAGES = {
     "l_c_eff_below_every_candidate_optimize": "l_c_eff=5 below the required truncation length",
     "l_c_eff_below_every_candidate_scan": "l_c_eff=5 below the required truncation length",
     "optimizer_v_with_keyrate": "unknown field optimizer.v",
+    "optimizer_budget_text": "unknown field optimizer.budget",
+    "optimizer_budget_zero": "unknown field optimizer.budget",
+    "optimizer_restarts_fraction": "unknown field optimizer.restarts",
+    "optimizer_restarts_zero": "unknown field optimizer.restarts",
+    "optimizer_restarts_beyond_cap": "unknown field optimizer.restarts",
     "optimizer_not_object_with_keyrate": "config.optimizer must be a JSON object, got 3",
     "correlations_key_unknown_simulate": "unknown field correlations.bogus",
     "N_beyond_int64_sampled": N_BEYOND_INT64,
@@ -775,6 +779,13 @@ def test_budget_flag_below_1_exits_2(config_path, tmp_path, capsys, command, bud
     assert "budget must be >= 1" in capsys.readouterr().err
 
 
+def test_optimize_without_budget_flag_spends_the_default_budget(config_path, capsys):
+    """``--budget`` alone sets the budget; without it the search spends the
+    spec's default of 400 evaluations."""
+    assert main(["optimize", "--config", config_path]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["evaluations"] == 400
+
+
 def test_top_level_not_object_exits_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -814,11 +825,11 @@ def test_optimize_honours_explicit_length(tmp_path):
         config["correlations"] = {"delta_1": 0.05, "decay_C": 1.0}
         if l_c_eff is not None:
             config["correlations"]["l_c_eff"] = l_c_eff
-        config["optimizer"] = {"budget": 30, "restarts": 1}
         path = tmp_path / f"opt_{l_c_eff}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{l_c_eff}.json"
-        assert main(["optimize", "--config", str(path), "--seed", "2", "--out", str(out)]) == 0
+        assert main(["optimize", "--config", str(path), "--seed", "2", "--budget", "30",
+                     "--out", str(out)]) == 0
         keys[l_c_eff] = json.loads(out.read_text())["result"]["key_length"]
     # the derived length is about 35; at 400 the smaller eps_C share and the
     # wider trash bound cost key

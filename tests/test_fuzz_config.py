@@ -44,10 +44,10 @@ FIELDS = (
                                    "detector_efficiency", "dark_count_prob",
                                    "misalignment", "f_EC")),
     *(f"correlations.{key}" for key in ("delta_1", "decay_C", "l_c_eff")),
-    *(f"optimizer.{key}" for key in ("eps_pe_target", "budget", "restarts")),
+    "optimizer.eps_pe_target",
 )
 # the fields that hold a whole number
-WHOLE_FIELDS = ("protocol.N", "correlations.l_c_eff", "optimizer.budget", "optimizer.restarts")
+WHOLE_FIELDS = ("protocol.N", "correlations.l_c_eff")
 # each field with each value of the wrong kind for it: 2.5 only for a whole-number one
 WRONG_KINDS = tuple(
     (field, value) for field in FIELDS

@@ -104,7 +104,7 @@ def test_optimizer_calls_expected_counts_once_before_each_evaluation(
 
     for name in ("expected_counts", "evaluate_pipeline"):
         monkeypatch.setattr(optimizer, name, logged(name, getattr(optimizer, name)))
-    spec = optimizer.OptimizationSpec(N=10**9, correlation=model, budget=40, restarts=2)
+    spec = optimizer.OptimizationSpec(N=10**9, correlation=model, budget=40)
     outcome = optimizer.optimize_params(spec, channel_10km, seed=1)
     assert outcome.evaluations == 40 and outcome.result is not None
     assert log == ["expected_counts", "evaluate_pipeline"] * (outcome.evaluations + 1)

@@ -5,7 +5,9 @@ correlation, 1% more rounds with the same counts, one more Z error at the
 signal intensity, or one more sifted detection (in a trash round, or in the
 key basis at the signal intensity) leaves ``key_length`` where it was or
 lowers it. The last relation is the one that sees a flipped sign of the
-signal weight in the decoy lower bound.
+signal weight in the decoy lower bound. The other way round, ten times the
+rounds with ten times every count does not lower the key per round: the
+observed rates are the same, and every finite-size penalty shrinks.
 
 Each record draws an intensity set with s > w + v and its probabilities, N
 from 1e7 to 1e11, each epsilon from 1e-14 to 1e-5, a correlation model in 70%
@@ -21,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrbb84.correlations import CorrelationModel, effective_length, required_truncation_length
+from corrbb84.counts import CountTriple
 from corrbb84.keyrate import evaluate_pipeline
 from corrbb84.model import EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity
 from corrbb84.simulator import ChannelModel, expected_counts, sample_counts
@@ -82,27 +85,28 @@ def _more_lags(extra):
     return relate
 
 
+def _long_enough(model, config):
+    """An explicit length raised to the one ``model`` requires at ``config``'s
+    N."""
+    if model is not None and model.l_c_eff:
+        needed = required_truncation_length(config.N, mean_intensity(config.intensity_set), model)
+        model = replace(model, l_c_eff=max(model.l_c_eff, needed))
+    return model
+
+
 def _more_rounds(observed, config, model):
     """N raised by 1% with the same counts: the added rounds saw no
     detection. An explicit length is raised to the one the larger N
     requires, which can only lower the key further."""
     more = replace(config, N=round(1.01 * config.N))
-    if model is not None and model.l_c_eff:
-        needed = required_truncation_length(more.N, mean_intensity(config.intensity_set), model)
-        model = replace(model, l_c_eff=max(model.l_c_eff, needed))
-    return observed, more, model
+    return observed, more, _long_enough(model, more)
 
 
 def _stronger_correlation(observed, config, model):
     """delta_1 raised by half; an explicit length is raised to the one the
     stronger model requires, which can only lower the key further."""
     assume(model is not None)
-    stronger = replace(model, delta_1=1.5 * model.delta_1)
-    if stronger.l_c_eff:
-        needed = required_truncation_length(config.N, mean_intensity(config.intensity_set),
-                                            stronger)
-        stronger = replace(stronger, l_c_eff=max(stronger.l_c_eff, needed))
-    return observed, config, stronger
+    return observed, config, _long_enough(replace(model, delta_1=1.5 * model.delta_1), config)
 
 
 def _one_more_z_error_at_s(observed, config, model):
@@ -145,3 +149,24 @@ def test_key_does_not_rise(relation, record):
     before = evaluate_pipeline(*record).key_length
     after = evaluate_pipeline(*RELATIONS[relation](*record)).key_length
     assert after <= before
+
+
+def _tenfold(observed, config, model):
+    """N and every count ten times larger; an explicit length is raised to
+    the one the larger N requires, as in ``_more_rounds``."""
+    def scaled(triple):
+        return CountTriple(*(10 * count for count in triple))
+
+    more = replace(config, N=10 * config.N)
+    counts = replace(observed, z_det=scaled(observed.z_det), z_err=scaled(observed.z_err),
+                     x_det=scaled(observed.x_det), x_err=scaled(observed.x_err),
+                     n_sifted_det=10 * observed.n_sifted_det)
+    return counts, more, _long_enough(model, more)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(record=records())
+def test_key_per_round_does_not_fall_when_rounds_and_counts_grow_tenfold(record):
+    before = evaluate_pipeline(*record).key_length
+    after = evaluate_pipeline(*_tenfold(*record)).key_length
+    assert after >= 10 * before

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -32,7 +33,16 @@ from corrbb84.validation import reference_channel, reference_config
 
 # small budgets keep the search cheap; the objective itself is deterministic.
 # N must be large: the finite-size penalties zero out the key below ~1e9
-FAST = dict(N=10**9, budget=60, restarts=2)
+FAST = dict(N=10**9, budget=60)
+
+
+def _drawn_points(seed: int, count: int) -> list:
+    """The centre start, then count - 1 points drawn from the box in the order
+    the search draws its starts, so the first 1 + DRAWN_STARTS are its starts."""
+    draw = random.Random(seed).random
+    return [_center_start()] + [
+        tuple(lo + draw() * (hi - lo) for lo, hi in BOXES) for _ in range(count - 1)
+    ]
 
 
 def test_infeasible_candidates_are_rejected():
@@ -88,7 +98,7 @@ def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
         return built[-1]
 
     monkeypatch.setattr(optimizer, "ProtocolConfig", recording)
-    points = _initial_points(replace(spec, restarts=64), seed=3)
+    points = _drawn_points(3, 64)
     # ordering and decoy-solvability edges of the centre start
     center = _center_start()
     points += [(0.1, 0.2) + center[2:], (0.3, 0.3) + center[2:], (0.5, 0.3) + center[2:]]
@@ -117,7 +127,7 @@ def test_pipeline_refusals_score_minus_inf_and_spend_budget(monkeypatch, channel
             raise
 
     monkeypatch.setattr(optimizer, "evaluate_pipeline", counted)
-    spec = OptimizationSpec(N=1000, eps_pe_target=1 - 2**-53, budget=100, restarts=3)
+    spec = OptimizationSpec(N=1000, eps_pe_target=1 - 2**-53, budget=100)
     outcome = optimize_params(spec, channel_10km, seed=1)
     assert outcome.evaluations == spec.budget
     assert refused
@@ -127,7 +137,8 @@ def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel
     """At eps_pe_target 1e-308 every candidate is refused, so s keeps its
     0.005 start, below the weak intensity's box, whose top of 0.99 s then
     lies under its floor: that start's pass searches every coordinate but w,
-    and the centre start's pass, with s mid-box, searches all seven."""
+    and the passes of the centre start, with s mid-box, and of the four drawn
+    starts search all seven."""
     real, searched = optimizer._golden_section, []
 
     def recorded(objective, candidate, coord, lo, hi):
@@ -135,13 +146,13 @@ def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel
         return real(objective, candidate, coord, lo, hi)
 
     monkeypatch.setattr(optimizer, "_golden_section", recorded)
-    spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=60, restarts=1)
-    outcome = optimize_params(spec, channel_10km,
+    spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=60)
+    outcome = optimize_params(spec, channel_10km, seed=0,
                               extra_starts=[(0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3)])
     assert outcome.evaluations == 0
-    centre = _center_start()[0]
+    starts = _drawn_points(0, 5)  # the centre start and the four drawn ones
     assert searched == ([(coord, 0.005) for coord in (0, 2, 3, 4, 5, 6)]
-                        + [(coord, centre) for coord in range(len(BOXES))])
+                        + [(coord, start[0]) for start in starts for coord in range(len(BOXES))])
 
 
 def test_refused_candidates_spend_no_budget():
@@ -150,7 +161,7 @@ def test_refused_candidates_spend_no_budget():
     improves either, so each descent stops after one pass however large the
     budget."""
     for budget in (20, 10**6):
-        spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=budget, restarts=2)
+        spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=budget)
         started = time.perf_counter()
         outcome = optimize_params(spec, reference_channel(10.0), seed=1)
         assert time.perf_counter() - started < 1.0
@@ -164,7 +175,7 @@ def test_descent_stops_when_a_pass_improves_nothing(v, distance):
     descent: well under budget, at a key no lower than a budget of 400 finds,
     and at a point from which one more pass improves nothing (at v = 0.1 and
     30 km the fourth pass still gains)."""
-    spec = OptimizationSpec(N=10**9, v=v, budget=10**6, restarts=1)
+    spec = OptimizationSpec(N=10**9, v=v, budget=10**6)
     channel = reference_channel(distance)
     outcome = optimize_params(spec, channel, seed=1)
     assert outcome.evaluations < 5_000
@@ -252,10 +263,10 @@ def test_numpy_and_float_candidates_certify_identically(model, distance):
     """A configuration with numpy.float64 fields and one with the same
     values as builtin floats certify bit for bit alike, so keeping the
     search on plain floats moves no output."""
-    spec = OptimizationSpec(N=10**9, correlation=model, restarts=64)
+    spec = OptimizationSpec(N=10**9, correlation=model)
     channel = reference_channel(distance)
     feasible = 0
-    for candidate in _initial_points(spec, seed=11):
+    for candidate in _drawn_points(11, 64):
         as_floats = _build_config(candidate, spec, {})
         as_numpy = _build_config(np.array(candidate), spec, {})
         assert (as_floats is None) == (as_numpy is None)
@@ -303,7 +314,7 @@ def test_winner_spends_its_failure_target(channel_10km, model):
 
 def test_optimizer_degenerate_channel_reports_zero_key():
     dead = ChannelModel(distance_km=3000.0)  # ~ 600 dB of fiber
-    spec = OptimizationSpec(N=10**6, budget=20, restarts=1)
+    spec = OptimizationSpec(N=10**6, budget=20)
     outcome = optimize_params(spec, dead, seed=2)
     assert outcome.key_length == 0
     assert outcome.zero_key_everywhere
@@ -336,19 +347,17 @@ def test_scan_monotone_and_warm_start(channel_10km):
         )
 
 
-@pytest.mark.parametrize("restarts", [1, 2, 5, 64])
-def test_initial_points_are_seeded_uniform_starts_in_the_box(restarts):
-    spec = OptimizationSpec(N=10**9, restarts=restarts)
-    points = _initial_points(spec, seed=7)
-    assert len(points) == restarts
-    assert points[0] == _center_start()
+@pytest.mark.parametrize("seed", [1, 2, 5, 64])
+def test_initial_points_are_seeded_uniform_starts_in_the_box(seed):
+    points = _initial_points(seed)
+    assert len(points) == 1 + optimizer.DRAWN_STARTS == 5
+    assert points == _drawn_points(seed, len(points))
     for point in points:
         assert len(point) == len(BOXES)
         for value, (lo, hi) in zip(point, BOXES):
             assert type(value) is float and lo <= value <= hi
-    assert _initial_points(spec, seed=7) == points
-    if restarts > 1:
-        assert _initial_points(spec, seed=8)[1:] != points[1:]
+    assert _initial_points(seed) == points
+    assert _initial_points(seed + 1)[1:] != points[1:]
 
 
 def test_import_leaves_scipy_unloaded():
@@ -484,8 +493,7 @@ def test_each_search_starts_with_empty_stage_memos(monkeypatch, channel_10km):
     """No stage outlives its search: a second search in the same process
     starts from empty dicts and builds its own intensity sets."""
     calls = _record_searches(monkeypatch)
-    spec = OptimizationSpec(N=10**9, correlation=CorrelationModel(0.05, 1.0, 1e-12), budget=30,
-                            restarts=2)
+    spec = OptimizationSpec(N=10**9, correlation=CorrelationModel(0.05, 1.0, 1e-12), budget=30)
     first = optimize_params(spec, channel_10km, seed=1)
     searches = [calls[:first.evaluations]]
     second = optimize_params(spec, channel_10km, seed=1)
