@@ -438,28 +438,30 @@ def parse_distances(spec: str) -> list[float]:
     return values
 
 
-def _optimizer_spec(data: dict, config: ProtocolConfig, args) -> OptimizationSpec:
-    """``eps_pe_target`` from the ``optimizer`` section, the budget from
-    ``--budget``, and the protocol's ``v``, ``eps_PA`` and ``eps_EV``, held fixed."""
-    from .optimizer import OptimizationSpec
+def _search_inputs(args) -> tuple[OptimizationSpec, ChannelModel, dict]:
+    """The search spec, channel and manifest of ``optimize`` and ``scan``: the
+    spec takes ``eps_pe_target`` from the ``optimizer`` section, the budget
+    from ``--budget``, and the protocol's ``v``, ``eps_PA`` and ``eps_EV``,
+    held fixed."""
+    from .optimizer import RNG_ALGORITHM as SEARCH_RNG, OptimizationSpec
+    data, text = load_config(args.config)
+    config = parse_protocol(data)
+    channel = parse_channel(data)
     epsilons = config.epsilon_budget
-    return OptimizationSpec(
+    spec = OptimizationSpec(
         N=config.N, v=float(config.intensity_set.v),
         eps_PA=epsilons.eps_PA, eps_EV=epsilons.eps_EV,
         correlation=parse_correlations(data, config), f_EC=parse_f_ec(data),
         budget=OptimizationSpec.budget if args.budget is None else args.budget,
         **data.get("optimizer", {}),
     )
+    return spec, channel, make_manifest(text, args.seed, SEARCH_RNG)
 
 
 def cmd_scan(args) -> int:
-    from .optimizer import RNG_ALGORITHM as SEARCH_RNG, scan_distance
+    from .optimizer import scan_distance
     from .simulator import validate_channel
-    data, text = load_config(args.config)
-    config = parse_protocol(data)
-    channel = parse_channel(data)
-    spec = _optimizer_spec(data, config, args)
-    manifest = make_manifest(text, args.seed, SEARCH_RNG)
+    spec, channel, manifest = _search_inputs(args)
     distances = parse_distances(args.distances)
     for distance in distances:
         require(validate_channel(dataclasses.replace(channel, distance_km=distance)))
@@ -479,12 +481,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .optimizer import RNG_ALGORITHM as SEARCH_RNG, optimize_params
-    data, text = load_config(args.config)
-    config = parse_protocol(data)
-    channel = parse_channel(data)
-    spec = _optimizer_spec(data, config, args)
-    manifest = make_manifest(text, args.seed, SEARCH_RNG)
+    from .optimizer import optimize_params
+    spec, channel, manifest = _search_inputs(args)
     outcome = optimize_params(spec, channel, seed=args.seed)
     payload = {
         "manifest": manifest,

@@ -1,9 +1,13 @@
 """Derivative-free maximization of the certified key length.
 
 Coordinate descent with golden-section line searches over box bounds, in
-passes until one improves nothing (the evaluation budget is the one bound on
-work), restarted from the centre of the box and from ``DRAWN_STARTS`` seeded
-uniform points.
+passes until one improves nothing, restarted from the centre of the box and
+from ``DRAWN_STARTS`` seeded uniform points. The search's ``_Objective`` alone
+knows the evaluation budget, the one bound on work: the evaluation that would
+exceed it raises instead, which ends the search wherever it is. It alone keeps
+the best point too: each descent moves from the first candidate to reach its
+top score, and the search returns the first candidate to reach the top score
+of all it evaluated.
 The objective is the key length of the expected-value pipeline
 (deterministic counts; sampled counts would make the objective noisy), so a
 fixed (spec, seed) pair yields a reproducible trajectory and result. Where
@@ -44,6 +48,7 @@ without any memo.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -96,7 +101,10 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
     epsilons and ``f_EC`` follow their owners' rules in ``model`` and
     ``keyrate``; the ``v`` and ``eps_pe_target`` rules leave some candidate
     feasible and give every one a positive concentration budget."""
-    problems = [] if spec.budget >= 1 else [f"budget must be >= 1, got {spec.budget}"]
+    if isinstance(spec.budget, bool) or not isinstance(spec.budget, int):
+        problems = [f"budget must be a whole number of evaluations, got {spec.budget!r}"]
+    else:
+        problems = [] if spec.budget >= 1 else [f"budget must be >= 1, got {spec.budget}"]
     if not 0.0 <= spec.v < BOXES[1][1]:
         problems.append(f"v must lie in [0, {BOXES[1][1]}), below the top of the box of w, "
                         f"got {spec.v}")
@@ -160,6 +168,10 @@ def _score(result: KeyRateResult) -> float:
     return result.key_length if result.key_length > 0 else -result.e_ph_upper
 
 
+class _Spent(Exception):
+    """An evaluation the budget has no room for; it ends the search."""
+
+
 @dataclass
 class _Objective:
     spec: OptimizationSpec
@@ -170,9 +182,10 @@ class _Objective:
     decoy: dict = field(default_factory=dict)  # see decoy_bounds
     coin: dict = field(default_factory=dict)  # see coin_parameter
     refusal: ConfigError | None = None  # effective_length's first refusal
-
-    def remaining(self) -> int:
-        return self.spec.budget - self.evaluations
+    # (candidate, score): the first candidate to reach the top score of the
+    # current descent, which resets it, and of the whole search
+    best: tuple = (None, -math.inf)
+    winner: tuple = (None, -math.inf)
 
     def decoy_bounds(self, observed: ObservedCounts, config: ProtocolConfig) -> DecoyBounds:
         """The decoy stage, keyed by every input it reads: the z_det, x_det and
@@ -195,53 +208,49 @@ class _Objective:
         return coin_param
 
     def __call__(self, candidate: Candidate) -> float:
-        if candidate in self.cache:
-            return self.cache[candidate]
-        try:
-            config = _build_config(candidate, self.spec, self.intensity_sets)
-        except ConfigError as exc:
-            if self.refusal is None:
-                self.refusal = exc
-            return -math.inf
-        if config is None:
-            return -math.inf
-        if self.remaining() <= 0:
-            # exhausted: score as no-improvement instead of spending
-            return -math.inf
-        self.evaluations += 1
-        try:
-            observed, _ = expected_counts(config, self.channel)
-            result = evaluate_pipeline(
-                observed, config, self.spec.correlation, f_EC=self.spec.f_EC, stages=self
-            )
-            score = _score(result)
-        except ConfigError:
-            score = -math.inf
-        self.cache[candidate] = score
+        """The candidate's score, which ``best`` and ``winner`` take when it
+        beats theirs; raises ``_Spent`` rather than evaluate past the budget.
+        An infeasible candidate scores -inf, which beats nothing."""
+        score = self.cache.get(candidate)
+        if score is None:
+            try:
+                config = _build_config(candidate, self.spec, self.intensity_sets)
+            except ConfigError as exc:
+                self.refusal = self.refusal or exc
+                return -math.inf
+            if config is None:
+                return -math.inf
+            if self.evaluations >= self.spec.budget:
+                raise _Spent
+            self.evaluations += 1
+            try:
+                observed, _ = expected_counts(config, self.channel)
+                score = _score(evaluate_pipeline(observed, config, self.spec.correlation,
+                                                 f_EC=self.spec.f_EC, stages=self))
+            except ConfigError:
+                score = -math.inf
+            self.cache[candidate] = score
+        if score > self.best[1]:
+            self.best = candidate, score
+        if score > self.winner[1]:
+            self.winner = candidate, score
         return score
 
 
 def _golden_section(
-    objective: _Objective,
-    candidate: Candidate,
-    coord: int,
-    lo: float,
-    hi: float,
-) -> tuple[Candidate, float]:
-    """Maximize along one coordinate; returns the best (point, score) seen,
-    the first of any tie."""
-    seen = [(candidate, objective(candidate))]
+    objective: _Objective, candidate: Candidate, coord: int, lo: float, hi: float
+) -> None:
+    """Maximize along one coordinate of ``candidate``; the objective keeps
+    the best point probed."""
 
     def probe(value: float) -> float:
-        point = candidate[:coord] + (value,) + candidate[coord + 1:]
-        seen.append((point, objective(point)))
-        return seen[-1][1]
+        return objective(candidate[:coord] + (value,) + candidate[coord + 1:])
 
     tol = LINE_SEARCH_TOL * (hi - lo)
     a, b = lo, hi
     c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
     fc, fd = probe(c), probe(d)
-    while b - a > tol and objective.remaining() > 0:
+    while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - INVPHI * (b - a)
@@ -250,30 +259,24 @@ def _golden_section(
             a, c, fc = c, d, fd
             d = a + INVPHI * (b - a)
             fd = probe(d)
-    return max(seen, key=lambda pair: pair[1])
 
 
-def _coordinate_descent(
-    objective: _Objective, start: Candidate
-) -> tuple[Candidate, float]:
-    current = start
-    current_score = objective(current)
-    improved = True
-    while improved:
-        improved = False
+def _coordinate_descent(objective: _Objective, start: Candidate) -> None:
+    """Passes of line searches, each from ``objective.best``, which starts
+    at ``start``, until a pass leaves its score where it was."""
+    objective.best = start, -math.inf
+    objective(start)
+    passed = None  # best's score when the last pass began
+    while objective.best[1] != passed:
+        passed = objective.best[1]
         for coord, (lo, hi) in enumerate(BOXES):
-            if objective.remaining() <= 0:
-                return current, current_score
+            current = objective.best[0]
             if coord == 1:
                 # keep the weak intensity's box below the current signal one
                 hi = min(hi, current[0] * 0.99)
                 if hi <= lo:
                     continue
-            point, score = _golden_section(objective, current, coord, lo, hi)
-            if score > current_score:
-                current, current_score = point, score
-                improved = True
-    return current, current_score
+            _golden_section(objective, current, coord, lo, hi)
 
 
 def _center_start() -> Candidate:
@@ -320,22 +323,18 @@ def optimize_params(
     require(validate_optimization(spec))
     objective = _Objective(spec, channel)
     starts = [tuple(map(float, p)) for p in (extra_starts or [])]
-    starts.extend(_initial_points(seed))
-    best_point, best_score = None, -math.inf
-    for start in starts:
-        if objective.remaining() <= 0:
-            break
-        point, score = _coordinate_descent(objective, start)
-        if score > best_score:
-            best_point, best_score = point, score
-    config = _build_config(best_point, spec, {}) if best_point is not None else None
-    if config is None:
+    with contextlib.suppress(_Spent):
+        for start in starts + _initial_points(seed):
+            _coordinate_descent(objective, start)
+    best_point, best_score = objective.winner
+    if best_point is None:
         if objective.evaluations == 0 and objective.refusal is not None:
             raise objective.refusal
         return OptimizationResult(
             params={}, key_length=0, result=None,
             evaluations=objective.evaluations,
         )
+    config = _build_config(best_point, spec, {})
     observed, _ = expected_counts(config, channel)
     result = evaluate_pipeline(observed, config, spec.correlation, f_EC=spec.f_EC)
     if _score(result) != best_score:

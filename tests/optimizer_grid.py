@@ -8,8 +8,9 @@ Each cell is one ``optimize_params`` call with no warm start, so a change to
 the search (its coordinates, boxes, starts or stopping rule) shows as a
 per-cell and a summed key. For each budget and setting the report also
 counts the distances whose key differs across the seeds, which move only the
-search's drawn starts. The grid runs at budgets 100 and 400; the whole
-report takes a few seconds.
+search's drawn starts, and sums the evaluations the cells spent, so a change
+to where the search stops shows even where no key moves. The grid runs at
+budgets 100 and 400; the whole report takes a few seconds.
 
 Run it from the repository root; it is a script, not a pytest module:
 
@@ -40,8 +41,9 @@ SETTINGS = {
 }
 
 
-def grid_keys(budget: int) -> dict[tuple[str, int, float], int]:
-    """(setting, seed, distance) -> the key length of that cell's search."""
+def grid_keys(budget: int) -> dict[tuple[str, int, float], tuple[int, int]]:
+    """(setting, seed, distance) -> the key length of that cell's search and
+    the evaluations it spent."""
     keys = {}
     for name, (model, eps_pe_target, v) in SETTINGS.items():
         spec = OptimizationSpec(N=N, v=v, eps_pe_target=eps_pe_target, correlation=model,
@@ -49,7 +51,7 @@ def grid_keys(budget: int) -> dict[tuple[str, int, float], int]:
         for seed in SEEDS:
             for distance in DISTANCES_KM:
                 outcome = optimize_params(spec, reference_channel(distance), seed=seed)
-                keys[name, seed, distance] = outcome.key_length
+                keys[name, seed, distance] = outcome.key_length, outcome.evaluations
     return keys
 
 
@@ -57,7 +59,8 @@ def report() -> list[str]:
     lines = []
     for budget in BUDGETS:
         started = time.perf_counter()
-        keys = grid_keys(budget)
+        cells = grid_keys(budget)
+        keys = {cell: key for cell, (key, _) in cells.items()}
         elapsed = time.perf_counter() - started
         lines.append(f"budget {budget} ({len(keys)} cells, {elapsed:.2f} s)")
         lines.append(f"{'setting':<13} {'seed':>4} " + " ".join(f"{d:>10.0f}" for d in DISTANCES_KM))
@@ -70,6 +73,10 @@ def report() -> list[str]:
             for name in SETTINGS)
         lines.append(f"distances whose key differs across seeds {SEEDS[0]}-{SEEDS[-1]} "
                      f"(of {len(DISTANCES_KM)}): {moved}")
+        spent = ", ".join(
+            f"{name} {sum(cells[name, s, d][1] for s in SEEDS for d in DISTANCES_KM)}"
+            for name in SETTINGS)
+        lines.append(f"summed evaluations at budget {budget}: {spent}")
         lines.append(f"summed key at budget {budget}: {sum(keys.values())}")
     return lines
 

@@ -182,8 +182,42 @@ def test_descent_stops_when_a_pass_improves_nothing(v, distance):
     capped = optimize_params(replace(spec, budget=400), channel, seed=1)
     assert outcome.key_length >= capped.key_length > 0
     objective = optimizer._Objective(spec, channel)
-    point, _ = optimizer._coordinate_descent(objective, outcome.point)
-    assert point == outcome.point
+    optimizer._coordinate_descent(objective, outcome.point)
+    assert objective.best[0] == outcome.point
+
+
+@pytest.mark.parametrize("spec, distance", [
+    (OptimizationSpec(N=10**9), 10.0),
+    (OptimizationSpec(N=10**9, v=0.1), 30.0),
+    (OptimizationSpec(N=10**9, eps_pe_target=2e-10,
+                      correlation=CorrelationModel(0.05, 1.0, 1e-12)), 40.0),
+], ids=["v_0_10km", "v_0.1_30km", "correlated_40km"])
+def test_budget_truncates_the_search(monkeypatch, spec, distance):
+    """A budget of b stops the search after the first b evaluations of one
+    that no budget binds, and it returns the best of those b scores."""
+    real, scores = optimizer.evaluate_pipeline, []
+
+    def scored(*args, **kwargs):
+        try:
+            result = real(*args, **kwargs)
+        except ConfigError:
+            scores.append(-math.inf)
+            raise
+        if kwargs.get("stages") is not None:  # not the winner's re-evaluation
+            scores.append(optimizer._score(result))
+        return result
+
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", scored)
+    channel = reference_channel(distance)
+    unbound = optimize_params(replace(spec, budget=10**6), channel, seed=1)
+    whole = scores[:]
+    assert len(whole) == unbound.evaluations > 1_900
+    for budget in (1, 2, 3, 17, 60, 245, 400, len(whole) - 1):
+        scores.clear()
+        outcome = optimize_params(replace(spec, budget=budget), channel, seed=1)
+        assert scores == whole[:budget]
+        assert outcome.evaluations == budget
+        assert optimizer._score(outcome.result) == max(whole[:budget])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -392,8 +426,10 @@ def test_winner_disagreement_raises(monkeypatch, channel_10km):
     ({"eps_PA": 5e-324}, "eps_PA must lie in (0, 1) with 1/eps_PA finite, got 5e-324"),
     ({"eps_pe_target": 1e-12, "correlation": CorrelationModel(0.05, 1.0, truncation_d=1e-12)},
      "eps_pe_target must exceed the correlation model's truncation_d=1e-12, got 1e-12"),
+    ({"budget": 2.5}, "budget must be a whole number of evaluations, got 2.5"),
+    ({"budget": True}, "budget must be a whole number of evaluations, got True"),
 ], ids=["f_ec_below_1", "f_ec_nan", "N_zero", "v_above_box", "eps_PA_inverse_overflows",
-        "eps_pe_target_at_d"])
+        "eps_pe_target_at_d", "budget_fractional", "budget_bool"])
 def test_invalid_spec_raises_before_any_evaluation(monkeypatch, channel_10km, edits, message):
     def never(*args, **kwargs):
         raise AssertionError("evaluated an invalid spec")
