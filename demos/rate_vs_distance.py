@@ -19,7 +19,7 @@ def main():
           f"budget {spec.budget} evaluations each\n")
     print(" km  | key length |    s    |    w    | p_keep | evals")
     print("-----+------------+---------+---------+--------+------")
-    for row in scan_distance(spec, channel, distances, seed=0):
+    for row in scan_distance(spec, channel, distances):
         s = row.get("param_s", float("nan"))
         w = row.get("param_w", float("nan"))
         pk = row.get("param_p_keep", float("nan"))

@@ -10,15 +10,15 @@ correlation parameter; the security epsilons carry no defaults and must be
 spelled out, and a key outside its section's ``SECTION_KEYS``, a value not of
 its kind there, or a key given twice in one object, is refused in every section
 present, whichever command reads it.
-Every output embeds a run manifest (tool version, config hash, seeds,
+Every output embeds a run manifest (tool version, config hash, seed,
 bound-algorithm id, RNG id, timestamp); for a fixed config, seed, version and
 command line (``--budget``, ``--distances``, ``--mode``; the manifest hashes
 only the config) the numeric sections are byte-identical across runs -- only
 the timestamp varies.
-The RNG id of ``optimize`` and ``scan`` is ``python-mt19937`` (their starts'
-``random.Random``), else ``numpy-pcg64``. Subcommands import the simulator,
-optimizer and oracle suites only when they run; only a sample or an oracle
-suite loads numpy.
+The RNG id is ``numpy-pcg64`` wherever the manifest holds a seed, and null
+where it holds none: ``optimize`` and ``scan`` take no ``--seed``, since their
+search draws nothing. Subcommands import the simulator, optimizer and oracle
+suites only when they run; only a sample or an oracle suite loads numpy.
 
 Each output file is claimed before the command's work, as a temporary
 beside it that replaces it only once the command has finished, so a failed
@@ -90,13 +90,14 @@ OUTPUT_ARGS = ("out", "counts_out", "truth_out")
 MAX_DISTANCES = 10_000
 
 
-def make_manifest(config_text: str, seed: int | None, rng_algorithm: str = RNG_ALGORITHM) -> dict:
+def make_manifest(config_text: str, seed: int | None) -> dict:
+    """The run manifest; it names the generator only where a seed drives one."""
     return {
         "version": __version__,
         "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": seed,
         "bound_algorithm": BOUND_ALGORITHM,
-        "rng_algorithm": rng_algorithm,
+        "rng_algorithm": None if seed is None else RNG_ALGORITHM,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
@@ -443,7 +444,7 @@ def _search_inputs(args) -> tuple[OptimizationSpec, ChannelModel, dict]:
     spec takes ``eps_pe_target`` from the ``optimizer`` section, the budget
     from ``--budget``, and the protocol's ``v``, ``eps_PA`` and ``eps_EV``,
     held fixed."""
-    from .optimizer import RNG_ALGORITHM as SEARCH_RNG, OptimizationSpec
+    from .optimizer import OptimizationSpec
     data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
@@ -455,7 +456,7 @@ def _search_inputs(args) -> tuple[OptimizationSpec, ChannelModel, dict]:
         budget=OptimizationSpec.budget if args.budget is None else args.budget,
         **data.get("optimizer", {}),
     )
-    return spec, channel, make_manifest(text, args.seed, SEARCH_RNG)
+    return spec, channel, make_manifest(text, None)
 
 
 def cmd_scan(args) -> int:
@@ -465,7 +466,7 @@ def cmd_scan(args) -> int:
     distances = parse_distances(args.distances)
     for distance in distances:
         require(validate_channel(dataclasses.replace(channel, distance_km=distance)))
-    rows = scan_distance(spec, channel, distances, seed=args.seed)
+    rows = scan_distance(spec, channel, distances)
     columns = ["distance_km", "key_length", "eps_sec", "evaluations"] + sorted(
         {key for row in rows for key in row if key.startswith("param_")}
     )
@@ -483,13 +484,13 @@ def cmd_scan(args) -> int:
 def cmd_optimize(args) -> int:
     from .optimizer import optimize_params
     spec, channel, manifest = _search_inputs(args)
-    outcome = optimize_params(spec, channel, seed=args.seed)
+    outcome = optimize_params(spec, channel)
     payload = {
         "manifest": manifest,
         "result": {
             "params": outcome.params,
             "key_length": outcome.key_length,
-            "eps_sec": outcome.result.eps_sec if outcome.result else None,
+            "eps_sec": outcome.result.eps_sec,
             "evaluations": outcome.evaluations,
             "zero_key_everywhere": outcome.zero_key_everywhere,
         },
@@ -539,14 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="optimized key length vs distance CSV")
     scan.add_argument("--config", required=True)
     scan.add_argument("--distances", required=True, help='"0:100:10" or "0,10,25"')
-    scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--budget", type=int, default=None)
     scan.add_argument("--out", required=True)
     scan.set_defaults(func=cmd_scan)
 
     optimize = sub.add_parser("optimize", help="optimize protocol parameters")
     optimize.add_argument("--config", required=True)
-    optimize.add_argument("--seed", type=int, default=0)
     optimize.add_argument("--budget", type=int, default=None)
     optimize.add_argument("--out", help="result JSON path (default: stdout)")
     optimize.set_defaults(func=cmd_optimize)
@@ -563,8 +562,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        seed = getattr(args, "seed", None)  # optimize and scan take none
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {seed}")
         with _claimed_outputs(args):
             status = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

@@ -1,18 +1,19 @@
 """Derivative-free maximization of the certified key length.
 
 Coordinate descent with golden-section line searches over box bounds, in
-passes until one improves nothing, restarted from the centre of the box and
-from ``DRAWN_STARTS`` seeded uniform points. The search's ``_Objective`` alone
-knows the evaluation budget, the one bound on work: the evaluation that would
-exceed it raises instead, which ends the search wherever it is. It alone keeps
-the best point too: each descent moves from the first candidate to reach its
-top score, and the search returns the first candidate to reach the top score
-of all it evaluated.
+passes until one improves nothing, from one start: a scan's warm start (the
+previous distance's winner), if there is one, then the centre start that
+``_center_start`` derives from v. The search's ``_Objective`` alone knows the
+evaluation budget, the one bound on work: the evaluation that would exceed it
+raises instead, which ends the search wherever it is. It alone keeps the best
+point too: each descent moves from the first candidate to reach its top
+score, and the search returns the first candidate to reach the top score of
+all it evaluated.
 The objective is the key length of the expected-value pipeline
 (deterministic counts; sampled counts would make the objective noisy), so a
-fixed (spec, seed) pair yields a reproducible trajectory and result. Where
-the key is zero the objective scores ``-e_ph_upper`` instead, which still
-varies across a zero-key plateau and so leads the search off it.
+fixed spec yields a reproducible trajectory and result. Where the key is zero
+the objective scores ``-e_ph_upper`` instead, which still varies across a
+zero-key plateau and so leads the search off it.
 
 Free parameters: intensities s and w, their probabilities, p_keep, and the
 split of the parameter-estimation failure budget across the three
@@ -23,15 +24,16 @@ floats in ``PARAM_NAMES`` order, but for p_w and u_A, held as their shares of
 1 - p_s and of 1 - u_B (``_params`` reads the values back), so every point of
 ``BOXES`` leaves p_v and u_C at least 1e-6. u_B keeps its own coordinate, so
 a move of u_A's share leaves eps_B, and so the decoy stage, alone.
-``random.Random`` draws the starts: a search loads no numpy, and every
-configuration it certifies holds builtin floats. Infeasible candidates score
-``-inf`` without consuming budget: a configuration the model's ``problems``
-report refuses (w above s, unsolvable decoy bounds, an epsilon share out of
-range), or a correlation length that ``effective_length`` refuses (an
-explicit ``l_c_eff`` shorter than the candidate's required truncation length,
-or more coin lags than its cap). A search that ends with no candidate
-evaluated raises the first such refusal, so a model that no candidate can run
-under is reported as the config error it is, not as a zero key.
+A search loads no numpy, and every configuration it certifies holds builtin
+floats. A refused candidate scores ``-inf``: a configuration the model's
+``problems`` report refuses (w above s, unsolvable decoy bounds, an epsilon
+share out of range) or a correlation length that ``effective_length``
+refuses (an explicit ``l_c_eff`` shorter than the candidate's required
+truncation length, or more coin lags than its cap) consumes no budget, and a
+candidate the pipeline refuses consumes its evaluation. A search in which
+every candidate was refused raises the first refusal, so a model that no
+candidate can run under is reported as the config error it is, not as a zero
+key.
 
 A coordinate move leaves most inputs alone, so one search computes each
 stage once per distinct input: the intensity set with its correlation length
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import random
 from dataclasses import dataclass, field, replace
 
 from . import correlations, keyrate
@@ -76,11 +77,6 @@ BOXES = (
 LINE_SEARCH_TOL = 5e-3
 # one point of the search: a plain float per PARAM_NAMES entry
 Candidate = tuple[float, ...]
-# uniform starts searched after the centre one, drawn from the search's seed;
-# they add key only where the budget outlasts the centre start's descent
-DRAWN_STARTS = 4
-# the generator of the drawn starts, as the CLI's manifest names it
-RNG_ALGORITHM = "python-mt19937"
 
 @dataclass(frozen=True)
 class OptimizationSpec:
@@ -123,9 +119,9 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
 class OptimizationResult:
     params: dict
     key_length: int
-    result: KeyRateResult | None
+    result: KeyRateResult
     evaluations: int
-    point: Candidate | None = None  # the winning candidate, which a scan passes on
+    point: Candidate  # the winning candidate, which a scan passes on
 
     @property
     def zero_key_everywhere(self) -> bool:
@@ -140,10 +136,10 @@ def _params(candidate: Candidate) -> Candidate:
 
 
 def _build_config(candidate: Candidate, spec: OptimizationSpec,
-                  intensity_sets: dict) -> ProtocolConfig | None:
-    """Candidate -> runnable configuration, or None when its ``problems``
-    report is not empty; the ConfigError of ``effective_length`` when it
-    refuses its correlation length. ``intensity_sets``, one search's memo,
+                  intensity_sets: dict) -> ProtocolConfig:
+    """Candidate -> runnable configuration; the ConfigError of its
+    ``problems`` report when that is not empty, or of ``effective_length``
+    when it refuses its correlation length. ``intensity_sets``, one search's memo,
     maps (s, w, p_s, p_w) to the intensity set and its correlation length; a
     refusal is not stored."""
     s, w, p_s, p_w, p_keep, u_a, u_b = _params(candidate)
@@ -160,7 +156,8 @@ def _build_config(candidate: Candidate, spec: OptimizationSpec,
     budget = EpsilonBudget(*pe_epsilons(u_a, u_b, u_c, pe_mass, l_c),
                            eps_PA=spec.eps_PA, eps_EV=spec.eps_EV, d=d)
     config = ProtocolConfig(N=spec.N, intensity_set=iset, p_keep=p_keep, epsilon_budget=budget)
-    return None if config.problems else config
+    require(config.problems)
+    return config
 
 
 def _score(result: KeyRateResult) -> float:
@@ -177,11 +174,11 @@ class _Objective:
     spec: OptimizationSpec
     channel: ChannelModel
     evaluations: int = 0
-    cache: dict = field(default_factory=dict)  # scores of candidates that built a config
+    cache: dict = field(default_factory=dict)  # candidate -> score, -inf if refused
     intensity_sets: dict = field(default_factory=dict)  # see _build_config
     decoy: dict = field(default_factory=dict)  # see decoy_bounds
     coin: dict = field(default_factory=dict)  # see coin_parameter
-    refusal: ConfigError | None = None  # effective_length's first refusal
+    refusal: ConfigError | None = None  # the first refusal, of any stage
     # (candidate, score): the first candidate to reach the top score of the
     # current descent, which resets it, and of the whole search
     best: tuple = (None, -math.inf)
@@ -210,24 +207,20 @@ class _Objective:
     def __call__(self, candidate: Candidate) -> float:
         """The candidate's score, which ``best`` and ``winner`` take when it
         beats theirs; raises ``_Spent`` rather than evaluate past the budget.
-        An infeasible candidate scores -inf, which beats nothing."""
+        A refused candidate scores -inf, which beats nothing; only one that
+        builds a config spends an evaluation."""
         score = self.cache.get(candidate)
         if score is None:
             try:
                 config = _build_config(candidate, self.spec, self.intensity_sets)
-            except ConfigError as exc:
-                self.refusal = self.refusal or exc
-                return -math.inf
-            if config is None:
-                return -math.inf
-            if self.evaluations >= self.spec.budget:
-                raise _Spent
-            self.evaluations += 1
-            try:
+                if self.evaluations >= self.spec.budget:
+                    raise _Spent
+                self.evaluations += 1
                 observed, _ = expected_counts(config, self.channel)
                 score = _score(evaluate_pipeline(observed, config, self.spec.correlation,
                                                  f_EC=self.spec.f_EC, stages=self))
-            except ConfigError:
+            except ConfigError as exc:
+                self.refusal = self.refusal or exc
                 score = -math.inf
             self.cache[candidate] = score
         if score > self.best[1]:
@@ -279,22 +272,20 @@ def _coordinate_descent(objective: _Objective, start: Candidate) -> None:
             _golden_section(objective, current, coord, lo, hi)
 
 
-def _center_start() -> Candidate:
-    """Feasible default start (for v = 0): mid-box signal, weak decoy at a
-    quarter of it, probabilities (0.7, 0.15, 0.15), mid-box p_keep, even
-    epsilon split."""
-    s = 0.5 * (BOXES[0][0] + BOXES[0][1])
+def _center_start(v: float) -> Candidate:
+    """The start every search descends from, feasible at each v that
+    ``validate_optimization`` accepts but those within 1e-8 of 0.5, where the
+    decoy bounds' (w - v)(s - w - v), at most (0.5 - v)^2 in the box, drowns
+    in the rounding of the model's check. The signal intensity mid-box, or
+    2v + 0.01 up to the top of its box where that is larger, so s > 2v; the
+    weak decoy at a quarter of it, or at half of it where a quarter is not
+    above v, which puts w midway in the (v, s - v) that the decoy bounds
+    need; probabilities (0.7, 0.15, 0.15), mid-box p_keep, even epsilon
+    split."""
+    s = min(BOXES[0][1], max(0.5 * (BOXES[0][0] + BOXES[0][1]), 2.0 * v + 0.01))
+    w = s / 4.0 if v < s / 4.0 else s / 2.0
     p_keep = 0.5 * (BOXES[4][0] + BOXES[4][1])
-    return (s, s / 4.0, 0.7, 0.5, p_keep, 0.5, 1.0 / 3.0)
-
-
-def _initial_points(seed: int) -> list[Candidate]:
-    """The centre start, then ``DRAWN_STARTS`` points drawn uniformly from the
-    box by ``random.Random(seed)``."""
-    draw = random.Random(seed).random
-    return [_center_start()] + [
-        tuple(lo + draw() * (hi - lo) for lo, hi in BOXES) for _ in range(DRAWN_STARTS)
-    ]
+    return (s, w, 0.7, 0.5, p_keep, 0.5, 1.0 / 3.0)
 
 
 def _describe(candidate: Candidate, spec: OptimizationSpec) -> dict:
@@ -308,32 +299,27 @@ def _describe(candidate: Candidate, spec: OptimizationSpec) -> dict:
 def optimize_params(
     spec: OptimizationSpec,
     channel: ChannelModel,
-    seed: int = 0,
-    extra_starts: list[Candidate] | None = None,
+    warm_start: Candidate | None = None,
 ) -> OptimizationResult:
-    """Best (parameters, key rate) found within the evaluation budget.
+    """Best (parameters, key rate) found within the evaluation budget,
+    searched from ``warm_start``, if given, then from the centre start.
 
-    Deterministic for fixed (spec, channel, seed, extra_starts). A run whose
-    best candidate certifies no key is reported with ``zero_key_everywhere``
+    Deterministic for fixed (spec, channel, warm_start). A run whose best
+    candidate certifies no key is reported with ``zero_key_everywhere``
     rather than treated as a failure; a spec that fails
-    :func:`validate_optimization`, or a search that evaluated no candidate
-    because ``effective_length`` refused their correlation lengths, raises
-    :class:`~corrbb84.model.ConfigError`.
+    :func:`validate_optimization`, or a search that refused every candidate
+    it probed, raises :class:`~corrbb84.model.ConfigError`, the latter its
+    first refusal.
     """
     require(validate_optimization(spec))
     objective = _Objective(spec, channel)
-    starts = [tuple(map(float, p)) for p in (extra_starts or [])]
+    starts = [] if warm_start is None else [tuple(map(float, warm_start))]
     with contextlib.suppress(_Spent):
-        for start in starts + _initial_points(seed):
+        for start in starts + [_center_start(spec.v)]:
             _coordinate_descent(objective, start)
     best_point, best_score = objective.winner
     if best_point is None:
-        if objective.evaluations == 0 and objective.refusal is not None:
-            raise objective.refusal
-        return OptimizationResult(
-            params={}, key_length=0, result=None,
-            evaluations=objective.evaluations,
-        )
+        raise objective.refusal
     config = _build_config(best_point, spec, {})
     observed, _ = expected_counts(config, channel)
     result = evaluate_pipeline(observed, config, spec.correlation, f_EC=spec.f_EC)
@@ -349,19 +335,20 @@ def scan_distance(
     spec: OptimizationSpec,
     channel: ChannelModel,
     distances: list[float],
-    seed: int = 0,
+    seed: int | None = None,
 ) -> list[dict]:
     """Optimized key length per channel distance; one row per distance, each
-    search also started from the previous distance's winner."""
-    rows, warm = [], []
+    search also started from the previous distance's winner. ``seed`` is
+    ignored: the benchmark harness is the only caller that still passes it,
+    and the benchmark change of ROADMAP Direction 5 deletes both."""
+    rows, warm = [], None
     for distance in distances:
-        dist_channel = replace(channel, distance_km=distance)
-        outcome = optimize_params(spec, dist_channel, seed=seed, extra_starts=warm)
-        warm = [outcome.point] if outcome.point else warm
+        outcome = optimize_params(spec, replace(channel, distance_km=distance), warm)
+        warm = outcome.point
         row = {
             "distance_km": distance,
             "key_length": outcome.key_length,
-            "eps_sec": outcome.result.eps_sec if outcome.result else float("nan"),
+            "eps_sec": outcome.result.eps_sec,
             "evaluations": outcome.evaluations,
         }
         row.update({f"param_{k}": v for k, v in outcome.params.items()})

@@ -353,7 +353,7 @@ def test_scan_row_count(config_path, tmp_path):
     path.write_text(json.dumps(config))
     assert main([
         "scan", "--config", str(path), "--distances", "0:100:10",
-        "--seed", "1", "--budget", "4", "--out", str(out),
+        "--budget", "4", "--out", str(out),
     ]) == 0
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert len(lines) == 1 + 11  # header + one row per distance
@@ -364,29 +364,43 @@ def test_optimize_writes_result(config_path, tmp_path):
     config = json.loads(json.dumps(BASE_CONFIG))
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(path), "--seed", "2", "--budget", "30",
-                 "--out", str(out)]) == 0
+    assert main(["optimize", "--config", str(path), "--budget", "30", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["result"]["key_length"] > 0
     assert payload["result"]["evaluations"] <= 30
 
 
-@pytest.mark.parametrize("seed", ["0", "1"])
-def test_optimize_positive_vacuum_intensity_exits_0(tmp_path, seed):
-    """Candidates the decoy bounds cannot solve (s <= w + v) score zero
-    instead of raising."""
+@pytest.mark.parametrize("distance", [0, 1])
+def test_optimize_positive_vacuum_intensity_exits_0(tmp_path, distance):
+    """Candidates the decoy bounds cannot solve (s <= w + v) score -inf
+    instead of raising, at 0 and 1 km."""
     config = json.loads(json.dumps(BASE_CONFIG))
-    config["channel"]["distance_km"] = 0.0
+    config["channel"]["distance_km"] = distance
     config["protocol"]["intensities"] = {"s": 0.6, "w": 0.3, "v": 0.2}
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "best.json"
-    assert main(["optimize", "--config", str(path), "--seed", seed, "--budget", "150",
-                 "--out", str(out)]) == 0
+    assert main(["optimize", "--config", str(path), "--budget", "150", "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
-    assert result["evaluations"] <= 150
+    assert 0 < result["evaluations"] <= 150 and result["key_length"] > 0
     params = result["params"]
-    assert not params or params["s"] > params["w"] + params["v"]
+    assert params["s"] > params["w"] + params["v"] and params["v"] == 0.2
+
+
+def test_optimize_at_a_large_vacuum_intensity_evaluates_candidates(tmp_path):
+    """The README's uncorrelated config with s 1.5, w 0.46 and v 0.45 passes
+    every rule; its search starts from a feasible point and evaluates
+    candidates, so the zero key it reports rests on them."""
+    readme = Path(__file__).with_name("fixtures") / "cli_outputs" / "readme_uncorrelated.json"
+    config = json.loads(readme.read_text())
+    config["protocol"]["intensities"] = {"s": 1.5, "w": 0.46, "v": 0.45}
+    path = tmp_path / "opt_config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "best.json"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["evaluations"] > 0 and result["params"]["v"] == 0.45
+    assert result["zero_key_everywhere"] and result["eps_sec"] > 0.0
 
 
 def test_optimize_uses_channel_f_ec(tmp_path):
@@ -397,7 +411,7 @@ def test_optimize_uses_channel_f_ec(tmp_path):
         path = tmp_path / f"opt_{f_ec}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{f_ec}.json"
-        assert main(["optimize", "--config", str(path), "--seed", "2", "--budget", "30",
+        assert main(["optimize", "--config", str(path), "--budget", "30",
                      "--out", str(out)]) == 0
         keys[f_ec] = json.loads(out.read_text())["result"]["key_length"]
     assert 0 < keys[2.0] < keys[1.16]
@@ -557,6 +571,10 @@ MALFORMED_MESSAGES = {
     "N_beyond_int64_simulate": N_BEYOND_INT64,
     "N_beyond_int64_optimize": N_BEYOND_INT64,
     "N_beyond_int64_scan": N_BEYOND_INT64,
+    "optimizer_eps_pe_target_underflows_every_split":
+        "eps_A must lie in (0, 1) with 1/eps_A finite, got",
+    "seed_retired_optimize": "unrecognized arguments: --seed 1",
+    "seed_retired_scan": "unrecognized arguments: --seed 1",
 }
 
 
@@ -654,6 +672,9 @@ MALFORMED_MESSAGES = {
     ({"protocol.N": 2**63}, None, "simulate"),
     ({"protocol.N": 2**63}, None, "optimize"),
     ({"protocol.N": 2**63}, "0", "scan"),
+    ({"optimizer": {"eps_pe_target": 1e-308}}, None, "optimize"),
+    ({}, "--seed 1", "optimize"),
+    ({}, "0 --seed 1", "scan"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -684,6 +705,8 @@ MALFORMED_MESSAGES = {
     "correlations_key_unknown_simulate", "distance_range_step_below_float_spacing",
     "distance_range_across_2_53", "N_beyond_int64_expected", "N_beyond_int64_counts",
     "N_beyond_int64_simulate", "N_beyond_int64_optimize", "N_beyond_int64_scan",
+    "optimizer_eps_pe_target_underflows_every_split", "seed_retired_optimize",
+    "seed_retired_scan",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -697,9 +720,9 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
     path.write_text(json.dumps(config))
     argv = ["keyrate", "--config", str(path)]
     if mode == "optimize":
-        argv[0] = "optimize"
+        argv = ["optimize", "--config", str(path), *(cell or "").split()]
     elif mode == "scan":
-        argv = ["scan", "--config", str(path), "--distances", cell, "--budget", "5",
+        argv = ["scan", "--config", str(path), "--distances", *cell.split(" "), "--budget", "5",
                 "--out", str(tmp_path / "out.csv")]
     elif mode == "simulate":
         argv = ["simulate", "--config", str(path), "--mode", "expected",
@@ -718,9 +741,13 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
         argv += ["--counts", str(counts)]
     else:
         argv += ["--simulate", "--mode", mode, "--seed", "1"]
-    assert main(argv) == 2
+    try:
+        status, prefix = main(argv), "config error:"
+    except SystemExit as exc:  # an option argparse does not know
+        status, prefix = exc.code, "error: unrecognized arguments:"
+    assert status == 2
     err = capsys.readouterr().err
-    assert "config error:" in err
+    assert prefix in err
     assert MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
     assert not (tmp_path / "out.csv").exists()
 
@@ -779,11 +806,19 @@ def test_budget_flag_below_1_exits_2(config_path, tmp_path, capsys, command, bud
     assert "budget must be >= 1" in capsys.readouterr().err
 
 
-def test_optimize_without_budget_flag_spends_the_default_budget(config_path, capsys):
+def test_optimize_without_budget_flag_spends_the_default_budget(tmp_path, capsys):
     """``--budget`` alone sets the budget; without it the search spends the
-    spec's default of 400 evaluations."""
-    assert main(["optimize", "--config", config_path]) == 0
+    spec's default of 400 evaluations, here on a search (v = 0.1 at 30 km)
+    that has not converged by then."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["protocol"]["intensities"] = {"s": 0.5, "w": 0.2, "v": 0.1}
+    config["channel"]["distance_km"] = 30.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["evaluations"] == 400
+    assert main(["optimize", "--config", str(path), "--budget", "1000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["evaluations"] > 400
 
 
 def test_top_level_not_object_exits_2(tmp_path, capsys):
@@ -803,10 +838,8 @@ def test_integer_beyond_digit_limit_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, extra", [
     ("keyrate", ["--simulate", "--mode", "sampled"]),
     ("simulate", ["--counts-out", "counts.csv"]),
-    ("optimize", []),
-    ("scan", ["--distances", "0", "--out", "scan.csv"]),
     ("validate", []),
-], ids=["keyrate", "simulate", "optimize", "scan", "validate"])
+], ids=["keyrate", "simulate", "validate"])
 def test_negative_seed_exits_2(config_path, tmp_path, monkeypatch, capsys, command, extra):
     monkeypatch.chdir(tmp_path)
     argv = [command, "--seed", "-1", *extra]
@@ -828,7 +861,7 @@ def test_optimize_honours_explicit_length(tmp_path):
         path = tmp_path / f"opt_{l_c_eff}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{l_c_eff}.json"
-        assert main(["optimize", "--config", str(path), "--seed", "2", "--budget", "30",
+        assert main(["optimize", "--config", str(path), "--budget", "30",
                      "--out", str(out)]) == 0
         keys[l_c_eff] = json.loads(out.read_text())["result"]["key_length"]
     # the derived length is about 35; at 400 the smaller eps_C share and the
@@ -1017,9 +1050,9 @@ SEARCH_PROBE = """
 import sys
 from corrbb84.cli import main
 config, optimized, scanned = sys.argv[1:]
-if main(["optimize", "--config", config, "--budget", "30", "--seed", "3", "--out", optimized]):
+if main(["optimize", "--config", config, "--budget", "30", "--out", optimized]):
     sys.exit("optimize failed")
-if main(["scan", "--config", config, "--distances", "0,30", "--budget", "30", "--seed", "3",
+if main(["scan", "--config", config, "--distances", "0,30", "--budget", "30",
          "--out", scanned]):
     sys.exit("scan failed")
 print("numpy" in sys.modules)
@@ -1027,9 +1060,9 @@ print("numpy" in sys.modules)
 
 
 def test_search_commands_never_load_numpy(config_path, tmp_path):
-    """``optimize`` and ``scan`` draw their starts with ``random.Random``, so
-    they never import numpy, name that generator in the manifest, and write
-    what the same commands write in a process that has numpy loaded."""
+    """``optimize`` and ``scan`` draw nothing, so they never import numpy,
+    name no seed or generator in the manifest, and write what the same
+    commands write in a process that has numpy loaded."""
     import numpy  # noqa: F401  (the in-process runs below have it loaded)
 
     fresh = [tmp_path / "fresh_optimize.json", tmp_path / "fresh_scan.csv"]
@@ -1044,11 +1077,11 @@ def test_search_commands_never_load_numpy(config_path, tmp_path):
     assert proc.stdout.split() == ["False"]
 
     optimized, scanned = map(str, loaded)
-    assert main(["optimize", "--config", config_path, "--budget", "30", "--seed", "3",
+    assert main(["optimize", "--config", config_path, "--budget", "30",
                  "--out", optimized]) == 0
     assert main(["scan", "--config", config_path, "--distances", "0,30", "--budget", "30",
-                 "--seed", "3", "--out", scanned]) == 0
+                 "--out", scanned]) == 0
     for a, b in zip(fresh, loaded):
         assert _without_timestamp(a) == _without_timestamp(b)
-        assert '"rng_algorithm": "python-mt19937"' in a.read_text()
+        assert '"rng_algorithm": null' in a.read_text() and '"seed": null' in a.read_text()
     assert json.loads(fresh[0].read_text())["result"]["key_length"] > 0

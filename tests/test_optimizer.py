@@ -23,7 +23,6 @@ from corrbb84.optimizer import (
     _build_config,
     _center_start,
     _describe,
-    _initial_points,
     optimize_params,
     scan_distance,
     validate_optimization,
@@ -36,11 +35,11 @@ from corrbb84.validation import reference_channel, reference_config
 FAST = dict(N=10**9, budget=60)
 
 
-def _drawn_points(seed: int, count: int) -> list:
-    """The centre start, then count - 1 points drawn from the box in the order
-    the search draws its starts, so the first 1 + DRAWN_STARTS are its starts."""
+def _box_points(seed: int, count: int) -> list:
+    """The centre start at v = 0, then count - 1 points drawn uniformly from
+    the box: candidates spread over the whole search space."""
     draw = random.Random(seed).random
-    return [_center_start()] + [
+    return [_center_start(0.0)] + [
         tuple(lo + draw() * (hi - lo) for lo, hi in BOXES) for _ in range(count - 1)
     ]
 
@@ -51,7 +50,8 @@ def test_infeasible_candidates_are_rejected():
     assert _build_config(feasible, spec, {}) is not None
     ordering = feasible.copy()
     ordering[1] = 0.6  # w above s
-    assert _build_config(ordering, spec, {}) is None
+    with pytest.raises(ConfigError, match="intensity ordering violated"):
+        _build_config(ordering, spec, {})
 
 
 def test_every_box_corner_below_the_signal_builds_a_config():
@@ -75,9 +75,10 @@ def test_unsolvable_decoy_candidates_are_rejected():
     spec = OptimizationSpec(N=10**9, v=0.2)
     solvable = (0.7, 0.3, 0.7, 0.15, 0.8, 1 / 3, 1 / 3)
     config = _build_config(solvable, spec, {})
-    assert config is not None and lower_denominator(config.intensity_set) > 0.0
+    assert lower_denominator(config.intensity_set) > 0.0
     for s in (0.5, 0.45):  # s = w + v and s < w + v
-        assert _build_config((s,) + solvable[1:], spec, {}) is None
+        with pytest.raises(ConfigError, match="decoy bounds unsolvable"):
+            _build_config((s,) + solvable[1:], spec, {})
 
 
 @pytest.mark.parametrize("spec", [
@@ -89,8 +90,8 @@ def test_unsolvable_decoy_candidates_are_rejected():
 ], ids=["default", "v_0.2", "eps_pe_1e-308", "correlated_eps_pe_1e-300"])
 def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
     """_build_config refuses a candidate exactly when the model's validation
-    report on the config it builds is not empty, and otherwise returns that
-    config, its report already made."""
+    report on the config it builds is not empty, with that report as its
+    message, and otherwise returns that config, its report already made."""
     built = []
 
     def recording(*args, **kwargs):
@@ -98,47 +99,51 @@ def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
         return built[-1]
 
     monkeypatch.setattr(optimizer, "ProtocolConfig", recording)
-    points = _drawn_points(3, 64)
+    points = _box_points(3, 64)
     # ordering and decoy-solvability edges of the centre start
-    center = _center_start()
+    center = _center_start(0.0)
     points += [(0.1, 0.2) + center[2:], (0.3, 0.3) + center[2:], (0.5, 0.3) + center[2:]]
     refused = []
     for candidate in points:
         built.clear()
-        config = _build_config(candidate, spec, {})
-        assert len(built) == 1
-        assert (config is None) == bool(built[0].problems)
-        assert config is None or config is built[0] and config.problems == ()
-        refused.append(config is None)
+        try:
+            config = _build_config(candidate, spec, {})
+        except ConfigError as exc:
+            assert len(built) == 1 and str(exc) == "; ".join(built[0].problems)
+            refused.append(True)
+            continue
+        assert len(built) == 1 and config is built[0] and config.problems == ()
+        refused.append(False)
     assert len(refused) > 10 and any(refused)
 
 
 def test_pipeline_refusals_score_minus_inf_and_spend_budget(monkeypatch, channel_10km):
     """At eps_pe_target 1 - 2^-53 some splits' shares sum to 1.0, which
     ``total_pe_failure`` refuses; such a candidate scores -inf, spends its
-    evaluation and leaves the search running to its budget."""
+    evaluation and leaves the search running."""
     real, refused = optimizer.evaluate_pipeline, []
 
     def counted(*args, **kwargs):
         try:
-            return real(*args, **kwargs)
-        except ConfigError as exc:
-            refused.append(exc)
+            result = real(*args, **kwargs)
+        except ConfigError:
+            refused.append(True)
             raise
+        refused.append(False)
+        return result
 
     monkeypatch.setattr(optimizer, "evaluate_pipeline", counted)
-    spec = OptimizationSpec(N=1000, eps_pe_target=1 - 2**-53, budget=100)
-    outcome = optimize_params(spec, channel_10km, seed=1)
-    assert outcome.evaluations == spec.budget
-    assert refused
+    outcome = optimize_params(OptimizationSpec(N=1000, eps_pe_target=1 - 2**-53), channel_10km)
+    # every call but the winner's re-evaluation is one evaluation
+    assert len(refused) == outcome.evaluations + 1
+    assert any(refused) and not refused[-1]
 
 
 def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel_10km):
     """At eps_pe_target 1e-308 every candidate is refused, so s keeps its
     0.005 start, below the weak intensity's box, whose top of 0.99 s then
     lies under its floor: that start's pass searches every coordinate but w,
-    and the passes of the centre start, with s mid-box, and of the four drawn
-    starts search all seven."""
+    and the pass of the centre start, with s mid-box, searches all seven."""
     real, searched = optimizer._golden_section, []
 
     def recorded(objective, candidate, coord, lo, hi):
@@ -147,26 +152,27 @@ def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel
 
     monkeypatch.setattr(optimizer, "_golden_section", recorded)
     spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=60)
-    outcome = optimize_params(spec, channel_10km, seed=0,
-                              extra_starts=[(0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3)])
-    assert outcome.evaluations == 0
-    starts = _drawn_points(0, 5)  # the centre start and the four drawn ones
+    with pytest.raises(ConfigError, match="eps_A must lie in"):
+        optimize_params(spec, channel_10km, (0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3))
     assert searched == ([(coord, 0.005) for coord in (0, 2, 3, 4, 5, 6)]
-                        + [(coord, start[0]) for start in starts for coord in range(len(BOXES))])
+                        + [(coord, _center_start(0.0)[0]) for coord in range(len(BOXES))])
 
 
-def test_refused_candidates_spend_no_budget():
+def test_refused_candidates_spend_no_budget(monkeypatch):
     """At eps_pe_target 1e-308 every split underflows an epsilon that
     validate_epsilons refuses, so no candidate is evaluated; no pass
-    improves either, so each descent stops after one pass however large the
-    budget."""
+    improves either, so the descent stops after one pass however large the
+    budget, and the search raises the first refusal."""
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated a refused candidate")
+
+    monkeypatch.setattr(optimizer, "expected_counts", never)
     for budget in (20, 10**6):
         spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=budget)
         started = time.perf_counter()
-        outcome = optimize_params(spec, reference_channel(10.0), seed=1)
+        with pytest.raises(ConfigError, match="^eps_A must lie in"):
+            optimize_params(spec, reference_channel(10.0))
         assert time.perf_counter() - started < 1.0
-        assert outcome.evaluations == 0
-        assert outcome.zero_key_everywhere and outcome.params == {} and outcome.key_length == 0
 
 
 @pytest.mark.parametrize("v, distance", [(0.0, 10.0), (0.1, 30.0)])
@@ -177,9 +183,9 @@ def test_descent_stops_when_a_pass_improves_nothing(v, distance):
     30 km the fourth pass still gains)."""
     spec = OptimizationSpec(N=10**9, v=v, budget=10**6)
     channel = reference_channel(distance)
-    outcome = optimize_params(spec, channel, seed=1)
+    outcome = optimize_params(spec, channel)
     assert outcome.evaluations < 5_000
-    capped = optimize_params(replace(spec, budget=400), channel, seed=1)
+    capped = optimize_params(replace(spec, budget=400), channel)
     assert outcome.key_length >= capped.key_length > 0
     objective = optimizer._Objective(spec, channel)
     optimizer._coordinate_descent(objective, outcome.point)
@@ -209,35 +215,61 @@ def test_budget_truncates_the_search(monkeypatch, spec, distance):
 
     monkeypatch.setattr(optimizer, "evaluate_pipeline", scored)
     channel = reference_channel(distance)
-    unbound = optimize_params(replace(spec, budget=10**6), channel, seed=1)
+    unbound = optimize_params(replace(spec, budget=10**6), channel)
     whole = scores[:]
-    assert len(whole) == unbound.evaluations > 1_900
-    for budget in (1, 2, 3, 17, 60, 245, 400, len(whole) - 1):
+    assert len(whole) == unbound.evaluations > 280
+    for budget in (1, 2, 3, 17, 60, 245, len(whole) - 1):
         scores.clear()
-        outcome = optimize_params(replace(spec, budget=budget), channel, seed=1)
+        outcome = optimize_params(replace(spec, budget=budget), channel)
         assert scores == whole[:budget]
         assert outcome.evaluations == budget
         assert optimizer._score(outcome.result) == max(whole[:budget])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_refusal_of_every_candidate_names_the_same_length_at_any_seed(channel_10km, seed):
-    """The search raises the first refusal, the centre start's, so the
-    reported correlation length does not depend on the drawn starts."""
+def test_refusal_of_every_candidate_raises_the_centre_starts(channel_10km):
+    """The search raises the first refusal, the centre start's, and names
+    its correlation length."""
     model = CorrelationModel(delta_1=0.05, decay_C=1e-7, truncation_d=1e-12)
     spec = OptimizationSpec(N=10**9, eps_pe_target=2e-10, correlation=model)
     with pytest.raises(ConfigError) as raised:
-        optimize_params(spec, channel_10km, seed=seed)
+        optimize_params(spec, channel_10km)
     assert str(raised.value) == ("decay_C=1e-07 with delta_1=0.05 and l_c=506638544 makes the "
                                  "coin bound compute more than 100000 lags")
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-def test_optimizer_positive_vacuum_intensity(seed):
-    """With v > 0 every candidate near the starts certifies 0 bits; the
-    -e_ph_upper score still leads the search off that plateau."""
+def test_center_start_builds_a_config_at_every_v():
+    """The centre start is the only cold start, so it must be feasible
+    wherever validate_optimization accepts v: at v = 0.1 and below it is the
+    mid-box point with w = s / 4, and it builds a config at every v in
+    [0, 0.5) by steps of 1e-4 and at 0.5 - 2^-k for k = 14-26."""
+    assert _center_start(0.0) == (0.55, 0.1375, 0.7, 0.5, 0.7495, 0.5, 1 / 3)
+    for v in (0.05, 0.1):
+        assert _center_start(v) == _center_start(0.0)
+    values = [i * 1e-4 for i in range(5000)] + [0.5 - 2.0**-k for k in range(14, 27)]
+    for v in values:
+        spec = OptimizationSpec(N=10**9, v=v)
+        assert validate_optimization(spec) == []
+        config = _build_config(_center_start(v), spec, {})
+        assert config.intensity_set.v == v
+
+
+def test_search_at_a_large_vacuum_intensity_evaluates_candidates():
+    """At v = 0.45 a mid-box signal leaves no weak intensity in (v, s - v), so
+    the centre start moves s up to 2v + 0.01: the search evaluates
+    candidates, and the zero key it reports rests on them."""
+    outcome = optimize_params(OptimizationSpec(N=10**9, v=0.45), reference_channel(10.0))
+    assert 0 < outcome.evaluations <= 400
+    p = outcome.params
+    assert outcome.zero_key_everywhere and p["s"] > p["w"] + p["v"] and p["v"] == 0.45
+
+
+@pytest.mark.parametrize("distance", [0, 1, 2, 3, 4, 5])
+def test_optimizer_positive_vacuum_intensity(distance):
+    """With v > 0 every candidate near the start certifies 0 bits at
+    distances 0-5 km; the -e_ph_upper score still leads the search off that
+    plateau."""
     spec = OptimizationSpec(N=10**9, v=0.2, budget=150)
-    outcome = optimize_params(spec, reference_channel(0.0), seed=seed)
+    outcome = optimize_params(spec, reference_channel(float(distance)))
     assert outcome.evaluations <= spec.budget
     assert outcome.key_length > 0 and not outcome.zero_key_everywhere
     p = outcome.params
@@ -268,7 +300,7 @@ def test_each_evaluation_calls_counts_then_pipeline(monkeypatch, channel_10km, m
 
     monkeypatch.setattr(optimizer, "expected_counts", counting("counts", expected_counts))
     monkeypatch.setattr(optimizer, "evaluate_pipeline", counting("pipeline", evaluate_pipeline))
-    outcome = optimize_params(OptimizationSpec(correlation=model, **FAST), channel_10km, seed=1)
+    outcome = optimize_params(OptimizationSpec(correlation=model, **FAST), channel_10km)
     assert outcome.key_length > 0
     assert calls == ["counts", "pipeline"] * (outcome.evaluations + 1)
 
@@ -282,11 +314,11 @@ def test_objective_certifies_builtin_floats(monkeypatch, channel_10km, model):
         return evaluate_pipeline(observed, config, *args, **kwargs)
 
     monkeypatch.setattr(optimizer, "evaluate_pipeline", recording)
-    # budget enough to search a uniform start after the centre one converges;
-    # the second distance is also started from the first one's winner
-    spec = OptimizationSpec(N=10**9, budget=400, correlation=model)
-    scan_distance(spec, channel_10km, [10.0, 30.0], seed=1)
-    assert len(configs) > spec.budget
+    # the second distance is started from the first one's winner, then from
+    # the centre start
+    spec = OptimizationSpec(correlation=model, **FAST)
+    rows = scan_distance(spec, channel_10km, [10.0, 30.0])
+    assert len(configs) == sum(row["evaluations"] + 1 for row in rows) > spec.budget
     for config in configs:
         assert all(type(x) is float for x in _field_values(config))
 
@@ -300,12 +332,14 @@ def test_numpy_and_float_candidates_certify_identically(model, distance):
     spec = OptimizationSpec(N=10**9, correlation=model)
     channel = reference_channel(distance)
     feasible = 0
-    for candidate in _drawn_points(11, 64):
-        as_floats = _build_config(candidate, spec, {})
-        as_numpy = _build_config(np.array(candidate), spec, {})
-        assert (as_floats is None) == (as_numpy is None)
-        if as_floats is None:
+    for candidate in _box_points(11, 64):
+        try:
+            as_floats = _build_config(candidate, spec, {})
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                _build_config(np.array(candidate), spec, {})
             continue
+        as_numpy = _build_config(np.array(candidate), spec, {})
         feasible += 1
         assert all(type(x) is np.float64 for x in _field_values(as_numpy)[:2])
         results = []
@@ -320,8 +354,8 @@ def test_numpy_and_float_candidates_certify_identically(model, distance):
 
 def test_optimizer_deterministic(channel_10km):
     spec = OptimizationSpec(**FAST)
-    first = optimize_params(spec, channel_10km, seed=5)
-    again = optimize_params(spec, channel_10km, seed=5)
+    first = optimize_params(spec, channel_10km)
+    again = optimize_params(spec, channel_10km)
     assert first.params == again.params
     assert first.key_length == again.key_length
     assert first.evaluations == again.evaluations
@@ -329,7 +363,7 @@ def test_optimizer_deterministic(channel_10km):
 
 def test_optimizer_respects_budget(channel_10km):
     spec = OptimizationSpec(**FAST)
-    outcome = optimize_params(spec, channel_10km, seed=1)
+    outcome = optimize_params(spec, channel_10km)
     assert outcome.evaluations <= spec.budget
     assert outcome.key_length > 0
 
@@ -340,7 +374,7 @@ def test_winner_spends_its_failure_target(channel_10km, model):
     """The split of eps_pe_target - d over the epsilons adds back up to the
     target in the winner's audit, up to rounding."""
     spec = OptimizationSpec(correlation=model, **FAST)
-    outcome = optimize_params(spec, channel_10km, seed=1)
+    outcome = optimize_params(spec, channel_10km)
     assert outcome.key_length > 0
     eps_pe = outcome.result.audit["eps_PE"]
     assert math.isclose(eps_pe, spec.eps_pe_target, rel_tol=1e-14, abs_tol=0.0)
@@ -349,16 +383,16 @@ def test_winner_spends_its_failure_target(channel_10km, model):
 def test_optimizer_degenerate_channel_reports_zero_key():
     dead = ChannelModel(distance_km=3000.0)  # ~ 600 dB of fiber
     spec = OptimizationSpec(N=10**6, budget=20)
-    outcome = optimize_params(spec, dead, seed=2)
+    outcome = optimize_params(spec, dead)
     assert outcome.key_length == 0
     assert outcome.zero_key_everywhere
 
 
 def test_optimizer_correlations_never_help(channel_10km):
-    clean = optimize_params(OptimizationSpec(**FAST), channel_10km, seed=3)
+    clean = optimize_params(OptimizationSpec(**FAST), channel_10km)
     model = CorrelationModel(delta_1=0.1, decay_C=1.0, truncation_d=1e-12)
     spec = OptimizationSpec(correlation=model, **FAST)
-    correlated = optimize_params(spec, channel_10km, seed=3)
+    correlated = optimize_params(spec, channel_10km)
     assert correlated.key_length <= clean.key_length
 
 
@@ -368,10 +402,10 @@ def test_scan_empty_distances(channel_10km):
 
 def test_scan_monotone_and_warm_start(channel_10km):
     spec = OptimizationSpec(**FAST)
-    rows = scan_distance(spec, channel_10km, [10.0, 60.0], seed=4)
+    rows = scan_distance(spec, channel_10km, [10.0, 60.0])
     assert [row["distance_km"] for row in rows] == [10.0, 60.0]
     assert rows[0]["key_length"] >= rows[1]["key_length"]
-    cold = scan_distance(spec, channel_10km, [60.0], seed=4)
+    cold = scan_distance(spec, channel_10km, [60.0])
     warm_key, cold_key = rows[1]["key_length"], cold[0]["key_length"]
     if cold_key and abs(warm_key - cold_key) > 0.02 * max(warm_key, cold_key):
         # local-optimum stability probe: logged, not fatal
@@ -379,19 +413,6 @@ def test_scan_monotone_and_warm_start(channel_10km):
             f"warm/cold scans disagree beyond 2%: {warm_key} vs {cold_key}",
             stacklevel=1,
         )
-
-
-@pytest.mark.parametrize("seed", [1, 2, 5, 64])
-def test_initial_points_are_seeded_uniform_starts_in_the_box(seed):
-    points = _initial_points(seed)
-    assert len(points) == 1 + optimizer.DRAWN_STARTS == 5
-    assert points == _drawn_points(seed, len(points))
-    for point in points:
-        assert len(point) == len(BOXES)
-        for value, (lo, hi) in zip(point, BOXES):
-            assert type(value) is float and lo <= value <= hi
-    assert _initial_points(seed) == points
-    assert _initial_points(seed + 1)[1:] != points[1:]
 
 
 def test_import_leaves_scipy_unloaded():
@@ -415,7 +436,7 @@ def test_winner_disagreement_raises(monkeypatch, channel_10km):
 
     monkeypatch.setattr(optimizer, "evaluate_pipeline", drifting)
     with pytest.raises(RuntimeError, match="winner re-evaluation disagrees"):
-        optimize_params(OptimizationSpec(**FAST), channel_10km, seed=1)
+        optimize_params(OptimizationSpec(**FAST), channel_10km)
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -439,7 +460,7 @@ def test_invalid_spec_raises_before_any_evaluation(monkeypatch, channel_10km, ed
     spec = OptimizationSpec(**{**FAST, **edits})
     assert validate_optimization(spec) == [message]
     with pytest.raises(ConfigError) as raised:
-        optimize_params(spec, channel_10km, seed=1)
+        optimize_params(spec, channel_10km)
     assert str(raised.value) == message
 
 
@@ -468,23 +489,25 @@ def _record_searches(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("searches", [1, 2])
 @pytest.mark.parametrize("model", [None, CorrelationModel(0.05, 1.0, 1e-12)],
                          ids=["uncorrelated", "correlated"])
-def test_stage_reuse_scores_equal_fresh_evaluations(monkeypatch, channel_10km, model, seed):
+def test_stage_reuse_scores_equal_fresh_evaluations(monkeypatch, channel_10km, model, searches):
     """Budget 120: a smaller one ends before the first u_A line search,
-    where the decoy inputs first repeat."""
+    where the decoy inputs first repeat. With two searches, a scan's, the
+    second starts from the first one's winner."""
     calls = _record_searches(monkeypatch)
-    outcome = optimize_params(OptimizationSpec(N=10**9, correlation=model, budget=120),
-                              channel_10km, seed=seed)
-    assert len(calls) == outcome.evaluations == 120
+    spec = OptimizationSpec(N=10**9, correlation=model, budget=120)
+    rows = scan_distance(spec, channel_10km, [10.0, 30.0][:searches])
+    assert len(calls) == sum(row["evaluations"] for row in rows) == 120 * searches
     for observed, config, correlation, f_EC, _, _, result in calls:
         fresh = evaluate_pipeline(observed, config, correlation, f_EC)
         assert repr(optimizer._score(result)) == repr(optimizer._score(fresh))
         assert result == fresh
     stages = calls[-1][4]
-    # the search reused every stage, so the equalities above cover reuse
-    assert len(stages.decoy) < len(calls)
+    calls = [call for call in calls if call[4] is stages]
+    # the last search reused every stage, so the equalities above cover reuse
+    assert len(calls) == 120 and len(stages.decoy) < len(calls)
     assert len({id(call[1].intensity_set) for call in calls}) < len(calls)
     if model is None:
         assert stages.coin == {}
@@ -530,9 +553,9 @@ def test_each_search_starts_with_empty_stage_memos(monkeypatch, channel_10km):
     starts from empty dicts and builds its own intensity sets."""
     calls = _record_searches(monkeypatch)
     spec = OptimizationSpec(N=10**9, correlation=CorrelationModel(0.05, 1.0, 1e-12), budget=30)
-    first = optimize_params(spec, channel_10km, seed=1)
+    first = optimize_params(spec, channel_10km)
     searches = [calls[:first.evaluations]]
-    second = optimize_params(spec, channel_10km, seed=1)
+    second = optimize_params(spec, channel_10km)
     searches.append(calls[first.evaluations:])
     assert second == first and len(searches[1]) == second.evaluations
     assert searches[0][0][4] is not searches[1][0][4]
