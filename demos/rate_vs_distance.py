@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Optimized key length as a function of channel distance.
 
-Runs the derivative-free parameter search at each distance (warm-started
-from the previous optimum) and prints the resulting curve. Each start's
-coordinate descent runs until a pass improves nothing or the distance's
-150 evaluations are spent. Equivalent to `corrbb84 scan` but narrated.
+Runs the derivative-free parameter search at each distance (after the
+first, started from the previous optimum instead of the centre start) and
+prints the resulting curve. Each distance's one coordinate descent runs until
+a pass improves nothing or its 150 evaluations are spent. Equivalent to
+`corrbb84 scan` but narrated.
 """
 
 from corrbb84.optimizer import OptimizationSpec, scan_distance

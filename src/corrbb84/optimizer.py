@@ -2,13 +2,12 @@
 
 Coordinate descent with golden-section line searches over box bounds, in
 passes until one improves nothing, from one start: a scan's warm start (the
-previous distance's winner), if there is one, then the centre start that
+previous distance's winner) if there is one, else the centre start that
 ``_center_start`` derives from v. The search's ``_Objective`` alone knows the
 evaluation budget, the one bound on work: the evaluation that would exceed it
 raises instead, which ends the search wherever it is. It alone keeps the best
-point too: each descent moves from the first candidate to reach its top
-score, and the search returns the first candidate to reach the top score of
-all it evaluated.
+point too, the first candidate to reach the top score of all it evaluated:
+the descent moves from it, and the search returns it.
 The objective is the key length of the expected-value pipeline
 (deterministic counts; sampled counts would make the objective noisy), so a
 fixed spec yields a reproducible trajectory and result. Where the key is zero
@@ -95,8 +94,9 @@ class OptimizationSpec:
 def validate_optimization(spec: OptimizationSpec) -> list[str]:
     """List of violated invariants; empty means the spec is usable. ``N``, the
     epsilons and ``f_EC`` follow their owners' rules in ``model`` and
-    ``keyrate``; the ``v`` and ``eps_pe_target`` rules leave some candidate
-    feasible and give every one a positive concentration budget."""
+    ``keyrate``; the ``eps_pe_target`` rule gives every candidate a positive
+    concentration budget, and the ``v`` rule leaves some candidate feasible
+    but within about 1e-8 of 0.5 (see ``_center_start``)."""
     if isinstance(spec.budget, bool) or not isinstance(spec.budget, int):
         problems = [f"budget must be a whole number of evaluations, got {spec.budget!r}"]
     else:
@@ -179,10 +179,8 @@ class _Objective:
     decoy: dict = field(default_factory=dict)  # see decoy_bounds
     coin: dict = field(default_factory=dict)  # see coin_parameter
     refusal: ConfigError | None = None  # the first refusal, of any stage
-    # (candidate, score): the first candidate to reach the top score of the
-    # current descent, which resets it, and of the whole search
+    # (candidate, score): the first candidate to reach the top score
     best: tuple = (None, -math.inf)
-    winner: tuple = (None, -math.inf)
 
     def decoy_bounds(self, observed: ObservedCounts, config: ProtocolConfig) -> DecoyBounds:
         """The decoy stage, keyed by every input it reads: the z_det, x_det and
@@ -205,10 +203,10 @@ class _Objective:
         return coin_param
 
     def __call__(self, candidate: Candidate) -> float:
-        """The candidate's score, which ``best`` and ``winner`` take when it
-        beats theirs; raises ``_Spent`` rather than evaluate past the budget.
-        A refused candidate scores -inf, which beats nothing; only one that
-        builds a config spends an evaluation."""
+        """The candidate's score, which ``best`` takes when it beats its own;
+        raises ``_Spent`` rather than evaluate past the budget. A refused
+        candidate scores -inf, which beats nothing; only one that builds a
+        config spends an evaluation."""
         score = self.cache.get(candidate)
         if score is None:
             try:
@@ -225,8 +223,6 @@ class _Objective:
             self.cache[candidate] = score
         if score > self.best[1]:
             self.best = candidate, score
-        if score > self.winner[1]:
-            self.winner = candidate, score
         return score
 
 
@@ -273,7 +269,7 @@ def _coordinate_descent(objective: _Objective, start: Candidate) -> None:
 
 
 def _center_start(v: float) -> Candidate:
-    """The start every search descends from, feasible at each v that
+    """The start of a search given no warm start, feasible at each v that
     ``validate_optimization`` accepts but those within 1e-8 of 0.5, where the
     decoy bounds' (w - v)(s - w - v), at most (0.5 - v)^2 in the box, drowns
     in the rounding of the model's check. The signal intensity mid-box, or
@@ -301,24 +297,26 @@ def optimize_params(
     channel: ChannelModel,
     warm_start: Candidate | None = None,
 ) -> OptimizationResult:
-    """Best (parameters, key rate) found within the evaluation budget,
-    searched from ``warm_start``, if given, then from the centre start.
+    """Best (parameters, key rate) found within the evaluation budget by one
+    descent, from ``warm_start`` if given, else from the centre start.
 
     Deterministic for fixed (spec, channel, warm_start). A run whose best
     candidate certifies no key is reported with ``zero_key_everywhere``
     rather than treated as a failure; a spec that fails
     :func:`validate_optimization`, or a search that refused every candidate
     it probed, raises :class:`~corrbb84.model.ConfigError`, the latter its
-    first refusal.
+    first refusal. A warm start needs no fallback: the refusals a candidate
+    meets (``_build_config``, ``problems``, ``effective_length``,
+    ``total_pe_failure``, the decoy denominator) read no channel input, so a
+    scan's previous winner builds and runs at every distance.
     """
     require(validate_optimization(spec))
     objective = _Objective(spec, channel)
-    starts = [] if warm_start is None else [tuple(map(float, warm_start))]
+    start = _center_start(spec.v) if warm_start is None else tuple(map(float, warm_start))
     with contextlib.suppress(_Spent):
-        for start in starts + [_center_start(spec.v)]:
-            _coordinate_descent(objective, start)
-    best_point, best_score = objective.winner
-    if best_point is None:
+        _coordinate_descent(objective, start)
+    best_point, best_score = objective.best
+    if best_score == -math.inf:
         raise objective.refusal
     config = _build_config(best_point, spec, {})
     observed, _ = expected_counts(config, channel)
@@ -338,9 +336,10 @@ def scan_distance(
     seed: int | None = None,
 ) -> list[dict]:
     """Optimized key length per channel distance; one row per distance, each
-    search also started from the previous distance's winner. ``seed`` is
-    ignored: the benchmark harness is the only caller that still passes it,
-    and the benchmark change of ROADMAP Direction 5 deletes both."""
+    search after the first started from the previous distance's winner
+    instead of the centre start. ``seed`` is ignored: the benchmark harness
+    is the only caller that still passes it, and the benchmark change of
+    ROADMAP Direction 5 deletes both."""
     rows, warm = [], None
     for distance in distances:
         outcome = optimize_params(spec, replace(channel, distance_km=distance), warm)

@@ -1,4 +1,4 @@
-"""Optimizer grid: the key each cold search certifies on a fixed 21-cell grid.
+"""Optimizer grid: the key each cold search and each scan row certifies on a fixed grid.
 
 Cells are the distances 0-60 km in 10 km steps and three settings
 (uncorrelated at eps_pe_target 1e-10, with v = 0 and with a vacuum decoy of
@@ -8,8 +8,11 @@ Each cell is one ``optimize_params`` call with no warm start, so a change to
 the search (its coordinates, boxes, start or stopping rule) shows as a
 per-cell and a summed key. The report also gives the evaluations each cell
 spent, so a cell whose search converges under the budget shows, and a change
-to where the search stops shows even where no key moves. The grid runs at
-budgets 100 and 400; the whole report takes a few seconds.
+to where the search stops shows even where no key moves. Each setting also
+runs as one ``scan_distance`` over the seven distances, whose searches after
+the first start from the previous row's winner (the warm path that no cold
+cell takes), with the key and evaluations of each row and their sums. The
+grid runs at budgets 100 and 400; the whole report takes a few seconds.
 
 Run it from the repository root; it is a script, not a pytest module:
 
@@ -25,7 +28,7 @@ import argparse
 import time
 
 from corrbb84.correlations import CorrelationModel
-from corrbb84.optimizer import OptimizationSpec, optimize_params
+from corrbb84.optimizer import OptimizationSpec, optimize_params, scan_distance
 from corrbb84.validation import reference_channel
 
 N = 10**9
@@ -39,16 +42,21 @@ SETTINGS = {
 }
 
 
-def grid_keys(budget: int) -> dict[tuple[str, float], tuple[int, int]]:
+def grid_keys(budget: int, scan: bool) -> dict[tuple[str, float], tuple[int, int]]:
     """(setting, distance) -> the key length of that cell's search and the
-    evaluations it spent."""
+    evaluations it spent: a cold search per cell, or with ``scan`` one scan
+    per setting, a row per cell."""
     keys = {}
     for name, (model, eps_pe_target, v) in SETTINGS.items():
         spec = OptimizationSpec(N=N, v=v, eps_pe_target=eps_pe_target, correlation=model,
                                 budget=budget)
-        for distance in DISTANCES_KM:
-            outcome = optimize_params(spec, reference_channel(distance))
-            keys[name, distance] = outcome.key_length, outcome.evaluations
+        if scan:
+            rows = scan_distance(spec, reference_channel(0.0), list(DISTANCES_KM))
+            cells = [(row["key_length"], row["evaluations"]) for row in rows]
+        else:
+            outcomes = [optimize_params(spec, reference_channel(d)) for d in DISTANCES_KM]
+            cells = [(outcome.key_length, outcome.evaluations) for outcome in outcomes]
+        keys.update(((name, d), cell) for d, cell in zip(DISTANCES_KM, cells))
     return keys
 
 
@@ -56,18 +64,20 @@ def report() -> list[str]:
     lines = []
     header = f"{'setting':<13} {'':<5} " + " ".join(f"{d:>10.0f}" for d in DISTANCES_KM)
     for budget in BUDGETS:
-        started = time.perf_counter()
-        cells = grid_keys(budget)
-        elapsed = time.perf_counter() - started
-        lines += [f"budget {budget} ({len(cells)} cells, {elapsed:.2f} s)", header]
-        for name in SETTINGS:
-            for label, column in (("key", 0), ("evals", 1)):
-                row = " ".join(f"{cells[name, d][column]:>10}" for d in DISTANCES_KM)
-                lines.append(f"{name:<13} {label:<5} {row}")
-        spent = ", ".join(f"{name} {sum(cells[name, d][1] for d in DISTANCES_KM)}"
-                          for name in SETTINGS)
-        lines.append(f"summed evaluations at budget {budget}: {spent}")
-        lines.append(f"summed key at budget {budget}: {sum(key for key, _ in cells.values())}")
+        for scan, kind in ((False, "cells"), (True, "scan rows")):
+            started = time.perf_counter()
+            cells = grid_keys(budget, scan)
+            elapsed = time.perf_counter() - started
+            lines += [f"budget {budget} ({len(cells)} {kind}, {elapsed:.2f} s)", header]
+            for name in SETTINGS:
+                for label, column in (("key", 0), ("evals", 1)):
+                    row = " ".join(f"{cells[name, d][column]:>10}" for d in DISTANCES_KM)
+                    lines.append(f"{name:<13} {label:<5} {row}")
+            spent = ", ".join(f"{name} {sum(cells[name, d][1] for d in DISTANCES_KM)}"
+                              for name in SETTINGS)
+            summed = sum(key for key, _ in cells.values())
+            lines.append(f"summed evaluations of the {kind} at budget {budget}: {spent}")
+            lines.append(f"summed key of the {kind} at budget {budget}: {summed}")
     return lines
 
 
@@ -79,8 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     print(*lines, sep="\n")
     if args.summary:
         with open(args.summary, "a") as handle:
-            print("Optimizer grid (cold searches, key bits and evaluations per cell; "
-                  "columns in km)", file=handle)
+            print("Optimizer grid (cold searches, then one scan per setting; key bits "
+                  "and evaluations per cell; columns in km)", file=handle)
             print("```", *lines, "```", sep="\n", file=handle)
     return 0
 

@@ -141,9 +141,9 @@ def test_pipeline_refusals_score_minus_inf_and_spend_budget(monkeypatch, channel
 
 def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel_10km):
     """At eps_pe_target 1e-308 every candidate is refused, so s keeps its
-    0.005 start, below the weak intensity's box, whose top of 0.99 s then
-    lies under its floor: that start's pass searches every coordinate but w,
-    and the pass of the centre start, with s mid-box, searches all seven."""
+    start. A warm start's 0.005 lies below the weak intensity's box, whose
+    top of 0.99 s then lies under its floor: its pass searches every
+    coordinate but w. The centre start, with s mid-box, searches all seven."""
     real, searched = optimizer._golden_section, []
 
     def recorded(objective, candidate, coord, lo, hi):
@@ -152,10 +152,37 @@ def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel
 
     monkeypatch.setattr(optimizer, "_golden_section", recorded)
     spec = OptimizationSpec(N=10**9, eps_pe_target=1e-308, budget=60)
-    with pytest.raises(ConfigError, match="eps_A must lie in"):
-        optimize_params(spec, channel_10km, (0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3))
-    assert searched == ([(coord, 0.005) for coord in (0, 2, 3, 4, 5, 6)]
-                        + [(coord, _center_start(0.0)[0]) for coord in range(len(BOXES))])
+    for warm_start, coords in (((0.005, 0.002, 0.9, 0.1, 0.8, 0.3, 0.3), (0, 2, 3, 4, 5, 6)),
+                               (None, range(len(BOXES)))):
+        searched.clear()
+        with pytest.raises(ConfigError, match="eps_A must lie in"):
+            optimize_params(spec, channel_10km, warm_start)
+        s = _center_start(0.0)[0] if warm_start is None else warm_start[0]
+        assert searched == [(coord, s) for coord in coords]
+
+
+def test_a_warm_search_is_one_descent_from_its_start(monkeypatch, channel_10km):
+    """A search given a warm start descends from it alone and never
+    evaluates the centre start, and a scan's second row is that search at
+    its distance from the first row's winner."""
+    spec = OptimizationSpec(N=10**9, budget=400)
+    cold = optimize_params(spec, reference_channel(30.0))
+    real, probed = optimizer._Objective.__call__, []
+
+    def recorded(objective, candidate):
+        probed.append(candidate)
+        return real(objective, candidate)
+
+    monkeypatch.setattr(optimizer._Objective, "__call__", recorded)
+    warm = optimize_params(spec, channel_10km, cold.point)
+    monkeypatch.undo()
+    assert probed[0] == cold.point != _center_start(0.0)
+    assert _center_start(0.0) not in probed and warm.evaluations < spec.budget
+    first, second = scan_distance(spec, channel_10km, [30.0, 10.0])
+    assert (first["key_length"], first["evaluations"]) == (cold.key_length, cold.evaluations)
+    assert second == {"distance_km": 10.0, "key_length": warm.key_length,
+                      "eps_sec": warm.result.eps_sec, "evaluations": warm.evaluations,
+                      **{f"param_{k}": v for k, v in warm.params.items()}}
 
 
 def test_refused_candidates_spend_no_budget(monkeypatch):
@@ -314,8 +341,7 @@ def test_objective_certifies_builtin_floats(monkeypatch, channel_10km, model):
         return evaluate_pipeline(observed, config, *args, **kwargs)
 
     monkeypatch.setattr(optimizer, "evaluate_pipeline", recording)
-    # the second distance is started from the first one's winner, then from
-    # the centre start
+    # the second distance is started from the first one's winner alone
     spec = OptimizationSpec(correlation=model, **FAST)
     rows = scan_distance(spec, channel_10km, [10.0, 30.0])
     assert len(configs) == sum(row["evaluations"] + 1 for row in rows) > spec.budget
