@@ -12,9 +12,9 @@ its kind there, or a key given twice in one object, is refused in every section
 present, whichever command reads it.
 Every output embeds a run manifest (tool version, config hash, seed,
 bound-algorithm id, RNG id, timestamp); for a fixed config, seed, version and
-command line (``--budget``, ``--distances``, ``--mode``; the manifest hashes
-only the config) the numeric sections are byte-identical across runs -- only
-the timestamp varies.
+command line (``--distances``, ``--mode``; the manifest hashes only the
+config) the numeric sections are byte-identical across runs -- only the
+timestamp varies.
 The RNG id is ``numpy-pcg64`` wherever the manifest holds a seed, and null
 where it holds none: ``optimize`` and ``scan`` take no ``--seed``, since their
 search draws nothing. Subcommands import the simulator, optimizer and oracle
@@ -234,8 +234,9 @@ def _claimed_outputs(args):
     """Each output file of ``args`` swapped for a new empty temporary beside
     the file it names, which replaces that file only once the block has run.
     On any failure the temporaries are removed. A path that names a device
-    or a pipe, such as /dev/stdout, is written in place."""
-    claims = []  # (target, temporary)
+    or a pipe, such as /dev/stdout, is written in place; two outputs that
+    name one file are refused, since one would replace the other."""
+    claims = {}  # target -> (option, temporary)
     try:
         for name in OUTPUT_ARGS:
             path = getattr(args, name, None)
@@ -243,6 +244,9 @@ def _claimed_outputs(args):
                             and not (os.path.isfile(path) or os.path.isdir(path))):
                 continue
             target = os.path.realpath(path)  # a symlink keeps pointing at it
+            option = "--" + name.replace("_", "-")
+            if target in claims:
+                raise ConfigError(f"{claims[target][0]} and {option} name the same file {path}")
             head, tail = os.path.split(target)
             temp = os.path.join(head, f".{tail}.{os.getpid()}-{len(claims)}.tmp")
             try:
@@ -251,13 +255,13 @@ def _claimed_outputs(args):
                 open(temp, "x").close()  # 0666 less the umask, as a plain open gives
             except OSError as exc:  # name the path given, not the temporary
                 raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
-            claims.append((target, temp))
+            claims[target] = option, temp
             setattr(args, name, temp)
         yield
-        for target, temp in claims:
+        for target, (_, temp) in claims.items():
             os.replace(temp, target)
     finally:
-        for _, temp in claims:
+        for _, temp in claims.values():
             with suppress(FileNotFoundError):
                 os.remove(temp)
 
@@ -441,9 +445,8 @@ def parse_distances(spec: str) -> list[float]:
 
 def _search_inputs(args) -> tuple[OptimizationSpec, ChannelModel, dict]:
     """The search spec, channel and manifest of ``optimize`` and ``scan``: the
-    spec takes ``eps_pe_target`` from the ``optimizer`` section, the budget
-    from ``--budget``, and the protocol's ``v``, ``eps_PA`` and ``eps_EV``,
-    held fixed."""
+    spec takes ``eps_pe_target`` from the ``optimizer`` section, the default
+    budget, and the protocol's ``v``, ``eps_PA`` and ``eps_EV``, held fixed."""
     from .optimizer import OptimizationSpec
     data, text = load_config(args.config)
     config = parse_protocol(data)
@@ -453,7 +456,6 @@ def _search_inputs(args) -> tuple[OptimizationSpec, ChannelModel, dict]:
         N=config.N, v=float(config.intensity_set.v),
         eps_PA=epsilons.eps_PA, eps_EV=epsilons.eps_EV,
         correlation=parse_correlations(data, config), f_EC=parse_f_ec(data),
-        budget=OptimizationSpec.budget if args.budget is None else args.budget,
         **data.get("optimizer", {}),
     )
     return spec, channel, make_manifest(text, None)
@@ -468,16 +470,11 @@ def cmd_scan(args) -> int:
         require(validate_channel(dataclasses.replace(channel, distance_km=distance)))
     rows = scan_distance(spec, channel, distances)
     columns = ["distance_km", "key_length", "eps_sec", "evaluations"] + sorted(
-        {key for row in rows for key in row if key.startswith("param_")}
-    )
+        key for key in rows[0] if key.startswith("param_"))
     with _csv_output(args.out, manifest, columns) as writer:
         for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row[col]) if isinstance(row.get(col), float) else row.get(col, "")
-                    for col in columns
-                ]
-            )
+            writer.writerow([_fmt(row[col]) if isinstance(row[col], float) else row[col]
+                             for col in columns])
     return 0
 
 
@@ -540,13 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="optimized key length vs distance CSV")
     scan.add_argument("--config", required=True)
     scan.add_argument("--distances", required=True, help='"0:100:10" or "0,10,25"')
-    scan.add_argument("--budget", type=int, default=None)
     scan.add_argument("--out", required=True)
     scan.set_defaults(func=cmd_scan)
 
     optimize = sub.add_parser("optimize", help="optimize protocol parameters")
     optimize.add_argument("--config", required=True)
-    optimize.add_argument("--budget", type=int, default=None)
     optimize.add_argument("--out", help="result JSON path (default: stdout)")
     optimize.set_defaults(func=cmd_optimize)
 

@@ -324,13 +324,12 @@ def test_criterion_9_determinism(command, tmp_path):
             outputs.append(_numeric_json(out))
         elif command == "optimize":
             out = tmp_path / f"best_{attempt}.json"
-            _run_cli(["optimize", "--config", str(config), "--budget", "10",
-                      "--out", str(out)], tmp_path)
+            _run_cli(["optimize", "--config", str(config), "--out", str(out)], tmp_path)
             outputs.append(_numeric_json(out))
         elif command == "scan":
             out = tmp_path / f"scan_{attempt}.csv"
             _run_cli(["scan", "--config", str(config), "--distances", "0:20:10",
-                      "--budget", "10", "--out", str(out)], tmp_path)
+                      "--out", str(out)], tmp_path)
             outputs.append(_numeric_lines(out))
         else:
             stdout = _run_cli(["validate", "--level", "quick", "--seed", "7"], tmp_path)

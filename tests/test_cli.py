@@ -1,3 +1,6 @@
+import argparse
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -261,8 +264,8 @@ def _forbid_work(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--simulate", "--out", "{}/result.json"],
-    ["optimize", "--budget", "5", "--out", "{}/best.json"],
-    ["scan", "--distances", "0", "--budget", "5", "--out", "{}/scan.csv"],
+    ["optimize", "--out", "{}/best.json"],
+    ["scan", "--distances", "0", "--out", "{}/scan.csv"],
     ["simulate", "--mode", "expected", "--counts-out", "{}/counts.csv"],
     ["simulate", "--mode", "expected", "--counts-out", "counts.csv", "--truth-out", "{}/truth.csv"],
     ["validate", "--out", "{}/report.json"],
@@ -323,15 +326,20 @@ def test_output_replaces_the_file_a_symlink_names_with_a_plain_open_mode(config_
 
 
 def test_output_to_a_pipe_is_written_in_place(config_path, tmp_path):
+    """A pipe is no file to claim, so it also takes both outputs of simulate."""
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
     reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
     try:
         assert main(["keyrate", "--config", config_path, "--simulate", "--out", str(pipe)]) == 0
         text = os.read(reader, 1 << 16)
+        assert main(["simulate", "--config", config_path, "--mode", "expected",
+                     "--counts-out", str(pipe), "--truth-out", str(pipe)]) == 0
+        tables = os.read(reader, 1 << 16).decode()
     finally:
         os.close(reader)
     assert json.loads(text)["result"]["key_length"] > 0
+    assert tables.count(cli.MANIFEST_PREFIX) == 2 and "trash_minus" in tables
     assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
@@ -346,14 +354,17 @@ def test_over_budget_epsilons_exit_2(tmp_path, capsys):
     assert "config error" in err and "failure budget" in err
 
 
-def test_scan_row_count(config_path, tmp_path):
+def test_scan_row_count(config_path, tmp_path, monkeypatch):
+    # the rows, not their keys, are checked: the real search at 4 evaluations
+    search = optimizer.optimize_params
+    monkeypatch.setattr(optimizer, "optimize_params", lambda spec, channel, warm_start=None:
+                        search(dataclasses.replace(spec, budget=4), channel, warm_start))
     out = tmp_path / "scan.csv"
     config = json.loads(json.dumps(BASE_CONFIG))
     path = tmp_path / "scan_config.json"
     path.write_text(json.dumps(config))
     assert main([
-        "scan", "--config", str(path), "--distances", "0:100:10",
-        "--budget", "4", "--out", str(out),
+        "scan", "--config", str(path), "--distances", "0:100:10", "--out", str(out),
     ]) == 0
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert len(lines) == 1 + 11  # header + one row per distance
@@ -364,10 +375,10 @@ def test_optimize_writes_result(config_path, tmp_path):
     config = json.loads(json.dumps(BASE_CONFIG))
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(path), "--budget", "30", "--out", str(out)]) == 0
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["result"]["key_length"] > 0
-    assert payload["result"]["evaluations"] <= 30
+    assert payload["result"]["evaluations"] < optimizer.OptimizationSpec.budget
 
 
 @pytest.mark.parametrize("distance", [0, 1])
@@ -380,9 +391,10 @@ def test_optimize_positive_vacuum_intensity_exits_0(tmp_path, distance):
     path = tmp_path / "opt_config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "best.json"
-    assert main(["optimize", "--config", str(path), "--budget", "150", "--out", str(out)]) == 0
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
-    assert 0 < result["evaluations"] <= 150 and result["key_length"] > 0
+    assert 0 < result["evaluations"] < optimizer.OptimizationSpec.budget
+    assert result["key_length"] > 0
     params = result["params"]
     assert params["s"] > params["w"] + params["v"] and params["v"] == 0.2
 
@@ -411,8 +423,7 @@ def test_optimize_uses_channel_f_ec(tmp_path):
         path = tmp_path / f"opt_{f_ec}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{f_ec}.json"
-        assert main(["optimize", "--config", str(path), "--budget", "30",
-                     "--out", str(out)]) == 0
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
         keys[f_ec] = json.loads(out.read_text())["result"]["key_length"]
     assert 0 < keys[2.0] < keys[1.16]
 
@@ -425,7 +436,7 @@ def test_optimize_reads_the_protocols_v_and_epsilons(tmp_path, capsys):
     config["epsilons"]["eps_PA"] = 1e-6
     path = tmp_path / "protocol_v.json"
     path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(path), "--budget", "30"]) == 0
+    assert main(["optimize", "--config", str(path)]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["params"]["v"] == 0.02
     assert result["eps_sec"] == pytest.approx(2 * math.sqrt(1e-10) + 1e-6 + 1e-10, rel=1e-12)
@@ -441,7 +452,7 @@ def test_optimize_ends_quickly_on_a_slowly_decaying_model(tmp_path):
     path = tmp_path / "slow.json"
     path.write_text(json.dumps(config))
     start = time.perf_counter()
-    assert main(["optimize", "--config", str(path), "--budget", "5",
+    assert main(["optimize", "--config", str(path),
                  "--out", str(tmp_path / "best.json")]) in (0, 2)
     assert time.perf_counter() - start < 5.0
 
@@ -456,7 +467,7 @@ def test_readme_config_runs(tmp_path):
     path.write_text(blocks[0])
     assert main(["keyrate", "--config", str(path), "--simulate",
                  "--out", str(tmp_path / "keyrate.json")]) == 0
-    assert main(["optimize", "--config", str(path), "--budget", "5",
+    assert main(["optimize", "--config", str(path),
                  "--out", str(tmp_path / "best.json")]) == 0
 
 
@@ -523,7 +534,7 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     config["correlations"] = {"delta_1": 0.05, "decay_C": 1.0}  # d stays 0
     path = tmp_path / "bad_opt.json"
     path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(path), "--budget", "5"]) == 2
+    assert main(["optimize", "--config", str(path)]) == 2
 
 
 N_BEYOND_INT64 = "N must be at most 9223372036854775807, got 9223372036854775808"
@@ -575,6 +586,9 @@ MALFORMED_MESSAGES = {
         "eps_A must lie in (0, 1) with 1/eps_A finite, got",
     "seed_retired_optimize": "unrecognized arguments: --seed 1",
     "seed_retired_scan": "unrecognized arguments: --seed 1",
+    "budget_retired_optimize": "unrecognized arguments: --budget 60",
+    "budget_retired_scan": "unrecognized arguments: --budget 60",
+    "counts_and_truth_one_path": "--counts-out and --truth-out name the same file ",
 }
 
 
@@ -675,6 +689,9 @@ MALFORMED_MESSAGES = {
     ({"optimizer": {"eps_pe_target": 1e-308}}, None, "optimize"),
     ({}, "--seed 1", "optimize"),
     ({}, "0 --seed 1", "scan"),
+    ({}, "--budget 60", "optimize"),
+    ({}, "0 --budget 60", "scan"),
+    ({}, "--truth-out {}", "simulate"),
 ], ids=[
     "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
     "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
@@ -706,7 +723,8 @@ MALFORMED_MESSAGES = {
     "distance_range_across_2_53", "N_beyond_int64_expected", "N_beyond_int64_counts",
     "N_beyond_int64_simulate", "N_beyond_int64_optimize", "N_beyond_int64_scan",
     "optimizer_eps_pe_target_underflows_every_split", "seed_retired_optimize",
-    "seed_retired_scan",
+    "seed_retired_scan", "budget_retired_optimize", "budget_retired_scan",
+    "counts_and_truth_one_path",
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -722,11 +740,12 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
     if mode == "optimize":
         argv = ["optimize", "--config", str(path), *(cell or "").split()]
     elif mode == "scan":
-        argv = ["scan", "--config", str(path), "--distances", *cell.split(" "), "--budget", "5",
+        argv = ["scan", "--config", str(path), "--distances", *cell.split(" "),
                 "--out", str(tmp_path / "out.csv")]
     elif mode == "simulate":
         argv = ["simulate", "--config", str(path), "--mode", "expected",
-                "--counts-out", str(tmp_path / "out.csv")]
+                "--counts-out", str(tmp_path / "out.csv"),
+                *(arg.format(tmp_path / "out.csv") for arg in (cell or "").split())]
     elif mode.startswith("counts"):
         counts = tmp_path / "counts.csv"
         main(["simulate", "--config", config_path, "--mode", "expected",
@@ -796,29 +815,22 @@ def test_number_accepts_values_a_float_holds(value):
     assert section == {"distance_km": value, "f_EC": limit}
 
 
-@pytest.mark.parametrize("command", ["optimize", "scan"])
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_budget_flag_below_1_exits_2(config_path, tmp_path, capsys, command, budget):
-    argv = [command, "--config", config_path, "--budget", budget]
-    if command == "scan":
-        argv += ["--distances", "0", "--out", str(tmp_path / "scan.csv")]
-    assert main(argv) == 2
-    assert "budget must be >= 1" in capsys.readouterr().err
-
-
-def test_optimize_without_budget_flag_spends_the_default_budget(tmp_path, capsys):
-    """``--budget`` alone sets the budget; without it the search spends the
-    spec's default of 400 evaluations, here on a search (v = 0.1 at 30 km)
-    that has not converged by then."""
-    config = json.loads(json.dumps(BASE_CONFIG))
-    config["protocol"]["intensities"] = {"s": 0.5, "w": 0.2, "v": 0.1}
-    config["channel"]["distance_km"] = 30.0
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["evaluations"] == 400
-    assert main(["optimize", "--config", str(path), "--budget", "1000000"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["evaluations"] > 400
+def test_scan_runs_each_search_until_it_converges(tmp_path):
+    """``scan`` takes no budget: on the README correlated config it writes the
+    rows of searches that no budget binds, though the 0 km one spends 409
+    evaluations."""
+    from corrbb84.optimizer import scan_distance
+    config = Path(__file__).with_name("fixtures") / "cli_outputs" / "readme_correlated.json"
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(config), "--distances", "0,20,40",
+                 "--out", str(out)]) == 0
+    written = list(csv.DictReader(line for line in out.read_text().splitlines()
+                                  if not line.startswith("#")))
+    spec, channel, _ = cli._search_inputs(argparse.Namespace(config=str(config)))
+    rows = scan_distance(dataclasses.replace(spec, budget=10**6), channel, [0.0, 20.0, 40.0])
+    assert written == [{key: cli._fmt(value) if isinstance(value, float) else str(value)
+                        for key, value in row.items()} for row in rows]
+    assert [row["evaluations"] for row in written] == ["409", "368", "343"]
 
 
 def test_top_level_not_object_exits_2(tmp_path, capsys):
@@ -861,8 +873,7 @@ def test_optimize_honours_explicit_length(tmp_path):
         path = tmp_path / f"opt_{l_c_eff}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / f"best_{l_c_eff}.json"
-        assert main(["optimize", "--config", str(path), "--budget", "30",
-                     "--out", str(out)]) == 0
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
         keys[l_c_eff] = json.loads(out.read_text())["result"]["key_length"]
     # the derived length is about 35; at 400 the smaller eps_C share and the
     # wider trash bound cost key
@@ -1044,16 +1055,15 @@ def test_expected_simulation_never_loads_numpy(config_path, tmp_path):
         assert _without_timestamp(a) == _without_timestamp(b)
 
 
-# Runs in a fresh interpreter: optimize and scan at a small budget on
-# argv[1:], then prints whether numpy was loaded.
+# Runs in a fresh interpreter: optimize and scan on argv[1:], then prints
+# whether numpy was loaded.
 SEARCH_PROBE = """
 import sys
 from corrbb84.cli import main
 config, optimized, scanned = sys.argv[1:]
-if main(["optimize", "--config", config, "--budget", "30", "--out", optimized]):
+if main(["optimize", "--config", config, "--out", optimized]):
     sys.exit("optimize failed")
-if main(["scan", "--config", config, "--distances", "0,30", "--budget", "30",
-         "--out", scanned]):
+if main(["scan", "--config", config, "--distances", "0,30", "--out", scanned]):
     sys.exit("scan failed")
 print("numpy" in sys.modules)
 """
@@ -1077,9 +1087,8 @@ def test_search_commands_never_load_numpy(config_path, tmp_path):
     assert proc.stdout.split() == ["False"]
 
     optimized, scanned = map(str, loaded)
-    assert main(["optimize", "--config", config_path, "--budget", "30",
-                 "--out", optimized]) == 0
-    assert main(["scan", "--config", config_path, "--distances", "0,30", "--budget", "30",
+    assert main(["optimize", "--config", config_path, "--out", optimized]) == 0
+    assert main(["scan", "--config", config_path, "--distances", "0,30",
                  "--out", scanned]) == 0
     for a, b in zip(fresh, loaded):
         assert _without_timestamp(a) == _without_timestamp(b)

@@ -4,7 +4,8 @@ out.
 
 The fixtures hold ``keyrate --simulate`` (expected mode) and ``keyrate
 --counts`` on the README config, with its correlation model and without it
-(then with d = 0), and ``optimize`` and ``scan 0,20,40`` at budget 60 on both.
+(then with d = 0), and ``optimize`` and ``scan 0,20,40`` on both, each search
+run until it converges.
 The keyrate JSON carries the whole audit, which ``cmd_keyrate`` writes by
 name, so a key the audit drops, renames or reorders fails here. The counts
 file is a stored sampled draw. Record again (only when a change of these
@@ -24,8 +25,8 @@ CONFIGS = ("readme_correlated.json", "readme_uncorrelated.json")
 COMMANDS = {
     "keyrate_simulate": ["keyrate", "--simulate"],
     "keyrate_counts": ["keyrate", "--counts", str(FIXTURES / "counts.csv")],
-    "optimize": ["optimize", "--budget", "60"],
-    "scan": ["scan", "--distances", "0,20,40", "--budget", "60"],
+    "optimize": ["optimize"],
+    "scan": ["scan", "--distances", "0,20,40"],
 }
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 

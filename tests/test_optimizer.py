@@ -475,8 +475,9 @@ def test_winner_disagreement_raises(monkeypatch, channel_10km):
      "eps_pe_target must exceed the correlation model's truncation_d=1e-12, got 1e-12"),
     ({"budget": 2.5}, "budget must be a whole number of evaluations, got 2.5"),
     ({"budget": True}, "budget must be a whole number of evaluations, got True"),
+    ({"budget": 0}, "budget must be >= 1, got 0"),
 ], ids=["f_ec_below_1", "f_ec_nan", "N_zero", "v_above_box", "eps_PA_inverse_overflows",
-        "eps_pe_target_at_d", "budget_fractional", "budget_bool"])
+        "eps_pe_target_at_d", "budget_fractional", "budget_bool", "budget_zero"])
 def test_invalid_spec_raises_before_any_evaluation(monkeypatch, channel_10km, edits, message):
     def never(*args, **kwargs):
         raise AssertionError("evaluated an invalid spec")
