@@ -15,14 +15,17 @@ bound-algorithm id, RNG id, timestamp); for a fixed config, seed, version and
 command line (``--distances``, ``--mode``; the manifest hashes only the
 config) the numeric sections are byte-identical across runs -- only the
 timestamp varies.
-The RNG id is ``numpy-pcg64`` wherever the manifest holds a seed, and null
-where it holds none: ``optimize`` and ``scan`` take no ``--seed``, since their
-search draws nothing. Subcommands import the simulator, optimizer and oracle
-suites only when they run; only a sample or an oracle suite loads numpy.
+The manifest holds the seed only where a sample is drawn, with the RNG id
+``numpy-pcg64``, and null for both elsewhere: ``--counts`` and an expected
+simulation draw nothing, and ``optimize`` and ``scan`` take no ``--seed``,
+since their search draws nothing. Subcommands import the simulator,
+optimizer and oracle suites only when they run; only a sample or an oracle
+suite loads numpy.
 
 Each output file is claimed before the command's work, as a temporary
 beside it that replaces it only once the command has finished, so a failed
-command leaves no partial output and every existing file as it was.
+command leaves no partial output and every existing file as it was; an
+output that is the process's stdout is written through stdout.
 
 Exit codes: 0 success (including zero-key results, which set a flag in the
 output), 1 oracle-suite failure or a closed output pipe, 2 configuration
@@ -41,13 +44,13 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .correlations import CorrelationModel, validate_correlation
 from .counts import CountTriple, GroundTruth, ObservedCounts
-from .keyrate import DEFAULT_F_EC, evaluate_pipeline, validate_f_ec
+from .keyrate import DEFAULT_F_EC, evaluate_pipeline, pe_budget, validate_f_ec
 from .model import ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, require
 
 if TYPE_CHECKING:
@@ -74,7 +77,7 @@ EPSILONS = ("eps_A", "eps_B", "eps_C", "eps_PA", "eps_EV", "d")
 # refused) and the kind of value each holds, a section (dict), a number that a
 # double holds finitely (float) or also a whole number (int)
 SECTION_KEYS = {
-    "config": dict.fromkeys(("protocol", "epsilons", "channel", "correlations", "optimizer"), dict),
+    "config": dict.fromkeys(("protocol", "epsilons", "channel", "correlations"), dict),
     "protocol": {"N": int, "p_keep": float, "intensities": dict, "intensity_probs": dict},
     "protocol.intensities": dict.fromkeys(INTENSITIES, float),
     "protocol.intensity_probs": dict.fromkeys(INTENSITIES, float),
@@ -82,7 +85,6 @@ SECTION_KEYS = {
     "channel": dict.fromkeys(("distance_km", "f_EC", "attenuation_db_per_km",
                               "detector_efficiency", "dark_count_prob", "misalignment"), float),
     "correlations": {"delta_1": float, "decay_C": float, "l_c_eff": int},
-    "optimizer": {"eps_pe_target": float},
 }
 # the arguments that name an output file
 OUTPUT_ARGS = ("out", "counts_out", "truth_out")
@@ -233,13 +235,20 @@ def parse_correlations(data: dict, config: ProtocolConfig) -> CorrelationModel |
 def _claimed_outputs(args):
     """Each output file of ``args`` swapped for a new empty temporary beside
     the file it names, which replaces that file only once the block has run.
-    On any failure the temporaries are removed. A path that names a device
-    or a pipe, such as /dev/stdout, is written in place; two outputs that
-    name one file are refused, since one would replace the other."""
+    On any failure the temporaries are removed. A path that is this process's
+    stdout, such as /dev/stdout, is swapped for ``sys.stdout`` and written
+    through it, so a redirected file is appended to or replaced as the shell
+    opened it; a path that names another device or a pipe is written in
+    place. Two outputs that name one other file are refused, since one would
+    replace the other."""
     claims = {}  # target -> (option, temporary)
     try:
         for name in OUTPUT_ARGS:
             path = getattr(args, name, None)
+            with suppress(OSError):  # no such file, or no stdout
+                if path and os.path.samestat(os.stat(path), os.fstat(1)):
+                    setattr(args, name, sys.stdout)
+                    continue
             if not path or (os.path.exists(path)
                             and not (os.path.isfile(path) or os.path.isdir(path))):
                 continue
@@ -266,10 +275,16 @@ def _claimed_outputs(args):
                 os.remove(temp)
 
 
+def _opened(path):
+    """``path`` opened for writing, or ``sys.stdout`` as it is, left open,
+    where the output claim found ``path`` to be stdout."""
+    return nullcontext(path) if path is sys.stdout else open(path, "w", newline="")
+
+
 @contextmanager
-def _csv_output(path: str, manifest: dict, header: list[str]):
+def _csv_output(path, manifest: dict, header: list[str]):
     """A CSV writer on ``path``, after the manifest line and ``header``."""
-    with open(path, "w", newline="") as handle:
+    with _opened(path) as handle:
         handle.write(MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -350,16 +365,14 @@ def write_truth_csv(path: str, truth: GroundTruth, manifest: dict) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
-def _write_json(path: str | None, payload: dict) -> None:
+def _write_json(path, payload: dict) -> None:
+    """``payload`` as JSON on ``path``, or on stdout where there is none."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # a NaN or an infinity: main exits 2, writing nothing
         raise ConfigError(f"the output holds a non-finite number ({exc})") from exc
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    with _opened(path or sys.stdout) as handle:
+        handle.write(text + "\n")
 
 
 def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: int | None):
@@ -379,7 +392,8 @@ def cmd_keyrate(args) -> int:
     data, text = load_config(args.config)
     config = parse_protocol(data)
     model = parse_correlations(data, config)
-    manifest = make_manifest(text, args.seed)
+    # only --simulate takes --mode, and only a sampled simulation draws
+    manifest = make_manifest(text, args.seed if args.mode == "sampled" else None)
     f_ec = parse_f_ec(data)
     if args.counts:
         observed = read_counts_csv(args.counts)
@@ -399,7 +413,7 @@ def cmd_simulate(args) -> int:
     data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
-    manifest = make_manifest(text, args.seed)
+    manifest = make_manifest(text, args.seed if args.mode == "sampled" else None)
     observed, truth = _simulate(config, channel, args.mode, args.seed)
     write_counts_csv(args.counts_out, observed, manifest)
     if args.truth_out:
@@ -445,18 +459,19 @@ def parse_distances(spec: str) -> list[float]:
 
 def _search_inputs(args) -> tuple[OptimizationSpec, ChannelModel, dict]:
     """The search spec, channel and manifest of ``optimize`` and ``scan``: the
-    spec takes ``eps_pe_target`` from the ``optimizer`` section, the default
-    budget, and the protocol's ``v``, ``eps_PA`` and ``eps_EV``, held fixed."""
+    spec splits the eps_PE that ``keyrate.pe_budget`` finds the config to
+    spend, so a search certifies at the eps_sec that ``keyrate`` reports and
+    refuses the budgets it refuses; it takes the default budget and holds the
+    protocol's ``v``, ``eps_PA`` and ``eps_EV`` fixed."""
     from .optimizer import OptimizationSpec
     data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
+    model = parse_correlations(data, config)
     epsilons = config.epsilon_budget
     spec = OptimizationSpec(
-        N=config.N, v=float(config.intensity_set.v),
-        eps_PA=epsilons.eps_PA, eps_EV=epsilons.eps_EV,
-        correlation=parse_correlations(data, config), f_EC=parse_f_ec(data),
-        **data.get("optimizer", {}),
+        N=config.N, v=float(config.intensity_set.v), eps_pe_target=pe_budget(config, model)[2],
+        eps_PA=epsilons.eps_PA, eps_EV=epsilons.eps_EV, correlation=model, f_EC=parse_f_ec(data),
     )
     return spec, channel, make_manifest(text, None)
 

@@ -130,6 +130,24 @@ def security_parameter(eps_PE: float, eps_PA: float, eps_EV: float) -> float:
     return 2.0 * math.sqrt(eps_PE) + eps_PA + eps_EV
 
 
+def pe_budget(config: ProtocolConfig, model: corr.CorrelationModel | None = None) -> tuple:
+    """The parameter-estimation budget ``config`` spends under the correlation
+    ``model``: (l_c, shares, eps_PE), the correlation length the analysis runs
+    at (:func:`~corrbb84.correlations.effective_length`), the epsilon shares
+    of :func:`~corrbb84.phase_error.pe_shares` and their total. A budget whose
+    d is not the model's truncation_d (0 without a model), a length that
+    ``effective_length`` refuses, or an eps_PE of 1 or more raises
+    :class:`~corrbb84.model.ConfigError`."""
+    budget = config.epsilon_budget
+    d_model = 0.0 if model is None else model.truncation_d
+    if budget.d != d_model:
+        raise ConfigError(f"epsilon budget carries d={budget.d} but the correlation model "
+                          f"carries truncation_d={d_model} (0 when there is none)")
+    l_c = corr.effective_length(config.N, mean_intensity(config.intensity_set), model)
+    shares = pe_shares(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
+    return l_c, shares, total_pe_failure(shares)
+
+
 def evaluate_pipeline(
     observed: ObservedCounts,
     config: ProtocolConfig,
@@ -160,17 +178,8 @@ def evaluate_pipeline(
         )
     budget = config.epsilon_budget
     iset = config.intensity_set
-
-    d_model = 0.0 if correlation_model is None else correlation_model.truncation_d
-    if budget.d != d_model:
-        raise ConfigError(
-            f"epsilon budget carries d={budget.d} but the correlation model "
-            f"carries truncation_d={d_model} (0 when there is none)"
-        )
-    l_c = corr.effective_length(config.N, mean_intensity(iset), correlation_model)
     # before the coin bound, whose cost grows with l_c
-    shares = pe_shares(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
-    eps_PE = total_pe_failure(shares)
+    l_c, shares, eps_PE = pe_budget(config, correlation_model)
     coin_param = 0.0
     if correlation_model is not None:
         coin_param = (corr.coin_parameter_bound(l_c, iset, correlation_model) if stages is None

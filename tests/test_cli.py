@@ -343,6 +343,57 @@ def test_output_to_a_pipe_is_written_in_place(config_path, tmp_path):
     assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
+def test_output_that_is_stdout_is_written_through_it(config_path, tmp_path):
+    """/dev/stdout on a file the shell opened to append (``>> log.txt``) is
+    written through stdout, so the file keeps its earlier line and takes
+    both outputs of simulate, as a pipe does."""
+    package_root = str(Path(corrbb84.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    log = tmp_path / "log.txt"
+    log.write_text("an earlier line\n")
+    for argv in (["keyrate", "--simulate", "--out", "/dev/stdout"],
+                 ["simulate", "--mode", "expected", "--counts-out", "/dev/stdout",
+                  "--truth-out", "/dev/stdout"]):
+        with open(log, "a") as handle:
+            proc = subprocess.run(
+                [sys.executable, "-m", "corrbb84.cli", *argv, "--config", config_path],
+                stdout=handle, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        assert proc.returncode == 0, proc.stderr
+    earlier, rest = log.read_text().split("\n", 1)
+    report, tables = rest.split(cli.MANIFEST_PREFIX, 1)
+    assert earlier == "an earlier line"
+    assert json.loads(report)["result"]["key_length"] > 0
+    assert tables.count(cli.MANIFEST_PREFIX) == 1 and "trash_minus" in tables
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "log.txt"]
+
+
+def _manifest(path: Path) -> dict:
+    """The run manifest of a JSON output or of a CSV's first line."""
+    text = path.read_text()
+    if text.startswith(cli.MANIFEST_PREFIX):
+        return json.loads(text.splitlines()[0].removeprefix(cli.MANIFEST_PREFIX))
+    return json.loads(text)["manifest"]
+
+
+def test_manifest_holds_a_seed_only_where_a_sample_is_drawn(config_path, tmp_path):
+    """A seed that draws nothing is left out of the manifest, with the
+    generator's name, as ``optimize`` leaves out the seed it does not take."""
+    counts, out = tmp_path / "counts.csv", tmp_path / "out"
+    for argv, seed in [
+        (["simulate", "--mode", "expected", "--seed", "3", "--counts-out", str(counts)], None),
+        (["keyrate", "--counts", str(counts), "--seed", "5", "--out", str(out)], None),
+        (["keyrate", "--simulate", "--seed", "5", "--out", str(out)], None),
+        (["keyrate", "--simulate", "--mode", "sampled", "--seed", "5", "--out", str(out)], 5),
+        (["simulate", "--mode", "sampled", "--seed", "3", "--counts-out", str(out)], 3),
+    ]:
+        assert main([*argv, "--config", config_path]) == 0
+        manifest = _manifest(Path(argv[-1]))
+        assert manifest["seed"] == seed, argv
+        assert manifest["rng_algorithm"] == (None if seed is None else cli.RNG_ALGORITHM), argv
+
+
 def test_over_budget_epsilons_exit_2(tmp_path, capsys):
     config = json.loads(json.dumps(BASE_CONFIG))
     config["epsilons"]["eps_C"] = 1e-3
@@ -430,7 +481,8 @@ def test_optimize_uses_channel_f_ec(tmp_path):
 
 def test_optimize_reads_the_protocols_v_and_epsilons(tmp_path, capsys):
     """``v``, ``eps_PA`` and ``eps_EV`` come from the protocol and epsilon
-    sections, which the optimizer holds fixed; it splits only eps_pe_target."""
+    sections, which the optimizer holds fixed; it splits the config's own
+    eps_PE, so it certifies at the eps_sec that ``keyrate`` reports."""
     config = json.loads(json.dumps(BASE_CONFIG))
     config["protocol"]["intensities"]["v"] = 0.02
     config["epsilons"]["eps_PA"] = 1e-6
@@ -438,14 +490,18 @@ def test_optimize_reads_the_protocols_v_and_epsilons(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["optimize", "--config", str(path)]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
+    assert main(["keyrate", "--config", str(path), "--simulate"]) == 0
+    certified = json.loads(capsys.readouterr().out)["result"]
     assert result["params"]["v"] == 0.02
-    assert result["eps_sec"] == pytest.approx(2 * math.sqrt(1e-10) + 1e-6 + 1e-10, rel=1e-12)
+    assert result["eps_sec"] == pytest.approx(certified["eps_sec"], rel=1e-14)
+    assert certified["eps_sec"] == pytest.approx(2 * math.sqrt(1.6e-9) + 1e-6 + 1e-10, rel=1e-14)
 
 
 def test_optimize_ends_quickly_on_a_slowly_decaying_model(tmp_path):
     """decay_C = 1e-7 derives l_c ~ 5e8 with Delta_l flat only after ~1.5e8
     lags, which keyrate refuses (``decay_C_1e-7_beyond_lag_cap``); optimize
-    finds every candidate infeasible instead of running for minutes."""
+    refuses it too, at the config's own length, instead of running for
+    minutes."""
     config = json.loads(json.dumps(BASE_CONFIG))
     config["epsilons"]["d"] = 1e-12
     config["correlations"] = {"delta_1": 0.05, "decay_C": 1e-7}
@@ -453,7 +509,7 @@ def test_optimize_ends_quickly_on_a_slowly_decaying_model(tmp_path):
     path.write_text(json.dumps(config))
     start = time.perf_counter()
     assert main(["optimize", "--config", str(path),
-                 "--out", str(tmp_path / "best.json")]) in (0, 2)
+                 "--out", str(tmp_path / "best.json")]) == 2
     assert time.perf_counter() - start < 5.0
 
 
@@ -538,43 +594,48 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
 
 
 N_BEYOND_INT64 = "N must be at most 9223372036854775807, got 9223372036854775808"
+# rows that set the retired optimizer section, by id: its value and the command
+# run; any section is refused by name, whatever it holds
+RETIRED_OPTIMIZER_SECTIONS = {
+    "optimizer_budget_text": ({"budget": "abc"}, "optimize"),
+    "optimizer_restarts_fraction": ({"restarts": 2.5}, "optimize"),
+    "optimizer_restarts_zero": ({"restarts": 0}, "optimize"),
+    "optimizer_budget_zero": ({"budget": 0}, "optimize"),
+    "optimizer_eps_pe_target_above_1": ({"eps_pe_target": 2}, "optimize"),
+    "optimizer_not_object": (3, "optimize"),
+    "optimizer_restarts_beyond_cap": ({"restarts": 10_001}, "optimize"),
+    "optimizer_coordinate_passes_retired": ({"coordinate_passes": 3}, "optimize"),
+    "optimizer_eps_pe_target_inverse_overflows": ({"eps_pe_target": 5e-324}, "optimize"),
+    "optimizer_eps_pe_target_at_d": ({"eps_pe_target": 1e-12}, "optimize"),
+    "optimizer_v_retired": ({"v": 0.0}, "optimize"),
+    "optimizer_eps_PA_retired": ({"eps_PA": 1e-10}, "optimize"),
+    "optimizer_eps_EV_retired": ({"eps_EV": 1e-10}, "optimize"),
+    "optimizer_v_with_keyrate": ({"v": 0.0}, "expected"),
+    "optimizer_not_object_with_keyrate": (3, "expected"),
+    "optimizer_eps_pe_target_underflows_every_split": ({"eps_pe_target": 1e-308}, "optimize"),
+}
 # rows whose message is pinned, because a later, generic check would also exit 2
 MALFORMED_MESSAGES = {
     "distance_range_step_below_float_spacing": "transmittance 0.0 outside (0, 1]",
     "distance_range_across_2_53": "transmittance 0.0 outside (0, 1]",
     "non_finite_audit_with_counts": "decoy weight e^w / p_w must be finite, got inf",
     "p_w_tiny_with_counts": "decoy weight e^w / p_w must be finite, got inf",
-    "optimizer_coordinate_passes_retired": "unknown field optimizer.coordinate_passes",
     "eps_PA_inverse_overflows_optimize":
         "eps_PA must lie in (0, 1) with 1/eps_PA finite, got 5e-324",
     "eps_EV_inverse_overflows_optimize":
         "eps_EV must lie in (0, 1) with 1/eps_EV finite, got 5e-324",
-    "optimizer_eps_pe_target_inverse_overflows":
-        "eps_pe_target must lie in (0, 1) with 1/eps_pe_target finite, got 5e-324",
-    "optimizer_eps_pe_target_at_d":
-        "eps_pe_target must exceed the correlation model's truncation_d=1e-12, got 1e-12",
     "v_at_weak_box_top_optimize": "v must lie in [0, 0.5), below the top of the box of w, got 0.6",
     "channel_key_misspelled": "unknown field channel.misalignmnet",
     "intensities_key_unknown": "unknown field protocol.intensities.u",
     "correlations_section_misspelled": "unknown field config.correlation",
-    "optimizer_v_retired": "unknown field optimizer.v",
-    "optimizer_eps_PA_retired": "unknown field optimizer.eps_PA",
-    "optimizer_eps_EV_retired": "unknown field optimizer.eps_EV",
     "decay_C_1e-7_beyond_lag_cap": "coin bound compute more than 100000 lags",
     "l_c_eff_beyond_lag_cap": "coin bound compute more than 100000 lags",
     "f_ec_below_1_with_counts": "f_EC must be finite and >= 1, got 0.5",
     "decay_C_1e-7_beyond_lag_cap_optimize": (
-        "decay_C=1e-07 with delta_1=0.05 and l_c=506638544 makes the coin bound compute more "
+        "decay_C=1e-07 with delta_1=0.05 and l_c=506110885 makes the coin bound compute more "
         "than 100000 lags"),
     "l_c_eff_below_every_candidate_optimize": "l_c_eff=5 below the required truncation length",
     "l_c_eff_below_every_candidate_scan": "l_c_eff=5 below the required truncation length",
-    "optimizer_v_with_keyrate": "unknown field optimizer.v",
-    "optimizer_budget_text": "unknown field optimizer.budget",
-    "optimizer_budget_zero": "unknown field optimizer.budget",
-    "optimizer_restarts_fraction": "unknown field optimizer.restarts",
-    "optimizer_restarts_zero": "unknown field optimizer.restarts",
-    "optimizer_restarts_beyond_cap": "unknown field optimizer.restarts",
-    "optimizer_not_object_with_keyrate": "config.optimizer must be a JSON object, got 3",
     "correlations_key_unknown_simulate": "unknown field correlations.bogus",
     "N_beyond_int64_sampled": N_BEYOND_INT64,
     "N_beyond_int64_expected": N_BEYOND_INT64,
@@ -582,13 +643,14 @@ MALFORMED_MESSAGES = {
     "N_beyond_int64_simulate": N_BEYOND_INT64,
     "N_beyond_int64_optimize": N_BEYOND_INT64,
     "N_beyond_int64_scan": N_BEYOND_INT64,
-    "optimizer_eps_pe_target_underflows_every_split":
-        "eps_A must lie in (0, 1) with 1/eps_A finite, got",
     "seed_retired_optimize": "unrecognized arguments: --seed 1",
     "seed_retired_scan": "unrecognized arguments: --seed 1",
     "budget_retired_optimize": "unrecognized arguments: --budget 60",
     "budget_retired_scan": "unrecognized arguments: --budget 60",
     "counts_and_truth_one_path": "--counts-out and --truth-out name the same file ",
+    "d_without_correlations_optimize": "epsilon budget carries d=1e-12 but the correlation model "
+                                       "carries truncation_d=0.0",
+    **dict.fromkeys(RETIRED_OPTIMIZER_SECTIONS, "unknown field config.optimizer"),
 }
 
 
@@ -605,12 +667,7 @@ MALFORMED_MESSAGES = {
     ({"correlations": {"delta_1": 0.1, "decay_C": 1.0, "l_c_eff": "abc"}}, None, "expected"),
     ({"protocol.N": 2**63}, None, "sampled"),
     ({"protocol.N": 10**400}, None, "expected"),
-    ({"optimizer": {"budget": "abc"}}, None, "optimize"),
-    ({"optimizer": {"restarts": 2.5}}, None, "optimize"),
-    ({"optimizer": {"restarts": 0}}, None, "optimize"),
-    ({"optimizer": {"budget": 0}}, None, "optimize"),
     ({"protocol.intensities.v": -1}, None, "optimize"),
-    ({"optimizer": {"eps_pe_target": 2}}, None, "optimize"),
     ({}, "abc", "scan"),
     ({}, "nan", "scan"),
     ({}, "inf", "scan"),
@@ -634,7 +691,6 @@ MALFORMED_MESSAGES = {
     ({"channel": 5}, None, "expected"),
     ({"channel": 5}, None, "counts"),
     ({"correlations": 3}, None, "expected"),
-    ({"optimizer": 3}, None, "optimize"),
     ({"protocol.intensities.s": 800}, None, "counts"),
     ({"protocol.intensities.s": 1e300}, None, "counts"),
     ({"protocol.intensities.s": math.inf}, None, "counts"),
@@ -654,21 +710,13 @@ MALFORMED_MESSAGES = {
     ({"channel.f_EC": math.nan}, None, "counts"),
     ({"channel.f_EC": math.inf}, None, "counts"),
     ({"channel.distance_km": -15413.0}, None, "expected"),
-    ({"optimizer": {"restarts": 10_001}}, None, "optimize"),
     ({"protocol.intensity_probs": {"s": 0.85, "w": 5e-324, "v": 0.15}}, None, "counts"),
-    ({"optimizer": {"coordinate_passes": 3}}, None, "optimize"),
     ({"epsilons.eps_PA": 5e-324}, None, "optimize"),
     ({"epsilons.eps_EV": 5e-324}, None, "optimize"),
-    ({"optimizer": {"eps_pe_target": 5e-324}}, None, "optimize"),
-    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1.0},
-      "optimizer": {"eps_pe_target": 1e-12}}, None, "optimize"),
     ({"protocol.intensities": {"s": 2.0, "w": 0.7, "v": 0.6}}, None, "optimize"),
     ({"channel.misalignmnet": 0.05}, None, "expected"),
     ({"protocol.intensities.u": 0.05}, None, "counts"),
     ({"correlation": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 35}}, None, "expected"),
-    ({"optimizer": {"v": 0.0}}, None, "optimize"),
-    ({"optimizer": {"eps_PA": 1e-10}}, None, "optimize"),
-    ({"optimizer": {"eps_EV": 1e-10}}, None, "optimize"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "expected"),
     ({"correlations": {"delta_1": 0.05, "decay_C": 1e-5, "l_c_eff": 10**9}}, None, "counts"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "optimize"),
@@ -676,8 +724,6 @@ MALFORMED_MESSAGES = {
      None, "optimize"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 5}},
      "0,10", "scan"),
-    ({"optimizer": {"v": 0.0}}, None, "expected"),
-    ({"optimizer": 3}, None, "expected"),
     ({"correlations": {"delta_1": 0.05, "decay_C": 1.0, "bogus": 1}}, None, "simulate"),
     ({}, "1e16:1e16:1", "scan"),
     ({}, "9007199254740990:9007199254740995:0.6", "scan"),
@@ -686,45 +732,40 @@ MALFORMED_MESSAGES = {
     ({"protocol.N": 2**63}, None, "simulate"),
     ({"protocol.N": 2**63}, None, "optimize"),
     ({"protocol.N": 2**63}, "0", "scan"),
-    ({"optimizer": {"eps_pe_target": 1e-308}}, None, "optimize"),
     ({}, "--seed 1", "optimize"),
     ({}, "0 --seed 1", "scan"),
     ({}, "--budget 60", "optimize"),
     ({}, "0 --budget 60", "scan"),
     ({}, "--truth-out {}", "simulate"),
+    ({"epsilons.d": 1e-12}, None, "optimize"),
+    *(({"optimizer": section}, None, mode)
+      for section, mode in RETIRED_OPTIMIZER_SECTIONS.values()),
 ], ids=[
-    "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts",
-    "N_text", "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
-    "N_beyond_int64_sampled", "N_beyond_float", "optimizer_budget_text",
-    "optimizer_restarts_fraction", "optimizer_restarts_zero", "optimizer_budget_zero",
-    "v_negative_optimize", "optimizer_eps_pe_target_above_1", "distances_text",
+    "count_negative", "count_fraction", "count_text", "f_ec_below_1_with_counts", "N_text",
+    "N_fraction", "s_text", "decay_C_zero", "delta_1_negative", "l_c_eff_text",
+    "N_beyond_int64_sampled", "N_beyond_float", "v_negative_optimize", "distances_text",
     "distances_nan", "distances_inf", "distance_negative", "distance_range_empty",
     "distance_range_nan_stop", "distances_none", "count_cell_twice", "count_basis_unknown",
     "count_intensity_unknown", "count_category_unknown", "sifted_total_twice",
     "sifted_total_with_basis", "count_beyond_digit_limit", "sifted_total_beyond_N",
     "sifted_total_beyond_float", "protocol_not_object", "intensities_not_object",
     "intensity_probs_not_object", "epsilons_not_object", "channel_not_object",
-    "channel_not_object_with_counts", "correlations_not_object", "optimizer_not_object",
-    "s_800_with_counts", "s_1e300_with_counts", "s_inf_with_counts", "s_inf", "decay_C_tiny",
+    "channel_not_object_with_counts", "correlations_not_object", "s_800_with_counts",
+    "s_1e300_with_counts", "s_inf_with_counts", "s_inf", "decay_C_tiny",
     "intensities_1e-300_delta_1_tiny", "truncation_log_argument_underflows", "w_tiny",
     "eps_A_inverse_overflows", "eps_C_inverse_overflows", "non_finite_audit_with_counts",
     "intensity_prob_v_beyond_float", "distance_beyond_float", "f_ec_nan_with_counts",
-    "f_ec_inf_with_counts", "distance_negative_gain_overflows", "optimizer_restarts_beyond_cap",
-    "p_w_tiny_with_counts", "optimizer_coordinate_passes_retired",
-    "eps_PA_inverse_overflows_optimize",
-    "eps_EV_inverse_overflows_optimize", "optimizer_eps_pe_target_inverse_overflows",
-    "optimizer_eps_pe_target_at_d", "v_at_weak_box_top_optimize", "channel_key_misspelled",
-    "intensities_key_unknown", "correlations_section_misspelled", "optimizer_v_retired",
-    "optimizer_eps_PA_retired", "optimizer_eps_EV_retired", "decay_C_1e-7_beyond_lag_cap",
-    "l_c_eff_beyond_lag_cap", "decay_C_1e-7_beyond_lag_cap_optimize",
-    "l_c_eff_below_every_candidate_optimize", "l_c_eff_below_every_candidate_scan",
-    "optimizer_v_with_keyrate", "optimizer_not_object_with_keyrate",
-    "correlations_key_unknown_simulate", "distance_range_step_below_float_spacing",
-    "distance_range_across_2_53", "N_beyond_int64_expected", "N_beyond_int64_counts",
-    "N_beyond_int64_simulate", "N_beyond_int64_optimize", "N_beyond_int64_scan",
-    "optimizer_eps_pe_target_underflows_every_split", "seed_retired_optimize",
-    "seed_retired_scan", "budget_retired_optimize", "budget_retired_scan",
-    "counts_and_truth_one_path",
+    "f_ec_inf_with_counts", "distance_negative_gain_overflows", "p_w_tiny_with_counts",
+    "eps_PA_inverse_overflows_optimize", "eps_EV_inverse_overflows_optimize",
+    "v_at_weak_box_top_optimize", "channel_key_misspelled", "intensities_key_unknown",
+    "correlations_section_misspelled", "decay_C_1e-7_beyond_lag_cap", "l_c_eff_beyond_lag_cap",
+    "decay_C_1e-7_beyond_lag_cap_optimize", "l_c_eff_below_every_candidate_optimize",
+    "l_c_eff_below_every_candidate_scan", "correlations_key_unknown_simulate",
+    "distance_range_step_below_float_spacing", "distance_range_across_2_53",
+    "N_beyond_int64_expected", "N_beyond_int64_counts", "N_beyond_int64_simulate",
+    "N_beyond_int64_optimize", "N_beyond_int64_scan", "seed_retired_optimize", "seed_retired_scan",
+    "budget_retired_optimize", "budget_retired_scan", "counts_and_truth_one_path",
+    "d_without_correlations_optimize", *RETIRED_OPTIMIZER_SECTIONS,
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -817,8 +858,7 @@ def test_number_accepts_values_a_float_holds(value):
 
 def test_scan_runs_each_search_until_it_converges(tmp_path):
     """``scan`` takes no budget: on the README correlated config it writes the
-    rows of searches that no budget binds, though the 0 km one spends 409
-    evaluations."""
+    rows of searches that no budget binds, at 289, 192 and 300 evaluations."""
     from corrbb84.optimizer import scan_distance
     config = Path(__file__).with_name("fixtures") / "cli_outputs" / "readme_correlated.json"
     out = tmp_path / "scan.csv"
@@ -830,7 +870,7 @@ def test_scan_runs_each_search_until_it_converges(tmp_path):
     rows = scan_distance(dataclasses.replace(spec, budget=10**6), channel, [0.0, 20.0, 40.0])
     assert written == [{key: cli._fmt(value) if isinstance(value, float) else str(value)
                         for key, value in row.items()} for row in rows]
-    assert [row["evaluations"] for row in written] == ["409", "368", "343"]
+    assert [row["evaluations"] for row in written] == ["289", "192", "300"]
 
 
 def test_top_level_not_object_exits_2(tmp_path, capsys):

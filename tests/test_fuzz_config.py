@@ -47,7 +47,6 @@ FIELDS = (
                                    "detector_efficiency", "dark_count_prob",
                                    "misalignment", "f_EC")),
     *(f"correlations.{key}" for key in ("delta_1", "decay_C", "l_c_eff")),
-    "optimizer.eps_pe_target",
 )
 # the fields that hold a whole number
 WHOLE_FIELDS = ("protocol.N", "correlations.l_c_eff")
@@ -60,7 +59,7 @@ WRONG_KINDS = tuple(
 COUNTS = Path(__file__).parent / "fixtures" / "cli_outputs" / "counts.csv"
 # every config section by its dotted path ("" is the top level), with the keys it holds
 SECTIONS = {
-    "": ("protocol", "epsilons", "channel", "correlations", "optimizer"),
+    "": ("protocol", "epsilons", "channel", "correlations"),
     "protocol": ("intensities", "intensity_probs"),
 }
 for field in FIELDS:
@@ -181,11 +180,8 @@ def test_counts_cells_exit_0_or_2(cells):
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(misspelled=misspellings(), command=st.sampled_from(("expected", "optimize")))
 def test_misspelled_keys_exit_2(misspelled, command):
-    """A key that no section holds is refused, never read as absent; optimize
-    reads every section, keyrate all but ``optimizer``."""
+    """A key that no section holds is refused, never read as absent."""
     path, typo = misspelled
-    if path == "optimizer":
-        command = "optimize"
     config = json.loads(json.dumps(BASE_CONFIG))
     _set(config, path, typo, 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -197,7 +193,7 @@ def test_misspelled_keys_exit_2(misspelled, command):
 @given(wrong=st.sampled_from(WRONG_KINDS))
 def test_every_command_refuses_a_wrong_kind_alike(wrong):
     """``keyrate --counts`` reads no channel distance and ``simulate`` no
-    optimizer section, yet each refuses a value of the wrong kind in any field
+    correlations section, yet each refuses a value of the wrong kind in any field
     as the other commands do: exit 2 with one ``config error:`` line naming it."""
     field, value = wrong
     config = json.loads(json.dumps(BASE_CONFIG))

@@ -471,13 +471,17 @@ def test_winner_disagreement_raises(monkeypatch, channel_10km):
     ({"N": 0}, "N must be a positive round count, got 0"),
     ({"v": 0.6}, "v must lie in [0, 0.5), below the top of the box of w, got 0.6"),
     ({"eps_PA": 5e-324}, "eps_PA must lie in (0, 1) with 1/eps_PA finite, got 5e-324"),
+    ({"eps_pe_target": 2}, "eps_pe_target must lie in (0, 1) with 1/eps_pe_target finite, got 2"),
+    ({"eps_pe_target": 5e-324},
+     "eps_pe_target must lie in (0, 1) with 1/eps_pe_target finite, got 5e-324"),
     ({"eps_pe_target": 1e-12, "correlation": CorrelationModel(0.05, 1.0, truncation_d=1e-12)},
      "eps_pe_target must exceed the correlation model's truncation_d=1e-12, got 1e-12"),
     ({"budget": 2.5}, "budget must be a whole number of evaluations, got 2.5"),
     ({"budget": True}, "budget must be a whole number of evaluations, got True"),
     ({"budget": 0}, "budget must be >= 1, got 0"),
 ], ids=["f_ec_below_1", "f_ec_nan", "N_zero", "v_above_box", "eps_PA_inverse_overflows",
-        "eps_pe_target_at_d", "budget_fractional", "budget_bool", "budget_zero"])
+        "eps_pe_target_above_1", "eps_pe_target_inverse_overflows", "eps_pe_target_at_d",
+        "budget_fractional", "budget_bool", "budget_zero"])
 def test_invalid_spec_raises_before_any_evaluation(monkeypatch, channel_10km, edits, message):
     def never(*args, **kwargs):
         raise AssertionError("evaluated an invalid spec")
