@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``keyrate`` (counts file or simulation -> key-rate JSON),
-``simulate`` (-> counts + ground-truth CSV), ``scan`` (-> rate-vs-distance
-CSV), ``optimize`` (-> best-parameters JSON), ``validate`` (-> oracle-suite
-pass/fail report).
+Subcommands: ``keyrate`` (counts file -> key-rate JSON), ``simulate`` (->
+counts + ground-truth CSV), ``scan`` (-> rate-vs-distance CSV), ``optimize``
+(-> best-parameters JSON), ``validate`` (-> oracle-suite pass/fail report).
 
 Configs are UTF-8 JSON with explicit fields for every protocol, channel and
 correlation parameter; the security epsilons carry no defaults and must be
@@ -12,15 +11,15 @@ its kind there, or a key given twice in one object, is refused in every section
 present, whichever command reads it.
 Every output embeds a run manifest (tool version, config hash, seed,
 bound-algorithm id, RNG id, timestamp); for a fixed config, seed, version and
-command line (``--distances``, ``--mode``; the manifest hashes only the
-config) the numeric sections are byte-identical across runs -- only the
-timestamp varies.
+command line (``scan --distances``, ``simulate --mode``; the manifest hashes
+only the config) the numeric sections are byte-identical across runs -- only
+the timestamp varies.
 The manifest holds the seed only where a sample is drawn, with the RNG id
-``numpy-pcg64``, and null for both elsewhere: ``--counts`` and an expected
-simulation draw nothing, and ``optimize`` and ``scan`` take no ``--seed``,
-since their search draws nothing. Subcommands import the simulator,
-optimizer and oracle suites only when they run; only a sample or an oracle
-suite loads numpy.
+``numpy-pcg64``, and null for both elsewhere: an expected simulation draws
+nothing, and ``keyrate``, ``optimize`` and ``scan`` take no ``--seed``, since
+``keyrate`` reads its counts and a search draws nothing. Subcommands import
+the simulator, optimizer and oracle suites only when they run; only a sample
+or an oracle suite loads numpy.
 
 Each output file is claimed before the command's work, as a temporary
 beside it that replaces it only once the command has finished, so a failed
@@ -375,30 +374,13 @@ def _write_json(path, payload: dict) -> None:
         handle.write(text + "\n")
 
 
-def _simulate(config: ProtocolConfig, channel: ChannelModel, mode: str, seed: int | None):
-    from .simulator import expected_counts, sample_counts
-    if mode == "expected":
-        return expected_counts(config, channel)
-    if seed is None:
-        raise ConfigError("sampled simulation requires --seed")
-    return sample_counts(config, channel, seed)
-
-
 def cmd_keyrate(args) -> int:
-    if bool(args.counts) == args.simulate:
-        raise ConfigError("keyrate needs exactly one of --counts FILE and --simulate")
-    if args.counts and args.mode is not None:
-        raise ConfigError("keyrate --mode chooses how --simulate draws counts; --counts reads them")
     data, text = load_config(args.config)
     config = parse_protocol(data)
     model = parse_correlations(data, config)
-    # only --simulate takes --mode, and only a sampled simulation draws
-    manifest = make_manifest(text, args.seed if args.mode == "sampled" else None)
+    manifest = make_manifest(text, None)
     f_ec = parse_f_ec(data)
-    if args.counts:
-        observed = read_counts_csv(args.counts)
-    else:
-        observed, _ = _simulate(config, parse_channel(data), args.mode or "expected", args.seed)
+    observed = read_counts_csv(args.counts)
     result = evaluate_pipeline(observed, config, model, f_EC=f_ec)
     # by name: the audit is built on read, so dataclasses.asdict does not see it
     names = ("key_length", "eps_sec", "e_ph_upper", "z_det_lower", "lambda_EC", "audit")
@@ -410,11 +392,16 @@ def cmd_keyrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import expected_counts, sample_counts
     data, text = load_config(args.config)
     config = parse_protocol(data)
     channel = parse_channel(data)
-    manifest = make_manifest(text, args.seed if args.mode == "sampled" else None)
-    observed, truth = _simulate(config, channel, args.mode, args.seed)
+    sampled = args.mode == "sampled"
+    if sampled and args.seed is None:
+        raise ConfigError("sampled simulation requires --seed")
+    manifest = make_manifest(text, args.seed if sampled else None)
+    observed, truth = (sample_counts(config, channel, args.seed) if sampled
+                       else expected_counts(config, channel))
     write_counts_csv(args.counts_out, observed, manifest)
     if args.truth_out:
         write_truth_csv(args.truth_out, truth, manifest)
@@ -513,8 +500,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_validate(args) -> int:
     from .validation import run_validation
-    manifest = make_manifest(f"validate:{args.level}", args.seed)
-    checks = run_validation(level=args.level, seed=args.seed)
+    manifest = make_manifest("validate:full", args.seed)
+    checks = run_validation(seed=args.seed)
     for check in checks:
         stats = json.dumps(check.stats, sort_keys=True)
         print("PASS" if check.passed else "FAIL", check.name, stats)
@@ -534,10 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     keyrate = sub.add_parser("keyrate", help="certified key length from counts")
     keyrate.add_argument("--config", required=True)
-    keyrate.add_argument("--counts", help="observed-counts CSV")
-    keyrate.add_argument("--simulate", action="store_true", help="generate counts instead")
-    keyrate.add_argument("--mode", choices=["expected", "sampled"], help="--simulate only")
-    keyrate.add_argument("--seed", type=int, default=None)
+    keyrate.add_argument("--counts", required=True, help="observed-counts CSV")
     keyrate.add_argument("--out", help="result JSON path (default: stdout)")
     keyrate.set_defaults(func=cmd_keyrate)
 
@@ -561,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.set_defaults(func=cmd_optimize)
 
     validate = sub.add_parser("validate", help="run the oracle suites")
-    validate.add_argument("--level", choices=["quick", "full"], default="quick")
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--out", help="report JSON path")
     validate.set_defaults(func=cmd_validate)
@@ -572,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = getattr(args, "seed", None)  # optimize and scan take none
+        seed = getattr(args, "seed", None)  # keyrate, optimize and scan take none
         if seed is not None and seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {seed}")
         with _claimed_outputs(args):

@@ -1,19 +1,21 @@
 """Final key length, security parameter, and the end-to-end pipeline.
 
-``evaluate_pipeline`` chains decoy estimation -> coin-parameter bound ->
-trash-round concentration -> phase-error bound -> error-correction leakage ->
-key length -> security parameter. Its result keeps the record of every stage,
-and its audit dict is built from the records on each read, so a certified key
-length can be traced term by term while a caller that never reads the audit
-(an optimizer search) does not pay for it.
+``evaluate_pipeline`` works out the security budget (``pe_budget``: l_c,
+eps_PE and the security parameter), then chains decoy estimation ->
+coin-parameter bound -> trash-round concentration -> phase-error bound ->
+error-correction leakage -> key length. Its result keeps the record of every
+stage, and its audit dict is built from the records on each read, so a
+certified key length can be traced term by term while a caller that never
+reads the audit (an optimizer search) does not pay for it.
 
 The variable-length key formula is
 l = max(0, n_1_lower (1 - h(e_ph)) - lambda_EC - 2 log2(1/(2 eps_PA))
         - log2(2/eps_EV))
 with h the binary entropy clamped to 1 above 1/2; the produced key is
 eps_sec-secure with eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV, where eps_PE
-is the total parameter-estimation failure probability. All logarithms here
-are base 2 (key lengths in bits).
+is the total parameter-estimation failure probability. eps_sec bounds a trace
+distance, which is at most 1, so a config whose eps_sec is not below 1 is
+refused. All logarithms here are base 2 (key lengths in bits).
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class KeyRateResult:
             # every epsilon consumed, exactly once; shares sum to eps_PE
             "epsilon_shares": shares,
             "eps_PE": eps_PE,
-            "meaningful": self.eps_sec < 1.0,
         }
 
 
@@ -130,14 +131,26 @@ def security_parameter(eps_PE: float, eps_PA: float, eps_EV: float) -> float:
     return 2.0 * math.sqrt(eps_PE) + eps_PA + eps_EV
 
 
+def security_level(eps_PE: float, eps_PA: float, eps_EV: float) -> tuple[float, list[str]]:
+    """eps_sec (:func:`security_parameter`) and the problems of its rule:
+    eps_sec bounds a trace distance, which is at most 1, so a level of 1 or
+    more claims nothing."""
+    eps_sec = security_parameter(eps_PE, eps_PA, eps_EV)
+    if eps_sec < 1.0:
+        return eps_sec, []
+    return eps_sec, [f"eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV = {eps_sec} must be below 1, "
+                     f"with eps_PE={eps_PE}, eps_PA={eps_PA} and eps_EV={eps_EV}"]
+
+
 def pe_budget(config: ProtocolConfig, model: corr.CorrelationModel | None = None) -> tuple:
-    """The parameter-estimation budget ``config`` spends under the correlation
-    ``model``: (l_c, shares, eps_PE), the correlation length the analysis runs
+    """The security budget ``config`` spends under the correlation ``model``:
+    (l_c, shares, eps_PE, eps_sec), the correlation length the analysis runs
     at (:func:`~corrbb84.correlations.effective_length`), the epsilon shares
-    of :func:`~corrbb84.phase_error.pe_shares` and their total. A budget whose
-    d is not the model's truncation_d (0 without a model), a length that
-    ``effective_length`` refuses, or an eps_PE of 1 or more raises
-    :class:`~corrbb84.model.ConfigError`."""
+    of :func:`~corrbb84.phase_error.pe_shares`, their total and the security
+    level they certify at. A budget whose d is not the model's truncation_d
+    (0 without a model), a length that ``effective_length`` refuses, an
+    eps_PE of 1 or more or an eps_sec that :func:`security_level` refuses
+    raises :class:`~corrbb84.model.ConfigError`."""
     budget = config.epsilon_budget
     d_model = 0.0 if model is None else model.truncation_d
     if budget.d != d_model:
@@ -145,7 +158,10 @@ def pe_budget(config: ProtocolConfig, model: corr.CorrelationModel | None = None
                           f"carries truncation_d={d_model} (0 when there is none)")
     l_c = corr.effective_length(config.N, mean_intensity(config.intensity_set), model)
     shares = pe_shares(budget.eps_A, budget.eps_B, budget.eps_C, l_c, budget.d)
-    return l_c, shares, total_pe_failure(shares)
+    eps_PE = total_pe_failure(shares)
+    eps_sec, problems = security_level(eps_PE, budget.eps_PA, budget.eps_EV)
+    require(problems)
+    return l_c, shares, eps_PE, eps_sec
 
 
 def evaluate_pipeline(
@@ -164,7 +180,8 @@ def evaluate_pipeline(
     runs at the length its truncation budget d requires
     (:func:`~corrbb84.correlations.effective_length`). Degenerate statistics
     yield key_length 0 with the reason in the audit, never an exception;
-    invalid configurations, and counts with more sifted detections than the
+    invalid configurations (an eps_sec of 1 or more among them, see
+    :func:`pe_budget`), and counts with more sifted detections than the
     block has rounds, raise :class:`~corrbb84.model.ConfigError`. With
     ``stages`` (an optimizer search), the decoy and coin stages come from its
     ``decoy_bounds(observed, config)`` and ``coin_parameter(l_c, iset, model)``;
@@ -179,7 +196,7 @@ def evaluate_pipeline(
     budget = config.epsilon_budget
     iset = config.intensity_set
     # before the coin bound, whose cost grows with l_c
-    l_c, shares, eps_PE = pe_budget(config, correlation_model)
+    l_c, shares, eps_PE, eps_sec = pe_budget(config, correlation_model)
     coin_param = 0.0
     if correlation_model is not None:
         coin_param = (corr.coin_parameter_bound(l_c, iset, correlation_model) if stages is None
@@ -202,7 +219,6 @@ def evaluate_pipeline(
     )
     if phase.e_ph_upper >= 1.0 or n_K1_lower <= 0.0:
         length = 0
-    eps_sec = security_parameter(eps_PE, budget.eps_PA, budget.eps_EV)
 
     return KeyRateResult(
         length, eps_sec, phase.e_ph_upper, n_K1_lower, lambda_EC,

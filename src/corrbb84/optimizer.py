@@ -58,7 +58,8 @@ from . import correlations, keyrate
 from .correlations import CorrelationModel, effective_length, validate_correlation
 from .counts import ObservedCounts
 from .decoy import DecoyBounds
-from .keyrate import DEFAULT_F_EC, KeyRateResult, evaluate_pipeline, validate_f_ec
+from .keyrate import (DEFAULT_F_EC, KeyRateResult, evaluate_pipeline, security_level,
+                      validate_f_ec)
 from .model import (ConfigError, EpsilonBudget, IntensitySet, ProtocolConfig, mean_intensity,
                     require, validate_block_size, validate_epsilons)
 from .phase_error import pe_epsilons
@@ -95,10 +96,11 @@ class OptimizationSpec:
 
 def validate_optimization(spec: OptimizationSpec) -> list[str]:
     """List of violated invariants; empty means the spec is usable. ``N``, the
-    epsilons and ``f_EC`` follow their owners' rules in ``model`` and
-    ``keyrate``; the ``eps_pe_target`` rule gives every candidate a positive
-    concentration budget, and the ``v`` rule leaves some candidate feasible
-    but within about 1e-8 of 0.5 (see ``_center_start``)."""
+    epsilons, with the eps_sec they certify at, and ``f_EC`` follow their
+    owners' rules in ``model`` and ``keyrate``; the ``eps_pe_target`` rule
+    gives every candidate a positive concentration budget, and the ``v``
+    rule leaves some candidate feasible but within about 1e-8 of 0.5 (see
+    ``_center_start``)."""
     if isinstance(spec.budget, bool) or not isinstance(spec.budget, int):
         problems = [f"budget must be a whole number of evaluations, got {spec.budget!r}"]
     else:
@@ -107,7 +109,9 @@ def validate_optimization(spec: OptimizationSpec) -> list[str]:
         problems.append(f"v must lie in [0, {BOXES[1][1]}), below the top of the box of w, "
                         f"got {spec.v}")
     problems += validate_block_size(spec.N) + validate_f_ec(spec.f_EC)
-    problems += validate_epsilons(spec, ("eps_pe_target", "eps_PA", "eps_EV"))
+    # the eps_sec rule reads epsilons that pass their own
+    epsilons = validate_epsilons(spec, ("eps_pe_target", "eps_PA", "eps_EV"))
+    problems += epsilons or security_level(spec.eps_pe_target, spec.eps_PA, spec.eps_EV)[1]
     if spec.correlation is not None:
         problems.extend(validate_correlation(spec.correlation))
         d = spec.correlation.truncation_d

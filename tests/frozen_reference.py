@@ -607,7 +607,6 @@ def evaluate_pipeline(
         "n_K1_lower": n_K1_lower,
         "epsilon_shares": shares,
         "eps_PE": eps_PE,
-        "meaningful": eps_sec < 1.0,
     }
     return KeyRateResult(
         key_length=length,

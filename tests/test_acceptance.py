@@ -173,8 +173,8 @@ def _raised_g_plus(y, z):
     return g_minus, g_plus + 1e-5
 
 
-# each suite at its quick size, with the bound it checks broken through the
-# name it reads
+# each suite at a tenth of its default size, with the bound it checks broken
+# through the name it reads
 @pytest.mark.parametrize("check, size, module, name, broken", [
     (check_g_plus_characterization, {"samples": 100}, validation, "g_interval", _raised_g_plus),
     (check_coin_domination, {"tables": 10}, corr, "coin_parameter_bound",
@@ -315,10 +315,16 @@ def test_criterion_9_determinism(command, tmp_path):
             )
             outputs.append((_numeric_lines(counts), _numeric_lines(truth)))
         elif command == "keyrate":
+            counts = tmp_path / f"keyrate_counts_{attempt}.csv"
             out = tmp_path / f"result_{attempt}.json"
             _run_cli(
-                ["keyrate", "--config", str(config), "--simulate", "--mode",
-                 "sampled", "--seed", "5", "--out", str(out)],
+                ["simulate", "--config", str(config), "--mode", "sampled",
+                 "--seed", "5", "--counts-out", str(counts)],
+                tmp_path,
+            )
+            _run_cli(
+                ["keyrate", "--config", str(config), "--counts", str(counts),
+                 "--out", str(out)],
                 tmp_path,
             )
             outputs.append(_numeric_json(out))
@@ -332,7 +338,7 @@ def test_criterion_9_determinism(command, tmp_path):
                       "--out", str(out)], tmp_path)
             outputs.append(_numeric_lines(out))
         else:
-            stdout = _run_cli(["validate", "--level", "quick", "--seed", "7"], tmp_path)
+            stdout = _run_cli(["validate", "--seed", "7"], tmp_path)
             outputs.append(stdout)
     assert outputs[0] == outputs[1]
     _report(9, f"`{command}` reproduces byte-identical numeric output",

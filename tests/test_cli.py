@@ -32,6 +32,9 @@ BASE_CONFIG = {
     },
     "channel": {"distance_km": 10.0},
 }
+# a stored sampled draw of the README config, whose uncorrelated form differs
+# from BASE_CONFIG only in channel values, so it certifies a key under it
+COUNTS = str(Path(__file__).with_name("fixtures") / "cli_outputs" / "counts.csv")
 
 
 @pytest.fixture
@@ -109,53 +112,26 @@ def test_simulate_counts_round_trip(config_path, tmp_path):
 
 
 def test_keyrate_from_counts_matches_simulate(config_path, tmp_path):
-    counts = tmp_path / "counts.csv"
-    main([
-        "simulate", "--config", config_path, "--mode", "expected",
-        "--counts-out", str(counts),
-    ])
+    """``keyrate --counts`` on the counts ``simulate --mode expected`` writes
+    certifies what the library certifies on the expected counts: the file
+    round trip loses nothing, since every expected count is a whole number."""
+    from corrbb84.cli import load_config, parse_channel, parse_protocol
+    from corrbb84.keyrate import evaluate_pipeline
+    from corrbb84.simulator import expected_counts
+
     from_file = tmp_path / "from_file.json"
-    direct = tmp_path / "direct.json"
     assert main([
-        "keyrate", "--config", config_path, "--counts", str(counts),
+        "keyrate", "--config", config_path, "--counts", _counts_file(config_path, tmp_path),
         "--out", str(from_file),
     ]) == 0
-    assert main([
-        "keyrate", "--config", config_path, "--simulate", "--mode", "expected",
-        "--out", str(direct),
-    ]) == 0
+    data, _ = load_config(config_path)
+    config = parse_protocol(data)
+    direct = evaluate_pipeline(expected_counts(config, parse_channel(data))[0], config)
     a = json.loads(from_file.read_text())
-    b = json.loads(direct.read_text())
-    assert a["result"] == b["result"]
-    assert a["result"]["key_length"] > 0
+    assert a["result"]["key_length"] == direct.key_length > 0
+    assert a["result"]["eps_sec"] == direct.eps_sec
+    assert a["result"]["audit"] == json.loads(json.dumps(direct.audit))
     assert "manifest" in a and a["manifest"]["bound_algorithm"] == "kl-bisection"
-
-
-def test_keyrate_needs_counts_or_simulate(config_path):
-    assert main(["keyrate", "--config", config_path]) == 2
-
-
-def test_keyrate_refuses_counts_with_simulate(config_path, tmp_path, capsys):
-    """--counts certifies a file and --simulate draws counts: given both,
-    keyrate exits 2 with a message instead of ignoring --simulate and --mode."""
-    counts = _counts_file(config_path, tmp_path)
-    out = tmp_path / "key.json"
-    assert main(["keyrate", "--config", config_path, "--counts", counts, "--simulate",
-                 "--mode", "sampled", "--seed", "1", "--out", str(out)]) == 2
-    assert "exactly one of --counts FILE and --simulate" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("mode", ["expected", "sampled"])
-def test_keyrate_refuses_mode_with_counts(config_path, tmp_path, capsys, mode):
-    """--mode chooses how --simulate draws counts; given with --counts, which
-    reads them, keyrate exits 2 with a message instead of ignoring it."""
-    counts = _counts_file(config_path, tmp_path)
-    out = tmp_path / "key.json"
-    assert main(["keyrate", "--config", config_path, "--counts", counts,
-                 "--mode", mode, "--seed", "3", "--out", str(out)]) == 2
-    assert "keyrate --mode chooses how --simulate draws counts" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def _counts_file(config_path, tmp_path, edit=None):
@@ -214,22 +190,22 @@ def test_sampled_simulation_requires_seed(config_path, tmp_path):
 
 def test_config_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
-    assert main(["keyrate", "--config", str(missing), "--simulate"]) == 2
+    assert main(["keyrate", "--config", str(missing), "--counts", COUNTS]) == 2
 
     broken = dict(BASE_CONFIG, epsilons={"eps_A": 1e-10})
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(broken))
-    assert main(["keyrate", "--config", str(path), "--simulate"]) == 2
+    assert main(["keyrate", "--config", str(path), "--counts", COUNTS]) == 2
 
     invalid = json.loads(json.dumps(BASE_CONFIG))
     invalid["protocol"]["p_keep"] = 1.0
     path2 = tmp_path / "invalid.json"
     path2.write_text(json.dumps(invalid))
-    assert main(["keyrate", "--config", str(path2), "--simulate"]) == 2
+    assert main(["keyrate", "--config", str(path2), "--counts", COUNTS]) == 2
 
 
 @pytest.mark.parametrize("command", [
-    ["keyrate", "--simulate"], ["simulate", "--counts-out", "c.csv"], ["optimize"],
+    ["keyrate", "--counts", COUNTS], ["simulate", "--counts-out", "c.csv"], ["optimize"],
     ["scan", "--distances", "0", "--out", "s.csv"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("edit, message", [
@@ -263,7 +239,7 @@ def _forbid_work(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["keyrate", "--simulate", "--out", "{}/result.json"],
+    ["keyrate", "--counts", COUNTS, "--out", "{}/result.json"],
     ["optimize", "--out", "{}/best.json"],
     ["scan", "--distances", "0", "--out", "{}/scan.csv"],
     ["simulate", "--mode", "expected", "--counts-out", "{}/counts.csv"],
@@ -317,7 +293,8 @@ def test_output_replaces_the_file_a_symlink_names_with_a_plain_open_mode(config_
     target, link = tmp_path / "result.json", tmp_path / "link.json"
     target.write_text("an earlier result\n")
     link.symlink_to(target)
-    assert main(["keyrate", "--config", config_path, "--simulate", "--out", str(link)]) == 0
+    assert main(["keyrate", "--config", config_path, "--counts", COUNTS,
+                 "--out", str(link)]) == 0
     assert link.is_symlink()
     assert json.loads(target.read_text())["result"]["key_length"] > 0
     assert target.stat().st_mode == plain.stat().st_mode
@@ -331,7 +308,8 @@ def test_output_to_a_pipe_is_written_in_place(config_path, tmp_path):
     os.mkfifo(pipe)
     reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        assert main(["keyrate", "--config", config_path, "--simulate", "--out", str(pipe)]) == 0
+        assert main(["keyrate", "--config", config_path, "--counts", COUNTS,
+                     "--out", str(pipe)]) == 0
         text = os.read(reader, 1 << 16)
         assert main(["simulate", "--config", config_path, "--mode", "expected",
                      "--counts-out", str(pipe), "--truth-out", str(pipe)]) == 0
@@ -352,7 +330,7 @@ def test_output_that_is_stdout_is_written_through_it(config_path, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     log = tmp_path / "log.txt"
     log.write_text("an earlier line\n")
-    for argv in (["keyrate", "--simulate", "--out", "/dev/stdout"],
+    for argv in (["keyrate", "--counts", COUNTS, "--out", "/dev/stdout"],
                  ["simulate", "--mode", "expected", "--counts-out", "/dev/stdout",
                   "--truth-out", "/dev/stdout"]):
         with open(log, "a") as handle:
@@ -379,13 +357,12 @@ def _manifest(path: Path) -> dict:
 
 def test_manifest_holds_a_seed_only_where_a_sample_is_drawn(config_path, tmp_path):
     """A seed that draws nothing is left out of the manifest, with the
-    generator's name, as ``optimize`` leaves out the seed it does not take."""
+    generator's name, as ``keyrate`` and ``optimize`` leave out the seed they
+    do not take."""
     counts, out = tmp_path / "counts.csv", tmp_path / "out"
     for argv, seed in [
         (["simulate", "--mode", "expected", "--seed", "3", "--counts-out", str(counts)], None),
-        (["keyrate", "--counts", str(counts), "--seed", "5", "--out", str(out)], None),
-        (["keyrate", "--simulate", "--seed", "5", "--out", str(out)], None),
-        (["keyrate", "--simulate", "--mode", "sampled", "--seed", "5", "--out", str(out)], 5),
+        (["keyrate", "--counts", str(counts), "--out", str(out)], None),
         (["simulate", "--mode", "sampled", "--seed", "3", "--counts-out", str(out)], 3),
     ]:
         assert main([*argv, "--config", config_path]) == 0
@@ -400,7 +377,7 @@ def test_over_budget_epsilons_exit_2(tmp_path, capsys):
     config["correlations"] = {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 5000}
     path = tmp_path / "over_budget.json"
     path.write_text(json.dumps(config))
-    assert main(["keyrate", "--config", str(path), "--simulate", "--mode", "expected"]) == 2
+    assert main(["keyrate", "--config", str(path), "--counts", COUNTS]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "failure budget" in err
 
@@ -490,7 +467,7 @@ def test_optimize_reads_the_protocols_v_and_epsilons(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["optimize", "--config", str(path)]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
-    assert main(["keyrate", "--config", str(path), "--simulate"]) == 0
+    assert main(["keyrate", "--config", str(path), "--counts", COUNTS]) == 0
     certified = json.loads(capsys.readouterr().out)["result"]
     assert result["params"]["v"] == 0.02
     assert result["eps_sec"] == pytest.approx(certified["eps_sec"], rel=1e-14)
@@ -521,7 +498,10 @@ def test_readme_config_runs(tmp_path):
     assert len(blocks) == 1
     path = tmp_path / "readme.json"
     path.write_text(blocks[0])
-    assert main(["keyrate", "--config", str(path), "--simulate",
+    counts = str(tmp_path / "counts.csv")
+    assert main(["simulate", "--config", str(path), "--mode", "expected",
+                 "--counts-out", counts]) == 0
+    assert main(["keyrate", "--config", str(path), "--counts", counts,
                  "--out", str(tmp_path / "keyrate.json")]) == 0
     assert main(["optimize", "--config", str(path),
                  "--out", str(tmp_path / "best.json")]) == 0
@@ -529,11 +509,13 @@ def test_readme_config_runs(tmp_path):
 
 def test_validate_quick_passes_and_repeats(tmp_path, capsys):
     """Every check passes, the --out report holds the printed checks as strict
-    JSON, and a second run differs only in the manifest timestamp."""
+    JSON, and a second run differs only in the manifest timestamp. ``validate``
+    has one level, the full suites, since ``--level`` and its quick sizes
+    retired."""
     reports = []
     for run in ("first.json", "second.json"):
         out = tmp_path / run
-        assert main(["validate", "--level", "quick", "--seed", "7", "--out", str(out)]) == 0
+        assert main(["validate", "--seed", "7", "--out", str(out)]) == 0
         printed = capsys.readouterr().out.strip().splitlines()
         report = json.loads(out.read_text(), parse_constant=reject_constant)
         assert set(report) == {"manifest", "checks"}
@@ -556,8 +538,7 @@ def test_correlated_config_derives_truncation(config_path, tmp_path):
     path.write_text(json.dumps(config))
     out = tmp_path / "result.json"
     assert main([
-        "keyrate", "--config", str(path), "--simulate", "--mode", "expected",
-        "--out", str(out),
+        "keyrate", "--config", str(path), "--counts", COUNTS, "--out", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
     assert payload["result"]["audit"]["correlation"]["l_c"] >= 30
@@ -572,17 +553,14 @@ def test_correlated_config_explicit_length(config_path, tmp_path):
     path.write_text(json.dumps(config))
     out = tmp_path / "result.json"
     assert main([
-        "keyrate", "--config", str(path), "--simulate", "--mode", "expected",
-        "--out", str(out),
+        "keyrate", "--config", str(path), "--counts", COUNTS, "--out", str(out),
     ]) == 0
     assert json.loads(out.read_text())["result"]["audit"]["correlation"]["l_c"] == 60
 
     # an explicit length below the derived requirement is a config error
     config["correlations"]["l_c_eff"] = 3
     path.write_text(json.dumps(config))
-    assert main([
-        "keyrate", "--config", str(path), "--simulate", "--mode", "expected",
-    ]) == 2
+    assert main(["keyrate", "--config", str(path), "--counts", COUNTS]) == 2
 
 
 def test_optimize_rejects_correlations_without_length(tmp_path):
@@ -593,6 +571,14 @@ def test_optimize_rejects_correlations_without_length(tmp_path):
     assert main(["optimize", "--config", str(path)]) == 2
 
 
+# eps_PE rounds to d = 0.5, so eps_sec = 2 sqrt(0.5) + 2e-10
+EPS_SEC_AT_D = {"epsilons.eps_A": 1e-300, "epsilons.eps_B": 1e-300, "epsilons.eps_C": 1e-300,
+                "epsilons.d": 0.5, "correlations": {"delta_1": 0.05, "decay_C": 1.0}}
+EPS_SEC_AT_D_MESSAGE = ("eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV = 1.4142135625730952 must "
+                        "be below 1, with eps_PE=0.5, eps_PA=1e-10 and eps_EV=1e-10")
+# eps_A = 0.1 alone spends 5 eps_A = 0.5 of eps_PE
+EPS_SEC_EPS_A_MESSAGE = ("eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV = 1.41421356412873 must "
+                         "be below 1, with eps_PE=0.5000000011, eps_PA=1e-10 and eps_EV=1e-10")
 N_BEYOND_INT64 = "N must be at most 9223372036854775807, got 9223372036854775808"
 # rows that set the retired optimizer section, by id: its value and the command
 # run; any section is refused by name, whatever it holds
@@ -610,8 +596,8 @@ RETIRED_OPTIMIZER_SECTIONS = {
     "optimizer_v_retired": ({"v": 0.0}, "optimize"),
     "optimizer_eps_PA_retired": ({"eps_PA": 1e-10}, "optimize"),
     "optimizer_eps_EV_retired": ({"eps_EV": 1e-10}, "optimize"),
-    "optimizer_v_with_keyrate": ({"v": 0.0}, "expected"),
-    "optimizer_not_object_with_keyrate": (3, "expected"),
+    "optimizer_v_with_keyrate": ({"v": 0.0}, "keyrate"),
+    "optimizer_not_object_with_keyrate": (3, "keyrate"),
     "optimizer_eps_pe_target_underflows_every_split": ({"eps_pe_target": 1e-308}, "optimize"),
 }
 # rows whose message is pinned, because a later, generic check would also exit 2
@@ -650,6 +636,17 @@ MALFORMED_MESSAGES = {
     "counts_and_truth_one_path": "--counts-out and --truth-out name the same file ",
     "d_without_correlations_optimize": "epsilon budget carries d=1e-12 but the correlation model "
                                        "carries truncation_d=0.0",
+    "simulate_retired_keyrate": "unrecognized arguments: --simulate",
+    "level_retired_validate": "unrecognized arguments: --level full",
+    "eps_A_eps_sec_above_1": EPS_SEC_EPS_A_MESSAGE,
+    "eps_A_eps_sec_above_1_optimize": EPS_SEC_EPS_A_MESSAGE,
+    "d_eps_sec_above_1": "eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV = 1.8973665988308497 must "
+                         "be below 1, with eps_PE=0.9000000024, eps_PA=1e-10 and eps_EV=1e-10",
+    "eps_PA_eps_EV_eps_sec_above_1": "eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV = "
+                                     "1.2000799999999998 must be below 1, with eps_PE=1.6e-09, "
+                                     "eps_PA=0.6 and eps_EV=0.6",
+    "eps_sec_above_1_at_d": EPS_SEC_AT_D_MESSAGE,
+    "eps_sec_above_1_at_d_optimize": EPS_SEC_AT_D_MESSAGE,
     **dict.fromkeys(RETIRED_OPTIMIZER_SECTIONS, "unknown field config.optimizer"),
 }
 
@@ -659,14 +656,14 @@ MALFORMED_MESSAGES = {
     ({}, "1.5", "counts"),
     ({}, "abc", "counts"),
     ({"channel.f_EC": 0.5}, None, "counts"),
-    ({"protocol.N": "abc"}, None, "expected"),
-    ({"protocol.N": 1.5e9 + 0.5}, None, "expected"),
-    ({"protocol.intensities.s": "0.5"}, None, "expected"),
-    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 0}}, None, "expected"),
-    ({"correlations": {"delta_1": -0.1, "decay_C": 1.0, "l_c_eff": 2}}, None, "expected"),
-    ({"correlations": {"delta_1": 0.1, "decay_C": 1.0, "l_c_eff": "abc"}}, None, "expected"),
-    ({"protocol.N": 2**63}, None, "sampled"),
-    ({"protocol.N": 10**400}, None, "expected"),
+    ({"protocol.N": "abc"}, None, "keyrate"),
+    ({"protocol.N": 1.5e9 + 0.5}, None, "keyrate"),
+    ({"protocol.intensities.s": "0.5"}, None, "keyrate"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 0}}, None, "keyrate"),
+    ({"correlations": {"delta_1": -0.1, "decay_C": 1.0, "l_c_eff": 2}}, None, "keyrate"),
+    ({"correlations": {"delta_1": 0.1, "decay_C": 1.0, "l_c_eff": "abc"}}, None, "keyrate"),
+    ({"protocol.N": 2**63}, None, "keyrate"),
+    ({"protocol.N": 10**400}, None, "keyrate"),
     ({"protocol.intensities.v": -1}, None, "optimize"),
     ({}, "abc", "scan"),
     ({}, "nan", "scan"),
@@ -684,40 +681,40 @@ MALFORMED_MESSAGES = {
     ({}, "9" * 5000, "counts"),
     ({}, "5000000000", "counts_sifted_total"),
     ({}, "9" * 400, "counts_sifted_total"),
-    ({"protocol": 5}, None, "expected"),
-    ({"protocol.intensities": 0.5}, None, "expected"),
-    ({"protocol.intensity_probs": 0.7}, None, "expected"),
-    ({"epsilons": 1e-10}, None, "expected"),
-    ({"channel": 5}, None, "expected"),
+    ({"protocol": 5}, None, "keyrate"),
+    ({"protocol.intensities": 0.5}, None, "keyrate"),
+    ({"protocol.intensity_probs": 0.7}, None, "keyrate"),
+    ({"epsilons": 1e-10}, None, "keyrate"),
+    ({"channel": 5}, None, "simulate"),
     ({"channel": 5}, None, "counts"),
-    ({"correlations": 3}, None, "expected"),
+    ({"correlations": 3}, None, "keyrate"),
     ({"protocol.intensities.s": 800}, None, "counts"),
     ({"protocol.intensities.s": 1e300}, None, "counts"),
     ({"protocol.intensities.s": math.inf}, None, "counts"),
-    ({"protocol.intensities.s": math.inf}, None, "expected"),
-    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-300}}, None, "expected"),
+    ({"protocol.intensities.s": math.inf}, None, "keyrate"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-300}}, None, "keyrate"),
     ({"protocol.intensities": {"s": 1e-300, "w": 5e-301, "v": 0.0}, "epsilons.d": 1e-12,
-      "correlations": {"delta_1": 5e-324, "decay_C": 1.0}}, None, "expected"),
+      "correlations": {"delta_1": 5e-324, "decay_C": 1.0}}, None, "keyrate"),
     ({"protocol.intensities": {"s": 2e-160, "w": 1e-160, "v": 0.0}, "epsilons.d": 1e-12,
-      "correlations": {"delta_1": 5e-324, "decay_C": 1.0}}, None, "expected"),
+      "correlations": {"delta_1": 5e-324, "decay_C": 1.0}}, None, "keyrate"),
     ({"protocol.intensities.w": 5e-324, "epsilons.d": 1e-12,
-      "correlations": {"delta_1": 0.05, "decay_C": 1.0}}, None, "expected"),
-    ({"epsilons.eps_A": 5e-324}, None, "expected"),
-    ({"epsilons.eps_C": 5e-324}, None, "expected"),
+      "correlations": {"delta_1": 0.05, "decay_C": 1.0}}, None, "keyrate"),
+    ({"epsilons.eps_A": 5e-324}, None, "keyrate"),
+    ({"epsilons.eps_C": 5e-324}, None, "keyrate"),
     ({"protocol.intensities": {"s": 709.7, "w": 709.0, "v": 0.0}}, None, "counts"),
-    ({"protocol.intensity_probs.v": 10**400}, None, "expected"),
-    ({"channel.distance_km": 10**400}, None, "expected"),
+    ({"protocol.intensity_probs.v": 10**400}, None, "keyrate"),
+    ({"channel.distance_km": 10**400}, None, "simulate"),
     ({"channel.f_EC": math.nan}, None, "counts"),
     ({"channel.f_EC": math.inf}, None, "counts"),
-    ({"channel.distance_km": -15413.0}, None, "expected"),
+    ({"channel.distance_km": -15413.0}, None, "simulate"),
     ({"protocol.intensity_probs": {"s": 0.85, "w": 5e-324, "v": 0.15}}, None, "counts"),
     ({"epsilons.eps_PA": 5e-324}, None, "optimize"),
     ({"epsilons.eps_EV": 5e-324}, None, "optimize"),
     ({"protocol.intensities": {"s": 2.0, "w": 0.7, "v": 0.6}}, None, "optimize"),
-    ({"channel.misalignmnet": 0.05}, None, "expected"),
+    ({"channel.misalignmnet": 0.05}, None, "simulate"),
     ({"protocol.intensities.u": 0.05}, None, "counts"),
-    ({"correlation": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 35}}, None, "expected"),
-    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "expected"),
+    ({"correlation": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 35}}, None, "keyrate"),
+    ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "keyrate"),
     ({"correlations": {"delta_1": 0.05, "decay_C": 1e-5, "l_c_eff": 10**9}}, None, "counts"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1e-7}}, None, "optimize"),
     ({"epsilons.d": 1e-12, "correlations": {"delta_1": 0.05, "decay_C": 1.0, "l_c_eff": 5}},
@@ -727,7 +724,7 @@ MALFORMED_MESSAGES = {
     ({"correlations": {"delta_1": 0.05, "decay_C": 1.0, "bogus": 1}}, None, "simulate"),
     ({}, "1e16:1e16:1", "scan"),
     ({}, "9007199254740990:9007199254740995:0.6", "scan"),
-    ({"protocol.N": 2**63}, None, "expected"),
+    ({"protocol.N": 2**63}, None, "keyrate"),
     ({"protocol.N": 2**63}, None, "counts"),
     ({"protocol.N": 2**63}, None, "simulate"),
     ({"protocol.N": 2**63}, None, "optimize"),
@@ -738,6 +735,14 @@ MALFORMED_MESSAGES = {
     ({}, "0 --budget 60", "scan"),
     ({}, "--truth-out {}", "simulate"),
     ({"epsilons.d": 1e-12}, None, "optimize"),
+    ({}, "--simulate", "keyrate"),
+    ({}, "--level full", "validate"),
+    ({"epsilons.eps_A": 0.1}, None, "keyrate"),
+    ({"epsilons.eps_A": 0.1}, None, "optimize"),
+    ({"epsilons.d": 0.9, "correlations": {"delta_1": 0.05, "decay_C": 1.0}}, None, "keyrate"),
+    ({"epsilons.eps_PA": 0.6, "epsilons.eps_EV": 0.6}, None, "keyrate"),
+    (EPS_SEC_AT_D, None, "keyrate"),
+    (EPS_SEC_AT_D, None, "optimize"),
     *(({"optimizer": section}, None, mode)
       for section, mode in RETIRED_OPTIMIZER_SECTIONS.values()),
 ], ids=[
@@ -765,7 +770,10 @@ MALFORMED_MESSAGES = {
     "N_beyond_int64_expected", "N_beyond_int64_counts", "N_beyond_int64_simulate",
     "N_beyond_int64_optimize", "N_beyond_int64_scan", "seed_retired_optimize", "seed_retired_scan",
     "budget_retired_optimize", "budget_retired_scan", "counts_and_truth_one_path",
-    "d_without_correlations_optimize", *RETIRED_OPTIMIZER_SECTIONS,
+    "d_without_correlations_optimize", "simulate_retired_keyrate", "level_retired_validate",
+    "eps_A_eps_sec_above_1", "eps_A_eps_sec_above_1_optimize", "d_eps_sec_above_1",
+    "eps_PA_eps_EV_eps_sec_above_1", "eps_sec_above_1_at_d", "eps_sec_above_1_at_d_optimize",
+    *RETIRED_OPTIMIZER_SECTIONS,
 ])
 def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, cell, mode):
     config = json.loads(json.dumps(BASE_CONFIG))
@@ -778,7 +786,9 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(config))
     argv = ["keyrate", "--config", str(path)]
-    if mode == "optimize":
+    if mode == "validate":
+        argv = ["validate", *cell.split()]
+    elif mode == "optimize":
         argv = ["optimize", "--config", str(path), *(cell or "").split()]
     elif mode == "scan":
         argv = ["scan", "--config", str(path), "--distances", *cell.split(" "),
@@ -800,7 +810,7 @@ def test_malformed_input_exits_2(config_path, tmp_path, capsys, request, edits, 
             counts.write_text("\n".join(lines) + "\n")
         argv += ["--counts", str(counts)]
     else:
-        argv += ["--simulate", "--mode", mode, "--seed", "1"]
+        argv += ["--counts", COUNTS, *(cell or "").split()]
     try:
         status, prefix = main(argv), "config error:"
     except SystemExit as exc:  # an option argparse does not know
@@ -876,29 +886,36 @@ def test_scan_runs_each_search_until_it_converges(tmp_path):
 def test_top_level_not_object_exits_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
-    assert main(["keyrate", "--config", str(path), "--simulate"]) == 2
+    assert main(["keyrate", "--config", str(path), "--counts", COUNTS]) == 2
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_integer_beyond_digit_limit_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(BASE_CONFIG).replace(str(10**9), "9" * 5000))
-    assert main(["keyrate", "--config", str(path), "--simulate"]) == 2
+    assert main(["keyrate", "--config", str(path), "--counts", COUNTS]) == 2
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("keyrate", ["--simulate", "--mode", "sampled"]),
-    ("simulate", ["--counts-out", "counts.csv"]),
-    ("validate", []),
+@pytest.mark.parametrize("command, extra, message", [
+    ("keyrate", ["--counts", COUNTS], "unrecognized arguments: --seed -1"),
+    ("simulate", ["--counts-out", "counts.csv"], "--seed must be nonnegative"),
+    ("validate", [], "--seed must be nonnegative"),
 ], ids=["keyrate", "simulate", "validate"])
-def test_negative_seed_exits_2(config_path, tmp_path, monkeypatch, capsys, command, extra):
+def test_negative_seed_exits_2(config_path, tmp_path, monkeypatch, capsys, command, extra,
+                               message):
+    """A negative seed is refused by name; ``keyrate``, which draws nothing,
+    takes no seed at all."""
     monkeypatch.chdir(tmp_path)
     argv = [command, "--seed", "-1", *extra]
     if command != "validate":
         argv += ["--config", config_path]
-    assert main(argv) == 2
-    assert "--seed must be nonnegative" in capsys.readouterr().err
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # an option argparse does not know
+        status = exc.code
+    assert status == 2
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -920,7 +937,7 @@ def test_optimize_honours_explicit_length(tmp_path):
     assert 0 < keys[400] < keys[None]
 
 
-@pytest.mark.parametrize("argv", [["keyrate", "--simulate"], ["validate", "--level", "quick"]],
+@pytest.mark.parametrize("argv", [["keyrate", "--counts", COUNTS], ["validate"]],
                          ids=["keyrate", "validate"])
 def test_closed_stdout_pipe_exits_1_without_traceback(config_path, argv):
     """A reader that has gone away (``corrbb84 ... | head``) ends the run with
@@ -949,7 +966,7 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no 
 
 @needs_dev_full
 @pytest.mark.parametrize("argv", [
-    ["keyrate", "--simulate", "--out", "/dev/full"],
+    ["keyrate", "--counts", COUNTS, "--out", "/dev/full"],
     ["simulate", "--mode", "expected", "--counts-out", "/dev/full"],
     ["validate", "--out", "/dev/full"],
 ], ids=["keyrate_out", "counts_out", "validate_out"])
@@ -957,7 +974,7 @@ def test_output_that_cannot_be_written_exits_2(config_path, monkeypatch, capsys,
     """An output that opens but refuses the write (a full disk) ends the run
     with exit 2 and one line, not a traceback."""
     checks = [validation.ValidationCheck("stub", True)]
-    monkeypatch.setattr(validation, "run_validation", lambda level, seed: checks)
+    monkeypatch.setattr(validation, "run_validation", lambda seed: checks)
     if argv[0] != "validate":
         argv = [*argv, "--config", config_path]
     assert main(argv) == 2
@@ -976,7 +993,7 @@ def test_stdout_that_cannot_be_written_exits_2_without_traceback(config_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "corrbb84.cli", "keyrate", "--simulate", "--config",
+            [sys.executable, "-m", "corrbb84.cli", "keyrate", "--counts", COUNTS, "--config",
              config_path], stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
         )
     assert proc.returncode == 2, proc.stderr
@@ -1052,17 +1069,17 @@ def test_counts_certification_runs_without_numpy(tmp_path):
                                        result["e_ph_upper"]]
 
 
-# Runs in a fresh interpreter: the expected-mode commands on argv[1:], then
-# prints whether numpy was loaded.
+# Runs in a fresh interpreter: simulate --mode expected and keyrate --counts
+# on what it wrote, on argv[1:], then prints whether numpy was loaded.
 EXPECTED_MODE_PROBE = """
 import sys
 from corrbb84.cli import main
 config, key, counts, truth = sys.argv[1:]
-if main(["keyrate", "--config", config, "--simulate", "--out", key]) != 0:
-    sys.exit("keyrate --simulate failed")
 if main(["simulate", "--config", config, "--mode", "expected", "--counts-out", counts,
          "--truth-out", truth]) != 0:
     sys.exit("simulate --mode expected failed")
+if main(["keyrate", "--config", config, "--counts", counts, "--out", key]) != 0:
+    sys.exit("keyrate --counts failed")
 print("numpy" in sys.modules)
 """
 
@@ -1072,7 +1089,7 @@ def _without_timestamp(path: Path) -> str:
 
 
 def test_expected_simulation_never_loads_numpy(config_path, tmp_path):
-    """``keyrate --simulate`` (expected mode) and ``simulate --mode expected``
+    """``simulate --mode expected`` and ``keyrate --counts`` on its counts
     draw no sample, so they never import numpy, and write what the same
     commands write in a process that has it loaded."""
     names = ("key.json", "counts.csv", "truth.csv")
@@ -1088,9 +1105,9 @@ def test_expected_simulation_never_loads_numpy(config_path, tmp_path):
     assert proc.stdout.split() == ["False"]
 
     key, counts, truth = map(str, loaded)
-    assert main(["keyrate", "--config", config_path, "--simulate", "--out", key]) == 0
     assert main(["simulate", "--config", config_path, "--mode", "expected",
                  "--counts-out", counts, "--truth-out", truth]) == 0
+    assert main(["keyrate", "--config", config_path, "--counts", counts, "--out", key]) == 0
     for a, b in zip(fresh, loaded):
         assert _without_timestamp(a) == _without_timestamp(b)
 

@@ -2,10 +2,12 @@
 fixtures in ``fixtures/cli_outputs``, with only the manifest timestamp left
 out.
 
-The fixtures hold ``keyrate --simulate`` (expected mode) and ``keyrate
---counts`` on the README config, with its correlation model and without it
-(then with d = 0), and ``optimize`` and ``scan 0,20,40`` on both, each search
-run until it converges at the config's own eps_PE, so at keyrate's eps_sec.
+The fixtures hold ``keyrate --counts`` on the README config, with its
+correlation model and without it (then with d = 0), both on the stored counts
+file (``keyrate_counts``) and on the expected counts that ``simulate --mode
+expected`` writes for the config (``keyrate_simulate``), and ``optimize`` and
+``scan 0,20,40`` on both configs, each search run until it converges at the
+config's own eps_PE, so at keyrate's eps_sec.
 The keyrate JSON carries the whole audit, which ``cmd_keyrate`` writes by
 name, so a key the audit drops, renames or reorders fails here. The counts
 file is a stored sampled draw. Record again (only when a change of these
@@ -27,8 +29,10 @@ import pytest
 
 FIXTURES = Path(__file__).with_name("fixtures") / "cli_outputs"
 CONFIGS = ("readme_correlated.json", "readme_uncorrelated.json")
+# each command's argv but --config and --out; "{expected}" is the counts file
+# that simulate --mode expected writes for the config first
 COMMANDS = {
-    "keyrate_simulate": ["keyrate", "--simulate"],
+    "keyrate_simulate": ["keyrate", "--counts", "{expected}"],
     "keyrate_counts": ["keyrate", "--counts", str(FIXTURES / "counts.csv")],
     "optimize": ["optimize"],
     "scan": ["scan", "--distances", "0,20,40"],
@@ -43,8 +47,13 @@ def _cases():
 def _output(command: str, config: str, out: Path) -> str:
     from corrbb84.cli import main
 
-    argv = [*COMMANDS[command], "--config", str(FIXTURES / config), "--out", str(out)]
-    assert main(argv) == 0
+    config_arg = ["--config", str(FIXTURES / config)]
+    expected = out.with_name("expected.csv")
+    if "{expected}" in COMMANDS[command]:
+        assert main(["simulate", "--mode", "expected", *config_arg,
+                     "--counts-out", str(expected)]) == 0
+    argv = [arg.format(expected=expected) for arg in COMMANDS[command]]
+    assert main([*argv, *config_arg, "--out", str(out)]) == 0
     return TIMESTAMP.sub('"timestamp": "-"', out.read_text())
 
 
@@ -60,8 +69,8 @@ def test_cli_output_equals_recorded_bytes(tmp_path, command, config):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_searches_certify_at_the_configs_own_eps_sec(config):
     """On the recorded outputs, which the test above holds to the live ones,
-    ``optimize`` and every ``scan`` row certify at the eps_sec of ``keyrate
-    --simulate`` on the same config, and the key ``optimize`` finds at the
+    ``optimize`` and every ``scan`` row certify at the eps_sec of ``keyrate``
+    on the config's expected counts, and the key ``optimize`` finds at the
     config's distance is at least the one the config's own parameters give."""
     certified = json.loads(_fixture("keyrate_simulate", config).read_text())["result"]
     best = json.loads(_fixture("optimize", config).read_text())["result"]

@@ -131,18 +131,31 @@ def _set(config: dict, path: str, key: str, value) -> None:
     section[key] = value
 
 
-def _config_argv(tmp: str, config: dict, command: str) -> list[str]:
-    """Write ``config`` into ``tmp``; the argv of ``optimize`` on it, or of
-    ``keyrate --simulate`` in mode ``command``."""
+def _config_runs(tmp: str, config: dict, command: str) -> list[list[str]]:
+    """Write ``config`` into ``tmp``; the argv of ``optimize`` on it, or those
+    of ``simulate`` in mode ``command`` and of ``keyrate --counts`` on the
+    counts it writes."""
     path = Path(tmp) / "config.json"
     path.write_text(json.dumps(config))
     if command == "optimize":
-        return ["optimize", "--config", str(path)]
-    return ["keyrate", "--config", str(path), "--simulate", "--mode", command, "--seed", "1"]
+        return [["optimize", "--config", str(path)]]
+    counts = str(Path(tmp) / "counts.csv")
+    return [["simulate", "--config", str(path), "--mode", command, "--seed", "1",
+             "--counts-out", counts], ["keyrate", "--config", str(path), "--counts", counts]]
 
 
-def _check(argv: list[str]) -> None:
-    status, out, err = _run(argv)
+def _run_each(argvs: list[list[str]]) -> tuple[int, str, str]:
+    """``_run`` of each argv in turn up to the first that exits nonzero; the
+    result of that one, else of the last."""
+    for argv in argvs:
+        status, out, err = _run(argv)
+        if status != 0:
+            break
+    return status, out, err
+
+
+def _check(argvs: list[list[str]]) -> None:
+    status, out, err = _run_each(argvs)
     assert status in (0, 2), (status, err)
     if status == 2:
         assert "config error:" in err
@@ -159,7 +172,7 @@ def test_config_fields_exit_0_or_2(edits, command):
         path, _, key = dotted.rpartition(".")
         _set(config, path, key, value)
     with tempfile.TemporaryDirectory() as tmp:
-        _check(_config_argv(tmp, config, command))
+        _check(_config_runs(tmp, config, command))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -174,7 +187,7 @@ def test_counts_cells_exit_0_or_2(cells):
         for row, text in cells.items():
             lines = [row + text if line.startswith(row) else line for line in lines]
         counts.write_text("\n".join(lines) + "\n")
-        _check(["keyrate", "--config", str(config), "--counts", str(counts)])
+        _check([["keyrate", "--config", str(config), "--counts", str(counts)]])
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -185,7 +198,7 @@ def test_misspelled_keys_exit_2(misspelled, command):
     config = json.loads(json.dumps(BASE_CONFIG))
     _set(config, path, typo, 1)
     with tempfile.TemporaryDirectory() as tmp:
-        status, _, err = _run(_config_argv(tmp, config, command))
+        status, _, err = _run_each(_config_runs(tmp, config, command))
     assert status == 2 and "config error: unknown field " in err, (path, typo, err)
 
 
@@ -204,7 +217,6 @@ def test_every_command_refuses_a_wrong_kind_alike(wrong):
         path.write_text(json.dumps(config))
         runs = [_run([command, "--config", str(path), *flags]) for command, *flags in (
             ("keyrate", "--counts", str(COUNTS)),
-            ("keyrate", "--simulate"),
             ("simulate", "--mode", "expected", "--counts-out", str(Path(tmp) / "counts.csv")),
             ("optimize",),
         )]

@@ -38,7 +38,7 @@ def _lags(count):
     (lambda: _coin_overlap_sum(2, _lags(1), ISET), "delta table covers 1 lags, need 2"),
     (lambda: coin_monte_carlo(10**6, reference_config(10**6), _lags(1), 1, 0, 0),
      "trials must be positive"),
-    (lambda: run_validation(level="x"), "level must be 'quick' or 'full'"),
+    (lambda: run_validation(level="quick"), "level must be 'full'"),
 ], ids=["azuma_delta", "tail_sum", "coin_parameter_bound", "trash_minus_upper",
         "exact_global_fidelity_lc", "required_truncation_length_N",
         "required_truncation_length_mu", "trace_distance_bound", "exact_global_fidelity_table",

@@ -118,25 +118,24 @@ def test_candidate_gate_is_the_configs_own_report(monkeypatch, spec):
 
 
 def test_pipeline_refusals_score_minus_inf_and_spend_budget(monkeypatch, channel_10km):
-    """At eps_pe_target 1 - 2^-53 some splits' shares sum to 1.0, which
-    ``total_pe_failure`` refuses; such a candidate scores -inf, spends its
-    evaluation and leaves the search running."""
+    """A candidate the pipeline refuses, here each whose signal intensity
+    exceeds the centre start's, scores -inf, spends its evaluation and leaves
+    the search running."""
     real, refused = optimizer.evaluate_pipeline, []
+    s_start = _center_start(0.0)[0]
 
-    def counted(*args, **kwargs):
-        try:
-            result = real(*args, **kwargs)
-        except ConfigError:
-            refused.append(True)
-            raise
-        refused.append(False)
-        return result
+    def refusing(observed, config, *args, **kwargs):
+        refused.append(config.intensity_set.s > s_start)
+        if refused[-1]:
+            raise ConfigError("refused mid-search")
+        return real(observed, config, *args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "evaluate_pipeline", counted)
-    outcome = optimize_params(OptimizationSpec(N=1000, eps_pe_target=1 - 2**-53), channel_10km)
+    monkeypatch.setattr(optimizer, "evaluate_pipeline", refusing)
+    outcome = optimize_params(OptimizationSpec(**FAST), channel_10km)
     # every call but the winner's re-evaluation is one evaluation
     assert len(refused) == outcome.evaluations + 1
     assert any(refused) and not refused[-1]
+    assert outcome.params["s"] <= s_start and outcome.key_length > 0
 
 
 def test_weak_box_below_its_floor_skips_the_weak_coordinate(monkeypatch, channel_10km):
@@ -479,9 +478,15 @@ def test_winner_disagreement_raises(monkeypatch, channel_10km):
     ({"budget": 2.5}, "budget must be a whole number of evaluations, got 2.5"),
     ({"budget": True}, "budget must be a whole number of evaluations, got True"),
     ({"budget": 0}, "budget must be >= 1, got 0"),
+    ({"eps_pe_target": 0.25}, "eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV = 1.0000000002 must be "
+                              "below 1, with eps_PE=0.25, eps_PA=1e-10 and eps_EV=1e-10"),
+    ({"eps_PA": 0.5, "eps_EV": 0.5},
+     "eps_sec = 2 sqrt(eps_PE) + eps_PA + eps_EV = 1.0000200000000001 must be below 1, "
+     "with eps_PE=1e-10, eps_PA=0.5 and eps_EV=0.5"),
 ], ids=["f_ec_below_1", "f_ec_nan", "N_zero", "v_above_box", "eps_PA_inverse_overflows",
         "eps_pe_target_above_1", "eps_pe_target_inverse_overflows", "eps_pe_target_at_d",
-        "budget_fractional", "budget_bool", "budget_zero"])
+        "budget_fractional", "budget_bool", "budget_zero", "eps_sec_from_eps_pe_target",
+        "eps_sec_from_eps_PA_and_eps_EV"])
 def test_invalid_spec_raises_before_any_evaluation(monkeypatch, channel_10km, edits, message):
     def never(*args, **kwargs):
         raise AssertionError("evaluated an invalid spec")
